@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Subcommands: compress, score, emit {sft|rm-prompts|rm-rows}, ablate, stats.
+Subcommands: compress, score (compress writing only the score dump),
+emit {sft|rm-prompts|rm-rows}, ablate, stats.
 Config precedence: CLI flag > config file > environment > built-in default.
 Progress and warnings go to stderr; data artifacts go to files; nothing is
 printed to stdout unless asked for (--print-report, stats).
@@ -27,6 +28,7 @@ from .dataset import (
     JsonlWriter,
     read_compressed_dataset,
     read_dataset,
+    read_responses,
     read_rm_examples,
     write_dataset,
     write_jsonl,
@@ -190,8 +192,8 @@ def _config_echo(settings: dict[str, Any], config: SelectionConfig, args: argpar
     return echo
 
 
-def _emit_report(report: RunReport, args: argparse.Namespace) -> None:
-    payload = report.to_dict()
+def _write_report(payload: dict[str, Any], args: argparse.Namespace) -> None:
+    """Write the report JSON to --report and print it with --print-report."""
     report_path = getattr(args, "report", None)
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
@@ -199,6 +201,10 @@ def _emit_report(report: RunReport, args: argparse.Namespace) -> None:
             fh.write("\n")
     if getattr(args, "print_report", False):
         print(json.dumps(payload, ensure_ascii=False))
+
+
+def _emit_report(report: RunReport, args: argparse.Namespace) -> None:
+    _write_report(report.to_dict(), args)
     logger.info(
         "done: %d ok, %d failed, mean actual ratio %s",
         report.instances_ok,
@@ -260,30 +266,15 @@ def _compress_stream(
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
+    """Run compress; ``score`` is compress at default ratio 1.0 writing only the score dump to --output."""
+    score_only = args.command == "score"
+    settings = resolve_settings(args, default_ratio=1.0 if score_only else None)
+    output_path, dump_path = (None, args.output) if score_only else (args.output, args.score_dump)
     config = selection_config_from(settings)
     backend = build_backend(settings["backend"])
     workers = int(settings["workers"])
     started = time.monotonic()
-    builder, interrupted = _compress_stream(
-        args, config, backend, workers, args.output, getattr(args, "score_dump", None)
-    )
-    report = builder.build(time.monotonic() - started, _config_echo(settings, config, args))
-    _emit_report(report, args)
-    if interrupted:
-        return EXIT_INTERRUPT
-    if report.instances_failed and not settings["lenient"]:
-        return EXIT_FAILURES
-    return EXIT_OK
-
-
-def cmd_score(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args, default_ratio=1.0)
-    config = selection_config_from(settings)
-    backend = build_backend(settings["backend"])
-    workers = int(settings["workers"])
-    started = time.monotonic()
-    builder, interrupted = _compress_stream(args, config, backend, workers, None, args.output)
+    builder, interrupted = _compress_stream(args, config, backend, workers, output_path, dump_path)
     report = builder.build(time.monotonic() - started, _config_echo(settings, config, args))
     _emit_report(report, args)
     if interrupted:
@@ -330,7 +321,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
     if not args.responses:
         raise ConfigError("emit rm-rows requires --responses")
     examples = list(read_rm_examples(args.input, errors=errors))
-    responses = list(_read_responses(args.responses, errors))
+    responses = list(read_responses(args.responses, errors=errors))
     join_errors: list[DatasetError] = []
     rows = build_rm_training_rows(examples, responses, errors=join_errors)
     write_jsonl(
@@ -350,19 +341,6 @@ def cmd_emit(args: argparse.Namespace) -> int:
     if join_errors or (errors and not lenient):
         return EXIT_FAILURES
     return EXIT_OK
-
-
-def _read_responses(path: str, errors: list[DatasetError]) -> Iterator[tuple[str, str]]:
-    from .dataset import _iter_json_lines  # same lenient line handling
-
-    for line_no, obj in _iter_json_lines(path, False, errors):
-        if "source_id" not in obj or "compressed_steps" not in obj:
-            errors.append(DatasetError("missing source_id or compressed_steps", line_no, path))
-            continue
-        steps = obj["compressed_steps"]
-        if isinstance(steps, list):
-            steps = "\n".join(str(s) for s in steps)
-        yield str(obj["source_id"]), str(steps)
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
@@ -397,13 +375,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     for name, report in reports.items():
         mean = "n/a" if report.mean_actual_ratio is None else f"{report.mean_actual_ratio:.4f}"
         print(f"{name:<12} {mean:>18} {report.kept_tokens_total:>18}", file=sys.stderr)
-    payload = {name: report.to_dict() for name, report in reports.items()}
-    if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
-    if getattr(args, "print_report", False):
-        print(json.dumps(payload, ensure_ascii=False))
+    _write_report({name: report.to_dict() for name, report in reports.items()}, args)
     return exit_code
 
 
@@ -490,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_selection_arguments(p_score)
     _add_runtime_arguments(p_score)
     _add_schema_arguments(p_score)
-    p_score.set_defaults(func=cmd_score)
+    p_score.set_defaults(func=cmd_compress)
 
     p_emit = sub.add_parser("emit", help="render training artifacts")
     p_emit.add_argument("target", choices=["sft", "rm-prompts", "rm-rows"])

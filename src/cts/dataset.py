@@ -211,6 +211,23 @@ def read_rm_examples(
                 errors.append(err)
 
 
+def read_responses(path: str, *, errors: list[DatasetError] | None = None) -> Iterator[tuple[str, str]]:
+    """Stream (source_id, compressed_steps) pairs of strong-model responses.
+
+    A list of steps is joined with newlines. Malformed lines and lines
+    missing either field are appended to ``errors`` (if given) and skipped.
+    """
+    for line_no, obj in _iter_json_lines(path, False, errors):
+        if "source_id" not in obj or "compressed_steps" not in obj:
+            if errors is not None:
+                errors.append(DatasetError("missing source_id or compressed_steps", line_no, path))
+            continue
+        steps = obj["compressed_steps"]
+        if isinstance(steps, list):
+            steps = "\n".join(str(s) for s in steps)
+        yield str(obj["source_id"]), str(steps)
+
+
 def compressed_to_dict(record: CompressedInstance) -> dict[str, Any]:
     """Serialize with the fixed key order; extra input fields follow, key collisions dropped."""
     out: dict[str, Any] = {

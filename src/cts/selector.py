@@ -11,7 +11,8 @@ the answer. Given a retention ratio alpha, the top alpha fraction of tokens
 by score is kept (ties broken toward earlier positions) and the kept surface
 spans are concatenated in original order to form the compressed thinking
 text. Long sequences can be split into segments and compressed iteratively,
-each segment conditioned on the already-compressed prefix.
+each segment conditioned on the already-compressed prefix; global scope is
+the same loop over a single segment.
 
 With ``conditional`` off the score degenerates to the plain unconditional
 perplexity, i.e. the classic keep-the-most-surprising-tokens baseline.
@@ -52,9 +53,10 @@ class SelectionConfig:
         how far a cut may move back to land on a clean span boundary.
     score_space: "ppl_diff" (difference of perplexities) or "bits_diff"
         (difference of self-information).
-    selection_scope: "global" ranks all tokens together; "per_segment"
-        selects the top fraction inside each segment, scoring segment j
-        against the already-compressed earlier segments.
+    selection_scope: "per_segment" splits the thinking into segments of at
+        most segment_budget tokens and selects the top fraction inside each,
+        scoring segment j against the already-compressed earlier segments;
+        "global" is the one-segment case [0, n), ranking all tokens together.
     iterative_original_prefix: in per_segment scope, condition each segment
         on the original (uncompressed) preceding thinking instead of the
         compressed prefix.
@@ -118,11 +120,14 @@ class SelectionResult:
 
 @dataclass
 class ScoringContexts:
-    """Token id contexts for the two scoring passes.
+    """Token id contexts for the two scoring passes over the whole thinking.
 
-    The thinking ids occupy [uncond_start, uncond_start + n) in uncond_ids
-    and [cond_start, cond_start + n) in cond_ids, bit-identical in both:
-    positions align one-to-one between the passes.
+    These are the global-scope (one segment, empty history) contexts, and
+    cond_ids[:cond_start] is the condition prefix of every segment's
+    conditional context. The thinking ids occupy [uncond_start,
+    uncond_start + n) in uncond_ids and [cond_start, cond_start + n) in
+    cond_ids, bit-identical in both: positions align one-to-one between the
+    passes.
     """
 
     thinking_ids: list[int]
@@ -147,20 +152,19 @@ def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
 def build_contexts(
     instance: CotInstance, config: SelectionConfig, backend: LogprobBackend
 ) -> ScoringContexts:
-    """Tokenize the thinking text once and assemble both scoring contexts."""
+    """Tokenize the thinking text and the condition once each; assemble both scoring contexts.
+
+    This is the only place the pipeline tokenizes. A text the backend cannot
+    tokenize becomes a ScoringError naming the instance.
+    """
     config.validate()
-    tokens = backend.tokenize(instance.thinking)
-    if not tokens:
+    ids, spans = _tokenize(instance, "thinking", instance.thinking, backend)
+    if not ids:
         raise ScoringError(
             f"instance {instance.id}: thinking text produced no tokens", instance.id
         )
-    ids = [t for t, _ in tokens]
-    spans = [s for _, s in tokens]
     condition = render_condition(config, instance)
-    if condition:
-        prefix = [t for t, _ in backend.tokenize(condition)]
-    else:
-        prefix = []
+    prefix = _tokenize(instance, "condition", condition, backend)[0] if condition else []
     return ScoringContexts(
         thinking_ids=ids,
         thinking_spans=spans,
@@ -169,6 +173,20 @@ def build_contexts(
         cond_ids=prefix + ids,
         cond_start=len(prefix),
     )
+
+
+def _tokenize(
+    instance: CotInstance, field: str, text: str, backend: LogprobBackend
+) -> tuple[list[int], list[str]]:
+    try:
+        tokens = backend.tokenize(text)
+    except BackendUnavailable:
+        raise
+    except CtsError as exc:
+        raise ScoringError(
+            f"instance {instance.id}: cannot tokenize {field}: {exc}", instance.id
+        ) from exc
+    return [t for t, _ in tokens], [s for _, s in tokens]
 
 
 def _diff(a: float, b: float) -> float:
@@ -193,21 +211,26 @@ def _make_row(
     return TokenScoreRow(position, token, span, ppl_u, ppl_c, score)
 
 
-def _score_span(
-    instance_id: str,
-    config: SelectionConfig,
-    backend: LogprobBackend,
-    uncond_ids: Sequence[int],
-    uncond_start: int,
-    cond_ids: Sequence[int],
-    cond_start: int,
+def score_tokens(
+    history: Sequence[int],
+    cond_prefix: Sequence[int],
+    ids: Sequence[int],
     spans: Sequence[str],
     first_position: int,
+    config: SelectionConfig,
+    backend: LogprobBackend,
+    instance_id: str = "",
 ) -> list[TokenScoreRow]:
-    n = len(spans)
-    reqs = [LogprobRequest(uncond_ids, uncond_start, uncond_start + n)]
+    """Score one segment's tokens in one batched logprobs request.
+
+    The unconditional context is history + ids, the conditional one
+    cond_prefix + history + ids; rows are numbered from first_position.
+    """
+    n = len(ids)
+    contexts = [[*history, *ids]]
     if config.conditional:
-        reqs.append(LogprobRequest(cond_ids, cond_start, cond_start + n))
+        contexts.append([*cond_prefix, *history, *ids])
+    reqs = [LogprobRequest(context, len(context) - n, len(context)) for context in contexts]
     try:
         responses = backend.logprobs_batch(reqs)
     except BackendUnavailable:
@@ -222,34 +245,9 @@ def _score_span(
     lp_uncond = responses[0].logprobs_bits
     lp_cond = responses[1].logprobs_bits if config.conditional else lp_uncond
     return [
-        _make_row(
-            first_position + i,
-            uncond_ids[uncond_start + i],
-            spans[i],
-            lp_uncond[i],
-            lp_cond[i],
-            config,
-        )
+        _make_row(first_position + i, ids[i], spans[i], lp_uncond[i], lp_cond[i], config)
         for i in range(n)
     ]
-
-
-def score_tokens(
-    instance: CotInstance, config: SelectionConfig, backend: LogprobBackend
-) -> list[TokenScoreRow]:
-    """Score every thinking token against the full (unsegmented) contexts."""
-    ctx = build_contexts(instance, config, backend)
-    return _score_span(
-        instance.id,
-        config,
-        backend,
-        ctx.uncond_ids,
-        ctx.uncond_start,
-        ctx.cond_ids,
-        ctx.cond_start,
-        ctx.thinking_spans,
-        first_position=0,
-    )
 
 
 def segment_thinking(n_tokens: int, spans: Sequence[str], config: SelectionConfig) -> list[Segment]:
@@ -296,107 +294,61 @@ def kept_count_for(alpha: float, n: int) -> int:
     return min(n, max(1, k))
 
 
-def _top_positions(rows: Sequence[TokenScoreRow], k: int) -> list[int]:
-    ranked = sorted(rows, key=lambda r: (-r.score, r.position))
-    return [r.position for r in ranked[:k]]
+def select_tokens(rows: Sequence[TokenScoreRow], config: SelectionConfig) -> SelectionResult:
+    """Keep the top alpha fraction of the given rows by (score desc, position asc).
 
-
-def select_tokens(
-    rows: Sequence[TokenScoreRow], segments: Sequence[Segment], config: SelectionConfig
-) -> SelectionResult:
-    """Keep the top alpha fraction by (score desc, position asc).
-
-    Global scope ranks all rows together; per_segment applies the same rule
-    inside each segment. At least one token is kept per scope unit. The
+    At least one row is kept. kept_mask follows the order of ``rows``; the
     reported threshold is the lowest kept score.
     """
     if not rows:
         raise ConfigError("select_tokens requires at least one scored row")
-    by_position = sorted(rows, key=lambda r: r.position)
-    n = len(by_position)
-    mask = [False] * n
-    if config.selection_scope == "global":
-        for pos in _top_positions(by_position, kept_count_for(config.alpha, n)):
-            mask[pos] = True
-    else:
-        for seg in segments:
-            seg_rows = by_position[seg.start : seg.end]
-            for pos in _top_positions(seg_rows, kept_count_for(config.alpha, len(seg_rows))):
-                mask[pos] = True
-    kept_count = sum(mask)
-    threshold = min(by_position[i].score for i in range(n) if mask[i])
-    return SelectionResult(threshold=threshold, kept_mask=mask, kept_count=kept_count)
+    ranked = sorted(range(len(rows)), key=lambda i: (-rows[i].score, rows[i].position))
+    mask = [False] * len(rows)
+    for i in ranked[: kept_count_for(config.alpha, len(rows))]:
+        mask[i] = True
+    return _selection(rows, mask)
 
 
-def _compress_iterative(
-    instance: CotInstance,
-    config: SelectionConfig,
-    backend: LogprobBackend,
-    ids: list[int],
-    spans: list[str],
-    segments: list[Segment],
-) -> tuple[list[TokenScoreRow], SelectionResult]:
-    condition = render_condition(config, instance)
-    cond_prefix = [t for t, _ in backend.tokenize(condition)] if condition else []
-    mask = [False] * len(ids)
-    rows: list[TokenScoreRow] = []
-    kept_prefix: list[int] = []
-    for seg in segments:
-        seg_ids = ids[seg.start : seg.end]
-        history = ids[: seg.start] if config.iterative_original_prefix else kept_prefix
-        uncond_ids = history + seg_ids
-        cond_ids = cond_prefix + uncond_ids
-        seg_rows = _score_span(
-            instance.id,
-            config,
-            backend,
-            uncond_ids,
-            len(history),
-            cond_ids,
-            len(cond_prefix) + len(history),
-            spans[seg.start : seg.end],
-            first_position=seg.start,
-        )
-        rows.extend(seg_rows)
-        for pos in _top_positions(seg_rows, kept_count_for(config.alpha, len(seg_rows))):
-            mask[pos] = True
-        kept_prefix = kept_prefix + [ids[p] for p in range(seg.start, seg.end) if mask[p]]
-    kept_count = sum(mask)
-    threshold = min(rows[i].score for i in range(len(rows)) if mask[i])
-    return rows, SelectionResult(threshold=threshold, kept_mask=mask, kept_count=kept_count)
+def _selection(rows: Sequence[TokenScoreRow], mask: list[bool]) -> SelectionResult:
+    threshold = min(row.score for row, keep in zip(rows, mask) if keep)
+    return SelectionResult(threshold=threshold, kept_mask=mask, kept_count=sum(mask))
 
 
 def compress_instance(
     instance: CotInstance, config: SelectionConfig, backend: LogprobBackend
 ) -> tuple[CompressedInstance, list[TokenScoreRow], SelectionResult]:
-    """Run the full pipeline for one instance: tokenize, score, select, join.
+    """Run the full pipeline for one instance: tokenize once, then score and select each segment.
 
+    Global scope is the one-segment case [0, n). Per-segment scope scores
+    each segment against the kept prefix (or, with iterative_original_prefix,
+    the original preceding thinking) and keeps the top fraction inside it.
     Deterministic end to end for a fixed (instance, config, backend). The
     compressed thinking text is the concatenation of kept spans in original
     order; actual_ratio is exactly kept_count / original_count.
     """
-    config.validate()
-    try:
-        tokens = backend.tokenize(instance.thinking)
-    except BackendUnavailable:
-        raise
-    except CtsError as exc:
-        raise ScoringError(
-            f"instance {instance.id}: cannot tokenize thinking: {exc}", instance.id
-        ) from exc
-    if not tokens:
-        raise ScoringError(f"instance {instance.id}: thinking text produced no tokens", instance.id)
-    ids = [t for t, _ in tokens]
-    spans = [s for _, s in tokens]
-    segments = segment_thinking(len(ids), spans, config)
-
-    if config.selection_scope == "per_segment" and len(segments) > 1:
-        rows, selection = _compress_iterative(instance, config, backend, ids, spans, segments)
+    ctx = build_contexts(instance, config, backend)
+    ids, spans = ctx.thinking_ids, ctx.thinking_spans
+    if config.selection_scope == "global":
+        segments = [Segment(0, len(ids), 0)]
     else:
-        rows = score_tokens(instance, config, backend)
-        selection = select_tokens(rows, segments, config)
+        segments = segment_thinking(len(ids), spans, config)
+    cond_prefix = ctx.cond_ids[: ctx.cond_start]
+    rows: list[TokenScoreRow] = []
+    mask: list[bool] = []
+    kept_prefix: list[int] = []
+    for seg in segments:
+        history = ids[: seg.start] if config.iterative_original_prefix else kept_prefix
+        seg_rows = score_tokens(
+            history, cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
+            seg.start, config, backend, instance.id,
+        )
+        seg_mask = select_tokens(seg_rows, config).kept_mask
+        rows.extend(seg_rows)
+        mask.extend(seg_mask)
+        kept_prefix.extend(row.token for row, keep in zip(seg_rows, seg_mask) if keep)
+    selection = _selection(rows, mask)
 
-    compressed = "".join(span for span, keep in zip(spans, selection.kept_mask) if keep)
+    compressed = "".join(span for span, keep in zip(spans, mask) if keep)
     record = CompressedInstance(
         id=instance.id,
         problem=instance.problem,

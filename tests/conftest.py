@@ -8,6 +8,7 @@ import random
 import pytest
 
 from cts.backends import ToyBackend, ToyLmSpec
+from cts.selector import build_contexts, score_tokens
 
 
 def uniform_row(vocab: list[str]) -> dict[str, float]:
@@ -68,6 +69,13 @@ def shift_spec() -> ToyLmSpec:
     rows["B"] = {"A": 0.125, "B": 0.125, "C": 0.5, " ": 0.125, ":": 0.05, "4": 0.05, "2": 0.025}
     rows["C"] = {"A": 0.4, "B": 0.2, "C": 0.1, " ": 0.2, ":": 0.025, "4": 0.05, "2": 0.025}
     return ToyLmSpec(vocabulary=vocab, table=rows)
+
+
+def score_global(instance, config, backend):
+    """Score every thinking token as global scope does: one segment [0, n), no history."""
+    ctx = build_contexts(instance, config, backend)
+    prefix = ctx.cond_ids[: ctx.cond_start]
+    return score_tokens([], prefix, ctx.thinking_ids, ctx.thinking_spans, 0, config, backend, instance.id)
 
 
 def write_spec_file(spec: ToyLmSpec, path) -> str:

@@ -24,10 +24,9 @@ from cts.backends import ToyBackend, ToyLmSpec
 from cts.dataset import CotInstance, compressed_to_dict
 from cts.emitters import emit_rm_prompts, emit_sft
 from cts.dataset import RmCorpusExample, write_jsonl
-from cts.selector import SelectionConfig, compress_instance, score_tokens, select_tokens
-from cts.selector import segment_thinking
+from cts.selector import SelectionConfig, compress_instance, select_tokens
 
-from conftest import make_corpus, random_spec, shift_spec, write_jsonl_file, write_spec_file
+from conftest import make_corpus, random_spec, score_global, shift_spec, write_jsonl_file, write_spec_file
 
 SWEEP = (0.5, 0.6, 0.7, 0.8, 0.9)
 CONDITION = "{answer}:"
@@ -130,7 +129,7 @@ class TestAcceptance:
             backend = ToyBackend(spec)
             config = SelectionConfig(alpha=0.5, conditional=True, condition_template=CONDITION)
             instance = CotInstance("s", "", "ABCABC", "42")
-            rows = score_tokens(instance, config, backend)
+            rows = score_global(instance, config, backend)
             # the 0.25-unconditional / 0.5-conditional head token: 4 - 2 = 2
             assert abs(rows[0].ppl_uncond - 4.0) <= 1e-12
             assert abs(rows[0].ppl_cond - 2.0) <= 1e-12
@@ -150,7 +149,7 @@ class TestAcceptance:
             config = SelectionConfig(alpha=0.5, conditional=False)
             for record in records[:50]:
                 instance = CotInstance(record["id"], "", record["thinking"], record["answer"])
-                rows = score_tokens(instance, config, backend)
+                rows = score_global(instance, config, backend)
                 scores = [r.score for r in rows]
                 assert len(set(scores)) == len(scores), "corpus is not tie-free"
             for alpha in SWEEP:
@@ -178,12 +177,10 @@ class TestAcceptance:
                 assert compressed.compressed_thinking == record["thinking"]
                 assert compressed.actual_ratio == 1.0
                 # nesting: same scored rows, increasing alpha
-                n = len(rows)
-                segments = segment_thinking(n, [r.span for r in rows], identity_cfg)
                 previous: set[int] = set()
                 for alpha in SWEEP + (1.0,):
                     cfg = SelectionConfig(alpha=alpha, condition_template=CONDITION)
-                    selection = select_tokens(rows, segments, cfg)
+                    selection = select_tokens(rows, cfg)
                     kept = {i for i, k in enumerate(selection.kept_mask) if k}
                     assert previous <= kept, f"kept sets do not nest at alpha {alpha}"
                     previous = kept

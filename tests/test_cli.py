@@ -326,6 +326,16 @@ class TestBackendsAndConfig:
         via_http = (toy_env["dir"] / "via-http.jsonl").read_bytes()
         assert via_toy == via_http
 
+    def test_http_compress_posts_three_requests_per_instance(self, toy_env):
+        from cts.backends import ToyBackend
+        from http_stub import StubServer
+
+        with StubServer(ToyBackend(shift_spec())) as server:
+            code = run_cli(compress_args(toy_env, extra=["--backend", f"http:{server.url}"]))
+        assert code == 0
+        # tokenize the thinking, tokenize the condition, one batched logprobs POST
+        assert server.state.request_count == 3 * 40
+
     def test_unreachable_backend_exits_3(self, toy_env, monkeypatch):
         from cts.backends import HttpBackendConfig
 

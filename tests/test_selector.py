@@ -14,12 +14,11 @@ from cts.selector import (
     build_contexts,
     compress_instance,
     kept_count_for,
-    score_tokens,
     segment_thinking,
     select_tokens,
 )
 
-from conftest import uniform_spec
+from conftest import score_global, uniform_spec
 
 CONDITION = "{answer}:"  # renders inside the toy vocabularies used here
 
@@ -38,18 +37,17 @@ def rows_from(scores: list[float]) -> list[TokenScoreRow]:
     return [TokenScoreRow(i, 0, "x", 1.0, 1.0, s) for i, s in enumerate(scores)]
 
 
-def one_segment(n: int) -> list[Segment]:
-    return [Segment(0, n, 0)]
-
-
 class RecordingBackend:
-    """Delegates to a ToyBackend while logging every scoring request."""
+    """Delegates to a ToyBackend while logging every tokenize call and scoring request."""
 
     def __init__(self, inner: ToyBackend):
         self.inner = inner
+        self.tokenized: list[str] = []
+        self.batches = 0
         self.requests: list[tuple[tuple[int, ...], int, int]] = []
 
     def tokenize(self, text):
+        self.tokenized.append(text)
         return self.inner.tokenize(text)
 
     def logprobs(self, request):
@@ -57,6 +55,7 @@ class RecordingBackend:
         return self.inner.logprobs(request)
 
     def logprobs_batch(self, requests_):
+        self.batches += 1
         return [self.logprobs(r) for r in requests_]
 
 
@@ -103,14 +102,14 @@ class TestBuildContexts:
 class TestScoreTokens:
     def test_quarter_vs_half_scores_two(self, shift_backend):
         # P(A | START) = 0.25 -> ppl 4; P(A | ":") = 0.5 -> ppl 2; score 4 - 2 = 2
-        rows = score_tokens(instance("A"), config(), shift_backend)
+        rows = score_global(instance("A"), config(), shift_backend)
         assert rows[0].ppl_uncond == 4.0
         assert rows[0].ppl_cond == 2.0
         assert rows[0].score == 2.0
 
     def test_condition_with_no_effect_gives_all_zero(self):
         backend = ToyBackend(uniform_spec(list("AB:42")))
-        rows = score_tokens(instance("ABAB"), config(), backend)
+        rows = score_global(instance("ABAB"), config(), backend)
         assert all(r.score == 0.0 for r in rows)
         assert all(r.ppl_uncond == r.ppl_cond for r in rows)
 
@@ -119,7 +118,7 @@ class TestScoreTokens:
         #   pos0 P(A|START)=0.25 vs P(A|:)=0.5 -> 4, 2, score 2
         #   pos1 P(B|A)=0.5 both -> 2, 2, 0       pos2 P(C|B)=0.5 -> 2, 2, 0
         #   pos3 P(A|C)=0.4 -> 2.5, 2.5, 0        pos4, pos5 repeat pos1, pos2
-        rows = score_tokens(instance("ABCABC"), config(), shift_backend)
+        rows = score_global(instance("ABCABC"), config(), shift_backend)
         expected = [(4.0, 2.0, 2.0), (2.0, 2.0, 0.0), (2.0, 2.0, 0.0),
                     (2.5, 2.5, 0.0), (2.0, 2.0, 0.0), (2.0, 2.0, 0.0)]
         assert len(rows) == 6
@@ -129,18 +128,18 @@ class TestScoreTokens:
             assert row.score == pytest.approx(score, abs=1e-12)
 
     def test_unconditional_score_is_plain_perplexity(self, shift_backend):
-        rows = score_tokens(instance("ABCABC"), config(conditional=False), shift_backend)
+        rows = score_global(instance("ABCABC"), config(conditional=False), shift_backend)
         for row in rows:
             assert row.ppl_cond == row.ppl_uncond
             assert row.score == row.ppl_uncond
 
     def test_bits_diff_space(self, shift_backend):
-        rows = score_tokens(instance("A"), config(score_space="bits_diff"), shift_backend)
+        rows = score_global(instance("A"), config(score_space="bits_diff"), shift_backend)
         # log2(4) - log2(2) = 1 bit of shift
         assert rows[0].score == pytest.approx(1.0, abs=1e-12)
 
     def test_bits_diff_unconditional_is_self_information(self, shift_backend):
-        rows = score_tokens(
+        rows = score_global(
             instance("A"), config(conditional=False, score_space="bits_diff"), shift_backend
         )
         assert rows[0].score == pytest.approx(2.0, abs=1e-12)  # log2(ppl 4)
@@ -151,7 +150,7 @@ class TestScoreTokens:
             table={"START": {"A": 1.0}, "A": {"A": 1.0}, "B": {"A": 0.5, "B": 0.5}},
         )
         backend = ToyBackend(spec)
-        rows = score_tokens(instance("AB", answer="A"), config(condition_template=""), backend)
+        rows = score_global(instance("AB", answer="A"), config(condition_template=""), backend)
         assert rows[1].ppl_uncond == math.inf
         # identical impossible context in both passes carries no shift signal
         assert rows[1].score == 0.0
@@ -168,18 +167,24 @@ class TestScoreTokens:
             },
         )
         backend = ToyBackend(spec)
-        rows = score_tokens(instance("BA", answer=""), config(condition_template="{answer}:"), backend)
+        rows = score_global(instance("BA", answer=""), config(condition_template="{answer}:"), backend)
         assert rows[0].ppl_uncond == math.inf
         assert rows[0].ppl_cond == 2.0
         assert rows[0].score == math.inf
 
     def test_zero_condition_reduction_is_exact(self, shift_backend):
-        rows = score_tokens(instance("ABCABC"), config(condition_template=""), shift_backend)
+        rows = score_global(instance("ABCABC"), config(condition_template=""), shift_backend)
         assert all(r.ppl_cond == r.ppl_uncond for r in rows)
         assert all(r.score == 0.0 for r in rows)
 
     def test_backend_error_carries_instance_id(self, shift_backend):
         bad = instance("ABCX")  # X not in vocabulary
+        with pytest.raises(ScoringError) as exc:
+            compress_instance(bad, config(), shift_backend)
+        assert "t-0" in str(exc.value)
+
+    def test_untokenizable_condition_carries_instance_id(self, shift_backend):
+        bad = instance("ABC", answer="Z")  # Z not in vocabulary
         with pytest.raises(ScoringError) as exc:
             compress_instance(bad, config(), shift_backend)
         assert "t-0" in str(exc.value)
@@ -234,24 +239,24 @@ class TestSegmentThinking:
 class TestSelectTokens:
     def test_distinct_scores_keep_top_half(self):
         rows = rows_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
-        result = select_tokens(rows, one_segment(10), config(alpha=0.5))
+        result = select_tokens(rows, config(alpha=0.5))
         assert [i for i, k in enumerate(result.kept_mask) if k] == [5, 6, 7, 8, 9]
         assert result.threshold == 6
         assert result.kept_count == 5
 
     def test_alpha_one_keeps_everything(self):
         rows = rows_from([3.0, 1.0, 2.0])
-        result = select_tokens(rows, one_segment(3), config(alpha=1.0))
+        result = select_tokens(rows, config(alpha=1.0))
         assert result.kept_mask == [True, True, True]
 
     def test_all_equal_scores_tie_break_by_position(self):
         rows = rows_from([7.0] * 10)
-        result = select_tokens(rows, one_segment(10), config(alpha=0.5))
+        result = select_tokens(rows, config(alpha=0.5))
         assert [i for i, k in enumerate(result.kept_mask) if k] == [0, 1, 2, 3, 4]
 
     def test_minimum_one_token_kept(self):
         rows = rows_from([1.0, 2.0, 3.0])
-        result = select_tokens(rows, one_segment(3), config(alpha=0.01))
+        result = select_tokens(rows, config(alpha=0.01))
         assert result.kept_count == 1
 
     def test_round_half_up(self):
@@ -264,17 +269,17 @@ class TestSelectTokens:
         assert kept_count_for(0.01, 5) == 1  # floor is the minimum retention
 
     def test_per_segment_scope_selects_within_each_segment(self):
+        # the segment loop selects over each segment's rows; masks follow the rows given
         rows = rows_from([10, 9, 8, 7, 1, 2, 3, 4])
-        segments = [Segment(0, 4, 0), Segment(4, 8, 1)]
         cfg = config(alpha=0.5, selection_scope="per_segment")
-        result = select_tokens(rows, segments, cfg)
-        assert [i for i, k in enumerate(result.kept_mask) if k] == [0, 1, 6, 7]
+        mask = select_tokens(rows[0:4], cfg).kept_mask + select_tokens(rows[4:8], cfg).kept_mask
+        assert [i for i, k in enumerate(mask) if k] == [0, 1, 6, 7]
 
-    def test_global_scope_ignores_segments(self):
-        rows = rows_from([10, 9, 8, 7, 1, 2, 3, 4])
-        segments = [Segment(0, 4, 0), Segment(4, 8, 1)]
-        result = select_tokens(rows, segments, config(alpha=0.5))
-        assert [i for i, k in enumerate(result.kept_mask) if k] == [0, 1, 2, 3]
+    def test_global_scope_ignores_segments(self, shift_backend):
+        # segment_budget only matters in per_segment scope
+        inst = instance("ABCABCAB")
+        small = compress_instance(inst, config(segment_budget=4, boundary_slack=0), shift_backend)
+        assert small == compress_instance(inst, config(), shift_backend)
 
     def test_nesting_under_increasing_alpha(self):
         rng = random.Random(3)
@@ -284,7 +289,7 @@ class TestSelectTokens:
             rows = rows_from(scores)
             previous: set[int] = set()
             for alpha in (0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
-                result = select_tokens(rows, one_segment(n), config(alpha=alpha))
+                result = select_tokens(rows, config(alpha=alpha))
                 kept = {i for i, k in enumerate(result.kept_mask) if k}
                 assert previous <= kept
                 previous = kept
@@ -299,7 +304,7 @@ class TestSelectTokens:
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ConfigError):
-            select_tokens([], one_segment(0), config())
+            select_tokens([], config())
 
 
 class TestCompressInstance:
@@ -355,8 +360,8 @@ class TestCompressInstance:
         rng = random.Random(23)
         for _ in range(10):
             thinking = "".join(rng.choice("ABC") for _ in range(rng.randint(2, 30)))
-            rows_ppl = score_tokens(instance(thinking), config(score_space="ppl_diff"), shift_backend)
-            rows_bits = score_tokens(instance(thinking), config(score_space="bits_diff"), shift_backend)
+            rows_ppl = score_global(instance(thinking), config(score_space="ppl_diff"), shift_backend)
+            rows_bits = score_global(instance(thinking), config(score_space="bits_diff"), shift_backend)
             for a, b in zip(rows_ppl, rows_bits):
                 sign = lambda x: (x > 0) - (x < 0)
                 assert sign(a.score) == sign(b.score)
@@ -370,6 +375,19 @@ class TestCompressInstance:
         for alpha in (0.0, -0.5, 1.5):
             with pytest.raises(ConfigError):
                 compress_instance(instance("A"), config(alpha=alpha), shift_backend)
+
+
+class TestRequestBudget:
+    # per instance: tokenize the thinking once and the condition once, then
+    # one batched logprobs request per segment; global scope is one segment
+    @pytest.mark.parametrize("conditional", [True, False])
+    @pytest.mark.parametrize("scope, segments", [("global", 1), ("per_segment", 5)])
+    def test_requests_per_instance(self, shift_backend, conditional, scope, segments):
+        backend = RecordingBackend(shift_backend)
+        cfg = config(conditional=conditional, selection_scope=scope, segment_budget=8, boundary_slack=0)
+        compress_instance(instance("ABC " * 10), cfg, backend)
+        assert backend.tokenized == ["ABC " * 10] + (["42:"] if conditional else [])
+        assert backend.batches == segments
 
 
 class TestIterativeSegments:
