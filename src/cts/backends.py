@@ -211,7 +211,8 @@ class HttpBackend(LogprobBackend):
 
     Transport failures and 5xx responses are retried with exponential
     backoff, then surface as BackendUnavailable. Malformed payloads (wrong
-    length, non-finite values, spans that do not reassemble the text) are
+    shape or length, non-integer ids, non-numeric, non-finite or positive
+    log probabilities, spans that do not reassemble the text) are
     BackendProtocolError and never retried. In-flight requests are bounded
     by ``max_in_flight``; requests are idempotent so retries are safe.
     """
@@ -254,35 +255,42 @@ class HttpBackend(LogprobBackend):
 
     def tokenize(self, text: str) -> list[tuple[int, str]]:
         data = self._post(self._url_tokenize, {"text": text})
-        try:
-            ids = list(data["token_ids"])
-            spans = list(data["spans"])
-        except (KeyError, TypeError) as exc:
-            raise BackendProtocolError("tokenize response missing token_ids/spans") from exc
+        ids = data.get("token_ids") if isinstance(data, dict) else None
+        spans = data.get("spans") if isinstance(data, dict) else None
+        if not isinstance(ids, list) or not isinstance(spans, list):
+            raise BackendProtocolError("tokenize response missing the token_ids/spans arrays")
         if len(ids) != len(spans):
             raise BackendProtocolError("tokenize response has mismatched token_ids/spans lengths")
-        if "".join(spans) != text:
+        if not all(type(i) is int and i >= 0 for i in ids):
+            raise BackendProtocolError("tokenize response has a token id that is not a non-negative integer")
+        if not all(type(span) is str for span in spans) or "".join(spans) != text:
             raise BackendProtocolError("tokenize spans do not concatenate back to the input text")
-        return list(zip((int(i) for i in ids), spans))
+        return list(zip(ids, spans))
 
     @staticmethod
     def _request_payload(request: LogprobRequest) -> dict:
         return {"context_ids": list(request.context), "start": request.start, "end": request.end}
 
     def _parse_response(self, data, request: LogprobRequest) -> LogprobResponse:
-        try:
-            raw = list(data["logprobs_bits"])
-        except (KeyError, TypeError) as exc:
-            raise BackendProtocolError("logprob response missing logprobs_bits") from exc
+        raw = data.get("logprobs_bits") if isinstance(data, dict) else None
+        if not isinstance(raw, list):
+            raise BackendProtocolError("logprob response missing the logprobs_bits array")
         wanted = request.end - request.start
         if len(raw) != wanted:
             raise BackendProtocolError(f"logprob response has {len(raw)} entries, expected {wanted}")
-        bits = [float(v) for v in raw]
+        if not all(type(v) in (int, float) for v in raw):
+            raise BackendProtocolError("logprob response has an entry that is not a number")
+        try:
+            bits = [float(v) for v in raw]
+        except OverflowError as exc:
+            raise BackendProtocolError("logprob response has an integer too large for a float") from exc
         if self.config.natural_log:
             bits = [v / math.log(2) for v in bits]
         for v in bits:
             if not math.isfinite(v):
                 raise BackendProtocolError("remote backend reported a non-finite log probability")
+            if v > 0.0:
+                raise BackendProtocolError(f"remote backend reported a positive log probability {v!r} (P > 1)")
         return LogprobResponse(bits)
 
     def logprobs(self, request: LogprobRequest) -> LogprobResponse:

@@ -19,13 +19,16 @@ import logging
 import os
 import sys
 import time
-from contextlib import nullcontext
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .backends import HttpBackend, HttpBackendConfig, LogprobBackend, ToyBackend, ToyLmSpec
 from .dataset import (
+    CompressedInstance,
     JsonlWriter,
+    compressed_to_dict,
     read_compressed_dataset,
     read_dataset,
     read_responses,
@@ -39,6 +42,7 @@ from .report import ReportBuilder, RunReport, report_from_records
 from .runner import map_ordered
 from .selector import (
     DEFAULT_CONDITION_TEMPLATE,
+    RequestCache,
     SelectionConfig,
     compress_instance,
     score_rows_to_dicts,
@@ -54,6 +58,8 @@ EXIT_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_BACKEND = 3
 EXIT_INTERRUPT = 130
+
+MAX_WORKERS = 64
 
 
 @dataclass
@@ -135,6 +141,9 @@ def resolve_settings(args: argparse.Namespace, *, default_ratio: float | None = 
         settings["ratio"] = default_ratio
     if settings["ratio"] is None:
         raise ConfigError("a retention ratio is required (--ratio or config file)")
+    workers = settings["workers"]
+    if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
+        raise ConfigError(f"workers must be an integer in [1, {MAX_WORKERS}], got {workers!r}")
     return settings
 
 
@@ -185,7 +194,7 @@ def _schema_from(args: argparse.Namespace) -> dict[str, str]:
 def _config_echo(settings: dict[str, Any], config: SelectionConfig, args: argparse.Namespace) -> dict[str, Any]:
     echo = dataclasses.asdict(config)
     echo["backend"] = settings["backend"]
-    echo["workers"] = int(settings["workers"])
+    echo["workers"] = settings["workers"]
     echo["lenient"] = bool(settings["lenient"])
     echo["input"] = getattr(args, "input", None)
     echo["output"] = getattr(args, "output", None)
@@ -213,56 +222,104 @@ def _emit_report(report: RunReport, args: argparse.Namespace) -> None:
     )
 
 
+@dataclass
+class Job:
+    """One selection over the input: its config, its backend and where its rows go."""
+
+    config: SelectionConfig
+    backend: LogprobBackend
+    output_path: str | None
+    dump_path: str | None = None
+
+
 def _compress_stream(
-    args: argparse.Namespace,
-    config: SelectionConfig,
-    backend: LogprobBackend,
-    workers: int,
-    output_path: str | None,
-    dump_path: str | None,
-) -> tuple[ReportBuilder, bool]:
-    """Run the pipeline over the input file; returns (builder, interrupted)."""
+    args: argparse.Namespace, jobs: list[Job], workers: int
+) -> tuple[list[ReportBuilder], bool]:
+    """Read the input once and run every job on each instance; returns (builders, interrupted).
+
+    Within an instance, jobs that share a backend share one RequestCache,
+    and conditional jobs run first: their batched request already holds the
+    unconditional context the others need. Each output path gets its own
+    atomic writer, so an aborted run leaves none of them.
+    """
     read_errors: list[DatasetError] = []
     instances = read_dataset(args.input, _schema_from(args), errors=read_errors)
-    builder = ReportBuilder()
+    builders = [ReportBuilder() for _ in jobs]
+    order = sorted(range(len(jobs)), key=lambda i: not jobs[i].config.conditional)
+    uses = Counter(job.backend for job in jobs)
 
     def work(instance):
-        try:
-            return compress_instance(instance, config, backend), None
-        except BackendUnavailable:
-            raise
-        except CtsError as exc:
-            return None, (instance.id, exc)
+        caches = {backend: RequestCache(backend) for backend, n in uses.items() if n > 1}
+        outcomes: list = [None] * len(jobs)
+        for i in order:
+            backend = caches.get(jobs[i].backend, jobs[i].backend)
+            try:
+                outcomes[i] = compress_instance(instance, jobs[i].config, backend), None
+            except BackendUnavailable:
+                raise
+            except CtsError as exc:
+                outcomes[i] = None, exc
+        return instance.id, outcomes
 
     interrupted = False
     try:
-        with (JsonlWriter(dump_path) if dump_path else nullcontext()) as dump:
+        with ExitStack() as stack:
 
-            def results() -> Iterator:
-                for outcome, failure in map_ordered(work, instances, workers):
-                    if failure is not None:
-                        instance_id, exc = failure
-                        builder.add_failed()
-                        logger.warning("instance %s failed: %s", instance_id, exc)
-                        continue
-                    record, rows, selection = outcome
-                    builder.add_ok(record)
-                    if dump is not None:
-                        for row in score_rows_to_dicts(record.id, rows, selection.kept_mask):
-                            dump.write(row)
-                    yield record
+            def writer(path: str | None) -> JsonlWriter | None:
+                return stack.enter_context(JsonlWriter(path)) if path else None
 
-            if output_path:
-                write_dataset(results(), output_path)
+            # write_dataset writes the first job's dataset and so drives the
+            # pass; every other output is written alongside it
+            outputs = [(writer(job.output_path) if i else None, writer(job.dump_path))
+                       for i, job in enumerate(jobs)]
+
+            def first_records() -> Iterator[CompressedInstance]:
+                for instance_id, outcomes in map_ordered(work, instances, workers):
+                    for builder, (output, dump), (outcome, exc) in zip(builders, outputs, outcomes):
+                        if exc is not None:
+                            builder.add_failed()
+                            logger.warning("instance %s failed: %s", instance_id, exc)
+                            continue
+                        record, rows, selection = outcome
+                        builder.add_ok(record)
+                        if output is not None:
+                            output.write(compressed_to_dict(record))
+                        if dump is not None:
+                            for row in score_rows_to_dicts(record.id, rows, selection.kept_mask):
+                                dump.write(row)
+                    if outcomes[0][0] is not None:
+                        yield outcomes[0][0][0]
+
+            if jobs[0].output_path:
+                write_dataset(first_records(), jobs[0].output_path)
             else:
-                for _ in results():
+                for _ in first_records():
                     pass
     except KeyboardInterrupt:
         interrupted = True
     for err in read_errors:
         logger.warning("skipped record: %s", err)
-    builder.add_failed(len(read_errors))
-    return builder, interrupted
+    for builder in builders:
+        builder.add_failed(len(read_errors))
+    return builders, interrupted
+
+
+def _run_jobs(
+    args: argparse.Namespace, settings: dict[str, Any], jobs: list[Job], echoes: list[dict[str, Any]]
+) -> tuple[list[RunReport], int]:
+    """Run the jobs in one pass; return one report per job and the exit code.
+
+    Every report's wall_time_seconds is that of the shared pass.
+    """
+    started = time.monotonic()
+    builders, interrupted = _compress_stream(args, jobs, settings["workers"])
+    wall = time.monotonic() - started
+    reports = [builder.build(wall, echo) for builder, echo in zip(builders, echoes)]
+    if interrupted:
+        return reports, EXIT_INTERRUPT
+    if any(report.instances_failed for report in reports) and not settings["lenient"]:
+        return reports, EXIT_FAILURES
+    return reports, EXIT_OK
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
@@ -271,17 +328,10 @@ def cmd_compress(args: argparse.Namespace) -> int:
     settings = resolve_settings(args, default_ratio=1.0 if score_only else None)
     output_path, dump_path = (None, args.output) if score_only else (args.output, args.score_dump)
     config = selection_config_from(settings)
-    backend = build_backend(settings["backend"])
-    workers = int(settings["workers"])
-    started = time.monotonic()
-    builder, interrupted = _compress_stream(args, config, backend, workers, output_path, dump_path)
-    report = builder.build(time.monotonic() - started, _config_echo(settings, config, args))
+    job = Job(config, build_backend(settings["backend"]), output_path, dump_path)
+    (report,), code = _run_jobs(args, settings, [job], [_config_echo(settings, config, args)])
     _emit_report(report, args)
-    if interrupted:
-        return EXIT_INTERRUPT
-    if report.instances_failed and not settings["lenient"]:
-        return EXIT_FAILURES
-    return EXIT_OK
+    return code
 
 
 def cmd_emit(args: argparse.Namespace) -> int:
@@ -344,39 +394,33 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
+    """Run the four ablation modes in one pass over the input, one output file per mode."""
     settings = resolve_settings(args)
-    workers = int(settings["workers"])
+    standard = build_backend(settings["backend"])
+    tuned = settings["backend_tuned"]
     backends = {
-        "standard": build_backend(settings["backend"]),
-        "tuned": build_backend(settings["backend_tuned"] or settings["backend"]),
+        "standard": standard,
+        "tuned": build_backend(tuned) if tuned and tuned != settings["backend"] else standard,
     }
     os.makedirs(args.output, exist_ok=True)
-    reports: dict[str, RunReport] = {}
-    exit_code = EXIT_OK
+    jobs, echoes = [], []
     for mode in ABLATION_MODES:
-        mode_settings = dict(settings)
-        mode_settings["conditional"] = mode.conditional
+        mode_settings = dict(settings, conditional=mode.conditional)
         config = selection_config_from(mode_settings)
         out_path = os.path.join(args.output, f"{mode.name}.jsonl")
-        started = time.monotonic()
-        builder, interrupted = _compress_stream(
-            args, config, backends[mode.rm_profile], workers, out_path, None
-        )
+        jobs.append(Job(config, backends[mode.rm_profile], out_path))
         echo = _config_echo(mode_settings, config, args)
-        echo["mode"] = mode.name
-        echo["rm_profile"] = mode.rm_profile
-        echo["output"] = out_path
-        reports[mode.name] = builder.build(time.monotonic() - started, echo)
-        if interrupted:
-            return EXIT_INTERRUPT
-        if builder.failed and not settings["lenient"]:
-            exit_code = EXIT_FAILURES
+        echo.update(mode=mode.name, rm_profile=mode.rm_profile, output=out_path)
+        echoes.append(echo)
+    reports, code = _run_jobs(args, settings, jobs, echoes)
+    if code == EXIT_INTERRUPT:
+        return code
     print(f"{'mode':<12} {'mean_actual_ratio':>18} {'kept_tokens_total':>18}", file=sys.stderr)
-    for name, report in reports.items():
+    for mode, report in zip(ABLATION_MODES, reports):
         mean = "n/a" if report.mean_actual_ratio is None else f"{report.mean_actual_ratio:.4f}"
-        print(f"{name:<12} {mean:>18} {report.kept_tokens_total:>18}", file=sys.stderr)
-    _write_report({name: report.to_dict() for name, report in reports.items()}, args)
-    return exit_code
+        print(f"{mode.name:<12} {mean:>18} {report.kept_tokens_total:>18}", file=sys.stderr)
+    _write_report({mode.name: report.to_dict() for mode, report in zip(ABLATION_MODES, reports)}, args)
+    return code
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -393,6 +437,12 @@ def _ratio_type(value: str) -> float:
     if not (0.0 < ratio <= 1.0):
         raise argparse.ArgumentTypeError(f"ratio must be in (0, 1], got {value}")
     return ratio
+
+
+def _workers_type(value: str) -> int:
+    if not value.isdecimal() or not 1 <= int(value) <= MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"workers must be an integer in [1, {MAX_WORKERS}], got {value}")
+    return int(value)
 
 
 def _add_io_arguments(parser: argparse.ArgumentParser, *, output_required: bool = True) -> None:
@@ -425,7 +475,8 @@ def _add_selection_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None, help="toy:<spec.json> or http:<url>")
-    parser.add_argument("--workers", type=int, default=None, help="concurrent scoring workers")
+    parser.add_argument("--workers", type=_workers_type, default=None,
+                        help=f"concurrent scoring workers, 1 to {MAX_WORKERS}")
     parser.add_argument("--lenient", action="store_true", default=None,
                         help="exit 0 even when some records fail")
     parser.add_argument("--config", default=None, help="JSON config file")

@@ -55,10 +55,6 @@ class ReportBuilder:
     def add_failed(self, count: int = 1) -> None:
         self._failed += count
 
-    @property
-    def failed(self) -> int:
-        return self._failed
-
     def build(self, wall_time_seconds: float, config_echo: dict[str, Any]) -> RunReport:
         ok = len(self._ratios)
         mean = statistics.fmean(self._ratios) if ok else None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
-from .backends import LogprobBackend, LogprobRequest, ppl_of
+from .backends import LogprobBackend, LogprobRequest, LogprobResponse, ppl_of
 from .dataset import CompressedInstance, CotInstance
 from .errors import BackendError, BackendUnavailable, ConfigError, CtsError, ScoringError
 
@@ -138,6 +138,37 @@ class ScoringContexts:
     cond_start: int
 
 
+class RequestCache:
+    """Per-instance memo of backend requests, shared by the selections run on one instance.
+
+    It answers ``tokenize`` and ``logprobs_batch`` like the backend it wraps:
+    a text is tokenized once, a request is keyed by (context, start, end),
+    and only the misses of a batch go out, once each, in one batch. A batch
+    with no misses never reaches the backend. Failures are not remembered,
+    and callers share the answers, so they must not mutate them. One cache
+    serves one instance on one thread. It is not a LogprobBackend: every request it forwards is one call of the
+    wrapped backend's own methods.
+    """
+
+    def __init__(self, backend: LogprobBackend):
+        self.backend = backend
+        self._tokens: dict[str, list[tuple[int, str]]] = {}
+        self._logprobs: dict[tuple, LogprobResponse] = {}
+
+    def tokenize(self, text: str) -> list[tuple[int, str]]:
+        if text not in self._tokens:
+            self._tokens[text] = self.backend.tokenize(text)
+        return self._tokens[text]
+
+    def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
+        keys = [(tuple(r.context), r.start, r.end) for r in requests_]
+        misses = {key: r for key, r in zip(keys, requests_) if key not in self._logprobs}
+        if misses:
+            responses = self.backend.logprobs_batch(list(misses.values()))
+            self._logprobs.update(zip(misses, responses))
+        return [self._logprobs[key] for key in keys]
+
+
 def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
     if not config.conditional:
         return ""
@@ -150,7 +181,7 @@ def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
 
 
 def build_contexts(
-    instance: CotInstance, config: SelectionConfig, backend: LogprobBackend
+    instance: CotInstance, config: SelectionConfig, backend: LogprobBackend | RequestCache
 ) -> ScoringContexts:
     """Tokenize the thinking text and the condition once each; assemble both scoring contexts.
 
@@ -176,7 +207,7 @@ def build_contexts(
 
 
 def _tokenize(
-    instance: CotInstance, field: str, text: str, backend: LogprobBackend
+    instance: CotInstance, field: str, text: str, backend: LogprobBackend | RequestCache
 ) -> tuple[list[int], list[str]]:
     try:
         tokens = backend.tokenize(text)
@@ -218,7 +249,7 @@ def score_tokens(
     spans: Sequence[str],
     first_position: int,
     config: SelectionConfig,
-    backend: LogprobBackend,
+    backend: LogprobBackend | RequestCache,
     instance_id: str = "",
 ) -> list[TokenScoreRow]:
     """Score one segment's tokens in one batched logprobs request.
@@ -315,7 +346,7 @@ def _selection(rows: Sequence[TokenScoreRow], mask: list[bool]) -> SelectionResu
 
 
 def compress_instance(
-    instance: CotInstance, config: SelectionConfig, backend: LogprobBackend
+    instance: CotInstance, config: SelectionConfig, backend: LogprobBackend | RequestCache
 ) -> tuple[CompressedInstance, list[TokenScoreRow], SelectionResult]:
     """Run the full pipeline for one instance: tokenize once, then score and select each segment.
 

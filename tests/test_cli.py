@@ -7,6 +7,7 @@ import pytest
 import cts.cli
 from cts.cli import main
 from cts.dataset import read_compressed_dataset
+from cts.errors import ConfigError
 
 from conftest import make_corpus, shift_spec, uniform_spec, write_jsonl_file, write_spec_file
 
@@ -308,6 +309,74 @@ class TestAblate:
         )
 
 
+def ablate_args(env, outdir, ratio="0.7", extra=()):
+    return [
+        "ablate",
+        "--input", env["corpus"],
+        "--output", str(outdir),
+        "--ratio", ratio,
+        "--backend", f"toy:{env['spec']}",
+        "--condition-template", CONDITION,
+        *extra,
+    ]
+
+
+class TestAblateOnePass:
+    def test_one_backend_posts_three_requests_per_instance(self, toy_env):
+        from cts.backends import ToyBackend
+        from http_stub import StubServer
+
+        with StubServer(ToyBackend(shift_spec())) as server:
+            code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate",
+                                       extra=["--backend", f"http:{server.url}", "--workers", "2"]))
+        assert code == 0
+        # the conditional modes' requests serve the unconditional ones
+        assert server.state.request_count == 3 * 40
+
+    def test_distinct_tuned_backend_posts_three_requests_per_instance_each(self, toy_env):
+        from cts.backends import ToyBackend
+        from http_stub import StubServer
+
+        with StubServer(ToyBackend(shift_spec())) as standard, StubServer(ToyBackend(shift_spec())) as tuned:
+            code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate", extra=[
+                "--backend", f"http:{standard.url}", "--backend-tuned", f"http:{tuned.url}",
+            ]))
+        assert code == 0
+        assert standard.state.request_count == tuned.state.request_count == 3 * 40
+
+    @pytest.mark.parametrize("scope_args", [
+        [],
+        ["--scope", "per-segment", "--segment-budget", "16", "--boundary-slack", "4"],
+        ["--scope", "per-segment", "--segment-budget", "16", "--boundary-slack", "4",
+         "--iterative-original-prefix"],
+    ], ids=["global", "per-segment", "per-segment-original-prefix"])
+    def test_each_mode_matches_a_separate_compress_run(self, toy_env, scope_args):
+        outdir = toy_env["dir"] / "ablate"
+        assert run_cli(ablate_args(toy_env, outdir, ratio="0.5", extra=scope_args)) == 0
+        for flag, modes in (("--conditional", ("conditional", "proposed")),
+                            ("--no-conditional", ("base", "rm_tuned"))):
+            name = f"compress{flag}.jsonl"
+            assert run_cli(compress_args(toy_env, name, ratio="0.5", extra=[*scope_args, flag])) == 0
+            expected = (toy_env["dir"] / name).read_bytes()
+            for mode in modes:
+                assert (outdir / f"{mode}.jsonl").read_bytes() == expected, mode
+
+    def test_backend_outage_leaves_no_mode_file(self, toy_env, monkeypatch):
+        from cts.backends import HttpBackendConfig
+
+        def fast_config(**kwargs):
+            kwargs.setdefault("max_retries", 0)
+            kwargs.setdefault("timeout", 0.2)
+            return HttpBackendConfig(**kwargs)
+
+        monkeypatch.setattr(cts.cli, "HttpBackendConfig", fast_config)
+        outdir = toy_env["dir"] / "ablate"
+        # the standard modes could finish; the tuned backend is down
+        code = run_cli(ablate_args(toy_env, outdir, extra=["--backend-tuned", "http:http://127.0.0.1:9"]))
+        assert code == 3
+        assert os.listdir(outdir) == []
+
+
 class TestBackendsAndConfig:
     def test_http_backend_end_to_end_matches_toy(self, toy_env, monkeypatch):
         from cts.backends import ToyBackend
@@ -392,6 +461,29 @@ class TestBackendsAndConfig:
         ])
         assert code == 0
         assert json.loads(report_path.read_text())["config_echo"]["alpha"] == 0.5
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "65", "100000"])
+    def test_workers_out_of_range_rejected_by_argparse(self, toy_env, workers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cts.cli.build_parser().parse_args(compress_args(toy_env, extra=["--workers", workers]))
+        assert exc.value.code == 2
+        assert "workers must be an integer in [1, 64]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [1, 64])
+    def test_workers_bounds_accepted(self, toy_env, workers):
+        args = cts.cli.build_parser().parse_args(compress_args(toy_env, extra=["--workers", str(workers)]))
+        assert cts.cli.resolve_settings(args)["workers"] == workers
+
+    @pytest.mark.parametrize("workers", [0, -3, 65, 100000, 2.5, "4", True])
+    def test_workers_out_of_range_in_config_file_exits_2(self, toy_env, workers):
+        cfg_path = toy_env["dir"] / "cfg.json"
+        cfg_path.write_text(json.dumps({"workers": workers}))
+        argv = compress_args(toy_env, extra=["--config", str(cfg_path)])
+        with pytest.raises(ConfigError, match="workers"):
+            cts.cli.resolve_settings(cts.cli.build_parser().parse_args(argv))
+        # settings are resolved before any backend or worker exists
+        assert run_cli(argv) == 2
+        assert not (toy_env["dir"] / "out.jsonl").exists()
 
     def test_config_file_unknown_key_exits_2(self, toy_env):
         cfg_path = toy_env["dir"] / "cfg.json"

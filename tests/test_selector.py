@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from cts.backends import ToyBackend, ToyLmSpec
+from cts.backends import LogprobRequest, ToyBackend, ToyLmSpec
 from cts.dataset import CotInstance, compressed_to_dict
 from cts.errors import ConfigError, ScoringError
 from cts.selector import (
+    RequestCache,
     SelectionConfig,
     Segment,
     TokenScoreRow,
@@ -44,6 +45,7 @@ class RecordingBackend:
         self.inner = inner
         self.tokenized: list[str] = []
         self.batches = 0
+        self.batch_sizes: list[int] = []
         self.requests: list[tuple[tuple[int, ...], int, int]] = []
 
     def tokenize(self, text):
@@ -56,6 +58,7 @@ class RecordingBackend:
 
     def logprobs_batch(self, requests_):
         self.batches += 1
+        self.batch_sizes.append(len(requests_))
         return [self.logprobs(r) for r in requests_]
 
 
@@ -388,6 +391,48 @@ class TestRequestBudget:
         compress_instance(instance("ABC " * 10), cfg, backend)
         assert backend.tokenized == ["ABC " * 10] + (["42:"] if conditional else [])
         assert backend.batches == segments
+
+
+class TestRequestCache:
+    def test_conditional_batch_serves_the_unconditional_selection(self, shift_backend):
+        backend = RecordingBackend(shift_backend)
+        cache = RequestCache(backend)
+        inst = instance("ABC " * 10)
+        cond = compress_instance(inst, config(), cache)
+        uncond = compress_instance(inst, config(conditional=False), cache)
+        assert backend.tokenized == ["ABC " * 10, "42:"]
+        assert backend.batch_sizes == [2]
+        assert cond == compress_instance(inst, config(), shift_backend)
+        assert uncond == compress_instance(inst, config(conditional=False), shift_backend)
+
+    def test_misses_go_out_once_and_hits_never_reach_the_backend(self, shift_backend):
+        backend = RecordingBackend(shift_backend)
+        cache = RequestCache(backend)
+        ids = [t for t, _ in shift_backend.tokenize("ABC ABC")]
+        a = LogprobRequest(ids, 0, len(ids))
+        b = LogprobRequest(ids, 2, len(ids))
+        first = cache.logprobs_batch([a, b, LogprobRequest(list(ids), 0, len(ids))])
+        assert backend.requests == [(tuple(ids), 0, len(ids)), (tuple(ids), 2, len(ids))]
+        assert first[0] == first[2] == shift_backend.logprobs(a)
+        assert first[1] == shift_backend.logprobs(b)
+        assert cache.logprobs_batch([b, a]) == [first[1], first[0]]
+        assert cache.logprobs_batch([]) == []
+        assert backend.batch_sizes == [2]
+
+    @pytest.mark.parametrize("original_prefix", [False, True])
+    def test_per_segment_modes_share_what_they_can(self, shift_backend, original_prefix):
+        backend = RecordingBackend(shift_backend)
+        cache = RequestCache(backend)
+        inst = instance("ABC " * 10)
+        cfg = dict(selection_scope="per_segment", segment_budget=8, boundary_slack=0,
+                   iterative_original_prefix=original_prefix)
+        for conditional in (True, False):
+            expected = compress_instance(inst, config(conditional=conditional, **cfg), shift_backend)
+            assert compress_instance(inst, config(conditional=conditional, **cfg), cache) == expected
+        # five segments in the conditional pass; the unconditional pass shares
+        # segment 0, and with the original prefix every segment; kept
+        # prefixes differ between the modes, so segments 1-4 are scored again
+        assert backend.batch_sizes == [2] * 5 + ([] if original_prefix else [1] * 4)
 
 
 class TestIterativeSegments:
