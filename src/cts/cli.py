@@ -19,7 +19,6 @@ import logging
 import os
 import sys
 import time
-from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -224,8 +223,9 @@ def _emit_report(report: RunReport, args: argparse.Namespace) -> None:
 
 @dataclass
 class Job:
-    """One selection over the input: its config, its backend and where its rows go."""
+    """One selection over the input: its name, config and backend, and where its rows go."""
 
+    name: str
     config: SelectionConfig
     backend: LogprobBackend
     output_path: str | None
@@ -237,24 +237,23 @@ def _compress_stream(
 ) -> tuple[list[ReportBuilder], bool]:
     """Read the input once and run every job on each instance; returns (builders, interrupted).
 
-    Within an instance, jobs that share a backend share one RequestCache,
-    and conditional jobs run first: their batched request already holds the
-    unconditional context the others need. Each output path gets its own
-    atomic writer, so an aborted run leaves none of them.
+    Within an instance, each job sends its requests through its backend's
+    RequestCache, so jobs that share a backend share answers, and conditional
+    jobs run first: their batched request already holds the unconditional
+    context the others need. Each output path gets its own atomic writer,
+    so an aborted run leaves none of them.
     """
     read_errors: list[DatasetError] = []
     instances = read_dataset(args.input, _schema_from(args), errors=read_errors)
     builders = [ReportBuilder() for _ in jobs]
     order = sorted(range(len(jobs)), key=lambda i: not jobs[i].config.conditional)
-    uses = Counter(job.backend for job in jobs)
 
     def work(instance):
-        caches = {backend: RequestCache(backend) for backend, n in uses.items() if n > 1}
+        caches = {job.backend: RequestCache(job.backend) for job in jobs}
         outcomes: list = [None] * len(jobs)
         for i in order:
-            backend = caches.get(jobs[i].backend, jobs[i].backend)
             try:
-                outcomes[i] = compress_instance(instance, jobs[i].config, backend), None
+                outcomes[i] = compress_instance(instance, jobs[i].config, caches[jobs[i].backend]), None
             except BackendUnavailable:
                 raise
             except CtsError as exc:
@@ -275,10 +274,12 @@ def _compress_stream(
 
             def first_records() -> Iterator[CompressedInstance]:
                 for instance_id, outcomes in map_ordered(work, instances, workers):
-                    for builder, (output, dump), (outcome, exc) in zip(builders, outputs, outcomes):
+                    for job, builder, (output, dump), (outcome, exc) in zip(
+                        jobs, builders, outputs, outcomes
+                    ):
                         if exc is not None:
                             builder.add_failed()
-                            logger.warning("instance %s failed: %s", instance_id, exc)
+                            logger.warning("%s: instance %s failed: %s", job.name, instance_id, exc)
                             continue
                         record, rows, selection = outcome
                         builder.add_ok(record)
@@ -328,7 +329,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
     settings = resolve_settings(args, default_ratio=1.0 if score_only else None)
     output_path, dump_path = (None, args.output) if score_only else (args.output, args.score_dump)
     config = selection_config_from(settings)
-    job = Job(config, build_backend(settings["backend"]), output_path, dump_path)
+    job = Job(args.command, config, build_backend(settings["backend"]), output_path, dump_path)
     (report,), code = _run_jobs(args, settings, [job], [_config_echo(settings, config, args)])
     _emit_report(report, args)
     return code
@@ -408,7 +409,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         mode_settings = dict(settings, conditional=mode.conditional)
         config = selection_config_from(mode_settings)
         out_path = os.path.join(args.output, f"{mode.name}.jsonl")
-        jobs.append(Job(config, backends[mode.rm_profile], out_path))
+        jobs.append(Job(f"ablate {mode.name}", config, backends[mode.rm_profile], out_path))
         echo = _config_echo(mode_settings, config, args)
         echo.update(mode=mode.name, rm_profile=mode.rm_profile, output=out_path)
         echoes.append(echo)

@@ -146,8 +146,8 @@ class RequestCache:
     and only the misses of a batch go out, once each, in one batch. A batch
     with no misses never reaches the backend. Failures are not remembered,
     and callers share the answers, so they must not mutate them. One cache
-    serves one instance on one thread. It is not a LogprobBackend: every request it forwards is one call of the
-    wrapped backend's own methods.
+    serves one instance on one thread. It is not a LogprobBackend: every
+    request it forwards is one call of the wrapped backend's own methods.
     """
 
     def __init__(self, backend: LogprobBackend):

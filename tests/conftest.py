@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cts.backends import ToyBackend, ToyLmSpec
+from cts.backends import HttpBackend, HttpBackendConfig, ToyBackend, ToyLmSpec
 from cts.selector import build_contexts, score_tokens
 
 
@@ -118,3 +118,31 @@ def make_corpus(
             }
         )
     return records
+
+
+# a fake requests.Session for HttpBackend, so wire payloads are tested without sockets
+class FakeResponse:
+    def __init__(self, body: bytes):
+        self.status_code = 200
+        self.text = body.decode("utf-8", "replace")
+        self._body = body
+
+    def json(self):
+        return json.loads(self._body)
+
+
+class FakeSession:
+    """Answers every POST with one fixed body; no sockets."""
+
+    def __init__(self, payload=None, body: bytes | None = None):
+        self.headers: dict[str, str] = {}
+        self.body = body if body is not None else json.dumps(payload).encode("utf-8")
+        self.posts = 0
+
+    def post(self, url, json=None, timeout=None):
+        self.posts += 1
+        return FakeResponse(self.body)
+
+
+def fake_client(payload=None, body: bytes | None = None) -> HttpBackend:
+    return HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), FakeSession(payload, body))

@@ -4,8 +4,6 @@ import random
 import threading
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cts.backends import (
     HttpBackend,
@@ -19,7 +17,7 @@ from cts.dataset import CotInstance
 from cts.errors import BackendProtocolError, BackendUnavailable, ConfigError, ScoringError, TokenizeError
 from cts.selector import SelectionConfig, compress_instance
 
-from conftest import random_spec, uniform_spec, write_spec_file
+from conftest import fake_client, random_spec, uniform_spec, write_spec_file
 from http_stub import StubServer
 
 
@@ -302,48 +300,8 @@ class TestHttpBackend:
         assert backend.logprobs(LogprobRequest(ctx, 0, 2)).logprobs_bits == [-1.0, 0.0]
 
 
-class FakeResponse:
-    def __init__(self, body: bytes):
-        self.status_code = 200
-        self.text = body.decode("utf-8", "replace")
-        self._body = body
-
-    def json(self):
-        return json.loads(self._body)
-
-
-class FakeSession:
-    """Answers every POST with one fixed body; no sockets."""
-
-    def __init__(self, payload=None, body: bytes | None = None):
-        self.headers: dict[str, str] = {}
-        self.body = body if body is not None else json.dumps(payload).encode("utf-8")
-        self.posts = 0
-
-    def post(self, url, json=None, timeout=None):
-        self.posts += 1
-        return FakeResponse(self.body)
-
-
-def fake_client(payload=None, body: bytes | None = None) -> HttpBackend:
-    return HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), FakeSession(payload, body))
-
-
 TEXT = "AB"
 REQUEST = LogprobRequest([0, 1, 2], 1, 3)
-
-# any JSON value, as it arrives over the wire (NaN and Infinity included)
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=12), children, max_size=4),
-    max_leaves=12,
-)
-not_an_id = st.none() | st.booleans() | st.floats() | st.text(max_size=3) | st.integers(max_value=-1) | \
-    st.lists(st.integers(), max_size=2)
-not_a_number = st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.floats(), max_size=2) | \
-    st.dictionaries(st.text(max_size=2), st.floats(), max_size=1)
-bad_float = st.floats(min_value=0.0, exclude_min=True) | st.sampled_from([math.nan, math.inf, -math.inf]) | \
-    st.integers(min_value=1) | st.integers(max_value=-(10**309))
 
 
 class TestWireBoundary:
@@ -375,72 +333,3 @@ class TestWireBoundary:
         with pytest.raises(ScoringError) as exc:
             compress_instance(CotInstance("i-7", "", TEXT, "42"), SelectionConfig(alpha=0.5), client)
         assert exc.value.instance_id == "i-7"
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(
-        json_values,
-        st.fixed_dictionaries({"token_ids": json_values, "spans": json_values}),
-        st.fixed_dictionaries({"token_ids": st.lists(json_values, max_size=3),
-                               "spans": st.lists(st.sampled_from(["A", "B", "AB"]), max_size=3)}),
-        st.binary(max_size=12).map(lambda b: ("raw", b)),
-    ))
-    def test_arbitrary_tokenize_payload_parses_or_is_protocol_error(self, payload):
-        raw = isinstance(payload, tuple)
-        client = fake_client(body=payload[1]) if raw else fake_client(payload)
-        try:
-            pairs = client.tokenize(TEXT)
-        except BackendProtocolError:
-            return
-        assert "".join(span for _, span in pairs) == TEXT
-        assert all(type(i) is int and i >= 0 for i, _ in pairs)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(
-        json_values,
-        st.fixed_dictionaries({"logprobs_bits": json_values}),
-        st.fixed_dictionaries({"logprobs_bits": st.lists(json_values, min_size=2, max_size=2)}),
-    ))
-    def test_arbitrary_logprobs_payload_parses_or_is_protocol_error(self, payload):
-        for call, body in ((lambda c: c.logprobs(REQUEST).logprobs_bits, payload),
-                           (lambda c: c.logprobs_batch([REQUEST])[0].logprobs_bits, [payload])):
-            try:
-                bits = call(fake_client(body))
-            except BackendProtocolError:
-                continue
-            assert len(bits) == 2 and all(math.isfinite(v) and v <= 0.0 for v in bits)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_corrupted_tokenize_payload_is_protocol_error(self, data):
-        payload = {"token_ids": [0, 1], "spans": ["A", "B"]}
-        corruption = data.draw(st.sampled_from(["id", "span", "drop", "length", "wrap"]))
-        if corruption == "id":
-            payload["token_ids"][data.draw(st.integers(0, 1))] = data.draw(not_an_id)
-        elif corruption == "span":
-            payload["spans"][data.draw(st.integers(0, 1))] = data.draw(json_values.filter(lambda v: v not in ("A", "B")))
-        elif corruption == "drop":
-            del payload[data.draw(st.sampled_from(sorted(payload)))]
-        elif corruption == "length":
-            payload["token_ids"].append(data.draw(st.integers(min_value=0)))
-        else:
-            payload = data.draw(st.lists(st.just(payload), max_size=2))
-        with pytest.raises(BackendProtocolError):
-            fake_client(payload).tokenize(TEXT)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_corrupted_logprobs_payload_is_protocol_error(self, data):
-        bits: list = [-1.0, -0.5]
-        corruption = data.draw(st.sampled_from(["type", "value", "length", "container"]))
-        if corruption == "type":
-            bits[data.draw(st.integers(0, 1))] = data.draw(not_a_number)
-        elif corruption == "value":
-            bits[data.draw(st.integers(0, 1))] = data.draw(bad_float)
-        elif corruption == "length":
-            bits = bits[: data.draw(st.integers(0, 1))] or bits + [-1.0]
-        else:
-            bits = data.draw(st.text(max_size=3) | st.dictionaries(st.text(max_size=2), st.floats(), max_size=2))
-        with pytest.raises(BackendProtocolError):
-            fake_client({"logprobs_bits": bits}).logprobs(REQUEST)
-        with pytest.raises(BackendProtocolError):
-            fake_client([{"logprobs_bits": bits}]).logprobs_batch([REQUEST])

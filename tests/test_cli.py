@@ -361,6 +361,15 @@ class TestAblateOnePass:
             for mode in modes:
                 assert (outdir / f"{mode}.jsonl").read_bytes() == expected, mode
 
+    def test_failure_warning_names_each_failing_mode(self, toy_env, caplog):
+        records = [json.loads(line) for line in open(toy_env["corpus"])]
+        records[3]["answer"] = "Z"  # outside the vocabulary: only the conditional modes fail
+        write_jsonl_file(records, toy_env["corpus"])
+        code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate", extra=["--lenient"]))
+        assert code == 0
+        failed = [r.getMessage() for r in caplog.records if "instance inst-3 failed" in r.getMessage()]
+        assert sorted(message.split(":")[0] for message in failed) == ["ablate conditional", "ablate proposed"]
+
     def test_backend_outage_leaves_no_mode_file(self, toy_env, monkeypatch):
         from cts.backends import HttpBackendConfig
 
