@@ -22,12 +22,13 @@ import json
 import math
 import threading
 import time
+from concurrent import futures
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import requests
 
-from .errors import BackendProtocolError, BackendUnavailable, ConfigError, TokenizeError
+from .errors import BackendError, BackendProtocolError, BackendUnavailable, ConfigError, CtsError, TokenizeError
 
 START = "START"  # reserved table key for the start-of-sequence distribution
 
@@ -86,6 +87,23 @@ class LogprobBackend(abc.ABC):
 
     def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
         return [self.logprobs(r) for r in requests_]
+
+    def tokenize_batch(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
+        """Tokenize each text; the answers come back in input order.
+
+        A text that cannot be tokenized raises its error with the text
+        attached as ``exc.text``; when several fail, the first in input
+        order is raised. This default tokenizes one text after another.
+        """
+        return [_tokenize_one(self.tokenize, text) for text in texts]
+
+
+def _tokenize_one(tokenize: Callable[[str], list[tuple[int, str]]], text: str) -> list[tuple[int, str]]:
+    try:
+        return tokenize(text)
+    except CtsError as exc:
+        exc.text = text
+        raise
 
 
 @dataclass
@@ -213,8 +231,9 @@ class HttpBackend(LogprobBackend):
     backoff, then surface as BackendUnavailable. Malformed payloads (wrong
     shape or length, non-integer ids, non-numeric, non-finite or positive
     log probabilities, spans that do not reassemble the text) are
-    BackendProtocolError and never retried. In-flight requests are bounded
-    by ``max_in_flight``; requests are idempotent so retries are safe.
+    BackendProtocolError and never retried; any other failure to send a
+    request is a BackendError. In-flight requests are bounded by
+    ``max_in_flight``; requests are idempotent so retries are safe.
     """
 
     name = "http"
@@ -228,6 +247,8 @@ class HttpBackend(LogprobBackend):
         if config.token:
             self._session.headers["Authorization"] = f"Bearer {config.token}"
         self._slots = threading.BoundedSemaphore(max(1, config.max_in_flight))
+        # sends the tokenize POSTs of a batch beyond its first; threads start on first use
+        self._pool = futures.ThreadPoolExecutor(max(1, config.max_in_flight), thread_name_prefix="cts-tokenize")
 
     def _post(self, url: str, payload) -> object:
         last_exc: Exception | None = None
@@ -240,6 +261,8 @@ class HttpBackend(LogprobBackend):
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_exc = exc
                 continue
+            except requests.RequestException as exc:
+                raise BackendError(f"request to {url} failed: {exc}") from exc
             if resp.status_code >= 500:
                 last_exc = BackendUnavailable(f"{url} returned {resp.status_code}")
                 continue
@@ -266,6 +289,19 @@ class HttpBackend(LogprobBackend):
         if not all(type(span) is str for span in spans) or "".join(spans) != text:
             raise BackendProtocolError("tokenize spans do not concatenate back to the input text")
         return list(zip(ids, spans))
+
+    def tokenize_batch(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
+        """Send one /tokenize POST per text, all at once; the first goes from the calling thread.
+
+        Every POST is one call of ``tokenize``, and all of them have finished
+        when this returns or raises.
+        """
+        rest = [self._pool.submit(_tokenize_one, self.tokenize, text) for text in texts[1:]]
+        try:
+            first = super().tokenize_batch(texts[:1])
+        finally:
+            futures.wait(rest)
+        return first + [future.result() for future in rest]
 
     @staticmethod
     def _request_payload(request: LogprobRequest) -> dict:

@@ -19,6 +19,7 @@ import logging
 import os
 import sys
 import time
+import urllib.parse
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -175,6 +176,9 @@ def build_backend(descriptor: str | None) -> LogprobBackend:
     elif descriptor.startswith("http:"):
         url = descriptor[len("http:") :]
     if url:
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigError(f"backend URL {url!r} needs an http(s) scheme and a host")
         token = os.environ.get(ENV_BACKEND_TOKEN) or None
         return HttpBackend(HttpBackendConfig(base_url=url, token=token))
     raise ConfigError(f"unrecognized backend descriptor {descriptor!r}")

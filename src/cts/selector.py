@@ -141,13 +141,14 @@ class ScoringContexts:
 class RequestCache:
     """Per-instance memo of backend requests, shared by the selections run on one instance.
 
-    It answers ``tokenize`` and ``logprobs_batch`` like the backend it wraps:
-    a text is tokenized once, a request is keyed by (context, start, end),
-    and only the misses of a batch go out, once each, in one batch. A batch
-    with no misses never reaches the backend. Failures are not remembered,
-    and callers share the answers, so they must not mutate them. One cache
-    serves one instance on one thread. It is not a LogprobBackend: every
-    request it forwards is one call of the wrapped backend's own methods.
+    It answers ``tokenize_batch`` and ``logprobs_batch`` like the backend it
+    wraps: a text is tokenized once, a request is keyed by (context, start,
+    end), and only the misses of a batch go out, once each, in one batch. A
+    batch with no misses never reaches the backend. Failures are not
+    remembered, and callers share the answers, so they must not mutate them.
+    One cache serves one instance on one thread. It is not a LogprobBackend:
+    every request it forwards is one call of the wrapped backend's own
+    methods.
     """
 
     def __init__(self, backend: LogprobBackend):
@@ -155,10 +156,11 @@ class RequestCache:
         self._tokens: dict[str, list[tuple[int, str]]] = {}
         self._logprobs: dict[tuple, LogprobResponse] = {}
 
-    def tokenize(self, text: str) -> list[tuple[int, str]]:
-        if text not in self._tokens:
-            self._tokens[text] = self.backend.tokenize(text)
-        return self._tokens[text]
+    def tokenize_batch(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
+        misses = list(dict.fromkeys(text for text in texts if text not in self._tokens))
+        if misses:
+            self._tokens.update(zip(misses, self.backend.tokenize_batch(misses)))
+        return [self._tokens[text] for text in texts]
 
     def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
         keys = [(tuple(r.context), r.start, r.end) for r in requests_]
@@ -183,41 +185,39 @@ def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
 def build_contexts(
     instance: CotInstance, config: SelectionConfig, backend: LogprobBackend | RequestCache
 ) -> ScoringContexts:
-    """Tokenize the thinking text and the condition once each; assemble both scoring contexts.
+    """Tokenize the thinking text and the condition in one batch; assemble both scoring contexts.
 
     This is the only place the pipeline tokenizes. A text the backend cannot
-    tokenize becomes a ScoringError naming the instance.
+    tokenize becomes a ScoringError naming the instance and the field; when
+    both fail, the thinking is named.
     """
     config.validate()
-    ids, spans = _tokenize(instance, "thinking", instance.thinking, backend)
-    if not ids:
+    # spans concatenate to the text, so only an empty text has no tokens
+    if not instance.thinking:
         raise ScoringError(
             f"instance {instance.id}: thinking text produced no tokens", instance.id
         )
     condition = render_condition(config, instance)
-    prefix = _tokenize(instance, "condition", condition, backend)[0] if condition else []
+    texts = [instance.thinking, condition] if condition else [instance.thinking]
+    try:
+        tokenized = backend.tokenize_batch(texts)
+    except BackendUnavailable:
+        raise
+    except CtsError as exc:
+        field = "thinking" if getattr(exc, "text", instance.thinking) == instance.thinking else "condition"
+        raise ScoringError(
+            f"instance {instance.id}: cannot tokenize {field}: {exc}", instance.id
+        ) from exc
+    ids = [t for t, _ in tokenized[0]]
+    prefix = [t for t, _ in tokenized[1]] if condition else []
     return ScoringContexts(
         thinking_ids=ids,
-        thinking_spans=spans,
+        thinking_spans=[s for _, s in tokenized[0]],
         uncond_ids=ids,
         uncond_start=0,
         cond_ids=prefix + ids,
         cond_start=len(prefix),
     )
-
-
-def _tokenize(
-    instance: CotInstance, field: str, text: str, backend: LogprobBackend | RequestCache
-) -> tuple[list[int], list[str]]:
-    try:
-        tokens = backend.tokenize(text)
-    except BackendUnavailable:
-        raise
-    except CtsError as exc:
-        raise ScoringError(
-            f"instance {instance.id}: cannot tokenize {field}: {exc}", instance.id
-        ) from exc
-    return [t for t, _ in tokens], [s for _, s in tokens]
 
 
 def _diff(a: float, b: float) -> float:

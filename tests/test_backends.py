@@ -4,6 +4,7 @@ import random
 import threading
 
 import pytest
+import requests
 
 from cts.backends import (
     HttpBackend,
@@ -14,10 +15,17 @@ from cts.backends import (
     ppl_of,
 )
 from cts.dataset import CotInstance
-from cts.errors import BackendProtocolError, BackendUnavailable, ConfigError, ScoringError, TokenizeError
+from cts.errors import (
+    BackendError,
+    BackendProtocolError,
+    BackendUnavailable,
+    ConfigError,
+    ScoringError,
+    TokenizeError,
+)
 from cts.selector import SelectionConfig, compress_instance
 
-from conftest import fake_client, random_spec, uniform_spec, write_spec_file
+from conftest import FakeResponse, FakeSession, fake_client, random_spec, uniform_spec, write_spec_file
 from http_stub import StubServer
 
 
@@ -333,3 +341,119 @@ class TestWireBoundary:
         with pytest.raises(ScoringError) as exc:
             compress_instance(CotInstance("i-7", "", TEXT, "42"), SelectionConfig(alpha=0.5), client)
         assert exc.value.instance_id == "i-7"
+
+    def test_request_that_cannot_be_sent_is_a_backend_error(self):
+        class RaisingSession(FakeSession):
+            def post(self, url, json=None, timeout=None):
+                self.posts += 1
+                raise requests.exceptions.InvalidURL(f"no host supplied: {url}")
+
+        session = RaisingSession()
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=2), session)
+        with pytest.raises(BackendError):
+            client.tokenize(TEXT)
+        assert session.posts == 1  # not retried
+        with pytest.raises(ScoringError):
+            compress_instance(CotInstance("i-8", "", TEXT, "42"), SelectionConfig(alpha=0.5), client)
+
+
+def tokenize_body(text: str) -> bytes:
+    return json.dumps({"token_ids": [ord(c) for c in text], "spans": list(text)}).encode("utf-8")
+
+
+class EchoSession(FakeSession):
+    """Tokenizes every text one character per token; records the thread of each POST."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads: list[int] = []  # list.append is atomic, so POSTs from several threads all count
+
+    def post(self, url, json=None, timeout=None):
+        self.threads.append(threading.get_ident())
+        return FakeResponse(tokenize_body(json["text"]))
+
+
+class BarrierSession(EchoSession):
+    """Answers a POST only once a second POST is in flight; a lone POST times out."""
+
+    def __init__(self):
+        super().__init__()
+        self.barrier = threading.Barrier(2, timeout=5)
+
+    def post(self, url, json=None, timeout=None):
+        self.barrier.wait()
+        return super().post(url, json=json, timeout=timeout)
+
+
+class UntokenizableAnswers(ToyBackend):
+    """A stub model that answers a text outside its vocabulary with no tokens, which the client rejects."""
+
+    def tokenize(self, text):
+        try:
+            return super().tokenize(text)
+        except TokenizeError:
+            return []
+
+
+@pytest.fixture(params=["toy", "http"])
+def either_backend(request, shift_backend):
+    if request.param == "toy":
+        yield shift_backend
+        return
+    with StubServer(UntokenizableAnswers(shift_backend.spec)) as server:
+        yield HttpBackend(HttpBackendConfig(base_url=server.url, max_retries=0, timeout=5.0))
+
+
+class TestTokenizeBatch:
+    def test_http_posts_are_in_flight_together(self):
+        session = BarrierSession()
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), session)
+        # a client that waits for one reply before it sends the next POST breaks the barrier
+        assert client.tokenize_batch(["AB", "C:42"]) == [
+            [(65, "A"), (66, "B")], [(67, "C"), (58, ":"), (52, "4"), (50, "2")],
+        ]
+        assert len(session.threads) == 2
+
+    def test_http_one_text_batch_runs_on_the_calling_thread(self):
+        session = EchoSession()
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), session)
+        assert client.tokenize_batch(["AB"]) == [[(65, "A"), (66, "B")]]
+        assert client.tokenize_batch([]) == []
+        assert session.threads == [threading.get_ident()]
+
+    def test_http_each_post_is_one_tokenize_call(self, monkeypatch):
+        calls = []
+        original = HttpBackend.tokenize
+
+        def counting(self, text):
+            calls.append(text)
+            return original(self, text)
+
+        monkeypatch.setattr(HttpBackend, "tokenize", counting)
+        session = EchoSession()
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), session)
+        assert client.tokenize_batch(["A", "B", "C"]) == [[(65, "A")], [(66, "B")], [(67, "C")]]
+        assert sorted(calls) == ["A", "B", "C"]
+        assert len(session.threads) == 3
+
+    @pytest.mark.parametrize("thinking, answer, field", [
+        ("ABX", "Z", "thinking"),  # both untokenizable: the thinking is named
+        ("ABX", "42", "thinking"),
+        ("ABC", "Z", "condition"),
+    ])
+    def test_failure_names_the_first_failing_text(self, either_backend, thinking, answer, field):
+        with pytest.raises(ScoringError) as exc:
+            compress_instance(CotInstance("i-9", "", thinking, answer), SelectionConfig(alpha=0.5), either_backend)
+        assert f"instance i-9: cannot tokenize {field}:" in str(exc.value)
+        assert exc.value.instance_id == "i-9"
+
+    def test_empty_thinking_is_named_before_the_condition(self, either_backend):
+        with pytest.raises(ScoringError, match="thinking text produced no tokens"):
+            compress_instance(CotInstance("i-10", "", "", "Z"), SelectionConfig(alpha=0.5), either_backend)
+
+    def test_stub_stuck_at_503_is_unavailable(self, shift_backend):
+        with StubServer(shift_backend) as server:
+            server.state.fail_next = 10**6
+            client = HttpBackend(HttpBackendConfig(base_url=server.url, max_retries=1, retry_backoff=0.01))
+            with pytest.raises(BackendUnavailable):
+                compress_instance(CotInstance("i-11", "", "ABC", "42"), SelectionConfig(alpha=0.5), client)

@@ -426,6 +426,29 @@ class TestBackendsAndConfig:
         code = run_cli(compress_args(toy_env, extra=["--backend", "http:http://127.0.0.1:9"]))
         assert code == 3
 
+    def test_backend_stuck_at_503_exits_3(self, toy_env, monkeypatch):
+        from cts.backends import HttpBackendConfig, ToyBackend
+        from http_stub import StubServer
+
+        def fast_config(**kwargs):
+            kwargs.setdefault("max_retries", 0)
+            return HttpBackendConfig(**kwargs)
+
+        monkeypatch.setattr(cts.cli, "HttpBackendConfig", fast_config)
+        with StubServer(ToyBackend(shift_spec())) as server:
+            server.state.fail_next = 10**6
+            code = run_cli(compress_args(toy_env, extra=["--backend", f"http:{server.url}"]))
+        assert code == 3
+        assert not (toy_env["dir"] / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("descriptor", ["http:http://", "https://", "http:localhost:8000"])
+    def test_backend_url_without_host_exits_2(self, toy_env, descriptor, capsys):
+        code = run_cli(compress_args(toy_env, extra=["--backend", descriptor]))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "needs an http(s) scheme and a host" in err
+        assert "Traceback" not in err
+
     def test_unknown_backend_descriptor_exits_2(self, toy_env):
         code = run_cli(compress_args(toy_env, extra=["--backend", "carrier-pigeon:coop"]))
         assert code == 2

@@ -1,0 +1,94 @@
+"""Property tests of selection: exact counts and ratios, nesting across alphas, a brute-force oracle.
+
+These need ``hypothesis`` (a dev extra); without it the module is skipped.
+"""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cts.backends import ToyBackend  # noqa: E402
+from cts.dataset import CotInstance  # noqa: E402
+from cts.selector import (  # noqa: E402
+    SelectionConfig,
+    TokenScoreRow,
+    compress_instance,
+    kept_count_for,
+    segment_thinking,
+    select_tokens,
+)
+
+from conftest import shift_spec  # noqa: E402
+
+BACKEND = ToyBackend(shift_spec())
+
+alphas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+# scores as scoring can produce them: finite, +-inf, and many ties
+scores = st.lists(
+    st.sampled_from([0.0, 0.5, 1.0, -1.0, math.inf, -math.inf]) | st.floats(allow_nan=False, width=16),
+    min_size=1,
+    max_size=60,
+)
+
+
+def rows_from(values: list[float], first_position: int) -> list[TokenScoreRow]:
+    return [TokenScoreRow(first_position + i, 0, "x", 1.0, 1.0, s) for i, s in enumerate(values)]
+
+
+def kept(mask: list[bool]) -> set[int]:
+    return {i for i, keep in enumerate(mask) if keep}
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores, alphas, st.integers(min_value=0, max_value=1000))
+def test_select_tokens_matches_the_rank_counting_oracle(values, alpha, first_position):
+    rows = rows_from(values, first_position)
+    k = kept_count_for(alpha, len(rows))
+    result = select_tokens(rows, SelectionConfig(alpha=alpha))
+    # row i is kept iff fewer than k rows outrank it (higher score, or equal score and earlier)
+    beaten_by = [
+        sum(1 for other in rows if (other.score, -other.position) > (row.score, -row.position))
+        for row in rows
+    ]
+    assert result.kept_mask == [b < k for b in beaten_by]
+    assert result.kept_count == k == sum(result.kept_mask)
+    assert result.threshold == min(row.score for row, keep in zip(rows, result.kept_mask) if keep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores, st.lists(alphas, min_size=2, max_size=5))
+def test_kept_sets_nest_across_alphas(values, some_alphas):
+    rows = rows_from(values, 0)
+    previous: set[int] = set()
+    for alpha in sorted(some_alphas):
+        current = kept(select_tokens(rows, SelectionConfig(alpha=alpha)).kept_mask)
+        assert previous <= current
+        previous = current
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.text(alphabet="ABC ", min_size=1, max_size=80),
+    alphas,
+    st.booleans(),
+    st.sampled_from(["global", "per_segment"]),
+)
+def test_compressed_record_counts_and_ratio_are_exact(thinking, alpha, conditional, scope):
+    config = SelectionConfig(alpha=alpha, conditional=conditional, condition_template="{answer}:",
+                             selection_scope=scope, segment_budget=16, boundary_slack=4)
+    record, rows, selection = compress_instance(CotInstance("p", "", thinking, "42"), config, BACKEND)
+    n = len(thinking)  # one toy token per character
+    assert record.original_count == len(rows) == n
+    assert record.kept_count == selection.kept_count == sum(selection.kept_mask)
+    assert record.actual_ratio == record.kept_count / record.original_count
+    if scope == "global":
+        lengths = [n]
+    else:
+        lengths = [s.end - s.start for s in segment_thinking(n, [r.span for r in rows], config)]
+    assert record.kept_count == sum(kept_count_for(alpha, m) for m in lengths)
+    assert record.compressed_thinking == "".join(r.span for r, keep in zip(rows, selection.kept_mask) if keep)

@@ -1,12 +1,13 @@
 import json
 import math
 import random
+import threading
 
 import pytest
 
-from cts.backends import LogprobRequest, ToyBackend, ToyLmSpec
+from cts.backends import LogprobBackend, LogprobRequest, ToyBackend, ToyLmSpec
 from cts.dataset import CotInstance, compressed_to_dict
-from cts.errors import ConfigError, ScoringError
+from cts.errors import ConfigError, ScoringError, TokenizeError
 from cts.selector import (
     RequestCache,
     SelectionConfig,
@@ -38,12 +39,16 @@ def rows_from(scores: list[float]) -> list[TokenScoreRow]:
     return [TokenScoreRow(i, 0, "x", 1.0, 1.0, s) for i, s in enumerate(scores)]
 
 
-class RecordingBackend:
-    """Delegates to a ToyBackend while logging every tokenize call and scoring request."""
+class RecordingBackend(LogprobBackend):
+    """Delegates to a ToyBackend while logging every tokenize call and scoring request.
+
+    Its tokenize_batch is the contract's sequential default: one tokenize call per text, in order.
+    """
 
     def __init__(self, inner: ToyBackend):
         self.inner = inner
         self.tokenized: list[str] = []
+        self.tokenize_batches: list[list[str]] = []
         self.batches = 0
         self.batch_sizes: list[int] = []
         self.requests: list[tuple[tuple[int, ...], int, int]] = []
@@ -51,6 +56,10 @@ class RecordingBackend:
     def tokenize(self, text):
         self.tokenized.append(text)
         return self.inner.tokenize(text)
+
+    def tokenize_batch(self, texts):
+        self.tokenize_batches.append(list(texts))
+        return super().tokenize_batch(texts)
 
     def logprobs(self, request):
         self.requests.append((tuple(request.context), request.start, request.end))
@@ -392,6 +401,18 @@ class TestRequestBudget:
         assert backend.tokenized == ["ABC " * 10] + (["42:"] if conditional else [])
         assert backend.batches == segments
 
+    def test_toy_tokenizes_thinking_then_condition_on_the_calling_thread(self, shift_backend, monkeypatch):
+        calls = []
+        original = ToyBackend.tokenize
+
+        def spy(self, text):
+            calls.append((text, threading.get_ident()))
+            return original(self, text)
+
+        monkeypatch.setattr(ToyBackend, "tokenize", spy)
+        compress_instance(instance("ABC " * 10), config(), shift_backend)
+        assert calls == [("ABC " * 10, threading.get_ident()), ("42:", threading.get_ident())]
+
 
 class TestRequestCache:
     def test_conditional_batch_serves_the_unconditional_selection(self, shift_backend):
@@ -418,6 +439,25 @@ class TestRequestCache:
         assert cache.logprobs_batch([b, a]) == [first[1], first[0]]
         assert cache.logprobs_batch([]) == []
         assert backend.batch_sizes == [2]
+
+    def test_tokenize_misses_go_out_once_in_one_batch(self, shift_backend):
+        backend = RecordingBackend(shift_backend)
+        cache = RequestCache(backend)
+        texts = ["AB", "C:", "AB"]
+        assert cache.tokenize_batch(texts) == [shift_backend.tokenize(t) for t in texts]
+        assert cache.tokenize_batch(["C:", "A", "AB"]) == [shift_backend.tokenize(t) for t in ("C:", "A", "AB")]
+        assert cache.tokenize_batch(["AB"]) == [shift_backend.tokenize("AB")]
+        assert cache.tokenize_batch([]) == []
+        assert backend.tokenize_batches == [["AB", "C:"], ["A"]]
+
+    def test_tokenize_failure_is_not_cached(self, shift_backend):
+        backend = RecordingBackend(shift_backend)
+        cache = RequestCache(backend)
+        for _ in range(2):
+            with pytest.raises(TokenizeError) as exc:
+                cache.tokenize_batch(["AB", "Z"])
+            assert exc.value.text == "Z"
+        assert backend.tokenize_batches == [["AB", "Z"], ["AB", "Z"]]
 
     @pytest.mark.parametrize("original_prefix", [False, True])
     def test_per_segment_modes_share_what_they_can(self, shift_backend, original_prefix):
