@@ -22,7 +22,7 @@ import time
 import urllib.parse
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .backends import HttpBackend, HttpBackendConfig, LogprobBackend, ToyBackend, ToyLmSpec
 from .dataset import (
@@ -36,7 +36,7 @@ from .dataset import (
     write_dataset,
     write_jsonl,
 )
-from .emitters import build_rm_training_rows, emit_rm_prompts, emit_sft
+from .emitters import SftRecord, build_rm_training_rows, emit_rm_prompts, emit_sft
 from .errors import BackendUnavailable, ConfigError, CtsError, DatasetError
 from .report import ReportBuilder, RunReport, report_from_records
 from .runner import map_ordered
@@ -78,22 +78,6 @@ ABLATION_MODES = (
     AblationMode("proposed", conditional=True, rm_profile="tuned"),
 )
 
-# settings that may come from a JSON config file
-_CONFIG_KEYS = {
-    "ratio",
-    "conditional",
-    "condition_template",
-    "segment_budget",
-    "boundary_slack",
-    "scope",
-    "score_space",
-    "iterative_original_prefix",
-    "backend",
-    "backend_tuned",
-    "workers",
-    "lenient",
-}
-
 _DEFAULTS: dict[str, Any] = {
     "ratio": None,
     "conditional": True,
@@ -108,6 +92,8 @@ _DEFAULTS: dict[str, Any] = {
     "workers": 1,
     "lenient": False,
 }
+# settings that may come from a JSON config file
+_CONFIG_KEYS = frozenset(_DEFAULTS)
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
@@ -225,6 +211,16 @@ def _emit_report(report: RunReport, args: argparse.Namespace) -> None:
     )
 
 
+def _log_skipped(errors: list[DatasetError]) -> None:
+    for err in errors:
+        logger.warning("skipped record: %s", err)
+
+
+def _exit_code(skipped: bool, lenient: bool) -> int:
+    """The one per-record rule: a skipped or failed record fails the run unless lenient."""
+    return EXIT_FAILURES if skipped and not lenient else EXIT_OK
+
+
 @dataclass
 class Job:
     """One selection over the input: its name, config and backend, and where its rows go."""
@@ -302,8 +298,7 @@ def _compress_stream(
                     pass
     except KeyboardInterrupt:
         interrupted = True
-    for err in read_errors:
-        logger.warning("skipped record: %s", err)
+    _log_skipped(read_errors)
     for builder in builders:
         builder.add_failed(len(read_errors))
     return builders, interrupted
@@ -322,9 +317,7 @@ def _run_jobs(
     reports = [builder.build(wall, echo) for builder, echo in zip(builders, echoes)]
     if interrupted:
         return reports, EXIT_INTERRUPT
-    if any(report.instances_failed for report in reports) and not settings["lenient"]:
-        return reports, EXIT_FAILURES
-    return reports, EXIT_OK
+    return reports, _exit_code(any(report.instances_failed for report in reports), settings["lenient"])
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
@@ -339,63 +332,32 @@ def cmd_compress(args: argparse.Namespace) -> int:
     return code
 
 
+def _sft_records(instances: Iterable[CompressedInstance], errors: list[DatasetError]) -> Iterator[SftRecord]:
+    for instance in instances:
+        try:
+            yield emit_sft(instance)
+        except DatasetError as err:
+            errors.append(err)
+
+
 def cmd_emit(args: argparse.Namespace) -> int:
-    lenient = bool(args.lenient)
+    """Write one training artifact; every record that cannot be read or rendered is skipped."""
     errors: list[DatasetError] = []
     if args.target == "sft":
-        failed = 0
-
-        def records():
-            nonlocal failed
-            for instance in read_compressed_dataset(args.input, errors=errors):
-                try:
-                    rec = emit_sft(instance)
-                except DatasetError as exc:
-                    failed += 1
-                    logger.warning("skipped instance: %s", exc)
-                    continue
-                yield {"prompt": rec.prompt, "completion": rec.completion}
-
-        write_jsonl(records(), args.output)
-        failed += len(errors)
-        for err in errors:
-            logger.warning("skipped record: %s", err)
-        return EXIT_OK if (failed == 0 or lenient) else EXIT_FAILURES
-
-    if args.target == "rm-prompts":
-        examples = read_rm_examples(args.input, errors=errors)
-        write_jsonl(
-            ({"source_id": r.source_id, "instruction": r.instruction} for r in emit_rm_prompts(examples)),
-            args.output,
+        rows = _sft_records(read_compressed_dataset(args.input, errors=errors), errors)
+    elif args.target == "rm-prompts":
+        rows = emit_rm_prompts(read_rm_examples(args.input, errors=errors))
+    else:
+        if not args.responses:
+            raise ConfigError("emit rm-rows requires --responses")
+        rows = build_rm_training_rows(
+            read_rm_examples(args.input, errors=errors),
+            read_responses(args.responses, errors=errors),
+            errors=errors,
         )
-        for err in errors:
-            logger.warning("skipped record: %s", err)
-        return EXIT_OK if (not errors or lenient) else EXIT_FAILURES
-
-    # rm-rows
-    if not args.responses:
-        raise ConfigError("emit rm-rows requires --responses")
-    examples = list(read_rm_examples(args.input, errors=errors))
-    responses = list(read_responses(args.responses, errors=errors))
-    join_errors: list[DatasetError] = []
-    rows = build_rm_training_rows(examples, responses, errors=join_errors)
-    write_jsonl(
-        (
-            {
-                "source_id": r.source_id,
-                "instruction_context": r.instruction_context,
-                "target": r.target,
-                "flagged": r.flagged,
-            }
-            for r in rows
-        ),
-        args.output,
-    )
-    for err in errors + join_errors:
-        logger.warning("%s", err)
-    if join_errors or (errors and not lenient):
-        return EXIT_FAILURES
-    return EXIT_OK
+    write_jsonl(map(dataclasses.asdict, rows), args.output)
+    _log_skipped(errors)
+    return _exit_code(bool(errors), args.lenient)
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
@@ -431,8 +393,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     errors: list[DatasetError] = []
     report = report_from_records(read_compressed_dataset(args.input, errors=errors), source=args.input)
-    for err in errors:
-        logger.warning("skipped record: %s", err)
+    _log_skipped(errors)
     print(json.dumps(report.to_dict(), ensure_ascii=False))
     return EXIT_OK
 
@@ -525,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_arguments(p_emit)
     p_emit.add_argument("--responses", default=None,
                         help="rm-rows: JSONL of {source_id, compressed_steps}")
-    p_emit.add_argument("--lenient", action="store_true", default=False)
+    p_emit.add_argument("--lenient", action="store_true", default=False,
+                        help="exit 0 even when some records are skipped")
     p_emit.set_defaults(func=cmd_emit)
 
     p_ablate = sub.add_parser("ablate", help="run the four ablation modes over one input")

@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import DatasetError
+
+T = TypeVar("T")
 
 # canonical field -> default JSONL key
 DEFAULT_SCHEMA = {
@@ -20,13 +22,6 @@ DEFAULT_SCHEMA = {
     "problem": "problem",
     "thinking": "thinking",
     "answer": "answer",
-}
-
-RM_EXAMPLE_SCHEMA = {
-    "id": "id",
-    "question": "question",
-    "answer": "answer",
-    "reasoning_steps": "reasoning_steps",
 }
 
 # Fixed key order of compressed output records; extra input fields follow.
@@ -78,171 +73,141 @@ class RmCorpusExample:
     source_id: str = ""
 
 
-def _checked_text(value: Any, key: str, line: int, path: str) -> str:
+def _field(obj: dict, key: str) -> Any:
+    if key not in obj:
+        raise DatasetError(f"missing field {key!r}")
+    return obj[key]
+
+
+def _checked_text(value: Any, key: str) -> str:
     if not isinstance(value, str):
-        raise DatasetError(f"field {key!r} must be a string, got {type(value).__name__}", line, path)
+        raise DatasetError(f"field {key!r} must be a string, got {type(value).__name__}")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
-        raise DatasetError(f"field {key!r} contains unpaired surrogate code points", line, path) from None
+        raise DatasetError(f"field {key!r} contains unpaired surrogate code points") from None
     return value
 
 
-def _iter_json_lines(path: str, strict: bool, errors: list[DatasetError] | None) -> Iterator[tuple[int, dict]]:
+def _record_id(raw_id: Any, line_no: int) -> str:
+    return str(raw_id) if raw_id is not None else f"line:{line_no}"
+
+
+def _read_jsonl(
+    path: str, parse: Callable[[dict, int], T], errors: list[DatasetError] | None
+) -> Iterator[T]:
+    """Stream ``parse(obj, line_no)`` over the JSON objects of a JSONL file, in order.
+
+    Blank lines are skipped. A line that is not JSON, not an object, or that
+    ``parse`` rejects with a DatasetError is skipped too; its error, stamped
+    with the 1-based line and the path, is appended to ``errors`` (if given).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"malformed JSON: {exc.msg}") from exc
                 if not isinstance(obj, dict):
-                    raise DatasetError(f"expected a JSON object, got {type(obj).__name__}", line_no, path)
-                yield line_no, obj
+                    raise DatasetError(f"expected a JSON object, got {type(obj).__name__}")
+                record = parse(obj, line_no)
             except DatasetError as err:
-                if strict:
-                    raise
+                err.line, err.path = line_no, path
                 if errors is not None:
                     errors.append(err)
-            except json.JSONDecodeError as exc:
-                err = DatasetError(f"malformed JSON: {exc.msg}", line_no, path)
-                if strict:
-                    raise err from exc
-                if errors is not None:
-                    errors.append(err)
+                continue
+            yield record
 
 
 def read_dataset(
-    path: str,
-    schema: dict[str, str] | None = None,
-    *,
-    strict: bool = False,
-    errors: list[DatasetError] | None = None,
+    path: str, schema: dict[str, str] | None = None, *, errors: list[DatasetError] | None = None
 ) -> Iterator[CotInstance]:
     """Stream CotInstance records from a JSONL file, preserving input order.
 
     ``schema`` maps canonical field names (problem, thinking, answer, id) to
-    the keys used in the file. Records with malformed JSON or missing mapped
-    fields produce a DatasetError: raised when ``strict``, otherwise appended
-    to ``errors`` (if given) while the stream continues. When the id field is
-    absent, ids are synthesized as ``line:<n>``.
+    the keys used in the file. A record with a missing or non-text mapped
+    field is skipped (see ``_read_jsonl``). When the id field is absent, ids
+    are synthesized as ``line:<n>``.
     """
-    mapping = dict(DEFAULT_SCHEMA)
-    if schema:
-        mapping.update(schema)
-    for line_no, obj in _iter_json_lines(path, strict, errors):
-        try:
-            fields: dict[str, str] = {}
-            for canon in ("problem", "thinking", "answer"):
-                key = mapping[canon]
-                if key not in obj:
-                    raise DatasetError(f"missing field {key!r}", line_no, path)
-                fields[canon] = _checked_text(obj[key], key, line_no, path)
-            id_key = mapping["id"]
-            raw_id = obj.get(id_key)
-            instance_id = str(raw_id) if raw_id is not None else f"line:{line_no}"
-            consumed = {mapping[c] for c in ("problem", "thinking", "answer")} | {id_key}
-            extras = {k: v for k, v in obj.items() if k not in consumed}
-            yield CotInstance(instance_id, fields["problem"], fields["thinking"], fields["answer"], extras)
-        except DatasetError as err:
-            if strict:
-                raise
-            if errors is not None:
-                errors.append(err)
+    mapping = {**DEFAULT_SCHEMA, **(schema or {})}
+    text_keys = [mapping[canon] for canon in ("problem", "thinking", "answer")]
+    consumed = {*text_keys, mapping["id"]}
+
+    def parse(obj: dict, line_no: int) -> CotInstance:
+        problem, thinking, answer = (_checked_text(_field(obj, key), key) for key in text_keys)
+        extras = {k: v for k, v in obj.items() if k not in consumed}
+        return CotInstance(_record_id(obj.get(mapping["id"]), line_no), problem, thinking, answer, extras)
+
+    return _read_jsonl(path, parse, errors)
+
+
+def _parse_compressed(obj: dict, line_no: int) -> CompressedInstance:
+    id_, problem, thinking, answer, nominal, actual, kept, original = (
+        _field(obj, key) for key in COMPRESSED_KEY_ORDER
+    )
+    try:
+        numbers = float(nominal), float(actual), int(kept), int(original)
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"ratio and count fields must be numbers: {exc}") from None
+    return CompressedInstance(
+        str(id_),
+        _checked_text(problem, "problem"),
+        _checked_text(thinking, "compressed_thinking"),
+        _checked_text(answer, "answer"),
+        *numbers,
+        extras={k: v for k, v in obj.items() if k not in COMPRESSED_KEY_ORDER},
+    )
 
 
 def read_compressed_dataset(
-    path: str,
-    *,
-    strict: bool = False,
-    errors: list[DatasetError] | None = None,
+    path: str, *, errors: list[DatasetError] | None = None
 ) -> Iterator[CompressedInstance]:
     """Stream CompressedInstance records written by write_dataset."""
-    for line_no, obj in _iter_json_lines(path, strict, errors):
-        try:
-            missing = [k for k in COMPRESSED_KEY_ORDER if k not in obj]
-            if missing:
-                raise DatasetError(f"missing field {missing[0]!r}", line_no, path)
-            extras = {k: v for k, v in obj.items() if k not in COMPRESSED_KEY_ORDER}
-            yield CompressedInstance(
-                id=str(obj["id"]),
-                problem=obj["problem"],
-                compressed_thinking=obj["compressed_thinking"],
-                answer=obj["answer"],
-                nominal_ratio=float(obj["nominal_ratio"]),
-                actual_ratio=float(obj["actual_ratio"]),
-                kept_count=int(obj["kept_count"]),
-                original_count=int(obj["original_count"]),
-                extras=extras,
-            )
-        except DatasetError as err:
-            if strict:
-                raise
-            if errors is not None:
-                errors.append(err)
+    return _read_jsonl(path, _parse_compressed, errors)
 
 
-def read_rm_examples(
-    path: str,
-    *,
-    strict: bool = False,
-    errors: list[DatasetError] | None = None,
-) -> Iterator[RmCorpusExample]:
+def _parse_rm_example(obj: dict, line_no: int) -> RmCorpusExample:
+    question, answer, steps = (_field(obj, key) for key in ("question", "answer", "reasoning_steps"))
+    if not isinstance(steps, list) or not steps or not all(isinstance(s, str) for s in steps):
+        raise DatasetError("reasoning_steps must be a non-empty list of strings")
+    return RmCorpusExample(
+        question=_checked_text(question, "question"),
+        answer=_checked_text(answer, "answer"),
+        reasoning_steps=list(steps),
+        source_id=_record_id(obj.get("id"), line_no),
+    )
+
+
+def read_rm_examples(path: str, *, errors: list[DatasetError] | None = None) -> Iterator[RmCorpusExample]:
     """Stream RmCorpusExample records: {question, answer, reasoning_steps}."""
-    for line_no, obj in _iter_json_lines(path, strict, errors):
-        try:
-            for key in ("question", "answer", "reasoning_steps"):
-                if key not in obj:
-                    raise DatasetError(f"missing field {key!r}", line_no, path)
-            steps = obj["reasoning_steps"]
-            if not isinstance(steps, list) or not steps or not all(isinstance(s, str) for s in steps):
-                raise DatasetError("reasoning_steps must be a non-empty list of strings", line_no, path)
-            raw_id = obj.get("id")
-            source_id = str(raw_id) if raw_id is not None else f"line:{line_no}"
-            yield RmCorpusExample(
-                question=_checked_text(obj["question"], "question", line_no, path),
-                answer=_checked_text(obj["answer"], "answer", line_no, path),
-                reasoning_steps=list(steps),
-                source_id=source_id,
-            )
-        except DatasetError as err:
-            if strict:
-                raise
-            if errors is not None:
-                errors.append(err)
+    return _read_jsonl(path, _parse_rm_example, errors)
+
+
+def _parse_response(obj: dict, line_no: int) -> tuple[str, str]:
+    if "source_id" not in obj or "compressed_steps" not in obj:
+        raise DatasetError("missing source_id or compressed_steps")
+    steps = obj["compressed_steps"]
+    if isinstance(steps, list):
+        steps = "\n".join(str(s) for s in steps)
+    return str(obj["source_id"]), str(steps)
 
 
 def read_responses(path: str, *, errors: list[DatasetError] | None = None) -> Iterator[tuple[str, str]]:
     """Stream (source_id, compressed_steps) pairs of strong-model responses.
 
-    A list of steps is joined with newlines. Malformed lines and lines
-    missing either field are appended to ``errors`` (if given) and skipped.
+    A list of steps is joined with newlines.
     """
-    for line_no, obj in _iter_json_lines(path, False, errors):
-        if "source_id" not in obj or "compressed_steps" not in obj:
-            if errors is not None:
-                errors.append(DatasetError("missing source_id or compressed_steps", line_no, path))
-            continue
-        steps = obj["compressed_steps"]
-        if isinstance(steps, list):
-            steps = "\n".join(str(s) for s in steps)
-        yield str(obj["source_id"]), str(steps)
+    return _read_jsonl(path, _parse_response, errors)
 
 
 def compressed_to_dict(record: CompressedInstance) -> dict[str, Any]:
     """Serialize with the fixed key order; extra input fields follow, key collisions dropped."""
-    out: dict[str, Any] = {
-        "id": record.id,
-        "problem": record.problem,
-        "compressed_thinking": record.compressed_thinking,
-        "answer": record.answer,
-        "nominal_ratio": record.nominal_ratio,
-        "actual_ratio": record.actual_ratio,
-        "kept_count": record.kept_count,
-        "original_count": record.original_count,
-    }
+    out = {key: getattr(record, key) for key in COMPRESSED_KEY_ORDER}
     for key, value in record.extras.items():
-        if key not in out:
-            out[key] = value
+        out.setdefault(key, value)
     return out
 
 
@@ -288,14 +253,11 @@ def write_dataset(records: Iterable[CompressedInstance], path: str) -> int:
     atomically: records go to a temp file that is renamed on success and
     removed on failure.
     """
-    with JsonlWriter(path) as writer:
-        for record in records:
-            writer.write(compressed_to_dict(record))
-        return writer.count
+    return write_jsonl(map(compressed_to_dict, records), path)
 
 
 def write_jsonl(objects: Iterable[dict[str, Any]], path: str) -> int:
-    """Write arbitrary dicts as JSONL with the same temp-and-rename semantics."""
+    """Write dicts as JSONL, one per line, through a JsonlWriter; return the count."""
     with JsonlWriter(path) as writer:
         for obj in objects:
             writer.write(obj)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable
 
 from .dataset import CompressedInstance
@@ -24,18 +24,7 @@ class RunReport:
     config_echo: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "instances_total": self.instances_total,
-            "instances_ok": self.instances_ok,
-            "instances_failed": self.instances_failed,
-            "mean_actual_ratio": self.mean_actual_ratio,
-            "stdev_actual_ratio": self.stdev_actual_ratio,
-            "actual_ratio_per_token": self.actual_ratio_per_token,
-            "original_tokens_total": self.original_tokens_total,
-            "kept_tokens_total": self.kept_tokens_total,
-            "wall_time_seconds": self.wall_time_seconds,
-            "config_echo": self.config_echo,
-        }
+        return asdict(self)
 
 
 class ReportBuilder:

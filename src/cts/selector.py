@@ -120,22 +120,17 @@ class SelectionResult:
 
 @dataclass
 class ScoringContexts:
-    """Token id contexts for the two scoring passes over the whole thinking.
+    """The tokenized thinking text and condition of one instance.
 
-    These are the global-scope (one segment, empty history) contexts, and
-    cond_ids[:cond_start] is the condition prefix of every segment's
-    conditional context. The thinking ids occupy [uncond_start,
-    uncond_start + n) in uncond_ids and [cond_start, cond_start + n) in
-    cond_ids, bit-identical in both: positions align one-to-one between the
-    passes.
+    A segment's unconditional context is its history followed by its
+    thinking ids; the conditional context puts cond_prefix in front. The
+    thinking ids are the same list in both, so positions align one-to-one
+    between the passes.
     """
 
     thinking_ids: list[int]
     thinking_spans: list[str]
-    uncond_ids: list[int]
-    uncond_start: int
-    cond_ids: list[int]
-    cond_start: int
+    cond_prefix: list[int]
 
 
 class RequestCache:
@@ -185,7 +180,7 @@ def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
 def build_contexts(
     instance: CotInstance, config: SelectionConfig, backend: LogprobBackend | RequestCache
 ) -> ScoringContexts:
-    """Tokenize the thinking text and the condition in one batch; assemble both scoring contexts.
+    """Tokenize the thinking text and the condition in one batch.
 
     This is the only place the pipeline tokenizes. A text the backend cannot
     tokenize becomes a ScoringError naming the instance and the field; when
@@ -208,15 +203,10 @@ def build_contexts(
         raise ScoringError(
             f"instance {instance.id}: cannot tokenize {field}: {exc}", instance.id
         ) from exc
-    ids = [t for t, _ in tokenized[0]]
-    prefix = [t for t, _ in tokenized[1]] if condition else []
     return ScoringContexts(
-        thinking_ids=ids,
+        thinking_ids=[t for t, _ in tokenized[0]],
         thinking_spans=[s for _, s in tokenized[0]],
-        uncond_ids=ids,
-        uncond_start=0,
-        cond_ids=prefix + ids,
-        cond_start=len(prefix),
+        cond_prefix=[t for t, _ in tokenized[1]] if condition else [],
     )
 
 
@@ -363,14 +353,13 @@ def compress_instance(
         segments = [Segment(0, len(ids), 0)]
     else:
         segments = segment_thinking(len(ids), spans, config)
-    cond_prefix = ctx.cond_ids[: ctx.cond_start]
     rows: list[TokenScoreRow] = []
     mask: list[bool] = []
     kept_prefix: list[int] = []
     for seg in segments:
         history = ids[: seg.start] if config.iterative_original_prefix else kept_prefix
         seg_rows = score_tokens(
-            history, cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
+            history, ctx.cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
             seg.start, config, backend, instance.id,
         )
         seg_mask = select_tokens(seg_rows, config).kept_mask

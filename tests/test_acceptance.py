@@ -16,6 +16,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -232,7 +233,7 @@ class TestAcceptance:
                 sft_rows.append({"prompt": record.prompt, "completion": record.completion})
             sft_path = tmp_path / "sft.jsonl"
             write_jsonl(sft_rows, str(sft_path))
-            assert sft_path.read_bytes() == open(f"{golden_dir}/sft.jsonl", "rb").read()
+            assert sft_path.read_bytes() == Path(f"{golden_dir}/sft.jsonl").read_bytes()
 
             examples = [
                 RmCorpusExample(question="q", answer="a", reasoning_steps=["s1", "s2"], source_id="ex-1"),
@@ -252,7 +253,7 @@ class TestAcceptance:
             ]
             rm_path = tmp_path / "rm_prompts.jsonl"
             write_jsonl(rm_rows, str(rm_path))
-            assert rm_path.read_bytes() == open(f"{golden_dir}/rm_prompts.jsonl", "rb").read()
+            assert rm_path.read_bytes() == Path(f"{golden_dir}/rm_prompts.jsonl").read_bytes()
 
     def test_7_determinism_under_parallelism(self, tmp_path):
         with criterion(7, "--workers 1 and --workers 4 write byte-identical files"):
@@ -290,7 +291,8 @@ class TestAcceptance:
             ])
             elapsed = time.monotonic() - started
             assert code == 0
-            assert sum(1 for _ in open(out)) == 1000
+            with open(out) as fh:
+                assert sum(1 for _ in fh) == 1000
             assert elapsed < 60.0, f"end-to-end compression took {elapsed:.1f}s"
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,9 @@ from cts.cli import main
 from cts.dataset import read_compressed_dataset
 from cts.errors import ConfigError
 
-from conftest import make_corpus, shift_spec, uniform_spec, write_jsonl_file, write_spec_file
+from conftest import (
+    make_corpus, read_jsonl_file, shift_spec, uniform_spec, write_jsonl_file, write_spec_file,
+)
 
 CONDITION = "{answer}:"
 
@@ -61,7 +64,7 @@ class TestCompress:
         report_path = toy_env["dir"] / "report.json"
         code = run_cli(compress_args(toy_env, "identity.jsonl", "1.0", ["--report", str(report_path)]))
         assert code == 0
-        inputs = [json.loads(line) for line in open(toy_env["corpus"])]
+        inputs = read_jsonl_file(toy_env["corpus"])
         outputs = list(read_compressed_dataset(str(out)))
         assert [o.compressed_thinking for o in outputs] == [i["thinking"] for i in inputs]
         assert json.loads(report_path.read_text())["mean_actual_ratio"] == 1.0
@@ -95,7 +98,7 @@ class TestCompress:
 
     def test_malformed_line_fails_without_lenient(self, toy_env, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        lines = open(toy_env["corpus"]).read().splitlines()
+        lines = Path(toy_env["corpus"]).read_text().splitlines()
         bad.write_text(lines[0] + "\n{oops\n" + lines[1] + "\n")
         args = [
             "compress", "--input", str(bad), "--output", str(tmp_path / "o.jsonl"),
@@ -132,8 +135,8 @@ class TestCompress:
         dump = toy_env["dir"] / "dump.jsonl"
         code = run_cli(compress_args(toy_env, extra=["--score-dump", str(dump)]))
         assert code == 0
-        rows = [json.loads(line) for line in open(dump)]
-        inputs = [json.loads(line) for line in open(toy_env["corpus"])]
+        rows = read_jsonl_file(dump)
+        inputs = read_jsonl_file(toy_env["corpus"])
         assert len(rows) == sum(len(i["thinking"]) for i in inputs)
         outputs = list(read_compressed_dataset(str(toy_env["dir"] / "out.jsonl")))
         kept_by_id = {o.id: o.kept_count for o in outputs}
@@ -143,7 +146,7 @@ class TestCompress:
     def test_schema_mapping_flags(self, toy_env, tmp_path):
         renamed = [
             {"q": rec["problem"], "cot": rec["thinking"], "ans": rec["answer"]}
-            for rec in (json.loads(line) for line in open(toy_env["corpus"]))
+            for rec in read_jsonl_file(toy_env["corpus"])
         ]
         path = write_jsonl_file(renamed[:5], tmp_path / "renamed.jsonl")
         code = run_cli([
@@ -173,7 +176,7 @@ class TestScore:
             "--backend", f"toy:{toy_env['spec']}", "--no-conditional",
         ])
         assert code == 0
-        rows = [json.loads(line) for line in open(dump)]
+        rows = read_jsonl_file(dump)
         assert rows
         assert all(r["score"] == r["ppl_uncond"] for r in rows)
 
@@ -184,7 +187,7 @@ class TestScore:
             "--backend", f"toy:{toy_env['spec']}", "--condition-template", "",
         ])
         assert code == 0
-        rows = [json.loads(line) for line in open(dump)]
+        rows = read_jsonl_file(dump)
         assert all(r["score"] == 0.0 for r in rows)
 
     def test_one_row_per_thinking_token(self, toy_env):
@@ -193,8 +196,8 @@ class TestScore:
             "score", "--input", toy_env["corpus"], "--output", str(dump),
             "--backend", f"toy:{toy_env['spec']}", "--condition-template", CONDITION,
         ])
-        rows = [json.loads(line) for line in open(dump)]
-        inputs = [json.loads(line) for line in open(toy_env["corpus"])]
+        rows = read_jsonl_file(dump)
+        inputs = read_jsonl_file(toy_env["corpus"])
         assert len(rows) == sum(len(i["thinking"]) for i in inputs)
         # default ratio for score is 1.0: every token kept
         assert all(r["kept"] for r in rows)
@@ -207,7 +210,7 @@ class TestEmitCommand:
         out = tmp_path / "sft.jsonl"
         code = run_cli(["emit", "sft", "--input", str(compressed), "--output", str(out)])
         assert code == 0
-        rows = [json.loads(line) for line in open(out)]
+        rows = read_jsonl_file(out)
         assert len(rows) == 40
         assert all("<think>" in r["completion"] for r in rows)
 
@@ -218,7 +221,7 @@ class TestEmitCommand:
         )
         out = tmp_path / "prompts.jsonl"
         assert run_cli(["emit", "rm-prompts", "--input", examples, "--output", str(out)]) == 0
-        (row,) = [json.loads(line) for line in open(out)]
+        (row,) = read_jsonl_file(out)
         assert "Do not use abbreviations or emojis." in row["instruction"]
         assert "Do not reorder the original words." in row["instruction"]
         assert "s1\ns2" in row["instruction"]
@@ -236,7 +239,7 @@ class TestEmitCommand:
             "emit", "rm-rows", "--input", examples, "--responses", responses, "--output", str(out)
         ])
         assert code == 0
-        (row,) = [json.loads(line) for line in open(out)]
+        (row,) = read_jsonl_file(out)
         assert row["target"] == "cat sat"
         assert "q" in row["instruction_context"] and "a" in row["instruction_context"]
         assert row["flagged"] is False
@@ -255,6 +258,24 @@ class TestEmitCommand:
         ])
         assert code != 0
         assert any("missing-9" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize(
+        "source_ids, kept", [(["missing-9"], 0), (["e1", "e1"], 1)], ids=["unknown", "duplicate"]
+    )
+    def test_emit_rm_rows_join_failures_follow_the_lenient_rule(self, tmp_path, caplog, source_ids, kept):
+        examples = write_jsonl_file(
+            [{"id": "e1", "question": "q", "answer": "a", "reasoning_steps": ["s"]}],
+            tmp_path / "ex.jsonl",
+        )
+        responses = write_jsonl_file(
+            [{"source_id": sid, "compressed_steps": "s"} for sid in source_ids], tmp_path / "resp.jsonl"
+        )
+        out = tmp_path / "rows.jsonl"
+        args = ["emit", "rm-rows", "--input", examples, "--responses", responses, "--output", str(out)]
+        assert run_cli(args) == 1
+        assert run_cli(args + ["--lenient"]) == 0
+        assert len(read_jsonl_file(out)) == kept
+        assert sum("skipped record" in r.message for r in caplog.records) == 2
 
     def test_unknown_target_exits_2(self, tmp_path):
         code = run_cli(["emit", "nonsense", "--input", "x", "--output", "y"])
@@ -301,8 +322,8 @@ class TestAblate:
             "ablate", "--input", toy_env["corpus"], "--output", str(outdir), "--ratio", "0.5",
             "--backend", f"toy:{toy_env['spec']}", "--condition-template", CONDITION,
         ])
-        base = [json.loads(line) for line in open(outdir / "base.jsonl")]
-        conditional = [json.loads(line) for line in open(outdir / "conditional.jsonl")]
+        base = read_jsonl_file(outdir / "base.jsonl")
+        conditional = read_jsonl_file(outdir / "conditional.jsonl")
         assert any(
             b["compressed_thinking"] != c["compressed_thinking"]
             for b, c in zip(base, conditional)
@@ -362,7 +383,7 @@ class TestAblateOnePass:
                 assert (outdir / f"{mode}.jsonl").read_bytes() == expected, mode
 
     def test_failure_warning_names_each_failing_mode(self, toy_env, caplog):
-        records = [json.loads(line) for line in open(toy_env["corpus"])]
+        records = read_jsonl_file(toy_env["corpus"])
         records[3]["answer"] = "Z"  # outside the vocabulary: only the conditional modes fail
         write_jsonl_file(records, toy_env["corpus"])
         code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate", extra=["--lenient"]))

@@ -5,8 +5,10 @@ import pytest
 
 from cts.dataset import (
     CompressedInstance,
+    compressed_to_dict,
     read_compressed_dataset,
     read_dataset,
+    read_responses,
     read_rm_examples,
     write_dataset,
 )
@@ -54,12 +56,6 @@ class TestReadDataset:
         assert [x.problem for x in instances] == ["p0", "p2"]
         assert len(errors) == 1
         assert errors[0].line == 2
-
-    def test_malformed_line_strict_aborts(self, tmp_path):
-        path = tmp_path / "in.jsonl"
-        path.write_text('{"problem": "p", "thinking": "t", "answer": "a"}\n{oops\n')
-        with pytest.raises(DatasetError):
-            list(read_dataset(str(path), strict=True))
 
     def test_missing_mapped_field(self, tmp_path):
         path = write_jsonl_file([{"problem": "p", "answer": "a"}], tmp_path / "in.jsonl")
@@ -210,3 +206,53 @@ class TestReadRmExamples:
         errors = []
         assert list(read_rm_examples(path, errors=errors)) == []
         assert len(errors) == 1
+
+
+class TestReadCompressedDataset:
+    @pytest.mark.parametrize("key, value", [("kept_count", "five"), ("actual_ratio", None), ("problem", 5)])
+    def test_wrong_type_field_skipped(self, tmp_path, key, value):
+        bad = compressed_to_dict(make_compressed(1))
+        bad[key] = value
+        path = write_jsonl_file([compressed_to_dict(make_compressed(0)), bad], tmp_path / "c.jsonl")
+        errors = []
+        assert [r.id for r in read_compressed_dataset(path, errors=errors)] == ["r0"]
+        assert [e.line for e in errors] == [2]
+
+
+# each reader: a good record numbered i (identified as "r<i>"), a required field, the record's identity
+READERS = [
+    pytest.param(
+        read_dataset, lambda i: {"problem": f"r{i}", "thinking": "t", "answer": "a"}, "thinking",
+        lambda x: x.problem, id="read_dataset",
+    ),
+    pytest.param(
+        read_compressed_dataset, lambda i: compressed_to_dict(make_compressed(i)), "kept_count",
+        lambda x: x.id, id="read_compressed_dataset",
+    ),
+    pytest.param(
+        read_rm_examples, lambda i: {"id": f"r{i}", "question": "q", "answer": "a", "reasoning_steps": ["s"]},
+        "question", lambda x: x.source_id, id="read_rm_examples",
+    ),
+    pytest.param(
+        read_responses, lambda i: {"source_id": f"r{i}", "compressed_steps": "s"}, "compressed_steps",
+        lambda x: x[0], id="read_responses",
+    ),
+]
+
+
+@pytest.mark.parametrize("reader, good, required, identity", READERS)
+def test_reader_skips_and_reports_each_bad_line(tmp_path, reader, good, required, identity):
+    missing = good(9)
+    del missing[required]
+    lines = [good(0), "{oops", good(1), "[1]", good(2), missing, good(3)]
+    path = tmp_path / "in.jsonl"
+    path.write_text(
+        "".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in lines),
+        encoding="utf-8",
+    )
+    errors = []
+    assert [identity(x) for x in reader(str(path), errors=errors)] == ["r0", "r1", "r2", "r3"]
+    assert [err.line for err in errors] == [2, 4, 6]
+    for err in errors:
+        assert isinstance(err, DatasetError)
+        assert str(err).startswith(f"{path}:{err.line}: ")

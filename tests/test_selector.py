@@ -72,10 +72,12 @@ class RecordingBackend(LogprobBackend):
 
 
 class TestBuildContexts:
+    # A segment's unconditional context is its history + thinking ids and its
+    # conditional context is cond_prefix + history + thinking ids.
     def test_unconditional_contexts_are_equal(self, shift_backend):
         ctx = build_contexts(instance("ABC"), config(conditional=False), shift_backend)
-        assert ctx.cond_ids == ctx.uncond_ids
-        assert ctx.cond_start == ctx.uncond_start == 0
+        assert ctx.cond_prefix == []
+        assert ctx.thinking_ids == [t for t, _ in shift_backend.tokenize("ABC")]
 
     def test_condition_prefix_prepended(self):
         backend = ToyBackend(uniform_spec(list("ANS: 42")))
@@ -83,14 +85,18 @@ class TestBuildContexts:
         ctx = build_contexts(instance("AA"), cfg, backend)
         prefix = [t for t, _ in backend.tokenize("ANS: 42 ")]
         thinking = [t for t, _ in backend.tokenize("AA")]
-        assert ctx.cond_ids == prefix + thinking
-        assert ctx.cond_start == len(prefix)
+        assert ctx.cond_prefix + ctx.thinking_ids == prefix + thinking
+        assert ctx.cond_prefix == prefix
 
     def test_thinking_ids_bit_identical_between_contexts(self, shift_backend):
-        ctx = build_contexts(instance("AB C"), config(), shift_backend)
-        n = len(ctx.thinking_ids)
-        assert ctx.uncond_ids[ctx.uncond_start : ctx.uncond_start + n] == ctx.thinking_ids
-        assert ctx.cond_ids[ctx.cond_start : ctx.cond_start + n] == ctx.thinking_ids
+        backend = RecordingBackend(shift_backend)
+        ctx = build_contexts(instance("AB C"), config(), backend)
+        score_global(instance("AB C"), config(), backend)
+        n, p = len(ctx.thinking_ids), len(ctx.cond_prefix)
+        assert backend.requests == [
+            (tuple(ctx.thinking_ids), 0, n),
+            (tuple(ctx.cond_prefix + ctx.thinking_ids), p, p + n),
+        ]
 
     def test_template_without_answer_placeholder_rejected(self, shift_backend):
         cfg = config(condition_template="no placeholder here")
@@ -99,7 +105,7 @@ class TestBuildContexts:
 
     def test_empty_template_is_explicit_no_op(self, shift_backend):
         ctx = build_contexts(instance("AB"), config(condition_template=""), shift_backend)
-        assert ctx.cond_ids == ctx.uncond_ids
+        assert ctx.cond_prefix == []
 
     def test_unknown_placeholder_rejected(self, shift_backend):
         cfg = config(condition_template="{answer}{oops}")
