@@ -18,15 +18,18 @@ to perplexity +inf; only the toy backend may produce it.
 from __future__ import annotations
 
 import abc
+import functools
+import http.client
 import json
 import math
+import random
+import ssl
 import threading
 import time
+import urllib.parse
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import requests
+from typing import Callable, Mapping, Sequence
 
 from .errors import BackendError, BackendProtocolError, BackendUnavailable, ConfigError, CtsError, TokenizeError
 
@@ -96,6 +99,9 @@ class LogprobBackend(abc.ABC):
         order is raised. This default tokenizes one text after another.
         """
         return [_tokenize_one(self.tokenize, text) for text in texts]
+
+    def close(self) -> None:
+        """Release what the backend holds open; this default holds nothing."""
 
 
 def _tokenize_one(tokenize: Callable[[str], list[tuple[int, str]]], text: str) -> list[tuple[int, str]]:
@@ -208,6 +214,31 @@ class ToyBackend(LogprobBackend):
         return LogprobResponse(bits)
 
 
+# post(path, body, headers) -> (status, response headers, response body): one HTTP POST
+Transport = Callable[[str, bytes, Mapping[str, str]], tuple[int, Mapping[str, str], bytes]]
+
+# what a reused keep-alive socket raises when the server closed it while it sat
+# idle; http.client.RemoteDisconnected is a ConnectionResetError
+_STALE = (BrokenPipeError, ConnectionResetError)
+
+
+def _split_url(url: str) -> urllib.parse.SplitResult:
+    parts = urllib.parse.urlsplit(url)
+    try:
+        parts.port
+    except ValueError as exc:
+        raise ConfigError(f"backend URL {url!r} has an invalid port") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(f"backend URL {url!r} needs an http(s) scheme and a host")
+    return parts
+
+
+def _retry_after(status: int, headers: Mapping[str, str]) -> float | None:
+    """The seconds a 503 asks the client to wait, when it gives them as a number."""
+    value = headers.get("Retry-After", "") if status == 503 else ""
+    return float(value) if value.strip().isdecimal() else None
+
+
 @dataclass
 class HttpBackendConfig:
     base_url: str
@@ -227,49 +258,113 @@ class HttpBackend(LogprobBackend):
     an array of responses (batching). POST <base>/tokenize with {"text": ...}
     returns {"token_ids": [...], "spans": [...]}.
 
-    Transport failures and 5xx responses are retried with exponential
-    backoff, then surface as BackendUnavailable. Malformed payloads (wrong
-    shape or length, non-integer ids, non-numeric, non-finite or positive
-    log probabilities, spans that do not reassemble the text) are
-    BackendProtocolError and never retried; any other failure to send a
-    request is a BackendError. In-flight requests are bounded by
-    ``max_in_flight``; requests are idempotent so retries are safe.
+    Each thread sends its POSTs over one keep-alive connection of its own;
+    ``close`` closes them all. ``transport`` replaces that connection with
+    any ``post(path, body, headers) -> (status, headers, body)``.
+
+    Transport failures and 5xx responses are retried after a full-jitter
+    exponential backoff (or the numeric Retry-After of a 503), then surface
+    as BackendUnavailable. Malformed payloads (wrong shape or length,
+    non-integer ids, non-numeric, non-finite or positive log probabilities,
+    spans that do not reassemble the text) are BackendProtocolError and
+    never retried; any other failure to send a request is a BackendError.
+    In-flight requests are bounded by ``max_in_flight``; requests are
+    idempotent so retries are safe. ``sleep`` and ``uniform`` are the clock
+    and random source of the backoff.
     """
 
     name = "http"
 
-    def __init__(self, config: HttpBackendConfig, session: requests.Session | None = None):
+    def __init__(
+        self,
+        config: HttpBackendConfig,
+        transport: Transport | None = None,
+        *,
+        sleep: Callable[[float], None] = time.sleep,
+        uniform: Callable[[float, float], float] = random.uniform,
+    ):
         self.config = config
-        base = config.base_url.rstrip("/")
-        self._url_logprobs = base + "/logprobs"
-        self._url_tokenize = base + "/tokenize"
-        self._session = session or requests.Session()
+        parts = _split_url(config.base_url)
+        self._base_url = config.base_url.rstrip("/")
+        self._base_path = parts.path.rstrip("/")
+        self._headers = {"Content-Type": "application/json"}
         if config.token:
-            self._session.headers["Authorization"] = f"Bearer {config.token}"
+            self._headers["Authorization"] = f"Bearer {config.token}"
+        connection_class, tls = http.client.HTTPConnection, {}
+        if parts.scheme == "https":
+            connection_class, tls = http.client.HTTPSConnection, {"context": ssl.create_default_context()}
+        self._connect = functools.partial(connection_class, parts.hostname, parts.port, timeout=config.timeout, **tls)
+        self._transport = transport or self._send
+        self._sleep = sleep
+        self._uniform = uniform
+        self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []
+        self._connections_lock = threading.Lock()
         self._slots = threading.BoundedSemaphore(max(1, config.max_in_flight))
         # sends the tokenize POSTs of a batch beyond its first; threads start on first use
         self._pool = futures.ThreadPoolExecutor(max(1, config.max_in_flight), thread_name_prefix="cts-tokenize")
 
-    def _post(self, url: str, payload) -> object:
+    def close(self) -> None:
+        """Close the connection of every thread that sent a POST, and stop the tokenize threads."""
+        self._pool.shutdown()
+        with self._connections_lock:
+            connections, self._connections = self._connections, []
+        for connection in connections:
+            connection.close()
+
+    def _send(self, path: str, body: bytes, headers: Mapping[str, str]) -> tuple[int, Mapping[str, str], bytes]:
+        """The default transport: one POST on this thread's keep-alive connection.
+
+        A reused socket that the server closed while it sat idle is opened
+        again once and the POST resent; that is not a retry.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connect()
+            with self._connections_lock:
+                self._connections.append(connection)
+        reconnects = 0 if connection.sock is None else 1
+        while True:
+            try:
+                connection.request("POST", path, body, headers)
+                response = connection.getresponse()
+                return response.status, response.headers, response.read()
+            except _STALE:
+                connection.close()
+                if not reconnects:
+                    raise
+                reconnects -= 1
+            except BaseException:
+                connection.close()
+                raise
+
+    def _post(self, path: str, payload) -> object:
+        url = self._base_url + path
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         last_exc: Exception | None = None
+        retry_after: float | None = None  # the wait the last failure asked for, if any
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                time.sleep(self.config.retry_backoff * (2 ** (attempt - 1)))
+                backoff = self.config.retry_backoff * 2 ** (attempt - 1)
+                self._sleep(self._uniform(0.0, backoff) if retry_after is None else retry_after)
             try:
                 with self._slots:
-                    resp = self._session.post(url, json=payload, timeout=self.config.timeout)
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                last_exc = exc
-                continue
-            except requests.RequestException as exc:
+                    status, headers, data = self._transport(self._base_path + path, body, self._headers)
+            except http.client.InvalidURL as exc:
                 raise BackendError(f"request to {url} failed: {exc}") from exc
-            if resp.status_code >= 500:
-                last_exc = BackendUnavailable(f"{url} returned {resp.status_code}")
+            except (OSError, http.client.HTTPException) as exc:
+                last_exc, retry_after = exc, None
                 continue
-            if resp.status_code != 200:
-                raise BackendProtocolError(f"{url} returned {resp.status_code}: {resp.text[:200]}")
+            except ValueError as exc:
+                raise BackendError(f"request to {url} failed: {exc}") from exc
+            if status >= 500:
+                last_exc = BackendUnavailable(f"{url} returned {status}")
+                retry_after = _retry_after(status, headers)
+                continue
+            if status != 200:
+                raise BackendProtocolError(f"{url} returned {status}: {data[:200].decode('utf-8', 'replace')}")
             try:
-                return resp.json()
+                return json.loads(data)
             except ValueError as exc:
                 raise BackendProtocolError(f"{url} returned unparseable JSON") from exc
         raise BackendUnavailable(
@@ -277,7 +372,7 @@ class HttpBackend(LogprobBackend):
         ) from last_exc
 
     def tokenize(self, text: str) -> list[tuple[int, str]]:
-        data = self._post(self._url_tokenize, {"text": text})
+        data = self._post("/tokenize", {"text": text})
         ids = data.get("token_ids") if isinstance(data, dict) else None
         spans = data.get("spans") if isinstance(data, dict) else None
         if not isinstance(ids, list) or not isinstance(spans, list):
@@ -331,7 +426,7 @@ class HttpBackend(LogprobBackend):
 
     def logprobs(self, request: LogprobRequest) -> LogprobResponse:
         _validate_request(request)
-        data = self._post(self._url_logprobs, self._request_payload(request))
+        data = self._post("/logprobs", self._request_payload(request))
         return self._parse_response(data, request)
 
     def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
@@ -339,7 +434,7 @@ class HttpBackend(LogprobBackend):
             return []
         for r in requests_:
             _validate_request(r)
-        data = self._post(self._url_logprobs, [self._request_payload(r) for r in requests_])
+        data = self._post("/logprobs", [self._request_payload(r) for r in requests_])
         if not isinstance(data, list) or len(data) != len(requests_):
             raise BackendProtocolError("batched logprob response is not a matching-length array")
         return [self._parse_response(d, r) for d, r in zip(data, requests_)]

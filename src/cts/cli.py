@@ -19,7 +19,6 @@ import logging
 import os
 import sys
 import time
-import urllib.parse
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
@@ -162,9 +161,6 @@ def build_backend(descriptor: str | None) -> LogprobBackend:
     elif descriptor.startswith("http:"):
         url = descriptor[len("http:") :]
     if url:
-        parts = urllib.parse.urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ConfigError(f"backend URL {url!r} needs an http(s) scheme and a host")
         token = os.environ.get(ENV_BACKEND_TOKEN) or None
         return HttpBackend(HttpBackendConfig(base_url=url, token=token))
     raise ConfigError(f"unrecognized backend descriptor {descriptor!r}")
@@ -241,7 +237,8 @@ def _compress_stream(
     RequestCache, so jobs that share a backend share answers, and conditional
     jobs run first: their batched request already holds the unconditional
     context the others need. Each output path gets its own atomic writer,
-    so an aborted run leaves none of them.
+    so an aborted run leaves none of them. Every job's backend is closed
+    when the pass ends.
     """
     read_errors: list[DatasetError] = []
     instances = read_dataset(args.input, _schema_from(args), errors=read_errors)
@@ -263,6 +260,8 @@ def _compress_stream(
     interrupted = False
     try:
         with ExitStack() as stack:
+            for backend in dict.fromkeys(job.backend for job in jobs):
+                stack.callback(backend.close)
 
             def writer(path: str | None) -> JsonlWriter | None:
                 return stack.enter_context(JsonlWriter(path)) if path else None

@@ -140,29 +140,18 @@ def make_corpus(
     return records
 
 
-# a fake requests.Session for HttpBackend, so wire payloads are tested without sockets
-class FakeResponse:
-    def __init__(self, body: bytes):
-        self.status_code = 200
-        self.text = body.decode("utf-8", "replace")
-        self._body = body
-
-    def json(self):
-        return json.loads(self._body)
-
-
-class FakeSession:
+# a fake transport for HttpBackend, so wire payloads are tested without sockets
+class FakeTransport:
     """Answers every POST with one fixed body; no sockets."""
 
     def __init__(self, payload=None, body: bytes | None = None):
-        self.headers: dict[str, str] = {}
         self.body = body if body is not None else json.dumps(payload).encode("utf-8")
         self.posts = 0
 
-    def post(self, url, json=None, timeout=None):
+    def post(self, path: str, body: bytes, headers) -> tuple[int, dict, bytes]:
         self.posts += 1
-        return FakeResponse(self.body)
+        return 200, {}, self.body
 
 
 def fake_client(payload=None, body: bytes | None = None) -> HttpBackend:
-    return HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), FakeSession(payload, body))
+    return HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), FakeTransport(payload, body).post)

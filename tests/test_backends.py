@@ -1,10 +1,10 @@
+import http.client
 import json
 import math
 import random
 import threading
 
 import pytest
-import requests
 
 from cts.backends import (
     HttpBackend,
@@ -25,7 +25,7 @@ from cts.errors import (
 )
 from cts.selector import SelectionConfig, compress_instance
 
-from conftest import FakeResponse, FakeSession, fake_client, random_spec, uniform_spec, write_spec_file
+from conftest import FakeTransport, fake_client, random_spec, uniform_spec, write_spec_file
 from http_stub import StubServer
 
 
@@ -343,16 +343,16 @@ class TestWireBoundary:
         assert exc.value.instance_id == "i-7"
 
     def test_request_that_cannot_be_sent_is_a_backend_error(self):
-        class RaisingSession(FakeSession):
-            def post(self, url, json=None, timeout=None):
+        class RaisingTransport(FakeTransport):
+            def post(self, path, body, headers):
                 self.posts += 1
-                raise requests.exceptions.InvalidURL(f"no host supplied: {url}")
+                raise http.client.InvalidURL(f"URL can't contain control characters: {path!r}")
 
-        session = RaisingSession()
-        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=2), session)
+        transport = RaisingTransport()
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=2), transport.post)
         with pytest.raises(BackendError):
             client.tokenize(TEXT)
-        assert session.posts == 1  # not retried
+        assert transport.posts == 1  # not retried
         with pytest.raises(ScoringError):
             compress_instance(CotInstance("i-8", "", TEXT, "42"), SelectionConfig(alpha=0.5), client)
 
@@ -361,28 +361,28 @@ def tokenize_body(text: str) -> bytes:
     return json.dumps({"token_ids": [ord(c) for c in text], "spans": list(text)}).encode("utf-8")
 
 
-class EchoSession(FakeSession):
+class EchoTransport(FakeTransport):
     """Tokenizes every text one character per token; records the thread of each POST."""
 
     def __init__(self):
         super().__init__()
         self.threads: list[int] = []  # list.append is atomic, so POSTs from several threads all count
 
-    def post(self, url, json=None, timeout=None):
+    def post(self, path, body, headers):
         self.threads.append(threading.get_ident())
-        return FakeResponse(tokenize_body(json["text"]))
+        return 200, {}, tokenize_body(json.loads(body)["text"])
 
 
-class BarrierSession(EchoSession):
+class BarrierTransport(EchoTransport):
     """Answers a POST only once a second POST is in flight; a lone POST times out."""
 
     def __init__(self):
         super().__init__()
         self.barrier = threading.Barrier(2, timeout=5)
 
-    def post(self, url, json=None, timeout=None):
+    def post(self, path, body, headers):
         self.barrier.wait()
-        return super().post(url, json=json, timeout=timeout)
+        return super().post(path, body, headers)
 
 
 class UntokenizableAnswers(ToyBackend):
@@ -406,20 +406,20 @@ def either_backend(request, shift_backend):
 
 class TestTokenizeBatch:
     def test_http_posts_are_in_flight_together(self):
-        session = BarrierSession()
-        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), session)
+        transport = BarrierTransport()
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), transport.post)
         # a client that waits for one reply before it sends the next POST breaks the barrier
         assert client.tokenize_batch(["AB", "C:42"]) == [
             [(65, "A"), (66, "B")], [(67, "C"), (58, ":"), (52, "4"), (50, "2")],
         ]
-        assert len(session.threads) == 2
+        assert len(transport.threads) == 2
 
     def test_http_one_text_batch_runs_on_the_calling_thread(self):
-        session = EchoSession()
-        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), session)
+        transport = EchoTransport()
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), transport.post)
         assert client.tokenize_batch(["AB"]) == [[(65, "A"), (66, "B")]]
         assert client.tokenize_batch([]) == []
-        assert session.threads == [threading.get_ident()]
+        assert transport.threads == [threading.get_ident()]
 
     def test_http_each_post_is_one_tokenize_call(self, monkeypatch):
         calls = []
@@ -430,11 +430,11 @@ class TestTokenizeBatch:
             return original(self, text)
 
         monkeypatch.setattr(HttpBackend, "tokenize", counting)
-        session = EchoSession()
-        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), session)
+        transport = EchoTransport()
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), transport.post)
         assert client.tokenize_batch(["A", "B", "C"]) == [[(65, "A")], [(66, "B")], [(67, "C")]]
         assert sorted(calls) == ["A", "B", "C"]
-        assert len(session.threads) == 3
+        assert len(transport.threads) == 3
 
     @pytest.mark.parametrize("thinking, answer, field", [
         ("ABX", "Z", "thinking"),  # both untokenizable: the thinking is named
