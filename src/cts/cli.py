@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
@@ -43,6 +43,7 @@ from .selector import (
     DEFAULT_CONDITION_TEMPLATE,
     RequestCache,
     SelectionConfig,
+    build_contexts,
     compress_instance,
     score_rows_to_dicts,
 )
@@ -228,33 +229,58 @@ class Job:
     dump_path: str | None = None
 
 
+def _attempt(fn, *args) -> tuple[Any, CtsError | None]:
+    """``(fn(*args), None)``, or ``(None, exc)`` when it fails for this instance alone.
+
+    A BackendUnavailable is not a per-instance failure: it propagates.
+    """
+    try:
+        return fn(*args), None
+    except BackendUnavailable:
+        raise
+    except CtsError as exc:
+        return None, exc
+
+
 def _compress_stream(
     args: argparse.Namespace, jobs: list[Job], workers: int
 ) -> tuple[list[ReportBuilder], bool]:
     """Read the input once and run every job on each instance; returns (builders, interrupted).
 
+    Each instance passes two ordered stages. The first tokenizes it for
+    every job, and a job whose texts cannot be tokenized fails there; the
+    second scores and selects for the other jobs, and its tokenize calls all
+    hit. So an instance's /tokenize round trips run while earlier instances
+    are scored: ``workers`` instances are scored at a time, tokenization
+    runs up to LOOKAHEAD_PER_WORKER * ``workers`` instances ahead, and an
+    HTTP backend still keeps at most ``max_in_flight`` POSTs in flight.
+    With one worker both stages run on the calling thread.
+
     Within an instance, each job sends its requests through its backend's
-    RequestCache, so jobs that share a backend share answers, and conditional
-    jobs run first: their batched request already holds the unconditional
-    context the others need. Each output path gets its own atomic writer,
-    so an aborted run leaves none of them. Every job's backend is closed
-    when the pass ends.
+    RequestCache, which the first stage makes and hands to the second, so
+    jobs that share a backend share answers. Conditional jobs run first:
+    their batched request already holds the unconditional context the
+    others need. Each output path gets its own atomic writer, so an aborted
+    run leaves none of them. When the pass ends, both stages are stopped
+    and then every job's backend is closed.
     """
     read_errors: list[DatasetError] = []
     instances = read_dataset(args.input, _schema_from(args), errors=read_errors)
     builders = [ReportBuilder() for _ in jobs]
     order = sorted(range(len(jobs)), key=lambda i: not jobs[i].config.conditional)
 
-    def work(instance):
+    def tokenize_instance(instance):
         caches = {job.backend: RequestCache(job.backend) for job in jobs}
         outcomes: list = [None] * len(jobs)
         for i in order:
-            try:
-                outcomes[i] = compress_instance(instance, jobs[i].config, caches[jobs[i].backend]), None
-            except BackendUnavailable:
-                raise
-            except CtsError as exc:
-                outcomes[i] = None, exc
+            outcomes[i] = _attempt(build_contexts, instance, jobs[i].config, caches[jobs[i].backend])
+        return instance, caches, outcomes
+
+    def score_instance(tokenized):
+        instance, caches, outcomes = tokenized
+        for i in order:
+            if outcomes[i][1] is None:
+                outcomes[i] = _attempt(compress_instance, instance, jobs[i].config, caches[jobs[i].backend])
         return instance.id, outcomes
 
     interrupted = False
@@ -270,9 +296,12 @@ def _compress_stream(
             # pass; every other output is written alongside it
             outputs = [(writer(job.output_path) if i else None, writer(job.dump_path))
                        for i, job in enumerate(jobs)]
+            # closed before the writers and the backends, so no stage thread outlives the pass
+            tokenized = stack.enter_context(closing(map_ordered(tokenize_instance, instances, workers)))
+            results = stack.enter_context(closing(map_ordered(score_instance, tokenized, workers)))
 
             def first_records() -> Iterator[CompressedInstance]:
-                for instance_id, outcomes in map_ordered(work, instances, workers):
+                for instance_id, outcomes in results:
                     for job, builder, (output, dump), (outcome, exc) in zip(
                         jobs, builders, outputs, outcomes
                     ):

@@ -1,8 +1,15 @@
 """Bounded worker pool that preserves input order.
 
-Instances are scored concurrently but results come back in submission
+Items are processed concurrently but results come back in submission
 order, so output files are byte-identical at any parallelism level. The
 lookahead window keeps memory bounded by a constant number of records.
+
+The CLI chains two of these: a tokenize stage feeds a score stage. With N
+workers, N instances are scored at a time, and tokenization runs up to
+LOOKAHEAD_PER_WORKER * N instances ahead of the one being written. The
+stages add threads, not POSTs in flight: each HTTP backend keeps at most
+``max_in_flight`` (8) POSTs in flight, whatever N is. With one worker
+``map_ordered`` calls ``fn`` on the calling thread.
 """
 
 from __future__ import annotations

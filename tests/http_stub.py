@@ -13,6 +13,17 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from cts.backends import LogprobRequest, ToyBackend
+from cts.errors import TokenizeError
+
+
+class UntokenizableAnswers(ToyBackend):
+    """A stub model that answers a text outside its vocabulary with no tokens, which the client rejects."""
+
+    def tokenize(self, text):
+        try:
+            return super().tokenize(text)
+        except TokenizeError:
+            return []
 
 
 class StubState:
@@ -50,6 +61,9 @@ class _Handler(BaseHTTPRequestHandler):
         state = self.state
         state.request_count += 1
         state.seen_auth_headers.append(self.headers.get("Authorization"))
+        # read the body before any reply: on a keep-alive connection an
+        # unread body would be parsed as the next request
+        data = self._read_json()
         if state.required_token is not None:
             if self.headers.get("Authorization") != f"Bearer {state.required_token}":
                 self._send(401, {"error": "unauthorized"})
@@ -58,7 +72,6 @@ class _Handler(BaseHTTPRequestHandler):
             state.fail_next -= 1
             self._send(503, {"error": "busy"})
             return
-        data = self._read_json()
         if self.path.endswith("/tokenize"):
             pairs = state.backend.tokenize(data["text"])
             spans = [s for _, s in pairs]

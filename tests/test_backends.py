@@ -26,7 +26,7 @@ from cts.errors import (
 from cts.selector import SelectionConfig, compress_instance
 
 from conftest import FakeTransport, fake_client, random_spec, uniform_spec, write_spec_file
-from http_stub import StubServer
+from http_stub import StubServer, UntokenizableAnswers
 
 
 class TestPplOf:
@@ -383,16 +383,6 @@ class BarrierTransport(EchoTransport):
     def post(self, path, body, headers):
         self.barrier.wait()
         return super().post(path, body, headers)
-
-
-class UntokenizableAnswers(ToyBackend):
-    """A stub model that answers a text outside its vocabulary with no tokens, which the client rejects."""
-
-    def tokenize(self, text):
-        try:
-            return super().tokenize(text)
-        except TokenizeError:
-            return []
 
 
 @pytest.fixture(params=["toy", "http"])

@@ -391,6 +391,22 @@ class TestAblateOnePass:
         failed = [r.getMessage() for r in caplog.records if "instance inst-3 failed" in r.getMessage()]
         assert sorted(message.split(":")[0] for message in failed) == ["ablate conditional", "ablate proposed"]
 
+    def test_untokenizable_answer_over_http_posts_as_many_requests(self, toy_env, caplog):
+        from http_stub import StubServer, UntokenizableAnswers
+
+        records = read_jsonl_file(toy_env["corpus"])
+        records[3]["answer"] = "Z"
+        write_jsonl_file(records, toy_env["corpus"])
+        with StubServer(UntokenizableAnswers(shift_spec())) as server:
+            code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate",
+                                       extra=["--backend", f"http:{server.url}", "--workers", "2", "--lenient"]))
+        assert code == 0
+        # inst-3: each conditional mode tokenizes its two texts again (a failure is not
+        # remembered), then the unconditional modes tokenize the thinking and score once
+        assert server.state.request_count == 3 * 39 + 2 + 2 + 2
+        failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        assert [message.split(":")[0] for message in failed] == ["ablate conditional", "ablate proposed"]
+
     def test_backend_outage_leaves_no_mode_file(self, toy_env, monkeypatch):
         from cts.backends import HttpBackendConfig
 

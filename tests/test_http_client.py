@@ -1,5 +1,6 @@
 """The HTTP client's connections, lifecycle and retry schedule, against real sockets and a fake transport."""
 
+import json
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from contextlib import closing
 
 import pytest
 
+import cts.cli
 from cts.backends import HttpBackend, HttpBackendConfig, LogprobRequest, ToyBackend
 from cts.cli import main
 from cts.errors import BackendError, BackendUnavailable, ConfigError
@@ -103,6 +105,15 @@ class TestKeepAlive:
             assert len(server.accepted) == server.state.request_count == 5
             assert sleeps == []
 
+    def test_retry_after_a_503_is_read_on_the_same_connection(self, shift_backend):
+        with CountingStub(shift_backend) as server:
+            server.state.fail_next = 1
+            client, sleeps = client_for(server, max_retries=1)
+            with closing(client):
+                assert client.tokenize("AB") == shift_backend.tokenize("AB")
+            assert server.state.request_count == 2
+            assert len(server.accepted) == 1
+            assert len(sleeps) == 1
 
     def test_token_that_cannot_be_a_header_is_a_backend_error(self, shift_backend):
         with CountingStub(shift_backend) as server:
@@ -155,10 +166,160 @@ class TestLifecycle:
             ])
             assert code == 0
             assert server.state.request_count == 3 * 12
-            # at most one per worker and per tokenize thread
-            assert 1 <= len(server.accepted) <= 2 + HttpBackendConfig.max_in_flight
+            # at most one per worker of each stage and per tokenize thread
+            assert 1 <= len(server.accepted) <= 2 * 2 + HttpBackendConfig.max_in_flight
             assert server.wait_until_all_closed()
         assert (tmp_path / "out.jsonl").read_bytes() == _compress_with_toy(corpus, spec_path, tmp_path)
+
+
+class ToyTransport:
+    """Answers POSTs from a toy model as the test stub does, noting the path and thread of each."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.posts: list[tuple[str, threading.Thread]] = []  # list.append is atomic
+
+    def post(self, path, body, headers):
+        self.posts.append((path, threading.current_thread()))
+        data = json.loads(body)
+        if path == "/tokenize":
+            pairs = self.backend.tokenize(data["text"])
+            reply = {"token_ids": [t for t, _ in pairs], "spans": [s for _, s in pairs]}
+        else:
+            requests_ = [LogprobRequest(d["context_ids"], d["start"], d["end"]) for d in data]
+            reply = [{"logprobs_bits": self.backend.logprobs(r).logprobs_bits} for r in requests_]
+        return 200, {}, json.dumps(reply).encode("utf-8")
+
+
+class ScoringHeldBack(ToyTransport):
+    """Holds the first ``held`` /logprobs replies until ``ahead_text`` is sent to /tokenize.
+
+    Each held reply notes whether that /tokenize came before it (True) or
+    the wait timed out (False). With ``held`` workers all scoring, only
+    tokenization that runs ahead of scoring can end the wait.
+    """
+
+    def __init__(self, backend, ahead_text, held=2):
+        super().__init__(backend)
+        self.ahead_text = ahead_text
+        self.ahead = threading.Event()
+        self.held = held
+        self.waits: list[bool] = []
+        self.lock = threading.Lock()
+
+    def post(self, path, body, headers):
+        if path == "/tokenize" and json.loads(body)["text"] == self.ahead_text:
+            self.ahead.set()
+        if path == "/logprobs":
+            with self.lock:
+                hold = self.held > 0
+                self.held -= hold
+            if hold:
+                self.waits.append(self.ahead.wait(timeout=5))
+        return super().post(path, body, headers)
+
+
+class TestPipeline:
+    """compress tokenizes each instance in a stage that runs ahead of scoring."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        records = make_corpus(10, list("ABC "), random.Random(11))
+        return records, write_jsonl_file(records, tmp_path / "corpus.jsonl")
+
+    def compress(self, monkeypatch, tmp_path, corpus_path, transport, workers):
+        def build_backend(descriptor):
+            return HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), transport.post)
+
+        monkeypatch.setattr(cts.cli, "build_backend", build_backend)
+        out = tmp_path / "out.jsonl"
+        code = main([
+            "compress", "--input", corpus_path, "--output", str(out), "--ratio", "0.7",
+            "--backend", "http:http://fake", "--condition-template", "{answer}:", "--workers", str(workers),
+        ])
+        assert code == 0
+        return out.read_bytes()
+
+    def test_instance_k_plus_2_is_tokenized_before_instance_k_is_scored(self, monkeypatch, tmp_path, corpus):
+        records, corpus_path = corpus
+        # the first two scoring POSTs are those of instances 0 and 1; both wait for instance 3
+        transport = ScoringHeldBack(ToyBackend(shift_spec()), records[3]["thinking"])
+        written = self.compress(monkeypatch, tmp_path, corpus_path, transport, workers=2)
+        assert transport.waits == [True, True]
+        assert len(transport.posts) == 3 * len(records)
+        spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
+        assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
+
+    def test_one_worker_posts_from_the_calling_thread(self, monkeypatch, tmp_path, corpus):
+        records, corpus_path = corpus
+        transport = ToyTransport(ToyBackend(shift_spec()))
+        self.compress(monkeypatch, tmp_path, corpus_path, transport, workers=1)
+        assert len(transport.posts) == 3 * len(records)
+        # the condition's /tokenize POST goes from the backend's own tokenize thread, as it always has
+        senders = {thread for _, thread in transport.posts if not thread.name.startswith("cts-tokenize")}
+        assert senders == {threading.current_thread()}
+
+
+class ScoringOutage(CountingStub):
+    """Serves /tokenize, and answers 503 to every /logprobs POST once ``healthy`` POSTs were answered.
+
+    Each /tokenize reply takes ``tokenize_s``, so tokenization is still in
+    flight when scoring fails.
+    """
+
+    def __init__(self, backend, healthy, tokenize_s=0.02):
+        super().__init__(backend)
+        state = self.state
+
+        class Handler(self.httpd.RequestHandlerClass):
+            def do_POST(self):
+                if self.path.endswith("/tokenize"):
+                    time.sleep(tokenize_s)
+                elif state.request_count >= healthy:
+                    self._read_json()
+                    self._send(503, {"error": "busy"})
+                    return
+                super().do_POST()
+
+        self.httpd.RequestHandlerClass = Handler
+
+
+# without a condition each /tokenize POST goes from a tokenize-stage thread itself
+@pytest.mark.parametrize("condition", [["--condition-template", "{answer}:"], ["--no-conditional"]],
+                         ids=["conditional", "unconditional"])
+def test_outage_while_scoring_stops_both_stages(tmp_path, monkeypatch, capfd, condition):
+    def fast_config(**kwargs):
+        return HttpBackendConfig(**kwargs, max_retries=0)
+
+    monkeypatch.setattr(cts.cli, "HttpBackendConfig", fast_config)
+    records = make_corpus(40, list("ABC "), random.Random(13))
+    corpus = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+    before = set(threading.enumerate())
+
+    def started_threads():
+        # the stub's handler threads are daemons; every thread the run starts is not
+        return [t for t in threading.enumerate() if t not in before and not t.daemon]
+
+    alive_at_close = []
+    close = HttpBackend.close
+
+    def recording_close(self):
+        # the backend's own tokenize threads are the ones close stops
+        alive_at_close.extend(t for t in started_threads() if not t.name.startswith("cts-tokenize"))
+        close(self)
+
+    monkeypatch.setattr(HttpBackend, "close", recording_close)
+    with ScoringOutage(ToyBackend(shift_spec()), healthy=6) as server:
+        code = main([
+            "compress", "--input", corpus, "--output", str(tmp_path / "out.jsonl"), "--ratio", "0.7",
+            "--backend", f"http:{server.url}", *condition, "--workers", "2",
+        ])
+        assert code == 3
+        assert alive_at_close == []  # both stages stopped before the backend closed
+        assert started_threads() == []
+        assert server.wait_until_all_closed()
+    assert "Traceback" not in capfd.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def _compress_with_toy(corpus, spec_path, tmp_path) -> bytes:
