@@ -27,11 +27,10 @@ import ssl
 import threading
 import time
 import urllib.parse
-from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import BackendError, BackendProtocolError, BackendUnavailable, ConfigError, CtsError, TokenizeError
+from .errors import BackendError, BackendProtocolError, BackendUnavailable, ConfigError, TokenizeError
 
 START = "START"  # reserved table key for the start-of-sequence distribution
 
@@ -91,25 +90,8 @@ class LogprobBackend(abc.ABC):
     def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
         return [self.logprobs(r) for r in requests_]
 
-    def tokenize_batch(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
-        """Tokenize each text; the answers come back in input order.
-
-        A text that cannot be tokenized raises its error with the text
-        attached as ``exc.text``; when several fail, the first in input
-        order is raised. This default tokenizes one text after another.
-        """
-        return [_tokenize_one(self.tokenize, text) for text in texts]
-
     def close(self) -> None:
         """Release what the backend holds open; this default holds nothing."""
-
-
-def _tokenize_one(tokenize: Callable[[str], list[tuple[int, str]]], text: str) -> list[tuple[int, str]]:
-    try:
-        return tokenize(text)
-    except CtsError as exc:
-        exc.text = text
-        raise
 
 
 @dataclass
@@ -301,12 +283,9 @@ class HttpBackend(LogprobBackend):
         self._connections: list[http.client.HTTPConnection] = []
         self._connections_lock = threading.Lock()
         self._slots = threading.BoundedSemaphore(max(1, config.max_in_flight))
-        # sends the tokenize POSTs of a batch beyond its first; threads start on first use
-        self._pool = futures.ThreadPoolExecutor(max(1, config.max_in_flight), thread_name_prefix="cts-tokenize")
 
     def close(self) -> None:
-        """Close the connection of every thread that sent a POST, and stop the tokenize threads."""
-        self._pool.shutdown()
+        """Close the connection of every thread that sent a POST."""
         with self._connections_lock:
             connections, self._connections = self._connections, []
         for connection in connections:
@@ -384,19 +363,6 @@ class HttpBackend(LogprobBackend):
         if not all(type(span) is str for span in spans) or "".join(spans) != text:
             raise BackendProtocolError("tokenize spans do not concatenate back to the input text")
         return list(zip(ids, spans))
-
-    def tokenize_batch(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
-        """Send one /tokenize POST per text, all at once; the first goes from the calling thread.
-
-        Every POST is one call of ``tokenize``, and all of them have finished
-        when this returns or raises.
-        """
-        rest = [self._pool.submit(_tokenize_one, self.tokenize, text) for text in texts[1:]]
-        try:
-            first = super().tokenize_batch(texts[:1])
-        finally:
-            futures.wait(rest)
-        return first + [future.result() for future in rest]
 
     @staticmethod
     def _request_payload(request: LogprobRequest) -> dict:

@@ -92,8 +92,14 @@ _DEFAULTS: dict[str, Any] = {
     "workers": 1,
     "lenient": False,
 }
-# settings that may come from a JSON config file
-_CONFIG_KEYS = frozenset(_DEFAULTS)
+# settings that may come from a JSON config file, and the types of value each
+# may have there: those of the value its CLI flag produces
+_CONFIG_TYPES: dict[str, tuple[type, ...]] = {
+    **dict.fromkeys(("conditional", "iterative_original_prefix", "lenient"), (bool,)),
+    **dict.fromkeys(("segment_budget", "boundary_slack", "workers"), (int,)),
+    **dict.fromkeys(("condition_template", "scope", "score_space", "backend", "backend_tuned"), (str,)),
+    "ratio": (int, float),
+}
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
@@ -104,9 +110,14 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = data.keys() - _CONFIG_TYPES.keys()
     if unknown:
         raise ConfigError(f"config file {path!r} has unknown keys: {sorted(unknown)}")
+    for key, value in data.items():
+        types = _CONFIG_TYPES[key]
+        if type(value) not in types:
+            names = " or ".join(t.__name__ for t in types)
+            raise ConfigError(f"config file {path!r}: {key} must be {names}, got {value!r}")
     return data
 
 
@@ -119,7 +130,7 @@ def resolve_settings(args: argparse.Namespace, *, default_ratio: float | None = 
     config_path = getattr(args, "config", None)
     if config_path:
         settings.update(_load_config_file(config_path))
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -136,13 +147,13 @@ def resolve_settings(args: argparse.Namespace, *, default_ratio: float | None = 
 def selection_config_from(settings: dict[str, Any]) -> SelectionConfig:
     config = SelectionConfig(
         alpha=float(settings["ratio"]),
-        conditional=bool(settings["conditional"]),
+        conditional=settings["conditional"],
         condition_template=settings["condition_template"],
-        segment_budget=int(settings["segment_budget"]),
-        boundary_slack=int(settings["boundary_slack"]),
-        score_space=str(settings["score_space"]).replace("-", "_"),
-        selection_scope=str(settings["scope"]).replace("-", "_"),
-        iterative_original_prefix=bool(settings["iterative_original_prefix"]),
+        segment_budget=settings["segment_budget"],
+        boundary_slack=settings["boundary_slack"],
+        score_space=settings["score_space"].replace("-", "_"),
+        selection_scope=settings["scope"].replace("-", "_"),
+        iterative_original_prefix=settings["iterative_original_prefix"],
     )
     config.validate()
     return config
@@ -181,7 +192,7 @@ def _config_echo(settings: dict[str, Any], config: SelectionConfig, args: argpar
     echo = dataclasses.asdict(config)
     echo["backend"] = settings["backend"]
     echo["workers"] = settings["workers"]
-    echo["lenient"] = bool(settings["lenient"])
+    echo["lenient"] = settings["lenient"]
     echo["input"] = getattr(args, "input", None)
     echo["output"] = getattr(args, "output", None)
     return echo
@@ -251,10 +262,10 @@ def _compress_stream(
     every job, and a job whose texts cannot be tokenized fails there; the
     second scores and selects for the other jobs, and its tokenize calls all
     hit. So an instance's /tokenize round trips run while earlier instances
-    are scored: ``workers`` instances are scored at a time, tokenization
-    runs up to LOOKAHEAD_PER_WORKER * ``workers`` instances ahead, and an
-    HTTP backend still keeps at most ``max_in_flight`` POSTs in flight.
-    With one worker both stages run on the calling thread.
+    are scored: ``workers`` instances are scored at a time, 2 * ``workers``
+    threads tokenize up to LOOKAHEAD_PER_WORKER * 2 * ``workers`` instances
+    ahead, and an HTTP backend still keeps at most ``max_in_flight`` POSTs
+    in flight. With one worker scoring runs on the calling thread.
 
     Within an instance, each job sends its requests through its backend's
     RequestCache, which the first stage makes and hands to the second, so
@@ -297,7 +308,8 @@ def _compress_stream(
             outputs = [(writer(job.output_path) if i else None, writer(job.dump_path))
                        for i, job in enumerate(jobs)]
             # closed before the writers and the backends, so no stage thread outlives the pass
-            tokenized = stack.enter_context(closing(map_ordered(tokenize_instance, instances, workers)))
+            # an instance's thinking and condition POSTs go one after the other, so twice the threads keep pace
+            tokenized = stack.enter_context(closing(map_ordered(tokenize_instance, instances, 2 * workers)))
             results = stack.enter_context(closing(map_ordered(score_instance, tokenized, workers)))
 
             def first_records() -> Iterator[CompressedInstance]:

@@ -136,14 +136,15 @@ class ScoringContexts:
 class RequestCache:
     """Per-instance memo of backend requests, shared by the selections run on one instance.
 
-    It answers ``tokenize_batch`` and ``logprobs_batch`` like the backend it
+    It answers ``tokenize`` and ``logprobs_batch`` like the backend it
     wraps: a text is tokenized once, a request is keyed by (context, start,
     end), and only the misses of a batch go out, once each, in one batch. A
     batch with no misses never reaches the backend. Failures are not
     remembered, and callers share the answers, so they must not mutate them.
-    One cache serves one instance on one thread. It is not a LogprobBackend:
-    every request it forwards is one call of the wrapped backend's own
-    methods.
+    One cache serves one instance and is used by one thread at a time: the
+    CLI's tokenize stage makes and fills it, and hands it to the score stage
+    as a future's result. It is not a LogprobBackend: every request it
+    forwards is one call of the wrapped backend's own methods.
     """
 
     def __init__(self, backend: LogprobBackend):
@@ -151,11 +152,10 @@ class RequestCache:
         self._tokens: dict[str, list[tuple[int, str]]] = {}
         self._logprobs: dict[tuple, LogprobResponse] = {}
 
-    def tokenize_batch(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
-        misses = list(dict.fromkeys(text for text in texts if text not in self._tokens))
-        if misses:
-            self._tokens.update(zip(misses, self.backend.tokenize_batch(misses)))
-        return [self._tokens[text] for text in texts]
+    def tokenize(self, text: str) -> list[tuple[int, str]]:
+        if text not in self._tokens:
+            self._tokens[text] = self.backend.tokenize(text)
+        return self._tokens[text]
 
     def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
         keys = [(tuple(r.context), r.start, r.end) for r in requests_]
@@ -180,11 +180,11 @@ def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
 def build_contexts(
     instance: CotInstance, config: SelectionConfig, backend: LogprobBackend | RequestCache
 ) -> ScoringContexts:
-    """Tokenize the thinking text and the condition in one batch.
+    """Tokenize the thinking text, then the condition.
 
     This is the only place the pipeline tokenizes. A text the backend cannot
-    tokenize becomes a ScoringError naming the instance and the field; when
-    both fail, the thinking is named.
+    tokenize becomes a ScoringError naming the instance and the field; the
+    thinking goes first, so when both fail, the thinking is named.
     """
     config.validate()
     # spans concatenate to the text, so only an empty text has no tokens
@@ -193,20 +193,21 @@ def build_contexts(
             f"instance {instance.id}: thinking text produced no tokens", instance.id
         )
     condition = render_condition(config, instance)
-    texts = [instance.thinking, condition] if condition else [instance.thinking]
+    field = "thinking"
     try:
-        tokenized = backend.tokenize_batch(texts)
+        thinking = backend.tokenize(instance.thinking)
+        field = "condition"
+        cond_tokens = backend.tokenize(condition) if condition else []
     except BackendUnavailable:
         raise
     except CtsError as exc:
-        field = "thinking" if getattr(exc, "text", instance.thinking) == instance.thinking else "condition"
         raise ScoringError(
             f"instance {instance.id}: cannot tokenize {field}: {exc}", instance.id
         ) from exc
     return ScoringContexts(
-        thinking_ids=[t for t, _ in tokenized[0]],
-        thinking_spans=[s for _, s in tokenized[0]],
-        cond_prefix=[t for t, _ in tokenized[1]] if condition else [],
+        thinking_ids=[t for t, _ in thinking],
+        thinking_spans=[s for _, s in thinking],
+        cond_prefix=[t for t, _ in cond_tokens],
     )
 
 

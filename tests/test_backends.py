@@ -357,34 +357,6 @@ class TestWireBoundary:
             compress_instance(CotInstance("i-8", "", TEXT, "42"), SelectionConfig(alpha=0.5), client)
 
 
-def tokenize_body(text: str) -> bytes:
-    return json.dumps({"token_ids": [ord(c) for c in text], "spans": list(text)}).encode("utf-8")
-
-
-class EchoTransport(FakeTransport):
-    """Tokenizes every text one character per token; records the thread of each POST."""
-
-    def __init__(self):
-        super().__init__()
-        self.threads: list[int] = []  # list.append is atomic, so POSTs from several threads all count
-
-    def post(self, path, body, headers):
-        self.threads.append(threading.get_ident())
-        return 200, {}, tokenize_body(json.loads(body)["text"])
-
-
-class BarrierTransport(EchoTransport):
-    """Answers a POST only once a second POST is in flight; a lone POST times out."""
-
-    def __init__(self):
-        super().__init__()
-        self.barrier = threading.Barrier(2, timeout=5)
-
-    def post(self, path, body, headers):
-        self.barrier.wait()
-        return super().post(path, body, headers)
-
-
 @pytest.fixture(params=["toy", "http"])
 def either_backend(request, shift_backend):
     if request.param == "toy":
@@ -395,37 +367,6 @@ def either_backend(request, shift_backend):
 
 
 class TestTokenizeBatch:
-    def test_http_posts_are_in_flight_together(self):
-        transport = BarrierTransport()
-        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), transport.post)
-        # a client that waits for one reply before it sends the next POST breaks the barrier
-        assert client.tokenize_batch(["AB", "C:42"]) == [
-            [(65, "A"), (66, "B")], [(67, "C"), (58, ":"), (52, "4"), (50, "2")],
-        ]
-        assert len(transport.threads) == 2
-
-    def test_http_one_text_batch_runs_on_the_calling_thread(self):
-        transport = EchoTransport()
-        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), transport.post)
-        assert client.tokenize_batch(["AB"]) == [[(65, "A"), (66, "B")]]
-        assert client.tokenize_batch([]) == []
-        assert transport.threads == [threading.get_ident()]
-
-    def test_http_each_post_is_one_tokenize_call(self, monkeypatch):
-        calls = []
-        original = HttpBackend.tokenize
-
-        def counting(self, text):
-            calls.append(text)
-            return original(self, text)
-
-        monkeypatch.setattr(HttpBackend, "tokenize", counting)
-        transport = EchoTransport()
-        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), transport.post)
-        assert client.tokenize_batch(["A", "B", "C"]) == [[(65, "A")], [(66, "B")], [(67, "C")]]
-        assert sorted(calls) == ["A", "B", "C"]
-        assert len(transport.threads) == 3
-
     @pytest.mark.parametrize("thinking, answer, field", [
         ("ABX", "Z", "thinking"),  # both untokenizable: the thinking is named
         ("ABX", "42", "thinking"),

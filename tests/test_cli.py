@@ -401,9 +401,10 @@ class TestAblateOnePass:
             code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate",
                                        extra=["--backend", f"http:{server.url}", "--workers", "2", "--lenient"]))
         assert code == 0
-        # inst-3: each conditional mode tokenizes its two texts again (a failure is not
-        # remembered), then the unconditional modes tokenize the thinking and score once
-        assert server.state.request_count == 3 * 39 + 2 + 2 + 2
+        # inst-3: the first conditional mode tokenizes the thinking and the condition, the
+        # second the condition again (a failure is not remembered), then the unconditional
+        # modes score once
+        assert server.state.request_count == 3 * 39 + 2 + 1 + 1
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert [message.split(":")[0] for message in failed] == ["ablate conditional", "ablate proposed"]
 
@@ -553,6 +554,26 @@ class TestBackendsAndConfig:
         # settings are resolved before any backend or worker exists
         assert run_cli(argv) == 2
         assert not (toy_env["dir"] / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("ratio", "abc"), ("ratio", [0.5]), ("ratio", True), ("conditional", "false"),
+        ("iterative_original_prefix", 1), ("lenient", "no"), ("segment_budget", "x"),
+        ("segment_budget", 64.0), ("boundary_slack", False), ("workers", "2"),
+        ("condition_template", 7), ("scope", None), ("score_space", ["ppl-diff"]),
+        ("backend", {"url": "x"}), ("backend_tuned", 1),
+    ])
+    def test_config_value_of_the_wrong_type_exits_2(self, toy_env, capfd, key, value):
+        cfg_path = toy_env["dir"] / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "ratio": 0.7, "backend": f"toy:{toy_env['spec']}", "condition_template": CONDITION, key: value,
+        }))
+        out = toy_env["dir"] / "out.jsonl"
+        assert run_cli(["compress", "--input", toy_env["corpus"], "--output", str(out),
+                        "--config", str(cfg_path)]) == 2
+        err = capfd.readouterr().err
+        assert f"{key} must be" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_config_file_unknown_key_exits_2(self, toy_env):
         cfg_path = toy_env["dir"] / "cfg.json"

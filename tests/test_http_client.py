@@ -166,8 +166,8 @@ class TestLifecycle:
             ])
             assert code == 0
             assert server.state.request_count == 3 * 12
-            # at most one per worker of each stage and per tokenize thread
-            assert 1 <= len(server.accepted) <= 2 * 2 + HttpBackendConfig.max_in_flight
+            # at most one per thread of the tokenize stage (2 * 2) and of the score stage (2)
+            assert 1 <= len(server.accepted) <= 2 * 2 + 2
             assert server.wait_until_all_closed()
         assert (tmp_path / "out.jsonl").read_bytes() == _compress_with_toy(corpus, spec_path, tmp_path)
 
@@ -219,6 +219,33 @@ class ScoringHeldBack(ToyTransport):
         return super().post(path, body, headers)
 
 
+class TokenizeBarrier(ToyTransport):
+    """Holds each of the first ``parties`` /tokenize POSTs until all of them are in flight.
+
+    Each held POST notes whether the others came (True) or the wait timed out (False).
+    """
+
+    def __init__(self, backend, parties):
+        super().__init__(backend)
+        self.barrier = threading.Barrier(parties, timeout=5)
+        self.held = parties
+        self.waits: list[bool] = []
+        self.lock = threading.Lock()
+
+    def post(self, path, body, headers):
+        if path == "/tokenize":
+            with self.lock:
+                hold = self.held > 0
+                self.held -= hold
+            if hold:
+                try:
+                    self.barrier.wait()
+                    self.waits.append(True)
+                except threading.BrokenBarrierError:
+                    self.waits.append(False)
+        return super().post(path, body, headers)
+
+
 class TestPipeline:
     """compress tokenizes each instance in a stage that runs ahead of scoring."""
 
@@ -250,14 +277,34 @@ class TestPipeline:
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
+    def test_two_workers_have_four_tokenize_posts_in_flight(self, monkeypatch, tmp_path, corpus):
+        records, corpus_path = corpus
+        # each of the 2 * 2 tokenize threads sends its instance's thinking while the others do
+        transport = TokenizeBarrier(ToyBackend(shift_spec()), parties=4)
+        written = self.compress(monkeypatch, tmp_path, corpus_path, transport, workers=2)
+        assert transport.waits == [True] * 4
+        assert len(transport.posts) == 3 * len(records)
+        spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
+        assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
+
+    def test_one_worker_tokenizes_ahead_of_scoring(self, monkeypatch, tmp_path, corpus):
+        records, corpus_path = corpus
+        # instance 0's scoring POST waits for instance 2's thinking, so the calling thread cannot send it
+        transport = ScoringHeldBack(ToyBackend(shift_spec()), records[2]["thinking"], held=1)
+        written = self.compress(monkeypatch, tmp_path, corpus_path, transport, workers=1)
+        assert transport.waits == [True]
+        assert len(transport.posts) == 3 * len(records)
+        spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
+        assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
+
     def test_one_worker_posts_from_the_calling_thread(self, monkeypatch, tmp_path, corpus):
         records, corpus_path = corpus
         transport = ToyTransport(ToyBackend(shift_spec()))
         self.compress(monkeypatch, tmp_path, corpus_path, transport, workers=1)
         assert len(transport.posts) == 3 * len(records)
-        # the condition's /tokenize POST goes from the backend's own tokenize thread, as it always has
-        senders = {thread for _, thread in transport.posts if not thread.name.startswith("cts-tokenize")}
-        assert senders == {threading.current_thread()}
+        # scoring stays on the calling thread; tokenization runs ahead on the tokenize stage's threads
+        scorers = {thread for path, thread in transport.posts if path == "/logprobs"}
+        assert scorers == {threading.current_thread()}
 
 
 class ScoringOutage(CountingStub):
@@ -284,7 +331,7 @@ class ScoringOutage(CountingStub):
         self.httpd.RequestHandlerClass = Handler
 
 
-# without a condition each /tokenize POST goes from a tokenize-stage thread itself
+# with a condition each instance sends two /tokenize POSTs, without one a single POST
 @pytest.mark.parametrize("condition", [["--condition-template", "{answer}:"], ["--no-conditional"]],
                          ids=["conditional", "unconditional"])
 def test_outage_while_scoring_stops_both_stages(tmp_path, monkeypatch, capfd, condition):
@@ -304,8 +351,7 @@ def test_outage_while_scoring_stops_both_stages(tmp_path, monkeypatch, capfd, co
     close = HttpBackend.close
 
     def recording_close(self):
-        # the backend's own tokenize threads are the ones close stops
-        alive_at_close.extend(t for t in started_threads() if not t.name.startswith("cts-tokenize"))
+        alive_at_close.extend(started_threads())
         close(self)
 
     monkeypatch.setattr(HttpBackend, "close", recording_close)

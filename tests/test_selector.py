@@ -40,15 +40,11 @@ def rows_from(scores: list[float]) -> list[TokenScoreRow]:
 
 
 class RecordingBackend(LogprobBackend):
-    """Delegates to a ToyBackend while logging every tokenize call and scoring request.
-
-    Its tokenize_batch is the contract's sequential default: one tokenize call per text, in order.
-    """
+    """Delegates to a ToyBackend while logging every tokenize call and scoring request."""
 
     def __init__(self, inner: ToyBackend):
         self.inner = inner
         self.tokenized: list[str] = []
-        self.tokenize_batches: list[list[str]] = []
         self.batches = 0
         self.batch_sizes: list[int] = []
         self.requests: list[tuple[tuple[int, ...], int, int]] = []
@@ -56,10 +52,6 @@ class RecordingBackend(LogprobBackend):
     def tokenize(self, text):
         self.tokenized.append(text)
         return self.inner.tokenize(text)
-
-    def tokenize_batch(self, texts):
-        self.tokenize_batches.append(list(texts))
-        return super().tokenize_batch(texts)
 
     def logprobs(self, request):
         self.requests.append((tuple(request.context), request.start, request.end))
@@ -446,24 +438,21 @@ class TestRequestCache:
         assert cache.logprobs_batch([]) == []
         assert backend.batch_sizes == [2]
 
-    def test_tokenize_misses_go_out_once_in_one_batch(self, shift_backend):
+    def test_tokenize_misses_go_out_once(self, shift_backend):
         backend = RecordingBackend(shift_backend)
         cache = RequestCache(backend)
-        texts = ["AB", "C:", "AB"]
-        assert cache.tokenize_batch(texts) == [shift_backend.tokenize(t) for t in texts]
-        assert cache.tokenize_batch(["C:", "A", "AB"]) == [shift_backend.tokenize(t) for t in ("C:", "A", "AB")]
-        assert cache.tokenize_batch(["AB"]) == [shift_backend.tokenize("AB")]
-        assert cache.tokenize_batch([]) == []
-        assert backend.tokenize_batches == [["AB", "C:"], ["A"]]
+        for text in ["AB", "C:", "AB", "C:", "A", "AB"]:
+            assert cache.tokenize(text) == shift_backend.tokenize(text)
+        assert backend.tokenized == ["AB", "C:", "A"]
 
     def test_tokenize_failure_is_not_cached(self, shift_backend):
         backend = RecordingBackend(shift_backend)
         cache = RequestCache(backend)
+        assert cache.tokenize("AB") == shift_backend.tokenize("AB")
         for _ in range(2):
-            with pytest.raises(TokenizeError) as exc:
-                cache.tokenize_batch(["AB", "Z"])
-            assert exc.value.text == "Z"
-        assert backend.tokenize_batches == [["AB", "Z"], ["AB", "Z"]]
+            with pytest.raises(TokenizeError):
+                cache.tokenize("Z")
+        assert backend.tokenized == ["AB", "Z", "Z"]
 
     @pytest.mark.parametrize("original_prefix", [False, True])
     def test_per_segment_modes_share_what_they_can(self, shift_backend, original_prefix):
