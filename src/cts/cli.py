@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -44,7 +45,9 @@ from .selector import (
     RequestCache,
     SelectionConfig,
     build_contexts,
-    compress_instance,
+    compress_instance,  # noqa: F401  not called here; bench/cli_child.py instruments cts.cli by this name
+    compress_steps,
+    run_lockstep,
     score_rows_to_dicts,
 )
 
@@ -60,6 +63,8 @@ EXIT_BACKEND = 3
 EXIT_INTERRUPT = 130
 
 MAX_WORKERS = 64
+# instances scored in lockstep by one score-stage call: each step of theirs is one /logprobs POST
+SCORE_GROUP = 4
 
 
 @dataclass
@@ -145,8 +150,12 @@ def resolve_settings(args: argparse.Namespace, *, default_ratio: float | None = 
 
 
 def selection_config_from(settings: dict[str, Any]) -> SelectionConfig:
+    ratio = settings["ratio"]
+    # checked under the name the user wrote (a config-file value is not range-checked by argparse)
+    if not 0 < ratio <= 1:
+        raise ConfigError(f"ratio must be in (0, 1], got {ratio!r}")
     config = SelectionConfig(
-        alpha=float(settings["ratio"]),
+        alpha=float(ratio),
         conditional=settings["conditional"],
         condition_template=settings["condition_template"],
         segment_budget=settings["segment_budget"],
@@ -253,46 +262,56 @@ def _attempt(fn, *args) -> tuple[Any, CtsError | None]:
         return None, exc
 
 
+def _groups(items: Iterable[Any], size: int) -> Iterator[list[Any]]:
+    """Consecutive lists of ``size`` items; the last may be shorter."""
+    it = iter(items)
+    while group := list(itertools.islice(it, size)):
+        yield group
+
+
 def _compress_stream(
     args: argparse.Namespace, jobs: list[Job], workers: int
 ) -> tuple[list[ReportBuilder], bool]:
     """Read the input once and run every job on each instance; returns (builders, interrupted).
 
     Each instance passes two ordered stages. The first tokenizes it for
-    every job, and a job whose texts cannot be tokenized fails there; the
-    second scores and selects for the other jobs, and its tokenize calls all
-    hit. So an instance's /tokenize round trips run while earlier instances
-    are scored: ``workers`` instances are scored at a time, 2 * ``workers``
-    threads tokenize up to LOOKAHEAD_PER_WORKER * 2 * ``workers`` instances
-    ahead, and an HTTP backend still keeps at most ``max_in_flight`` POSTs
-    in flight. With one worker scoring runs on the calling thread.
+    every job, through one RequestCache per backend so that jobs sharing a
+    backend tokenize a text once, and hands on only the ScoringContexts; a
+    job whose texts cannot be tokenized fails there. The second scores and
+    selects consecutive groups of SCORE_GROUP instances in lockstep
+    (``run_lockstep``): one task per instance and job, whose requests at
+    each segment step go out as one /logprobs POST per backend, with the
+    requests the jobs share sent once. So an instance's /tokenize round
+    trips run while earlier groups are scored: ``workers`` groups are
+    scored at a time, 2 * ``workers`` threads tokenize up to
+    LOOKAHEAD_PER_WORKER * 2 * ``workers`` instances ahead, and an HTTP
+    backend still keeps at most ``max_in_flight`` POSTs in flight. With one
+    worker scoring runs on the calling thread. A malformed answer to a
+    group's POST fails only the tasks whose own requests fail when sent
+    again alone.
 
-    Within an instance, each job sends its requests through its backend's
-    RequestCache, which the first stage makes and hands to the second, so
-    jobs that share a backend share answers. Conditional jobs run first:
-    their batched request already holds the unconditional context the
-    others need. Each output path gets its own atomic writer, so an aborted
-    run leaves none of them. When the pass ends, both stages are stopped
-    and then every job's backend is closed.
+    Each output path gets its own atomic writer, so an aborted run leaves
+    none of them. When the pass ends, both stages are stopped and then
+    every job's backend is closed.
     """
     read_errors: list[DatasetError] = []
     instances = read_dataset(args.input, _schema_from(args), errors=read_errors)
     builders = [ReportBuilder() for _ in jobs]
-    order = sorted(range(len(jobs)), key=lambda i: not jobs[i].config.conditional)
 
     def tokenize_instance(instance):
         caches = {job.backend: RequestCache(job.backend) for job in jobs}
-        outcomes: list = [None] * len(jobs)
-        for i in order:
-            outcomes[i] = _attempt(build_contexts, instance, jobs[i].config, caches[jobs[i].backend])
-        return instance, caches, outcomes
+        return instance, [_attempt(build_contexts, instance, job.config, caches[job.backend]) for job in jobs]
 
-    def score_instance(tokenized):
-        instance, caches, outcomes = tokenized
-        for i in order:
-            if outcomes[i][1] is None:
-                outcomes[i] = _attempt(compress_instance, instance, jobs[i].config, caches[jobs[i].backend])
-        return instance.id, outcomes
+    def score_group(group):
+        tasks, slots = [], []
+        for instance, outcomes in group:
+            for i, (job, (ctx, exc)) in enumerate(zip(jobs, outcomes)):
+                if exc is None:
+                    tasks.append((compress_steps(instance, job.config, ctx), job.backend))
+                    slots.append((outcomes, i))
+        for (outcomes, i), outcome in zip(slots, run_lockstep(tasks)):
+            outcomes[i] = outcome
+        return [(instance.id, outcomes) for instance, outcomes in group]
 
     interrupted = False
     try:
@@ -310,7 +329,10 @@ def _compress_stream(
             # closed before the writers and the backends, so no stage thread outlives the pass
             # an instance's thinking and condition POSTs go one after the other, so twice the threads keep pace
             tokenized = stack.enter_context(closing(map_ordered(tokenize_instance, instances, 2 * workers)))
-            results = stack.enter_context(closing(map_ordered(score_instance, tokenized, workers)))
+            scored = stack.enter_context(
+                closing(map_ordered(score_group, _groups(tokenized, SCORE_GROUP), workers))
+            )
+            results = itertools.chain.from_iterable(scored)
 
             def first_records() -> Iterator[CompressedInstance]:
                 for instance_id, outcomes in results:

@@ -4,12 +4,14 @@ Items are processed concurrently but results come back in submission
 order, so output files are byte-identical at any parallelism level. The
 lookahead window keeps memory bounded by a constant number of records.
 
-The CLI chains two of these: a tokenize stage feeds a score stage. With N
-workers, N instances are scored at a time, and 2N tokenize threads run up
-to LOOKAHEAD_PER_WORKER * 2N instances ahead of the one being written. The
-stages add threads, not POSTs in flight: each HTTP backend keeps at most
-``max_in_flight`` (8) POSTs in flight, whatever N is. With one worker
-``map_ordered`` calls ``fn`` on the calling thread.
+The CLI chains two of these: a tokenize stage maps over instances and
+feeds a score stage that maps over groups of consecutive instances, each
+group scored in lockstep. With N workers, N groups are scored at a time
+(up to LOOKAHEAD_PER_WORKER * N groups wait for a worker), and 2N tokenize
+threads run up to LOOKAHEAD_PER_WORKER * 2N instances ahead of the group
+being formed. The stages add threads, not POSTs in flight: each HTTP
+backend keeps at most ``max_in_flight`` (8) POSTs in flight, whatever N
+is. With one worker ``map_ordered`` calls ``fn`` on the calling thread.
 """
 
 from __future__ import annotations

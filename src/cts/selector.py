@@ -16,6 +16,10 @@ the same loop over a single segment.
 
 With ``conditional`` off the score degenerates to the plain unconditional
 perplexity, i.e. the classic keep-the-most-surprising-tokens baseline.
+
+Scoring is written as step generators (one step per segment) so that
+``run_lockstep`` can score several instances side by side, sending each
+step's requests of all of them in one batch per backend.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Sequence
+from typing import Any, Generator, Sequence
 
 from .backends import LogprobBackend, LogprobRequest, LogprobResponse, ppl_of
 from .dataset import CompressedInstance, CotInstance
@@ -33,6 +37,10 @@ DEFAULT_CONDITION_TEMPLATE = "The correct answer is: {answer}\n"
 
 SCORE_SPACES = ("ppl_diff", "bits_diff")
 SELECTION_SCOPES = ("global", "per_segment")
+
+# A step generator yields the logprob requests of one step, is sent their
+# responses (or thrown the CtsError that answered them), and returns its result.
+Steps = Generator[list[LogprobRequest], list[LogprobResponse], Any]
 
 # A segment boundary may snap back to a span ending in whitespace or
 # sentence punctuation.
@@ -134,36 +142,23 @@ class ScoringContexts:
 
 
 class RequestCache:
-    """Per-instance memo of backend requests, shared by the selections run on one instance.
+    """Per-instance memo of tokenize calls, shared by the selections run on one instance.
 
-    It answers ``tokenize`` and ``logprobs_batch`` like the backend it
-    wraps: a text is tokenized once, a request is keyed by (context, start,
-    end), and only the misses of a batch go out, once each, in one batch. A
-    batch with no misses never reaches the backend. Failures are not
-    remembered, and callers share the answers, so they must not mutate them.
-    One cache serves one instance and is used by one thread at a time: the
-    CLI's tokenize stage makes and fills it, and hands it to the score stage
-    as a future's result. It is not a LogprobBackend: every request it
-    forwards is one call of the wrapped backend's own methods.
+    It answers ``tokenize`` like the backend it wraps: a text is tokenized
+    once, and a failure is not remembered. Callers share the answers, so
+    they must not mutate them. The CLI's tokenize stage makes one per
+    backend for each instance and drops it once the instance's contexts are
+    built; scoring requests are shared by ``run_lockstep`` instead.
     """
 
     def __init__(self, backend: LogprobBackend):
         self.backend = backend
         self._tokens: dict[str, list[tuple[int, str]]] = {}
-        self._logprobs: dict[tuple, LogprobResponse] = {}
 
     def tokenize(self, text: str) -> list[tuple[int, str]]:
         if text not in self._tokens:
             self._tokens[text] = self.backend.tokenize(text)
         return self._tokens[text]
-
-    def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
-        keys = [(tuple(r.context), r.start, r.end) for r in requests_]
-        misses = {key: r for key, r in zip(keys, requests_) if key not in self._logprobs}
-        if misses:
-            responses = self.backend.logprobs_batch(list(misses.values()))
-            self._logprobs.update(zip(misses, responses))
-        return [self._logprobs[key] for key in keys]
 
 
 def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
@@ -233,30 +228,27 @@ def _make_row(
     return TokenScoreRow(position, token, span, ppl_u, ppl_c, score)
 
 
-def score_tokens(
+def _segment_steps(
     history: Sequence[int],
     cond_prefix: Sequence[int],
     ids: Sequence[int],
     spans: Sequence[str],
     first_position: int,
     config: SelectionConfig,
-    backend: LogprobBackend | RequestCache,
-    instance_id: str = "",
-) -> list[TokenScoreRow]:
-    """Score one segment's tokens in one batched logprobs request.
+    instance_id: str,
+) -> Steps:
+    """One segment as one step: yield its batched request, build its rows from the answer.
 
     The unconditional context is history + ids, the conditional one
-    cond_prefix + history + ids; rows are numbered from first_position.
+    cond_prefix + history + ids; rows are numbered from first_position. A
+    BackendError thrown in becomes a ScoringError naming the segment.
     """
     n = len(ids)
     contexts = [[*history, *ids]]
     if config.conditional:
         contexts.append([*cond_prefix, *history, *ids])
-    reqs = [LogprobRequest(context, len(context) - n, len(context)) for context in contexts]
     try:
-        responses = backend.logprobs_batch(reqs)
-    except BackendUnavailable:
-        raise
+        responses = yield [LogprobRequest(context, len(context) - n, len(context)) for context in contexts]
     except BackendError as exc:
         raise ScoringError(
             f"instance {instance_id}: backend failed scoring thinking tokens "
@@ -270,6 +262,21 @@ def score_tokens(
         _make_row(first_position + i, ids[i], spans[i], lp_uncond[i], lp_cond[i], config)
         for i in range(n)
     ]
+
+
+def score_tokens(
+    history: Sequence[int],
+    cond_prefix: Sequence[int],
+    ids: Sequence[int],
+    spans: Sequence[str],
+    first_position: int,
+    config: SelectionConfig,
+    backend: LogprobBackend,
+    instance_id: str = "",
+) -> list[TokenScoreRow]:
+    """Score one segment's tokens in one batched logprobs request."""
+    steps = _segment_steps(history, cond_prefix, ids, spans, first_position, config, instance_id)
+    return _run_alone(steps, backend)
 
 
 def segment_thinking(n_tokens: int, spans: Sequence[str], config: SelectionConfig) -> list[Segment]:
@@ -336,19 +343,18 @@ def _selection(rows: Sequence[TokenScoreRow], mask: list[bool]) -> SelectionResu
     return SelectionResult(threshold=threshold, kept_mask=mask, kept_count=sum(mask))
 
 
-def compress_instance(
-    instance: CotInstance, config: SelectionConfig, backend: LogprobBackend | RequestCache
-) -> tuple[CompressedInstance, list[TokenScoreRow], SelectionResult]:
-    """Run the full pipeline for one instance: tokenize once, then score and select each segment.
+def compress_steps(
+    instance: CotInstance, config: SelectionConfig, ctx: ScoringContexts
+) -> Steps:
+    """Score and select one tokenized instance, one step per segment.
 
     Global scope is the one-segment case [0, n). Per-segment scope scores
     each segment against the kept prefix (or, with iterative_original_prefix,
     the original preceding thinking) and keeps the top fraction inside it.
-    Deterministic end to end for a fixed (instance, config, backend). The
-    compressed thinking text is the concatenation of kept spans in original
-    order; actual_ratio is exactly kept_count / original_count.
+    Returns (record, rows, selection). The compressed thinking text is the
+    concatenation of kept spans in original order; actual_ratio is exactly
+    kept_count / original_count.
     """
-    ctx = build_contexts(instance, config, backend)
     ids, spans = ctx.thinking_ids, ctx.thinking_spans
     if config.selection_scope == "global":
         segments = [Segment(0, len(ids), 0)]
@@ -359,9 +365,9 @@ def compress_instance(
     kept_prefix: list[int] = []
     for seg in segments:
         history = ids[: seg.start] if config.iterative_original_prefix else kept_prefix
-        seg_rows = score_tokens(
+        seg_rows = yield from _segment_steps(
             history, ctx.cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
-            seg.start, config, backend, instance.id,
+            seg.start, config, instance.id,
         )
         seg_mask = select_tokens(seg_rows, config).kept_mask
         rows.extend(seg_rows)
@@ -382,6 +388,97 @@ def compress_instance(
         extras=dict(instance.extras),
     )
     return record, rows, selection
+
+
+def compress_instance(
+    instance: CotInstance, config: SelectionConfig, backend: LogprobBackend
+) -> tuple[CompressedInstance, list[TokenScoreRow], SelectionResult]:
+    """Run the full pipeline for one instance: tokenize once, then score and select each segment.
+
+    It is the one-task case of run_lockstep, and deterministic end to end
+    for a fixed (instance, config, backend).
+    """
+    ctx = build_contexts(instance, config, backend)
+    return _run_alone(compress_steps(instance, config, ctx), backend)
+
+
+def _request_key(request: LogprobRequest) -> tuple:
+    return tuple(request.context), request.start, request.end
+
+
+def _send_step(backend: LogprobBackend, step: dict[int, list[LogprobRequest]]) -> dict[int, list[LogprobResponse]]:
+    """Send the step's distinct requests in one batch and hand each task its answers."""
+    distinct: dict[tuple, LogprobRequest] = {}
+    for requests_ in step.values():
+        for request in requests_:
+            distinct.setdefault(_request_key(request), request)
+    answers = dict(zip(distinct, backend.logprobs_batch(list(distinct.values()))))
+    return {task: [answers[_request_key(r)] for r in requests_] for task, requests_ in step.items()}
+
+
+def _answer_step(backend: LogprobBackend, step: dict[int, list[LogprobRequest]]) -> dict[int, Any]:
+    """Each task's responses, or the CtsError that answered them.
+
+    When the coalesced batch fails, each task's requests are sent again
+    alone, so the failure lands on the tasks whose own requests fail.
+    """
+    try:
+        return _send_step(backend, step)
+    except BackendUnavailable:
+        raise
+    except CtsError as exc:
+        if len(step) == 1:
+            return dict.fromkeys(step, exc)
+    answers: dict[int, Any] = {}
+    for task, requests_ in step.items():
+        answers.update(_answer_step(backend, {task: requests_}))
+    return answers
+
+
+def run_lockstep(tasks: Sequence[tuple[Steps, LogprobBackend]]) -> list[tuple[Any, CtsError | None]]:
+    """Run step generators side by side, one logprobs_batch per backend per step.
+
+    Each step collects the pending requests of every live task, drops the
+    duplicates among those bound for one backend, and sends the rest in one
+    batch; a task ends when its generator returns. So tasks that share a
+    request (the selections run on one instance share their unconditional
+    contexts, always in the same step) send it once, and the scoring round
+    trips of a group of instances are those of its longest member. A
+    failed batch is sent again task by task (see _answer_step), and a
+    task's error is thrown into its generator. Returns one ``(result,
+    None)`` or ``(None, error)`` per task, in task order. A
+    BackendUnavailable is not a per-task failure: it propagates.
+    """
+    outcomes: list[Any] = [None] * len(tasks)
+    pending: dict[int, list[LogprobRequest]] = {}
+
+    def advance(task: int, answer: Any) -> None:
+        steps = tasks[task][0]
+        try:
+            pending[task] = steps.throw(answer) if isinstance(answer, CtsError) else steps.send(answer)
+        except StopIteration as stop:
+            outcomes[task] = (stop.value, None)
+        except CtsError as exc:
+            outcomes[task] = (None, exc)
+
+    for task in range(len(tasks)):
+        advance(task, None)
+    while pending:
+        step, pending = pending, {}
+        answers: dict[int, Any] = {}
+        for backend in dict.fromkeys(tasks[task][1] for task in step):
+            answers.update(_answer_step(backend, {t: r for t, r in step.items() if tasks[t][1] is backend}))
+        for task, answer in answers.items():
+            advance(task, answer)
+    return outcomes
+
+
+def _run_alone(steps: Steps, backend: LogprobBackend) -> Any:
+    """Run one step generator to its result, raising its error."""
+    [(result, exc)] = run_lockstep([(steps, backend)])
+    if exc is not None:
+        raise exc
+    return result
 
 
 def score_rows_to_dicts(instance_id: str, rows: Sequence[TokenScoreRow], mask: Sequence[bool]) -> list[dict]:

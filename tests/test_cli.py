@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 from pathlib import Path
@@ -351,8 +352,9 @@ class TestAblateOnePass:
             code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate",
                                        extra=["--backend", f"http:{server.url}", "--workers", "2"]))
         assert code == 0
-        # the conditional modes' requests serve the unconditional ones
-        assert server.state.request_count == 3 * 40
+        # two /tokenize POSTs per instance, then one /logprobs POST per group of instances
+        # scored in lockstep; the conditional modes' requests serve the unconditional ones
+        assert server.state.request_count == 2 * 40 + math.ceil(40 / cts.cli.SCORE_GROUP)
 
     def test_distinct_tuned_backend_posts_three_requests_per_instance_each(self, toy_env):
         from cts.backends import ToyBackend
@@ -363,7 +365,7 @@ class TestAblateOnePass:
                 "--backend", f"http:{standard.url}", "--backend-tuned", f"http:{tuned.url}",
             ]))
         assert code == 0
-        assert standard.state.request_count == tuned.state.request_count == 3 * 40
+        assert standard.state.request_count == tuned.state.request_count == 2 * 40 + math.ceil(40 / cts.cli.SCORE_GROUP)
 
     @pytest.mark.parametrize("scope_args", [
         [],
@@ -402,9 +404,9 @@ class TestAblateOnePass:
                                        extra=["--backend", f"http:{server.url}", "--workers", "2", "--lenient"]))
         assert code == 0
         # inst-3: the first conditional mode tokenizes the thinking and the condition, the
-        # second the condition again (a failure is not remembered), then the unconditional
-        # modes score once
-        assert server.state.request_count == 3 * 39 + 2 + 1 + 1
+        # second the condition again (a failure is not remembered); its unconditional modes
+        # score in its group's /logprobs POST
+        assert server.state.request_count == 2 * 39 + 2 + 1 + math.ceil(40 / cts.cli.SCORE_GROUP)
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert [message.split(":")[0] for message in failed] == ["ablate conditional", "ablate proposed"]
 
@@ -449,8 +451,8 @@ class TestBackendsAndConfig:
         with StubServer(ToyBackend(shift_spec())) as server:
             code = run_cli(compress_args(toy_env, extra=["--backend", f"http:{server.url}"]))
         assert code == 0
-        # tokenize the thinking, tokenize the condition, one batched logprobs POST
-        assert server.state.request_count == 3 * 40
+        # tokenize the thinking, tokenize the condition, one batched logprobs POST per group
+        assert server.state.request_count == 2 * 40 + math.ceil(40 / cts.cli.SCORE_GROUP)
 
     def test_unreachable_backend_exits_3(self, toy_env, monkeypatch):
         from cts.backends import HttpBackendConfig
@@ -572,6 +574,19 @@ class TestBackendsAndConfig:
                         "--config", str(cfg_path)]) == 2
         err = capfd.readouterr().err
         assert f"{key} must be" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratio", [0, -0.5, 1.5, 2])
+    def test_config_ratio_out_of_range_exits_2_naming_ratio(self, toy_env, capfd, ratio):
+        cfg_path = toy_env["dir"] / "cfg.json"
+        cfg_path.write_text(json.dumps({"ratio": ratio}))
+        out = toy_env["dir"] / "out.jsonl"
+        assert run_cli(["compress", "--input", toy_env["corpus"], "--output", str(out),
+                        "--backend", f"toy:{toy_env['spec']}", "--config", str(cfg_path)]) == 2
+        err = capfd.readouterr().err
+        assert f"error: ratio must be in (0, 1], got {ratio!r}" in err
+        assert "alpha" not in err
         assert "Traceback" not in err
         assert not out.exists()
 

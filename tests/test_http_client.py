@@ -1,6 +1,7 @@
 """The HTTP client's connections, lifecycle and retry schedule, against real sockets and a fake transport."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -13,8 +14,10 @@ import pytest
 
 import cts.cli
 from cts.backends import HttpBackend, HttpBackendConfig, LogprobRequest, ToyBackend
-from cts.cli import main
-from cts.errors import BackendError, BackendUnavailable, ConfigError
+from cts.cli import SCORE_GROUP, main
+from cts.dataset import CotInstance
+from cts.errors import BackendError, BackendUnavailable, ConfigError, ScoringError
+from cts.selector import SelectionConfig, compress_instance
 
 from conftest import make_corpus, shift_spec, write_jsonl_file, write_spec_file
 from http_stub import StubServer
@@ -165,7 +168,7 @@ class TestLifecycle:
                 "--backend", f"http:{server.url}", "--condition-template", "{answer}:", "--workers", "2",
             ])
             assert code == 0
-            assert server.state.request_count == 3 * 12
+            assert server.state.request_count == 2 * 12 + math.ceil(12 / SCORE_GROUP)
             # at most one per thread of the tokenize stage (2 * 2) and of the score stage (2)
             assert 1 <= len(server.accepted) <= 2 * 2 + 2
             assert server.wait_until_all_closed()
@@ -246,34 +249,46 @@ class TokenizeBarrier(ToyTransport):
         return super().post(path, body, headers)
 
 
-class TestPipeline:
-    """compress tokenizes each instance in a stage that runs ahead of scoring."""
+@pytest.fixture
+def corpus(tmp_path):
+    records = make_corpus(10, list("ABC "), random.Random(11))
+    return records, write_jsonl_file(records, tmp_path / "corpus.jsonl")
 
-    @pytest.fixture
-    def corpus(self, tmp_path):
-        records = make_corpus(10, list("ABC "), random.Random(11))
-        return records, write_jsonl_file(records, tmp_path / "corpus.jsonl")
 
-    def compress(self, monkeypatch, tmp_path, corpus_path, transport, workers):
-        def build_backend(descriptor):
-            return HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), transport.post)
+def compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, *, max_retries=0, expect=0):
+    """Run compress against ``transport``; returns the output bytes (None when there is no output)."""
+    def build_backend(descriptor):
+        config = HttpBackendConfig(base_url="http://fake", max_retries=max_retries)
+        return HttpBackend(config, transport.post, sleep=lambda seconds: None)
 
-        monkeypatch.setattr(cts.cli, "build_backend", build_backend)
-        out = tmp_path / "out.jsonl"
+    out = tmp_path / "out.jsonl"
+    # only for this run: a toy run after it builds a toy backend
+    with monkeypatch.context() as patch:
+        patch.setattr(cts.cli, "build_backend", build_backend)
         code = main([
             "compress", "--input", corpus_path, "--output", str(out), "--ratio", "0.7",
             "--backend", "http:http://fake", "--condition-template", "{answer}:", "--workers", str(workers),
         ])
-        assert code == 0
-        return out.read_bytes()
+    assert code == expect
+    return out.read_bytes() if out.exists() else None
+
+
+def posts_for(records) -> int:
+    # the thinking and the condition of each instance, one scoring POST per group
+    return 2 * len(records) + math.ceil(len(records) / SCORE_GROUP)
+
+
+class TestPipeline:
+    """compress tokenizes each instance in a stage that runs ahead of scoring its group."""
 
     def test_instance_k_plus_2_is_tokenized_before_instance_k_is_scored(self, monkeypatch, tmp_path, corpus):
         records, corpus_path = corpus
-        # the first two scoring POSTs are those of instances 0 and 1; both wait for instance 3
-        transport = ScoringHeldBack(ToyBackend(shift_spec()), records[3]["thinking"])
-        written = self.compress(monkeypatch, tmp_path, corpus_path, transport, workers=2)
+        # the first two scoring POSTs are those of the groups of instances 0-3 and 4-7;
+        # both wait for instance 8, the first of the next group
+        transport = ScoringHeldBack(ToyBackend(shift_spec()), records[2 * SCORE_GROUP]["thinking"])
+        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=2)
         assert transport.waits == [True, True]
-        assert len(transport.posts) == 3 * len(records)
+        assert len(transport.posts) == posts_for(records)
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
@@ -281,30 +296,110 @@ class TestPipeline:
         records, corpus_path = corpus
         # each of the 2 * 2 tokenize threads sends its instance's thinking while the others do
         transport = TokenizeBarrier(ToyBackend(shift_spec()), parties=4)
-        written = self.compress(monkeypatch, tmp_path, corpus_path, transport, workers=2)
+        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=2)
         assert transport.waits == [True] * 4
-        assert len(transport.posts) == 3 * len(records)
+        assert len(transport.posts) == posts_for(records)
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
     def test_one_worker_tokenizes_ahead_of_scoring(self, monkeypatch, tmp_path, corpus):
         records, corpus_path = corpus
-        # instance 0's scoring POST waits for instance 2's thinking, so the calling thread cannot send it
-        transport = ScoringHeldBack(ToyBackend(shift_spec()), records[2]["thinking"], held=1)
-        written = self.compress(monkeypatch, tmp_path, corpus_path, transport, workers=1)
+        # the scoring POST of instances 0-3 waits for instance 4's thinking, so the calling thread cannot send it
+        transport = ScoringHeldBack(ToyBackend(shift_spec()), records[SCORE_GROUP]["thinking"], held=1)
+        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=1)
         assert transport.waits == [True]
-        assert len(transport.posts) == 3 * len(records)
+        assert len(transport.posts) == posts_for(records)
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
     def test_one_worker_posts_from_the_calling_thread(self, monkeypatch, tmp_path, corpus):
         records, corpus_path = corpus
         transport = ToyTransport(ToyBackend(shift_spec()))
-        self.compress(monkeypatch, tmp_path, corpus_path, transport, workers=1)
-        assert len(transport.posts) == 3 * len(records)
+        compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=1)
+        assert len(transport.posts) == posts_for(records)
         # scoring stays on the calling thread; tokenization runs ahead on the tokenize stage's threads
         scorers = {thread for path, thread in transport.posts if path == "/logprobs"}
         assert scorers == {threading.current_thread()}
+
+
+class CorruptReplies(ToyTransport):
+    """Answers as the toy model does, but one entry short for every context that ends in ``thinking``.
+
+    So each batched /logprobs POST holding one of that instance's contexts
+    fails as malformed.
+    """
+
+    def __init__(self, backend, thinking):
+        super().__init__(backend)
+        self.ids = [t for t, _ in backend.tokenize(thinking)]
+
+    def post(self, path, body, headers):
+        status, reply_headers, reply = super().post(path, body, headers)
+        if path != "/logprobs":
+            return status, reply_headers, reply
+        items = json.loads(reply)
+        for item, request in zip(items, json.loads(body)):
+            if request["context_ids"][-len(self.ids):] == self.ids:
+                item["logprobs_bits"] = item["logprobs_bits"][:-1]
+        return status, reply_headers, json.dumps(items).encode("utf-8")
+
+
+class Busy(ToyTransport):
+    """Answers 503 to the first ``busy`` /logprobs POSTs, keeping the bodies of all of them."""
+
+    def __init__(self, backend, busy):
+        super().__init__(backend)
+        self.busy = busy
+        self.bodies: list[bytes] = []
+
+    def post(self, path, body, headers):
+        if path == "/logprobs":
+            self.bodies.append(body)
+            if len(self.bodies) <= self.busy:
+                self.posts.append((path, threading.current_thread()))
+                return 503, {}, b"{}"
+        return super().post(path, body, headers)
+
+
+class TestCoalescedScoring:
+    """The /logprobs POST of a group of instances scored in lockstep, and its failures."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_malformed_reply_fails_only_its_instance(self, monkeypatch, tmp_path, corpus, caplog, workers):
+        records, corpus_path = corpus
+        bad = 5  # in the group of instances 4-7
+        transport = CorruptReplies(ToyBackend(shift_spec()), records[bad]["thinking"])
+        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)
+        # the group's POST failed, then each of its 4 instances was sent alone
+        assert len(transport.posts) == posts_for(records) + SCORE_GROUP
+        expected = _compress_with_toy(corpus_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
+        lines = expected.splitlines(keepends=True)
+        assert written == b"".join(lines[:bad] + lines[bad + 1:])
+        # the same message as when the instance is scored alone
+        alone = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), transport.post)
+        instance = CotInstance(records[bad]["id"], "", records[bad]["thinking"], records[bad]["answer"])
+        config = SelectionConfig(alpha=0.7, condition_template="{answer}:")
+        with pytest.raises(ScoringError) as exc:
+            compress_instance(instance, config, alone)
+        assert "backend failed scoring thinking tokens [0, " in str(exc.value)
+        failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        assert failed == [f"compress: instance {records[bad]['id']} failed: {exc.value}"]
+
+    def test_busy_server_gets_the_whole_post_again(self, monkeypatch, tmp_path, corpus):
+        records, corpus_path = corpus
+        transport = Busy(ToyBackend(shift_spec()), busy=1)
+        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, 1, max_retries=1)
+        assert len(transport.posts) == posts_for(records) + 1
+        assert transport.bodies[0] == transport.bodies[1]
+        assert len(json.loads(transport.bodies[0])) == 2 * SCORE_GROUP
+        assert written == _compress_with_toy(corpus_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
+
+    def test_outage_is_not_sent_again_instance_by_instance(self, monkeypatch, tmp_path, corpus, capfd):
+        records, corpus_path = corpus
+        transport = Busy(ToyBackend(shift_spec()), busy=len(records))
+        assert compress_over(monkeypatch, tmp_path, corpus_path, transport, 1, expect=3) is None
+        assert len(transport.bodies) == 1
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class ScoringOutage(CountingStub):

@@ -1,4 +1,5 @@
-"""Property tests of selection: exact counts and ratios, nesting across alphas, a brute-force oracle.
+"""Property tests of selection: exact counts and ratios, nesting across alphas, a brute-force oracle,
+and lockstep scoring of a group against one instance at a time.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
@@ -13,12 +14,16 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cts.backends import ToyBackend  # noqa: E402
+from cts.cli import ABLATION_MODES  # noqa: E402
 from cts.dataset import CotInstance  # noqa: E402
 from cts.selector import (  # noqa: E402
     SelectionConfig,
     TokenScoreRow,
+    build_contexts,
     compress_instance,
+    compress_steps,
     kept_count_for,
+    run_lockstep,
     segment_thinking,
     select_tokens,
 )
@@ -92,3 +97,59 @@ def test_compressed_record_counts_and_ratio_are_exact(thinking, alpha, condition
         lengths = [s.end - s.start for s in segment_thinking(n, [r.span for r in rows], config)]
     assert record.kept_count == sum(kept_count_for(alpha, m) for m in lengths)
     assert record.compressed_thinking == "".join(r.span for r, keep in zip(rows, selection.kept_mask) if keep)
+
+
+class BatchLog(ToyBackend):
+    """The shift-table toy model, noting the (context, start, end) of each request of each batch."""
+
+    def __init__(self):
+        super().__init__(shift_spec())
+        self.batches: list[list[tuple]] = []
+
+    def logprobs_batch(self, requests_):
+        self.batches.append([(tuple(r.context), r.start, r.end) for r in requests_])
+        return super().logprobs_batch(requests_)
+
+
+# 1-6 instances of mixed lengths: up to 8 segments of 8 tokens each in per-segment scope
+groups = st.lists(st.text(alphabet="ABC ", min_size=1, max_size=60), min_size=1, max_size=6).map(
+    lambda texts: [CotInstance(f"g-{i}", "", text, "42") for i, text in enumerate(texts)]
+)
+
+
+def scoring_config(scope: str, original_prefix: bool, **fields) -> SelectionConfig:
+    return SelectionConfig(condition_template="{answer}:", selection_scope=scope, segment_budget=8,
+                           boundary_slack=2, iterative_original_prefix=original_prefix, **fields)
+
+
+def lockstep_tasks(group, configs, backend):
+    return [(compress_steps(inst, cfg, build_contexts(inst, cfg, backend)), backend)
+            for inst in group for cfg in configs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(groups, alphas, st.booleans(), st.sampled_from(["global", "per_segment"]), st.booleans())
+def test_lockstep_group_equals_one_instance_at_a_time(group, alpha, conditional, scope, original_prefix):
+    config = scoring_config(scope, original_prefix, alpha=alpha, conditional=conditional)
+    alone = [(compress_instance(inst, config, BACKEND), None) for inst in group]
+    assert run_lockstep(lockstep_tasks(group, [config], BACKEND)) == alone
+
+
+@settings(max_examples=50, deadline=None)
+@given(groups, st.sampled_from(["global", "per_segment"]), st.booleans())
+def test_ablate_modes_send_each_distinct_context_once_per_step(group, scope, original_prefix):
+    configs = [scoring_config(scope, original_prefix, alpha=0.5, conditional=mode.conditional)
+               for mode in ABLATION_MODES]
+    # what the tasks ask at each step when each runs alone: one batch per step
+    asked: list[set] = []
+    for inst in group:
+        for config in configs:
+            backend = BatchLog()
+            compress_instance(inst, config, backend)
+            for step, batch in enumerate(backend.batches):
+                if step == len(asked):
+                    asked.append(set())
+                asked[step].update(batch)
+    backend = BatchLog()
+    run_lockstep(lockstep_tasks(group, configs, backend))
+    assert [sorted(batch) for batch in backend.batches] == [sorted(step) for step in asked]

@@ -5,9 +5,9 @@ import threading
 
 import pytest
 
-from cts.backends import LogprobBackend, LogprobRequest, ToyBackend, ToyLmSpec
+from cts.backends import LogprobBackend, ToyBackend, ToyLmSpec
 from cts.dataset import CotInstance, compressed_to_dict
-from cts.errors import ConfigError, ScoringError, TokenizeError
+from cts.errors import BackendProtocolError, BackendUnavailable, ConfigError, ScoringError, TokenizeError
 from cts.selector import (
     RequestCache,
     SelectionConfig,
@@ -15,7 +15,9 @@ from cts.selector import (
     TokenScoreRow,
     build_contexts,
     compress_instance,
+    compress_steps,
     kept_count_for,
+    run_lockstep,
     segment_thinking,
     select_tokens,
 )
@@ -412,31 +414,22 @@ class TestRequestBudget:
         assert calls == [("ABC " * 10, threading.get_ident()), ("42:", threading.get_ident())]
 
 
+def lockstep(inst, configs, backend, cache):
+    """Each config's selection of one instance, tokenized through the cache and scored in lockstep."""
+    tasks = [(compress_steps(inst, cfg, build_contexts(inst, cfg, cache)), backend) for cfg in configs]
+    return [result for result, _ in run_lockstep(tasks)]
+
+
 class TestRequestCache:
     def test_conditional_batch_serves_the_unconditional_selection(self, shift_backend):
         backend = RecordingBackend(shift_backend)
         cache = RequestCache(backend)
         inst = instance("ABC " * 10)
-        cond = compress_instance(inst, config(), cache)
-        uncond = compress_instance(inst, config(conditional=False), cache)
+        cond, uncond = lockstep(inst, [config(), config(conditional=False)], backend, cache)
         assert backend.tokenized == ["ABC " * 10, "42:"]
         assert backend.batch_sizes == [2]
         assert cond == compress_instance(inst, config(), shift_backend)
         assert uncond == compress_instance(inst, config(conditional=False), shift_backend)
-
-    def test_misses_go_out_once_and_hits_never_reach_the_backend(self, shift_backend):
-        backend = RecordingBackend(shift_backend)
-        cache = RequestCache(backend)
-        ids = [t for t, _ in shift_backend.tokenize("ABC ABC")]
-        a = LogprobRequest(ids, 0, len(ids))
-        b = LogprobRequest(ids, 2, len(ids))
-        first = cache.logprobs_batch([a, b, LogprobRequest(list(ids), 0, len(ids))])
-        assert backend.requests == [(tuple(ids), 0, len(ids)), (tuple(ids), 2, len(ids))]
-        assert first[0] == first[2] == shift_backend.logprobs(a)
-        assert first[1] == shift_backend.logprobs(b)
-        assert cache.logprobs_batch([b, a]) == [first[1], first[0]]
-        assert cache.logprobs_batch([]) == []
-        assert backend.batch_sizes == [2]
 
     def test_tokenize_misses_go_out_once(self, shift_backend):
         backend = RecordingBackend(shift_backend)
@@ -461,13 +454,92 @@ class TestRequestCache:
         inst = instance("ABC " * 10)
         cfg = dict(selection_scope="per_segment", segment_budget=8, boundary_slack=0,
                    iterative_original_prefix=original_prefix)
-        for conditional in (True, False):
-            expected = compress_instance(inst, config(conditional=conditional, **cfg), shift_backend)
-            assert compress_instance(inst, config(conditional=conditional, **cfg), cache) == expected
-        # five segments in the conditional pass; the unconditional pass shares
-        # segment 0, and with the original prefix every segment; kept
-        # prefixes differ between the modes, so segments 1-4 are scored again
-        assert backend.batch_sizes == [2] * 5 + ([] if original_prefix else [1] * 4)
+        configs = [config(conditional=conditional, **cfg) for conditional in (True, False)]
+        assert lockstep(inst, configs, backend, cache) == [
+            compress_instance(inst, cfg, shift_backend) for cfg in configs
+        ]
+        # five segments, one batch each; the unconditional mode shares segment
+        # 0, and with the original prefix every segment; kept prefixes differ
+        # between the modes, so segments 1-4 hold a third context
+        assert backend.batch_sizes == [2] + ([2] * 4 if original_prefix else [3] * 4)
+
+
+class FailsOnToken(RecordingBackend):
+    """Records every batch, then fails it with ``error`` when a request's context holds ``token``."""
+
+    def __init__(self, inner: ToyBackend, token: int, error: Exception):
+        super().__init__(inner)
+        self.token = token
+        self.error = error
+
+    def logprobs_batch(self, requests_):
+        answers = super().logprobs_batch(requests_)
+        if any(self.token in r.context for r in requests_):
+            raise self.error
+        return answers
+
+
+def tasks_for(insts, cfg, backend, tokenizer):
+    return [(compress_steps(i, cfg, build_contexts(i, cfg, tokenizer)), backend) for i in insts]
+
+
+class TestLockstep:
+    def test_duplicate_requests_in_a_step_go_out_once(self, shift_backend):
+        backend = RecordingBackend(shift_backend)
+        a, b = instance("ABC A", iid="a"), instance("CAB", iid="b")
+        group = [a, b, a]
+        outcomes = run_lockstep(tasks_for(group, config(), backend, shift_backend))
+        # a's two contexts once, b's two
+        assert backend.batch_sizes == [4]
+        assert len(set(backend.requests)) == 4
+        assert outcomes == [(compress_instance(i, config(), shift_backend), None) for i in group]
+
+    def test_one_batch_per_backend_per_step(self, shift_backend):
+        standard, tuned = RecordingBackend(shift_backend), RecordingBackend(shift_backend)
+        cfg = config(selection_scope="per_segment", segment_budget=4, boundary_slack=0)
+        insts = [instance("ABC ABC", iid="a"), instance("AB", iid="b"), instance("ABCABCABC", iid="c")]
+        tasks = tasks_for(insts[:2], cfg, standard, shift_backend) + tasks_for(insts[2:], cfg, tuned, shift_backend)
+        outcomes = run_lockstep(tasks)
+        # steps: a has 2 segments, b 1 and c 3; two contexts per segment
+        assert standard.batch_sizes == [4, 2]
+        assert tuned.batch_sizes == [2, 2, 2]
+        assert outcomes == [(compress_instance(i, cfg, shift_backend), None) for i in insts]
+
+    @pytest.mark.parametrize("scope, batch_sizes, failed_range", [
+        ("global", [4, 1, 1, 1, 1], "[0, 4)"),
+        # the bad token is in the second segment of t-1: the first step goes through
+        ("per_segment", [4, 4, 1, 1, 1, 1, 1], "[2, 4)"),
+    ])
+    def test_failed_batch_is_sent_again_task_by_task(self, shift_backend, scope, batch_sizes, failed_range):
+        cfg = config(conditional=False, selection_scope=scope, segment_budget=2, boundary_slack=0)
+        insts = [instance(t, iid=f"t-{i}") for i, t in enumerate(["ABC A", "BA2C", "CAB", "C C"])]
+        [(two, _)] = shift_backend.tokenize("2")
+
+        def failing():
+            return FailsOnToken(shift_backend, two, BackendProtocolError("bad reply"))
+
+        backend = failing()
+        outcomes = run_lockstep(tasks_for(insts, cfg, backend, shift_backend))
+        assert backend.batch_sizes == batch_sizes
+        with pytest.raises(ScoringError) as alone:
+            compress_instance(insts[1], cfg, failing())
+        assert str(alone.value) == f"instance t-1: backend failed scoring thinking tokens {failed_range}: bad reply"
+        result, exc = outcomes[1]
+        assert result is None and str(exc) == str(alone.value) and exc.positions == alone.value.positions
+        for inst, outcome in zip(insts, outcomes):
+            if inst is not insts[1]:
+                assert outcome == (compress_instance(inst, cfg, shift_backend), None)
+
+    def test_unavailable_backend_is_not_asked_again(self, shift_backend):
+        [(two, _)] = shift_backend.tokenize("2")
+        backend = FailsOnToken(shift_backend, two, BackendUnavailable("down"))
+        insts = [instance(t, iid=f"t-{i}") for i, t in enumerate(["ABC A", "AB2C", "CAB"])]
+        with pytest.raises(BackendUnavailable):
+            run_lockstep(tasks_for(insts, config(), backend, shift_backend))
+        assert backend.batch_sizes == [6]
+
+    def test_no_tasks(self):
+        assert run_lockstep([]) == []
 
 
 class TestIterativeSegments:
