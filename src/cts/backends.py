@@ -33,6 +33,8 @@ from typing import Callable, Mapping, Sequence
 from .errors import BackendError, BackendProtocolError, BackendUnavailable, ConfigError, TokenizeError
 
 START = "START"  # reserved table key for the start-of-sequence distribution
+# POSTs an HttpBackend keeps in flight by default; the CLI also sizes its tokenize stage from it
+MAX_IN_FLIGHT = 8
 
 
 @dataclass
@@ -131,8 +133,11 @@ class ToyLmSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "ToyLmSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read toy model spec {path!r}: {exc}") from exc
         try:
             spec = cls(vocabulary=list(data["vocabulary"]), table={k: dict(v) for k, v in data["table"].items()})
         except (KeyError, TypeError, AttributeError) as exc:
@@ -228,7 +233,7 @@ class HttpBackendConfig:
     timeout: float = 30.0
     max_retries: int = 3
     retry_backoff: float = 0.5
-    max_in_flight: int = 8
+    max_in_flight: int = MAX_IN_FLIGHT
     natural_log: bool = False  # server reports nats; convert to bits at this boundary
 
 

@@ -24,7 +24,7 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from .backends import HttpBackend, HttpBackendConfig, LogprobBackend, ToyBackend, ToyLmSpec
+from .backends import MAX_IN_FLIGHT, HttpBackend, HttpBackendConfig, LogprobBackend, ToyBackend, ToyLmSpec
 from .dataset import (
     CompressedInstance,
     JsonlWriter,
@@ -211,9 +211,12 @@ def _write_report(payload: dict[str, Any], args: argparse.Namespace) -> None:
     """Write the report JSON to --report and print it with --print-report."""
     report_path = getattr(args, "report", None)
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+        try:
+            with open(report_path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, ensure_ascii=False, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {report_path!r}: {exc}") from exc
     if getattr(args, "print_report", False):
         print(json.dumps(payload, ensure_ascii=False))
 
@@ -282,13 +285,16 @@ def _compress_stream(
     (``run_lockstep``): one task per instance and job, whose requests at
     each segment step go out as one /logprobs POST per backend, with the
     requests the jobs share sent once. So an instance's /tokenize round
-    trips run while earlier groups are scored: ``workers`` groups are
-    scored at a time, 2 * ``workers`` threads tokenize up to
-    LOOKAHEAD_PER_WORKER * 2 * ``workers`` instances ahead, and an HTTP
-    backend still keeps at most ``max_in_flight`` POSTs in flight. With one
-    worker scoring runs on the calling thread. A malformed answer to a
-    group's POST fails only the tasks whose own requests fail when sent
-    again alone.
+    trips run while earlier groups are scored. ``workers`` groups are
+    scored at a time, each with one POST in flight, and the tokenize stage
+    gets the rest of an HTTP backend's MAX_IN_FLIGHT budget, but never
+    fewer than 2 * ``workers`` threads: max(2 * ``workers``, MAX_IN_FLIGHT
+    - ``workers``) threads tokenize up to LOOKAHEAD_PER_WORKER times as
+    many instances ahead (28 at one worker, 24 at two). The backend still
+    keeps at most ``max_in_flight`` POSTs in flight. With one worker
+    scoring runs on the calling thread. A malformed answer to a group's
+    POST fails only the tasks whose own requests fail when sent again
+    alone.
 
     Each output path gets its own atomic writer, so an aborted run leaves
     none of them. When the pass ends, both stages are stopped and then
@@ -326,9 +332,12 @@ def _compress_stream(
             # pass; every other output is written alongside it
             outputs = [(writer(job.output_path) if i else None, writer(job.dump_path))
                        for i, job in enumerate(jobs)]
-            # closed before the writers and the backends, so no stage thread outlives the pass
-            # an instance's thinking and condition POSTs go one after the other, so twice the threads keep pace
-            tokenized = stack.enter_context(closing(map_ordered(tokenize_instance, instances, 2 * workers)))
+            # closed before the writers and the backends, so no stage thread outlives the pass;
+            # the score stage holds one POST per worker, and the tokenize stage fills the rest
+            # of the in-flight budget (its thinking and condition POSTs go one after the other,
+            # so it keeps at least two threads per worker)
+            tokenize_threads = max(2 * workers, MAX_IN_FLIGHT - workers)
+            tokenized = stack.enter_context(closing(map_ordered(tokenize_instance, instances, tokenize_threads)))
             scored = stack.enter_context(
                 closing(map_ordered(score_group, _groups(tokenized, SCORE_GROUP), workers))
             )
@@ -431,7 +440,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         "standard": standard,
         "tuned": build_backend(tuned) if tuned and tuned != settings["backend"] else standard,
     }
-    os.makedirs(args.output, exist_ok=True)
     jobs, echoes = [], []
     for mode in ABLATION_MODES:
         mode_settings = dict(settings, conditional=mode.conditional)

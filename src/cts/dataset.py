@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from .errors import DatasetError
+from .errors import ConfigError, DatasetError
 
 T = TypeVar("T")
 
@@ -23,6 +24,9 @@ DEFAULT_SCHEMA = {
     "thinking": "thinking",
     "answer": "answer",
 }
+
+# read_dataset skips a record whose id repeats one of this many records kept before it
+DUPLICATE_ID_WINDOW = 1024
 
 # Fixed key order of compressed output records; extra input fields follow.
 COMPRESSED_KEY_ORDER = (
@@ -101,8 +105,13 @@ def _read_jsonl(
     Blank lines are skipped. A line that is not JSON, not an object, or that
     ``parse`` rejects with a DatasetError is skipped too; its error, stamped
     with the 1-based line and the path, is appended to ``errors`` (if given).
+    A file that cannot be opened is a ConfigError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read input file {path!r}: {exc}") from exc
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -129,17 +138,26 @@ def read_dataset(
 
     ``schema`` maps canonical field names (problem, thinking, answer, id) to
     the keys used in the file. A record with a missing or non-text mapped
-    field is skipped (see ``_read_jsonl``). When the id field is absent, ids
-    are synthesized as ``line:<n>``.
+    field is skipped (see ``_read_jsonl``), and so is a record whose id
+    repeats one of the DUPLICATE_ID_WINDOW records kept before it; duplicates
+    farther apart pass, so memory stays constant. When the id field is
+    absent, ids are synthesized as ``line:<n>``.
     """
     mapping = {**DEFAULT_SCHEMA, **(schema or {})}
     text_keys = [mapping[canon] for canon in ("problem", "thinking", "answer")]
     consumed = {*text_keys, mapping["id"]}
+    recent: OrderedDict[str, int] = OrderedDict()  # id -> line of the last records kept, oldest first
 
     def parse(obj: dict, line_no: int) -> CotInstance:
         problem, thinking, answer = (_checked_text(_field(obj, key), key) for key in text_keys)
+        record_id = _record_id(obj.get(mapping["id"]), line_no)
+        if record_id in recent:
+            raise DatasetError(f"duplicate id {record_id!r} (first at line {recent[record_id]})")
+        recent[record_id] = line_no
+        if len(recent) > DUPLICATE_ID_WINDOW:
+            recent.popitem(last=False)
         extras = {k: v for k, v in obj.items() if k not in consumed}
-        return CotInstance(_record_id(obj.get(mapping["id"]), line_no), problem, thinking, answer, extras)
+        return CotInstance(record_id, problem, thinking, answer, extras)
 
     return _read_jsonl(path, parse, errors)
 
@@ -225,9 +243,11 @@ class JsonlWriter:
         self._fh = None
 
     def __enter__(self) -> "JsonlWriter":
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        self._fh = open(self.tmp_path, "w", encoding="utf-8", newline="\n")
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
+            self._fh = open(self.tmp_path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {self.path!r}: {exc}") from exc
         return self
 
     def write(self, obj: dict[str, Any]) -> None:

@@ -8,7 +8,7 @@ class CtsError(Exception):
 
 
 class ConfigError(CtsError):
-    """Invalid configuration: bad ratio, malformed condition template, etc."""
+    """Invalid configuration: bad ratio, malformed condition template, a file that cannot be read or written, etc."""
 
 
 class DatasetError(CtsError):

@@ -596,6 +596,78 @@ class TestBackendsAndConfig:
         assert run_cli(compress_args(toy_env, extra=["--config", str(cfg_path)])) == 2
 
 
+def assert_one_error_naming(capfd, path):
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and str(path) in errors[0], err
+
+
+def argv_for(command, env, input_path, output_path):
+    compress = compress_args(env)
+    argv = {
+        "compress": compress,
+        "score": ["score", *compress[1:]],
+        "ablate": ablate_args(env, output_path),
+        "emit sft": ["emit", "sft", "--input", "-", "--output", "-"],
+        "stats": ["stats", "--input", "-"],
+    }[command]
+    argv[argv.index("--input") + 1] = str(input_path)
+    if "--output" in argv:
+        argv[argv.index("--output") + 1] = str(output_path)
+    return argv
+
+
+class TestFilePaths:
+    """A file that cannot be read or written is a usage error (exit 2) naming its path, not a traceback."""
+
+    @pytest.mark.parametrize("content", [None, b'{"vocabulary": [', b"\xff\xfe"],
+                             ids=["missing", "not-json", "not-utf8"])
+    def test_unreadable_toy_spec_exits_2(self, toy_env, capfd, content):
+        spec = toy_env["dir"] / "bad_spec.json"
+        if content is not None:
+            spec.write_bytes(content)
+        assert run_cli(compress_args(toy_env, extra=["--backend", f"toy:{spec}"])) == 2
+        assert_one_error_naming(capfd, spec)
+        assert not (toy_env["dir"] / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["compress", "score", "ablate", "emit sft", "stats"])
+    def test_missing_input_exits_2(self, toy_env, capfd, command):
+        missing = toy_env["dir"] / "missing.jsonl"
+        out = toy_env["dir"] / "out"
+        assert run_cli(argv_for(command, toy_env, missing, out)) == 2
+        assert_one_error_naming(capfd, missing)
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["compress", "score", "ablate", "emit sft"])
+    def test_output_under_a_regular_file_exits_2(self, toy_env, capfd, command):
+        blocker = toy_env["dir"] / "blocker"
+        blocker.write_text("")
+        out = blocker / "out"
+        assert run_cli(argv_for(command, toy_env, toy_env["corpus"], out)) == 2
+        assert_one_error_naming(capfd, out)
+
+    def test_report_in_a_missing_directory_exits_2(self, toy_env, capfd):
+        report = toy_env["dir"] / "missing" / "report.json"
+        assert run_cli(compress_args(toy_env, extra=["--report", str(report)])) == 2
+        assert_one_error_naming(capfd, report)
+
+
+class TestDuplicateIds:
+    def test_duplicate_id_fails_the_run_unless_lenient(self, toy_env, caplog):
+        records = read_jsonl_file(toy_env["corpus"])
+        corpus = write_jsonl_file([*records[:3], records[1], *records[3:]], toy_env["dir"] / "dup.jsonl")
+        out = toy_env["dir"] / "out.jsonl"
+        argv = compress_args(toy_env)
+        argv[argv.index("--input") + 1] = corpus
+        assert run_cli(argv) == 1
+        assert f"dup.jsonl:4: duplicate id {records[1]['id']!r} (first at line 2)" in caplog.text
+        strict = out.read_bytes()
+        assert run_cli([*argv, "--lenient"]) == 0
+        assert out.read_bytes() == strict
+        assert [x.id for x in read_compressed_dataset(str(out))] == [r["id"] for r in records]
+
+
 class TestStats:
     def test_stats_recomputes_report(self, toy_env, capsys):
         out = toy_env["dir"] / "out.jsonl"

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from cts.dataset import (
+    DUPLICATE_ID_WINDOW,
     CompressedInstance,
     compressed_to_dict,
     read_compressed_dataset,
@@ -103,6 +104,49 @@ class TestReadDataset:
         errors = []
         assert list(read_dataset(path, errors=errors)) == []
         assert len(errors) == 1
+
+
+def record(id_=None, text="t"):
+    rec = {"problem": "p", "thinking": text, "answer": "a"}
+    if id_ is not None:
+        rec["id"] = id_
+    return rec
+
+
+class TestDuplicateIds:
+    def read(self, records, tmp_path):
+        errors = []
+        instances = list(read_dataset(write_jsonl_file(records, tmp_path / "in.jsonl"), errors=errors))
+        return [x.id for x in instances], [(e.line, e.args[0]) for e in errors]
+
+    def test_adjacent_duplicate_is_skipped_naming_the_first(self, tmp_path):
+        ids, errors = self.read([record("a"), record("a", "other"), record("b")], tmp_path)
+        assert ids == ["a", "b"]
+        assert errors == [(2, "duplicate id 'a' (first at line 1)")]
+
+    def test_duplicate_at_the_edge_of_the_window_is_skipped(self, tmp_path):
+        others = [record(f"r{i}") for i in range(DUPLICATE_ID_WINDOW - 1)]
+        ids, errors = self.read([record("x"), *others, record("x")], tmp_path)
+        assert ids == ["x"] + [f"r{i}" for i in range(DUPLICATE_ID_WINDOW - 1)]
+        assert errors == [(DUPLICATE_ID_WINDOW + 1, "duplicate id 'x' (first at line 1)")]
+
+    def test_duplicate_farther_apart_than_the_window_passes(self, tmp_path):
+        others = [record(f"r{i}") for i in range(DUPLICATE_ID_WINDOW)]
+        ids, errors = self.read([record("x"), *others, record("x")], tmp_path)
+        assert ids.count("x") == 2
+        assert errors == []
+
+    def test_skipped_duplicates_do_not_fill_the_window(self, tmp_path):
+        # the window holds the records kept, so repeats of "a" do not push "x" out of it
+        repeats = [record("a")] * (DUPLICATE_ID_WINDOW + 5)
+        ids, errors = self.read([record("x"), *repeats, record("x")], tmp_path)
+        assert ids == ["x", "a"]
+        assert errors[-1] == (DUPLICATE_ID_WINDOW + 7, "duplicate id 'x' (first at line 1)")
+
+    def test_synthesized_ids_never_collide(self, tmp_path):
+        ids, errors = self.read([record()] * (2 * DUPLICATE_ID_WINDOW), tmp_path)
+        assert ids == [f"line:{n}" for n in range(1, 2 * DUPLICATE_ID_WINDOW + 1)]
+        assert errors == []
 
 
 class TestWriteDataset:

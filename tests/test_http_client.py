@@ -169,8 +169,8 @@ class TestLifecycle:
             ])
             assert code == 0
             assert server.state.request_count == 2 * 12 + math.ceil(12 / SCORE_GROUP)
-            # at most one per thread of the tokenize stage (2 * 2) and of the score stage (2)
-            assert 1 <= len(server.accepted) <= 2 * 2 + 2
+            # at most one per thread of the tokenize stage (MAX_IN_FLIGHT - 2) and of the score stage (2)
+            assert 1 <= len(server.accepted) <= 6 + 2
             assert server.wait_until_all_closed()
         assert (tmp_path / "out.jsonl").read_bytes() == _compress_with_toy(corpus, spec_path, tmp_path)
 
@@ -292,12 +292,13 @@ class TestPipeline:
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
-    def test_two_workers_have_four_tokenize_posts_in_flight(self, monkeypatch, tmp_path, corpus):
+    @pytest.mark.parametrize("workers, threads", [(1, 7), (2, 6)])
+    def test_tokenize_stage_fills_the_in_flight_budget(self, monkeypatch, tmp_path, corpus, workers, threads):
         records, corpus_path = corpus
-        # each of the 2 * 2 tokenize threads sends its instance's thinking while the others do
-        transport = TokenizeBarrier(ToyBackend(shift_spec()), parties=4)
-        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=2)
-        assert transport.waits == [True] * 4
+        # each of the MAX_IN_FLIGHT - workers tokenize threads sends its instance's thinking while the others do
+        transport = TokenizeBarrier(ToyBackend(shift_spec()), parties=threads)
+        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers)
+        assert transport.waits == [True] * threads
         assert len(transport.posts) == posts_for(records)
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
