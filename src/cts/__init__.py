@@ -55,51 +55,3 @@ from .selector import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BackendError",
-    "BackendProtocolError",
-    "BackendUnavailable",
-    "CompressedInstance",
-    "ConfigError",
-    "CotInstance",
-    "CtsError",
-    "DatasetError",
-    "HttpBackend",
-    "HttpBackendConfig",
-    "LogprobBackend",
-    "LogprobRequest",
-    "LogprobResponse",
-    "ReportBuilder",
-    "RequestCache",
-    "RmCorpusExample",
-    "RmPromptRecord",
-    "RmTrainingRow",
-    "RunReport",
-    "ScoringError",
-    "Segment",
-    "SelectionConfig",
-    "SelectionResult",
-    "SftRecord",
-    "TokenScoreRow",
-    "TokenizeError",
-    "ToyBackend",
-    "ToyLmSpec",
-    "build_contexts",
-    "build_rm_training_rows",
-    "compress_instance",
-    "compress_steps",
-    "emit_rm_prompts",
-    "emit_sft",
-    "ppl_of",
-    "read_compressed_dataset",
-    "read_dataset",
-    "read_rm_examples",
-    "report_from_records",
-    "run_lockstep",
-    "score_tokens",
-    "segment_thinking",
-    "select_tokens",
-    "words_form_subsequence",
-    "write_dataset",
-]

@@ -2,8 +2,8 @@
 
 A backend is anything that can (a) tokenize text into (token id, surface
 span) pairs whose spans concatenate back to the input, and (b) report
-per-position next-token log probabilities, base 2, for a span of an id
-context. Two implementations ship here:
+per-position next-token log probabilities, base 2, for a batch of spans
+of id contexts. Two implementations ship here:
 
 * ToyBackend - a deterministic table model (per-previous-token
   distributions) used as the test oracle. It is immutable after
@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 from .errors import BackendError, BackendProtocolError, BackendUnavailable, ConfigError, TokenizeError
 
 START = "START"  # reserved table key for the start-of-sequence distribution
-# POSTs an HttpBackend keeps in flight by default; the CLI also sizes its tokenize stage from it
+# POSTs an HttpBackend keeps in flight; the CLI also sizes its tokenize stage from it
 MAX_IN_FLIGHT = 8
 
 
@@ -86,11 +86,8 @@ class LogprobBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def logprobs(self, request: LogprobRequest) -> LogprobResponse:
-        """Score one request. Deterministic for fixed backend state."""
-
     def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
-        return [self.logprobs(r) for r in requests_]
+        """Score each request, answers in request order. Deterministic for fixed backend state."""
 
     def close(self) -> None:
         """Release what the backend holds open; this default holds nothing."""
@@ -190,7 +187,10 @@ class ToyBackend(LogprobBackend):
             raise BackendProtocolError(f"toy model has no distribution row for previous token {prev!r}")
         return row.get(token_id, 0.0)
 
-    def logprobs(self, request: LogprobRequest) -> LogprobResponse:
+    def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
+        return [self._score(r) for r in requests_]
+
+    def _score(self, request: LogprobRequest) -> LogprobResponse:
         _validate_request(request, context_limit=self.vocab_size)
         ctx = request.context
         bits: list[float] = []
@@ -233,17 +233,16 @@ class HttpBackendConfig:
     timeout: float = 30.0
     max_retries: int = 3
     retry_backoff: float = 0.5
-    max_in_flight: int = MAX_IN_FLIGHT
     natural_log: bool = False  # server reports nats; convert to bits at this boundary
 
 
 class HttpBackend(LogprobBackend):
     """Client for a remote scoring endpoint.
 
-    POST <base>/logprobs with {"context_ids": [...], "start": s, "end": e}
-    returns {"logprobs_bits": [...]}; a JSON array of request objects returns
-    an array of responses (batching). POST <base>/tokenize with {"text": ...}
-    returns {"token_ids": [...], "spans": [...]}.
+    POST <base>/logprobs with a JSON array of request objects
+    {"context_ids": [...], "start": s, "end": e} returns an array of
+    {"logprobs_bits": [...]}, one per request. POST <base>/tokenize with
+    {"text": ...} returns {"token_ids": [...], "spans": [...]}.
 
     Each thread sends its POSTs over one keep-alive connection of its own;
     ``close`` closes them all. ``transport`` replaces that connection with
@@ -255,7 +254,7 @@ class HttpBackend(LogprobBackend):
     non-integer ids, non-numeric, non-finite or positive log probabilities,
     spans that do not reassemble the text) are BackendProtocolError and
     never retried; any other failure to send a request is a BackendError.
-    In-flight requests are bounded by ``max_in_flight``; requests are
+    In-flight requests are bounded by MAX_IN_FLIGHT; requests are
     idempotent so retries are safe. ``sleep`` and ``uniform`` are the clock
     and random source of the backoff.
     """
@@ -287,7 +286,7 @@ class HttpBackend(LogprobBackend):
         self._local = threading.local()
         self._connections: list[http.client.HTTPConnection] = []
         self._connections_lock = threading.Lock()
-        self._slots = threading.BoundedSemaphore(max(1, config.max_in_flight))
+        self._slots = threading.BoundedSemaphore(MAX_IN_FLIGHT)
 
     def close(self) -> None:
         """Close the connection of every thread that sent a POST."""
@@ -369,10 +368,6 @@ class HttpBackend(LogprobBackend):
             raise BackendProtocolError("tokenize spans do not concatenate back to the input text")
         return list(zip(ids, spans))
 
-    @staticmethod
-    def _request_payload(request: LogprobRequest) -> dict:
-        return {"context_ids": list(request.context), "start": request.start, "end": request.end}
-
     def _parse_response(self, data, request: LogprobRequest) -> LogprobResponse:
         raw = data.get("logprobs_bits") if isinstance(data, dict) else None
         if not isinstance(raw, list):
@@ -395,17 +390,14 @@ class HttpBackend(LogprobBackend):
                 raise BackendProtocolError(f"remote backend reported a positive log probability {v!r} (P > 1)")
         return LogprobResponse(bits)
 
-    def logprobs(self, request: LogprobRequest) -> LogprobResponse:
-        _validate_request(request)
-        data = self._post("/logprobs", self._request_payload(request))
-        return self._parse_response(data, request)
-
     def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
         if not requests_:
             return []
         for r in requests_:
             _validate_request(r)
-        data = self._post("/logprobs", [self._request_payload(r) for r in requests_])
+        data = self._post(
+            "/logprobs", [{"context_ids": list(r.context), "start": r.start, "end": r.end} for r in requests_]
+        )
         if not isinstance(data, list) or len(data) != len(requests_):
             raise BackendProtocolError("batched logprob response is not a matching-length array")
         return [self._parse_response(d, r) for d, r in zip(data, requests_)]

@@ -286,15 +286,10 @@ def _compress_stream(
     each segment step go out as one /logprobs POST per backend, with the
     requests the jobs share sent once. So an instance's /tokenize round
     trips run while earlier groups are scored. ``workers`` groups are
-    scored at a time, each with one POST in flight, and the tokenize stage
-    gets the rest of an HTTP backend's MAX_IN_FLIGHT budget, but never
-    fewer than 2 * ``workers`` threads: max(2 * ``workers``, MAX_IN_FLIGHT
-    - ``workers``) threads tokenize up to LOOKAHEAD_PER_WORKER times as
-    many instances ahead (28 at one worker, 24 at two). The backend still
-    keeps at most ``max_in_flight`` POSTs in flight. With one worker
-    scoring runs on the calling thread. A malformed answer to a group's
-    POST fails only the tasks whose own requests fail when sent again
-    alone.
+    scored at a time; README's ``--workers`` paragraph gives how many
+    threads the tokenize stage has and how far ahead it runs. A malformed
+    answer to a group's POST fails only the tasks whose own requests fail
+    when sent again alone.
 
     Each output path gets its own atomic writer, so an aborted run leaves
     none of them. When the pass ends, both stages are stopped and then
@@ -333,9 +328,7 @@ def _compress_stream(
             outputs = [(writer(job.output_path) if i else None, writer(job.dump_path))
                        for i, job in enumerate(jobs)]
             # closed before the writers and the backends, so no stage thread outlives the pass;
-            # the score stage holds one POST per worker, and the tokenize stage fills the rest
-            # of the in-flight budget (its thinking and condition POSTs go one after the other,
-            # so it keeps at least two threads per worker)
+            # stage sizes: see README's --workers paragraph
             tokenize_threads = max(2 * workers, MAX_IN_FLIGHT - workers)
             tokenized = stack.enter_context(closing(map_ordered(tokenize_instance, instances, tokenize_threads)))
             scored = stack.enter_context(

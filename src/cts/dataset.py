@@ -102,20 +102,25 @@ def _read_jsonl(
 ) -> Iterator[T]:
     """Stream ``parse(obj, line_no)`` over the JSON objects of a JSONL file, in order.
 
-    Blank lines are skipped. A line that is not JSON, not an object, or that
-    ``parse`` rejects with a DatasetError is skipped too; its error, stamped
-    with the 1-based line and the path, is appended to ``errors`` (if given).
-    A file that cannot be opened is a ConfigError.
+    Lines end at LF (a CRLF line parses too). Blank lines are skipped. A
+    line that is not UTF-8, not JSON, not an object, or that ``parse``
+    rejects with a DatasetError is skipped too; its error, stamped with the
+    1-based line and the path, is appended to ``errors`` (if given). A file
+    that cannot be opened is a ConfigError.
     """
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise ConfigError(f"cannot read input file {path!r}: {exc}") from exc
     with fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+        for line_no, raw in enumerate(fh, start=1):
             try:
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DatasetError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+                if not line.strip():
+                    continue
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:

@@ -80,17 +80,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, {"token_ids": [t for t, _ in pairs], "spans": spans})
             return
         if self.path.endswith("/logprobs"):
-            if isinstance(data, list):
-                self._send(200, [self._score(d) for d in data])
-            else:
-                self._send(200, self._score(data))
+            self._send(200, [self._score(d) for d in data])
             return
         self._send(404, {"error": "unknown path"})
 
     def _score(self, payload: dict) -> dict:
         state = self.state
         req = LogprobRequest(payload["context_ids"], payload["start"], payload["end"])
-        bits = state.backend.logprobs(req).logprobs_bits
+        bits = state.backend.logprobs_batch([req])[0].logprobs_bits
         if state.report_nats:
             bits = [b * math.log(2) for b in bits]
         if state.report_non_finite:

@@ -9,6 +9,7 @@ import pytest
 from cts.backends import (
     HttpBackend,
     HttpBackendConfig,
+    LogprobBackend,
     LogprobRequest,
     ToyBackend,
     ToyLmSpec,
@@ -75,7 +76,7 @@ class TestToyTokenize:
 class TestToyLogprobs:
     def test_uniform_rows_over_4_tokens(self, uniform4_backend):
         ctx = [t for t, _ in uniform4_backend.tokenize("ABC")]
-        resp = uniform4_backend.logprobs(LogprobRequest(ctx, 0, 3))
+        resp = uniform4_backend.logprobs_batch([LogprobRequest(ctx, 0, 3)])[0]
         assert resp.logprobs_bits == [-2.0, -2.0, -2.0]
 
     def test_bigram_half_probability(self):
@@ -90,7 +91,7 @@ class TestToyLogprobs:
         )
         backend = ToyBackend(spec)
         ctx = [t for t, _ in backend.tokenize("AB")]
-        resp = backend.logprobs(LogprobRequest(ctx, 1, 2))
+        resp = backend.logprobs_batch([LogprobRequest(ctx, 1, 2)])[0]
         assert resp.logprobs_bits == [-1.0]
 
     def test_eighth_probability_is_three_bits(self):
@@ -105,7 +106,7 @@ class TestToyLogprobs:
         )
         backend = ToyBackend(spec)
         ctx = [t for t, _ in backend.tokenize("BC")]
-        resp = backend.logprobs(LogprobRequest(ctx, 1, 2))
+        resp = backend.logprobs_batch([LogprobRequest(ctx, 1, 2)])[0]
         assert resp.logprobs_bits == [-3.0]
 
     def test_start_row_scores_position_zero(self):
@@ -115,7 +116,7 @@ class TestToyLogprobs:
         )
         backend = ToyBackend(spec)
         ctx = [t for t, _ in backend.tokenize("A")]
-        assert backend.logprobs(LogprobRequest(ctx, 0, 1)).logprobs_bits == [-2.0]
+        assert backend.logprobs_batch([LogprobRequest(ctx, 0, 1)])[0].logprobs_bits == [-2.0]
 
     def test_zero_probability_reports_negative_infinity(self):
         spec = ToyLmSpec(
@@ -124,7 +125,7 @@ class TestToyLogprobs:
         )
         backend = ToyBackend(spec)
         ctx = [t for t, _ in backend.tokenize("AB")]
-        bits = backend.logprobs(LogprobRequest(ctx, 0, 2)).logprobs_bits
+        bits = backend.logprobs_batch([LogprobRequest(ctx, 0, 2)])[0].logprobs_bits
         assert bits[0] == 0.0
         assert bits[1] == -math.inf
         assert ppl_of(bits[1]) == math.inf
@@ -136,7 +137,7 @@ class TestToyLogprobs:
         for _ in range(50):
             ctx = [rng.randrange(len(vocab)) for _ in range(rng.randint(2, 12))]
             start = rng.randrange(len(ctx))
-            resp = backend.logprobs(LogprobRequest(ctx, start, len(ctx)))
+            resp = backend.logprobs_batch([LogprobRequest(ctx, start, len(ctx))])[0]
             for offset, bits in enumerate(resp.logprobs_bits):
                 t = start + offset
                 prev = ctx[t - 1] if t > 0 else -1
@@ -146,16 +147,16 @@ class TestToyLogprobs:
     def test_determinism(self, uniform4_backend):
         ctx = [t for t, _ in uniform4_backend.tokenize("ABCA CB")]
         req = LogprobRequest(ctx, 0, len(ctx))
-        assert uniform4_backend.logprobs(req) == uniform4_backend.logprobs(req)
+        assert uniform4_backend.logprobs_batch([req])[0] == uniform4_backend.logprobs_batch([req])[0]
 
     def test_thread_safety_of_shared_backend(self, shift_backend):
         ctx = [t for t, _ in shift_backend.tokenize("ABCABC")]
         req = LogprobRequest(ctx, 0, len(ctx))
-        expected = shift_backend.logprobs(req)
+        expected = shift_backend.logprobs_batch([req])[0]
         results = [None] * 8
 
         def work(i):
-            results[i] = shift_backend.logprobs(req)
+            results[i] = shift_backend.logprobs_batch([req])[0]
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
         for t in threads:
@@ -168,11 +169,21 @@ class TestToyLogprobs:
         ctx = [0, 1, 2]
         for start, end in [(-1, 2), (2, 2), (0, 4), (3, 3)]:
             with pytest.raises(ConfigError):
-                uniform4_backend.logprobs(LogprobRequest(ctx, start, end))
+                uniform4_backend.logprobs_batch([LogprobRequest(ctx, start, end)])
 
     def test_out_of_vocabulary_id_rejected(self, uniform4_backend):
         with pytest.raises(BackendProtocolError):
-            uniform4_backend.logprobs(LogprobRequest([0, 99], 1, 2))
+            uniform4_backend.logprobs_batch([LogprobRequest([0, 99], 1, 2)])
+
+
+class TestContract:
+    def test_backend_without_logprobs_batch_cannot_be_made(self):
+        class TokenizeOnly(LogprobBackend):
+            def tokenize(self, text):
+                return []
+
+        with pytest.raises(TypeError, match="logprobs_batch"):
+            TokenizeOnly()
 
 
 class TestToyLmSpec:
@@ -223,21 +234,21 @@ class TestHttpBackend:
             assert client.tokenize(text) == shift_backend.tokenize(text)
             ctx = [t for t, _ in shift_backend.tokenize(text)]
             req = LogprobRequest(ctx, 1, len(ctx))
-            assert client.logprobs(req) == shift_backend.logprobs(req)
+            assert client.logprobs_batch([req])[0] == shift_backend.logprobs_batch([req])[0]
 
     def test_batch_matches_sequential(self, shift_backend):
         with StubServer(shift_backend) as server:
             client = self._client(server)
             ctx = [t for t, _ in shift_backend.tokenize("ABCABC")]
             reqs = [LogprobRequest(ctx, 0, 3), LogprobRequest(ctx, 3, 6)]
-            assert client.logprobs_batch(reqs) == [client.logprobs(r) for r in reqs]
+            assert client.logprobs_batch(reqs) == [client.logprobs_batch([r])[0] for r in reqs]
             assert client.logprobs_batch([]) == []
 
     def test_retries_transient_503_then_succeeds(self, uniform4_backend):
         with StubServer(uniform4_backend) as server:
             server.state.fail_next = 2
             client = self._client(server)
-            resp = client.logprobs(LogprobRequest([0, 1, 2], 0, 3))
+            resp = client.logprobs_batch([LogprobRequest([0, 1, 2], 0, 3)])[0]
             assert resp.logprobs_bits == [-2.0, -2.0, -2.0]
 
     def test_unreachable_after_retries(self, uniform4_backend):
@@ -245,14 +256,14 @@ class TestHttpBackend:
             server.state.fail_next = 99
             client = self._client(server)
             with pytest.raises(BackendUnavailable):
-                client.logprobs(LogprobRequest([0, 1], 0, 2))
+                client.logprobs_batch([LogprobRequest([0, 1], 0, 2)])
 
     def test_connection_refused(self):
         client = HttpBackend(
             HttpBackendConfig(base_url="http://127.0.0.1:9", max_retries=1, retry_backoff=0.01, timeout=0.2)
         )
         with pytest.raises(BackendUnavailable):
-            client.logprobs(LogprobRequest([0, 1], 0, 2))
+            client.logprobs_batch([LogprobRequest([0, 1], 0, 2)])
 
     def test_short_response_is_protocol_error(self, uniform4_backend):
         with StubServer(uniform4_backend) as server:
@@ -260,7 +271,7 @@ class TestHttpBackend:
             client = self._client(server)
             before = server.state.request_count
             with pytest.raises(BackendProtocolError):
-                client.logprobs(LogprobRequest([0, 1, 2], 0, 3))
+                client.logprobs_batch([LogprobRequest([0, 1, 2], 0, 3)])
             # protocol errors are not retried
             assert server.state.request_count == before + 1
 
@@ -269,7 +280,7 @@ class TestHttpBackend:
             server.state.report_non_finite = True
             client = self._client(server)
             with pytest.raises(BackendProtocolError):
-                client.logprobs(LogprobRequest([0, 1], 0, 2))
+                client.logprobs_batch([LogprobRequest([0, 1], 0, 2)])
 
     def test_corrupt_spans_rejected(self, uniform4_backend):
         with StubServer(uniform4_backend) as server:
@@ -282,18 +293,18 @@ class TestHttpBackend:
         with StubServer(uniform4_backend) as server:
             server.state.report_nats = True
             client = self._client(server, natural_log=True)
-            resp = client.logprobs(LogprobRequest([0, 1, 2], 0, 3))
+            resp = client.logprobs_batch([LogprobRequest([0, 1, 2], 0, 3)])[0]
             assert resp.logprobs_bits == pytest.approx([-2.0, -2.0, -2.0], abs=1e-12)
 
     def test_bearer_token_sent(self, uniform4_backend):
         with StubServer(uniform4_backend) as server:
             server.state.required_token = "sekret"
             client = self._client(server, token="sekret")
-            client.logprobs(LogprobRequest([0, 1], 0, 2))
+            client.logprobs_batch([LogprobRequest([0, 1], 0, 2)])
             assert server.state.seen_auth_headers[-1] == "Bearer sekret"
             unauth = self._client(server)
             with pytest.raises(BackendProtocolError):
-                unauth.logprobs(LogprobRequest([0, 1], 0, 2))
+                unauth.logprobs_batch([LogprobRequest([0, 1], 0, 2)])
 
     def test_toy_spec_json_wire_format(self, tmp_path):
         # the documented on-disk format: vocabulary list + per-previous-token rows
@@ -305,7 +316,7 @@ class TestHttpBackend:
         path.write_text(json.dumps(payload))
         backend = ToyBackend(ToyLmSpec.from_file(str(path)))
         ctx = [t for t, _ in backend.tokenize("AB")]
-        assert backend.logprobs(LogprobRequest(ctx, 0, 2)).logprobs_bits == [-1.0, 0.0]
+        assert backend.logprobs_batch([LogprobRequest(ctx, 0, 2)])[0].logprobs_bits == [-1.0, 0.0]
 
 
 TEXT = "AB"
@@ -328,13 +339,14 @@ class TestWireBoundary:
     @pytest.mark.parametrize("bits", [[None, -1.0], "-1", [-1.0, "-1"], [-1.0, 0.5], [True, -1.0]])
     def test_malformed_logprobs(self, bits):
         with pytest.raises(BackendProtocolError):
-            fake_client({"logprobs_bits": bits}).logprobs(REQUEST)
-        with pytest.raises(BackendProtocolError):
             fake_client([{"logprobs_bits": bits}]).logprobs_batch([REQUEST])
 
     def test_valid_payloads_still_parse(self):
         assert fake_client({"token_ids": [0, 1], "spans": ["A", "B"]}).tokenize(TEXT) == [(0, "A"), (1, "B")]
-        assert fake_client({"logprobs_bits": [-1, 0.0]}).logprobs(REQUEST).logprobs_bits == [-1.0, 0.0]
+        assert fake_client([{"logprobs_bits": [-1, 0.0]}]).logprobs_batch([REQUEST])[0].logprobs_bits == [-1.0, 0.0]
+        # one response object, not an array of them, is malformed however valid the object
+        with pytest.raises(BackendProtocolError):
+            fake_client({"logprobs_bits": [-1, 0.0]}).logprobs_batch([REQUEST])
 
     def test_malformed_tokenize_is_a_per_instance_scoring_error(self):
         client = fake_client({"token_ids": ["x", 1], "spans": ["A", "B"]})

@@ -680,3 +680,34 @@ class TestStats:
         for key in ("instances_ok", "kept_tokens_total", "original_tokens_total",
                     "mean_actual_ratio", "actual_ratio_per_token"):
             assert stats[key] == report[key]
+
+
+class TestNotUtf8:
+    """A line that is not UTF-8 is a skipped record, like a line that is not JSON, never a traceback."""
+
+    @pytest.fixture
+    def mixed(self, toy_env):
+        assert run_cli(compress_args(toy_env)) == 0
+        lines = (toy_env["dir"] / "out.jsonl").read_bytes().splitlines(keepends=True)
+        path = toy_env["dir"] / "mixed.jsonl"
+        path.write_bytes(lines[0] + b"\xff\xfe\n" + b"".join(lines[1:]))
+        return path, len(lines)
+
+    def test_stats_skips_the_line(self, mixed, capsys, caplog):
+        path, n = mixed
+        capsys.readouterr()
+        assert run_cli(["stats", "--input", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["instances_ok"] == n
+        assert "Traceback" not in err
+        assert f"{path}:2: not UTF-8" in caplog.text
+
+    @pytest.mark.parametrize("lenient, code", [(False, 1), (True, 0)])
+    def test_emit_sft_skips_the_line(self, mixed, toy_env, capsys, caplog, lenient, code):
+        path, n = mixed
+        sft = toy_env["dir"] / "sft.jsonl"
+        assert run_cli(["emit", "sft", "--input", str(path), "--output", str(sft),
+                        *(["--lenient"] if lenient else [])]) == code
+        assert len(read_jsonl_file(sft)) == n
+        assert "Traceback" not in capsys.readouterr().err
+        assert f"{path}:2: not UTF-8" in caplog.text

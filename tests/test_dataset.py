@@ -288,15 +288,18 @@ READERS = [
 def test_reader_skips_and_reports_each_bad_line(tmp_path, reader, good, required, identity):
     missing = good(9)
     del missing[required]
-    lines = [good(0), "{oops", good(1), "[1]", good(2), missing, good(3)]
+    lines = [good(0), "{oops", good(1), "[1]", good(2), missing, good(3), b"\xff\xfe", good(4)]
     path = tmp_path / "in.jsonl"
-    path.write_text(
-        "".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in lines),
-        encoding="utf-8",
-    )
+    # LF and CRLF line ends alternate
+    path.write_bytes(b"".join(
+        (line if isinstance(line, bytes) else (line if isinstance(line, str) else json.dumps(line)).encode("utf-8"))
+        + (b"\r\n" if i % 2 else b"\n")
+        for i, line in enumerate(lines)
+    ))
     errors = []
-    assert [identity(x) for x in reader(str(path), errors=errors)] == ["r0", "r1", "r2", "r3"]
-    assert [err.line for err in errors] == [2, 4, 6]
+    assert [identity(x) for x in reader(str(path), errors=errors)] == ["r0", "r1", "r2", "r3", "r4"]
+    assert [err.line for err in errors] == [2, 4, 6, 8]
     for err in errors:
         assert isinstance(err, DatasetError)
         assert str(err).startswith(f"{path}:{err.line}: ")
+    assert str(errors[-1]).startswith(f"{path}:8: not UTF-8: ")

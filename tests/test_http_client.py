@@ -94,7 +94,7 @@ class TestKeepAlive:
             client, sleeps = client_for(server)
             with closing(client):
                 for _ in range(5):
-                    assert client.logprobs(REQUEST) == shift_backend.logprobs(REQUEST)
+                    assert client.logprobs_batch([REQUEST])[0] == shift_backend.logprobs_batch([REQUEST])[0]
             assert server.state.request_count == 5
             assert len(server.accepted) == 5
             assert sleeps == []
@@ -104,7 +104,7 @@ class TestKeepAlive:
             client, sleeps = client_for(server)
             with closing(client):
                 for _ in range(5):
-                    assert client.logprobs(REQUEST) == shift_backend.logprobs(REQUEST)
+                    assert client.logprobs_batch([REQUEST])[0] == shift_backend.logprobs_batch([REQUEST])[0]
             assert len(server.accepted) == server.state.request_count == 5
             assert sleeps == []
 
@@ -122,7 +122,7 @@ class TestKeepAlive:
         with CountingStub(shift_backend) as server:
             client, sleeps = client_for(server, token="tok\nen", max_retries=2)
             with closing(client), pytest.raises(BackendError) as exc:
-                client.logprobs(REQUEST)
+                client.logprobs_batch([REQUEST])
             assert type(exc.value) is BackendError  # not retried, not unavailable
             assert sleeps == [] and server.state.request_count == 0
 
@@ -138,7 +138,7 @@ class TestLifecycle:
             def work():
                 start.wait()
                 for _ in range(posts):
-                    answers.append(client.logprobs(REQUEST))
+                    answers.append(client.logprobs_batch([REQUEST])[0])
 
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -151,7 +151,7 @@ class TestLifecycle:
             finally:
                 sys.setswitchinterval(interval)
             assert not any(thread.is_alive() for thread in threads)
-            assert answers == [shift_backend.logprobs(REQUEST)] * (n_threads * posts)
+            assert answers == [shift_backend.logprobs_batch([REQUEST])[0]] * (n_threads * posts)
             # one connection per thread; the threads have ended, their connections are still open
             assert len(server.accepted) == n_threads
             assert not server.wait_until_all_closed(timeout=0.1)
@@ -181,6 +181,7 @@ class ToyTransport:
     def __init__(self, backend):
         self.backend = backend
         self.posts: list[tuple[str, threading.Thread]] = []  # list.append is atomic
+        self.logprobs_bodies: list = []  # each /logprobs body, parsed
 
     def post(self, path, body, headers):
         self.posts.append((path, threading.current_thread()))
@@ -189,8 +190,9 @@ class ToyTransport:
             pairs = self.backend.tokenize(data["text"])
             reply = {"token_ids": [t for t, _ in pairs], "spans": [s for _, s in pairs]}
         else:
+            self.logprobs_bodies.append(data)
             requests_ = [LogprobRequest(d["context_ids"], d["start"], d["end"]) for d in data]
-            reply = [{"logprobs_bits": self.backend.logprobs(r).logprobs_bits} for r in requests_]
+            reply = [{"logprobs_bits": a.logprobs_bits} for a in self.backend.logprobs_batch(requests_)]
         return 200, {}, json.dumps(reply).encode("utf-8")
 
 
@@ -321,6 +323,9 @@ class TestPipeline:
         # scoring stays on the calling thread; tokenization runs ahead on the tokenize stage's threads
         scorers = {thread for path, thread in transport.posts if path == "/logprobs"}
         assert scorers == {threading.current_thread()}
+        # the client sends /logprobs only as an array of request objects
+        assert len(transport.logprobs_bodies) == math.ceil(len(records) / SCORE_GROUP)
+        assert all(isinstance(body, list) for body in transport.logprobs_bodies)
 
 
 class CorruptReplies(ToyTransport):
@@ -371,8 +376,9 @@ class TestCoalescedScoring:
         bad = 5  # in the group of instances 4-7
         transport = CorruptReplies(ToyBackend(shift_spec()), records[bad]["thinking"])
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)
-        # the group's POST failed, then each of its 4 instances was sent alone
+        # the group's POST failed, then each of its 4 instances was sent alone, each as an array too
         assert len(transport.posts) == posts_for(records) + SCORE_GROUP
+        assert all(isinstance(body, list) for body in transport.logprobs_bodies)
         expected = _compress_with_toy(corpus_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
         lines = expected.splitlines(keepends=True)
         assert written == b"".join(lines[:bad] + lines[bad + 1:])
@@ -483,7 +489,7 @@ class Replies:
         if self.replies:
             status, reply_headers = self.replies.pop(0)
             return status, reply_headers, b'{"error": "busy"}'
-        return 200, {}, b'{"logprobs_bits": [-1.0, -1.0, -1.0]}'
+        return 200, {}, b'[{"logprobs_bits": [-1.0, -1.0, -1.0]}]'
 
 
 def retrying_client(transport, backoff=0.5, retries=3, uniform=None):
@@ -502,7 +508,7 @@ class TestRetryBackoff:
             return random.Random(len(bounds)).uniform(low, high)
 
         client, sleeps = retrying_client(Replies((503, {}), (502, {}), (500, {})), uniform=uniform)
-        assert client.logprobs(REQUEST).logprobs_bits == [-1.0, -1.0, -1.0]
+        assert client.logprobs_batch([REQUEST])[0].logprobs_bits == [-1.0, -1.0, -1.0]
         assert bounds == [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0)]
         assert len(sleeps) == 3
         assert all(0.0 <= s <= high for s, (_, high) in zip(sleeps, bounds))
@@ -510,7 +516,7 @@ class TestRetryBackoff:
 
     def test_retry_after_of_a_503_sets_the_sleep(self):
         client, sleeps = retrying_client(Replies((503, {"Retry-After": "2"}), (503, {})), backoff=0.25)
-        client.logprobs(REQUEST)
+        client.logprobs_batch([REQUEST])
         assert sleeps[0] == 2.0
         assert 0.0 <= sleeps[1] <= 0.5  # the next wait is jittered again
 
@@ -521,13 +527,13 @@ class TestRetryBackoff:
     ])
     def test_other_retry_after_values_are_jittered(self, status, value):
         client, sleeps = retrying_client(Replies((status, {"Retry-After": value})), backoff=0.25)
-        client.logprobs(REQUEST)
+        client.logprobs_batch([REQUEST])
         assert len(sleeps) == 1 and 0.0 <= sleeps[0] <= 0.25
 
     def test_unavailable_after_the_last_retry_without_a_final_sleep(self):
         client, sleeps = retrying_client(Replies(*[(503, {})] * 4), retries=3)
         with pytest.raises(BackendUnavailable, match="after 4 attempts"):
-            client.logprobs(REQUEST)
+            client.logprobs_batch([REQUEST])
         assert len(sleeps) == 3
 
 

@@ -42,7 +42,11 @@ def rows_from(scores: list[float]) -> list[TokenScoreRow]:
 
 
 class RecordingBackend(LogprobBackend):
-    """Delegates to a ToyBackend while logging every tokenize call and scoring request."""
+    """Delegates to a ToyBackend while logging every tokenize call and scoring request.
+
+    It defines only the abstract methods, so it is also the smallest backend
+    the contract allows.
+    """
 
     def __init__(self, inner: ToyBackend):
         self.inner = inner
@@ -55,14 +59,11 @@ class RecordingBackend(LogprobBackend):
         self.tokenized.append(text)
         return self.inner.tokenize(text)
 
-    def logprobs(self, request):
-        self.requests.append((tuple(request.context), request.start, request.end))
-        return self.inner.logprobs(request)
-
     def logprobs_batch(self, requests_):
         self.batches += 1
         self.batch_sizes.append(len(requests_))
-        return [self.logprobs(r) for r in requests_]
+        self.requests.extend((tuple(r.context), r.start, r.end) for r in requests_)
+        return self.inner.logprobs_batch(requests_)
 
 
 class TestBuildContexts:
@@ -397,9 +398,10 @@ class TestRequestBudget:
     def test_requests_per_instance(self, shift_backend, conditional, scope, segments):
         backend = RecordingBackend(shift_backend)
         cfg = config(conditional=conditional, selection_scope=scope, segment_budget=8, boundary_slack=0)
-        compress_instance(instance("ABC " * 10), cfg, backend)
+        result = compress_instance(instance("ABC " * 10), cfg, backend)
         assert backend.tokenized == ["ABC " * 10] + (["42:"] if conditional else [])
         assert backend.batches == segments
+        assert result == compress_instance(instance("ABC " * 10), cfg, backend.inner)
 
     def test_toy_tokenizes_thinking_then_condition_on_the_calling_thread(self, shift_backend, monkeypatch):
         calls = []
