@@ -1,6 +1,6 @@
 """Log-probability backends.
 
-A backend is anything that can (a) tokenize text into (token id, surface
+A backend is anything that can (a) tokenize texts into (token id, surface
 span) pairs whose spans concatenate back to the input, and (b) report
 per-position next-token log probabilities, base 2, for a batch of spans
 of id contexts. Two implementations ship here:
@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 from .errors import BackendError, BackendProtocolError, BackendUnavailable, ConfigError, TokenizeError
 
 START = "START"  # reserved table key for the start-of-sequence distribution
-# POSTs an HttpBackend keeps in flight; the CLI also sizes its tokenize stage from it
+# POSTs an HttpBackend keeps in flight
 MAX_IN_FLIGHT = 8
 
 
@@ -58,6 +58,12 @@ def ppl_of(logprob_bits: float) -> float:
     return 2.0 ** (-logprob_bits)
 
 
+def _texts(texts: Sequence[str]) -> Sequence[str]:
+    if isinstance(texts, str):  # a str is a sequence of str too: one text per character
+        raise TypeError("tokenize takes a sequence of texts, not a str")
+    return texts
+
+
 def _validate_request(request: LogprobRequest, context_limit: int | None = None) -> None:
     n = len(request.context)
     if not (0 <= request.start < request.end <= n):
@@ -73,16 +79,14 @@ def _validate_request(request: LogprobRequest, context_limit: int | None = None)
 class LogprobBackend(abc.ABC):
     """Uniform contract for obtaining per-token log probabilities."""
 
-    name: str = "backend"
-
     @abc.abstractmethod
-    def tokenize(self, text: str) -> list[tuple[int, str]]:
-        """Split text into (token id, surface span) pairs.
+    def tokenize(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
+        """Split each text into (token id, surface span) pairs, answers in input order.
 
-        The concatenation of spans equals the input byte-for-byte and the
-        result is deterministic for a fixed backend. Note that tokenize(x) +
-        tokenize(y) need not equal tokenize(x + y); callers must tokenize
-        each text field once and concatenate ids.
+        A bare str raises TypeError. A text's spans concatenate to it byte
+        for byte, and the answer is deterministic for a fixed backend.
+        tokenize(x) + tokenize(y) need not equal tokenize(x + y); callers
+        must tokenize each text field once and concatenate ids.
         """
 
     @abc.abstractmethod
@@ -146,8 +150,6 @@ class ToyLmSpec:
 class ToyBackend(LogprobBackend):
     """Deterministic table-model backend; the reference-model stand-in for tests."""
 
-    name = "toy"
-
     def __init__(self, spec: ToyLmSpec):
         spec.validate()
         self.spec = spec
@@ -159,11 +161,10 @@ class ToyBackend(LogprobBackend):
             prev_id = -1 if prev == START else self._token_to_id[prev]
             self._rows[prev_id] = {self._token_to_id[tok]: p for tok, p in row.items()}
 
-    @property
-    def vocab_size(self) -> int:
-        return len(self.spec.vocabulary)
+    def tokenize(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
+        return [self._tokenize(text) for text in _texts(texts)]
 
-    def tokenize(self, text: str) -> list[tuple[int, str]]:
+    def _tokenize(self, text: str) -> list[tuple[int, str]]:
         # greedy longest match over the closed vocabulary
         out: list[tuple[int, str]] = []
         i = 0
@@ -191,7 +192,7 @@ class ToyBackend(LogprobBackend):
         return [self._score(r) for r in requests_]
 
     def _score(self, request: LogprobRequest) -> LogprobResponse:
-        _validate_request(request, context_limit=self.vocab_size)
+        _validate_request(request, context_limit=len(self.spec.vocabulary))
         ctx = request.context
         bits: list[float] = []
         for t in range(request.start, request.end):
@@ -239,10 +240,10 @@ class HttpBackendConfig:
 class HttpBackend(LogprobBackend):
     """Client for a remote scoring endpoint.
 
-    POST <base>/logprobs with a JSON array of request objects
-    {"context_ids": [...], "start": s, "end": e} returns an array of
-    {"logprobs_bits": [...]}, one per request. POST <base>/tokenize with
-    {"text": ...} returns {"token_ids": [...], "spans": [...]}.
+    POST <base>/logprobs with an array of {"context_ids": [...], "start":
+    s, "end": e} returns an array of {"logprobs_bits": [...]}, and POST
+    <base>/tokenize with an array of {"text": ...} returns an array of
+    {"token_ids": [...], "spans": [...]}, one answer per object, in order.
 
     Each thread sends its POSTs over one keep-alive connection of its own;
     ``close`` closes them all. ``transport`` replaces that connection with
@@ -258,8 +259,6 @@ class HttpBackend(LogprobBackend):
     idempotent so retries are safe. ``sleep`` and ``uniform`` are the clock
     and random source of the backoff.
     """
-
-    name = "http"
 
     def __init__(
         self,
@@ -354,8 +353,14 @@ class HttpBackend(LogprobBackend):
             f"{url} unreachable after {self.config.max_retries + 1} attempts: {last_exc}"
         ) from last_exc
 
-    def tokenize(self, text: str) -> list[tuple[int, str]]:
-        data = self._post("/tokenize", {"text": text})
+    def tokenize(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
+        data = self._post("/tokenize", [{"text": text} for text in _texts(texts)])
+        if not isinstance(data, list) or len(data) != len(texts):
+            raise BackendProtocolError("batched tokenize response is not a matching-length array")
+        return [self._parse_tokens(d, text) for d, text in zip(data, texts)]
+
+    @staticmethod
+    def _parse_tokens(data, text: str) -> list[tuple[int, str]]:
         ids = data.get("token_ids") if isinstance(data, dict) else None
         spans = data.get("spans") if isinstance(data, dict) else None
         if not isinstance(ids, list) or not isinstance(spans, list):

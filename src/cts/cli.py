@@ -24,7 +24,7 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from .backends import MAX_IN_FLIGHT, HttpBackend, HttpBackendConfig, LogprobBackend, ToyBackend, ToyLmSpec
+from .backends import HttpBackend, HttpBackendConfig, LogprobBackend, ToyBackend, ToyLmSpec
 from .dataset import (
     CompressedInstance,
     JsonlWriter,
@@ -47,6 +47,7 @@ from .selector import (
     build_contexts,
     compress_instance,  # noqa: F401  not called here; bench/cli_child.py instruments cts.cli by this name
     compress_steps,
+    context_texts,
     run_lockstep,
     score_rows_to_dicts,
 )
@@ -63,7 +64,7 @@ EXIT_BACKEND = 3
 EXIT_INTERRUPT = 130
 
 MAX_WORKERS = 64
-# instances scored in lockstep by one score-stage call: each step of theirs is one /logprobs POST
+# instances tokenized and scored together: one /tokenize POST, then one /logprobs POST per step
 SCORE_GROUP = 4
 
 
@@ -188,22 +189,14 @@ def build_backend(descriptor: str | None) -> LogprobBackend:
 
 
 def _schema_from(args: argparse.Namespace) -> dict[str, str]:
-    schema = {}
-    for canon, flag in (("problem", "problem_key"), ("thinking", "thinking_key"),
-                        ("answer", "answer_key"), ("id", "id_key")):
-        value = getattr(args, flag, None)
-        if value:
-            schema[canon] = value
-    return schema
+    flags = {"problem": "problem_key", "thinking": "thinking_key", "answer": "answer_key", "id": "id_key"}
+    return {canon: getattr(args, flag) for canon, flag in flags.items() if getattr(args, flag, None)}
 
 
 def _config_echo(settings: dict[str, Any], config: SelectionConfig, args: argparse.Namespace) -> dict[str, Any]:
     echo = dataclasses.asdict(config)
-    echo["backend"] = settings["backend"]
-    echo["workers"] = settings["workers"]
-    echo["lenient"] = settings["lenient"]
-    echo["input"] = getattr(args, "input", None)
-    echo["output"] = getattr(args, "output", None)
+    echo.update({key: settings[key] for key in ("backend", "workers", "lenient")})
+    echo.update(input=getattr(args, "input", None), output=getattr(args, "output", None))
     return echo
 
 
@@ -277,19 +270,16 @@ def _compress_stream(
 ) -> tuple[list[ReportBuilder], bool]:
     """Read the input once and run every job on each instance; returns (builders, interrupted).
 
-    Each instance passes two ordered stages. The first tokenizes it for
-    every job, through one RequestCache per backend so that jobs sharing a
-    backend tokenize a text once, and hands on only the ScoringContexts; a
-    job whose texts cannot be tokenized fails there. The second scores and
-    selects consecutive groups of SCORE_GROUP instances in lockstep
-    (``run_lockstep``): one task per instance and job, whose requests at
-    each segment step go out as one /logprobs POST per backend, with the
-    requests the jobs share sent once. So an instance's /tokenize round
-    trips run while earlier groups are scored. ``workers`` groups are
-    scored at a time; README's ``--workers`` paragraph gives how many
-    threads the tokenize stage has and how far ahead it runs. A malformed
-    answer to a group's POST fails only the tasks whose own requests fail
-    when sent again alone.
+    Groups of SCORE_GROUP consecutive instances pass two ordered stages.
+    The first makes one tokenize call per backend with the distinct texts
+    of the group's instances and jobs (a RequestCache) and hands on the
+    ScoringContexts; a job whose texts cannot be tokenized fails there. The
+    second scores and selects the group in lockstep (``run_lockstep``): at
+    each segment step, one /logprobs POST per backend holds the distinct
+    requests of every instance and job. The first stage tokenizes 2 *
+    ``workers`` groups at a time, ahead of the ``workers`` groups being
+    scored. A failed batch of either stage is sent again piece by piece, so
+    only the instances whose own texts or requests fail are lost.
 
     Each output path gets its own atomic writer, so an aborted run leaves
     none of them. When the pass ends, both stages are stopped and then
@@ -299,9 +289,14 @@ def _compress_stream(
     instances = read_dataset(args.input, _schema_from(args), errors=read_errors)
     builders = [ReportBuilder() for _ in jobs]
 
-    def tokenize_instance(instance):
-        caches = {job.backend: RequestCache(job.backend) for job in jobs}
-        return instance, [_attempt(build_contexts, instance, job.config, caches[job.backend]) for job in jobs]
+    def tokenize_group(group):
+        caches = {}
+        for backend in dict.fromkeys(job.backend for job in jobs):
+            texts = [text for instance in group for job in jobs if job.backend is backend
+                     for text in context_texts(instance, job.config)]
+            caches[backend] = RequestCache(backend, texts)
+        return [(instance, [_attempt(build_contexts, instance, job.config, caches[job.backend]) for job in jobs])
+                for instance in group]
 
     def score_group(group):
         tasks, slots = [], []
@@ -327,13 +322,10 @@ def _compress_stream(
             # pass; every other output is written alongside it
             outputs = [(writer(job.output_path) if i else None, writer(job.dump_path))
                        for i, job in enumerate(jobs)]
-            # closed before the writers and the backends, so no stage thread outlives the pass;
-            # stage sizes: see README's --workers paragraph
-            tokenize_threads = max(2 * workers, MAX_IN_FLIGHT - workers)
-            tokenized = stack.enter_context(closing(map_ordered(tokenize_instance, instances, tokenize_threads)))
-            scored = stack.enter_context(
-                closing(map_ordered(score_group, _groups(tokenized, SCORE_GROUP), workers))
-            )
+            # closed before the writers and the backends, so no stage thread outlives the pass
+            groups = _groups(instances, SCORE_GROUP)
+            tokenized = stack.enter_context(closing(map_ordered(tokenize_group, groups, 2 * workers)))
+            scored = stack.enter_context(closing(map_ordered(score_group, tokenized, workers)))
             results = itertools.chain.from_iterable(scored)
 
             def first_records() -> Iterator[CompressedInstance]:
@@ -455,7 +447,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     errors: list[DatasetError] = []
-    report = report_from_records(read_compressed_dataset(args.input, errors=errors), source=args.input)
+    report = report_from_records(read_compressed_dataset(args.input, errors=errors), args.input, errors)
     _log_skipped(errors)
     print(json.dumps(report.to_dict(), ensure_ascii=False))
     return EXIT_OK

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Sized
 
 from .dataset import CompressedInstance
 
@@ -63,9 +63,10 @@ class ReportBuilder:
         )
 
 
-def report_from_records(records: Iterable[CompressedInstance], source: str = "") -> RunReport:
-    """Recompute the aggregate metrics from a compressed dataset alone."""
+def report_from_records(records: Iterable[CompressedInstance], source: str = "", errors: Sized = ()) -> RunReport:
+    """Recompute the aggregate metrics from a compressed dataset; each of the reader's ``errors`` is a failure."""
     builder = ReportBuilder()
     for record in records:
         builder.add_ok(record)
+    builder.add_failed(len(errors))
     return builder.build(0.0, {"source": source} if source else {})

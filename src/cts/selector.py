@@ -142,23 +142,31 @@ class ScoringContexts:
 
 
 class RequestCache:
-    """Per-instance memo of tokenize calls, shared by the selections run on one instance.
+    """Per-group memo of one backend's tokenize answers, shared by the selections run on the group.
 
-    It answers ``tokenize`` like the backend it wraps: a text is tokenized
-    once, and a failure is not remembered. Callers share the answers, so
-    they must not mutate them. The CLI's tokenize stage makes one per
-    backend for each instance and drops it once the instance's contexts are
-    built; scoring requests are shared by ``run_lockstep`` instead.
+    It answers ``tokenize`` like the backend it wraps. One batched call of
+    ``texts`` fills it; when that call fails (but for BackendUnavailable) it
+    holds nothing, and each text is then tokenized alone when first asked
+    for, so a failure lands on the instance whose own text fails. A failure
+    is not remembered. Callers share the answers and must not mutate them.
     """
 
-    def __init__(self, backend: LogprobBackend):
+    def __init__(self, backend: LogprobBackend, texts: Sequence[str]):
         self.backend = backend
         self._tokens: dict[str, list[tuple[int, str]]] = {}
+        distinct = list(dict.fromkeys(texts))
+        try:
+            self._tokens = dict(zip(distinct, backend.tokenize(distinct) if distinct else []))
+        except BackendUnavailable:
+            raise
+        except CtsError:
+            pass
 
-    def tokenize(self, text: str) -> list[tuple[int, str]]:
-        if text not in self._tokens:
-            self._tokens[text] = self.backend.tokenize(text)
-        return self._tokens[text]
+    def tokenize(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
+        for text in texts:
+            if text not in self._tokens:
+                self._tokens[text] = self.backend.tokenize([text])[0]
+        return [self._tokens[text] for text in texts]
 
 
 def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
@@ -175,7 +183,7 @@ def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
 def build_contexts(
     instance: CotInstance, config: SelectionConfig, backend: LogprobBackend | RequestCache
 ) -> ScoringContexts:
-    """Tokenize the thinking text, then the condition.
+    """Tokenize the thinking text, then the condition, one tokenize call each.
 
     This is the only place the pipeline tokenizes. A text the backend cannot
     tokenize becomes a ScoringError naming the instance and the field; the
@@ -190,9 +198,9 @@ def build_contexts(
     condition = render_condition(config, instance)
     field = "thinking"
     try:
-        thinking = backend.tokenize(instance.thinking)
+        thinking = backend.tokenize([instance.thinking])[0]
         field = "condition"
-        cond_tokens = backend.tokenize(condition) if condition else []
+        cond_tokens = backend.tokenize([condition])[0] if condition else []
     except BackendUnavailable:
         raise
     except CtsError as exc:
@@ -204,6 +212,15 @@ def build_contexts(
         thinking_spans=[s for _, s in thinking],
         cond_prefix=[t for t, _ in cond_tokens],
     )
+
+
+def context_texts(instance: CotInstance, config: SelectionConfig) -> list[str]:
+    """The texts build_contexts tokenizes for the instance, in order; a condition it cannot render is left to it."""
+    try:
+        condition = render_condition(config, instance) if instance.thinking else ""
+    except ConfigError:
+        condition = ""
+    return [text for text in (instance.thinking, condition) if text]
 
 
 def _diff(a: float, b: float) -> float:

@@ -19,9 +19,9 @@ from cts.errors import TokenizeError
 class UntokenizableAnswers(ToyBackend):
     """A stub model that answers a text outside its vocabulary with no tokens, which the client rejects."""
 
-    def tokenize(self, text):
+    def _tokenize(self, text):
         try:
-            return super().tokenize(text)
+            return super()._tokenize(text)
         except TokenizeError:
             return []
 
@@ -73,16 +73,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(503, {"error": "busy"})
             return
         if self.path.endswith("/tokenize"):
-            pairs = state.backend.tokenize(data["text"])
-            spans = [s for _, s in pairs]
-            if state.corrupt_spans and spans:
-                spans = spans[:-1] + [spans[-1] + "?"]
-            self._send(200, {"token_ids": [t for t, _ in pairs], "spans": spans})
+            self._send(200, [self._tokens(pairs) for pairs in state.backend.tokenize([d["text"] for d in data])])
             return
         if self.path.endswith("/logprobs"):
             self._send(200, [self._score(d) for d in data])
             return
         self._send(404, {"error": "unknown path"})
+
+    def _tokens(self, pairs: list) -> dict:
+        spans = [s for _, s in pairs]
+        if self.state.corrupt_spans and spans:
+            spans = spans[:-1] + [spans[-1] + "?"]
+        return {"token_ids": [t for t, _ in pairs], "spans": spans}
 
     def _score(self, payload: dict) -> dict:
         state = self.state

@@ -46,36 +46,45 @@ class TestPplOf:
 
 class TestToyTokenize:
     def test_whitespace_preserving_split(self, uniform4_backend):
-        pairs = uniform4_backend.tokenize("A B")
+        pairs = uniform4_backend.tokenize(["A B"])[0]
         assert [s for _, s in pairs] == ["A", " ", "B"]
         ids = [t for t, _ in pairs]
         assert ids == [uniform4_backend._token_to_id[s] for s in ("A", " ", "B")]
 
     def test_empty_text(self, uniform4_backend):
-        assert uniform4_backend.tokenize("") == []
+        assert uniform4_backend.tokenize([""])[0] == []
 
     def test_spans_concatenate_to_input(self, uniform4_backend):
         text = "ABC A CB  BA"
-        pairs = uniform4_backend.tokenize(text)
+        pairs = uniform4_backend.tokenize([text])[0]
         assert "".join(s for _, s in pairs) == text
 
     def test_unknown_span_reports_offset(self, uniform4_backend):
         with pytest.raises(TokenizeError) as exc:
-            uniform4_backend.tokenize("AXB")
+            uniform4_backend.tokenize(["AXB"])
         assert "offset 1" in str(exc.value)
         assert "X" in str(exc.value)
 
     def test_greedy_longest_match(self):
         spec = uniform_spec(["a", "ab", "b"])
         backend = ToyBackend(spec)
-        assert [s for _, s in backend.tokenize("ab")] == ["ab"]
-        assert [s for _, s in backend.tokenize("ba")] == ["b", "a"]
-        assert [s for _, s in backend.tokenize("abb")] == ["ab", "b"]
+        assert [s for _, s in backend.tokenize(["ab"])[0]] == ["ab"]
+        assert [s for _, s in backend.tokenize(["ba"])[0]] == ["b", "a"]
+        assert [s for _, s in backend.tokenize(["abb"])[0]] == ["ab", "b"]
+
+    def test_answers_in_input_order(self, uniform4_backend):
+        texts = ["A B", "", "CBA", "A B"]
+        assert uniform4_backend.tokenize(texts) == [uniform4_backend.tokenize([t])[0] for t in texts]
+        assert uniform4_backend.tokenize([]) == []
+
+    def test_bare_string_is_not_a_batch(self, uniform4_backend):
+        with pytest.raises(TypeError, match="not a str"):
+            uniform4_backend.tokenize("AB")
 
 
 class TestToyLogprobs:
     def test_uniform_rows_over_4_tokens(self, uniform4_backend):
-        ctx = [t for t, _ in uniform4_backend.tokenize("ABC")]
+        ctx = [t for t, _ in uniform4_backend.tokenize(["ABC"])[0]]
         resp = uniform4_backend.logprobs_batch([LogprobRequest(ctx, 0, 3)])[0]
         assert resp.logprobs_bits == [-2.0, -2.0, -2.0]
 
@@ -90,7 +99,7 @@ class TestToyLogprobs:
             },
         )
         backend = ToyBackend(spec)
-        ctx = [t for t, _ in backend.tokenize("AB")]
+        ctx = [t for t, _ in backend.tokenize(["AB"])[0]]
         resp = backend.logprobs_batch([LogprobRequest(ctx, 1, 2)])[0]
         assert resp.logprobs_bits == [-1.0]
 
@@ -105,7 +114,7 @@ class TestToyLogprobs:
             },
         )
         backend = ToyBackend(spec)
-        ctx = [t for t, _ in backend.tokenize("BC")]
+        ctx = [t for t, _ in backend.tokenize(["BC"])[0]]
         resp = backend.logprobs_batch([LogprobRequest(ctx, 1, 2)])[0]
         assert resp.logprobs_bits == [-3.0]
 
@@ -115,7 +124,7 @@ class TestToyLogprobs:
             table={"START": {"A": 0.25, "B": 0.75}, "A": {"A": 0.5, "B": 0.5}, "B": {"A": 1.0}},
         )
         backend = ToyBackend(spec)
-        ctx = [t for t, _ in backend.tokenize("A")]
+        ctx = [t for t, _ in backend.tokenize(["A"])[0]]
         assert backend.logprobs_batch([LogprobRequest(ctx, 0, 1)])[0].logprobs_bits == [-2.0]
 
     def test_zero_probability_reports_negative_infinity(self):
@@ -124,7 +133,7 @@ class TestToyLogprobs:
             table={"START": {"A": 1.0}, "A": {"A": 1.0}, "B": {"A": 1.0}},
         )
         backend = ToyBackend(spec)
-        ctx = [t for t, _ in backend.tokenize("AB")]
+        ctx = [t for t, _ in backend.tokenize(["AB"])[0]]
         bits = backend.logprobs_batch([LogprobRequest(ctx, 0, 2)])[0].logprobs_bits
         assert bits[0] == 0.0
         assert bits[1] == -math.inf
@@ -145,12 +154,12 @@ class TestToyLogprobs:
                 assert ppl_of(bits) == pytest.approx(1.0 / p, abs=1e-12)
 
     def test_determinism(self, uniform4_backend):
-        ctx = [t for t, _ in uniform4_backend.tokenize("ABCA CB")]
+        ctx = [t for t, _ in uniform4_backend.tokenize(["ABCA CB"])[0]]
         req = LogprobRequest(ctx, 0, len(ctx))
         assert uniform4_backend.logprobs_batch([req])[0] == uniform4_backend.logprobs_batch([req])[0]
 
     def test_thread_safety_of_shared_backend(self, shift_backend):
-        ctx = [t for t, _ in shift_backend.tokenize("ABCABC")]
+        ctx = [t for t, _ in shift_backend.tokenize(["ABCABC"])[0]]
         req = LogprobRequest(ctx, 0, len(ctx))
         expected = shift_backend.logprobs_batch([req])[0]
         results = [None] * 8
@@ -179,8 +188,8 @@ class TestToyLogprobs:
 class TestContract:
     def test_backend_without_logprobs_batch_cannot_be_made(self):
         class TokenizeOnly(LogprobBackend):
-            def tokenize(self, text):
-                return []
+            def tokenize(self, texts):
+                return [[] for _ in texts]
 
         with pytest.raises(TypeError, match="logprobs_batch"):
             TokenizeOnly()
@@ -231,15 +240,29 @@ class TestHttpBackend:
         with StubServer(shift_backend) as server:
             client = self._client(server)
             text = "AB C:42"
-            assert client.tokenize(text) == shift_backend.tokenize(text)
-            ctx = [t for t, _ in shift_backend.tokenize(text)]
+            assert client.tokenize([text])[0] == shift_backend.tokenize([text])[0]
+            ctx = [t for t, _ in shift_backend.tokenize([text])[0]]
             req = LogprobRequest(ctx, 1, len(ctx))
             assert client.logprobs_batch([req])[0] == shift_backend.logprobs_batch([req])[0]
+
+    def test_tokenize_is_one_post_answered_in_order(self, shift_backend):
+        with StubServer(shift_backend) as server:
+            client = self._client(server)
+            texts = ["AB C", "42:", "AB C"]
+            assert client.tokenize(texts) == shift_backend.tokenize(texts)
+            assert server.state.request_count == 1
+
+    def test_bare_string_is_not_a_batch(self):
+        transport = FakeTransport([{"token_ids": [0], "spans": ["A"]}])
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake"), transport.post)
+        with pytest.raises(TypeError, match="not a str"):
+            client.tokenize("A")
+        assert transport.posts == 0
 
     def test_batch_matches_sequential(self, shift_backend):
         with StubServer(shift_backend) as server:
             client = self._client(server)
-            ctx = [t for t, _ in shift_backend.tokenize("ABCABC")]
+            ctx = [t for t, _ in shift_backend.tokenize(["ABCABC"])[0]]
             reqs = [LogprobRequest(ctx, 0, 3), LogprobRequest(ctx, 3, 6)]
             assert client.logprobs_batch(reqs) == [client.logprobs_batch([r])[0] for r in reqs]
             assert client.logprobs_batch([]) == []
@@ -287,7 +310,7 @@ class TestHttpBackend:
             server.state.corrupt_spans = True
             client = self._client(server)
             with pytest.raises(BackendProtocolError):
-                client.tokenize("AB")
+                client.tokenize(["AB"])
 
     def test_natural_log_conversion(self, uniform4_backend):
         with StubServer(uniform4_backend) as server:
@@ -315,7 +338,7 @@ class TestHttpBackend:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(payload))
         backend = ToyBackend(ToyLmSpec.from_file(str(path)))
-        ctx = [t for t, _ in backend.tokenize("AB")]
+        ctx = [t for t, _ in backend.tokenize(["AB"])[0]]
         assert backend.logprobs_batch([LogprobRequest(ctx, 0, 2)])[0].logprobs_bits == [-1.0, 0.0]
 
 
@@ -334,7 +357,7 @@ class TestWireBoundary:
     ])
     def test_malformed_tokenize(self, payload):
         with pytest.raises(BackendProtocolError):
-            fake_client(payload).tokenize(TEXT)
+            fake_client([payload]).tokenize([TEXT])
 
     @pytest.mark.parametrize("bits", [[None, -1.0], "-1", [-1.0, "-1"], [-1.0, 0.5], [True, -1.0]])
     def test_malformed_logprobs(self, bits):
@@ -342,14 +365,16 @@ class TestWireBoundary:
             fake_client([{"logprobs_bits": bits}]).logprobs_batch([REQUEST])
 
     def test_valid_payloads_still_parse(self):
-        assert fake_client({"token_ids": [0, 1], "spans": ["A", "B"]}).tokenize(TEXT) == [(0, "A"), (1, "B")]
+        assert fake_client([{"token_ids": [0, 1], "spans": ["A", "B"]}]).tokenize([TEXT]) == [[(0, "A"), (1, "B")]]
         assert fake_client([{"logprobs_bits": [-1, 0.0]}]).logprobs_batch([REQUEST])[0].logprobs_bits == [-1.0, 0.0]
         # one response object, not an array of them, is malformed however valid the object
         with pytest.raises(BackendProtocolError):
             fake_client({"logprobs_bits": [-1, 0.0]}).logprobs_batch([REQUEST])
+        with pytest.raises(BackendProtocolError):
+            fake_client({"token_ids": [0, 1], "spans": ["A", "B"]}).tokenize([TEXT])
 
     def test_malformed_tokenize_is_a_per_instance_scoring_error(self):
-        client = fake_client({"token_ids": ["x", 1], "spans": ["A", "B"]})
+        client = fake_client([{"token_ids": ["x", 1], "spans": ["A", "B"]}])
         with pytest.raises(ScoringError) as exc:
             compress_instance(CotInstance("i-7", "", TEXT, "42"), SelectionConfig(alpha=0.5), client)
         assert exc.value.instance_id == "i-7"
@@ -363,7 +388,7 @@ class TestWireBoundary:
         transport = RaisingTransport()
         client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=2), transport.post)
         with pytest.raises(BackendError):
-            client.tokenize(TEXT)
+            client.tokenize([TEXT])
         assert transport.posts == 1  # not retried
         with pytest.raises(ScoringError):
             compress_instance(CotInstance("i-8", "", TEXT, "42"), SelectionConfig(alpha=0.5), client)

@@ -352,9 +352,9 @@ class TestAblateOnePass:
             code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate",
                                        extra=["--backend", f"http:{server.url}", "--workers", "2"]))
         assert code == 0
-        # two /tokenize POSTs per instance, then one /logprobs POST per group of instances
-        # scored in lockstep; the conditional modes' requests serve the unconditional ones
-        assert server.state.request_count == 2 * 40 + math.ceil(40 / cts.cli.SCORE_GROUP)
+        # one /tokenize and one /logprobs POST per group of instances; the modes share their
+        # texts, and the conditional modes' requests serve the unconditional ones
+        assert server.state.request_count == 2 * math.ceil(40 / cts.cli.SCORE_GROUP)
 
     def test_distinct_tuned_backend_posts_three_requests_per_instance_each(self, toy_env):
         from cts.backends import ToyBackend
@@ -365,7 +365,7 @@ class TestAblateOnePass:
                 "--backend", f"http:{standard.url}", "--backend-tuned", f"http:{tuned.url}",
             ]))
         assert code == 0
-        assert standard.state.request_count == tuned.state.request_count == 2 * 40 + math.ceil(40 / cts.cli.SCORE_GROUP)
+        assert standard.state.request_count == tuned.state.request_count == 2 * math.ceil(40 / cts.cli.SCORE_GROUP)
 
     @pytest.mark.parametrize("scope_args", [
         [],
@@ -403,10 +403,11 @@ class TestAblateOnePass:
             code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate",
                                        extra=["--backend", f"http:{server.url}", "--workers", "2", "--lenient"]))
         assert code == 0
-        # inst-3: the first conditional mode tokenizes the thinking and the condition, the
-        # second the condition again (a failure is not remembered); its unconditional modes
-        # score in its group's /logprobs POST
-        assert server.state.request_count == 2 * 39 + 2 + 1 + math.ceil(40 / cts.cli.SCORE_GROUP)
+        # the /tokenize POST of inst-0..3 fails, so their 6 distinct texts (4 thinking texts,
+        # "42:" and "Z:") go out one by one, and "Z:" once more for the second conditional
+        # mode (a failure is not remembered); inst-3's unconditional modes score in its
+        # group's /logprobs POST
+        assert server.state.request_count == 2 * math.ceil(40 / cts.cli.SCORE_GROUP) + 6 + 1
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert [message.split(":")[0] for message in failed] == ["ablate conditional", "ablate proposed"]
 
@@ -451,8 +452,8 @@ class TestBackendsAndConfig:
         with StubServer(ToyBackend(shift_spec())) as server:
             code = run_cli(compress_args(toy_env, extra=["--backend", f"http:{server.url}"]))
         assert code == 0
-        # tokenize the thinking, tokenize the condition, one batched logprobs POST per group
-        assert server.state.request_count == 2 * 40 + math.ceil(40 / cts.cli.SCORE_GROUP)
+        # one batched tokenize POST and one batched logprobs POST per group
+        assert server.state.request_count == 2 * math.ceil(40 / cts.cli.SCORE_GROUP)
 
     def test_unreachable_backend_exits_3(self, toy_env, monkeypatch):
         from cts.backends import HttpBackendConfig
@@ -698,7 +699,8 @@ class TestNotUtf8:
         capsys.readouterr()
         assert run_cli(["stats", "--input", str(path)]) == 0
         out, err = capsys.readouterr()
-        assert json.loads(out)["instances_ok"] == n
+        report = json.loads(out)
+        assert (report["instances_ok"], report["instances_failed"], report["instances_total"]) == (n, 1, n + 1)
         assert "Traceback" not in err
         assert f"{path}:2: not UTF-8" in caplog.text
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import defaultdict
 from contextlib import closing
 
 import pytest
@@ -20,7 +21,7 @@ from cts.errors import BackendError, BackendUnavailable, ConfigError, ScoringErr
 from cts.selector import SelectionConfig, compress_instance
 
 from conftest import make_corpus, shift_spec, write_jsonl_file, write_spec_file
-from http_stub import StubServer
+from http_stub import StubServer, UntokenizableAnswers
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -84,7 +85,7 @@ class TestKeepAlive:
             client, _ = client_for(server)
             with closing(client):
                 for _ in range(5):
-                    assert client.tokenize("AB C") == shift_backend.tokenize("AB C")
+                    assert client.tokenize(["AB C"])[0] == shift_backend.tokenize(["AB C"])[0]
             assert server.state.request_count == 5
             assert len(server.accepted) == 1
             assert server.wait_until_all_closed()
@@ -113,7 +114,7 @@ class TestKeepAlive:
             server.state.fail_next = 1
             client, sleeps = client_for(server, max_retries=1)
             with closing(client):
-                assert client.tokenize("AB") == shift_backend.tokenize("AB")
+                assert client.tokenize(["AB"])[0] == shift_backend.tokenize(["AB"])[0]
             assert server.state.request_count == 2
             assert len(server.accepted) == 1
             assert len(sleeps) == 1
@@ -168,9 +169,10 @@ class TestLifecycle:
                 "--backend", f"http:{server.url}", "--condition-template", "{answer}:", "--workers", "2",
             ])
             assert code == 0
-            assert server.state.request_count == 2 * 12 + math.ceil(12 / SCORE_GROUP)
-            # at most one per thread of the tokenize stage (MAX_IN_FLIGHT - 2) and of the score stage (2)
-            assert 1 <= len(server.accepted) <= 6 + 2
+            # one /tokenize and one /logprobs POST per group
+            assert server.state.request_count == 2 * math.ceil(12 / SCORE_GROUP)
+            # at most one per thread of the tokenize stage (2 * workers) and of the score stage (workers)
+            assert 1 <= len(server.accepted) <= 2 * 2 + 2
             assert server.wait_until_all_closed()
         assert (tmp_path / "out.jsonl").read_bytes() == _compress_with_toy(corpus, spec_path, tmp_path)
 
@@ -181,14 +183,16 @@ class ToyTransport:
     def __init__(self, backend):
         self.backend = backend
         self.posts: list[tuple[str, threading.Thread]] = []  # list.append is atomic
+        self.tokenize_bodies: dict[str, list] = defaultdict(list)  # each /tokenize body by path, parsed
         self.logprobs_bodies: list = []  # each /logprobs body, parsed
 
     def post(self, path, body, headers):
         self.posts.append((path, threading.current_thread()))
         data = json.loads(body)
-        if path == "/tokenize":
-            pairs = self.backend.tokenize(data["text"])
-            reply = {"token_ids": [t for t, _ in pairs], "spans": [s for _, s in pairs]}
+        if path.endswith("/tokenize"):
+            self.tokenize_bodies[path].append(data)
+            answers = self.backend.tokenize([d["text"] for d in data])
+            reply = [{"token_ids": [t for t, _ in pairs], "spans": [s for _, s in pairs]} for pairs in answers]
         else:
             self.logprobs_bodies.append(data)
             requests_ = [LogprobRequest(d["context_ids"], d["start"], d["end"]) for d in data]
@@ -197,7 +201,7 @@ class ToyTransport:
 
 
 class ScoringHeldBack(ToyTransport):
-    """Holds the first ``held`` /logprobs replies until ``ahead_text`` is sent to /tokenize.
+    """Holds the first ``held`` /logprobs replies until a /tokenize POST holds ``ahead_text``.
 
     Each held reply notes whether that /tokenize came before it (True) or
     the wait timed out (False). With ``held`` workers all scoring, only
@@ -213,7 +217,7 @@ class ScoringHeldBack(ToyTransport):
         self.lock = threading.Lock()
 
     def post(self, path, body, headers):
-        if path == "/tokenize" and json.loads(body)["text"] == self.ahead_text:
+        if path == "/tokenize" and {"text": self.ahead_text} in json.loads(body):
             self.ahead.set()
         if path == "/logprobs":
             with self.lock:
@@ -224,69 +228,56 @@ class ScoringHeldBack(ToyTransport):
         return super().post(path, body, headers)
 
 
-class TokenizeBarrier(ToyTransport):
-    """Holds each of the first ``parties`` /tokenize POSTs until all of them are in flight.
-
-    Each held POST notes whether the others came (True) or the wait timed out (False).
-    """
-
-    def __init__(self, backend, parties):
-        super().__init__(backend)
-        self.barrier = threading.Barrier(parties, timeout=5)
-        self.held = parties
-        self.waits: list[bool] = []
-        self.lock = threading.Lock()
-
-    def post(self, path, body, headers):
-        if path == "/tokenize":
-            with self.lock:
-                hold = self.held > 0
-                self.held -= hold
-            if hold:
-                try:
-                    self.barrier.wait()
-                    self.waits.append(True)
-                except threading.BrokenBarrierError:
-                    self.waits.append(False)
-        return super().post(path, body, headers)
-
-
 @pytest.fixture
 def corpus(tmp_path):
     records = make_corpus(10, list("ABC "), random.Random(11))
     return records, write_jsonl_file(records, tmp_path / "corpus.jsonl")
 
 
-def compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, *, max_retries=0, expect=0):
-    """Run compress against ``transport``; returns the output bytes (None when there is no output)."""
+def cli_over(monkeypatch, transport, argv, *, max_retries=0, expect=0):
+    """Run the CLI with every backend an HttpBackend on ``transport``, at the URL the descriptor gives."""
     def build_backend(descriptor):
-        config = HttpBackendConfig(base_url="http://fake", max_retries=max_retries)
+        config = HttpBackendConfig(base_url=descriptor, max_retries=max_retries)
         return HttpBackend(config, transport.post, sleep=lambda seconds: None)
 
-    out = tmp_path / "out.jsonl"
     # only for this run: a toy run after it builds a toy backend
     with monkeypatch.context() as patch:
         patch.setattr(cts.cli, "build_backend", build_backend)
-        code = main([
-            "compress", "--input", corpus_path, "--output", str(out), "--ratio", "0.7",
-            "--backend", "http:http://fake", "--condition-template", "{answer}:", "--workers", str(workers),
-        ])
-    assert code == expect
+        assert main(argv) == expect
+
+
+def compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, *, max_retries=0, expect=0):
+    """Run compress against ``transport``; returns the output bytes (None when there is no output)."""
+    out = tmp_path / "out.jsonl"
+    cli_over(monkeypatch, transport, [
+        "compress", "--input", corpus_path, "--output", str(out), "--ratio", "0.7",
+        "--backend", "http://fake", "--condition-template", "{answer}:", "--workers", str(workers),
+    ], max_retries=max_retries, expect=expect)
     return out.read_bytes() if out.exists() else None
 
 
 def posts_for(records) -> int:
-    # the thinking and the condition of each instance, one scoring POST per group
-    return 2 * len(records) + math.ceil(len(records) / SCORE_GROUP)
+    # one /tokenize POST and one scoring POST per group
+    return 2 * math.ceil(len(records) / SCORE_GROUP)
+
+
+def tokenize_body(group) -> list:
+    """The /tokenize body of a group: the distinct thinking and condition texts of its instances, in order."""
+    texts = (text for record in group for text in (record["thinking"], f"{record['answer']}:"))
+    return [{"text": text} for text in dict.fromkeys(texts)]
+
+
+def groups_of(records) -> list:
+    return [records[i:i + SCORE_GROUP] for i in range(0, len(records), SCORE_GROUP)]
 
 
 class TestPipeline:
-    """compress tokenizes each instance in a stage that runs ahead of scoring its group."""
+    """compress tokenizes each group of instances in a stage that runs ahead of scoring it."""
 
-    def test_instance_k_plus_2_is_tokenized_before_instance_k_is_scored(self, monkeypatch, tmp_path, corpus):
+    def test_group_g_plus_2_is_tokenized_before_group_g_is_scored(self, monkeypatch, tmp_path, corpus):
         records, corpus_path = corpus
         # the first two scoring POSTs are those of the groups of instances 0-3 and 4-7;
-        # both wait for instance 8, the first of the next group
+        # both wait for the tokenize POST of the next group, instances 8-9
         transport = ScoringHeldBack(ToyBackend(shift_spec()), records[2 * SCORE_GROUP]["thinking"])
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=2)
         assert transport.waits == [True, True]
@@ -294,16 +285,32 @@ class TestPipeline:
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
-    @pytest.mark.parametrize("workers, threads", [(1, 7), (2, 6)])
-    def test_tokenize_stage_fills_the_in_flight_budget(self, monkeypatch, tmp_path, corpus, workers, threads):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_tokenize_post_per_group_with_an_array_body(self, monkeypatch, tmp_path, corpus, workers):
         records, corpus_path = corpus
-        # each of the MAX_IN_FLIGHT - workers tokenize threads sends its instance's thinking while the others do
-        transport = TokenizeBarrier(ToyBackend(shift_spec()), parties=threads)
+        transport = ToyTransport(ToyBackend(shift_spec()))
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers)
-        assert transport.waits == [True] * threads
+        # the tokenize stage runs groups side by side, so their POSTs may arrive in any order
+        expected = [tokenize_body(group) for group in groups_of(records)]
+        assert sorted(transport.tokenize_bodies["/tokenize"], key=json.dumps) == sorted(expected, key=json.dumps)
         assert len(transport.posts) == posts_for(records)
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
+
+    def test_each_backend_gets_one_tokenize_post_per_group(self, monkeypatch, tmp_path, corpus):
+        records, corpus_path = corpus
+        transport = ToyTransport(ToyBackend(shift_spec()))
+        cli_over(monkeypatch, transport, [
+            "ablate", "--input", corpus_path, "--output", str(tmp_path / "ablate"), "--ratio", "0.7",
+            "--backend", "http://fake/standard", "--backend-tuned", "http://fake/tuned",
+            "--condition-template", "{answer}:", "--workers", "2",
+        ])
+        # the four modes' texts go out once per backend: each mode shares the thinking, and
+        # the conditional modes the condition
+        expected = sorted((tokenize_body(group) for group in groups_of(records)), key=json.dumps)
+        assert transport.tokenize_bodies.keys() == {"/standard/tokenize", "/tuned/tokenize"}
+        for bodies in transport.tokenize_bodies.values():
+            assert sorted(bodies, key=json.dumps) == expected
 
     def test_one_worker_tokenizes_ahead_of_scoring(self, monkeypatch, tmp_path, corpus):
         records, corpus_path = corpus
@@ -337,7 +344,7 @@ class CorruptReplies(ToyTransport):
 
     def __init__(self, backend, thinking):
         super().__init__(backend)
-        self.ids = [t for t, _ in backend.tokenize(thinking)]
+        self.ids = [t for t, _ in backend.tokenize([thinking])[0]]
 
     def post(self, path, body, headers):
         status, reply_headers, reply = super().post(path, body, headers)
@@ -409,6 +416,35 @@ class TestCoalescedScoring:
         assert "Traceback" not in capfd.readouterr().err
 
 
+class TestGroupTokenizeIsolation:
+    """A group's /tokenize POST that fails, and the texts then sent one by one."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_untokenizable_condition_fails_only_its_instance(self, monkeypatch, tmp_path, caplog, workers):
+        records = make_corpus(SCORE_GROUP, list("ABC "), random.Random(11))
+        bad = 2
+        records[bad]["answer"] = "Z"  # the stub answers "Z:" with no tokens, which the client rejects
+        corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+        transport = ToyTransport(UntokenizableAnswers(shift_spec()))
+        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)
+        # the group's POST fails as a whole; then each distinct text goes out alone, in the order
+        # the instances need them, and one /logprobs POST scores the other three
+        batch = tokenize_body(records)
+        assert [path for path, _ in transport.posts] == ["/tokenize"] * (1 + len(batch)) + ["/logprobs"]
+        assert transport.tokenize_bodies["/tokenize"] == [batch] + [[text] for text in batch]
+        good = [record for i, record in enumerate(records) if i != bad]
+        good_path = write_jsonl_file(good, tmp_path / "good.jsonl")
+        assert written == _compress_with_toy(good_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
+        # the same message as when the instance is compressed alone
+        alone = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), transport.post)
+        instance = CotInstance(records[bad]["id"], "", records[bad]["thinking"], "Z")
+        with pytest.raises(ScoringError) as exc:
+            compress_instance(instance, SelectionConfig(alpha=0.7, condition_template="{answer}:"), alone)
+        assert "cannot tokenize condition" in str(exc.value)
+        failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        assert failed == [f"compress: instance {records[bad]['id']} failed: {exc.value}"]
+
+
 class ScoringOutage(CountingStub):
     """Serves /tokenize, and answers 503 to every /logprobs POST once ``healthy`` POSTs were answered.
 
@@ -433,7 +469,7 @@ class ScoringOutage(CountingStub):
         self.httpd.RequestHandlerClass = Handler
 
 
-# with a condition each instance sends two /tokenize POSTs, without one a single POST
+# with a condition each group's /tokenize POST holds two texts per instance, without one a single text
 @pytest.mark.parametrize("condition", [["--condition-template", "{answer}:"], ["--no-conditional"]],
                          ids=["conditional", "unconditional"])
 def test_outage_while_scoring_stops_both_stages(tmp_path, monkeypatch, capfd, condition):
@@ -543,10 +579,10 @@ class TestUrl:
 
         def post(path, body, headers):
             paths.append(path)
-            return 200, {}, b'{"token_ids": [0], "spans": ["A"]}'
+            return 200, {}, b'[{"token_ids": [0], "spans": ["A"]}]'
 
-        HttpBackend(HttpBackendConfig(base_url="http://fake/v1/"), post).tokenize("A")
-        HttpBackend(HttpBackendConfig(base_url="http://fake"), post).tokenize("A")
+        HttpBackend(HttpBackendConfig(base_url="http://fake/v1/"), post).tokenize(["A"])
+        HttpBackend(HttpBackendConfig(base_url="http://fake"), post).tokenize(["A"])
         assert paths == ["/v1/tokenize", "/tokenize"]
 
     @pytest.mark.parametrize("url", ["http://localhost:port", "http://localhost:99999"])

@@ -50,14 +50,14 @@ class RecordingBackend(LogprobBackend):
 
     def __init__(self, inner: ToyBackend):
         self.inner = inner
-        self.tokenized: list[str] = []
+        self.tokenized: list[list[str]] = []  # the texts of each tokenize call
         self.batches = 0
         self.batch_sizes: list[int] = []
         self.requests: list[tuple[tuple[int, ...], int, int]] = []
 
-    def tokenize(self, text):
-        self.tokenized.append(text)
-        return self.inner.tokenize(text)
+    def tokenize(self, texts):
+        self.tokenized.append(list(texts))
+        return self.inner.tokenize(texts)
 
     def logprobs_batch(self, requests_):
         self.batches += 1
@@ -72,14 +72,14 @@ class TestBuildContexts:
     def test_unconditional_contexts_are_equal(self, shift_backend):
         ctx = build_contexts(instance("ABC"), config(conditional=False), shift_backend)
         assert ctx.cond_prefix == []
-        assert ctx.thinking_ids == [t for t, _ in shift_backend.tokenize("ABC")]
+        assert ctx.thinking_ids == [t for t, _ in shift_backend.tokenize(["ABC"])[0]]
 
     def test_condition_prefix_prepended(self):
         backend = ToyBackend(uniform_spec(list("ANS: 42")))
         cfg = config(condition_template="ANS: {answer} ")
         ctx = build_contexts(instance("AA"), cfg, backend)
-        prefix = [t for t, _ in backend.tokenize("ANS: 42 ")]
-        thinking = [t for t, _ in backend.tokenize("AA")]
+        prefix = [t for t, _ in backend.tokenize(["ANS: 42 "])[0]]
+        thinking = [t for t, _ in backend.tokenize(["AA"])[0]]
         assert ctx.cond_prefix + ctx.thinking_ids == prefix + thinking
         assert ctx.cond_prefix == prefix
 
@@ -354,7 +354,7 @@ class TestCompressInstance:
             thinking = "".join(rng.choice("ABC ") for _ in range(rng.randint(1, 40)))
             inst = instance(thinking)
             record, _, sel = compress_instance(inst, config(alpha=rng.choice([0.3, 0.5, 0.8])), shift_backend)
-            spans = [s for _, s in shift_backend.tokenize(thinking)]
+            spans = [s for _, s in shift_backend.tokenize([thinking])[0]]
             rebuilt = "".join(s for s, keep in zip(spans, sel.kept_mask) if keep)
             assert record.compressed_thinking == rebuilt
             it = iter(thinking)
@@ -399,7 +399,7 @@ class TestRequestBudget:
         backend = RecordingBackend(shift_backend)
         cfg = config(conditional=conditional, selection_scope=scope, segment_budget=8, boundary_slack=0)
         result = compress_instance(instance("ABC " * 10), cfg, backend)
-        assert backend.tokenized == ["ABC " * 10] + (["42:"] if conditional else [])
+        assert backend.tokenized == [["ABC " * 10]] + ([["42:"]] if conditional else [])
         assert backend.batches == segments
         assert result == compress_instance(instance("ABC " * 10), cfg, backend.inner)
 
@@ -407,13 +407,13 @@ class TestRequestBudget:
         calls = []
         original = ToyBackend.tokenize
 
-        def spy(self, text):
-            calls.append((text, threading.get_ident()))
-            return original(self, text)
+        def spy(self, texts):
+            calls.append((texts, threading.get_ident()))
+            return original(self, texts)
 
         monkeypatch.setattr(ToyBackend, "tokenize", spy)
         compress_instance(instance("ABC " * 10), config(), shift_backend)
-        assert calls == [("ABC " * 10, threading.get_ident()), ("42:", threading.get_ident())]
+        assert calls == [(["ABC " * 10], threading.get_ident()), (["42:"], threading.get_ident())]
 
 
 def lockstep(inst, configs, backend, cache):
@@ -425,35 +425,53 @@ def lockstep(inst, configs, backend, cache):
 class TestRequestCache:
     def test_conditional_batch_serves_the_unconditional_selection(self, shift_backend):
         backend = RecordingBackend(shift_backend)
-        cache = RequestCache(backend)
         inst = instance("ABC " * 10)
+        cache = RequestCache(backend, [inst.thinking, "42:", inst.thinking])
         cond, uncond = lockstep(inst, [config(), config(conditional=False)], backend, cache)
-        assert backend.tokenized == ["ABC " * 10, "42:"]
+        assert backend.tokenized == [["ABC " * 10, "42:"]]
         assert backend.batch_sizes == [2]
         assert cond == compress_instance(inst, config(), shift_backend)
         assert uncond == compress_instance(inst, config(conditional=False), shift_backend)
 
     def test_tokenize_misses_go_out_once(self, shift_backend):
         backend = RecordingBackend(shift_backend)
-        cache = RequestCache(backend)
-        for text in ["AB", "C:", "AB", "C:", "A", "AB"]:
-            assert cache.tokenize(text) == shift_backend.tokenize(text)
-        assert backend.tokenized == ["AB", "C:", "A"]
+        cache = RequestCache(backend, ["AB", "C:", "AB"])
+        for text in ["AB", "C:", "AB", "C:", "A", "AB", "A"]:
+            assert cache.tokenize([text]) == shift_backend.tokenize([text])
+        assert cache.tokenize(["A", "AB"]) == shift_backend.tokenize(["A", "AB"])
+        assert backend.tokenized == [["AB", "C:"], ["A"]]
+
+    def test_no_texts_no_call(self, shift_backend):
+        backend = RecordingBackend(shift_backend)
+        RequestCache(backend, [])
+        assert backend.tokenized == []
 
     def test_tokenize_failure_is_not_cached(self, shift_backend):
         backend = RecordingBackend(shift_backend)
-        cache = RequestCache(backend)
-        assert cache.tokenize("AB") == shift_backend.tokenize("AB")
+        cache = RequestCache(backend, ["AB", "Z"])
+        assert cache.tokenize(["AB"]) == shift_backend.tokenize(["AB"])
         for _ in range(2):
             with pytest.raises(TokenizeError):
-                cache.tokenize("Z")
-        assert backend.tokenized == ["AB", "Z", "Z"]
+                cache.tokenize(["Z"])
+        assert cache.tokenize(["AB"]) == shift_backend.tokenize(["AB"])
+        assert backend.tokenized == [["AB", "Z"], ["AB"], ["Z"], ["Z"]]
+
+    def test_unavailable_backend_ends_the_batch(self, shift_backend):
+        class Down(RecordingBackend):
+            def tokenize(self, texts):
+                super().tokenize(texts)
+                raise BackendUnavailable("down")
+
+        backend = Down(shift_backend)
+        with pytest.raises(BackendUnavailable):
+            RequestCache(backend, ["AB", "C:"])
+        assert backend.tokenized == [["AB", "C:"]]
 
     @pytest.mark.parametrize("original_prefix", [False, True])
     def test_per_segment_modes_share_what_they_can(self, shift_backend, original_prefix):
         backend = RecordingBackend(shift_backend)
-        cache = RequestCache(backend)
         inst = instance("ABC " * 10)
+        cache = RequestCache(backend, [inst.thinking, "42:"])
         cfg = dict(selection_scope="per_segment", segment_budget=8, boundary_slack=0,
                    iterative_original_prefix=original_prefix)
         configs = [config(conditional=conditional, **cfg) for conditional in (True, False)]
@@ -515,7 +533,7 @@ class TestLockstep:
     def test_failed_batch_is_sent_again_task_by_task(self, shift_backend, scope, batch_sizes, failed_range):
         cfg = config(conditional=False, selection_scope=scope, segment_budget=2, boundary_slack=0)
         insts = [instance(t, iid=f"t-{i}") for i, t in enumerate(["ABC A", "BA2C", "CAB", "C C"])]
-        [(two, _)] = shift_backend.tokenize("2")
+        [(two, _)] = shift_backend.tokenize(["2"])[0]
 
         def failing():
             return FailsOnToken(shift_backend, two, BackendProtocolError("bad reply"))
@@ -533,7 +551,7 @@ class TestLockstep:
                 assert outcome == (compress_instance(inst, cfg, shift_backend), None)
 
     def test_unavailable_backend_is_not_asked_again(self, shift_backend):
-        [(two, _)] = shift_backend.tokenize("2")
+        [(two, _)] = shift_backend.tokenize(["2"])[0]
         backend = FailsOnToken(shift_backend, two, BackendUnavailable("down"))
         insts = [instance(t, iid=f"t-{i}") for i, t in enumerate(["ABC A", "AB2C", "CAB"])]
         with pytest.raises(BackendUnavailable):
@@ -556,7 +574,7 @@ class TestIterativeSegments:
             boundary_slack=0,
         )
         _, _, selection = compress_instance(inst, cfg, backend)
-        ids = [t for t, _ in backend.tokenize("abcdefgh")]
+        ids = [t for t, _ in backend.tokenize(["abcdefgh"])[0]]
         # zero condition shift -> position tie-break keeps the first half
         assert [i for i, k in enumerate(selection.kept_mask) if k] == [0, 1, 4, 5]
         seg2_scoring = [r for r in backend.requests if r[1] == 2 and r[2] == 6]
@@ -577,7 +595,7 @@ class TestIterativeSegments:
             iterative_original_prefix=True,
         )
         compress_instance(inst, cfg, backend)
-        ids = [t for t, _ in backend.tokenize("abcdefgh")]
+        ids = [t for t, _ in backend.tokenize(["abcdefgh"])[0]]
         seg2_scoring = [r for r in backend.requests if r[1] == 4 and r[2] == 8]
         assert seg2_scoring
         for context, start, end in seg2_scoring:

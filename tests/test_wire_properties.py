@@ -47,13 +47,14 @@ class TestWireProperties:
     ))
     def test_arbitrary_tokenize_payload_parses_or_is_protocol_error(self, payload):
         raw = isinstance(payload, tuple)
-        client = fake_client(body=payload[1]) if raw else fake_client(payload)
-        try:
-            pairs = client.tokenize(TEXT)
-        except BackendProtocolError:
-            return
-        assert "".join(span for _, span in pairs) == TEXT
-        assert all(type(i) is int and i >= 0 for i, _ in pairs)
+        clients = [fake_client(body=payload[1])] if raw else [fake_client(payload), fake_client([payload])]
+        for client in clients:
+            try:
+                [pairs] = client.tokenize([TEXT])
+            except BackendProtocolError:
+                continue
+            assert "".join(span for _, span in pairs) == TEXT
+            assert all(type(i) is int and i >= 0 for i, _ in pairs)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
@@ -73,7 +74,8 @@ class TestWireProperties:
     @given(st.data())
     def test_corrupted_tokenize_payload_is_protocol_error(self, data):
         payload = {"token_ids": [0, 1], "spans": ["A", "B"]}
-        corruption = data.draw(st.sampled_from(["id", "span", "drop", "length", "wrap"]))
+        corruption = data.draw(st.sampled_from(["id", "span", "drop", "length", "wrap", "array length", "bare"]))
+        body = [payload]
         if corruption == "id":
             payload["token_ids"][data.draw(st.integers(0, 1))] = data.draw(not_an_id)
         elif corruption == "span":
@@ -82,10 +84,14 @@ class TestWireProperties:
             del payload[data.draw(st.sampled_from(sorted(payload)))]
         elif corruption == "length":
             payload["token_ids"].append(data.draw(st.integers(min_value=0)))
+        elif corruption == "wrap":
+            body = [data.draw(st.lists(st.just(payload), max_size=2))]
+        elif corruption == "array length":
+            body = [payload] * data.draw(st.sampled_from([0, 2, 3]))
         else:
-            payload = data.draw(st.lists(st.just(payload), max_size=2))
+            body = payload
         with pytest.raises(BackendProtocolError):
-            fake_client(payload).tokenize(TEXT)
+            fake_client(body).tokenize([TEXT])
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
