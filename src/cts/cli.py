@@ -27,6 +27,7 @@ from typing import Any, Iterable, Iterator
 from .backends import HttpBackend, HttpBackendConfig, LogprobBackend, ToyBackend, ToyLmSpec
 from .dataset import (
     CompressedInstance,
+    CotInstance,
     JsonlWriter,
     compressed_to_dict,
     read_compressed_dataset,
@@ -64,8 +65,10 @@ EXIT_BACKEND = 3
 EXIT_INTERRUPT = 130
 
 MAX_WORKERS = 64
-# instances tokenized and scored together: one /tokenize POST, then one /logprobs POST per step
+# instances tokenized and scored together: one /tokenize POST, then one /logprobs POST per step;
+# a group closes at SCORE_GROUP instances and GROUP_CHARS characters of thinking text (_groups)
 SCORE_GROUP = 4
+GROUP_CHARS = 4096
 
 
 @dataclass
@@ -258,10 +261,23 @@ def _attempt(fn, *args) -> tuple[Any, CtsError | None]:
         return None, exc
 
 
-def _groups(items: Iterable[Any], size: int) -> Iterator[list[Any]]:
-    """Consecutive lists of ``size`` items; the last may be shorter."""
-    it = iter(items)
-    while group := list(itertools.islice(it, size)):
+def _groups(instances: Iterable[CotInstance], min_count: int, min_chars: int) -> Iterator[list[CotInstance]]:
+    """Consecutive lists of instances; the last may hold less than the rest.
+
+    A group closes once it holds at least ``min_count`` instances and at
+    least ``min_chars`` characters of thinking text. So a group has at most
+    ``min_count`` instances, or fewer than ``min_chars`` characters of
+    thinking text before its last instance.
+    """
+    group: list[CotInstance] = []
+    chars = 0
+    for instance in instances:
+        group.append(instance)
+        chars += len(instance.thinking)
+        if len(group) >= min_count and chars >= min_chars:
+            yield group
+            group, chars = [], 0
+    if group:
         yield group
 
 
@@ -270,8 +286,12 @@ def _compress_stream(
 ) -> tuple[list[ReportBuilder], bool]:
     """Read the input once and run every job on each instance; returns (builders, interrupted).
 
-    Groups of SCORE_GROUP consecutive instances pass two ordered stages.
-    The first makes one tokenize call per backend with the distinct texts
+    Groups of consecutive instances pass two ordered stages. A group closes
+    once it holds SCORE_GROUP instances and GROUP_CHARS characters of
+    thinking text (``_groups``), so it has at most SCORE_GROUP instances, or
+    fewer than GROUP_CHARS characters before its last instance: long
+    instances go SCORE_GROUP to a group, short ones many more. The first
+    stage makes one tokenize call per backend with the distinct texts
     of the group's instances and jobs (a RequestCache) and hands on the
     ScoringContexts; a job whose texts cannot be tokenized fails there. The
     second scores and selects the group in lockstep (``run_lockstep``): at
@@ -323,7 +343,7 @@ def _compress_stream(
             outputs = [(writer(job.output_path) if i else None, writer(job.dump_path))
                        for i, job in enumerate(jobs)]
             # closed before the writers and the backends, so no stage thread outlives the pass
-            groups = _groups(instances, SCORE_GROUP)
+            groups = _groups(instances, SCORE_GROUP, GROUP_CHARS)
             tokenized = stack.enter_context(closing(map_ordered(tokenize_group, groups, 2 * workers)))
             scored = stack.enter_context(closing(map_ordered(score_group, tokenized, workers)))
             results = itertools.chain.from_iterable(scored)

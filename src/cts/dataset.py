@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, TypeVar
@@ -167,20 +168,32 @@ def read_dataset(
     return _read_jsonl(path, parse, errors)
 
 
+def _checked_ratio(value: Any, key: str) -> float:
+    # a bool or a string is not a number; NaN fails every comparison
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise DatasetError(f"field {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _checked_count(value: Any, key: str) -> int:
+    if type(value) is not int or value < 0:
+        raise DatasetError(f"field {key!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _parse_compressed(obj: dict, line_no: int) -> CompressedInstance:
     id_, problem, thinking, answer, nominal, actual, kept, original = (
         _field(obj, key) for key in COMPRESSED_KEY_ORDER
     )
-    try:
-        numbers = float(nominal), float(actual), int(kept), int(original)
-    except (TypeError, ValueError) as exc:
-        raise DatasetError(f"ratio and count fields must be numbers: {exc}") from None
     return CompressedInstance(
         str(id_),
         _checked_text(problem, "problem"),
         _checked_text(thinking, "compressed_thinking"),
         _checked_text(answer, "answer"),
-        *numbers,
+        _checked_ratio(nominal, "nominal_ratio"),
+        _checked_ratio(actual, "actual_ratio"),
+        _checked_count(kept, "kept_count"),
+        _checked_count(original, "original_count"),
         extras={k: v for k, v in obj.items() if k not in COMPRESSED_KEY_ORDER},
     )
 

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import cts.cli
 from cts.backends import HttpBackend, HttpBackendConfig, ToyBackend, ToyLmSpec
 from cts.selector import build_contexts, score_tokens
 
@@ -23,6 +24,15 @@ def pytest_collection_modifyitems(items):
         if here in item.path.parents:
             for leak_filter in LEAK_FILTERS:
                 item.add_marker(pytest.mark.filterwarnings(leak_filter))
+
+
+@pytest.fixture
+def groups_of_four(monkeypatch):
+    """Group instances by count alone, ``SCORE_GROUP`` to a group.
+
+    So a small corpus of short instances spans several groups.
+    """
+    monkeypatch.setattr(cts.cli, "GROUP_CHARS", 0)
 
 
 def uniform_row(vocab: list[str]) -> dict[str, float]:

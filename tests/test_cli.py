@@ -344,6 +344,7 @@ def ablate_args(env, outdir, ratio="0.7", extra=()):
 
 
 class TestAblateOnePass:
+    @pytest.mark.usefixtures("groups_of_four")
     def test_one_backend_posts_three_requests_per_instance(self, toy_env):
         from cts.backends import ToyBackend
         from http_stub import StubServer
@@ -356,6 +357,7 @@ class TestAblateOnePass:
         # texts, and the conditional modes' requests serve the unconditional ones
         assert server.state.request_count == 2 * math.ceil(40 / cts.cli.SCORE_GROUP)
 
+    @pytest.mark.usefixtures("groups_of_four")
     def test_distinct_tuned_backend_posts_three_requests_per_instance_each(self, toy_env):
         from cts.backends import ToyBackend
         from http_stub import StubServer
@@ -393,6 +395,7 @@ class TestAblateOnePass:
         failed = [r.getMessage() for r in caplog.records if "instance inst-3 failed" in r.getMessage()]
         assert sorted(message.split(":")[0] for message in failed) == ["ablate conditional", "ablate proposed"]
 
+    @pytest.mark.usefixtures("groups_of_four")
     def test_untokenizable_answer_over_http_posts_as_many_requests(self, toy_env, caplog):
         from http_stub import StubServer, UntokenizableAnswers
 
@@ -445,6 +448,7 @@ class TestBackendsAndConfig:
         via_http = (toy_env["dir"] / "via-http.jsonl").read_bytes()
         assert via_toy == via_http
 
+    @pytest.mark.usefixtures("groups_of_four")
     def test_http_compress_posts_three_requests_per_instance(self, toy_env):
         from cts.backends import ToyBackend
         from http_stub import StubServer
@@ -681,6 +685,20 @@ class TestStats:
         for key in ("instances_ok", "kept_tokens_total", "original_tokens_total",
                     "mean_actual_ratio", "actual_ratio_per_token"):
             assert stats[key] == report[key]
+
+    def test_non_finite_ratio_is_a_skipped_record(self, toy_env, capsys, caplog):
+        assert run_cli(compress_args(toy_env)) == 0
+        records = read_jsonl_file(toy_env["dir"] / "out.jsonl")[:2]
+        records[1]["actual_ratio"] = float("nan")
+        path = write_jsonl_file(records, toy_env["dir"] / "nan.jsonl")
+        capsys.readouterr()
+        assert run_cli(["stats", "--input", path]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (report["instances_ok"], report["instances_failed"]) == (1, 1)
+        assert report["mean_actual_ratio"] == records[0]["actual_ratio"]
+        assert "Traceback" not in err
+        assert f"{path}:2: field 'actual_ratio' must be a finite number, got nan" in caplog.text
 
 
 class TestNotUtf8:

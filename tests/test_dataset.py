@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -253,7 +254,21 @@ class TestReadRmExamples:
 
 
 class TestReadCompressedDataset:
-    @pytest.mark.parametrize("key, value", [("kept_count", "five"), ("actual_ratio", None), ("problem", 5)])
+    @pytest.mark.parametrize("key, value", [
+        ("kept_count", "five"),
+        ("actual_ratio", None),
+        ("problem", 5),
+        pytest.param("actual_ratio", math.nan, id="actual_ratio-nan"),
+        pytest.param("nominal_ratio", math.inf, id="nominal_ratio-inf"),
+        pytest.param("actual_ratio", 10**400, id="actual_ratio-huge-int"),
+        pytest.param("nominal_ratio", "0.5", id="nominal_ratio-str"),
+        pytest.param("actual_ratio", True, id="actual_ratio-bool"),
+        pytest.param("original_count", "10", id="original_count-str"),
+        pytest.param("kept_count", 3.7, id="kept_count-fraction"),
+        pytest.param("kept_count", 3.0, id="kept_count-float"),
+        pytest.param("kept_count", -1, id="kept_count-negative"),
+        pytest.param("original_count", False, id="original_count-bool"),
+    ])
     def test_wrong_type_field_skipped(self, tmp_path, key, value):
         bad = compressed_to_dict(make_compressed(1))
         bad[key] = value
@@ -261,6 +276,13 @@ class TestReadCompressedDataset:
         errors = []
         assert [r.id for r in read_compressed_dataset(path, errors=errors)] == ["r0"]
         assert [e.line for e in errors] == [2]
+        assert f"field {key!r} must be " in str(errors[0])
+
+    def test_integer_ratios_are_read_as_floats(self, tmp_path):
+        record = make_compressed(0, nominal_ratio=1, actual_ratio=0, kept_count=0)
+        (back,) = read_compressed_dataset(write_jsonl_file([compressed_to_dict(record)], tmp_path / "c.jsonl"))
+        assert (back.nominal_ratio, back.actual_ratio, back.kept_count) == (1.0, 0.0, 0)
+        assert type(back.nominal_ratio) is type(back.actual_ratio) is float
 
 
 # each reader: a good record numbered i (identified as "r<i>"), a required field, the record's identity

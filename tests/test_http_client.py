@@ -15,7 +15,7 @@ import pytest
 
 import cts.cli
 from cts.backends import HttpBackend, HttpBackendConfig, LogprobRequest, ToyBackend
-from cts.cli import SCORE_GROUP, main
+from cts.cli import GROUP_CHARS, SCORE_GROUP, main
 from cts.dataset import CotInstance
 from cts.errors import BackendError, BackendUnavailable, ConfigError, ScoringError
 from cts.selector import SelectionConfig, compress_instance
@@ -159,6 +159,7 @@ class TestLifecycle:
             client.close()
             assert server.wait_until_all_closed()
 
+    @pytest.mark.usefixtures("groups_of_four")
     def test_compress_leaves_no_connection_open(self, tmp_path):
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         records = make_corpus(12, list("ABC "), random.Random(3))
@@ -271,6 +272,7 @@ def groups_of(records) -> list:
     return [records[i:i + SCORE_GROUP] for i in range(0, len(records), SCORE_GROUP)]
 
 
+@pytest.mark.usefixtures("groups_of_four")
 class TestPipeline:
     """compress tokenizes each group of instances in a stage that runs ahead of scoring it."""
 
@@ -335,6 +337,29 @@ class TestPipeline:
         assert all(isinstance(body, list) for body in transport.logprobs_bodies)
 
 
+class TestGroupSize:
+    """At the default constants a group closes at SCORE_GROUP instances and GROUP_CHARS characters of thinking."""
+
+    # 200 characters each: a group closes at its 21st instance (4,200 characters); 2,100 each: two reach
+    # GROUP_CHARS, yet a group waits for its fourth instance
+    @pytest.mark.parametrize("n, chars, sizes", [(60, 200, [21, 21, 18]), (10, 2100, [4, 4, 2])],
+                             ids=["short-by-characters", "long-by-four"])
+    def test_group_sizes(self, monkeypatch, tmp_path, n, chars, sizes):
+        assert (SCORE_GROUP, GROUP_CHARS) == (4, 4096)
+        records = make_corpus(n, list("ABC "), random.Random(5), min_tokens=chars, max_tokens=chars)
+        corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+        transport = ToyTransport(ToyBackend(shift_spec()))
+        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=2)
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        expected = [tokenize_body(records[start:start + size]) for start, size in zip(starts, sizes)]
+        assert sorted(transport.tokenize_bodies["/tokenize"], key=json.dumps) == sorted(expected, key=json.dumps)
+        # both scoring contexts of every instance of a group in one POST
+        assert sorted(len(body) for body in transport.logprobs_bodies) == sorted(2 * size for size in sizes)
+        assert len(transport.posts) == 2 * len(sizes)
+        spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
+        assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
+
+
 class CorruptReplies(ToyTransport):
     """Answers as the toy model does, but one entry short for every context that ends in ``thinking``.
 
@@ -374,6 +399,7 @@ class Busy(ToyTransport):
         return super().post(path, body, headers)
 
 
+@pytest.mark.usefixtures("groups_of_four")
 class TestCoalescedScoring:
     """The /logprobs POST of a group of instances scored in lockstep, and its failures."""
 
@@ -472,6 +498,7 @@ class ScoringOutage(CountingStub):
 # with a condition each group's /tokenize POST holds two texts per instance, without one a single text
 @pytest.mark.parametrize("condition", [["--condition-template", "{answer}:"], ["--no-conditional"]],
                          ids=["conditional", "unconditional"])
+@pytest.mark.usefixtures("groups_of_four")
 def test_outage_while_scoring_stops_both_stages(tmp_path, monkeypatch, capfd, condition):
     def fast_config(**kwargs):
         return HttpBackendConfig(**kwargs, max_retries=0)

@@ -1,5 +1,5 @@
 """Property tests of selection: exact counts and ratios, nesting across alphas, a brute-force oracle,
-and lockstep scoring of a group against one instance at a time.
+lockstep scoring of a group against one instance at a time, and the rule that sizes the groups.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
@@ -14,7 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cts.backends import ToyBackend  # noqa: E402
-from cts.cli import ABLATION_MODES  # noqa: E402
+from cts.cli import ABLATION_MODES, GROUP_CHARS, SCORE_GROUP, _groups  # noqa: E402
 from cts.dataset import CotInstance  # noqa: E402
 from cts.selector import (  # noqa: E402
     SelectionConfig,
@@ -153,3 +153,26 @@ def test_ablate_modes_send_each_distinct_context_once_per_step(group, scope, ori
     backend = BatchLog()
     run_lockstep(lockstep_tasks(group, configs, backend))
     assert [sorted(batch) for batch in backend.batches] == [sorted(step) for step in asked]
+
+
+def closes(group, min_count, min_chars) -> bool:
+    return len(group) >= min_count and sum(len(inst.thinking) for inst in group) >= min_chars
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=80) | st.integers(min_value=0, max_value=5000), max_size=40),
+    st.integers(min_value=1, max_value=6) | st.just(SCORE_GROUP),
+    st.integers(min_value=0, max_value=300) | st.just(GROUP_CHARS),
+)
+def test_groups_close_at_count_and_characters(lengths, min_count, min_chars):
+    instances = [CotInstance(f"inst-{i}", "", "A" * n, "") for i, n in enumerate(lengths)]
+    groups = list(_groups(instances, min_count, min_chars))
+    assert [inst for group in groups for inst in group] == instances
+    for i, group in enumerate(groups):
+        assert group
+        # every group but the last closes, and at its last instance, not before
+        assert closes(group, min_count, min_chars) or i == len(groups) - 1
+        assert not any(closes(group[:j], min_count, min_chars) for j in range(1, len(group)))
+        # the memory bound: at most min_count instances, or fewer than min_chars characters before the last
+        assert len(group) <= min_count or sum(len(inst.thinking) for inst in group[:-1]) < min_chars
