@@ -292,14 +292,19 @@ def _compress_stream(
     fewer than GROUP_CHARS characters before its last instance: long
     instances go SCORE_GROUP to a group, short ones many more. The first
     stage makes one tokenize call per backend with the distinct texts
-    of the group's instances and jobs (a RequestCache) and hands on the
-    ScoringContexts; a job whose texts cannot be tokenized fails there. The
-    second scores and selects the group in lockstep (``run_lockstep``): at
-    each segment step, one /logprobs POST per backend holds the distinct
-    requests of every instance and job. The first stage tokenizes 2 *
-    ``workers`` groups at a time, ahead of the ``workers`` groups being
-    scored. A failed batch of either stage is sent again piece by piece, so
-    only the instances whose own texts or requests fail are lost.
+    of the group's instances and selections (a RequestCache) and hands on
+    the ScoringContexts; a selection whose texts cannot be tokenized fails
+    there. The second scores and selects the group in lockstep
+    (``run_lockstep``): at each segment step, one /logprobs POST per backend
+    holds the distinct requests of every instance and selection. The first
+    stage tokenizes 2 * ``workers`` groups at a time, ahead of the
+    ``workers`` groups being scored. A failed batch of either stage is sent
+    again piece by piece, so only the instances whose own texts or requests
+    fail are lost.
+
+    Jobs with equal configs on one backend object are one selection: it is
+    tokenized, scored and selected once, and each of those jobs writes and
+    reports its outcome, which they share read-only.
 
     Each output path gets its own atomic writer, so an aborted run leaves
     none of them. When the pass ends, both stages are stopped and then
@@ -308,22 +313,27 @@ def _compress_stream(
     read_errors: list[DatasetError] = []
     instances = read_dataset(args.input, _schema_from(args), errors=read_errors)
     builders = [ReportBuilder() for _ in jobs]
+    # per job, the index of the first job with an equal config on the same backend; those run
+    shared = [next(i for i, other in enumerate(jobs) if other.config == job.config and other.backend is job.backend)
+              for job in jobs]
+    distinct = {i: jobs[i] for i in shared}
 
     def tokenize_group(group):
         caches = {}
         for backend in dict.fromkeys(job.backend for job in jobs):
-            texts = [text for instance in group for job in jobs if job.backend is backend
+            texts = [text for instance in group for job in distinct.values() if job.backend is backend
                      for text in context_texts(instance, job.config)]
             caches[backend] = RequestCache(backend, texts)
-        return [(instance, [_attempt(build_contexts, instance, job.config, caches[job.backend]) for job in jobs])
+        return [(instance, {i: _attempt(build_contexts, instance, job.config, caches[job.backend])
+                            for i, job in distinct.items()})
                 for instance in group]
 
     def score_group(group):
         tasks, slots = [], []
         for instance, outcomes in group:
-            for i, (job, (ctx, exc)) in enumerate(zip(jobs, outcomes)):
+            for i, (ctx, exc) in outcomes.items():
                 if exc is None:
-                    tasks.append((compress_steps(instance, job.config, ctx), job.backend))
+                    tasks.append((compress_steps(instance, distinct[i].config, ctx), distinct[i].backend))
                     slots.append((outcomes, i))
         for (outcomes, i), outcome in zip(slots, run_lockstep(tasks)):
             outcomes[i] = outcome
@@ -350,9 +360,8 @@ def _compress_stream(
 
             def first_records() -> Iterator[CompressedInstance]:
                 for instance_id, outcomes in results:
-                    for job, builder, (output, dump), (outcome, exc) in zip(
-                        jobs, builders, outputs, outcomes
-                    ):
+                    for job, builder, (output, dump), i in zip(jobs, builders, outputs, shared):
+                        outcome, exc = outcomes[i]
                         if exc is not None:
                             builder.add_failed()
                             logger.warning("%s: instance %s failed: %s", job.name, instance_id, exc)

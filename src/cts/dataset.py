@@ -126,6 +126,8 @@ def _read_jsonl(
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DatasetError(f"malformed JSON: {exc.msg}") from exc
+                except ValueError as exc:  # e.g. an integer literal over Python's int-string limit
+                    raise DatasetError(f"malformed JSON: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise DatasetError(f"expected a JSON object, got {type(obj).__name__}")
                 record = parse(obj, line_no)
@@ -225,16 +227,22 @@ def read_rm_examples(path: str, *, errors: list[DatasetError] | None = None) -> 
 def _parse_response(obj: dict, line_no: int) -> tuple[str, str]:
     if "source_id" not in obj or "compressed_steps" not in obj:
         raise DatasetError("missing source_id or compressed_steps")
-    steps = obj["compressed_steps"]
-    if isinstance(steps, list):
-        steps = "\n".join(str(s) for s in steps)
-    return str(obj["source_id"]), str(steps)
+    source_id, steps = obj["source_id"], obj["compressed_steps"]
+    if type(source_id) not in (str, int):
+        raise DatasetError(f"field 'source_id' must be a string or an integer, got {source_id!r}")
+    if isinstance(steps, list) and all(isinstance(s, str) for s in steps):
+        steps = "\n".join(steps)
+    if not isinstance(steps, str):
+        raise DatasetError(f"field 'compressed_steps' must be a string or a list of strings, got {steps!r}")
+    return str(source_id), steps
 
 
 def read_responses(path: str, *, errors: list[DatasetError] | None = None) -> Iterator[tuple[str, str]]:
     """Stream (source_id, compressed_steps) pairs of strong-model responses.
 
-    A list of steps is joined with newlines.
+    ``source_id`` is a string or an integer (not a bool), ``compressed_steps``
+    a string or a list of strings, which is joined with newlines; a record
+    with any other value is skipped.
     """
     return _read_jsonl(path, _parse_response, errors)
 

@@ -10,9 +10,10 @@ import cts.cli
 from cts.cli import main
 from cts.dataset import read_compressed_dataset
 from cts.errors import ConfigError
+from cts.selector import compress_steps
 
 from conftest import (
-    make_corpus, read_jsonl_file, shift_spec, uniform_spec, write_jsonl_file, write_spec_file,
+    make_corpus, random_spec, read_jsonl_file, shift_spec, uniform_spec, write_jsonl_file, write_spec_file,
 )
 
 CONDITION = "{answer}:"
@@ -386,6 +387,36 @@ class TestAblateOnePass:
             for mode in modes:
                 assert (outdir / f"{mode}.jsonl").read_bytes() == expected, mode
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("tuned", [False, True], ids=["one-backend", "tuned-backend"])
+    def test_modes_with_equal_settings_share_one_selection(self, toy_env, monkeypatch, workers, tuned):
+        calls = []
+
+        def counting_compress_steps(*args):
+            calls.append(args[0].id)
+            return compress_steps(*args)
+
+        monkeypatch.setattr(cts.cli, "compress_steps", counting_compress_steps)
+        tuned_spec = write_spec_file(random_spec(shift_spec().vocabulary, random.Random(7)),
+                                     toy_env["dir"] / "tuned.json")
+        outdir = toy_env["dir"] / "ablate"
+        extra = ["--workers", workers, *(["--backend-tuned", f"toy:{tuned_spec}"] if tuned else [])]
+        assert run_cli(ablate_args(toy_env, outdir, ratio="0.5", extra=extra)) == 0
+        # base and conditional always run; rm_tuned and proposed only on a backend of their own
+        assert len(calls) == (4 if tuned else 2) * 40
+        blobs = {mode: (outdir / f"{mode}.jsonl").read_bytes()
+                 for mode in ("base", "conditional", "rm_tuned", "proposed")}
+        assert (blobs["rm_tuned"] == blobs["base"]) is not tuned
+        assert (blobs["proposed"] == blobs["conditional"]) is not tuned
+        for spec, flag, mode in ((toy_env["spec"], "--no-conditional", "base"),
+                                 (toy_env["spec"], "--conditional", "conditional"),
+                                 (tuned_spec if tuned else toy_env["spec"], "--no-conditional", "rm_tuned"),
+                                 (tuned_spec if tuned else toy_env["spec"], "--conditional", "proposed")):
+            name = f"compress-{mode}.jsonl"
+            assert run_cli(compress_args(toy_env, name, ratio="0.5",
+                                         extra=[flag, "--backend", f"toy:{spec}"])) == 0
+            assert blobs[mode] == (toy_env["dir"] / name).read_bytes(), mode
+
     def test_failure_warning_names_each_failing_mode(self, toy_env, caplog):
         records = read_jsonl_file(toy_env["corpus"])
         records[3]["answer"] = "Z"  # outside the vocabulary: only the conditional modes fail
@@ -407,10 +438,9 @@ class TestAblateOnePass:
                                        extra=["--backend", f"http:{server.url}", "--workers", "2", "--lenient"]))
         assert code == 0
         # the /tokenize POST of inst-0..3 fails, so their 6 distinct texts (4 thinking texts,
-        # "42:" and "Z:") go out one by one, and "Z:" once more for the second conditional
-        # mode (a failure is not remembered); inst-3's unconditional modes score in its
-        # group's /logprobs POST
-        assert server.state.request_count == 2 * math.ceil(40 / cts.cli.SCORE_GROUP) + 6 + 1
+        # "42:" and "Z:") go out one by one; "Z:" is asked once, since both conditional modes
+        # are one selection; inst-3's unconditional modes score in its group's /logprobs POST
+        assert server.state.request_count == 2 * math.ceil(40 / cts.cli.SCORE_GROUP) + 6
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert [message.split(":")[0] for message in failed] == ["ablate conditional", "ablate proposed"]
 
@@ -699,6 +729,20 @@ class TestStats:
         assert report["mean_actual_ratio"] == records[0]["actual_ratio"]
         assert "Traceback" not in err
         assert f"{path}:2: field 'actual_ratio' must be a finite number, got nan" in caplog.text
+
+    def test_integer_over_the_digit_limit_is_a_skipped_record(self, toy_env, capsys, caplog):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, past Python's int-string limit
+        assert run_cli(compress_args(toy_env)) == 0
+        (good,) = read_jsonl_file(toy_env["dir"] / "out.jsonl")[:1]
+        path = toy_env["dir"] / "huge.jsonl"
+        path.write_text(json.dumps(good) + "\n" + '{"kept_count": ' + "9" * 5000 + "}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["stats", "--input", str(path)]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (report["instances_ok"], report["instances_failed"]) == (1, 1)
+        assert "Traceback" not in err
+        assert f"{path}:2: malformed JSON: " in caplog.text
 
 
 class TestNotUtf8:

@@ -285,6 +285,29 @@ class TestReadCompressedDataset:
         assert type(back.nominal_ratio) is type(back.actual_ratio) is float
 
 
+class TestReadResponses:
+    def test_integer_id_and_step_list(self, tmp_path):
+        path = write_jsonl_file([{"source_id": 7, "compressed_steps": ["s1", "s2"]}], tmp_path / "r.jsonl")
+        assert list(read_responses(path)) == [("7", "s1\ns2")]
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("source_id", None, id="source_id-null"),
+        pytest.param("source_id", True, id="source_id-bool"),
+        pytest.param("source_id", 1.5, id="source_id-float"),
+        pytest.param("compressed_steps", {"a": 1}, id="compressed_steps-dict"),
+        pytest.param("compressed_steps", [1, None], id="compressed_steps-list-of-non-str"),
+        pytest.param("compressed_steps", None, id="compressed_steps-null"),
+    ])
+    def test_wrong_type_field_skipped(self, tmp_path, key, value):
+        bad = {"source_id": "r1", "compressed_steps": "s"}
+        bad[key] = value
+        path = write_jsonl_file([{"source_id": "r0", "compressed_steps": "s"}, bad], tmp_path / "r.jsonl")
+        errors = []
+        assert list(read_responses(path, errors=errors)) == [("r0", "s")]
+        assert [e.line for e in errors] == [2]
+        assert f"field {key!r} must be " in str(errors[0])
+
+
 # each reader: a good record numbered i (identified as "r<i>"), a required field, the record's identity
 READERS = [
     pytest.param(
