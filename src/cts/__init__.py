@@ -40,7 +40,6 @@ from .errors import (
 )
 from .report import ReportBuilder, RunReport, report_from_records
 from .selector import (
-    RequestCache,
     Segment,
     SelectionConfig,
     SelectionResult,
@@ -48,10 +47,12 @@ from .selector import (
     build_contexts,
     compress_instance,
     compress_steps,
+    context_texts,
     run_lockstep,
     score_tokens,
     segment_thinking,
     select_tokens,
+    tokenize_texts,
 )
 
 __version__ = "0.1.0"

@@ -43,7 +43,6 @@ from .report import ReportBuilder, RunReport, report_from_records
 from .runner import map_ordered
 from .selector import (
     DEFAULT_CONDITION_TEMPLATE,
-    RequestCache,
     SelectionConfig,
     build_contexts,
     compress_instance,  # noqa: F401  not called here; bench/cli_child.py instruments cts.cli by this name
@@ -51,6 +50,7 @@ from .selector import (
     context_texts,
     run_lockstep,
     score_rows_to_dicts,
+    tokenize_texts,
 )
 
 logger = logging.getLogger("cts")
@@ -249,14 +249,9 @@ class Job:
 
 
 def _attempt(fn, *args) -> tuple[Any, CtsError | None]:
-    """``(fn(*args), None)``, or ``(None, exc)`` when it fails for this instance alone.
-
-    A BackendUnavailable is not a per-instance failure: it propagates.
-    """
+    """``(fn(*args), None)``, or ``(None, exc)`` when it fails with a CtsError."""
     try:
         return fn(*args), None
-    except BackendUnavailable:
-        raise
     except CtsError as exc:
         return None, exc
 
@@ -286,19 +281,15 @@ def _compress_stream(
 ) -> tuple[list[ReportBuilder], bool]:
     """Read the input once and run every job on each instance; returns (builders, interrupted).
 
-    Groups of consecutive instances pass two ordered stages. A group closes
-    once it holds SCORE_GROUP instances and GROUP_CHARS characters of
-    thinking text (``_groups``), so it has at most SCORE_GROUP instances, or
-    fewer than GROUP_CHARS characters before its last instance: long
-    instances go SCORE_GROUP to a group, short ones many more. The first
-    stage makes one tokenize call per backend with the distinct texts
-    of the group's instances and selections (a RequestCache) and hands on
+    Groups of consecutive instances (``_groups``) pass two ordered stages.
+    The first makes one tokenize call per backend with the distinct texts of
+    the group's instances and selections (``tokenize_texts``) and hands on
     the ScoringContexts; a selection whose texts cannot be tokenized fails
     there. The second scores and selects the group in lockstep
     (``run_lockstep``): at each segment step, one /logprobs POST per backend
     holds the distinct requests of every instance and selection. The first
     stage tokenizes 2 * ``workers`` groups at a time, ahead of the
-    ``workers`` groups being scored. A failed batch of either stage is sent
+    ``workers`` groups being scored. A failed call of either stage is sent
     again piece by piece, so only the instances whose own texts or requests
     fail are lost.
 
@@ -319,12 +310,12 @@ def _compress_stream(
     distinct = {i: jobs[i] for i in shared}
 
     def tokenize_group(group):
-        caches = {}
+        tokens = {}
         for backend in dict.fromkeys(job.backend for job in jobs):
             texts = [text for instance in group for job in distinct.values() if job.backend is backend
                      for text in context_texts(instance, job.config)]
-            caches[backend] = RequestCache(backend, texts)
-        return [(instance, {i: _attempt(build_contexts, instance, job.config, caches[job.backend])
+            tokens[backend] = tokenize_texts(backend, texts)
+        return [(instance, {i: _attempt(build_contexts, instance, job.config, tokens[job.backend])
                             for i, job in distinct.items()})
                 for instance in group]
 

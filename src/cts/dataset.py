@@ -94,8 +94,15 @@ def _checked_text(value: Any, key: str) -> str:
     return value
 
 
-def _record_id(raw_id: Any, line_no: int) -> str:
-    return str(raw_id) if raw_id is not None else f"line:{line_no}"
+def _checked_id(value: Any, key: str) -> str:
+    if type(value) not in (str, int):
+        raise DatasetError(f"field {key!r} must be a string or an integer, got {value!r}")
+    return str(value)
+
+
+def _record_id(obj: dict, key: str, line_no: int) -> str:
+    """An input record's id: ``line:<n>`` when the field is absent or null."""
+    return f"line:{line_no}" if obj.get(key) is None else _checked_id(obj[key], key)
 
 
 def _read_jsonl(
@@ -126,7 +133,8 @@ def _read_jsonl(
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DatasetError(f"malformed JSON: {exc.msg}") from exc
-                except ValueError as exc:  # e.g. an integer literal over Python's int-string limit
+                # an integer literal over Python's int-string limit, or nesting past the recursion limit
+                except (ValueError, RecursionError) as exc:
                     raise DatasetError(f"malformed JSON: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise DatasetError(f"expected a JSON object, got {type(obj).__name__}")
@@ -146,10 +154,11 @@ def read_dataset(
 
     ``schema`` maps canonical field names (problem, thinking, answer, id) to
     the keys used in the file. A record with a missing or non-text mapped
-    field is skipped (see ``_read_jsonl``), and so is a record whose id
-    repeats one of the DUPLICATE_ID_WINDOW records kept before it; duplicates
-    farther apart pass, so memory stays constant. When the id field is
-    absent, ids are synthesized as ``line:<n>``.
+    field or an id that is not a string or an integer is skipped (see
+    ``_read_jsonl``), and so is a record whose id repeats one of the
+    DUPLICATE_ID_WINDOW records kept before it; duplicates farther apart
+    pass, so memory stays constant. When the id field is absent or null,
+    ids are synthesized as ``line:<n>``.
     """
     mapping = {**DEFAULT_SCHEMA, **(schema or {})}
     text_keys = [mapping[canon] for canon in ("problem", "thinking", "answer")]
@@ -158,7 +167,7 @@ def read_dataset(
 
     def parse(obj: dict, line_no: int) -> CotInstance:
         problem, thinking, answer = (_checked_text(_field(obj, key), key) for key in text_keys)
-        record_id = _record_id(obj.get(mapping["id"]), line_no)
+        record_id = _record_id(obj, mapping["id"], line_no)
         if record_id in recent:
             raise DatasetError(f"duplicate id {record_id!r} (first at line {recent[record_id]})")
         recent[record_id] = line_no
@@ -188,7 +197,7 @@ def _parse_compressed(obj: dict, line_no: int) -> CompressedInstance:
         _field(obj, key) for key in COMPRESSED_KEY_ORDER
     )
     return CompressedInstance(
-        str(id_),
+        _checked_id(id_, "id"),
         _checked_text(problem, "problem"),
         _checked_text(thinking, "compressed_thinking"),
         _checked_text(answer, "answer"),
@@ -215,7 +224,7 @@ def _parse_rm_example(obj: dict, line_no: int) -> RmCorpusExample:
         question=_checked_text(question, "question"),
         answer=_checked_text(answer, "answer"),
         reasoning_steps=list(steps),
-        source_id=_record_id(obj.get("id"), line_no),
+        source_id=_record_id(obj, "id", line_no),
     )
 
 
@@ -227,14 +236,12 @@ def read_rm_examples(path: str, *, errors: list[DatasetError] | None = None) -> 
 def _parse_response(obj: dict, line_no: int) -> tuple[str, str]:
     if "source_id" not in obj or "compressed_steps" not in obj:
         raise DatasetError("missing source_id or compressed_steps")
-    source_id, steps = obj["source_id"], obj["compressed_steps"]
-    if type(source_id) not in (str, int):
-        raise DatasetError(f"field 'source_id' must be a string or an integer, got {source_id!r}")
+    source_id, steps = _checked_id(obj["source_id"], "source_id"), obj["compressed_steps"]
     if isinstance(steps, list) and all(isinstance(s, str) for s in steps):
         steps = "\n".join(steps)
     if not isinstance(steps, str):
         raise DatasetError(f"field 'compressed_steps' must be a string or a list of strings, got {steps!r}")
-    return str(source_id), steps
+    return source_id, steps
 
 
 def read_responses(path: str, *, errors: list[DatasetError] | None = None) -> Iterator[tuple[str, str]]:

@@ -4,9 +4,7 @@ Items are processed concurrently but results come back in submission
 order, so output files are byte-identical at any parallelism level. The
 lookahead window keeps memory bounded by a constant number of items.
 The CLI chains two of these, a tokenize stage and a score stage, over
-groups of instances; a group has at most ``SCORE_GROUP`` (4) instances,
-or fewer than ``GROUP_CHARS`` (4,096) characters of thinking text before
-its last instance (``cts.cli._groups``). With one worker
+groups of instances (``cts.cli._groups``). With one worker
 ``map_ordered`` calls ``fn`` on the calling thread.
 """
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Generator, Sequence
+from typing import Any, Callable, Generator, Hashable, Mapping, Sequence
 
 from .backends import LogprobBackend, LogprobRequest, LogprobResponse, ppl_of
 from .dataset import CompressedInstance, CotInstance
@@ -141,34 +141,6 @@ class ScoringContexts:
     cond_prefix: list[int]
 
 
-class RequestCache:
-    """Per-group memo of one backend's tokenize answers, shared by the selections run on the group.
-
-    It answers ``tokenize`` like the backend it wraps. One batched call of
-    ``texts`` fills it; when that call fails (but for BackendUnavailable) it
-    holds nothing, and each text is then tokenized alone when first asked
-    for, so a failure lands on the instance whose own text fails. A failure
-    is not remembered. Callers share the answers and must not mutate them.
-    """
-
-    def __init__(self, backend: LogprobBackend, texts: Sequence[str]):
-        self.backend = backend
-        self._tokens: dict[str, list[tuple[int, str]]] = {}
-        distinct = list(dict.fromkeys(texts))
-        try:
-            self._tokens = dict(zip(distinct, backend.tokenize(distinct) if distinct else []))
-        except BackendUnavailable:
-            raise
-        except CtsError:
-            pass
-
-    def tokenize(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
-        for text in texts:
-            if text not in self._tokens:
-                self._tokens[text] = self.backend.tokenize([text])[0]
-        return [self._tokens[text] for text in texts]
-
-
 def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
     if not config.conditional:
         return ""
@@ -180,14 +152,26 @@ def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
         raise ConfigError(f"bad condition template {config.condition_template!r}: {exc}") from exc
 
 
-def build_contexts(
-    instance: CotInstance, config: SelectionConfig, backend: LogprobBackend | RequestCache
-) -> ScoringContexts:
-    """Tokenize the thinking text, then the condition, one tokenize call each.
+def tokenize_texts(backend: LogprobBackend, texts: Sequence[str]) -> dict[str, list[tuple[int, str]] | CtsError]:
+    """Each distinct text's tokens, or the CtsError it got when tokenized alone.
 
-    This is the only place the pipeline tokenizes. A text the backend cannot
-    tokenize becomes a ScoringError naming the instance and the field; the
-    thinking goes first, so when both fail, the thinking is named.
+    The texts go out in one tokenize call, and one by one only when that
+    call fails (see _batch_then_split); no texts, no call.
+    """
+    if not texts:
+        return {}
+    answers = _batch_then_split(backend.tokenize, {text: [text] for text in texts}, lambda text: text)
+    return {text: answer if isinstance(answer, CtsError) else answer[0] for text, answer in answers.items()}
+
+
+def build_contexts(
+    instance: CotInstance, config: SelectionConfig, tokens: Mapping[str, list[tuple[int, str]] | CtsError]
+) -> ScoringContexts:
+    """Assemble the instance's contexts from ``tokens``, the tokenize_texts answers for its context_texts.
+
+    A text the backend could not tokenize becomes a ScoringError naming the
+    instance and the field; the thinking goes first, so when both fail, the
+    thinking is named.
     """
     config.validate()
     # spans concatenate to the text, so only an empty text has no tokens
@@ -196,17 +180,12 @@ def build_contexts(
             f"instance {instance.id}: thinking text produced no tokens", instance.id
         )
     condition = render_condition(config, instance)
-    field = "thinking"
-    try:
-        thinking = backend.tokenize([instance.thinking])[0]
-        field = "condition"
-        cond_tokens = backend.tokenize([condition])[0] if condition else []
-    except BackendUnavailable:
-        raise
-    except CtsError as exc:
-        raise ScoringError(
-            f"instance {instance.id}: cannot tokenize {field}: {exc}", instance.id
-        ) from exc
+    thinking, cond_tokens = [tokens[text] if text else [] for text in (instance.thinking, condition)]
+    for field, answer in (("thinking", thinking), ("condition", cond_tokens)):
+        if isinstance(answer, CtsError):
+            raise ScoringError(
+                f"instance {instance.id}: cannot tokenize {field}: {answer}", instance.id
+            ) from answer
     return ScoringContexts(
         thinking_ids=[t for t, _ in thinking],
         thinking_spans=[s for _, s in thinking],
@@ -215,7 +194,7 @@ def build_contexts(
 
 
 def context_texts(instance: CotInstance, config: SelectionConfig) -> list[str]:
-    """The texts build_contexts tokenizes for the instance, in order; a condition it cannot render is left to it."""
+    """The texts build_contexts looks up for the instance, in order; a condition it cannot render is left to it."""
     try:
         condition = render_condition(config, instance) if instance.thinking else ""
     except ConfigError:
@@ -412,10 +391,11 @@ def compress_instance(
 ) -> tuple[CompressedInstance, list[TokenScoreRow], SelectionResult]:
     """Run the full pipeline for one instance: tokenize once, then score and select each segment.
 
-    It is the one-task case of run_lockstep, and deterministic end to end
-    for a fixed (instance, config, backend).
+    It is the one-instance case of a CLI group (one tokenize call holding
+    the thinking and the condition, then run_lockstep), and deterministic
+    end to end for a fixed (instance, config, backend).
     """
-    ctx = build_contexts(instance, config, backend)
+    ctx = build_contexts(instance, config, tokenize_texts(backend, context_texts(instance, config)))
     return _run_alone(compress_steps(instance, config, ctx), backend)
 
 
@@ -423,33 +403,26 @@ def _request_key(request: LogprobRequest) -> tuple:
     return tuple(request.context), request.start, request.end
 
 
-def _send_step(backend: LogprobBackend, step: dict[int, list[LogprobRequest]]) -> dict[int, list[LogprobResponse]]:
-    """Send the step's distinct requests in one batch and hand each task its answers."""
-    distinct: dict[tuple, LogprobRequest] = {}
-    for requests_ in step.values():
-        for request in requests_:
-            distinct.setdefault(_request_key(request), request)
-    answers = dict(zip(distinct, backend.logprobs_batch(list(distinct.values()))))
-    return {task: [answers[_request_key(r)] for r in requests_] for task, requests_ in step.items()}
+def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list], key: Callable[[Any], Hashable]) -> dict:
+    """Each task's answers, one per item, or the CtsError that answered them.
 
-
-def _answer_step(backend: LogprobBackend, step: dict[int, list[LogprobRequest]]) -> dict[int, Any]:
-    """Each task's responses, or the CtsError that answered them.
-
-    When the coalesced batch fails, each task's requests are sent again
-    alone, so the failure lands on the tasks whose own requests fail.
+    The distinct items (by ``key``) of all tasks go out in one ``send``
+    call. When it fails, each task is sent again alone, so the failure lands
+    on the tasks whose own items fail. A BackendUnavailable propagates.
     """
+    distinct: dict[Hashable, Any] = {}
+    for items in tasks.values():
+        for item in items:
+            distinct.setdefault(key(item), item)
     try:
-        return _send_step(backend, step)
+        answers = dict(zip(distinct, send(list(distinct.values()))))
+        return {task: [answers[key(item)] for item in items] for task, items in tasks.items()}
     except BackendUnavailable:
         raise
     except CtsError as exc:
-        if len(step) == 1:
-            return dict.fromkeys(step, exc)
-    answers: dict[int, Any] = {}
-    for task, requests_ in step.items():
-        answers.update(_answer_step(backend, {task: requests_}))
-    return answers
+        if len(tasks) == 1:
+            return dict.fromkeys(tasks, exc)
+    return {task: _batch_then_split(send, {task: items}, key)[task] for task, items in tasks.items()}
 
 
 def run_lockstep(tasks: Sequence[tuple[Steps, LogprobBackend]]) -> list[tuple[Any, CtsError | None]]:
@@ -461,7 +434,7 @@ def run_lockstep(tasks: Sequence[tuple[Steps, LogprobBackend]]) -> list[tuple[An
     request (the selections run on one instance share their unconditional
     contexts, always in the same step) send it once, and the scoring round
     trips of a group of instances are those of its longest member. A
-    failed batch is sent again task by task (see _answer_step), and a
+    failed batch is sent again task by task (see _batch_then_split), and a
     task's error is thrown into its generator. Returns one ``(result,
     None)`` or ``(None, error)`` per task, in task order. A
     BackendUnavailable is not a per-task failure: it propagates.
@@ -484,7 +457,8 @@ def run_lockstep(tasks: Sequence[tuple[Steps, LogprobBackend]]) -> list[tuple[An
         step, pending = pending, {}
         answers: dict[int, Any] = {}
         for backend in dict.fromkeys(tasks[task][1] for task in step):
-            answers.update(_answer_step(backend, {t: r for t, r in step.items() if tasks[t][1] is backend}))
+            batch = {t: r for t, r in step.items() if tasks[t][1] is backend}
+            answers.update(_batch_then_split(backend.logprobs_batch, batch, _request_key))
         for task, answer in answers.items():
             advance(task, answer)
     return outcomes

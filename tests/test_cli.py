@@ -744,6 +744,20 @@ class TestStats:
         assert "Traceback" not in err
         assert f"{path}:2: malformed JSON: " in caplog.text
 
+    def test_nesting_past_the_recursion_limit_is_a_skipped_record(self, toy_env, capsys, caplog):
+        # json.loads raises a RecursionError, not a ValueError, on deep enough nesting
+        assert run_cli(compress_args(toy_env)) == 0
+        (good,) = read_jsonl_file(toy_env["dir"] / "out.jsonl")[:1]
+        path = toy_env["dir"] / "deep.jsonl"
+        path.write_text(json.dumps(good) + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["stats", "--input", str(path)]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (report["instances_ok"], report["instances_failed"]) == (1, 1)
+        assert "Traceback" not in err
+        assert f"{path}:2: malformed JSON: " in caplog.text
+
 
 class TestNotUtf8:
     """A line that is not UTF-8 is a skipped record, like a line that is not JSON, never a traceback."""

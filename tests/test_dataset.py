@@ -348,3 +348,38 @@ def test_reader_skips_and_reports_each_bad_line(tmp_path, reader, good, required
         assert isinstance(err, DatasetError)
         assert str(err).startswith(f"{path}:{err.line}: ")
     assert str(errors[-1]).startswith(f"{path}:8: not UTF-8: ")
+
+
+# each reader: a record with the given id, the id's field, the record's id, whether a null id reads as absent
+ID_READERS = [
+    pytest.param(
+        read_dataset, lambda id_: {"id": id_, "problem": "p", "thinking": "t", "answer": "a"}, "id",
+        lambda x: x.id, True, id="read_dataset",
+    ),
+    pytest.param(
+        read_compressed_dataset, lambda id_: dict(compressed_to_dict(make_compressed(0)), id=id_), "id",
+        lambda x: x.id, False, id="read_compressed_dataset",
+    ),
+    pytest.param(
+        read_rm_examples, lambda id_: {"id": id_, "question": "q", "answer": "a", "reasoning_steps": ["s"]},
+        "id", lambda x: x.source_id, True, id="read_rm_examples",
+    ),
+    pytest.param(
+        read_responses, lambda id_: {"source_id": id_, "compressed_steps": "s"}, "source_id",
+        lambda x: x[0], False, id="read_responses",
+    ),
+]
+
+
+@pytest.mark.parametrize("value", [None, True, 1.5, {"a": 1}], ids=["null", "bool", "float", "dict"])
+@pytest.mark.parametrize("reader, with_id, key, identity, null_is_absent", ID_READERS)
+def test_one_id_rule_for_every_reader(tmp_path, reader, with_id, key, identity, null_is_absent, value):
+    path = write_jsonl_file([with_id("r0"), with_id(7), with_id(value)], tmp_path / "in.jsonl")
+    errors = []
+    ids = [identity(x) for x in reader(path, errors=errors)]
+    if value is None and null_is_absent:
+        assert (ids, errors) == (["r0", "7", "line:3"], [])
+    else:
+        assert ids == ["r0", "7"]
+        assert [e.line for e in errors] == [3]
+        assert f"field {key!r} must be a string or an integer, got {value!r}" in str(errors[0])

@@ -1,5 +1,6 @@
 """Property tests of selection: exact counts and ratios, nesting across alphas, a brute-force oracle,
-lockstep scoring of a group against one instance at a time, and the rule that sizes the groups.
+lockstep scoring of a group against one instance at a time, the batch-then-split rule of both
+backend calls, and the rule that sizes the groups.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
@@ -16,10 +17,11 @@ from hypothesis import strategies as st  # noqa: E402
 from cts.backends import ToyBackend  # noqa: E402
 from cts.cli import ABLATION_MODES, GROUP_CHARS, SCORE_GROUP, _groups  # noqa: E402
 from cts.dataset import CotInstance  # noqa: E402
+from cts.errors import BackendProtocolError, BackendUnavailable  # noqa: E402
 from cts.selector import (  # noqa: E402
     SelectionConfig,
+    _batch_then_split,
     TokenScoreRow,
-    build_contexts,
     compress_instance,
     compress_steps,
     kept_count_for,
@@ -28,7 +30,7 @@ from cts.selector import (  # noqa: E402
     select_tokens,
 )
 
-from conftest import shift_spec  # noqa: E402
+from conftest import contexts_for, shift_spec  # noqa: E402
 
 BACKEND = ToyBackend(shift_spec())
 
@@ -123,7 +125,7 @@ def scoring_config(scope: str, original_prefix: bool, **fields) -> SelectionConf
 
 
 def lockstep_tasks(group, configs, backend):
-    return [(compress_steps(inst, cfg, build_contexts(inst, cfg, backend)), backend)
+    return [(compress_steps(inst, cfg, contexts_for(inst, cfg, backend)), backend)
             for inst in group for cfg in configs]
 
 
@@ -153,6 +155,47 @@ def test_ablate_modes_send_each_distinct_context_once_per_step(group, scope, ori
     backend = BatchLog()
     run_lockstep(lockstep_tasks(group, configs, backend))
     assert [sorted(batch) for batch in backend.batches] == [sorted(step) for step in asked]
+
+
+# 1-6 tasks of 1-5 small-int items each, so that tasks share items
+item_tasks = st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=5), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(item_tasks, st.sets(st.integers(0, 9), max_size=3))
+def test_batch_then_split_lands_a_failure_on_the_tasks_at_fault(tasks, poisoned):
+    calls: list[list[int]] = []
+
+    def send(items):
+        calls.append(items)
+        if poisoned.intersection(items):
+            raise BackendProtocolError("poisoned")
+        return list(items)
+
+    answers = _batch_then_split(send, dict(enumerate(tasks)), lambda item: item)
+    assert list(answers) == list(range(len(tasks)))
+    for task, items in enumerate(tasks):
+        if poisoned.intersection(items):
+            assert isinstance(answers[task], BackendProtocolError)
+        else:
+            assert answers[task] == items
+    assert all(len(call) == len(set(call)) for call in calls)
+    failed = any(poisoned.intersection(items) for items in tasks)
+    assert len(calls) == (1 + len(tasks) if failed and len(tasks) > 1 else 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(item_tasks)
+def test_batch_then_split_lets_an_unavailable_backend_end_it(tasks):
+    calls: list[list[int]] = []
+
+    def send(items):
+        calls.append(items)
+        raise BackendUnavailable("down")
+
+    with pytest.raises(BackendUnavailable):
+        _batch_then_split(send, dict(enumerate(tasks)), lambda item: item)
+    assert len(calls) == 1
 
 
 def closes(group, min_count, min_chars) -> bool:

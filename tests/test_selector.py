@@ -9,7 +9,6 @@ from cts.backends import LogprobBackend, ToyBackend, ToyLmSpec
 from cts.dataset import CotInstance, compressed_to_dict
 from cts.errors import BackendProtocolError, BackendUnavailable, ConfigError, ScoringError, TokenizeError
 from cts.selector import (
-    RequestCache,
     SelectionConfig,
     Segment,
     TokenScoreRow,
@@ -20,9 +19,10 @@ from cts.selector import (
     run_lockstep,
     segment_thinking,
     select_tokens,
+    tokenize_texts,
 )
 
-from conftest import score_global, uniform_spec
+from conftest import contexts_for, score_global, uniform_spec
 
 CONDITION = "{answer}:"  # renders inside the toy vocabularies used here
 
@@ -70,14 +70,14 @@ class TestBuildContexts:
     # A segment's unconditional context is its history + thinking ids and its
     # conditional context is cond_prefix + history + thinking ids.
     def test_unconditional_contexts_are_equal(self, shift_backend):
-        ctx = build_contexts(instance("ABC"), config(conditional=False), shift_backend)
+        ctx = contexts_for(instance("ABC"), config(conditional=False), shift_backend)
         assert ctx.cond_prefix == []
         assert ctx.thinking_ids == [t for t, _ in shift_backend.tokenize(["ABC"])[0]]
 
     def test_condition_prefix_prepended(self):
         backend = ToyBackend(uniform_spec(list("ANS: 42")))
         cfg = config(condition_template="ANS: {answer} ")
-        ctx = build_contexts(instance("AA"), cfg, backend)
+        ctx = contexts_for(instance("AA"), cfg, backend)
         prefix = [t for t, _ in backend.tokenize(["ANS: 42 "])[0]]
         thinking = [t for t, _ in backend.tokenize(["AA"])[0]]
         assert ctx.cond_prefix + ctx.thinking_ids == prefix + thinking
@@ -85,7 +85,7 @@ class TestBuildContexts:
 
     def test_thinking_ids_bit_identical_between_contexts(self, shift_backend):
         backend = RecordingBackend(shift_backend)
-        ctx = build_contexts(instance("AB C"), config(), backend)
+        ctx = contexts_for(instance("AB C"), config(), backend)
         score_global(instance("AB C"), config(), backend)
         n, p = len(ctx.thinking_ids), len(ctx.cond_prefix)
         assert backend.requests == [
@@ -96,20 +96,20 @@ class TestBuildContexts:
     def test_template_without_answer_placeholder_rejected(self, shift_backend):
         cfg = config(condition_template="no placeholder here")
         with pytest.raises(ConfigError):
-            build_contexts(instance("A"), cfg, shift_backend)
+            contexts_for(instance("A"), cfg, shift_backend)
 
     def test_empty_template_is_explicit_no_op(self, shift_backend):
-        ctx = build_contexts(instance("AB"), config(condition_template=""), shift_backend)
+        ctx = contexts_for(instance("AB"), config(condition_template=""), shift_backend)
         assert ctx.cond_prefix == []
 
     def test_unknown_placeholder_rejected(self, shift_backend):
         cfg = config(condition_template="{answer}{oops}")
         with pytest.raises(ConfigError):
-            build_contexts(instance("A"), cfg, shift_backend)
+            contexts_for(instance("A"), cfg, shift_backend)
 
     def test_empty_thinking_rejected(self, shift_backend):
         with pytest.raises(ScoringError):
-            build_contexts(instance(""), config(), shift_backend)
+            contexts_for(instance(""), config(), shift_backend)
 
 
 class TestScoreTokens:
@@ -399,7 +399,7 @@ class TestRequestBudget:
         backend = RecordingBackend(shift_backend)
         cfg = config(conditional=conditional, selection_scope=scope, segment_budget=8, boundary_slack=0)
         result = compress_instance(instance("ABC " * 10), cfg, backend)
-        assert backend.tokenized == [["ABC " * 10]] + ([["42:"]] if conditional else [])
+        assert backend.tokenized == [["ABC " * 10] + (["42:"] if conditional else [])]
         assert backend.batches == segments
         assert result == compress_instance(instance("ABC " * 10), cfg, backend.inner)
 
@@ -413,48 +413,40 @@ class TestRequestBudget:
 
         monkeypatch.setattr(ToyBackend, "tokenize", spy)
         compress_instance(instance("ABC " * 10), config(), shift_backend)
-        assert calls == [(["ABC " * 10], threading.get_ident()), (["42:"], threading.get_ident())]
+        assert calls == [(["ABC " * 10, "42:"], threading.get_ident())]
 
 
-def lockstep(inst, configs, backend, cache):
-    """Each config's selection of one instance, tokenized through the cache and scored in lockstep."""
-    tasks = [(compress_steps(inst, cfg, build_contexts(inst, cfg, cache)), backend) for cfg in configs]
+def lockstep(inst, configs, backend, tokens):
+    """Each config's selection of one instance, built from the tokenize answers and scored in lockstep."""
+    tasks = [(compress_steps(inst, cfg, build_contexts(inst, cfg, tokens)), backend) for cfg in configs]
     return [result for result, _ in run_lockstep(tasks)]
 
 
 class TestRequestCache:
+    """The per-group tokenize answers (tokenize_texts), shared by the selections run on the group."""
+
     def test_conditional_batch_serves_the_unconditional_selection(self, shift_backend):
         backend = RecordingBackend(shift_backend)
         inst = instance("ABC " * 10)
-        cache = RequestCache(backend, [inst.thinking, "42:", inst.thinking])
-        cond, uncond = lockstep(inst, [config(), config(conditional=False)], backend, cache)
+        tokens = tokenize_texts(backend, [inst.thinking, "42:", inst.thinking])
+        assert tokens == dict(zip([inst.thinking, "42:"], shift_backend.tokenize([inst.thinking, "42:"])))
+        cond, uncond = lockstep(inst, [config(), config(conditional=False)], backend, tokens)
         assert backend.tokenized == [["ABC " * 10, "42:"]]
         assert backend.batch_sizes == [2]
         assert cond == compress_instance(inst, config(), shift_backend)
         assert uncond == compress_instance(inst, config(conditional=False), shift_backend)
 
-    def test_tokenize_misses_go_out_once(self, shift_backend):
-        backend = RecordingBackend(shift_backend)
-        cache = RequestCache(backend, ["AB", "C:", "AB"])
-        for text in ["AB", "C:", "AB", "C:", "A", "AB", "A"]:
-            assert cache.tokenize([text]) == shift_backend.tokenize([text])
-        assert cache.tokenize(["A", "AB"]) == shift_backend.tokenize(["A", "AB"])
-        assert backend.tokenized == [["AB", "C:"], ["A"]]
-
     def test_no_texts_no_call(self, shift_backend):
         backend = RecordingBackend(shift_backend)
-        RequestCache(backend, [])
+        assert tokenize_texts(backend, []) == {}
         assert backend.tokenized == []
 
-    def test_tokenize_failure_is_not_cached(self, shift_backend):
+    def test_failed_call_sends_each_distinct_text_alone_once(self, shift_backend):
         backend = RecordingBackend(shift_backend)
-        cache = RequestCache(backend, ["AB", "Z"])
-        assert cache.tokenize(["AB"]) == shift_backend.tokenize(["AB"])
-        for _ in range(2):
-            with pytest.raises(TokenizeError):
-                cache.tokenize(["Z"])
-        assert cache.tokenize(["AB"]) == shift_backend.tokenize(["AB"])
-        assert backend.tokenized == [["AB", "Z"], ["AB"], ["Z"], ["Z"]]
+        tokens = tokenize_texts(backend, ["AB", "Z", "AB"])
+        assert tokens["AB"] == shift_backend.tokenize(["AB"])[0]
+        assert isinstance(tokens["Z"], TokenizeError)
+        assert backend.tokenized == [["AB", "Z"], ["AB"], ["Z"]]
 
     def test_unavailable_backend_ends_the_batch(self, shift_backend):
         class Down(RecordingBackend):
@@ -464,18 +456,18 @@ class TestRequestCache:
 
         backend = Down(shift_backend)
         with pytest.raises(BackendUnavailable):
-            RequestCache(backend, ["AB", "C:"])
+            tokenize_texts(backend, ["AB", "C:"])
         assert backend.tokenized == [["AB", "C:"]]
 
     @pytest.mark.parametrize("original_prefix", [False, True])
     def test_per_segment_modes_share_what_they_can(self, shift_backend, original_prefix):
         backend = RecordingBackend(shift_backend)
         inst = instance("ABC " * 10)
-        cache = RequestCache(backend, [inst.thinking, "42:"])
+        tokens = tokenize_texts(backend, [inst.thinking, "42:"])
         cfg = dict(selection_scope="per_segment", segment_budget=8, boundary_slack=0,
                    iterative_original_prefix=original_prefix)
         configs = [config(conditional=conditional, **cfg) for conditional in (True, False)]
-        assert lockstep(inst, configs, backend, cache) == [
+        assert lockstep(inst, configs, backend, tokens) == [
             compress_instance(inst, cfg, shift_backend) for cfg in configs
         ]
         # five segments, one batch each; the unconditional mode shares segment
@@ -500,7 +492,7 @@ class FailsOnToken(RecordingBackend):
 
 
 def tasks_for(insts, cfg, backend, tokenizer):
-    return [(compress_steps(i, cfg, build_contexts(i, cfg, tokenizer)), backend) for i in insts]
+    return [(compress_steps(i, cfg, contexts_for(i, cfg, tokenizer)), backend) for i in insts]
 
 
 class TestLockstep:
