@@ -44,15 +44,12 @@ from .selector import (
     SelectionConfig,
     SelectionResult,
     TokenScoreRow,
-    build_contexts,
     compress_instance,
     compress_steps,
-    context_texts,
     run_lockstep,
     score_tokens,
     segment_thinking,
     select_tokens,
-    tokenize_texts,
 )
 
 __version__ = "0.1.0"

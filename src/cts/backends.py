@@ -103,21 +103,25 @@ class ToyLmSpec:
 
     ``table`` maps a previous token string (or the reserved key "START" for
     sequence-initial positions) to a distribution over vocabulary strings.
-    Every probability lies in [0, 1] and every row sums to 1 within 1e-9.
+    The vocabulary is a list of distinct non-empty str and each row a dict;
+    every probability is an int or a float (not a bool) in [0, 1] and every
+    row sums to 1 within 1e-9.
     """
 
     vocabulary: list[str]
     table: dict[str, dict[str, float]]
 
     def validate(self) -> None:
+        if type(self.vocabulary) is not list or not all(type(tok) is str and tok for tok in self.vocabulary):
+            raise ConfigError(f"toy model vocabulary must be a list of non-empty str, got {self.vocabulary!r}")
         if not self.vocabulary:
             raise ConfigError("toy model vocabulary is empty")
         if len(set(self.vocabulary)) != len(self.vocabulary):
             raise ConfigError("toy model vocabulary contains duplicates")
-        if any(not tok for tok in self.vocabulary):
-            raise ConfigError("toy model vocabulary contains an empty token")
         if START in self.vocabulary:
             raise ConfigError(f"{START!r} is reserved and may not appear in the vocabulary")
+        if type(self.table) is not dict or not all(type(row) is dict for row in self.table.values()):
+            raise ConfigError("toy model table must map each previous token to an object of probabilities")
         known = set(self.vocabulary)
         for prev, row in self.table.items():
             if prev != START and prev not in known:
@@ -126,8 +130,8 @@ class ToyLmSpec:
             for tok, p in row.items():
                 if tok not in known:
                     raise ConfigError(f"table entry {tok!r} (row {prev!r}) is not in the vocabulary")
-                if not (0.0 <= p <= 1.0):
-                    raise ConfigError(f"probability {p!r} for {tok!r} (row {prev!r}) outside [0, 1]")
+                if type(p) not in (int, float) or not (0.0 <= p <= 1.0):
+                    raise ConfigError(f"probability {p!r} for {tok!r} (row {prev!r}) is not a number in [0, 1]")
                 total += p
             if abs(total - 1.0) > 1e-9:
                 raise ConfigError(f"row {prev!r} sums to {total!r}, expected 1 within 1e-9")
@@ -140,8 +144,8 @@ class ToyLmSpec:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read toy model spec {path!r}: {exc}") from exc
         try:
-            spec = cls(vocabulary=list(data["vocabulary"]), table={k: dict(v) for k, v in data["table"].items()})
-        except (KeyError, TypeError, AttributeError) as exc:
+            spec = cls(vocabulary=data["vocabulary"], table=data["table"])
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed toy model spec {path!r}: {exc}") from exc
         spec.validate()
         return spec

@@ -44,13 +44,10 @@ from .runner import map_ordered
 from .selector import (
     DEFAULT_CONDITION_TEMPLATE,
     SelectionConfig,
-    build_contexts,
     compress_instance,  # noqa: F401  not called here; bench/cli_child.py instruments cts.cli by this name
     compress_steps,
-    context_texts,
     run_lockstep,
     score_rows_to_dicts,
-    tokenize_texts,
 )
 
 logger = logging.getLogger("cts")
@@ -248,14 +245,6 @@ class Job:
     dump_path: str | None = None
 
 
-def _attempt(fn, *args) -> tuple[Any, CtsError | None]:
-    """``(fn(*args), None)``, or ``(None, exc)`` when it fails with a CtsError."""
-    try:
-        return fn(*args), None
-    except CtsError as exc:
-        return None, exc
-
-
 def _groups(instances: Iterable[CotInstance], min_count: int, min_chars: int) -> Iterator[list[CotInstance]]:
     """Consecutive lists of instances; the last may hold less than the rest.
 
@@ -281,24 +270,20 @@ def _compress_stream(
 ) -> tuple[list[ReportBuilder], bool]:
     """Read the input once and run every job on each instance; returns (builders, interrupted).
 
-    Groups of consecutive instances (``_groups``) pass two ordered stages.
-    The first makes one tokenize call per backend with the distinct texts of
-    the group's instances and selections (``tokenize_texts``) and hands on
-    the ScoringContexts; a selection whose texts cannot be tokenized fails
-    there. The second scores and selects the group in lockstep
-    (``run_lockstep``): at each segment step, one /logprobs POST per backend
-    holds the distinct requests of every instance and selection. The first
-    stage tokenizes 2 * ``workers`` groups at a time, ahead of the
-    ``workers`` groups being scored. A failed call of either stage is sent
-    again piece by piece, so only the instances whose own texts or requests
-    fail are lost.
+    Groups of consecutive instances (``_groups``) go to ``workers`` threads
+    in input order, and each group runs in lockstep (``run_lockstep``) the
+    steps of each of its instances and selections (``compress_steps``): one
+    tokenize call per backend with the distinct texts, then at each segment
+    step one logprobs call per backend with the distinct requests. A failed
+    call is sent again item by item, so only the instances whose own texts
+    or requests fail are lost.
 
     Jobs with equal configs on one backend object are one selection: it is
     tokenized, scored and selected once, and each of those jobs writes and
     reports its outcome, which they share read-only.
 
     Each output path gets its own atomic writer, so an aborted run leaves
-    none of them. When the pass ends, both stages are stopped and then
+    none of them. When the pass ends, the workers are stopped and then
     every job's backend is closed.
     """
     read_errors: list[DatasetError] = []
@@ -309,26 +294,11 @@ def _compress_stream(
               for job in jobs]
     distinct = {i: jobs[i] for i in shared}
 
-    def tokenize_group(group):
-        tokens = {}
-        for backend in dict.fromkeys(job.backend for job in jobs):
-            texts = [text for instance in group for job in distinct.values() if job.backend is backend
-                     for text in context_texts(instance, job.config)]
-            tokens[backend] = tokenize_texts(backend, texts)
-        return [(instance, {i: _attempt(build_contexts, instance, job.config, tokens[job.backend])
-                            for i, job in distinct.items()})
-                for instance in group]
-
     def score_group(group):
-        tasks, slots = [], []
-        for instance, outcomes in group:
-            for i, (ctx, exc) in outcomes.items():
-                if exc is None:
-                    tasks.append((compress_steps(instance, distinct[i].config, ctx), distinct[i].backend))
-                    slots.append((outcomes, i))
-        for (outcomes, i), outcome in zip(slots, run_lockstep(tasks)):
-            outcomes[i] = outcome
-        return [(instance.id, outcomes) for instance, outcomes in group]
+        tasks = [(compress_steps(instance, job.config), job.backend)
+                 for instance in group for job in distinct.values()]
+        outcomes = iter(run_lockstep(tasks))
+        return [(instance.id, {i: next(outcomes) for i in distinct}) for instance in group]
 
     interrupted = False
     try:
@@ -343,10 +313,9 @@ def _compress_stream(
             # pass; every other output is written alongside it
             outputs = [(writer(job.output_path) if i else None, writer(job.dump_path))
                        for i, job in enumerate(jobs)]
-            # closed before the writers and the backends, so no stage thread outlives the pass
+            # closed before the writers and the backends, so no worker thread outlives the pass
             groups = _groups(instances, SCORE_GROUP, GROUP_CHARS)
-            tokenized = stack.enter_context(closing(map_ordered(tokenize_group, groups, 2 * workers)))
-            scored = stack.enter_context(closing(map_ordered(score_group, tokenized, workers)))
+            scored = stack.enter_context(closing(map_ordered(score_group, groups, workers)))
             results = itertools.chain.from_iterable(scored)
 
             def first_records() -> Iterator[CompressedInstance]:

@@ -3,9 +3,8 @@
 Items are processed concurrently but results come back in submission
 order, so output files are byte-identical at any parallelism level. The
 lookahead window keeps memory bounded by a constant number of items.
-The CLI chains two of these, a tokenize stage and a score stage, over
-groups of instances (``cts.cli._groups``). With one worker
-``map_ordered`` calls ``fn`` on the calling thread.
+The CLI maps each group of instances (``cts.cli._groups``) through one of
+these. With one worker ``map_ordered`` calls ``fn`` on the calling thread.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ the same loop over a single segment.
 With ``conditional`` off the score degenerates to the plain unconditional
 perplexity, i.e. the classic keep-the-most-surprising-tokens baseline.
 
-Scoring is written as step generators (one step per segment) so that
-``run_lockstep`` can score several instances side by side, sending each
-step's requests of all of them in one batch per backend.
+Scoring is written as step generators (a tokenize step, then one step per
+segment) so that ``run_lockstep`` can score several instances side by side,
+sending each step's texts or requests of all of them in one call per
+backend.
 """
 
 from __future__ import annotations
@@ -27,20 +28,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Callable, Generator, Hashable, Mapping, Sequence
+from typing import Any, Callable, Generator, Hashable, Sequence
 
-from .backends import LogprobBackend, LogprobRequest, LogprobResponse, ppl_of
+from .backends import LogprobBackend, LogprobRequest, ppl_of
 from .dataset import CompressedInstance, CotInstance
-from .errors import BackendError, BackendUnavailable, ConfigError, CtsError, ScoringError
+from .errors import BackendProtocolError, BackendUnavailable, ConfigError, CtsError, ScoringError
 
 DEFAULT_CONDITION_TEMPLATE = "The correct answer is: {answer}\n"
 
 SCORE_SPACES = ("ppl_diff", "bits_diff")
 SELECTION_SCOPES = ("global", "per_segment")
 
-# A step generator yields the logprob requests of one step, is sent their
-# responses (or thrown the CtsError that answered them), and returns its result.
-Steps = Generator[list[LogprobRequest], list[LogprobResponse], Any]
+# A step generator yields the texts to tokenize or the logprob requests of one
+# step, is sent one answer per item (the CtsError of an item that failed alone
+# in its place), and returns its result.
+Steps = Generator[list[str] | list[LogprobRequest], list, Any]
 
 # A segment boundary may snap back to a span ending in whitespace or
 # sentence punctuation.
@@ -126,21 +128,6 @@ class SelectionResult:
     kept_count: int
 
 
-@dataclass
-class ScoringContexts:
-    """The tokenized thinking text and condition of one instance.
-
-    A segment's unconditional context is its history followed by its
-    thinking ids; the conditional context puts cond_prefix in front. The
-    thinking ids are the same list in both, so positions align one-to-one
-    between the passes.
-    """
-
-    thinking_ids: list[int]
-    thinking_spans: list[str]
-    cond_prefix: list[int]
-
-
 def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
     if not config.conditional:
         return ""
@@ -148,58 +135,8 @@ def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
         return config.condition_template.format_map(
             {"answer": instance.answer, "problem": instance.problem}
         )
-    except (KeyError, IndexError, ValueError) as exc:
+    except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
         raise ConfigError(f"bad condition template {config.condition_template!r}: {exc}") from exc
-
-
-def tokenize_texts(backend: LogprobBackend, texts: Sequence[str]) -> dict[str, list[tuple[int, str]] | CtsError]:
-    """Each distinct text's tokens, or the CtsError it got when tokenized alone.
-
-    The texts go out in one tokenize call, and one by one only when that
-    call fails (see _batch_then_split); no texts, no call.
-    """
-    if not texts:
-        return {}
-    answers = _batch_then_split(backend.tokenize, {text: [text] for text in texts}, lambda text: text)
-    return {text: answer if isinstance(answer, CtsError) else answer[0] for text, answer in answers.items()}
-
-
-def build_contexts(
-    instance: CotInstance, config: SelectionConfig, tokens: Mapping[str, list[tuple[int, str]] | CtsError]
-) -> ScoringContexts:
-    """Assemble the instance's contexts from ``tokens``, the tokenize_texts answers for its context_texts.
-
-    A text the backend could not tokenize becomes a ScoringError naming the
-    instance and the field; the thinking goes first, so when both fail, the
-    thinking is named.
-    """
-    config.validate()
-    # spans concatenate to the text, so only an empty text has no tokens
-    if not instance.thinking:
-        raise ScoringError(
-            f"instance {instance.id}: thinking text produced no tokens", instance.id
-        )
-    condition = render_condition(config, instance)
-    thinking, cond_tokens = [tokens[text] if text else [] for text in (instance.thinking, condition)]
-    for field, answer in (("thinking", thinking), ("condition", cond_tokens)):
-        if isinstance(answer, CtsError):
-            raise ScoringError(
-                f"instance {instance.id}: cannot tokenize {field}: {answer}", instance.id
-            ) from answer
-    return ScoringContexts(
-        thinking_ids=[t for t, _ in thinking],
-        thinking_spans=[s for _, s in thinking],
-        cond_prefix=[t for t, _ in cond_tokens],
-    )
-
-
-def context_texts(instance: CotInstance, config: SelectionConfig) -> list[str]:
-    """The texts build_contexts looks up for the instance, in order; a condition it cannot render is left to it."""
-    try:
-        condition = render_condition(config, instance) if instance.thinking else ""
-    except ConfigError:
-        condition = ""
-    return [text for text in (instance.thinking, condition) if text]
 
 
 def _diff(a: float, b: float) -> float:
@@ -237,21 +174,21 @@ def _segment_steps(
 
     The unconditional context is history + ids, the conditional one
     cond_prefix + history + ids; rows are numbered from first_position. A
-    BackendError thrown in becomes a ScoringError naming the segment.
+    CtsError among the responses becomes a ScoringError naming the segment.
     """
     n = len(ids)
     contexts = [[*history, *ids]]
     if config.conditional:
         contexts.append([*cond_prefix, *history, *ids])
-    try:
-        responses = yield [LogprobRequest(context, len(context) - n, len(context)) for context in contexts]
-    except BackendError as exc:
+    responses = yield [LogprobRequest(context, len(context) - n, len(context)) for context in contexts]
+    failed = next((response for response in responses if isinstance(response, CtsError)), None)
+    if failed is not None:
         raise ScoringError(
             f"instance {instance_id}: backend failed scoring thinking tokens "
-            f"[{first_position}, {first_position + n}): {exc}",
+            f"[{first_position}, {first_position + n}): {failed}",
             instance_id,
             (first_position, first_position + n),
-        ) from exc
+        ) from failed
     lp_uncond = responses[0].logprobs_bits
     lp_cond = responses[1].logprobs_bits if config.conditional else lp_uncond
     return [
@@ -339,19 +276,34 @@ def _selection(rows: Sequence[TokenScoreRow], mask: list[bool]) -> SelectionResu
     return SelectionResult(threshold=threshold, kept_mask=mask, kept_count=sum(mask))
 
 
-def compress_steps(
-    instance: CotInstance, config: SelectionConfig, ctx: ScoringContexts
-) -> Steps:
-    """Score and select one tokenized instance, one step per segment.
+def compress_steps(instance: CotInstance, config: SelectionConfig) -> Steps:
+    """Tokenize, score and select one instance: a tokenize step, then one step per segment.
 
-    Global scope is the one-segment case [0, n). Per-segment scope scores
-    each segment against the kept prefix (or, with iterative_original_prefix,
+    The first step yields the thinking and then the condition, which is left
+    out when it renders empty; a text that cannot be tokenized becomes a
+    ScoringError naming the instance and the field (the thinking, when both
+    fail). Each text is tokenized once and the ids are concatenated, so
+    thinking positions align one-to-one between the two passes. Global
+    scope is the one-segment case [0, n). Per-segment scope scores each
+    segment against the kept prefix (or, with iterative_original_prefix,
     the original preceding thinking) and keeps the top fraction inside it.
     Returns (record, rows, selection). The compressed thinking text is the
     concatenation of kept spans in original order; actual_ratio is exactly
     kept_count / original_count.
     """
-    ids, spans = ctx.thinking_ids, ctx.thinking_spans
+    config.validate()
+    # spans concatenate to the text, so only an empty text has no tokens
+    if not instance.thinking:
+        raise ScoringError(f"instance {instance.id}: thinking text produced no tokens", instance.id)
+    condition = render_condition(config, instance)
+    answers = yield [text for text in (instance.thinking, condition) if text]
+    for field, answer in zip(("thinking", "condition"), answers):
+        if isinstance(answer, CtsError):
+            raise ScoringError(
+                f"instance {instance.id}: cannot tokenize {field}: {answer}", instance.id
+            ) from answer
+    ids, spans = [t for t, _ in answers[0]], [s for _, s in answers[0]]
+    cond_prefix = [t for t, _ in answers[1]] if condition else []
     if config.selection_scope == "global":
         segments = [Segment(0, len(ids), 0)]
     else:
@@ -362,7 +314,7 @@ def compress_steps(
     for seg in segments:
         history = ids[: seg.start] if config.iterative_original_prefix else kept_prefix
         seg_rows = yield from _segment_steps(
-            history, ctx.cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
+            history, cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
             seg.start, config, instance.id,
         )
         seg_mask = select_tokens(seg_rows, config).kept_mask
@@ -391,61 +343,61 @@ def compress_instance(
 ) -> tuple[CompressedInstance, list[TokenScoreRow], SelectionResult]:
     """Run the full pipeline for one instance: tokenize once, then score and select each segment.
 
-    It is the one-instance case of a CLI group (one tokenize call holding
-    the thinking and the condition, then run_lockstep), and deterministic
-    end to end for a fixed (instance, config, backend).
+    It is the one-instance case of a CLI group, and deterministic end to end
+    for a fixed (instance, config, backend).
     """
-    ctx = build_contexts(instance, config, tokenize_texts(backend, context_texts(instance, config)))
-    return _run_alone(compress_steps(instance, config, ctx), backend)
+    return _run_alone(compress_steps(instance, config), backend)
 
 
-def _request_key(request: LogprobRequest) -> tuple:
-    return tuple(request.context), request.start, request.end
+def _item_key(item: Any) -> Hashable:
+    """What makes two items of one call the same: a request's span of its context; other items themselves."""
+    if isinstance(item, LogprobRequest):
+        return tuple(item.context), item.start, item.end
+    return item
 
 
-def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list], key: Callable[[Any], Hashable]) -> dict:
-    """Each task's answers, one per item, or the CtsError that answered them.
+def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list]) -> dict:
+    """Each task's answers, one per item, with the CtsError of an item that failed alone in its place.
 
-    The distinct items (by ``key``) of all tasks go out in one ``send``
-    call. When it fails, each task is sent again alone, so the failure lands
-    on the tasks whose own items fail. A BackendUnavailable propagates.
+    The distinct items of all tasks go out in one ``send`` call. When it
+    fails, or does not answer each item once, each distinct item is sent
+    again alone, so the failure lands on the items at fault. A
+    BackendUnavailable propagates.
     """
-    distinct: dict[Hashable, Any] = {}
-    for items in tasks.values():
-        for item in items:
-            distinct.setdefault(key(item), item)
+    distinct = {_item_key(item): item for items in tasks.values() for item in items}
+    batch = list(distinct.values())
     try:
-        answers = dict(zip(distinct, send(list(distinct.values()))))
-        return {task: [answers[key(item)] for item in items] for task, items in tasks.items()}
+        answers = send(batch)
+        if len(answers) != len(batch):
+            raise BackendProtocolError(f"backend sent {len(answers)} answers, expected {len(batch)}")
     except BackendUnavailable:
         raise
     except CtsError as exc:
-        if len(tasks) == 1:
-            return dict.fromkeys(tasks, exc)
-    return {task: _batch_then_split(send, {task: items}, key)[task] for task, items in tasks.items()}
+        answers = [exc] if len(batch) == 1 else [_batch_then_split(send, {0: [item]})[0][0] for item in batch]
+    by_key = dict(zip(distinct, answers))
+    return {task: [by_key[_item_key(item)] for item in items] for task, items in tasks.items()}
 
 
 def run_lockstep(tasks: Sequence[tuple[Steps, LogprobBackend]]) -> list[tuple[Any, CtsError | None]]:
-    """Run step generators side by side, one logprobs_batch per backend per step.
+    """Run step generators side by side, one call per backend per step.
 
-    Each step collects the pending requests of every live task, drops the
-    duplicates among those bound for one backend, and sends the rest in one
-    batch; a task ends when its generator returns. So tasks that share a
-    request (the selections run on one instance share their unconditional
-    contexts, always in the same step) send it once, and the scoring round
-    trips of a group of instances are those of its longest member. A
-    failed batch is sent again task by task (see _batch_then_split), and a
-    task's error is thrown into its generator. Returns one ``(result,
+    Each step collects the pending items of every live task: texts go to
+    the backend's tokenize, requests to its logprobs_batch. The duplicates
+    among those bound for one call are dropped and the rest sent at once
+    (see _batch_then_split); a task ends when its generator returns. So
+    tasks that share a text or a request (the selections run on one
+    instance share the thinking and their unconditional contexts, always in
+    the same step) send it once, and the round trips of a group of
+    instances are those of its longest member. Returns one ``(result,
     None)`` or ``(None, error)`` per task, in task order. A
     BackendUnavailable is not a per-task failure: it propagates.
     """
     outcomes: list[Any] = [None] * len(tasks)
-    pending: dict[int, list[LogprobRequest]] = {}
+    pending: dict[int, list] = {}
 
-    def advance(task: int, answer: Any) -> None:
-        steps = tasks[task][0]
+    def advance(task: int, answers: Any) -> None:
         try:
-            pending[task] = steps.throw(answer) if isinstance(answer, CtsError) else steps.send(answer)
+            pending[task] = tasks[task][0].send(answers)
         except StopIteration as stop:
             outcomes[task] = (stop.value, None)
         except CtsError as exc:
@@ -455,12 +407,14 @@ def run_lockstep(tasks: Sequence[tuple[Steps, LogprobBackend]]) -> list[tuple[An
         advance(task, None)
     while pending:
         step, pending = pending, {}
-        answers: dict[int, Any] = {}
-        for backend in dict.fromkeys(tasks[task][1] for task in step):
-            batch = {t: r for t, r in step.items() if tasks[t][1] is backend}
-            answers.update(_batch_then_split(backend.logprobs_batch, batch, _request_key))
-        for task, answer in answers.items():
-            advance(task, answer)
+        calls: dict[Callable, dict[int, list]] = {}
+        for task, items in step.items():
+            backend = tasks[task][1]
+            send = backend.tokenize if isinstance(items[0], str) else backend.logprobs_batch
+            calls.setdefault(send, {})[task] = items
+        for send, batch in calls.items():
+            for task, answers in _batch_then_split(send, batch).items():
+                advance(task, answers)
     return outcomes
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import cts.cli
 from cts.backends import HttpBackend, HttpBackendConfig, ToyBackend, ToyLmSpec
-from cts.selector import build_contexts, context_texts, score_tokens, tokenize_texts
+from cts.selector import render_condition, score_tokens
 
 # A file or socket a test leaves open fails it. The filters are set here and
 # not in pyproject.toml so that they hold for this suite only: bench/ has its
@@ -95,16 +95,12 @@ def shift_spec() -> ToyLmSpec:
     return ToyLmSpec(vocabulary=vocab, table=rows)
 
 
-def contexts_for(instance, config, backend):
-    """The instance's ScoringContexts, tokenized alone as compress_instance does."""
-    return build_contexts(instance, config, tokenize_texts(backend, context_texts(instance, config)))
-
-
 def score_global(instance, config, backend):
     """Score every thinking token as global scope does: one segment [0, n), no history."""
-    ctx = contexts_for(instance, config, backend)
+    thinking, condition = backend.tokenize([instance.thinking, render_condition(config, instance)])
     return score_tokens(
-        [], ctx.cond_prefix, ctx.thinking_ids, ctx.thinking_spans, 0, config, backend, instance.id
+        [], [t for t, _ in condition], [t for t, _ in thinking], [s for _, s in thinking], 0, config, backend,
+        instance.id,
     )
 
 

@@ -15,6 +15,7 @@ from cts.backends import (
     ToyLmSpec,
     ppl_of,
 )
+from cts.cli import main
 from cts.dataset import CotInstance
 from cts.errors import (
     BackendError,
@@ -222,6 +223,27 @@ class TestToyLmSpec:
         loaded = ToyLmSpec.from_file(path)
         assert loaded.vocabulary == spec.vocabulary
         assert loaded.table == spec.table
+
+    @pytest.mark.parametrize("vocabulary, row", [
+        ([1, "A"], {"A": 1.0}),
+        ("AB", {"A": 0.5, "B": 0.5}),  # not read as ["A", "B"]
+        (["A", "B"], {"A": "1", "B": 0.0}),
+        (["A", "B"], {"A": True, "B": 0.0}),  # a bool is not a probability, though True == 1
+        (["A", "B"], "AB"),
+        (["A", "B"], [["A", 1.0]]),  # not read as {"A": 1.0}
+    ], ids=["int-token", "str-vocabulary", "str-probability", "bool-probability", "str-row", "pairs-row"])
+    def test_from_file_mistyped_exits_2(self, tmp_path, capfd, vocabulary, row):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"vocabulary": vocabulary, "table": {"START": row}}))
+        with pytest.raises(ConfigError):
+            ToyLmSpec.from_file(str(path))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"problem": "", "thinking": "AB", "answer": "A"}) + "\n")
+        assert main([
+            "compress", "--input", str(corpus), "--output", str(tmp_path / "out.jsonl"), "--ratio", "0.5",
+            "--backend", f"toy:{path}",
+        ]) == 2
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_from_file_malformed(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -133,6 +133,17 @@ class TestCompress:
         assert report["instances_failed"] == 1
         assert run_cli(args + ["--lenient"]) == 0
 
+    @pytest.mark.parametrize("template", ["{answer}{problem.x}", "{answer}{problem[x]}"])
+    def test_template_that_cannot_render_fails_each_instance(self, toy_env, caplog, template):
+        # attribute and index lookups pass validation but fail on the str they are applied to
+        report = toy_env["dir"] / "report.json"
+        args = compress_args(toy_env, extra=["--condition-template", template, "--report", str(report)])
+        assert run_cli(args) == 1
+        assert json.loads(report.read_text())["instances_failed"] == 40
+        failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        assert len(failed) == 40
+        assert all(f"bad condition template {template!r}" in message for message in failed)
+
     def test_score_dump_alongside_dataset(self, toy_env):
         dump = toy_env["dir"] / "dump.jsonl"
         code = run_cli(compress_args(toy_env, extra=["--score-dump", str(dump)]))

@@ -172,8 +172,8 @@ class TestLifecycle:
             assert code == 0
             # one /tokenize and one /logprobs POST per group
             assert server.state.request_count == 2 * math.ceil(12 / SCORE_GROUP)
-            # at most one per thread of the tokenize stage (2 * workers) and of the score stage (workers)
-            assert 1 <= len(server.accepted) <= 2 * 2 + 2
+            # at most one per worker thread
+            assert 1 <= len(server.accepted) <= 2
             assert server.wait_until_all_closed()
         assert (tmp_path / "out.jsonl").read_bytes() == _compress_with_toy(corpus, spec_path, tmp_path)
 
@@ -199,34 +199,6 @@ class ToyTransport:
             requests_ = [LogprobRequest(d["context_ids"], d["start"], d["end"]) for d in data]
             reply = [{"logprobs_bits": a.logprobs_bits} for a in self.backend.logprobs_batch(requests_)]
         return 200, {}, json.dumps(reply).encode("utf-8")
-
-
-class ScoringHeldBack(ToyTransport):
-    """Holds the first ``held`` /logprobs replies until a /tokenize POST holds ``ahead_text``.
-
-    Each held reply notes whether that /tokenize came before it (True) or
-    the wait timed out (False). With ``held`` workers all scoring, only
-    tokenization that runs ahead of scoring can end the wait.
-    """
-
-    def __init__(self, backend, ahead_text, held=2):
-        super().__init__(backend)
-        self.ahead_text = ahead_text
-        self.ahead = threading.Event()
-        self.held = held
-        self.waits: list[bool] = []
-        self.lock = threading.Lock()
-
-    def post(self, path, body, headers):
-        if path == "/tokenize" and {"text": self.ahead_text} in json.loads(body):
-            self.ahead.set()
-        if path == "/logprobs":
-            with self.lock:
-                hold = self.held > 0
-                self.held -= hold
-            if hold:
-                self.waits.append(self.ahead.wait(timeout=5))
-        return super().post(path, body, headers)
 
 
 @pytest.fixture
@@ -274,18 +246,7 @@ def groups_of(records) -> list:
 
 @pytest.mark.usefixtures("groups_of_four")
 class TestPipeline:
-    """compress tokenizes each group of instances in a stage that runs ahead of scoring it."""
-
-    def test_group_g_plus_2_is_tokenized_before_group_g_is_scored(self, monkeypatch, tmp_path, corpus):
-        records, corpus_path = corpus
-        # the first two scoring POSTs are those of the groups of instances 0-3 and 4-7;
-        # both wait for the tokenize POST of the next group, instances 8-9
-        transport = ScoringHeldBack(ToyBackend(shift_spec()), records[2 * SCORE_GROUP]["thinking"])
-        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=2)
-        assert transport.waits == [True, True]
-        assert len(transport.posts) == posts_for(records)
-        spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
-        assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
+    """compress tokenizes and scores each group of instances on one worker, in lockstep."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_tokenize_post_per_group_with_an_array_body(self, monkeypatch, tmp_path, corpus, workers):
@@ -314,24 +275,13 @@ class TestPipeline:
         for bodies in transport.tokenize_bodies.values():
             assert sorted(bodies, key=json.dumps) == expected
 
-    def test_one_worker_tokenizes_ahead_of_scoring(self, monkeypatch, tmp_path, corpus):
-        records, corpus_path = corpus
-        # the scoring POST of instances 0-3 waits for instance 4's thinking, so the calling thread cannot send it
-        transport = ScoringHeldBack(ToyBackend(shift_spec()), records[SCORE_GROUP]["thinking"], held=1)
-        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=1)
-        assert transport.waits == [True]
-        assert len(transport.posts) == posts_for(records)
-        spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
-        assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
-
     def test_one_worker_posts_from_the_calling_thread(self, monkeypatch, tmp_path, corpus):
         records, corpus_path = corpus
         transport = ToyTransport(ToyBackend(shift_spec()))
         compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=1)
         assert len(transport.posts) == posts_for(records)
-        # scoring stays on the calling thread; tokenization runs ahead on the tokenize stage's threads
-        scorers = {thread for path, thread in transport.posts if path == "/logprobs"}
-        assert scorers == {threading.current_thread()}
+        # tokenizing and scoring stay on the calling thread
+        assert {thread for _, thread in transport.posts} == {threading.current_thread()}
         # the client sends /logprobs only as an array of request objects
         assert len(transport.logprobs_bodies) == math.ceil(len(records) / SCORE_GROUP)
         assert all(isinstance(body, list) for body in transport.logprobs_bodies)
@@ -409,8 +359,9 @@ class TestCoalescedScoring:
         bad = 5  # in the group of instances 4-7
         transport = CorruptReplies(ToyBackend(shift_spec()), records[bad]["thinking"])
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)
-        # the group's POST failed, then each of its 4 instances was sent alone, each as an array too
-        assert len(transport.posts) == posts_for(records) + SCORE_GROUP
+        # the group's POST failed, then each of the 2 requests of its 4 instances was sent alone,
+        # each as an array too
+        assert len(transport.posts) == posts_for(records) + 2 * SCORE_GROUP
         assert all(isinstance(body, list) for body in transport.logprobs_bodies)
         expected = _compress_with_toy(corpus_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
         lines = expected.splitlines(keepends=True)
@@ -526,7 +477,7 @@ def test_outage_while_scoring_stops_both_stages(tmp_path, monkeypatch, capfd, co
             "--backend", f"http:{server.url}", *condition, "--workers", "2",
         ])
         assert code == 3
-        assert alive_at_close == []  # both stages stopped before the backend closed
+        assert alive_at_close == []  # every worker stopped before the backend closed
         assert started_threads() == []
         assert server.wait_until_all_closed()
     assert "Traceback" not in capfd.readouterr().err

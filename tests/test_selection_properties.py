@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from cts.backends import ToyBackend  # noqa: E402
 from cts.cli import ABLATION_MODES, GROUP_CHARS, SCORE_GROUP, _groups  # noqa: E402
 from cts.dataset import CotInstance  # noqa: E402
-from cts.errors import BackendProtocolError, BackendUnavailable  # noqa: E402
+from cts.errors import BackendProtocolError, BackendUnavailable, CtsError  # noqa: E402
 from cts.selector import (  # noqa: E402
     SelectionConfig,
     _batch_then_split,
@@ -30,7 +30,7 @@ from cts.selector import (  # noqa: E402
     select_tokens,
 )
 
-from conftest import contexts_for, shift_spec  # noqa: E402
+from conftest import shift_spec  # noqa: E402
 
 BACKEND = ToyBackend(shift_spec())
 
@@ -125,8 +125,7 @@ def scoring_config(scope: str, original_prefix: bool, **fields) -> SelectionConf
 
 
 def lockstep_tasks(group, configs, backend):
-    return [(compress_steps(inst, cfg, contexts_for(inst, cfg, backend)), backend)
-            for inst in group for cfg in configs]
+    return [(compress_steps(inst, cfg), backend) for inst in group for cfg in configs]
 
 
 @settings(max_examples=100, deadline=None)
@@ -162,26 +161,33 @@ item_tasks = st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=5), min_s
 
 
 @settings(max_examples=300, deadline=None)
-@given(item_tasks, st.sets(st.integers(0, 9), max_size=3))
-def test_batch_then_split_lands_a_failure_on_the_tasks_at_fault(tasks, poisoned):
+@given(item_tasks, st.sets(st.integers(0, 9), max_size=3), st.booleans())
+def test_batch_then_split_lands_a_failure_on_the_tasks_at_fault(tasks, poisoned, short):
+    # a call holding a poisoned item fails: it raises, or with ``short`` it answers one item too few
     calls: list[list[int]] = []
 
     def send(items):
         calls.append(items)
         if poisoned.intersection(items):
+            if short:
+                return list(items)[:-1]
             raise BackendProtocolError("poisoned")
         return list(items)
 
-    answers = _batch_then_split(send, dict(enumerate(tasks)), lambda item: item)
+    answers = _batch_then_split(send, dict(enumerate(tasks)))
     assert list(answers) == list(range(len(tasks)))
     for task, items in enumerate(tasks):
-        if poisoned.intersection(items):
-            assert isinstance(answers[task], BackendProtocolError)
-        else:
-            assert answers[task] == items
+        # the error lands exactly on the poisoned items; every other item gets its answer
+        assert [isinstance(answer, BackendProtocolError) for answer in answers[task]] == [
+            item in poisoned for item in items
+        ]
+        assert [answer for answer in answers[task] if not isinstance(answer, CtsError)] == [
+            item for item in items if item not in poisoned
+        ]
     assert all(len(call) == len(set(call)) for call in calls)
-    failed = any(poisoned.intersection(items) for items in tasks)
-    assert len(calls) == (1 + len(tasks) if failed and len(tasks) > 1 else 1)
+    distinct = {item for items in tasks for item in items}
+    # one call; when it fails, one more per distinct item, unless there is only one
+    assert len(calls) == (1 + len(distinct) if poisoned & distinct and len(distinct) > 1 else 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -194,7 +200,7 @@ def test_batch_then_split_lets_an_unavailable_backend_end_it(tasks):
         raise BackendUnavailable("down")
 
     with pytest.raises(BackendUnavailable):
-        _batch_then_split(send, dict(enumerate(tasks)), lambda item: item)
+        _batch_then_split(send, dict(enumerate(tasks)))
     assert len(calls) == 1
 
 

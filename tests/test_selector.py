@@ -12,17 +12,15 @@ from cts.selector import (
     SelectionConfig,
     Segment,
     TokenScoreRow,
-    build_contexts,
     compress_instance,
     compress_steps,
     kept_count_for,
     run_lockstep,
     segment_thinking,
     select_tokens,
-    tokenize_texts,
 )
 
-from conftest import contexts_for, score_global, uniform_spec
+from conftest import score_global, shift_spec, uniform_spec
 
 CONDITION = "{answer}:"  # renders inside the toy vocabularies used here
 
@@ -66,50 +64,54 @@ class RecordingBackend(LogprobBackend):
         return self.inner.logprobs_batch(requests_)
 
 
+def ids_of(backend, text: str) -> tuple[int, ...]:
+    return tuple(t for t, _ in backend.tokenize([text])[0])
+
+
 class TestBuildContexts:
-    # A segment's unconditional context is its history + thinking ids and its
+    # compress_steps tokenizes the thinking and the condition once each; a
+    # segment's unconditional context is its history + thinking ids and its
     # conditional context is cond_prefix + history + thinking ids.
     def test_unconditional_contexts_are_equal(self, shift_backend):
-        ctx = contexts_for(instance("ABC"), config(conditional=False), shift_backend)
-        assert ctx.cond_prefix == []
-        assert ctx.thinking_ids == [t for t, _ in shift_backend.tokenize(["ABC"])[0]]
+        backend = RecordingBackend(shift_backend)
+        compress_instance(instance("ABC"), config(conditional=False), backend)
+        assert backend.tokenized == [["ABC"]]
+        assert backend.requests == [(ids_of(shift_backend, "ABC"), 0, 3)]
 
     def test_condition_prefix_prepended(self):
-        backend = ToyBackend(uniform_spec(list("ANS: 42")))
-        cfg = config(condition_template="ANS: {answer} ")
-        ctx = contexts_for(instance("AA"), cfg, backend)
-        prefix = [t for t, _ in backend.tokenize(["ANS: 42 "])[0]]
-        thinking = [t for t, _ in backend.tokenize(["AA"])[0]]
-        assert ctx.cond_prefix + ctx.thinking_ids == prefix + thinking
-        assert ctx.cond_prefix == prefix
+        backend = RecordingBackend(ToyBackend(uniform_spec(list("ANS: 42"))))
+        compress_instance(instance("AA"), config(condition_template="ANS: {answer} "), backend)
+        prefix, thinking = ids_of(backend.inner, "ANS: 42 "), ids_of(backend.inner, "AA")
+        assert backend.tokenized == [["AA", "ANS: 42 "]]
+        assert backend.requests[1] == (prefix + thinking, len(prefix), len(prefix) + len(thinking))
 
     def test_thinking_ids_bit_identical_between_contexts(self, shift_backend):
         backend = RecordingBackend(shift_backend)
-        ctx = contexts_for(instance("AB C"), config(), backend)
-        score_global(instance("AB C"), config(), backend)
-        n, p = len(ctx.thinking_ids), len(ctx.cond_prefix)
-        assert backend.requests == [
-            (tuple(ctx.thinking_ids), 0, n),
-            (tuple(ctx.cond_prefix + ctx.thinking_ids), p, p + n),
-        ]
+        compress_instance(instance("AB C"), config(), backend)
+        thinking, prefix = ids_of(shift_backend, "AB C"), ids_of(shift_backend, "42:")
+        n, p = len(thinking), len(prefix)
+        assert backend.requests == [(thinking, 0, n), (prefix + thinking, p, p + n)]
 
     def test_template_without_answer_placeholder_rejected(self, shift_backend):
         cfg = config(condition_template="no placeholder here")
         with pytest.raises(ConfigError):
-            contexts_for(instance("A"), cfg, shift_backend)
+            compress_instance(instance("A"), cfg, shift_backend)
 
     def test_empty_template_is_explicit_no_op(self, shift_backend):
-        ctx = contexts_for(instance("AB"), config(condition_template=""), shift_backend)
-        assert ctx.cond_prefix == []
+        backend = RecordingBackend(shift_backend)
+        compress_instance(instance("AB"), config(condition_template=""), backend)
+        # the empty condition is not tokenized, and both contexts are the thinking alone: one request
+        assert backend.tokenized == [["AB"]]
+        assert backend.requests == [(ids_of(shift_backend, "AB"), 0, 2)]
 
     def test_unknown_placeholder_rejected(self, shift_backend):
         cfg = config(condition_template="{answer}{oops}")
         with pytest.raises(ConfigError):
-            contexts_for(instance("A"), cfg, shift_backend)
+            compress_instance(instance("A"), cfg, shift_backend)
 
     def test_empty_thinking_rejected(self, shift_backend):
         with pytest.raises(ScoringError):
-            contexts_for(instance(""), config(), shift_backend)
+            compress_instance(instance(""), config(), shift_backend)
 
 
 class TestScoreTokens:
@@ -416,37 +418,40 @@ class TestRequestBudget:
         assert calls == [(["ABC " * 10, "42:"], threading.get_ident())]
 
 
-def lockstep(inst, configs, backend, tokens):
-    """Each config's selection of one instance, built from the tokenize answers and scored in lockstep."""
-    tasks = [(compress_steps(inst, cfg, build_contexts(inst, cfg, tokens)), backend) for cfg in configs]
-    return [result for result, _ in run_lockstep(tasks)]
+def lockstep(inst, configs, backend):
+    """Each config's selection of one instance, run in lockstep."""
+    return [result for result, _ in run_lockstep([(compress_steps(inst, cfg), backend) for cfg in configs])]
 
 
 class TestRequestCache:
-    """The per-group tokenize answers (tokenize_texts), shared by the selections run on the group."""
+    """The tokenize step of a group run in lockstep: one call per backend, shared by the selections."""
 
     def test_conditional_batch_serves_the_unconditional_selection(self, shift_backend):
         backend = RecordingBackend(shift_backend)
         inst = instance("ABC " * 10)
-        tokens = tokenize_texts(backend, [inst.thinking, "42:", inst.thinking])
-        assert tokens == dict(zip([inst.thinking, "42:"], shift_backend.tokenize([inst.thinking, "42:"])))
-        cond, uncond = lockstep(inst, [config(), config(conditional=False)], backend, tokens)
+        cond, uncond = lockstep(inst, [config(), config(conditional=False)], backend)
         assert backend.tokenized == [["ABC " * 10, "42:"]]
         assert backend.batch_sizes == [2]
         assert cond == compress_instance(inst, config(), shift_backend)
         assert uncond == compress_instance(inst, config(conditional=False), shift_backend)
 
     def test_no_texts_no_call(self, shift_backend):
+        # an instance that fails before its tokenize step asks nothing
         backend = RecordingBackend(shift_backend)
-        assert tokenize_texts(backend, []) == {}
-        assert backend.tokenized == []
+        [(result, exc)] = run_lockstep([(compress_steps(instance(""), config()), backend)])
+        assert result is None and isinstance(exc, ScoringError)
+        assert backend.tokenized == [] and backend.batches == 0
 
     def test_failed_call_sends_each_distinct_text_alone_once(self, shift_backend):
         backend = RecordingBackend(shift_backend)
-        tokens = tokenize_texts(backend, ["AB", "Z", "AB"])
-        assert tokens["AB"] == shift_backend.tokenize(["AB"])[0]
-        assert isinstance(tokens["Z"], TokenizeError)
+        insts = [instance(text, iid=f"t-{i}") for i, text in enumerate(["AB", "Z", "AB"])]
+        outcomes = run_lockstep([(compress_steps(inst, config(conditional=False)), backend) for inst in insts])
         assert backend.tokenized == [["AB", "Z"], ["AB"], ["Z"]]
+        result, exc = outcomes[1]
+        assert result is None and isinstance(exc.__cause__, TokenizeError)
+        assert str(exc).startswith("instance t-1: cannot tokenize thinking: ")
+        for i in (0, 2):
+            assert outcomes[i] == (compress_instance(insts[i], config(conditional=False), shift_backend), None)
 
     def test_unavailable_backend_ends_the_batch(self, shift_backend):
         class Down(RecordingBackend):
@@ -456,20 +461,21 @@ class TestRequestCache:
 
         backend = Down(shift_backend)
         with pytest.raises(BackendUnavailable):
-            tokenize_texts(backend, ["AB", "C:"])
+            run_lockstep([(compress_steps(instance("AB", answer="C"), config()), backend)])
         assert backend.tokenized == [["AB", "C:"]]
+        assert backend.batches == 0
 
     @pytest.mark.parametrize("original_prefix", [False, True])
     def test_per_segment_modes_share_what_they_can(self, shift_backend, original_prefix):
         backend = RecordingBackend(shift_backend)
         inst = instance("ABC " * 10)
-        tokens = tokenize_texts(backend, [inst.thinking, "42:"])
         cfg = dict(selection_scope="per_segment", segment_budget=8, boundary_slack=0,
                    iterative_original_prefix=original_prefix)
         configs = [config(conditional=conditional, **cfg) for conditional in (True, False)]
-        assert lockstep(inst, configs, backend, tokens) == [
+        assert lockstep(inst, configs, backend) == [
             compress_instance(inst, cfg, shift_backend) for cfg in configs
         ]
+        assert backend.tokenized == [["ABC " * 10, "42:"]]
         # five segments, one batch each; the unconditional mode shares segment
         # 0, and with the original prefix every segment; kept prefixes differ
         # between the modes, so segments 1-4 hold a third context
@@ -491,8 +497,8 @@ class FailsOnToken(RecordingBackend):
         return answers
 
 
-def tasks_for(insts, cfg, backend, tokenizer):
-    return [(compress_steps(i, cfg, contexts_for(i, cfg, tokenizer)), backend) for i in insts]
+def tasks_for(insts, cfg, backend):
+    return [(compress_steps(i, cfg), backend) for i in insts]
 
 
 class TestLockstep:
@@ -500,7 +506,7 @@ class TestLockstep:
         backend = RecordingBackend(shift_backend)
         a, b = instance("ABC A", iid="a"), instance("CAB", iid="b")
         group = [a, b, a]
-        outcomes = run_lockstep(tasks_for(group, config(), backend, shift_backend))
+        outcomes = run_lockstep(tasks_for(group, config(), backend))
         # a's two contexts once, b's two
         assert backend.batch_sizes == [4]
         assert len(set(backend.requests)) == 4
@@ -510,7 +516,7 @@ class TestLockstep:
         standard, tuned = RecordingBackend(shift_backend), RecordingBackend(shift_backend)
         cfg = config(selection_scope="per_segment", segment_budget=4, boundary_slack=0)
         insts = [instance("ABC ABC", iid="a"), instance("AB", iid="b"), instance("ABCABCABC", iid="c")]
-        tasks = tasks_for(insts[:2], cfg, standard, shift_backend) + tasks_for(insts[2:], cfg, tuned, shift_backend)
+        tasks = tasks_for(insts[:2], cfg, standard) + tasks_for(insts[2:], cfg, tuned)
         outcomes = run_lockstep(tasks)
         # steps: a has 2 segments, b 1 and c 3; two contexts per segment
         assert standard.batch_sizes == [4, 2]
@@ -531,7 +537,7 @@ class TestLockstep:
             return FailsOnToken(shift_backend, two, BackendProtocolError("bad reply"))
 
         backend = failing()
-        outcomes = run_lockstep(tasks_for(insts, cfg, backend, shift_backend))
+        outcomes = run_lockstep(tasks_for(insts, cfg, backend))
         assert backend.batch_sizes == batch_sizes
         with pytest.raises(ScoringError) as alone:
             compress_instance(insts[1], cfg, failing())
@@ -547,11 +553,47 @@ class TestLockstep:
         backend = FailsOnToken(shift_backend, two, BackendUnavailable("down"))
         insts = [instance(t, iid=f"t-{i}") for i, t in enumerate(["ABC A", "AB2C", "CAB"])]
         with pytest.raises(BackendUnavailable):
-            run_lockstep(tasks_for(insts, config(), backend, shift_backend))
+            run_lockstep(tasks_for(insts, config(), backend))
         assert backend.batch_sizes == [6]
 
     def test_no_tasks(self):
         assert run_lockstep([]) == []
+
+
+MARKED = "BCCA"
+
+
+class ShortTokenize(ToyBackend):
+    """Drops the last answer of each tokenize call that holds MARKED."""
+
+    def tokenize(self, texts):
+        answers = super().tokenize(texts)
+        return answers[:-1] if MARKED in texts else answers
+
+
+class ShortLogprobs(ToyBackend):
+    """Drops the last answer of each logprobs_batch call with a context that ends in MARKED."""
+
+    def logprobs_batch(self, requests_):
+        answers = super().logprobs_batch(requests_)
+        marked = [t for t, _ in self.tokenize([MARKED])[0]]
+        return answers[:-1] if any(list(r.context[-len(marked):]) == marked for r in requests_) else answers
+
+
+@pytest.mark.parametrize("backend_class, message", [
+    (ShortTokenize, "instance t-1: cannot tokenize thinking: "),
+    (ShortLogprobs, "instance t-1: backend failed scoring thinking tokens [0, 4): "),
+], ids=["tokenize", "logprobs"])
+def test_a_call_short_of_answers_fails_only_the_instance_at_fault(backend_class, message):
+    # the group's call is one answer short, so each item goes out alone; only MARKED's calls are short then
+    backend = backend_class(shift_spec())
+    insts = [instance(t, iid=f"t-{i}") for i, t in enumerate(["ABC A", MARKED, "CAB"])]
+    outcomes = run_lockstep(tasks_for(insts, config(), backend))
+    result, exc = outcomes[1]
+    assert result is None and isinstance(exc, ScoringError) and isinstance(exc.__cause__, BackendProtocolError)
+    assert str(exc).startswith(message)
+    for i in (0, 2):
+        assert outcomes[i] == (compress_instance(insts[i], config(), ToyBackend(shift_spec())), None)
 
 
 class TestIterativeSegments:
