@@ -52,10 +52,11 @@ class LogprobResponse:
 
 
 def ppl_of(logprob_bits: float) -> float:
-    """Per-token perplexity: 2^(-logprob) = 1/P. -inf maps to +inf."""
-    if logprob_bits == -math.inf:
+    """Per-token perplexity: 2^(-logprob) = 1/P. -inf, and any value below -1024 bits, maps to +inf."""
+    try:
+        return 2.0 ** (-logprob_bits)
+    except OverflowError:  # past the largest float, which 2.0 ** 1024 is
         return math.inf
-    return 2.0 ** (-logprob_bits)
 
 
 def _texts(texts: Sequence[str]) -> Sequence[str]:

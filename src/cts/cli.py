@@ -46,6 +46,7 @@ from .selector import (
     SelectionConfig,
     compress_instance,  # noqa: F401  not called here; bench/cli_child.py instruments cts.cli by this name
     compress_steps,
+    lockstep_step,
     run_lockstep,
     score_rows_to_dicts,
 )
@@ -62,8 +63,9 @@ EXIT_BACKEND = 3
 EXIT_INTERRUPT = 130
 
 MAX_WORKERS = 64
-# instances tokenized and scored together: one /tokenize POST, then one /logprobs POST per step;
-# a group closes at SCORE_GROUP instances and GROUP_CHARS characters of thinking text (_groups)
+# instances scored together: one /logprobs POST per step (and a share of one /tokenize POST
+# per batch of --workers groups); a group closes at SCORE_GROUP instances and GROUP_CHARS
+# characters of thinking text (_groups)
 SCORE_GROUP = 4
 GROUP_CHARS = 4096
 
@@ -272,11 +274,16 @@ def _compress_stream(
 
     Groups of consecutive instances (``_groups``) go to ``workers`` threads
     in input order, and each group runs in lockstep (``run_lockstep``) the
-    steps of each of its instances and selections (``compress_steps``): one
-    tokenize call per backend with the distinct texts, then at each segment
-    step one logprobs call per backend with the distinct requests. A failed
-    call is sent again item by item, so only the instances whose own texts
-    or requests fail are lost.
+    steps of each of its instances and selections (``compress_steps``). The
+    first step, tokenizing, is run for a batch of ``workers`` consecutive
+    groups at once on the calling thread: one tokenize call per backend
+    with the distinct texts of the whole batch. ``map_ordered`` takes a
+    batch's groups as its window has room, so tokenizing runs one batch
+    ahead of the workers and at most 2 x ``workers`` tokenized groups wait
+    beside the groups being scored; at one worker a batch is one group. A
+    worker then runs its group's segment steps, each one logprobs call per
+    backend with the distinct requests. A failed call is sent again item by
+    item, so only the instances whose own texts or requests fail are lost.
 
     Jobs with equal configs on one backend object are one selection: it is
     tokenized, scored and selected once, and each of those jobs writes and
@@ -294,10 +301,21 @@ def _compress_stream(
               for job in jobs]
     distinct = {i: jobs[i] for i in shared}
 
-    def score_group(group):
-        tasks = [(compress_steps(instance, job.config), job.backend)
-                 for instance in group for job in distinct.values()]
-        outcomes = iter(run_lockstep(tasks))
+    def tokenized_groups() -> Iterator[tuple[list[CotInstance], list, list]]:
+        # on the calling thread, which map_ordered runs one batch ahead of the workers
+        groups = _groups(instances, SCORE_GROUP, GROUP_CHARS)
+        for batch in iter(lambda: list(itertools.islice(groups, workers)), []):
+            tasks = [(compress_steps(instance, job.config), job.backend)
+                     for group in batch for instance in group for job in distinct.values()]
+            states = lockstep_step(tasks)
+            end = 0
+            for group in batch:
+                start, end = end, end + len(group) * len(distinct)
+                yield group, tasks[start:end], states[start:end]
+
+    def score_group(tokenized):
+        group, tasks, states = tokenized
+        outcomes = iter(run_lockstep(tasks, states))
         return [(instance.id, {i: next(outcomes) for i in distinct}) for instance in group]
 
     interrupted = False
@@ -314,8 +332,7 @@ def _compress_stream(
             outputs = [(writer(job.output_path) if i else None, writer(job.dump_path))
                        for i, job in enumerate(jobs)]
             # closed before the writers and the backends, so no worker thread outlives the pass
-            groups = _groups(instances, SCORE_GROUP, GROUP_CHARS)
-            scored = stack.enter_context(closing(map_ordered(score_group, groups, workers)))
+            scored = stack.enter_context(closing(map_ordered(score_group, tokenized_groups(), workers)))
             results = itertools.chain.from_iterable(scored)
 
             def first_records() -> Iterator[CompressedInstance]:

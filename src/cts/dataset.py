@@ -163,20 +163,30 @@ def read_dataset(
     mapping = {**DEFAULT_SCHEMA, **(schema or {})}
     text_keys = [mapping[canon] for canon in ("problem", "thinking", "answer")]
     consumed = {*text_keys, mapping["id"]}
-    recent: OrderedDict[str, int] = OrderedDict()  # id -> line of the last records kept, oldest first
+    check_id = _first_id_check(DUPLICATE_ID_WINDOW)
 
     def parse(obj: dict, line_no: int) -> CotInstance:
         problem, thinking, answer = (_checked_text(_field(obj, key), key) for key in text_keys)
-        record_id = _record_id(obj, mapping["id"], line_no)
-        if record_id in recent:
-            raise DatasetError(f"duplicate id {record_id!r} (first at line {recent[record_id]})")
-        recent[record_id] = line_no
-        if len(recent) > DUPLICATE_ID_WINDOW:
-            recent.popitem(last=False)
+        record_id = check_id(_record_id(obj, mapping["id"], line_no), line_no)
         extras = {k: v for k, v in obj.items() if k not in consumed}
         return CotInstance(record_id, problem, thinking, answer, extras)
 
     return _read_jsonl(path, parse, errors)
+
+
+def _first_id_check(window: int | None) -> Callable[[str, int], str]:
+    """Pass a new id; reject one of the last ``window`` ids passed (any, when None), naming its line."""
+    kept: OrderedDict[str, int] = OrderedDict()  # id -> its line, oldest first
+
+    def check(record_id: str, line_no: int) -> str:
+        if record_id in kept:
+            raise DatasetError(f"duplicate id {record_id!r} (first at line {kept[record_id]})")
+        kept[record_id] = line_no
+        if window is not None and len(kept) > window:
+            kept.popitem(last=False)
+        return record_id
+
+    return check
 
 
 def _checked_ratio(value: Any, key: str) -> float:
@@ -216,21 +226,27 @@ def read_compressed_dataset(
     return _read_jsonl(path, _parse_compressed, errors)
 
 
-def _parse_rm_example(obj: dict, line_no: int) -> RmCorpusExample:
-    question, answer, steps = (_field(obj, key) for key in ("question", "answer", "reasoning_steps"))
-    if not isinstance(steps, list) or not steps or not all(isinstance(s, str) for s in steps):
-        raise DatasetError("reasoning_steps must be a non-empty list of strings")
-    return RmCorpusExample(
-        question=_checked_text(question, "question"),
-        answer=_checked_text(answer, "answer"),
-        reasoning_steps=list(steps),
-        source_id=_record_id(obj, "id", line_no),
-    )
-
-
 def read_rm_examples(path: str, *, errors: list[DatasetError] | None = None) -> Iterator[RmCorpusExample]:
-    """Stream RmCorpusExample records: {question, answer, reasoning_steps}."""
-    return _read_jsonl(path, _parse_rm_example, errors)
+    """Stream RmCorpusExample records: {question, answer, reasoning_steps}.
+
+    A record whose id repeats that of any earlier kept example is skipped,
+    as in ``read_dataset``, so that ``emit rm-rows`` joins each response to
+    one example; ``emit rm-rows`` holds every example anyway.
+    """
+    check_id = _first_id_check(None)
+
+    def parse(obj: dict, line_no: int) -> RmCorpusExample:
+        question, answer, steps = (_field(obj, key) for key in ("question", "answer", "reasoning_steps"))
+        if not isinstance(steps, list) or not steps or not all(isinstance(s, str) for s in steps):
+            raise DatasetError("reasoning_steps must be a non-empty list of strings")
+        return RmCorpusExample(
+            question=_checked_text(question, "question"),
+            answer=_checked_text(answer, "answer"),
+            reasoning_steps=list(steps),
+            source_id=check_id(_record_id(obj, "id", line_no), line_no),
+        )
+
+    return _read_jsonl(path, parse, errors)
 
 
 def _parse_response(obj: dict, line_no: int) -> tuple[str, str]:

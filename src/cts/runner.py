@@ -5,6 +5,13 @@ order, so output files are byte-identical at any parallelism level. The
 lookahead window keeps memory bounded by a constant number of items.
 The CLI maps each group of instances (``cts.cli._groups``) through one of
 these. With one worker ``map_ordered`` calls ``fn`` on the calling thread.
+
+The window holds at most ``LOOKAHEAD_PER_WORKER`` items per worker, and
+the calling thread takes the next item from ``items`` whenever it has
+room. The CLI's items tokenize a batch of ``workers`` groups on the calling
+thread as the batch's first group is taken, so tokenizing runs one batch
+ahead of the workers: at most 2 x ``workers`` tokenized groups wait beside
+the groups being scored.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-LOOKAHEAD_PER_WORKER = 4
+LOOKAHEAD_PER_WORKER = 2
 
 
 def map_ordered(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:

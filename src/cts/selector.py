@@ -378,44 +378,55 @@ def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list]) -> d
     return {task: [by_key[_item_key(item)] for item in items] for task, items in tasks.items()}
 
 
-def run_lockstep(tasks: Sequence[tuple[Steps, LogprobBackend]]) -> list[tuple[Any, CtsError | None]]:
-    """Run step generators side by side, one call per backend per step.
+def _advance(steps: Steps, answers: Any) -> list | tuple[Any, CtsError | None]:
+    try:
+        return steps.send(answers)
+    except StopIteration as stop:
+        return stop.value, None
+    except CtsError as exc:
+        return None, exc
 
-    Each step collects the pending items of every live task: texts go to
-    the backend's tokenize, requests to its logprobs_batch. The duplicates
-    among those bound for one call are dropped and the rest sent at once
-    (see _batch_then_split); a task ends when its generator returns. So
-    tasks that share a text or a request (the selections run on one
-    instance share the thinking and their unconditional contexts, always in
-    the same step) send it once, and the round trips of a group of
-    instances are those of its longest member. Returns one ``(result,
-    None)`` or ``(None, error)`` per task, in task order. A
-    BackendUnavailable is not a per-task failure: it propagates.
+
+def lockstep_step(tasks: Sequence[tuple[Steps, LogprobBackend]], states: Sequence | None = None) -> list:
+    """One step of ``run_lockstep``; returns each task's next state.
+
+    A task's state is the list of items its generator last yielded, or its
+    ``(result, None)`` or ``(None, error)`` outcome once it has ended. With
+    no ``states`` the tasks start here. The live tasks' texts go to their
+    backend's tokenize and their requests to its logprobs_batch, the
+    distinct items of one call at once (see _batch_then_split).
     """
-    outcomes: list[Any] = [None] * len(tasks)
-    pending: dict[int, list] = {}
-
-    def advance(task: int, answers: Any) -> None:
-        try:
-            pending[task] = tasks[task][0].send(answers)
-        except StopIteration as stop:
-            outcomes[task] = (stop.value, None)
-        except CtsError as exc:
-            outcomes[task] = (None, exc)
-
-    for task in range(len(tasks)):
-        advance(task, None)
-    while pending:
-        step, pending = pending, {}
-        calls: dict[Callable, dict[int, list]] = {}
-        for task, items in step.items():
-            backend = tasks[task][1]
+    if states is None:
+        states = [_advance(steps, None) for steps, _ in tasks]
+    calls: dict[Callable, dict[int, list]] = {}
+    for task, ((_, backend), items) in enumerate(zip(tasks, states)):
+        if isinstance(items, list):
             send = backend.tokenize if isinstance(items[0], str) else backend.logprobs_batch
             calls.setdefault(send, {})[task] = items
-        for send, batch in calls.items():
-            for task, answers in _batch_then_split(send, batch).items():
-                advance(task, answers)
-    return outcomes
+    states = list(states)
+    for send, batch in calls.items():
+        for task, answers in _batch_then_split(send, batch).items():
+            states[task] = _advance(tasks[task][0], answers)
+    return states
+
+
+def run_lockstep(
+    tasks: Sequence[tuple[Steps, LogprobBackend]], states: Sequence | None = None
+) -> list[tuple[Any, CtsError | None]]:
+    """Run step generators side by side to their ends, one call per backend per step (lockstep_step).
+
+    A task ends when its generator returns. Tasks that share a text or a
+    request (the selections run on one instance share the thinking and
+    their unconditional contexts, always in the same step) send it once,
+    and the round trips of a group of instances are those of its longest
+    member. ``states`` resumes tasks that earlier steps have advanced; by
+    default they start here. Returns one ``(result, None)`` or ``(None,
+    error)`` per task, in task order. A BackendUnavailable is not a
+    per-task failure: it propagates.
+    """
+    while states is None or any(isinstance(items, list) for items in states):
+        states = lockstep_step(tasks, states)
+    return states
 
 
 def _run_alone(steps: Steps, backend: LogprobBackend) -> Any:

@@ -44,6 +44,11 @@ class TestPplOf:
     def test_negative_infinity_maps_to_positive_infinity(self):
         assert ppl_of(-math.inf) == math.inf
 
+    def test_below_the_float_range_maps_to_positive_infinity(self):
+        assert ppl_of(-1023.0) == 2.0**1023
+        assert ppl_of(-1024.0) == math.inf
+        assert ppl_of(-1100.0) == math.inf
+
 
 class TestToyTokenize:
     def test_whitespace_preserving_split(self, uniform4_backend):
@@ -414,6 +419,21 @@ class TestWireBoundary:
         assert transport.posts == 1  # not retried
         with pytest.raises(ScoringError):
             compress_instance(CotInstance("i-8", "", TEXT, "42"), SelectionConfig(alpha=0.5), client)
+
+
+    def test_log_probability_below_the_float_range_scores_as_infinite_perplexity(self):
+        def post(path, body, headers):
+            items = json.loads(body)
+            if path == "/tokenize":  # one token per character
+                reply = [{"token_ids": [ord(c) for c in item["text"]], "spans": list(item["text"])} for item in items]
+            else:
+                reply = [{"logprobs_bits": [-2000.0] * (item["end"] - item["start"])} for item in items]
+            return 200, {}, json.dumps(reply).encode("utf-8")
+
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), post)
+        record, rows, _ = compress_instance(CotInstance("i-12", "", TEXT, "42"), SelectionConfig(alpha=0.5), client)
+        assert [(row.ppl_uncond, row.ppl_cond, row.score) for row in rows] == [(math.inf, math.inf, 0.0)] * len(TEXT)
+        assert record.kept_count == 1
 
 
 @pytest.fixture(params=["toy", "http"])

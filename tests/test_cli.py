@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import cts.cli
+from cts.backends import ToyLmSpec
 from cts.cli import main
 from cts.dataset import read_compressed_dataset
+from cts.emitters import rm_instruction_context
 from cts.errors import ConfigError
 from cts.selector import compress_steps
 
@@ -156,6 +158,23 @@ class TestCompress:
         for iid, kept in kept_by_id.items():
             assert sum(1 for r in rows if r["instance_id"] == iid and r["kept"]) == kept
 
+    def test_probability_below_the_float_range_scores_as_infinite_perplexity(self, tmp_path, capfd):
+        # P(B | A) = 1e-320 is about -1,063 bits, so its perplexity is past the largest float
+        spec = ToyLmSpec(vocabulary=["A", "B"], table={
+            "START": {"A": 0.5, "B": 0.5}, "A": {"A": 1.0, "B": 1e-320}, "B": {"A": 0.5, "B": 0.5},
+        })
+        spec_path = write_spec_file(spec, tmp_path / "spec.json")
+        corpus = write_jsonl_file([{"id": "e", "problem": "", "thinking": "AAB", "answer": "B"}],
+                                  tmp_path / "corpus.jsonl")
+        dump = tmp_path / "dump.jsonl"
+        code = run_cli(["compress", "--input", corpus, "--output", str(tmp_path / "out.jsonl"), "--ratio", "0.5",
+                        "--backend", f"toy:{spec_path}", "--condition-template", "{answer}",
+                        "--score-dump", str(dump)])
+        assert code == 0
+        assert "Traceback" not in capfd.readouterr().err
+        assert "Infinity" in dump.read_text(encoding="utf-8")
+        assert read_jsonl_file(dump)[2]["ppl_uncond"] == math.inf
+
     def test_schema_mapping_flags(self, toy_env, tmp_path):
         renamed = [
             {"q": rec["problem"], "cot": rec["thinking"], "ans": rec["answer"]}
@@ -290,6 +309,27 @@ class TestEmitCommand:
         assert len(read_jsonl_file(out)) == kept
         assert sum("skipped record" in r.message for r in caplog.records) == 2
 
+    @pytest.mark.parametrize("target", ["rm-prompts", "rm-rows"])
+    def test_repeated_example_id_is_skipped_and_reported(self, tmp_path, caplog, target):
+        examples = write_jsonl_file([
+            {"id": "e1", "question": "q1", "answer": "a1", "reasoning_steps": ["the cat sat"]},
+            {"id": "e1", "question": "q2", "answer": "a2", "reasoning_steps": ["a dog ran"]},
+        ], tmp_path / "ex.jsonl")
+        responses = write_jsonl_file([{"source_id": "e1", "compressed_steps": "cat sat"}], tmp_path / "resp.jsonl")
+        out = tmp_path / "rows.jsonl"
+        args = ["emit", target, "--input", examples, "--responses", responses, "--output", str(out)]
+        assert run_cli(args) == 1
+        skipped = [r.getMessage() for r in caplog.records if "skipped record" in r.getMessage()]
+        assert len(skipped) == 1 and "duplicate id 'e1' (first at line 1)" in skipped[0]
+        assert run_cli(args + ["--lenient"]) == 0
+        (row,) = read_jsonl_file(out)
+        if target == "rm-rows":
+            # joined to the first example, the one whose steps the response was compressed from
+            assert row["instruction_context"] == rm_instruction_context("q1", "a1")
+            assert row["flagged"] is False
+        else:
+            assert "the cat sat" in row["instruction"]
+
     def test_unknown_target_exits_2(self, tmp_path):
         code = run_cli(["emit", "nonsense", "--input", "x", "--output", "y"])
         assert code == 2
@@ -365,9 +405,10 @@ class TestAblateOnePass:
             code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate",
                                        extra=["--backend", f"http:{server.url}", "--workers", "2"]))
         assert code == 0
-        # one /tokenize and one /logprobs POST per group of instances; the modes share their
-        # texts, and the conditional modes' requests serve the unconditional ones
-        assert server.state.request_count == 2 * math.ceil(40 / cts.cli.SCORE_GROUP)
+        # one /logprobs POST per group of instances, one /tokenize POST per batch of 2 groups; the
+        # modes share their texts, and the conditional modes' requests serve the unconditional ones
+        groups = math.ceil(40 / cts.cli.SCORE_GROUP)
+        assert server.state.request_count == groups + math.ceil(groups / 2)
 
     @pytest.mark.usefixtures("groups_of_four")
     def test_distinct_tuned_backend_posts_three_requests_per_instance_each(self, toy_env):
@@ -448,10 +489,12 @@ class TestAblateOnePass:
             code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate",
                                        extra=["--backend", f"http:{server.url}", "--workers", "2", "--lenient"]))
         assert code == 0
-        # the /tokenize POST of inst-0..3 fails, so their 6 distinct texts (4 thinking texts,
-        # "42:" and "Z:") go out one by one; "Z:" is asked once, since both conditional modes
-        # are one selection; inst-3's unconditional modes score in its group's /logprobs POST
-        assert server.state.request_count == 2 * math.ceil(40 / cts.cli.SCORE_GROUP) + 6
+        # the /tokenize POST of inst-0..7 (a batch of 2 groups) fails, so its 10 distinct texts
+        # (8 thinking texts, "42:" and "Z:") go out one by one; "Z:" is asked once, since both
+        # conditional modes are one selection; inst-3's unconditional modes score in its group's
+        # /logprobs POST
+        groups = math.ceil(40 / cts.cli.SCORE_GROUP)
+        assert server.state.request_count == groups + math.ceil(groups / 2) + 10
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert [message.split(":")[0] for message in failed] == ["ablate conditional", "ablate proposed"]
 

@@ -170,10 +170,11 @@ class TestLifecycle:
                 "--backend", f"http:{server.url}", "--condition-template", "{answer}:", "--workers", "2",
             ])
             assert code == 0
-            # one /tokenize and one /logprobs POST per group
-            assert server.state.request_count == 2 * math.ceil(12 / SCORE_GROUP)
-            # at most one per worker thread
-            assert 1 <= len(server.accepted) <= 2
+            # one /logprobs POST per group, one /tokenize POST per batch of 2 groups
+            groups = math.ceil(12 / SCORE_GROUP)
+            assert server.state.request_count == groups + math.ceil(groups / 2)
+            # at most one per worker thread, and one for the calling thread, which tokenizes
+            assert 1 <= len(server.accepted) <= 3
             assert server.wait_until_all_closed()
         assert (tmp_path / "out.jsonl").read_bytes() == _compress_with_toy(corpus, spec_path, tmp_path)
 
@@ -229,14 +230,14 @@ def compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, *, max
     return out.read_bytes() if out.exists() else None
 
 
-def posts_for(records) -> int:
-    # one /tokenize POST and one scoring POST per group
-    return 2 * math.ceil(len(records) / SCORE_GROUP)
+def posts_for(records, workers=1) -> int:
+    # one /tokenize POST per batch of `workers` groups, and one scoring POST per group
+    return len(batches_of(records, workers)) + len(groups_of(records))
 
 
-def tokenize_body(group) -> list:
-    """The /tokenize body of a group: the distinct thinking and condition texts of its instances, in order."""
-    texts = (text for record in group for text in (record["thinking"], f"{record['answer']}:"))
+def tokenize_body(records) -> list:
+    """The /tokenize body of a batch: the distinct thinking and condition texts of its instances, in order."""
+    texts = (text for record in records for text in (record["thinking"], f"{record['answer']}:"))
     return [{"text": text} for text in dict.fromkeys(texts)]
 
 
@@ -244,19 +245,28 @@ def groups_of(records) -> list:
     return [records[i:i + SCORE_GROUP] for i in range(0, len(records), SCORE_GROUP)]
 
 
+def batches_of(records, workers) -> list:
+    """The records of each batch: ``workers`` consecutive groups of SCORE_GROUP instances."""
+    size = workers * SCORE_GROUP
+    return [records[i:i + size] for i in range(0, len(records), size)]
+
+
 @pytest.mark.usefixtures("groups_of_four")
 class TestPipeline:
-    """compress tokenizes and scores each group of instances on one worker, in lockstep."""
+    """compress tokenizes each batch of ``workers`` groups at once, then scores each group on one worker, in lockstep."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    # 10 instances are 3 groups: 3 batches of one group at 1 worker, 2 at 2 workers, 1 at 3 workers
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_tokenize_post_per_group_with_an_array_body(self, monkeypatch, tmp_path, corpus, workers):
         records, corpus_path = corpus
         transport = ToyTransport(ToyBackend(shift_spec()))
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers)
-        # the tokenize stage runs groups side by side, so their POSTs may arrive in any order
-        expected = [tokenize_body(group) for group in groups_of(records)]
-        assert sorted(transport.tokenize_bodies["/tokenize"], key=json.dumps) == sorted(expected, key=json.dumps)
-        assert len(transport.posts) == posts_for(records)
+        # the calling thread sends one /tokenize POST per batch, in input order
+        expected = [tokenize_body(batch) for batch in batches_of(records, workers)]
+        assert len(expected) == math.ceil(len(groups_of(records)) / workers)
+        assert transport.tokenize_bodies["/tokenize"] == expected
+        assert {thread for path, thread in transport.posts if path == "/tokenize"} == {threading.current_thread()}
+        assert len(transport.posts) == posts_for(records, workers)
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
@@ -268,12 +278,12 @@ class TestPipeline:
             "--backend", "http://fake/standard", "--backend-tuned", "http://fake/tuned",
             "--condition-template", "{answer}:", "--workers", "2",
         ])
-        # the four modes' texts go out once per backend: each mode shares the thinking, and
-        # the conditional modes the condition
-        expected = sorted((tokenize_body(group) for group in groups_of(records)), key=json.dumps)
+        # the four modes' texts go out once per backend and batch of 2 groups: each mode shares
+        # the thinking, and the conditional modes the condition
+        expected = [tokenize_body(batch) for batch in batches_of(records, 2)]
         assert transport.tokenize_bodies.keys() == {"/standard/tokenize", "/tuned/tokenize"}
         for bodies in transport.tokenize_bodies.values():
-            assert sorted(bodies, key=json.dumps) == expected
+            assert bodies == expected
 
     def test_one_worker_posts_from_the_calling_thread(self, monkeypatch, tmp_path, corpus):
         records, corpus_path = corpus
@@ -300,12 +310,14 @@ class TestGroupSize:
         corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
         transport = ToyTransport(ToyBackend(shift_spec()))
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=2)
-        starts = [sum(sizes[:i]) for i in range(len(sizes))]
-        expected = [tokenize_body(records[start:start + size]) for start, size in zip(starts, sizes)]
-        assert sorted(transport.tokenize_bodies["/tokenize"], key=json.dumps) == sorted(expected, key=json.dumps)
+        # one /tokenize POST per batch of 2 groups
+        batch_sizes = [sum(sizes[i:i + 2]) for i in range(0, len(sizes), 2)]
+        starts = [sum(batch_sizes[:i]) for i in range(len(batch_sizes))]
+        expected = [tokenize_body(records[start:start + size]) for start, size in zip(starts, batch_sizes)]
+        assert transport.tokenize_bodies["/tokenize"] == expected
         # both scoring contexts of every instance of a group in one POST
         assert sorted(len(body) for body in transport.logprobs_bodies) == sorted(2 * size for size in sizes)
-        assert len(transport.posts) == 2 * len(sizes)
+        assert len(transport.posts) == len(batch_sizes) + len(sizes)
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
@@ -361,7 +373,7 @@ class TestCoalescedScoring:
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)
         # the group's POST failed, then each of the 2 requests of its 4 instances was sent alone,
         # each as an array too
-        assert len(transport.posts) == posts_for(records) + 2 * SCORE_GROUP
+        assert len(transport.posts) == posts_for(records, workers) + 2 * SCORE_GROUP
         assert all(isinstance(body, list) for body in transport.logprobs_bodies)
         expected = _compress_with_toy(corpus_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
         lines = expected.splitlines(keepends=True)
@@ -393,21 +405,26 @@ class TestCoalescedScoring:
         assert "Traceback" not in capfd.readouterr().err
 
 
+@pytest.mark.usefixtures("groups_of_four")
 class TestGroupTokenizeIsolation:
-    """A group's /tokenize POST that fails, and the texts then sent one by one."""
+    """A batch's /tokenize POST that fails, and the texts then sent one by one."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_untokenizable_condition_fails_only_its_instance(self, monkeypatch, tmp_path, caplog, workers):
-        records = make_corpus(SCORE_GROUP, list("ABC "), random.Random(11))
-        bad = 2
+    # the bad instance in the one group of the input, or in the second group of a batch of two
+    @pytest.mark.parametrize("workers, bad", [
+        pytest.param(1, 2, id="1"), pytest.param(2, 2, id="2"),
+        pytest.param(2, SCORE_GROUP + 1, id="second-group-of-a-batch"),
+    ])
+    def test_untokenizable_condition_fails_only_its_instance(self, monkeypatch, tmp_path, caplog, workers, bad):
+        groups = bad // SCORE_GROUP + 1
+        records = make_corpus(groups * SCORE_GROUP, list("ABC "), random.Random(11))
         records[bad]["answer"] = "Z"  # the stub answers "Z:" with no tokens, which the client rejects
         corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
         transport = ToyTransport(UntokenizableAnswers(shift_spec()))
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)
-        # the group's POST fails as a whole; then each distinct text goes out alone, in the order
-        # the instances need them, and one /logprobs POST scores the other three
+        # the batch's POST fails as a whole; then each distinct text goes out alone, in the order
+        # the instances need them, and one /logprobs POST per group scores its good instances
         batch = tokenize_body(records)
-        assert [path for path, _ in transport.posts] == ["/tokenize"] * (1 + len(batch)) + ["/logprobs"]
+        assert [path for path, _ in transport.posts] == ["/tokenize"] * (1 + len(batch)) + ["/logprobs"] * groups
         assert transport.tokenize_bodies["/tokenize"] == [batch] + [[text] for text in batch]
         good = [record for i, record in enumerate(records) if i != bad]
         good_path = write_jsonl_file(good, tmp_path / "good.jsonl")
@@ -420,6 +437,53 @@ class TestGroupTokenizeIsolation:
         assert "cannot tokenize condition" in str(exc.value)
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert failed == [f"compress: instance {records[bad]['id']} failed: {exc.value}"]
+
+
+@pytest.mark.usefixtures("groups_of_four")
+class TestBatchTokenize:
+    """The /tokenize POST that a batch of ``workers`` groups shares, sent one batch ahead of the workers."""
+
+    def test_unavailable_tokenize_exits_3_and_leaves_no_output(self, monkeypatch, tmp_path, corpus, capfd):
+        records, corpus_path = corpus
+
+        class SecondTokenizeBusy(ToyTransport):
+            def post(self, path, body, headers):
+                if path == "/tokenize" and len(self.tokenize_bodies[path]) == 1:
+                    self.posts.append((path, threading.current_thread()))
+                    return 503, {}, b"{}"
+                return super().post(path, body, headers)
+
+        transport = SecondTokenizeBusy(ToyBackend(shift_spec()))
+        assert compress_over(monkeypatch, tmp_path, corpus_path, transport, 2, expect=3) is None
+        # the first batch was tokenized; the second batch's POST found the server busy
+        assert [path for path, _ in transport.posts].count("/tokenize") == 2
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_tokenizing_runs_one_batch_ahead_of_the_workers(self, monkeypatch, tmp_path):
+        records = make_corpus(10 * SCORE_GROUP, list("ABC "), random.Random(19))  # 5 batches of 2 groups
+        corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+
+        class HeldScoring(ToyTransport):
+            """Holds the first /logprobs replies back until both workers wait on one, and a moment longer."""
+
+            def __init__(self, backend):
+                super().__init__(backend)
+                self.both_waiting = threading.Barrier(2, timeout=10)
+                self.tokenized_before_a_reply: list[int] = []
+
+            def post(self, path, body, headers):
+                if path == "/logprobs" and not self.tokenized_before_a_reply:
+                    self.both_waiting.wait()
+                    time.sleep(0.2)  # were it let, the calling thread would tokenize further ahead by now
+                    self.tokenized_before_a_reply.append(len(self.tokenize_bodies["/tokenize"]))
+                return super().post(path, body, headers)
+
+        transport = HeldScoring(ToyBackend(shift_spec()))
+        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, 2)
+        # the batch being scored and the one batch tokenized ahead of it
+        assert transport.tokenized_before_a_reply[0] == 2
+        assert len(transport.tokenize_bodies["/tokenize"]) == 5
+        assert written == _compress_with_toy(corpus_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
 
 
 class ScoringOutage(CountingStub):
