@@ -278,12 +278,14 @@ def _compress_stream(
     first step, tokenizing, is run for a batch of ``workers`` consecutive
     groups at once on the calling thread: one tokenize call per backend
     with the distinct texts of the whole batch. ``map_ordered`` takes a
-    batch's groups as its window has room, so tokenizing runs one batch
-    ahead of the workers and at most 2 x ``workers`` tokenized groups wait
-    beside the groups being scored; at one worker a batch is one group. A
-    worker then runs its group's segment steps, each one logprobs call per
-    backend with the distinct requests. A failed call is sent again item by
-    item, so only the instances whose own texts or requests fail are lost.
+    batch's groups as its window has room, so tokenizing runs up to
+    ``runner.LOOKAHEAD_PER_WORKER`` (4) batches ahead and at most 4 x ``workers``
+    tokenized groups wait beside the groups being scored; at one worker a
+    batch is one group. A worker then runs its group's segment steps, each
+    one logprobs call per backend with the distinct requests. A failed
+    batch tokenize call is sent again group by group, and a failed group's
+    call item by item, so only the instances whose own texts or requests
+    fail are lost.
 
     Jobs with equal configs on one backend object are one selection: it is
     tokenized, scored and selected once, and each of those jobs writes and
@@ -302,16 +304,18 @@ def _compress_stream(
     distinct = {i: jobs[i] for i in shared}
 
     def tokenized_groups() -> Iterator[tuple[list[CotInstance], list, list]]:
-        # on the calling thread, which map_ordered runs one batch ahead of the workers
+        # on the calling thread, which map_ordered runs up to LOOKAHEAD_PER_WORKER batches ahead
         groups = _groups(instances, SCORE_GROUP, GROUP_CHARS)
         for batch in iter(lambda: list(itertools.islice(groups, workers)), []):
             tasks = [(compress_steps(instance, job.config), job.backend)
                      for group in batch for instance in group for job in distinct.values()]
-            states = lockstep_step(tasks)
-            end = 0
-            for group in batch:
-                start, end = end, end + len(group) * len(distinct)
-                yield group, tasks[start:end], states[start:end]
+            parts: list[range] = []
+            for group in batch:  # the indices of each group's tasks
+                start = parts[-1].stop if parts else 0
+                parts.append(range(start, start + len(group) * len(distinct)))
+            states = lockstep_step(tasks, parts=parts)
+            for group, part in zip(batch, parts):
+                yield group, tasks[part.start:part.stop], states[part.start:part.stop]
 
     def score_group(tokenized):
         group, tasks, states = tokenized

@@ -174,15 +174,15 @@ def read_dataset(
     return _read_jsonl(path, parse, errors)
 
 
-def _first_id_check(window: int | None) -> Callable[[str, int], str]:
-    """Pass a new id; reject one of the last ``window`` ids passed (any, when None), naming its line."""
+def _first_id_check(window: int) -> Callable[[str, int], str]:
+    """Pass a new id; reject one of the last ``window`` ids passed, naming its line."""
     kept: OrderedDict[str, int] = OrderedDict()  # id -> its line, oldest first
 
     def check(record_id: str, line_no: int) -> str:
         if record_id in kept:
             raise DatasetError(f"duplicate id {record_id!r} (first at line {kept[record_id]})")
         kept[record_id] = line_no
-        if window is not None and len(kept) > window:
+        if len(kept) > window:
             kept.popitem(last=False)
         return record_id
 
@@ -229,11 +229,12 @@ def read_compressed_dataset(
 def read_rm_examples(path: str, *, errors: list[DatasetError] | None = None) -> Iterator[RmCorpusExample]:
     """Stream RmCorpusExample records: {question, answer, reasoning_steps}.
 
-    A record whose id repeats that of any earlier kept example is skipped,
-    as in ``read_dataset``, so that ``emit rm-rows`` joins each response to
-    one example; ``emit rm-rows`` holds every example anyway.
+    A record whose id repeats that of one of the DUPLICATE_ID_WINDOW
+    examples kept before it is skipped, as in ``read_dataset``, so memory
+    stays constant (``build_rm_training_rows`` keeps the first of
+    duplicates farther apart).
     """
-    check_id = _first_id_check(None)
+    check_id = _first_id_check(DUPLICATE_ID_WINDOW)
 
     def parse(obj: dict, line_no: int) -> RmCorpusExample:
         question, answer, steps = (_field(obj, key) for key in ("question", "answer", "reasoning_steps"))

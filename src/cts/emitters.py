@@ -112,16 +112,21 @@ def build_rm_training_rows(
 
     ``responses`` are (source_id, compressed_steps) pairs from an external
     strong model; rows are emitted in response order. A duplicate or unknown
-    source_id is a per-record error: raised when no ``errors`` collector is
+    source_id, and an example whose id repeats an earlier one's (the first
+    is kept), are per-record errors: raised when no ``errors`` collector is
     given, recorded and skipped otherwise. Responses whose words are not a
     subsequence of the original steps are emitted but flagged.
     """
-    by_id = {ex.source_id: ex for ex in examples}
 
     def fail(err: DatasetError) -> None:
         if errors is None:
             raise err
         errors.append(err)
+
+    by_id: dict[str, RmCorpusExample] = {}
+    for ex in examples:
+        if by_id.setdefault(ex.source_id, ex) is not ex:
+            fail(DatasetError(f"duplicate example id {ex.source_id!r}; responses join the first"))
 
     seen: set[str] = set()
     for source_id, compressed_steps in responses:

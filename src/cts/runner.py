@@ -9,9 +9,10 @@ these. With one worker ``map_ordered`` calls ``fn`` on the calling thread.
 The window holds at most ``LOOKAHEAD_PER_WORKER`` items per worker, and
 the calling thread takes the next item from ``items`` whenever it has
 room. The CLI's items tokenize a batch of ``workers`` groups on the calling
-thread as the batch's first group is taken, so tokenizing runs one batch
-ahead of the workers: at most 2 x ``workers`` tokenized groups wait beside
-the groups being scored.
+thread as the batch's first group is taken, so tokenizing runs up to
+``LOOKAHEAD_PER_WORKER`` batches ahead of the oldest group not yet
+returned: at most 4 x ``workers`` tokenized groups wait beside the groups
+being scored.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-LOOKAHEAD_PER_WORKER = 2
+LOOKAHEAD_PER_WORKER = 4
 
 
 def map_ordered(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Callable, Generator, Hashable, Sequence
+from typing import Any, Callable, Generator, Hashable, NamedTuple, Sequence
 
 from .backends import LogprobBackend, LogprobRequest, ppl_of
 from .dataset import CompressedInstance, CotInstance
@@ -43,6 +43,14 @@ SELECTION_SCOPES = ("global", "per_segment")
 # step, is sent one answer per item (the CtsError of an item that failed alone
 # in its place), and returns its result.
 Steps = Generator[list[str] | list[LogprobRequest], list, Any]
+
+
+class Outcome(NamedTuple):
+    """How a lockstep task ended: its generator's result, or the CtsError it raised."""
+
+    result: Any
+    error: CtsError | None
+
 
 # A segment boundary may snap back to a span ending in whitespace or
 # sentence punctuation.
@@ -356,13 +364,15 @@ def _item_key(item: Any) -> Hashable:
     return item
 
 
-def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list]) -> dict:
+def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list], parts: Sequence[Sequence] = ()) -> dict:
     """Each task's answers, one per item, with the CtsError of an item that failed alone in its place.
 
     The distinct items of all tasks go out in one ``send`` call. When it
-    fails, or does not answer each item once, each distinct item is sent
-    again alone, so the failure lands on the items at fault. A
-    BackendUnavailable propagates.
+    fails, or does not answer each item once, the tasks of each of
+    ``parts`` (lists of task keys that partition the tasks) go out again by
+    the same rule when they fall in more than one part; otherwise each
+    distinct item is sent again alone. So the failure lands on the items at
+    fault. A BackendUnavailable propagates.
     """
     distinct = {_item_key(item): item for items in tasks.values() for item in items}
     batch = list(distinct.values())
@@ -373,46 +383,51 @@ def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list]) -> d
     except BackendUnavailable:
         raise
     except CtsError as exc:
+        parts = [keys for keys in ([task for task in part if task in tasks] for part in parts) if keys]
+        if len(parts) > 1:
+            return {task: answers for part in parts
+                    for task, answers in _batch_then_split(send, {task: tasks[task] for task in part}).items()}
         answers = [exc] if len(batch) == 1 else [_batch_then_split(send, {0: [item]})[0][0] for item in batch]
     by_key = dict(zip(distinct, answers))
     return {task: [by_key[_item_key(item)] for item in items] for task, items in tasks.items()}
 
 
-def _advance(steps: Steps, answers: Any) -> list | tuple[Any, CtsError | None]:
+def _advance(steps: Steps, answers: Any) -> Sequence | Outcome:
     try:
         return steps.send(answers)
     except StopIteration as stop:
-        return stop.value, None
+        return Outcome(stop.value, None)
     except CtsError as exc:
-        return None, exc
+        return Outcome(None, exc)
 
 
-def lockstep_step(tasks: Sequence[tuple[Steps, LogprobBackend]], states: Sequence | None = None) -> list:
+def lockstep_step(
+    tasks: Sequence[tuple[Steps, LogprobBackend]], states: Sequence | None = None, parts: Sequence[Sequence] = ()
+) -> list:
     """One step of ``run_lockstep``; returns each task's next state.
 
-    A task's state is the list of items its generator last yielded, or its
-    ``(result, None)`` or ``(None, error)`` outcome once it has ended. With
-    no ``states`` the tasks start here. The live tasks' texts go to their
-    backend's tokenize and their requests to its logprobs_batch, the
-    distinct items of one call at once (see _batch_then_split).
+    A task's state is the items its generator last yielded, or its
+    ``Outcome`` once it has ended. With no ``states`` the tasks start here.
+    The live tasks' texts go to their backend's tokenize and their requests
+    to its logprobs_batch, the distinct items of one call at once; when a
+    call fails, each of ``parts`` (lists of task indices that partition the
+    tasks) is tried alone before each item is (see _batch_then_split).
     """
     if states is None:
         states = [_advance(steps, None) for steps, _ in tasks]
-    calls: dict[Callable, dict[int, list]] = {}
+    calls: dict[Callable, dict[int, Sequence]] = {}
     for task, ((_, backend), items) in enumerate(zip(tasks, states)):
-        if isinstance(items, list):
+        if not isinstance(items, Outcome):
             send = backend.tokenize if isinstance(items[0], str) else backend.logprobs_batch
             calls.setdefault(send, {})[task] = items
     states = list(states)
     for send, batch in calls.items():
-        for task, answers in _batch_then_split(send, batch).items():
+        for task, answers in _batch_then_split(send, batch, parts).items():
             states[task] = _advance(tasks[task][0], answers)
     return states
 
 
-def run_lockstep(
-    tasks: Sequence[tuple[Steps, LogprobBackend]], states: Sequence | None = None
-) -> list[tuple[Any, CtsError | None]]:
+def run_lockstep(tasks: Sequence[tuple[Steps, LogprobBackend]], states: Sequence | None = None) -> list[Outcome]:
     """Run step generators side by side to their ends, one call per backend per step (lockstep_step).
 
     A task ends when its generator returns. Tasks that share a text or a
@@ -420,11 +435,10 @@ def run_lockstep(
     their unconditional contexts, always in the same step) send it once,
     and the round trips of a group of instances are those of its longest
     member. ``states`` resumes tasks that earlier steps have advanced; by
-    default they start here. Returns one ``(result, None)`` or ``(None,
-    error)`` per task, in task order. A BackendUnavailable is not a
-    per-task failure: it propagates.
+    default they start here. Returns one ``Outcome`` per task, in task
+    order. A BackendUnavailable is not a per-task failure: it propagates.
     """
-    while states is None or any(isinstance(items, list) for items in states):
+    while states is None or not all(isinstance(state, Outcome) for state in states):
         states = lockstep_step(tasks, states)
     return states
 

@@ -489,12 +489,12 @@ class TestAblateOnePass:
             code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate",
                                        extra=["--backend", f"http:{server.url}", "--workers", "2", "--lenient"]))
         assert code == 0
-        # the /tokenize POST of inst-0..7 (a batch of 2 groups) fails, so its 10 distinct texts
-        # (8 thinking texts, "42:" and "Z:") go out one by one; "Z:" is asked once, since both
-        # conditional modes are one selection; inst-3's unconditional modes score in its group's
-        # /logprobs POST
+        # the /tokenize POST of inst-0..7 (a batch of 2 groups) fails, then each group's goes out
+        # on its own and inst-0..3's fails, so its 6 distinct texts (4 thinking texts, "42:" and
+        # "Z:") go out one by one; "Z:" is asked once, since both conditional modes are one
+        # selection; inst-3's unconditional modes score in its group's /logprobs POST
         groups = math.ceil(40 / cts.cli.SCORE_GROUP)
-        assert server.state.request_count == groups + math.ceil(groups / 2) + 10
+        assert server.state.request_count == groups + math.ceil(groups / 2) + 2 + 6
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert [message.split(":")[0] for message in failed] == ["ablate conditional", "ablate proposed"]
 

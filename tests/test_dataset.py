@@ -252,22 +252,24 @@ class TestReadRmExamples:
         assert list(read_rm_examples(path, errors=errors)) == []
         assert len(errors) == 1
 
-    def test_repeated_id_is_skipped_naming_the_first_however_far_apart(self, tmp_path):
+    def test_repeated_id_within_the_window_is_skipped_naming_the_first(self, tmp_path):
         def example(id_, question="q"):
             return {"id": id_, "question": question, "answer": "a", "reasoning_steps": ["s"]}
 
-        others = [example(f"r{i}") for i in range(DUPLICATE_ID_WINDOW)]
+        others = [example(f"r{i}") for i in range(DUPLICATE_ID_WINDOW - 2)]
         records = [example("x", "first"), {"id": "y", "reasoning_steps": []}, example("y"), *others,
-                   example("x", "second"), example("y", "second")]
+                   example("x", "second"), example("y", "second"), example("z"), example("x", "third")]
         path = write_jsonl_file(records, tmp_path / "rm.jsonl")
         errors = []
         examples = list(read_rm_examples(path, errors=errors))
-        assert [ex.source_id for ex in examples] == ["x", "y", *(f"r{i}" for i in range(DUPLICATE_ID_WINDOW))]
-        assert examples[0].question == "first"
-        # a skipped record's id is not remembered: the first y kept is on line 3
+        ids = ["x", "y", *(f"r{i}" for i in range(DUPLICATE_ID_WINDOW - 2)), "z", "x"]
+        assert [ex.source_id for ex in examples] == ids
+        assert [examples[0].question, examples[-1].question] == ["first", "third"]
+        # a skipped record's id is not remembered: the first y kept is on line 3; z pushed the
+        # first x out of the window of kept ids, so the third x passes
         assert [(e.line, e.args[0]) for e in errors][1:] == [
-            (DUPLICATE_ID_WINDOW + 4, "duplicate id 'x' (first at line 1)"),
-            (DUPLICATE_ID_WINDOW + 5, "duplicate id 'y' (first at line 3)"),
+            (DUPLICATE_ID_WINDOW + 2, "duplicate id 'x' (first at line 1)"),
+            (DUPLICATE_ID_WINDOW + 3, "duplicate id 'y' (first at line 3)"),
         ]
 
 

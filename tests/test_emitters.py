@@ -125,6 +125,17 @@ class TestBuildRmTrainingRows:
             list(build_rm_training_rows([ex], [("dup-7", "s"), ("dup-7", "s")]))
         assert "dup-7" in str(exc.value)
 
+    def test_repeated_example_id_keeps_the_first_and_is_reported(self):
+        first = example(["the cat sat"], question="q1", source_id="a")
+        second = example(["a dog ran"], question="q2", source_id="a")
+        errors = []
+        (row,) = build_rm_training_rows([first, second], [("a", "cat sat")], errors=errors)
+        assert row.instruction_context == rm_instruction_context("q1", first.answer)
+        assert row.flagged is False
+        assert [str(e) for e in errors] == ["duplicate example id 'a'; responses join the first"]
+        with pytest.raises(DatasetError, match="duplicate example id 'a'"):
+            list(build_rm_training_rows([first, second], [("a", "cat sat")]))
+
     def test_unknown_source_id_raises_naming_it(self):
         with pytest.raises(DatasetError) as exc:
             list(build_rm_training_rows([example(["s"], source_id="a")], [("ghost", "s")]))

@@ -407,25 +407,35 @@ class TestCoalescedScoring:
 
 @pytest.mark.usefixtures("groups_of_four")
 class TestGroupTokenizeIsolation:
-    """A batch's /tokenize POST that fails, and the texts then sent one by one."""
+    """A batch's /tokenize POST that fails, then each group's, and the failed group's texts one by one."""
 
-    # the bad instance in the one group of the input, or in the second group of a batch of two
-    @pytest.mark.parametrize("workers, bad", [
-        pytest.param(1, 2, id="1"), pytest.param(2, 2, id="2"),
-        pytest.param(2, SCORE_GROUP + 1, id="second-group-of-a-batch"),
+    # the bad instance in the one group of the input, or in the second group of a batch of two or three
+    @pytest.mark.parametrize("workers, groups, bad", [
+        pytest.param(1, 1, 2, id="1"), pytest.param(2, 1, 2, id="2"),
+        pytest.param(2, 2, SCORE_GROUP + 1, id="second-group-of-a-batch"),
+        pytest.param(3, 3, SCORE_GROUP + 1, id="second-group-of-a-batch-of-three"),
     ])
-    def test_untokenizable_condition_fails_only_its_instance(self, monkeypatch, tmp_path, caplog, workers, bad):
-        groups = bad // SCORE_GROUP + 1
+    def test_untokenizable_condition_fails_only_its_instance(
+        self, monkeypatch, tmp_path, caplog, workers, groups, bad
+    ):
         records = make_corpus(groups * SCORE_GROUP, list("ABC "), random.Random(11))
         records[bad]["answer"] = "Z"  # the stub answers "Z:" with no tokens, which the client rejects
         corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
         transport = ToyTransport(UntokenizableAnswers(shift_spec()))
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)
-        # the batch's POST fails as a whole; then each distinct text goes out alone, in the order
-        # the instances need them, and one /logprobs POST per group scores its good instances
-        batch = tokenize_body(records)
-        assert [path for path, _ in transport.posts] == ["/tokenize"] * (1 + len(batch)) + ["/logprobs"] * groups
-        assert transport.tokenize_bodies["/tokenize"] == [batch] + [[text] for text in batch]
+        # the batch's POST fails as a whole; with more than one group each group's POST goes out
+        # on its own in input order, and right after the bad group's fails each of its distinct
+        # texts goes out alone, in the order the instances need them; then one /logprobs POST per
+        # group scores its good instances
+        alone = [[text] for text in tokenize_body(groups_of(records)[bad // SCORE_GROUP])]
+        expected = [tokenize_body(records)]
+        for i, group in enumerate(groups_of(records)):
+            expected += [tokenize_body(group)] if groups > 1 else []
+            expected += alone if i == bad // SCORE_GROUP else []
+        assert transport.tokenize_bodies["/tokenize"] == expected
+        assert [path for path, _ in transport.posts] == ["/tokenize"] * len(expected) + ["/logprobs"] * groups
+        # beyond a run with no failure: one POST per group of a batch of several, and one per bad text
+        assert len(transport.posts) == posts_for(records, workers) + (groups if groups > 1 else 0) + len(alone)
         good = [record for i, record in enumerate(records) if i != bad]
         good_path = write_jsonl_file(good, tmp_path / "good.jsonl")
         assert written == _compress_with_toy(good_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
@@ -441,7 +451,7 @@ class TestGroupTokenizeIsolation:
 
 @pytest.mark.usefixtures("groups_of_four")
 class TestBatchTokenize:
-    """The /tokenize POST that a batch of ``workers`` groups shares, sent one batch ahead of the workers."""
+    """The /tokenize POST that a batch of ``workers`` groups shares, sent ahead of the workers."""
 
     def test_unavailable_tokenize_exits_3_and_leaves_no_output(self, monkeypatch, tmp_path, corpus, capfd):
         records, corpus_path = corpus
@@ -459,7 +469,7 @@ class TestBatchTokenize:
         assert [path for path, _ in transport.posts].count("/tokenize") == 2
         assert "Traceback" not in capfd.readouterr().err
 
-    def test_tokenizing_runs_one_batch_ahead_of_the_workers(self, monkeypatch, tmp_path):
+    def test_tokenizing_runs_a_bounded_number_of_batches_ahead(self, monkeypatch, tmp_path):
         records = make_corpus(10 * SCORE_GROUP, list("ABC "), random.Random(19))  # 5 batches of 2 groups
         corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
 
@@ -480,8 +490,9 @@ class TestBatchTokenize:
 
         transport = HeldScoring(ToyBackend(shift_spec()))
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, 2)
-        # the batch being scored and the one batch tokenized ahead of it
-        assert transport.tokenized_before_a_reply[0] == 2
+        # map_ordered's window of LOOKAHEAD_PER_WORKER (4) groups per worker: the batch being
+        # scored and the 3 batches tokenized ahead of it, but not the fifth
+        assert transport.tokenized_before_a_reply[0] == 4
         assert len(transport.tokenize_bodies["/tokenize"]) == 5
         assert written == _compress_with_toy(corpus_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
 

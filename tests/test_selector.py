@@ -559,6 +559,13 @@ class TestLockstep:
     def test_no_tasks(self):
         assert run_lockstep([]) == []
 
+    def test_steps_may_yield_a_tuple(self, shift_backend):
+        def steps():
+            (pairs,) = yield ("AB",)
+            return len(pairs)
+
+        assert run_lockstep([(steps(), shift_backend)]) == [(2, None)]
+
 
 MARKED = "BCCA"
 
