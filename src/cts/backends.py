@@ -22,9 +22,9 @@ import functools
 import http.client
 import json
 import math
+import queue
 import random
 import ssl
-import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 from .errors import BackendError, BackendProtocolError, BackendUnavailable, ConfigError, TokenizeError
 
 START = "START"  # reserved table key for the start-of-sequence distribution
-# POSTs an HttpBackend keeps in flight
+# keep-alive connections an HttpBackend holds, so also the most POSTs it has in flight
 MAX_IN_FLIGHT = 8
 
 
@@ -250,9 +250,13 @@ class HttpBackend(LogprobBackend):
     <base>/tokenize with an array of {"text": ...} returns an array of
     {"token_ids": [...], "spans": [...]}, one answer per object, in order.
 
-    Each thread sends its POSTs over one keep-alive connection of its own;
-    ``close`` closes them all. ``transport`` replaces that connection with
-    any ``post(path, body, headers) -> (status, headers, body)``.
+    POSTs go over a pool of MAX_IN_FLIGHT keep-alive connections, which
+    bounds both the POSTs in flight and the open sockets: each POST takes
+    the most recently used idle connection, waiting while all are busy, and
+    a connection opens its socket at its first POST. ``close`` closes every
+    connection; one used after that opens again. ``transport`` replaces the
+    pool with any ``post(path, body, headers) -> (status, headers, body)``,
+    and is not bounded.
 
     Transport failures and 5xx responses are retried after a full-jitter
     exponential backoff (or the numeric Retry-After of a 503), then surface
@@ -260,9 +264,8 @@ class HttpBackend(LogprobBackend):
     non-integer ids, non-numeric, non-finite or positive log probabilities,
     spans that do not reassemble the text) are BackendProtocolError and
     never retried; any other failure to send a request is a BackendError.
-    In-flight requests are bounded by MAX_IN_FLIGHT; requests are
-    idempotent so retries are safe. ``sleep`` and ``uniform`` are the clock
-    and random source of the backoff.
+    Requests are idempotent so retries are safe. ``sleep`` and ``uniform``
+    are the clock and random source of the backoff.
     """
 
     def __init__(
@@ -283,47 +286,47 @@ class HttpBackend(LogprobBackend):
         connection_class, tls = http.client.HTTPConnection, {}
         if parts.scheme == "https":
             connection_class, tls = http.client.HTTPSConnection, {"context": ssl.create_default_context()}
-        self._connect = functools.partial(connection_class, parts.hostname, parts.port, timeout=config.timeout, **tls)
+        connect = functools.partial(connection_class, parts.hostname, parts.port, timeout=config.timeout, **tls)
+        try:  # no socket opens before a connection's first POST
+            self._connections = [connect() for _ in range(MAX_IN_FLIGHT)]
+        except http.client.InvalidURL as exc:
+            raise ConfigError(f"backend URL {config.base_url!r} has an invalid host: {exc}") from exc
+        self._idle: queue.LifoQueue[http.client.HTTPConnection] = queue.LifoQueue()
+        for connection in self._connections:
+            self._idle.put(connection)
         self._transport = transport or self._send
         self._sleep = sleep
         self._uniform = uniform
-        self._local = threading.local()
-        self._connections: list[http.client.HTTPConnection] = []
-        self._connections_lock = threading.Lock()
-        self._slots = threading.BoundedSemaphore(MAX_IN_FLIGHT)
 
     def close(self) -> None:
-        """Close the connection of every thread that sent a POST."""
-        with self._connections_lock:
-            connections, self._connections = self._connections, []
-        for connection in connections:
+        """Close every connection of the pool."""
+        for connection in self._connections:
             connection.close()
 
     def _send(self, path: str, body: bytes, headers: Mapping[str, str]) -> tuple[int, Mapping[str, str], bytes]:
-        """The default transport: one POST on this thread's keep-alive connection.
+        """The default transport: one POST on the most recently used idle connection of the pool.
 
         A reused socket that the server closed while it sat idle is opened
         again once and the POST resent; that is not a retry.
         """
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._local.connection = self._connect()
-            with self._connections_lock:
-                self._connections.append(connection)
-        reconnects = 0 if connection.sock is None else 1
-        while True:
-            try:
-                connection.request("POST", path, body, headers)
-                response = connection.getresponse()
-                return response.status, response.headers, response.read()
-            except _STALE:
-                connection.close()
-                if not reconnects:
+        connection = self._idle.get()
+        try:
+            reconnects = 0 if connection.sock is None else 1
+            while True:
+                try:
+                    connection.request("POST", path, body, headers)
+                    response = connection.getresponse()
+                    return response.status, response.headers, response.read()
+                except _STALE:
+                    connection.close()
+                    if not reconnects:
+                        raise
+                    reconnects -= 1
+                except BaseException:
+                    connection.close()
                     raise
-                reconnects -= 1
-            except BaseException:
-                connection.close()
-                raise
+        finally:
+            self._idle.put(connection)
 
     def _post(self, path: str, payload) -> object:
         url = self._base_url + path
@@ -335,8 +338,7 @@ class HttpBackend(LogprobBackend):
                 backoff = self.config.retry_backoff * 2 ** (attempt - 1)
                 self._sleep(self._uniform(0.0, backoff) if retry_after is None else retry_after)
             try:
-                with self._slots:
-                    status, headers, data = self._transport(self._base_path + path, body, self._headers)
+                status, headers, data = self._transport(self._base_path + path, body, self._headers)
             except http.client.InvalidURL as exc:
                 raise BackendError(f"request to {url} failed: {exc}") from exc
             except (OSError, http.client.HTTPException) as exc:

@@ -108,6 +108,8 @@ _CONFIG_TYPES: dict[str, tuple[type, ...]] = {
     **dict.fromkeys(("condition_template", "scope", "score_space", "backend", "backend_tuned"), (str,)),
     "ratio": (int, float),
 }
+# the values a setting with a fixed set of spellings may take, from its flag or a config file
+_CHOICES: dict[str, tuple[str, ...]] = {"scope": ("global", "per-segment"), "score_space": ("ppl-diff", "bits-diff")}
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
@@ -153,10 +155,13 @@ def resolve_settings(args: argparse.Namespace, *, default_ratio: float | None = 
 
 
 def selection_config_from(settings: dict[str, Any]) -> SelectionConfig:
+    # checked under the names the user wrote, for a flag and a config-file value alike
     ratio = settings["ratio"]
-    # checked under the name the user wrote (a config-file value is not range-checked by argparse)
     if not 0 < ratio <= 1:
         raise ConfigError(f"ratio must be in (0, 1], got {ratio!r}")
+    for key, choices in _CHOICES.items():
+        if settings[key] not in choices:
+            raise ConfigError(f"{key} must be one of {choices}, got {settings[key]!r}")
     config = SelectionConfig(
         alpha=float(ratio),
         conditional=settings["conditional"],
@@ -429,6 +434,8 @@ def cmd_emit(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     """Run the four ablation modes in one pass over the input, one output file per mode."""
     settings = resolve_settings(args)
+    # every mode's settings are checked before any backend is built, as in compress
+    configs = [selection_config_from(dict(settings, conditional=mode.conditional)) for mode in ABLATION_MODES]
     standard = build_backend(settings["backend"])
     tuned = settings["backend_tuned"]
     backends = {
@@ -436,9 +443,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         "tuned": build_backend(tuned) if tuned and tuned != settings["backend"] else standard,
     }
     jobs, echoes = [], []
-    for mode in ABLATION_MODES:
+    for mode, config in zip(ABLATION_MODES, configs):
         mode_settings = dict(settings, conditional=mode.conditional)
-        config = selection_config_from(mode_settings)
         out_path = os.path.join(args.output, f"{mode.name}.jsonl")
         jobs.append(Job(f"ablate {mode.name}", config, backends[mode.rm_profile], out_path))
         echo = _config_echo(mode_settings, config, args)
@@ -463,26 +469,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _ratio_type(value: str) -> float:
-    ratio = float(value)
-    if not (0.0 < ratio <= 1.0):
-        raise argparse.ArgumentTypeError(f"ratio must be in (0, 1], got {value}")
-    return ratio
-
-
-def _workers_type(value: str) -> int:
-    if not value.isdecimal() or not 1 <= int(value) <= MAX_WORKERS:
-        raise argparse.ArgumentTypeError(f"workers must be an integer in [1, {MAX_WORKERS}], got {value}")
-    return int(value)
-
-
-def _add_io_arguments(parser: argparse.ArgumentParser, *, output_required: bool = True) -> None:
+def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", "-i", required=True, help="input JSONL path")
-    parser.add_argument("--output", "-o", required=output_required, help="output path")
+    parser.add_argument("--output", "-o", required=True, help="output path")
 
 
 def _add_selection_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ratio", type=_ratio_type, default=None, help="retention ratio in (0, 1]")
+    parser.add_argument("--ratio", type=float, default=None, help="retention ratio in (0, 1]")
     parser.add_argument(
         "--conditional",
         action=argparse.BooleanOptionalAction,
@@ -493,8 +486,8 @@ def _add_selection_arguments(parser: argparse.ArgumentParser) -> None:
                         help="conditioning text; {answer} required unless empty, {problem} optional")
     parser.add_argument("--segment-budget", dest="segment_budget", type=int, default=None)
     parser.add_argument("--boundary-slack", dest="boundary_slack", type=int, default=None)
-    parser.add_argument("--scope", choices=["global", "per-segment"], default=None)
-    parser.add_argument("--score-space", dest="score_space", choices=["ppl-diff", "bits-diff"], default=None)
+    parser.add_argument("--scope", choices=_CHOICES["scope"], default=None)
+    parser.add_argument("--score-space", dest="score_space", choices=_CHOICES["score_space"], default=None)
     parser.add_argument(
         "--iterative-original-prefix",
         dest="iterative_original_prefix",
@@ -506,7 +499,7 @@ def _add_selection_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None, help="toy:<spec.json> or http:<url>")
-    parser.add_argument("--workers", type=_workers_type, default=None,
+    parser.add_argument("--workers", type=int, default=None,
                         help=f"concurrent scoring workers, 1 to {MAX_WORKERS}")
     parser.add_argument("--lenient", action="store_true", default=None,
                         help="exit 0 even when some records fail")

@@ -353,6 +353,15 @@ class TestAblate:
                  for name in ("base", "conditional", "rm_tuned", "proposed")}
         assert len(set(blobs.values())) == 1
 
+    def test_bad_ratio_is_reported_before_any_backend_is_built(self, toy_env, capfd):
+        outdir = toy_env["dir"] / "ablate"
+        assert run_cli(["ablate", "--input", toy_env["corpus"], "--output", str(outdir), "--ratio", "2",
+                        "--backend", f"toy:{toy_env['dir'] / 'missing.json'}"]) == 2
+        err = capfd.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            "error: ratio must be in (0, 1], got 2.0"]
+        assert not outdir.exists()
+
     def test_four_reports_within_exact_count_bound(self, toy_env):
         outdir = toy_env["dir"] / "ablate"
         report_path = toy_env["dir"] / "ablate.json"
@@ -624,11 +633,12 @@ class TestBackendsAndConfig:
         assert json.loads(report_path.read_text())["config_echo"]["alpha"] == 0.5
 
     @pytest.mark.parametrize("workers", ["0", "-1", "65", "100000"])
-    def test_workers_out_of_range_rejected_by_argparse(self, toy_env, workers, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cts.cli.build_parser().parse_args(compress_args(toy_env, extra=["--workers", workers]))
-        assert exc.value.code == 2
-        assert "workers must be an integer in [1, 64]" in capsys.readouterr().err
+    def test_workers_flag_out_of_range_exits_2(self, toy_env, workers, capfd):
+        assert run_cli(compress_args(toy_env, extra=["--workers", workers])) == 2
+        err = capfd.readouterr().err
+        assert f"error: workers must be an integer in [1, 64], got {int(workers)}" in err
+        assert "Traceback" not in err
+        assert not (toy_env["dir"] / "out.jsonl").exists()
 
     @pytest.mark.parametrize("workers", [1, 64])
     def test_workers_bounds_accepted(self, toy_env, workers):
@@ -671,13 +681,28 @@ class TestBackendsAndConfig:
         cfg_path = toy_env["dir"] / "cfg.json"
         cfg_path.write_text(json.dumps({"ratio": ratio}))
         out = toy_env["dir"] / "out.jsonl"
-        assert run_cli(["compress", "--input", toy_env["corpus"], "--output", str(out),
-                        "--backend", f"toy:{toy_env['spec']}", "--config", str(cfg_path)]) == 2
+        base = ["compress", "--input", toy_env["corpus"], "--output", str(out), "--backend", f"toy:{toy_env['spec']}"]
+        # a config-file value keeps its JSON type; the flag's value is a float
+        for argv, value in ((["--config", str(cfg_path)], ratio), ([f"--ratio={ratio}"], float(ratio))):
+            assert run_cli(base + argv) == 2
+            err = capfd.readouterr().err
+            assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+                f"error: ratio must be in (0, 1], got {value!r}"]
+            assert "alpha" not in err
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("scope", "per_segment"), ("score_space", "bits_diff"), ("scope", "bogus")])
+    def test_config_choice_not_a_flag_spelling_exits_2_naming_the_key(self, toy_env, capfd, key, value):
+        cfg_path = toy_env["dir"] / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        assert run_cli(compress_args(toy_env, extra=["--config", str(cfg_path)])) == 2
         err = capfd.readouterr().err
-        assert f"error: ratio must be in (0, 1], got {ratio!r}" in err
-        assert "alpha" not in err
+        choices = {"scope": ("global", "per-segment"), "score_space": ("ppl-diff", "bits-diff")}[key]
+        assert f"error: {key} must be one of {choices}, got {value!r}" in err
+        assert "selection_scope" not in err
         assert "Traceback" not in err
-        assert not out.exists()
+        assert not (toy_env["dir"] / "out.jsonl").exists()
 
     def test_config_file_unknown_key_exits_2(self, toy_env):
         cfg_path = toy_env["dir"] / "cfg.json"

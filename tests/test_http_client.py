@@ -14,7 +14,7 @@ from contextlib import closing
 import pytest
 
 import cts.cli
-from cts.backends import HttpBackend, HttpBackendConfig, LogprobRequest, ToyBackend
+from cts.backends import MAX_IN_FLIGHT, HttpBackend, HttpBackendConfig, LogprobRequest, ToyBackend
 from cts.cli import GROUP_CHARS, SCORE_GROUP, main
 from cts.dataset import CotInstance
 from cts.errors import BackendError, BackendUnavailable, ConfigError, ScoringError
@@ -130,7 +130,7 @@ class TestKeepAlive:
 
 class TestLifecycle:
     def test_close_closes_the_connections_of_every_thread(self, shift_backend):
-        n_threads, posts = 8, 5
+        n_threads, posts = 2 * MAX_IN_FLIGHT, 3
         with CountingStub(shift_backend) as server:
             client, _ = client_for(server)
             start = threading.Barrier(n_threads, timeout=5)
@@ -153,10 +153,19 @@ class TestLifecycle:
                 sys.setswitchinterval(interval)
             assert not any(thread.is_alive() for thread in threads)
             assert answers == [shift_backend.logprobs_batch([REQUEST])[0]] * (n_threads * posts)
-            # one connection per thread; the threads have ended, their connections are still open
-            assert len(server.accepted) == n_threads
+            # the threads share the pool's connections; they have ended, the connections are still open
+            assert 1 <= len(server.accepted) <= MAX_IN_FLIGHT
             assert not server.wait_until_all_closed(timeout=0.1)
             client.close()
+            assert server.wait_until_all_closed()
+
+    def test_a_connection_used_after_close_is_closed_by_the_next_close(self, shift_backend):
+        with CountingStub(shift_backend) as server:
+            client, _ = client_for(server)
+            for _ in range(2):
+                assert client.logprobs_batch([REQUEST])[0] == shift_backend.logprobs_batch([REQUEST])[0]
+                client.close()
+            assert len(server.accepted) == 2
             assert server.wait_until_all_closed()
 
     @pytest.mark.usefixtures("groups_of_four")
@@ -642,6 +651,10 @@ class TestUrl:
     def test_invalid_port_is_a_config_error(self, url):
         with pytest.raises(ConfigError, match="invalid port"):
             HttpBackend(HttpBackendConfig(base_url=url))
+
+    def test_host_that_cannot_be_sent_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="invalid host"):
+            HttpBackend(HttpBackendConfig(base_url="http://a b/"))
 
 
 def test_cli_import_does_not_load_requests():
