@@ -259,11 +259,12 @@ class HttpBackend(LogprobBackend):
     and is not bounded.
 
     Transport failures and 5xx responses are retried after a full-jitter
-    exponential backoff (or the numeric Retry-After of a 503), then surface
-    as BackendUnavailable. Malformed payloads (wrong shape or length,
-    non-integer ids, non-numeric, non-finite or positive log probabilities,
-    spans that do not reassemble the text) are BackendProtocolError and
-    never retried; any other failure to send a request is a BackendError.
+    exponential backoff (or the numeric Retry-After of a 503, at most
+    ``config.timeout``), then surface as BackendUnavailable. Malformed
+    payloads (wrong shape or length, non-integer ids, non-numeric,
+    non-finite or positive log probabilities, spans that do not reassemble
+    the text) are BackendProtocolError and never retried; any other
+    failure to send a request is a BackendError.
     Requests are idempotent so retries are safe. ``sleep`` and ``uniform``
     are the clock and random source of the backoff.
     """
@@ -349,6 +350,8 @@ class HttpBackend(LogprobBackend):
             if status >= 500:
                 last_exc = BackendUnavailable(f"{url} returned {status}")
                 retry_after = _retry_after(status, headers)
+                if retry_after is not None:  # never longer for a retry than for a reply
+                    retry_after = min(retry_after, self.config.timeout)
                 continue
             if status != 200:
                 raise BackendProtocolError(f"{url} returned {status}: {data[:200].decode('utf-8', 'replace')}")

@@ -65,8 +65,9 @@ EXIT_INTERRUPT = 130
 MAX_WORKERS = 64
 # instances scored together: one /logprobs POST per step (and a share of one /tokenize POST
 # per batch of --workers groups); a group closes at SCORE_GROUP instances and GROUP_CHARS
-# characters of thinking text (_groups)
-SCORE_GROUP = 4
+# characters of thinking text (_groups). Its instances hold their ids, spans and kept masks
+# until the group ends, and their score rows too only when a score dump writes them.
+SCORE_GROUP = 8
 GROUP_CHARS = 4096
 
 
@@ -258,7 +259,9 @@ def _groups(instances: Iterable[CotInstance], min_count: int, min_chars: int) ->
     A group closes once it holds at least ``min_count`` instances and at
     least ``min_chars`` characters of thinking text. So a group has at most
     ``min_count`` instances, or fewer than ``min_chars`` characters of
-    thinking text before its last instance.
+    thinking text before its last instance: instances of more than
+    ``min_chars / min_count`` characters on average go ``min_count`` to a
+    group, and shorter ones share a group by characters.
     """
     group: list[CotInstance] = []
     chars = 0
@@ -294,7 +297,10 @@ def _compress_stream(
 
     Jobs with equal configs on one backend object are one selection: it is
     tokenized, scored and selected once, and each of those jobs writes and
-    reports its outcome, which they share read-only.
+    reports its outcome, which they share read-only. Only a selection that
+    a job with a ``dump_path`` shares keeps its score rows until its group
+    ends; every other one drops each segment's rows once it has selected
+    from them.
 
     Each output path gets its own atomic writer, so an aborted run leaves
     none of them. When the pass ends, the workers are stopped and then
@@ -307,13 +313,15 @@ def _compress_stream(
     shared = [next(i for i, other in enumerate(jobs) if other.config == job.config and other.backend is job.backend)
               for job in jobs]
     distinct = {i: jobs[i] for i in shared}
+    # the selections whose rows a score dump writes; the others keep no row past its segment
+    dumped = {i for i, job in zip(shared, jobs) if job.dump_path}
 
     def tokenized_groups() -> Iterator[tuple[list[CotInstance], list, list]]:
         # on the calling thread, which map_ordered runs up to LOOKAHEAD_PER_WORKER batches ahead
         groups = _groups(instances, SCORE_GROUP, GROUP_CHARS)
         for batch in iter(lambda: list(itertools.islice(groups, workers)), []):
-            tasks = [(compress_steps(instance, job.config), job.backend)
-                     for group in batch for instance in group for job in distinct.values()]
+            tasks = [(compress_steps(instance, job.config, i in dumped), job.backend)
+                     for group in batch for instance in group for i, job in distinct.items()]
             parts: list[range] = []
             for group in batch:  # the indices of each group's tasks
                 start = parts[-1].stop if parts else 0

@@ -276,15 +276,11 @@ def select_tokens(rows: Sequence[TokenScoreRow], config: SelectionConfig) -> Sel
     mask = [False] * len(rows)
     for i in ranked[: kept_count_for(config.alpha, len(rows))]:
         mask[i] = True
-    return _selection(rows, mask)
-
-
-def _selection(rows: Sequence[TokenScoreRow], mask: list[bool]) -> SelectionResult:
     threshold = min(row.score for row, keep in zip(rows, mask) if keep)
     return SelectionResult(threshold=threshold, kept_mask=mask, kept_count=sum(mask))
 
 
-def compress_steps(instance: CotInstance, config: SelectionConfig) -> Steps:
+def compress_steps(instance: CotInstance, config: SelectionConfig, keep_rows: bool = True) -> Steps:
     """Tokenize, score and select one instance: a tokenize step, then one step per segment.
 
     The first step yields the thinking and then the condition, which is left
@@ -297,7 +293,9 @@ def compress_steps(instance: CotInstance, config: SelectionConfig) -> Steps:
     the original preceding thinking) and keeps the top fraction inside it.
     Returns (record, rows, selection). The compressed thinking text is the
     concatenation of kept spans in original order; actual_ratio is exactly
-    kept_count / original_count.
+    kept_count / original_count. Without ``keep_rows`` rows is empty, so no
+    row outlives its segment's selection; the record and selection are the
+    same.
     """
     config.validate()
     # spans concatenate to the text, so only an empty text has no tokens
@@ -312,12 +310,14 @@ def compress_steps(instance: CotInstance, config: SelectionConfig) -> Steps:
             ) from answer
     ids, spans = [t for t, _ in answers[0]], [s for _, s in answers[0]]
     cond_prefix = [t for t, _ in answers[1]] if condition else []
+    del answers  # its (id, span) tuples, one per token, would live as long as the generator
     if config.selection_scope == "global":
         segments = [Segment(0, len(ids), 0)]
     else:
         segments = segment_thinking(len(ids), spans, config)
     rows: list[TokenScoreRow] = []
     mask: list[bool] = []
+    threshold = math.inf
     kept_prefix: list[int] = []
     for seg in segments:
         history = ids[: seg.start] if config.iterative_original_prefix else kept_prefix
@@ -325,11 +325,14 @@ def compress_steps(instance: CotInstance, config: SelectionConfig) -> Steps:
             history, cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
             seg.start, config, instance.id,
         )
-        seg_mask = select_tokens(seg_rows, config).kept_mask
-        rows.extend(seg_rows)
-        mask.extend(seg_mask)
-        kept_prefix.extend(row.token for row, keep in zip(seg_rows, seg_mask) if keep)
-    selection = _selection(rows, mask)
+        seg_selection = select_tokens(seg_rows, config)
+        mask.extend(seg_selection.kept_mask)
+        threshold = min(threshold, seg_selection.threshold)
+        kept_prefix.extend(row.token for row, keep in zip(seg_rows, seg_selection.kept_mask) if keep)
+        if keep_rows:
+            rows.extend(seg_rows)
+        del seg_rows  # not held while the next segment is scored
+    selection = SelectionResult(threshold=threshold, kept_mask=mask, kept_count=sum(mask))
 
     compressed = "".join(span for span, keep in zip(spans, mask) if keep)
     record = CompressedInstance(

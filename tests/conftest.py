@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 import random
@@ -10,7 +11,7 @@ import pytest
 
 import cts.cli
 from cts.backends import HttpBackend, HttpBackendConfig, ToyBackend, ToyLmSpec
-from cts.selector import render_condition, score_tokens
+from cts.selector import compress_instance
 
 # A file or socket a test leaves open fails it. The filters are set here and
 # not in pyproject.toml so that they hold for this suite only: bench/ has its
@@ -27,7 +28,7 @@ def pytest_collection_modifyitems(items):
 
 
 @pytest.fixture
-def groups_of_four(monkeypatch):
+def groups_by_count(monkeypatch):
     """Group instances by count alone, ``SCORE_GROUP`` to a group.
 
     So a small corpus of short instances spans several groups.
@@ -97,11 +98,8 @@ def shift_spec() -> ToyLmSpec:
 
 def score_global(instance, config, backend):
     """Score every thinking token as global scope does: one segment [0, n), no history."""
-    thinking, condition = backend.tokenize([instance.thinking, render_condition(config, instance)])
-    return score_tokens(
-        [], [t for t, _ in condition], [t for t, _ in thinking], [s for _, s in thinking], 0, config, backend,
-        instance.id,
-    )
+    _, rows, _ = compress_instance(instance, dataclasses.replace(config, selection_scope="global"), backend)
+    return rows
 
 
 def write_spec_file(spec: ToyLmSpec, path) -> str:

@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 import cts.cli
-from cts.backends import ToyLmSpec
+from cts.backends import ToyBackend, ToyLmSpec
 from cts.cli import main
-from cts.dataset import read_compressed_dataset
+from cts.dataset import read_compressed_dataset, read_dataset, write_jsonl
 from cts.emitters import rm_instruction_context
 from cts.errors import ConfigError
-from cts.selector import compress_steps
+from cts.selector import SelectionConfig, compress_instance, compress_steps, score_rows_to_dicts
 
 from conftest import (
     make_corpus, random_spec, read_jsonl_file, shift_spec, uniform_spec, write_jsonl_file, write_spec_file,
@@ -234,6 +234,37 @@ class TestScore:
         # default ratio for score is 1.0: every token kept
         assert all(r["kept"] for r in rows)
 
+    def test_only_a_selection_with_a_score_dump_keeps_its_rows(self, toy_env, monkeypatch):
+        asked = []
+
+        def recording_compress_steps(instance, config, keep_rows=True):
+            asked.append(keep_rows)
+            return compress_steps(instance, config, keep_rows)
+
+        monkeypatch.setattr(cts.cli, "compress_steps", recording_compress_steps)
+        compress_dump, score_dump = toy_env["dir"] / "compress-dump.jsonl", toy_env["dir"] / "score-dump.jsonl"
+        runs = [
+            (compress_args(toy_env), False),
+            (ablate_args(toy_env, toy_env["dir"] / "ablate"), False),
+            (compress_args(toy_env, extra=["--score-dump", str(compress_dump)]), True),
+            (["score", "--input", toy_env["corpus"], "--output", str(score_dump), "--ratio", "0.7",
+              "--backend", f"toy:{toy_env['spec']}", "--condition-template", CONDITION], True),
+        ]
+        for args, keep_rows in runs:
+            asked.clear()
+            assert run_cli(args) == 0
+            assert set(asked) == {keep_rows}, args[0]
+        # the dump the library writes, with every row kept
+        config = SelectionConfig(alpha=0.7, condition_template=CONDITION)
+        backend = ToyBackend(shift_spec())
+        expected = toy_env["dir"] / "expected.jsonl"
+        dump_rows = []
+        for instance in read_dataset(toy_env["corpus"]):
+            record, rows, selection = compress_instance(instance, config, backend)
+            dump_rows += score_rows_to_dicts(record.id, rows, selection.kept_mask)
+        write_jsonl(dump_rows, str(expected))
+        assert compress_dump.read_bytes() == score_dump.read_bytes() == expected.read_bytes()
+
 
 class TestEmitCommand:
     def test_emit_sft_one_to_one(self, toy_env, tmp_path):
@@ -405,7 +436,7 @@ def ablate_args(env, outdir, ratio="0.7", extra=()):
 
 
 class TestAblateOnePass:
-    @pytest.mark.usefixtures("groups_of_four")
+    @pytest.mark.usefixtures("groups_by_count")
     def test_one_backend_posts_three_requests_per_instance(self, toy_env):
         from cts.backends import ToyBackend
         from http_stub import StubServer
@@ -419,7 +450,7 @@ class TestAblateOnePass:
         groups = math.ceil(40 / cts.cli.SCORE_GROUP)
         assert server.state.request_count == groups + math.ceil(groups / 2)
 
-    @pytest.mark.usefixtures("groups_of_four")
+    @pytest.mark.usefixtures("groups_by_count")
     def test_distinct_tuned_backend_posts_three_requests_per_instance_each(self, toy_env):
         from cts.backends import ToyBackend
         from http_stub import StubServer
@@ -487,7 +518,7 @@ class TestAblateOnePass:
         failed = [r.getMessage() for r in caplog.records if "instance inst-3 failed" in r.getMessage()]
         assert sorted(message.split(":")[0] for message in failed) == ["ablate conditional", "ablate proposed"]
 
-    @pytest.mark.usefixtures("groups_of_four")
+    @pytest.mark.usefixtures("groups_by_count")
     def test_untokenizable_answer_over_http_posts_as_many_requests(self, toy_env, caplog):
         from http_stub import StubServer, UntokenizableAnswers
 
@@ -498,12 +529,13 @@ class TestAblateOnePass:
             code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate",
                                        extra=["--backend", f"http:{server.url}", "--workers", "2", "--lenient"]))
         assert code == 0
-        # the /tokenize POST of inst-0..7 (a batch of 2 groups) fails, then each group's goes out
-        # on its own and inst-0..3's fails, so its 6 distinct texts (4 thinking texts, "42:" and
-        # "Z:") go out one by one; "Z:" is asked once, since both conditional modes are one
-        # selection; inst-3's unconditional modes score in its group's /logprobs POST
+        # the /tokenize POST of the first batch of 2 groups fails, then each group's goes out on
+        # its own and the first group's fails, so its SCORE_GROUP + 2 distinct texts (a thinking
+        # text per instance, "42:" and "Z:") go out one by one; "Z:" is asked once, since both
+        # conditional modes are one selection; inst-3's unconditional modes score in its group's
+        # /logprobs POST
         groups = math.ceil(40 / cts.cli.SCORE_GROUP)
-        assert server.state.request_count == groups + math.ceil(groups / 2) + 2 + 6
+        assert server.state.request_count == groups + math.ceil(groups / 2) + 2 + cts.cli.SCORE_GROUP + 2
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert [message.split(":")[0] for message in failed] == ["ablate conditional", "ablate proposed"]
 
@@ -541,7 +573,7 @@ class TestBackendsAndConfig:
         via_http = (toy_env["dir"] / "via-http.jsonl").read_bytes()
         assert via_toy == via_http
 
-    @pytest.mark.usefixtures("groups_of_four")
+    @pytest.mark.usefixtures("groups_by_count")
     def test_http_compress_posts_three_requests_per_instance(self, toy_env):
         from cts.backends import ToyBackend
         from http_stub import StubServer

@@ -168,7 +168,7 @@ class TestLifecycle:
             assert len(server.accepted) == 2
             assert server.wait_until_all_closed()
 
-    @pytest.mark.usefixtures("groups_of_four")
+    @pytest.mark.usefixtures("groups_by_count")
     def test_compress_leaves_no_connection_open(self, tmp_path):
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         records = make_corpus(12, list("ABC "), random.Random(3))
@@ -213,7 +213,8 @@ class ToyTransport:
 
 @pytest.fixture
 def corpus(tmp_path):
-    records = make_corpus(10, list("ABC "), random.Random(11))
+    # two full groups and a third of 2 instances
+    records = make_corpus(2 * SCORE_GROUP + 2, list("ABC "), random.Random(11))
     return records, write_jsonl_file(records, tmp_path / "corpus.jsonl")
 
 
@@ -260,11 +261,11 @@ def batches_of(records, workers) -> list:
     return [records[i:i + size] for i in range(0, len(records), size)]
 
 
-@pytest.mark.usefixtures("groups_of_four")
+@pytest.mark.usefixtures("groups_by_count")
 class TestPipeline:
     """compress tokenizes each batch of ``workers`` groups at once, then scores each group on one worker, in lockstep."""
 
-    # 10 instances are 3 groups: 3 batches of one group at 1 worker, 2 at 2 workers, 1 at 3 workers
+    # the corpus is 3 groups: 3 batches of one group at 1 worker, 2 at 2 workers, 1 at 3 workers
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_tokenize_post_per_group_with_an_array_body(self, monkeypatch, tmp_path, corpus, workers):
         records, corpus_path = corpus
@@ -310,11 +311,11 @@ class TestGroupSize:
     """At the default constants a group closes at SCORE_GROUP instances and GROUP_CHARS characters of thinking."""
 
     # 200 characters each: a group closes at its 21st instance (4,200 characters); 2,100 each: two reach
-    # GROUP_CHARS, yet a group waits for its fourth instance
-    @pytest.mark.parametrize("n, chars, sizes", [(60, 200, [21, 21, 18]), (10, 2100, [4, 4, 2])],
-                             ids=["short-by-characters", "long-by-four"])
+    # GROUP_CHARS, yet a group waits for its eighth instance
+    @pytest.mark.parametrize("n, chars, sizes", [(60, 200, [21, 21, 18]), (20, 2100, [8, 8, 4])],
+                             ids=["short-by-characters", "long-by-eight"])
     def test_group_sizes(self, monkeypatch, tmp_path, n, chars, sizes):
-        assert (SCORE_GROUP, GROUP_CHARS) == (4, 4096)
+        assert (SCORE_GROUP, GROUP_CHARS) == (8, 4096)
         records = make_corpus(n, list("ABC "), random.Random(5), min_tokens=chars, max_tokens=chars)
         corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
         transport = ToyTransport(ToyBackend(shift_spec()))
@@ -370,17 +371,17 @@ class Busy(ToyTransport):
         return super().post(path, body, headers)
 
 
-@pytest.mark.usefixtures("groups_of_four")
+@pytest.mark.usefixtures("groups_by_count")
 class TestCoalescedScoring:
     """The /logprobs POST of a group of instances scored in lockstep, and its failures."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_malformed_reply_fails_only_its_instance(self, monkeypatch, tmp_path, corpus, caplog, workers):
         records, corpus_path = corpus
-        bad = 5  # in the group of instances 4-7
+        bad = SCORE_GROUP + 1  # in the second group
         transport = CorruptReplies(ToyBackend(shift_spec()), records[bad]["thinking"])
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)
-        # the group's POST failed, then each of the 2 requests of its 4 instances was sent alone,
+        # the group's POST failed, then each of the 2 requests of its SCORE_GROUP instances was sent alone,
         # each as an array too
         assert len(transport.posts) == posts_for(records, workers) + 2 * SCORE_GROUP
         assert all(isinstance(body, list) for body in transport.logprobs_bodies)
@@ -414,7 +415,7 @@ class TestCoalescedScoring:
         assert "Traceback" not in capfd.readouterr().err
 
 
-@pytest.mark.usefixtures("groups_of_four")
+@pytest.mark.usefixtures("groups_by_count")
 class TestGroupTokenizeIsolation:
     """A batch's /tokenize POST that fails, then each group's, and the failed group's texts one by one."""
 
@@ -458,7 +459,7 @@ class TestGroupTokenizeIsolation:
         assert failed == [f"compress: instance {records[bad]['id']} failed: {exc.value}"]
 
 
-@pytest.mark.usefixtures("groups_of_four")
+@pytest.mark.usefixtures("groups_by_count")
 class TestBatchTokenize:
     """The /tokenize POST that a batch of ``workers`` groups shares, sent ahead of the workers."""
 
@@ -533,7 +534,7 @@ class ScoringOutage(CountingStub):
 # with a condition each group's /tokenize POST holds two texts per instance, without one a single text
 @pytest.mark.parametrize("condition", [["--condition-template", "{answer}:"], ["--no-conditional"]],
                          ids=["conditional", "unconditional"])
-@pytest.mark.usefixtures("groups_of_four")
+@pytest.mark.usefixtures("groups_by_count")
 def test_outage_while_scoring_stops_both_stages(tmp_path, monkeypatch, capfd, condition):
     def fast_config(**kwargs):
         return HttpBackendConfig(**kwargs, max_retries=0)
@@ -617,6 +618,11 @@ class TestRetryBackoff:
         client.logprobs_batch([REQUEST])
         assert sleeps[0] == 2.0
         assert 0.0 <= sleeps[1] <= 0.5  # the next wait is jittered again
+
+    def test_retry_after_above_the_timeout_sleeps_the_timeout(self):
+        client, sleeps = retrying_client(Replies((503, {"Retry-After": "86400"})))
+        client.logprobs_batch([REQUEST])
+        assert sleeps == [client.config.timeout]
 
     @pytest.mark.parametrize("status, value", [
         (503, "Wed, 21 Oct 2015 07:28:00 GMT"),  # a date is not honoured

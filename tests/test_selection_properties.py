@@ -1,6 +1,6 @@
 """Property tests of selection: exact counts and ratios, nesting across alphas, a brute-force oracle,
-lockstep scoring of a group against one instance at a time, the batch-then-split rule of both
-backend calls, and the rule that sizes the groups.
+lockstep scoring of a group against one instance at a time, selection without kept rows, the
+batch-then-split rule of both backend calls, and the rule that sizes the groups.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
@@ -134,6 +134,28 @@ def test_lockstep_group_equals_one_instance_at_a_time(group, alpha, conditional,
     config = scoring_config(scope, original_prefix, alpha=alpha, conditional=conditional)
     alone = [(compress_instance(inst, config, BACKEND), None) for inst in group]
     assert run_lockstep(lockstep_tasks(group, [config], BACKEND)) == alone
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.text(alphabet="ABC ", min_size=1, max_size=60),
+    st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]) | alphas,
+    st.booleans(),
+    st.sampled_from(["global", "per_segment"]),
+    st.booleans(),
+)
+def test_without_rows_the_record_and_selection_are_the_same(thinking, alpha, conditional, scope, original_prefix):
+    config = scoring_config(scope, original_prefix, alpha=alpha, conditional=conditional)
+    instance = CotInstance("p", "", thinking, "42")
+    [(with_rows, _), (without_rows, _)] = run_lockstep(
+        [(compress_steps(instance, config, keep_rows), BACKEND) for keep_rows in (True, False)]
+    )
+    record, rows, selection = with_rows
+    assert len(rows) == len(thinking)
+    assert selection.threshold == min(row.score for row, keep in zip(rows, selection.kept_mask) if keep)
+    assert without_rows[0] == record
+    assert without_rows[1] == []
+    assert without_rows[2] == selection  # kept_mask, kept_count and threshold
 
 
 @settings(max_examples=50, deadline=None)
