@@ -20,6 +20,7 @@ import logging
 import os
 import sys
 import time
+from collections import deque
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
@@ -40,7 +41,7 @@ from .dataset import (
 from .emitters import SftRecord, build_rm_training_rows, emit_rm_prompts, emit_sft
 from .errors import BackendUnavailable, ConfigError, CtsError, DatasetError
 from .report import ReportBuilder, RunReport, report_from_records
-from .runner import map_ordered
+from .runner import LOOKAHEAD_PER_WORKER, map_ordered
 from .selector import (
     DEFAULT_CONDITION_TEMPLATE,
     SelectionConfig,
@@ -63,10 +64,11 @@ EXIT_BACKEND = 3
 EXIT_INTERRUPT = 130
 
 MAX_WORKERS = 64
-# instances scored together: one /logprobs POST per step (and a share of one /tokenize POST
-# per batch of --workers groups); a group closes at SCORE_GROUP instances and GROUP_CHARS
-# characters of thinking text (_groups). Its instances hold their ids, spans and kept masks
-# until the group ends, and their score rows too only when a score dump writes them.
+# a group closes at SCORE_GROUP instances and GROUP_CHARS characters of thinking text (_groups);
+# it is the unit of the /tokenize POST (one per batch of --workers groups) and of dispatch to a
+# lane. A lane's /logprobs step is full by the same rule over its live instances, and refills as
+# they end. An instance holds its ids, spans and kept mask until its group is returned, and its
+# score rows too only when a score dump writes them.
 SCORE_GROUP = 8
 GROUP_CHARS = 4096
 
@@ -280,31 +282,39 @@ def _compress_stream(
 ) -> tuple[list[ReportBuilder], bool]:
     """Read the input once and run every job on each instance; returns (builders, interrupted).
 
-    Groups of consecutive instances (``_groups``) go to ``workers`` threads
-    in input order, and each group runs in lockstep (``run_lockstep``) the
-    steps of each of its instances and selections (``compress_steps``). The
-    first step, tokenizing, is run for a batch of ``workers`` consecutive
-    groups at once on the calling thread: one tokenize call per backend
-    with the distinct texts of the whole batch. ``map_ordered`` takes a
-    batch's groups as its window has room, so tokenizing runs up to
-    ``runner.LOOKAHEAD_PER_WORKER`` (4) batches ahead and at most 4 x ``workers``
-    tokenized groups wait beside the groups being scored; at one worker a
-    batch is one group. A worker then runs its group's segment steps, each
-    one logprobs call per backend with the distinct requests. A failed
-    batch tokenize call is sent again group by group, and a failed group's
-    call item by item, so only the instances whose own texts or requests
-    fail are lost.
+    Groups of consecutive instances (``_groups``) are the unit of tokenizing
+    and of dispatch. Each instance runs the steps of each selection
+    (``compress_steps``). Their first step, tokenizing, is run for a batch
+    of ``workers`` consecutive groups at once on the calling thread: one
+    tokenize call per backend with the distinct texts of the whole batch,
+    sent again group by group when it fails. ``map_ordered`` deals group g
+    to lane g mod ``workers`` and takes a batch's groups as its window has
+    room, so tokenizing runs up to ``runner.LOOKAHEAD_PER_WORKER`` (4)
+    batches ahead of the oldest group not yet written. At one worker the
+    one lane is a generator on the calling thread.
+
+    Each lane runs one rolling lockstep (``run_lockstep``) over its groups.
+    Before each step its next instances in input order join until the live
+    ones number at least ``SCORE_GROUP`` and hold at least ``GROUP_CHARS``
+    characters of thinking, so an instance that ends frees its place at the
+    next step, and the step's one logprobs call per backend (distinct
+    requests, sent again item by item when it fails) serves whatever is
+    live. A lane begins a group only while it holds fewer than
+    ``LOOKAHEAD_PER_WORKER`` groups not yet returned, so it never waits on
+    a group beyond the window, and each admission depends on the lane's own
+    groups alone, so at a given ``workers`` the POST count repeats exactly.
+    Only the instances whose own texts or requests fail are lost.
 
     Jobs with equal configs on one backend object are one selection: it is
     tokenized, scored and selected once, and each of those jobs writes and
     reports its outcome, which they share read-only. Only a selection that
     a job with a ``dump_path`` shares keeps its score rows until its group
-    ends; every other one drops each segment's rows once it has selected
-    from them.
+    is returned; every other one drops each segment's rows once it has
+    selected from them.
 
     Each output path gets its own atomic writer, so an aborted run leaves
-    none of them. When the pass ends, the workers are stopped and then
-    every job's backend is closed.
+    none of them. When the pass ends, the lanes are stopped and then every
+    job's backend is closed.
     """
     read_errors: list[DatasetError] = []
     instances = read_dataset(args.input, _schema_from(args), errors=read_errors)
@@ -316,7 +326,7 @@ def _compress_stream(
     # the selections whose rows a score dump writes; the others keep no row past its segment
     dumped = {i for i, job in zip(shared, jobs) if job.dump_path}
 
-    def tokenized_groups() -> Iterator[tuple[list[CotInstance], list, list]]:
+    def tokenized_groups() -> Iterator[tuple[list[CotInstance], list]]:
         # on the calling thread, which map_ordered runs up to LOOKAHEAD_PER_WORKER batches ahead
         groups = _groups(instances, SCORE_GROUP, GROUP_CHARS)
         for batch in iter(lambda: list(itertools.islice(groups, workers)), []):
@@ -328,12 +338,41 @@ def _compress_stream(
                 parts.append(range(start, start + len(group) * len(distinct)))
             states = lockstep_step(tasks, parts=parts)
             for group, part in zip(batch, parts):
-                yield group, tasks[part.start:part.stop], states[part.start:part.stop]
+                yield group, [(*tasks[t], states[t]) for t in part]
 
-    def score_group(tokenized):
-        group, tasks, states = tokenized
-        outcomes = iter(run_lockstep(tasks, states))
-        return [(instance.id, {i: next(outcomes) for i in distinct}) for instance in group]
+    def lane(groups: Iterator[tuple[list[CotInstance], list]]) -> Iterator[list]:
+        # one rolling lockstep over this lane's groups, in order; yields each group's (id, outcomes) list
+        pending: deque = deque()  # (group, its tasks' generators) of each group begun and not yet yielded
+        size_of = {}  # each begun task's generator -> (id, thinking length) of its instance
+        position = 0  # how many tasks of the newest group are begun
+
+        def begun() -> Iterator[tuple]:
+            nonlocal position
+            for group, tasks in groups:
+                pending.append((group, [steps for steps, *_ in tasks]))
+                for position, task in enumerate(tasks, 1):
+                    instance = group[(position - 1) // len(distinct)]
+                    size_of[task[0]] = id(instance), len(instance.thinking)
+                    yield task
+
+        def full(live: list) -> bool:
+            if position % len(distinct):  # the selections of an instance join together
+                return False
+            if position == len(pending[-1][1]) and len(pending) >= LOOKAHEAD_PER_WORKER:
+                return True  # a group begins only while fewer than LOOKAHEAD_PER_WORKER are held
+            sizes = {size_of[steps] for steps, _ in live}  # one per live instance
+            return len(sizes) >= SCORE_GROUP and sum(chars for _, chars in sizes) >= GROUP_CHARS
+
+        done: list = []  # the outcomes of the oldest pending group so far
+        for outcome in run_lockstep(begun(), full):
+            done.append(outcome)
+            group, generators = pending[0]
+            if len(done) == len(generators):
+                pending.popleft()
+                for steps in generators:
+                    del size_of[steps]
+                outcomes, done = iter(done), []
+                yield [(instance.id, {i: next(outcomes) for i in distinct}) for instance in group]
 
     interrupted = False
     try:
@@ -348,8 +387,8 @@ def _compress_stream(
             # pass; every other output is written alongside it
             outputs = [(writer(job.output_path) if i else None, writer(job.dump_path))
                        for i, job in enumerate(jobs)]
-            # closed before the writers and the backends, so no worker thread outlives the pass
-            scored = stack.enter_context(closing(map_ordered(score_group, tokenized_groups(), workers)))
+            # closed before the writers and the backends, so no lane thread outlives the pass
+            scored = stack.enter_context(closing(map_ordered(lane, tokenized_groups(), workers)))
             results = itertools.chain.from_iterable(scored)
 
             def first_records() -> Iterator[CompressedInstance]:
@@ -508,7 +547,7 @@ def _add_selection_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None, help="toy:<spec.json> or http:<url>")
     parser.add_argument("--workers", type=int, default=None,
-                        help=f"concurrent scoring workers, 1 to {MAX_WORKERS}")
+                        help=f"scoring lanes run at once, 1 to {MAX_WORKERS}")
     parser.add_argument("--lenient", action="store_true", default=None,
                         help="exit 0 even when some records fail")
     parser.add_argument("--config", default=None, help="JSON config file")

@@ -1,24 +1,35 @@
-"""Bounded worker pool that preserves input order.
+"""Lanes of work that keep input order.
 
-Items are processed concurrently but results come back in submission
-order, so output files are byte-identical at any parallelism level. The
-lookahead window keeps memory bounded by a constant number of items.
-The CLI maps each group of instances (``cts.cli._groups``) through one of
-these. With one worker ``map_ordered`` calls ``fn`` on the calling thread.
+``map_ordered(lane, items, workers)`` deals item i to lane i mod
+``workers``. A lane is a function that takes an iterator over its own
+items and yields one result per item, in order; the results of all lanes
+come back in input order, so output files are byte-identical at any
+parallelism level. With one worker the one lane runs on the calling
+thread as a generator; otherwise each lane runs on a thread of its own.
 
-The window holds at most ``LOOKAHEAD_PER_WORKER`` items per worker, and
-the calling thread takes the next item from ``items`` whenever it has
-room. The CLI's items tokenize a batch of ``workers`` groups on the calling
-thread as the batch's first group is taken, so tokenizing runs up to
-``LOOKAHEAD_PER_WORKER`` batches ahead of the oldest group not yet
-returned: at most 4 x ``workers`` tokenized groups wait beside the groups
-being scored.
+The calling thread takes the next item from ``items`` whenever fewer than
+``LOOKAHEAD_PER_WORKER`` x ``workers`` items are out and not yet returned,
+so at most that many are in memory. A lane must ask for its next item
+only while it holds fewer than ``LOOKAHEAD_PER_WORKER`` items whose results
+it has not yielded. Then the lane that holds the oldest item not yet
+returned never waits on an item beyond that window, so the calling
+thread, which waits for that item's result, and the lanes cannot
+deadlock. The CLI's items are groups of instances, each lane a rolling
+lockstep over its groups (``cts.cli._compress_stream``), and the calling
+thread tokenizes a batch of ``workers`` groups as it takes the batch's
+first group.
+
+When the caller stops (it closes the iterator, or a lane or ``items``
+raises), each lane takes no more items and ends at its next result, or
+once its work runs out; every lane is joined before ``map_ordered``
+returns. A lane's exception is raised on the calling thread when that
+lane's next result is due.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -26,21 +37,49 @@ R = TypeVar("R")
 
 LOOKAHEAD_PER_WORKER = 4
 
+_END = object()
 
-def map_ordered(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
+
+def map_ordered(lane: Callable[[Iterator[T]], Iterator[R]], items: Iterable[T], workers: int) -> Iterator[R]:
     if workers <= 1:
-        for item in items:
-            yield fn(item)
+        yield from lane(iter(items))
         return
-    window: deque = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    window = workers * LOOKAHEAD_PER_WORKER
+    inboxes = [queue.SimpleQueue() for _ in range(workers)]
+    outboxes = [queue.SimpleQueue() for _ in range(workers)]
+    stop = threading.Event()
+
+    def run(number: int) -> None:
         try:
-            for item in items:
-                window.append(pool.submit(fn, item))
-                if len(window) >= workers * LOOKAHEAD_PER_WORKER:
-                    yield window.popleft().result()
-            while window:
-                yield window.popleft().result()
-        finally:
-            for future in window:
-                future.cancel()
+            for answer in lane(item for item in iter(inboxes[number].get, _END) if not stop.is_set()):
+                outboxes[number].put(answer)
+                if stop.is_set():
+                    return
+        except BaseException as exc:  # raised on the calling thread when this lane's result is due
+            outboxes[number].put(exc)
+
+    def result(index: int) -> R:
+        answer = outboxes[index % workers].get()
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
+
+    threads = [threading.Thread(target=run, args=(number,), name=f"cts-lane-{number}") for number in range(workers)]
+    for thread in threads:
+        thread.start()
+    count = 0
+    try:
+        for count, item in enumerate(items, 1):
+            inboxes[(count - 1) % workers].put(item)
+            if count >= window:
+                yield result(count - window)
+        for inbox in inboxes:
+            inbox.put(_END)  # each lane ends once it has done what it was sent
+        for index in range(max(0, count - window + 1), count):
+            yield result(index)
+    finally:
+        stop.set()
+        for inbox in inboxes:
+            inbox.put(_END)
+        for thread in threads:
+            thread.join()

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Callable, Generator, Hashable, NamedTuple, Sequence
+from typing import Any, Callable, Generator, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .backends import LogprobBackend, LogprobRequest, ppl_of
 from .dataset import CompressedInstance, CotInstance
@@ -108,7 +108,7 @@ class SelectionConfig:
             raise ConfigError("condition_template must contain {answer} (or be empty) when conditional")
 
 
-@dataclass
+@dataclass(slots=True)
 class TokenScoreRow:
     """Per-token alignment of id, surface span, both perplexities, and score."""
 
@@ -120,7 +120,7 @@ class TokenScoreRow:
     score: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     """Half-open token index range [start, end) over the thinking tokens."""
 
@@ -129,7 +129,7 @@ class Segment:
     ordinal: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectionResult:
     threshold: float
     kept_mask: list[bool]
@@ -430,20 +430,43 @@ def lockstep_step(
     return states
 
 
-def run_lockstep(tasks: Sequence[tuple[Steps, LogprobBackend]], states: Sequence | None = None) -> list[Outcome]:
-    """Run step generators side by side to their ends, one call per backend per step (lockstep_step).
+def run_lockstep(
+    tasks: Iterable[tuple], full: Callable[[list], bool] = lambda live: False
+) -> Iterator[Outcome]:
+    """Run step generators side by side, one call per backend per step, taking new tasks as others end.
 
-    A task ends when its generator returns. Tasks that share a text or a
-    request (the selections run on one instance share the thinking and
-    their unconditional contexts, always in the same step) send it once,
-    and the round trips of a group of instances are those of its longest
-    member. ``states`` resumes tasks that earlier steps have advanced; by
-    default they start here. Returns one ``Outcome`` per task, in task
-    order. A BackendUnavailable is not a per-task failure: it propagates.
+    Each step is one ``lockstep_step``. A task is ``(steps, backend)``, or
+    ``(steps, backend, state)`` to resume it from the state an earlier
+    ``lockstep_step`` left it in. Before each step, tasks are taken from
+    ``tasks`` in order until ``full(live)`` holds for the live tasks, the
+    ``(steps, backend)`` pairs taken and not yet ended (it is asked only
+    while some are live); by default every task is taken before the first
+    step. So a task that ends frees its place for the next one at the next
+    step, and a step's round trip is shared by whatever tasks are live in
+    it. Tasks that share a text or a request (the selections run on one
+    instance share the thinking and their unconditional contexts, always
+    in the same step) send it once. Yields each task's ``Outcome`` in task
+    order, once it and every earlier task have ended. A BackendUnavailable
+    is not a per-task failure: it propagates.
     """
-    while states is None or not all(isinstance(state, Outcome) for state in states):
-        states = lockstep_step(tasks, states)
-    return states
+    tasks = iter(tasks)
+    taken: list[tuple[Steps, LogprobBackend]] = []
+    states: list = []
+    while True:
+        ended = next((i for i, state in enumerate(states) if not isinstance(state, Outcome)), len(states))
+        yield from states[:ended]
+        del taken[:ended], states[:ended]
+        live = [task for task, state in zip(taken, states) if not isinstance(state, Outcome)]
+        while not (live and full(live)) and (task := next(tasks, None)) is not None:
+            steps, backend, *state = task
+            taken.append((steps, backend))
+            states.append(state[0] if state else _advance(steps, None))
+            if not isinstance(states[-1], Outcome):
+                live.append(taken[-1])
+        if not live:
+            yield from states
+            return
+        states = lockstep_step(taken, states)
 
 
 def _run_alone(steps: Steps, backend: LogprobBackend) -> Any:

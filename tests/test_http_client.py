@@ -18,6 +18,7 @@ from cts.backends import MAX_IN_FLIGHT, HttpBackend, HttpBackendConfig, LogprobR
 from cts.cli import GROUP_CHARS, SCORE_GROUP, main
 from cts.dataset import CotInstance
 from cts.errors import BackendError, BackendUnavailable, ConfigError, ScoringError
+from cts.runner import LOOKAHEAD_PER_WORKER
 from cts.selector import SelectionConfig, compress_instance
 
 from conftest import make_corpus, shift_spec, write_jsonl_file, write_spec_file
@@ -576,6 +577,179 @@ def _compress_with_toy(corpus, spec_path, tmp_path) -> bytes:
         "--backend", f"toy:{spec_path}", "--condition-template", "{answer}:",
     ]) == 0
     return out.read_bytes()
+
+
+def rolling_posts(lengths, segments, workers, min_count, min_chars) -> int:
+    """The /logprobs POSTs of the rolling rule, simulated: one POST per step of each lane.
+
+    Groups close as ``cli._groups`` closes them, and group g goes to lane g
+    mod ``workers``. Before each step of a lane, its next instances in input
+    order join until its live instances number at least ``min_count`` and
+    hold at least ``min_chars`` characters of thinking; a group begins only
+    while fewer than LOOKAHEAD_PER_WORKER groups of the lane are begun and
+    not returned, and a group is returned once it and every earlier group
+    of the lane have ended. A step scores one segment of each live instance.
+    """
+    groups, group = [], []
+    for i, length in enumerate(lengths):
+        group.append(i)
+        if len(group) >= min_count and sum(lengths[j] for j in group) >= min_chars:
+            groups.append(group)
+            group = []
+    groups += [group] if group else []
+    posts = 0
+    for lane in range(workers):
+        mine = groups[lane::workers]
+        begun = taken = returned = 0  # groups begun, instances taken of the newest, groups returned
+        left: dict[int, int] = {}  # the segments left of each live instance
+
+        def ended(g):  # every instance of group g taken and none live
+            return (g < begun - 1 or taken == len(mine[g])) and not any(i in left for i in mine[g])
+
+        while True:
+            while returned < begun and ended(returned):
+                returned += 1
+            while not (len(left) >= min_count and sum(lengths[i] for i in left) >= min_chars):
+                if begun and taken < len(mine[begun - 1]):
+                    instance = mine[begun - 1][taken]
+                    left[instance] = segments[instance]
+                    taken += 1
+                elif begun < len(mine) and begun - returned < LOOKAHEAD_PER_WORKER:
+                    begun, taken = begun + 1, 0
+                else:
+                    break
+            if not left:
+                break
+            posts += 1
+            left = {i: n - 1 for i, n in left.items() if n > 1}
+    return posts
+
+
+def per_segment_corpus(segments, rng) -> list[dict]:
+    """Instances of the given numbers of segments at ``--segment-budget 4``, one character to a token."""
+    return [{"id": f"inst-{i}", "problem": "", "answer": rng.choice("ABC"),
+             "thinking": "".join(rng.choice("ABC ") for _ in range(rng.randint(4 * k - 3, 4 * k)))}
+            for i, k in enumerate(segments)]
+
+
+def compress_per_segment(monkeypatch, tmp_path, corpus_path, transport, workers, command="compress") -> bytes:
+    """Per-segment compress (or ablate) at ``--segment-budget 4``, over ``transport`` or, without one, the toy backend.
+
+    Returns the bytes written (each ablation mode's file in turn).
+    """
+    out = tmp_path / f"{command}-{workers}-{transport is None}"
+    backend = f"toy:{write_spec_file(shift_spec(), tmp_path / 'spec.json')}" if transport is None else "http://fake"
+    argv = [command, "--input", corpus_path, "--output", str(out), "--ratio", "0.7", "--backend", backend,
+            "--condition-template", "{answer}:", "--scope", "per-segment", "--segment-budget", "4",
+            "--boundary-slack", "0", "--workers", str(workers)]
+    if transport is None:
+        assert main(argv) == 0
+    else:
+        cli_over(monkeypatch, transport, argv)
+    paths = [out / f"{mode.name}.jsonl" for mode in cts.cli.ABLATION_MODES] if command == "ablate" else [out]
+    return b"".join(path.read_bytes() for path in paths)
+
+
+class TestRollingLockstep:
+    """Each lane refills its window as instances end, so a step's POST is shared by whatever is live in it."""
+
+    @pytest.mark.parametrize("group_chars", [0, 150], ids=["by-count", "by-characters"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_logprobs_posts_follow_the_rolling_rule(self, monkeypatch, tmp_path, workers, group_chars):
+        monkeypatch.setattr(cts.cli, "GROUP_CHARS", group_chars)
+        rng = random.Random(23)
+        # 7 groups by count and 4 by characters, so at up to 3 workers lane 0 holds more than one
+        segments = [rng.randint(1, 6) for _ in range(6 * SCORE_GROUP + 3)]
+        records = per_segment_corpus(segments, rng)
+        corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+        transport = ToyTransport(ToyBackend(shift_spec()))
+        written = compress_per_segment(monkeypatch, tmp_path, corpus_path, transport, workers)
+        lengths = [len(record["thinking"]) for record in records]
+        groups = len(list(cts.cli._groups([CotInstance(str(i), "", "A" * n, "") for i, n in enumerate(lengths)],
+                                          SCORE_GROUP, group_chars)))
+        assert len(transport.tokenize_bodies["/tokenize"]) == math.ceil(groups / workers)
+        assert len(transport.logprobs_bodies) == rolling_posts(lengths, segments, workers, SCORE_GROUP, group_chars)
+        assert written == compress_per_segment(monkeypatch, tmp_path, corpus_path, None, 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_selections_of_an_instance_count_once(self, monkeypatch, tmp_path, workers):
+        # ablate with one backend runs two selections of each instance, which join and leave together
+        monkeypatch.setattr(cts.cli, "GROUP_CHARS", 0)
+        rng = random.Random(37)
+        segments = [rng.randint(1, 6) for _ in range(4 * SCORE_GROUP + 3)]
+        records = per_segment_corpus(segments, rng)
+        corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+        transport = ToyTransport(ToyBackend(shift_spec()))
+        written = compress_per_segment(monkeypatch, tmp_path, corpus_path, transport, workers, "ablate")
+        lengths = [len(record["thinking"]) for record in records]
+        assert len(transport.logprobs_bodies) == rolling_posts(lengths, segments, workers, SCORE_GROUP, 0)
+        assert written == compress_per_segment(monkeypatch, tmp_path, corpus_path, None, 1, "ablate")
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_long_instance_does_not_hold_up_its_lane(self, monkeypatch, tmp_path, workers):
+        # group 0, at the head of lane 0, begins with an instance of 40 segments; every other one has 1, and the
+        # lane has more groups than the window of LOOKAHEAD_PER_WORKER x workers groups that map_ordered sends
+        monkeypatch.setattr(cts.cli, "GROUP_CHARS", 0)
+        segments = [40] + [1] * (SCORE_GROUP * (LOOKAHEAD_PER_WORKER * workers + 2) - 1)
+        records = per_segment_corpus(segments, random.Random(29))
+        corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+
+        class Noting(ToyTransport):
+            """Notes how many batches were tokenized when each POST scoring the long instance went out."""
+
+            def __init__(self, backend):
+                super().__init__(backend)
+                self.tokenized_while_long: list[int] = []
+
+            def post(self, path, body, headers):
+                if path == "/logprobs" and any(len(r["context_ids"]) > 8 for r in json.loads(body)):
+                    self.tokenized_while_long.append(len(self.tokenize_bodies["/tokenize"]))
+                return super().post(path, body, headers)
+
+        transport = Noting(ToyBackend(shift_spec()))
+        written = []
+        run = threading.Thread(target=lambda: written.append(
+            compress_per_segment(monkeypatch, tmp_path, corpus_path, transport, workers)), daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the lanes and the calling thread interleave at every chance
+        try:
+            run.start()
+            run.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive(), "the run did not end"
+        lengths = [len(record["thinking"]) for record in records]
+        assert len(transport.logprobs_bodies) == rolling_posts(lengths, segments, workers, SCORE_GROUP, 0)
+        # the long instance is in the oldest group not yet written all along, so the calling thread,
+        # which waits for it, tokenizes at most LOOKAHEAD_PER_WORKER batches of workers groups
+        assert len(transport.tokenized_while_long) == 39  # its segments 1 to 39, with a kept prefix
+        assert max(transport.tokenized_while_long) <= LOOKAHEAD_PER_WORKER
+        assert len(transport.tokenize_bodies["/tokenize"]) == math.ceil(len(records) / SCORE_GROUP / workers)
+        assert written == [compress_per_segment(monkeypatch, tmp_path, corpus_path, None, 1)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_an_interrupt_stops_every_lane(self, monkeypatch, tmp_path, workers):
+        monkeypatch.setattr(cts.cli, "GROUP_CHARS", 0)
+        rng = random.Random(31)
+        records = per_segment_corpus([rng.randint(1, 6) for _ in range(8 * SCORE_GROUP)], rng)
+        corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+
+        class Interrupted(ToyTransport):
+            """Interrupts the run at the second /tokenize POST, while the lanes score the first batch."""
+
+            def post(self, path, body, headers):
+                if path == "/tokenize" and self.tokenize_bodies[path]:
+                    raise KeyboardInterrupt
+                return super().post(path, body, headers)
+
+        before = set(threading.enumerate())
+        out = tmp_path / "out.jsonl"
+        cli_over(monkeypatch, Interrupted(ToyBackend(shift_spec())), [
+            "compress", "--input", corpus_path, "--output", str(out), "--ratio", "0.7", "--backend", "http://fake",
+            "--scope", "per-segment", "--segment-budget", "4", "--boundary-slack", "0", "--workers", str(workers),
+        ], expect=130)
+        assert set(threading.enumerate()) <= before
+        assert not out.exists()
 
 
 class Replies:

@@ -129,11 +129,23 @@ def lockstep_tasks(group, configs, backend):
 
 
 @settings(max_examples=100, deadline=None)
-@given(groups, alphas, st.booleans(), st.sampled_from(["global", "per_segment"]), st.booleans())
-def test_lockstep_group_equals_one_instance_at_a_time(group, alpha, conditional, scope, original_prefix):
+@given(groups, alphas, st.booleans(), st.sampled_from(["global", "per_segment"]), st.booleans(),
+       st.none() | st.integers(min_value=1, max_value=6))
+def test_lockstep_group_equals_one_instance_at_a_time(group, alpha, conditional, scope, original_prefix, width):
     config = scoring_config(scope, original_prefix, alpha=alpha, conditional=conditional)
     alone = [(compress_instance(inst, config, BACKEND), None) for inst in group]
-    assert run_lockstep(lockstep_tasks(group, [config], BACKEND)) == alone
+    if width is None:  # every task taken at once
+        assert list(run_lockstep(lockstep_tasks(group, [config], BACKEND))) == alone
+        return
+
+    def full(live):
+        assert live  # asked only while some task is live
+        return len(live) >= width
+
+    # rolling: a task joins, from a lazy iterable, as soon as fewer than ``width`` are live
+    backend = BatchLog()
+    assert list(run_lockstep(iter(lockstep_tasks(group, [config], backend)), full)) == alone
+    assert all(len(batch) <= 2 * width for batch in backend.batches)
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,7 +186,7 @@ def test_ablate_modes_send_each_distinct_context_once_per_step(group, scope, ori
                     asked.append(set())
                 asked[step].update(batch)
     backend = BatchLog()
-    run_lockstep(lockstep_tasks(group, configs, backend))
+    list(run_lockstep(lockstep_tasks(group, configs, backend)))
     assert [sorted(batch) for batch in backend.batches] == [sorted(step) for step in asked]
 
 

@@ -445,7 +445,7 @@ class TestRequestCache:
     def test_failed_call_sends_each_distinct_text_alone_once(self, shift_backend):
         backend = RecordingBackend(shift_backend)
         insts = [instance(text, iid=f"t-{i}") for i, text in enumerate(["AB", "Z", "AB"])]
-        outcomes = run_lockstep([(compress_steps(inst, config(conditional=False)), backend) for inst in insts])
+        outcomes = list(run_lockstep([(compress_steps(inst, config(conditional=False)), backend) for inst in insts]))
         assert backend.tokenized == [["AB", "Z"], ["AB"], ["Z"]]
         result, exc = outcomes[1]
         assert result is None and isinstance(exc.__cause__, TokenizeError)
@@ -461,7 +461,7 @@ class TestRequestCache:
 
         backend = Down(shift_backend)
         with pytest.raises(BackendUnavailable):
-            run_lockstep([(compress_steps(instance("AB", answer="C"), config()), backend)])
+            list(run_lockstep([(compress_steps(instance("AB", answer="C"), config()), backend)]))
         assert backend.tokenized == [["AB", "C:"]]
         assert backend.batches == 0
 
@@ -506,7 +506,7 @@ class TestLockstep:
         backend = RecordingBackend(shift_backend)
         a, b = instance("ABC A", iid="a"), instance("CAB", iid="b")
         group = [a, b, a]
-        outcomes = run_lockstep(tasks_for(group, config(), backend))
+        outcomes = list(run_lockstep(tasks_for(group, config(), backend)))
         # a's two contexts once, b's two
         assert backend.batch_sizes == [4]
         assert len(set(backend.requests)) == 4
@@ -517,7 +517,7 @@ class TestLockstep:
         cfg = config(selection_scope="per_segment", segment_budget=4, boundary_slack=0)
         insts = [instance("ABC ABC", iid="a"), instance("AB", iid="b"), instance("ABCABCABC", iid="c")]
         tasks = tasks_for(insts[:2], cfg, standard) + tasks_for(insts[2:], cfg, tuned)
-        outcomes = run_lockstep(tasks)
+        outcomes = list(run_lockstep(tasks))
         # steps: a has 2 segments, b 1 and c 3; two contexts per segment
         assert standard.batch_sizes == [4, 2]
         assert tuned.batch_sizes == [2, 2, 2]
@@ -537,7 +537,7 @@ class TestLockstep:
             return FailsOnToken(shift_backend, two, BackendProtocolError("bad reply"))
 
         backend = failing()
-        outcomes = run_lockstep(tasks_for(insts, cfg, backend))
+        outcomes = list(run_lockstep(tasks_for(insts, cfg, backend)))
         assert backend.batch_sizes == batch_sizes
         with pytest.raises(ScoringError) as alone:
             compress_instance(insts[1], cfg, failing())
@@ -553,18 +553,18 @@ class TestLockstep:
         backend = FailsOnToken(shift_backend, two, BackendUnavailable("down"))
         insts = [instance(t, iid=f"t-{i}") for i, t in enumerate(["ABC A", "AB2C", "CAB"])]
         with pytest.raises(BackendUnavailable):
-            run_lockstep(tasks_for(insts, config(), backend))
+            list(run_lockstep(tasks_for(insts, config(), backend)))
         assert backend.batch_sizes == [6]
 
     def test_no_tasks(self):
-        assert run_lockstep([]) == []
+        assert list(run_lockstep([])) == []
 
     def test_steps_may_yield_a_tuple(self, shift_backend):
         def steps():
             (pairs,) = yield ("AB",)
             return len(pairs)
 
-        assert run_lockstep([(steps(), shift_backend)]) == [(2, None)]
+        assert list(run_lockstep([(steps(), shift_backend)])) == [(2, None)]
 
 
 MARKED = "BCCA"
@@ -595,7 +595,7 @@ def test_a_call_short_of_answers_fails_only_the_instance_at_fault(backend_class,
     # the group's call is one answer short, so each item goes out alone; only MARKED's calls are short then
     backend = backend_class(shift_spec())
     insts = [instance(t, iid=f"t-{i}") for i, t in enumerate(["ABC A", MARKED, "CAB"])]
-    outcomes = run_lockstep(tasks_for(insts, config(), backend))
+    outcomes = list(run_lockstep(tasks_for(insts, config(), backend)))
     result, exc = outcomes[1]
     assert result is None and isinstance(exc, ScoringError) and isinstance(exc.__cause__, BackendProtocolError)
     assert str(exc).startswith(message)
