@@ -343,7 +343,7 @@ def _compress_stream(
     def lane(groups: Iterator[tuple[list[CotInstance], list]]) -> Iterator[list]:
         # one rolling lockstep over this lane's groups, in order; yields each group's (id, outcomes) list
         pending: deque = deque()  # (group, its tasks' generators) of each group begun and not yet yielded
-        size_of = {}  # each begun task's generator -> (id, thinking length) of its instance
+        instance_of = {}  # each begun task's generator -> its instance
         position = 0  # how many tasks of the newest group are begun
 
         def begun() -> Iterator[tuple]:
@@ -351,8 +351,7 @@ def _compress_stream(
             for group, tasks in groups:
                 pending.append((group, [steps for steps, *_ in tasks]))
                 for position, task in enumerate(tasks, 1):
-                    instance = group[(position - 1) // len(distinct)]
-                    size_of[task[0]] = id(instance), len(instance.thinking)
+                    instance_of[task[0]] = group[(position - 1) // len(distinct)]
                     yield task
 
         def full(live: list) -> bool:
@@ -360,8 +359,8 @@ def _compress_stream(
                 return False
             if position == len(pending[-1][1]) and len(pending) >= LOOKAHEAD_PER_WORKER:
                 return True  # a group begins only while fewer than LOOKAHEAD_PER_WORKER are held
-            sizes = {size_of[steps] for steps, _ in live}  # one per live instance
-            return len(sizes) >= SCORE_GROUP and sum(chars for _, chars in sizes) >= GROUP_CHARS
+            instances = {id(instance): instance for instance in (instance_of[steps] for steps, _ in live)}
+            return len(instances) >= SCORE_GROUP and sum(len(i.thinking) for i in instances.values()) >= GROUP_CHARS
 
         done: list = []  # the outcomes of the oldest pending group so far
         for outcome in run_lockstep(begun(), full):
@@ -370,7 +369,7 @@ def _compress_stream(
             if len(done) == len(generators):
                 pending.popleft()
                 for steps in generators:
-                    del size_of[steps]
+                    del instance_of[steps]
                 outcomes, done = iter(done), []
                 yield [(instance.id, {i: next(outcomes) for i in distinct}) for instance in group]
 

@@ -11,9 +11,10 @@ The calling thread takes the next item from ``items`` whenever fewer than
 ``LOOKAHEAD_PER_WORKER`` x ``workers`` items are out and not yet returned,
 so at most that many are in memory. A lane must ask for its next item
 only while it holds fewer than ``LOOKAHEAD_PER_WORKER`` items whose results
-it has not yielded. Then the lane that holds the oldest item not yet
-returned never waits on an item beyond that window, so the calling
-thread, which waits for that item's result, and the lanes cannot
+it has not yielded; a lane that asks while it holds that many gets a
+RuntimeError, so a lane that breaks the rule fails instead of hanging. Then the lane that holds the oldest
+item not yet returned never waits on an item beyond that window, so the
+calling thread, which waits for that item's result, and the lanes cannot
 deadlock. The CLI's items are groups of instances, each lane a rolling
 lockstep over its groups (``cts.cli._compress_stream``), and the calling
 thread tokenizes a batch of ``workers`` groups as it takes the batch's
@@ -40,9 +41,29 @@ LOOKAHEAD_PER_WORKER = 4
 _END = object()
 
 
+def _bounded(lane: Callable[[Iterator[T]], Iterator[R]], items: Iterator[T]) -> Iterator[R]:
+    """``lane`` over ``items``, raising RuntimeError if it asks for an item while it holds LOOKAHEAD_PER_WORKER."""
+    held = 0  # the items handed to the lane whose results it has not yielded
+
+    def handed() -> Iterator[T]:
+        nonlocal held
+        while True:
+            if held >= LOOKAHEAD_PER_WORKER:  # the lane would wait on an item beyond the window
+                raise RuntimeError(f"a lane asked for an item while holding {held} without results")
+            item = next(items, _END)
+            if item is _END:
+                return
+            held += 1
+            yield item
+
+    for answer in lane(handed()):
+        held -= 1
+        yield answer
+
+
 def map_ordered(lane: Callable[[Iterator[T]], Iterator[R]], items: Iterable[T], workers: int) -> Iterator[R]:
     if workers <= 1:
-        yield from lane(iter(items))
+        yield from _bounded(lane, iter(items))
         return
     window = workers * LOOKAHEAD_PER_WORKER
     inboxes = [queue.SimpleQueue() for _ in range(workers)]
@@ -51,7 +72,8 @@ def map_ordered(lane: Callable[[Iterator[T]], Iterator[R]], items: Iterable[T], 
 
     def run(number: int) -> None:
         try:
-            for answer in lane(item for item in iter(inboxes[number].get, _END) if not stop.is_set()):
+            inbox = (item for item in iter(inboxes[number].get, _END) if not stop.is_set())
+            for answer in _bounded(lane, inbox):
                 outboxes[number].put(answer)
                 if stop.is_set():
                     return

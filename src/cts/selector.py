@@ -446,25 +446,28 @@ def run_lockstep(
     it. Tasks that share a text or a request (the selections run on one
     instance share the thinking and their unconditional contexts, always
     in the same step) send it once. Yields each task's ``Outcome`` in task
-    order, once it and every earlier task have ended. A BackendUnavailable
-    is not a per-task failure: it propagates.
+    order, once it and every earlier task have ended, and before the next
+    task is taken. A BackendUnavailable is not a per-task failure: it
+    propagates.
     """
     tasks = iter(tasks)
     taken: list[tuple[Steps, LogprobBackend]] = []
     states: list = []
     while True:
-        ended = next((i for i, state in enumerate(states) if not isinstance(state, Outcome)), len(states))
-        yield from states[:ended]
-        del taken[:ended], states[:ended]
         live = [task for task, state in zip(taken, states) if not isinstance(state, Outcome)]
-        while not (live and full(live)) and (task := next(tasks, None)) is not None:
+        while True:
+            # the ended tasks at the head go out before another is taken, whether or not any is live
+            ended = next((i for i, state in enumerate(states) if not isinstance(state, Outcome)), len(states))
+            yield from states[:ended]
+            del taken[:ended], states[:ended]
+            if live and full(live) or (task := next(tasks, None)) is None:
+                break
             steps, backend, *state = task
             taken.append((steps, backend))
             states.append(state[0] if state else _advance(steps, None))
             if not isinstance(states[-1], Outcome):
                 live.append(taken[-1])
         if not live:
-            yield from states
             return
         states = lockstep_step(taken, states)
 

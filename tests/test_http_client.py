@@ -727,6 +727,40 @@ class TestRollingLockstep:
         assert len(transport.tokenize_bodies["/tokenize"]) == math.ceil(len(records) / SCORE_GROUP / workers)
         assert written == [compress_per_segment(monkeypatch, tmp_path, corpus_path, None, 1)]
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("failure", ["tokenize-401", "empty-thinking"])
+    def test_a_lane_whose_instances_all_end_at_tokenizing_does_not_hang(
+        self, monkeypatch, tmp_path, caplog, workers, failure
+    ):
+        # more groups than the window of LOOKAHEAD_PER_WORKER x workers, and none has a live instance
+        monkeypatch.setattr(cts.cli, "GROUP_CHARS", 0)
+        records = make_corpus(SCORE_GROUP * (LOOKAHEAD_PER_WORKER * workers + 1), list("ABC "), random.Random(41))
+        if failure == "empty-thinking":
+            for record in records:
+                record["thinking"] = ""
+        corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+
+        class Unauthorized(ToyTransport):
+            def post(self, path, body, headers):
+                if path == "/tokenize":
+                    self.posts.append((path, threading.current_thread()))
+                    return 401, {}, b'{"error": "bad key"}'
+                return super().post(path, body, headers)
+
+        transport = (Unauthorized if failure == "tokenize-401" else ToyTransport)(ToyBackend(shift_spec()))
+        before = set(threading.enumerate())
+        written = []
+        run = threading.Thread(target=lambda: written.append(
+            compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)), daemon=True)
+        run.start()
+        run.join(timeout=30)
+        assert not run.is_alive(), "the run did not end"
+        assert written == [b""]
+        failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        assert len(failed) == len(records)
+        assert not any(path == "/logprobs" for path, _ in transport.posts)
+        assert set(threading.enumerate()) <= before | {run}
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_an_interrupt_stops_every_lane(self, monkeypatch, tmp_path, workers):
         monkeypatch.setattr(cts.cli, "GROUP_CHARS", 0)
