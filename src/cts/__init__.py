@@ -47,7 +47,6 @@ from .selector import (
     compress_instance,
     compress_steps,
     run_lockstep,
-    score_tokens,
     segment_thinking,
     select_tokens,
 )

@@ -65,16 +65,16 @@ def _texts(texts: Sequence[str]) -> Sequence[str]:
     return texts
 
 
-def _validate_request(request: LogprobRequest, context_limit: int | None = None) -> None:
+def _validate_request(request: LogprobRequest, vocab_size: int | None = None) -> None:
     n = len(request.context)
     if not (0 <= request.start < request.end <= n):
         raise ConfigError(
             f"invalid logprob span [{request.start}, {request.end}) for context of length {n}"
         )
-    if context_limit is not None:
+    if vocab_size is not None:
         for tok in request.context:
-            if not (0 <= tok < context_limit):
-                raise BackendProtocolError(f"token id {tok} outside vocabulary of size {context_limit}")
+            if not (0 <= tok < vocab_size):
+                raise BackendProtocolError(f"token id {tok} outside vocabulary of size {vocab_size}")
 
 
 class LogprobBackend(abc.ABC):
@@ -197,7 +197,7 @@ class ToyBackend(LogprobBackend):
         return [self._score(r) for r in requests_]
 
     def _score(self, request: LogprobRequest) -> LogprobResponse:
-        _validate_request(request, context_limit=len(self.spec.vocabulary))
+        _validate_request(request, vocab_size=len(self.spec.vocabulary))
         ctx = request.context
         bits: list[float] = []
         for t in range(request.start, request.end):
@@ -216,14 +216,14 @@ _STALE = (BrokenPipeError, ConnectionResetError)
 
 
 def _split_url(url: str) -> urllib.parse.SplitResult:
-    parts = urllib.parse.urlsplit(url)
+    split = urllib.parse.urlsplit(url)
     try:
-        parts.port
+        split.port
     except ValueError as exc:
         raise ConfigError(f"backend URL {url!r} has an invalid port") from exc
-    if parts.scheme not in ("http", "https") or not parts.hostname:
+    if split.scheme not in ("http", "https") or not split.hostname:
         raise ConfigError(f"backend URL {url!r} needs an http(s) scheme and a host")
-    return parts
+    return split
 
 
 def _retry_after(status: int, headers: Mapping[str, str]) -> float | None:
@@ -278,16 +278,16 @@ class HttpBackend(LogprobBackend):
         uniform: Callable[[float, float], float] = random.uniform,
     ):
         self.config = config
-        parts = _split_url(config.base_url)
+        url = _split_url(config.base_url)
         self._base_url = config.base_url.rstrip("/")
-        self._base_path = parts.path.rstrip("/")
+        self._base_path = url.path.rstrip("/")
         self._headers = {"Content-Type": "application/json"}
         if config.token:
             self._headers["Authorization"] = f"Bearer {config.token}"
         connection_class, tls = http.client.HTTPConnection, {}
-        if parts.scheme == "https":
+        if url.scheme == "https":
             connection_class, tls = http.client.HTTPSConnection, {"context": ssl.create_default_context()}
-        connect = functools.partial(connection_class, parts.hostname, parts.port, timeout=config.timeout, **tls)
+        connect = functools.partial(connection_class, url.hostname, url.port, timeout=config.timeout, **tls)
         try:  # no socket opens before a connection's first POST
             self._connections = [connect() for _ in range(MAX_IN_FLIGHT)]
         except http.client.InvalidURL as exc:

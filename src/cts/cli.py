@@ -64,11 +64,11 @@ EXIT_BACKEND = 3
 EXIT_INTERRUPT = 130
 
 MAX_WORKERS = 64
-# a group closes at SCORE_GROUP instances and GROUP_CHARS characters of thinking text (_groups);
-# it is the unit of the /tokenize POST (one per batch of --workers groups) and of dispatch to a
-# lane. A lane's /logprobs step is full by the same rule over its live instances, and refills as
-# they end. An instance holds its ids, spans and kept mask until its group is returned, and its
-# score rows too only when a score dump writes them.
+# the window rule (_fills_window): a group closes at SCORE_GROUP instances and GROUP_CHARS
+# characters of thinking text (_groups); it is the unit of the /tokenize POST (one per batch of
+# --workers groups) and of dispatch to a lane. A lane's /logprobs step is full by the same rule
+# over its live instances, and refills as they end. An instance holds its ids, spans and kept
+# mask until its group is returned, and its score rows too only when a score dump writes them.
 SCORE_GROUP = 8
 GROUP_CHARS = 4096
 
@@ -255,22 +255,28 @@ class Job:
     dump_path: str | None = None
 
 
-def _groups(instances: Iterable[CotInstance], min_count: int, min_chars: int) -> Iterator[list[CotInstance]]:
+def _fills_window(count: int, chars: int) -> bool:
+    """The window rule: ``count`` instances of ``chars`` characters of thinking close a group or fill a step."""
+    return count >= SCORE_GROUP and chars >= GROUP_CHARS
+
+
+def _groups(instances: Iterable[CotInstance]) -> Iterator[list[CotInstance]]:
     """Consecutive lists of instances; the last may hold less than the rest.
 
-    A group closes once it holds at least ``min_count`` instances and at
-    least ``min_chars`` characters of thinking text. So a group has at most
-    ``min_count`` instances, or fewer than ``min_chars`` characters of
-    thinking text before its last instance: instances of more than
-    ``min_chars / min_count`` characters on average go ``min_count`` to a
-    group, and shorter ones share a group by characters.
+    A group closes once its instances fill the window (``_fills_window``):
+    at least ``SCORE_GROUP`` instances and at least ``GROUP_CHARS``
+    characters of thinking text. So a group has at most ``SCORE_GROUP``
+    instances, or fewer than ``GROUP_CHARS`` characters of thinking text
+    before its last instance: instances of more than ``GROUP_CHARS /
+    SCORE_GROUP`` characters on average go ``SCORE_GROUP`` to a group, and
+    shorter ones share a group by characters.
     """
     group: list[CotInstance] = []
     chars = 0
     for instance in instances:
         group.append(instance)
         chars += len(instance.thinking)
-        if len(group) >= min_count and chars >= min_chars:
+        if _fills_window(len(group), chars):
             yield group
             group, chars = [], 0
     if group:
@@ -287,18 +293,17 @@ def _compress_stream(
     (``compress_steps``). Their first step, tokenizing, is run for a batch
     of ``workers`` consecutive groups at once on the calling thread: one
     tokenize call per backend with the distinct texts of the whole batch,
-    sent again group by group when it fails. ``map_ordered`` deals group g
-    to lane g mod ``workers`` and takes a batch's groups as its window has
-    room, so tokenizing runs up to ``runner.LOOKAHEAD_PER_WORKER`` (4)
-    batches ahead of the oldest group not yet written. At one worker the
-    one lane is a generator on the calling thread.
+    halved when it fails (``selector._batch_then_split``). ``map_ordered``
+    deals group g to lane g mod ``workers``, each lane on a thread of its
+    own, and takes a batch's groups as its window has room, so tokenizing
+    runs up to ``runner.LOOKAHEAD_PER_WORKER`` (4) batches ahead of the
+    oldest group not yet written, at one worker too.
 
     Each lane runs one rolling lockstep (``run_lockstep``) over its groups.
     Before each step its next instances in input order join until the live
-    ones number at least ``SCORE_GROUP`` and hold at least ``GROUP_CHARS``
-    characters of thinking, so an instance that ends frees its place at the
-    next step, and the step's one logprobs call per backend (distinct
-    requests, sent again item by item when it fails) serves whatever is
+    ones fill the window (``_fills_window``), so an instance that ends frees
+    its place at the next step, and the step's one logprobs call per
+    backend (distinct requests, halved when it fails) serves whatever is
     live. A lane begins a group only while it holds fewer than
     ``LOOKAHEAD_PER_WORKER`` groups not yet returned, so it never waits on
     a group beyond the window, and each admission depends on the lane's own
@@ -328,17 +333,13 @@ def _compress_stream(
 
     def tokenized_groups() -> Iterator[tuple[list[CotInstance], list]]:
         # on the calling thread, which map_ordered runs up to LOOKAHEAD_PER_WORKER batches ahead
-        groups = _groups(instances, SCORE_GROUP, GROUP_CHARS)
+        groups = _groups(instances)
         for batch in iter(lambda: list(itertools.islice(groups, workers)), []):
             tasks = [(compress_steps(instance, job.config, i in dumped), job.backend)
                      for group in batch for instance in group for i, job in distinct.items()]
-            parts: list[range] = []
-            for group in batch:  # the indices of each group's tasks
-                start = parts[-1].stop if parts else 0
-                parts.append(range(start, start + len(group) * len(distinct)))
-            states = lockstep_step(tasks, parts=parts)
-            for group, part in zip(batch, parts):
-                yield group, [(*tasks[t], states[t]) for t in part]
+            started = iter(zip(tasks, lockstep_step(tasks)))
+            for group in batch:
+                yield group, [(*task, state) for task, state in itertools.islice(started, len(group) * len(distinct))]
 
     def lane(groups: Iterator[tuple[list[CotInstance], list]]) -> Iterator[list]:
         # one rolling lockstep over this lane's groups, in order; yields each group's (id, outcomes) list
@@ -359,8 +360,8 @@ def _compress_stream(
                 return False
             if position == len(pending[-1][1]) and len(pending) >= LOOKAHEAD_PER_WORKER:
                 return True  # a group begins only while fewer than LOOKAHEAD_PER_WORKER are held
-            instances = {id(instance): instance for instance in (instance_of[steps] for steps, _ in live)}
-            return len(instances) >= SCORE_GROUP and sum(len(i.thinking) for i in instances.values()) >= GROUP_CHARS
+            instances = {id(instance): instance for instance in (instance_of[steps] for steps, _ in live)}.values()
+            return _fills_window(len(instances), sum(len(instance.thinking) for instance in instances))
 
         done: list = []  # the outcomes of the oldest pending group so far
         for outcome in run_lockstep(begun(), full):

@@ -4,18 +4,19 @@
 ``workers``. A lane is a function that takes an iterator over its own
 items and yields one result per item, in order; the results of all lanes
 come back in input order, so output files are byte-identical at any
-parallelism level. With one worker the one lane runs on the calling
-thread as a generator; otherwise each lane runs on a thread of its own.
+parallelism level. Each lane runs on a thread of its own, at one worker
+too, so the calling thread takes items from ``items`` while the lanes
+work.
 
 The calling thread takes the next item from ``items`` whenever fewer than
 ``LOOKAHEAD_PER_WORKER`` x ``workers`` items are out and not yet returned,
 so at most that many are in memory. A lane must ask for its next item
 only while it holds fewer than ``LOOKAHEAD_PER_WORKER`` items whose results
 it has not yielded; a lane that asks while it holds that many gets a
-RuntimeError, so a lane that breaks the rule fails instead of hanging. Then the lane that holds the oldest
-item not yet returned never waits on an item beyond that window, so the
-calling thread, which waits for that item's result, and the lanes cannot
-deadlock. The CLI's items are groups of instances, each lane a rolling
+RuntimeError, so a lane that breaks the rule fails instead of hanging.
+Then the lane that holds the oldest item not yet returned never waits on
+an item beyond that window, so the calling thread, which waits for that
+item's result, and the lanes cannot deadlock. The CLI's items are groups of instances, each lane a rolling
 lockstep over its groups (``cts.cli._compress_stream``), and the calling
 thread tokenizes a batch of ``workers`` groups as it takes the batch's
 first group.
@@ -62,9 +63,6 @@ def _bounded(lane: Callable[[Iterator[T]], Iterator[R]], items: Iterator[T]) -> 
 
 
 def map_ordered(lane: Callable[[Iterator[T]], Iterator[R]], items: Iterable[T], workers: int) -> Iterator[R]:
-    if workers <= 1:
-        yield from _bounded(lane, iter(items))
-        return
     window = workers * LOOKAHEAD_PER_WORKER
     inboxes = [queue.SimpleQueue() for _ in range(workers)]
     outboxes = [queue.SimpleQueue() for _ in range(workers)]

@@ -367,32 +367,35 @@ def _item_key(item: Any) -> Hashable:
     return item
 
 
-def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list], parts: Sequence[Sequence] = ()) -> dict:
+def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list]) -> dict:
     """Each task's answers, one per item, with the CtsError of an item that failed alone in its place.
 
     The distinct items of all tasks go out in one ``send`` call. When it
-    fails, or does not answer each item once, the tasks of each of
-    ``parts`` (lists of task keys that partition the tasks) go out again by
-    the same rule when they fall in more than one part; otherwise each
-    distinct item is sent again alone. So the failure lands on the items at
-    fault. A BackendUnavailable propagates.
+    fails, or does not answer each item once, each half of the items goes
+    out again by the same rule (``_halving``), and a single item that fails
+    gets its CtsError. So the failure lands on the items at fault: k of n
+    cost at most 1 + 2k * ceil(log2 n) calls, and never more than 2n - 1.
+    A BackendUnavailable propagates.
     """
     distinct = {_item_key(item): item for items in tasks.values() for item in items}
-    batch = list(distinct.values())
+    by_key = dict(zip(distinct, _halving(send, list(distinct.values()))))
+    return {task: [by_key[_item_key(item)] for item in items] for task, items in tasks.items()}
+
+
+def _halving(send: Callable[[list], list], batch: list) -> list:
+    """One answer per item of ``batch``, by the rule of ``_batch_then_split``."""
     try:
         answers = send(batch)
         if len(answers) != len(batch):
             raise BackendProtocolError(f"backend sent {len(answers)} answers, expected {len(batch)}")
+        return answers
     except BackendUnavailable:
         raise
     except CtsError as exc:
-        parts = [keys for keys in ([task for task in part if task in tasks] for part in parts) if keys]
-        if len(parts) > 1:
-            return {task: answers for part in parts
-                    for task, answers in _batch_then_split(send, {task: tasks[task] for task in part}).items()}
-        answers = [exc] if len(batch) == 1 else [_batch_then_split(send, {0: [item]})[0][0] for item in batch]
-    by_key = dict(zip(distinct, answers))
-    return {task: [by_key[_item_key(item)] for item in items] for task, items in tasks.items()}
+        if len(batch) == 1:
+            return [exc]
+        half = len(batch) // 2
+        return _halving(send, batch[:half]) + _halving(send, batch[half:])
 
 
 def _advance(steps: Steps, answers: Any) -> Sequence | Outcome:
@@ -404,17 +407,14 @@ def _advance(steps: Steps, answers: Any) -> Sequence | Outcome:
         return Outcome(None, exc)
 
 
-def lockstep_step(
-    tasks: Sequence[tuple[Steps, LogprobBackend]], states: Sequence | None = None, parts: Sequence[Sequence] = ()
-) -> list:
+def lockstep_step(tasks: Sequence[tuple[Steps, LogprobBackend]], states: Sequence | None = None) -> list:
     """One step of ``run_lockstep``; returns each task's next state.
 
     A task's state is the items its generator last yielded, or its
     ``Outcome`` once it has ended. With no ``states`` the tasks start here.
     The live tasks' texts go to their backend's tokenize and their requests
-    to its logprobs_batch, the distinct items of one call at once; when a
-    call fails, each of ``parts`` (lists of task indices that partition the
-    tasks) is tried alone before each item is (see _batch_then_split).
+    to its logprobs_batch, the distinct items of one call at once, halved
+    when a call fails (see _batch_then_split).
     """
     if states is None:
         states = [_advance(steps, None) for steps, _ in tasks]
@@ -425,7 +425,7 @@ def lockstep_step(
             calls.setdefault(send, {})[task] = items
     states = list(states)
     for send, batch in calls.items():
-        for task, answers in _batch_then_split(send, batch, parts).items():
+        for task, answers in _batch_then_split(send, batch).items():
             states[task] = _advance(tasks[task][0], answers)
     return states
 

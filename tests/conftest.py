@@ -19,6 +19,16 @@ from cts.selector import compress_instance
 LEAK_FILTERS = ("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
 
 
+try:
+    from hypothesis import settings
+except ImportError:  # a dev extra; the property tests skip themselves without it
+    pass
+else:
+    # CI's "Fault sweep" step runs tests/test_fault_sweep.py with --hypothesis-profile fault-sweep:
+    # 5x the examples of hypothesis's default profile, which tier-1 runs
+    settings.register_profile("fault-sweep", max_examples=500)
+
+
 def pytest_collection_modifyitems(items):
     here = pathlib.Path(__file__).parent
     for item in items:
@@ -34,6 +44,18 @@ def groups_by_count(monkeypatch):
     So a small corpus of short instances spans several groups.
     """
     monkeypatch.setattr(cts.cli, "GROUP_CHARS", 0)
+
+
+def halving_calls(items: list, fails) -> list[list]:
+    """The calls the halving rule sends for ``items``, in order, when a call fails iff ``fails(call)``.
+
+    A call that fails is halved, the first half ``len(call) // 2`` items,
+    and each half goes out by the same rule; a single item is not halved.
+    """
+    if len(items) == 1 or not fails(items):
+        return [items]
+    half = len(items) // 2
+    return [items, *halving_calls(items[:half], fails), *halving_calls(items[half:], fails)]
 
 
 def uniform_row(vocab: list[str]) -> dict[str, float]:

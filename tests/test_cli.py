@@ -543,13 +543,13 @@ class TestAblateOnePass:
             code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate",
                                        extra=["--backend", f"http:{server.url}", "--workers", "2", "--lenient"]))
         assert code == 0
-        # the /tokenize POST of the first batch of 2 groups fails, then each group's goes out on
-        # its own and the first group's fails, so its SCORE_GROUP + 2 distinct texts (a thinking
-        # text per instance, "42:" and "Z:") go out one by one; "Z:" is asked once, since both
-        # conditional modes are one selection; inst-3's unconditional modes score in its group's
-        # /logprobs POST
+        # the /tokenize POST of the first batch of 2 groups fails. Its 2 * SCORE_GROUP + 2 distinct
+        # texts (a thinking text per instance, "42:" and "Z:", asked once, since both conditional
+        # modes are one selection) are halved until "Z:" goes out alone: the failing calls hold 9,
+        # 5, 2 and 1 texts, and each has a half beside it that goes through, so 8 POSTs more.
+        # inst-3's unconditional modes score in its group's /logprobs POST
         groups = math.ceil(40 / cts.cli.SCORE_GROUP)
-        assert server.state.request_count == groups + math.ceil(groups / 2) + 2 + cts.cli.SCORE_GROUP + 2
+        assert server.state.request_count == groups + math.ceil(groups / 2) + 8
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert [message.split(":")[0] for message in failed] == ["ablate conditional", "ablate proposed"]
 

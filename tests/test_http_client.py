@@ -21,53 +21,10 @@ from cts.errors import BackendError, BackendUnavailable, ConfigError, ScoringErr
 from cts.runner import LOOKAHEAD_PER_WORKER
 from cts.selector import SelectionConfig, compress_instance
 
-from conftest import make_corpus, shift_spec, write_jsonl_file, write_spec_file
-from http_stub import StubServer, UntokenizableAnswers
+from conftest import halving_calls, make_corpus, shift_spec, write_jsonl_file, write_spec_file
+from http_stub import CountingStub, UntokenizableAnswers
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-class CountingStub(StubServer):
-    """The test stub, counting the connections it accepts and the ones that end.
-
-    ``protocol_version`` "HTTP/1.1" keeps a connection open between replies;
-    the test stub's own "HTTP/1.0" closes it after each. With
-    ``drop_after_reply`` the server closes every connection after one reply
-    without saying so, as a server does with a keep-alive connection that
-    sat idle too long.
-    """
-
-    def __init__(self, backend, protocol_version="HTTP/1.1", drop_after_reply=False):
-        super().__init__(backend)
-        self.accepted: list[int] = []  # list.append is atomic across handler threads
-        self.closed: list[int] = []
-        stub = self
-
-        class Handler(self.httpd.RequestHandlerClass):
-            disable_nagle_algorithm = True
-
-            def setup(self):
-                super().setup()
-                stub.accepted.append(1)
-
-            def finish(self):
-                try:
-                    super().finish()
-                finally:
-                    stub.closed.append(1)
-
-            def do_POST(self):
-                super().do_POST()
-                self.close_connection = self.close_connection or drop_after_reply
-
-        Handler.protocol_version = protocol_version
-        self.httpd.RequestHandlerClass = Handler
-
-    def wait_until_all_closed(self, timeout=5.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while len(self.closed) < len(self.accepted) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        return len(self.closed) == len(self.accepted)
 
 
 def client_for(server, **overrides):
@@ -296,13 +253,19 @@ class TestPipeline:
         for bodies in transport.tokenize_bodies.values():
             assert bodies == expected
 
-    def test_one_worker_posts_from_the_calling_thread(self, monkeypatch, tmp_path, corpus):
+    def test_one_worker_tokenizes_on_the_calling_thread_and_scores_on_its_lane(
+        self, monkeypatch, tmp_path, corpus
+    ):
         records, corpus_path = corpus
         transport = ToyTransport(ToyBackend(shift_spec()))
         compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=1)
         assert len(transport.posts) == posts_for(records)
-        # tokenizing and scoring stay on the calling thread
-        assert {thread for _, thread in transport.posts} == {threading.current_thread()}
+        # the one lane has a thread of its own, so tokenizing runs ahead of its scoring
+        threads = defaultdict(set)
+        for path, thread in transport.posts:
+            threads[path].add(thread)
+        assert threads["/tokenize"] == {threading.current_thread()}
+        assert [thread.name for thread in threads["/logprobs"]] == ["cts-lane-0"]
         # the client sends /logprobs only as an array of request objects
         assert len(transport.logprobs_bodies) == math.ceil(len(records) / SCORE_GROUP)
         assert all(isinstance(body, list) for body in transport.logprobs_bodies)
@@ -382,9 +345,10 @@ class TestCoalescedScoring:
         bad = SCORE_GROUP + 1  # in the second group
         transport = CorruptReplies(ToyBackend(shift_spec()), records[bad]["thinking"])
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)
-        # the group's POST failed, then each of the 2 requests of its SCORE_GROUP instances was sent alone,
-        # each as an array too
-        assert len(transport.posts) == posts_for(records, workers) + 2 * SCORE_GROUP
+        # the group's POST of 2 requests for each of its SCORE_GROUP instances failed, and was halved down to
+        # the bad instance's 2 requests, each then sent alone, as an array too: calls of 8, 4 and 2 requests
+        # and the 2 single ones fail, and calls of 2, 4 and 8 go through
+        assert len(transport.posts) == posts_for(records, workers) + 8
         assert all(isinstance(body, list) for body in transport.logprobs_bodies)
         expected = _compress_with_toy(corpus_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
         lines = expected.splitlines(keepends=True)
@@ -418,7 +382,7 @@ class TestCoalescedScoring:
 
 @pytest.mark.usefixtures("groups_by_count")
 class TestGroupTokenizeIsolation:
-    """A batch's /tokenize POST that fails, then each group's, and the failed group's texts one by one."""
+    """A batch's /tokenize POST that fails, and its halves in turn, down to the text at fault."""
 
     # the bad instance in the one group of the input, or in the second group of a batch of two or three
     @pytest.mark.parametrize("workers, groups, bad", [
@@ -434,19 +398,16 @@ class TestGroupTokenizeIsolation:
         corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
         transport = ToyTransport(UntokenizableAnswers(shift_spec()))
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)
-        # the batch's POST fails as a whole; with more than one group each group's POST goes out
-        # on its own in input order, and right after the bad group's fails each of its distinct
-        # texts goes out alone, in the order the instances need them; then one /logprobs POST per
-        # group scores its good instances
-        alone = [[text] for text in tokenize_body(groups_of(records)[bad // SCORE_GROUP])]
-        expected = [tokenize_body(records)]
-        for i, group in enumerate(groups_of(records)):
-            expected += [tokenize_body(group)] if groups > 1 else []
-            expected += alone if i == bad // SCORE_GROUP else []
+        # the batch's POST fails as a whole, and so does each half of it that holds "Z:"; each
+        # half goes out again in input order until "Z:" goes out alone; then one /logprobs POST
+        # per group scores its good instances
+        expected = halving_calls(tokenize_body(records), lambda texts: {"text": "Z:"} in texts)
         assert transport.tokenize_bodies["/tokenize"] == expected
         assert [path for path, _ in transport.posts] == ["/tokenize"] * len(expected) + ["/logprobs"] * groups
-        # beyond a run with no failure: one POST per group of a batch of several, and one per bad text
-        assert len(transport.posts) == posts_for(records, workers) + (groups if groups > 1 else 0) + len(alone)
+        # beyond a run with no failure: the halves, at most 2 * ceil(log2 n) POSTs for one bad text of n
+        n = len(expected[0])
+        assert len(transport.posts) == posts_for(records, workers) + len(expected) - 1
+        assert len(expected) <= 1 + 2 * math.ceil(math.log2(n))
         good = [record for i, record in enumerate(records) if i != bad]
         good_path = write_jsonl_file(good, tmp_path / "good.jsonl")
         assert written == _compress_with_toy(good_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
@@ -524,7 +485,7 @@ class ScoringOutage(CountingStub):
                 if self.path.endswith("/tokenize"):
                     time.sleep(tokenize_s)
                 elif state.request_count >= healthy:
-                    self._read_json()
+                    self._read_body()
                     self._send(503, {"error": "busy"})
                     return
                 super().do_POST()
@@ -665,8 +626,7 @@ class TestRollingLockstep:
         transport = ToyTransport(ToyBackend(shift_spec()))
         written = compress_per_segment(monkeypatch, tmp_path, corpus_path, transport, workers)
         lengths = [len(record["thinking"]) for record in records]
-        groups = len(list(cts.cli._groups([CotInstance(str(i), "", "A" * n, "") for i, n in enumerate(lengths)],
-                                          SCORE_GROUP, group_chars)))
+        groups = len(list(cts.cli._groups([CotInstance(str(i), "", "A" * n, "") for i, n in enumerate(lengths)])))
         assert len(transport.tokenize_bodies["/tokenize"]) == math.ceil(groups / workers)
         assert len(transport.logprobs_bodies) == rolling_posts(lengths, segments, workers, SCORE_GROUP, group_chars)
         assert written == compress_per_segment(monkeypatch, tmp_path, corpus_path, None, 1)

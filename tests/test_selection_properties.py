@@ -1,11 +1,12 @@
 """Property tests of selection: exact counts and ratios, nesting across alphas, a brute-force oracle,
 lockstep scoring of a group against one instance at a time, selection without kept rows, the
-batch-then-split rule of both backend calls, and the rule that sizes the groups.
+halving rule of both backend calls, and the rule that sizes the groups.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
 
 import math
+from unittest import mock
 
 import pytest
 
@@ -14,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import cts.cli  # noqa: E402
 from cts.backends import ToyBackend  # noqa: E402
 from cts.cli import ABLATION_MODES, GROUP_CHARS, SCORE_GROUP, _groups  # noqa: E402
 from cts.dataset import CotInstance  # noqa: E402
@@ -30,7 +32,7 @@ from cts.selector import (  # noqa: E402
     select_tokens,
 )
 
-from conftest import shift_spec  # noqa: E402
+from conftest import halving_calls, shift_spec  # noqa: E402
 
 BACKEND = ToyBackend(shift_spec())
 
@@ -219,9 +221,13 @@ def test_batch_then_split_lands_a_failure_on_the_tasks_at_fault(tasks, poisoned,
             item for item in items if item not in poisoned
         ]
     assert all(len(call) == len(set(call)) for call in calls)
-    distinct = {item for items in tasks for item in items}
-    # one call; when it fails, one more per distinct item, unless there is only one
-    assert len(calls) == (1 + len(distinct) if poisoned & distinct and len(distinct) > 1 else 1)
+    # the calls of the halving rule over the distinct items, in the order tasks first name them
+    distinct = list(dict.fromkeys(item for items in tasks for item in items))
+    assert calls == halving_calls(distinct, lambda call: bool(poisoned.intersection(call)))
+    # k poisoned items of n cost at most 1 + 2k * ceil(log2 n) calls, and never more than 2n - 1
+    n, k = len(distinct), len(poisoned.intersection(distinct))
+    assert len(calls) <= 1 + 2 * k * math.ceil(math.log2(n))
+    assert len(calls) <= 2 * n - 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -250,7 +256,8 @@ def closes(group, min_count, min_chars) -> bool:
 )
 def test_groups_close_at_count_and_characters(lengths, min_count, min_chars):
     instances = [CotInstance(f"inst-{i}", "", "A" * n, "") for i, n in enumerate(lengths)]
-    groups = list(_groups(instances, min_count, min_chars))
+    with mock.patch.multiple(cts.cli, SCORE_GROUP=min_count, GROUP_CHARS=min_chars):
+        groups = list(_groups(instances))
     assert [inst for group in groups for inst in group] == instances
     for i, group in enumerate(groups):
         assert group

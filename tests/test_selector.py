@@ -523,10 +523,11 @@ class TestLockstep:
         assert tuned.batch_sizes == [2, 2, 2]
         assert outcomes == [(compress_instance(i, cfg, shift_backend), None) for i in insts]
 
+    # the failed call's halves go out again, and each half that fails is halved in turn
     @pytest.mark.parametrize("scope, batch_sizes, failed_range", [
-        ("global", [4, 1, 1, 1, 1], "[0, 4)"),
+        ("global", [4, 2, 1, 1, 2], "[0, 4)"),
         # the bad token is in the second segment of t-1: the first step goes through
-        ("per_segment", [4, 4, 1, 1, 1, 1, 1], "[2, 4)"),
+        ("per_segment", [4, 4, 2, 1, 1, 2, 1], "[2, 4)"),
     ])
     def test_failed_batch_is_sent_again_task_by_task(self, shift_backend, scope, batch_sizes, failed_range):
         cfg = config(conditional=False, selection_scope=scope, segment_budget=2, boundary_slack=0)
@@ -592,7 +593,7 @@ class ShortLogprobs(ToyBackend):
     (ShortLogprobs, "instance t-1: backend failed scoring thinking tokens [0, 4): "),
 ], ids=["tokenize", "logprobs"])
 def test_a_call_short_of_answers_fails_only_the_instance_at_fault(backend_class, message):
-    # the group's call is one answer short, so each item goes out alone; only MARKED's calls are short then
+    # the group's call is one answer short, so its halves go out again; only the calls holding MARKED are short
     backend = backend_class(shift_spec())
     insts = [instance(t, iid=f"t-{i}") for i, t in enumerate(["ABC A", MARKED, "CAB"])]
     outcomes = list(run_lockstep(tasks_for(insts, config(), backend)))
