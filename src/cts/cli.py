@@ -412,14 +412,22 @@ def _compress_stream(
             if jobs[0].output_path:
                 write_dataset(first_records(), jobs[0].output_path)
             else:
-                for _ in first_records():
-                    pass
+                deque(first_records(), maxlen=0)  # drive the pass
     except KeyboardInterrupt:
         interrupted = True
     _log_skipped(read_errors)
     for builder in builders:
         builder.add_failed(len(read_errors))
     return builders, interrupted
+
+
+def _check_outputs(paths: list[str | None]) -> None:
+    """The files a run writes must be distinct and none a directory: a usage error before any backend call."""
+    paths = [path for path in paths if path]
+    real = [os.path.realpath(path) for path in paths]
+    # a file named twice, a directory, or a file named as the directory that holds another
+    if len(set(real)) < len(real) or any(os.path.isdir(path) or os.path.dirname(path) in real for path in real):
+        raise ConfigError(f"output files must be distinct and not directories, got {paths}")
 
 
 def _run_jobs(
@@ -429,6 +437,7 @@ def _run_jobs(
 
     Every report's wall_time_seconds is that of the shared pass.
     """
+    _check_outputs([args.report, *(path for job in jobs for path in (job.output_path, job.dump_path))])
     started = time.monotonic()
     builders, interrupted = _compress_stream(args, jobs, settings["workers"])
     wall = time.monotonic() - started
@@ -491,10 +500,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     }
     jobs, echoes = [], []
     for mode, config in zip(ABLATION_MODES, configs):
-        mode_settings = dict(settings, conditional=mode.conditional)
         out_path = os.path.join(args.output, f"{mode.name}.jsonl")
         jobs.append(Job(f"ablate {mode.name}", config, backends[mode.rm_profile], out_path))
-        echo = _config_echo(mode_settings, config, args)
+        echo = _config_echo(settings, config, args)  # the mode's conditional comes from its config
         echo.update(mode=mode.name, rm_profile=mode.rm_profile, output=out_path)
         echoes.append(echo)
     reports, code = _run_jobs(args, settings, jobs, echoes)

@@ -7,6 +7,7 @@ source datasets can be ingested without rewriting them first.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -283,7 +284,8 @@ class JsonlWriter:
     """Write JSON objects one per line to a temp file, renaming on success.
 
     On any failure (including interruption) the temp file is removed so no
-    partial output is ever left at the destination path.
+    partial output is ever left at the destination path; a rename that
+    fails is a ConfigError.
     """
 
     def __init__(self, path: str):
@@ -307,13 +309,14 @@ class JsonlWriter:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._fh.close()
-        if exc_type is None:
-            os.replace(self.tmp_path, self.path)
-        else:
-            try:
+        try:
+            if exc_type is None:
+                os.replace(self.tmp_path, self.path)
+        except OSError as err:
+            raise ConfigError(f"cannot write output file {self.path!r}: {err}") from err
+        finally:
+            with contextlib.suppress(OSError):  # already gone after a successful rename
                 os.remove(self.tmp_path)
-            except OSError:
-                pass
 
 
 def write_dataset(records: Iterable[CompressedInstance], path: str) -> int:

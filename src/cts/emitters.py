@@ -83,12 +83,7 @@ def emit_rm_prompts(examples: Iterable[RmCorpusExample]) -> Iterator[RmPromptRec
 
 
 def rm_instruction_context(question: str, answer: str) -> str:
-    return (
-        "For a problem "
-        + question
-        + ", the following reasoning steps are important to get the answer "
-        + answer
-    )
+    return f"For a problem {question}, the following reasoning steps are important to get the answer {answer}"
 
 
 def words_form_subsequence(compressed: str, originals: Iterable[str]) -> bool:

@@ -17,8 +17,8 @@ the same loop over a single segment.
 With ``conditional`` off the score degenerates to the plain unconditional
 perplexity, i.e. the classic keep-the-most-surprising-tokens baseline.
 
-Scoring is written as step generators (a tokenize step, then one step per
-segment) so that ``run_lockstep`` can score several instances side by side,
+Scoring is written as step generators (a tokenize step, then the scoring
+steps) so that ``run_lockstep`` can score several instances side by side,
 sending each step's texts or requests of all of them in one call per
 backend.
 """
@@ -61,7 +61,7 @@ _BOUNDARY_PUNCT = ".!?。！？"
 class SelectionConfig:
     """Knobs for scoring and selection.
 
-    alpha: fraction of thinking tokens to retain, in (0, 1].
+    alpha: fraction of thinking tokens to retain, an int or float in (0, 1].
     conditional: score against the answer-conditioned context; off gives the
         pure-perplexity baseline.
     condition_template: text prepended as conditioning context; must contain
@@ -77,7 +77,9 @@ class SelectionConfig:
         "global" is the one-segment case [0, n), ranking all tokens together.
     iterative_original_prefix: in per_segment scope, condition each segment
         on the original (uncompressed) preceding thinking instead of the
-        compressed prefix.
+        compressed prefix. In a causal model that is one pass over the whole
+        thinking, so it is scored in one step, as in global scope; only the
+        selection stays per segment.
     """
 
     alpha: float
@@ -90,8 +92,8 @@ class SelectionConfig:
     iterative_original_prefix: bool = False
 
     def validate(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha!r}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)) or not 0 < self.alpha <= 1:
+            raise ConfigError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
         if self.segment_budget < 1:
             raise ConfigError(f"segment_budget must be >= 1, got {self.segment_budget!r}")
         if not (0 <= self.boundary_slack < self.segment_budget):
@@ -126,7 +128,6 @@ class Segment:
 
     start: int
     end: int
-    ordinal: int
 
 
 @dataclass(slots=True)
@@ -169,20 +170,14 @@ def _make_row(
     return TokenScoreRow(position, token, span, ppl_u, ppl_c, score)
 
 
-def _segment_steps(
-    history: Sequence[int],
-    cond_prefix: Sequence[int],
-    ids: Sequence[int],
-    spans: Sequence[str],
-    first_position: int,
-    config: SelectionConfig,
-    instance_id: str,
-) -> Steps:
-    """One segment as one step: yield its batched request, build its rows from the answer.
+def _segment_steps(history: Sequence[int], cond_prefix: Sequence[int], ids: Sequence[int], first_position: int,
+                   config: SelectionConfig, instance_id: str) -> Steps:
+    """One scoring step: yield its batched request, return the log-probabilities (uncond, cond) of ``ids``.
 
     The unconditional context is history + ids, the conditional one
-    cond_prefix + history + ids; rows are numbered from first_position. A
-    CtsError among the responses becomes a ScoringError naming the segment.
+    cond_prefix + history + ids (without ``conditional``, both lists are the
+    unconditional one). A CtsError among the responses becomes a
+    ScoringError naming thinking tokens [first_position, first_position + n).
     """
     n = len(ids)
     contexts = [[*history, *ids]]
@@ -198,11 +193,7 @@ def _segment_steps(
             (first_position, first_position + n),
         ) from failed
     lp_uncond = responses[0].logprobs_bits
-    lp_cond = responses[1].logprobs_bits if config.conditional else lp_uncond
-    return [
-        _make_row(first_position + i, ids[i], spans[i], lp_uncond[i], lp_cond[i], config)
-        for i in range(n)
-    ]
+    return lp_uncond, responses[1].logprobs_bits if config.conditional else lp_uncond
 
 
 def score_tokens(
@@ -215,9 +206,11 @@ def score_tokens(
     backend: LogprobBackend,
     instance_id: str = "",
 ) -> list[TokenScoreRow]:
-    """Score one segment's tokens in one batched logprobs request."""
-    steps = _segment_steps(history, cond_prefix, ids, spans, first_position, config, instance_id)
-    return _run_alone(steps, backend)
+    """Score a run of tokens in one batched logprobs request; rows are numbered from first_position."""
+    steps = _segment_steps(history, cond_prefix, ids, first_position, config, instance_id)
+    lp_uncond, lp_cond = _run_alone(steps, backend)
+    return [_make_row(first_position + i, ids[i], spans[i], lp_uncond[i], lp_cond[i], config)
+            for i in range(len(ids))]
 
 
 def segment_thinking(n_tokens: int, spans: Sequence[str], config: SelectionConfig) -> list[Segment]:
@@ -241,9 +234,9 @@ def segment_thinking(n_tokens: int, spans: Sequence[str], config: SelectionConfi
             if _ends_on_boundary(spans[j - 1]):
                 cut = j
                 break
-        segments.append(Segment(start, cut, len(segments)))
+        segments.append(Segment(start, cut))
         start = cut
-    segments.append(Segment(start, n_tokens, len(segments)))
+    segments.append(Segment(start, n_tokens))
     return segments
 
 
@@ -281,21 +274,24 @@ def select_tokens(rows: Sequence[TokenScoreRow], config: SelectionConfig) -> Sel
 
 
 def compress_steps(instance: CotInstance, config: SelectionConfig, keep_rows: bool = True) -> Steps:
-    """Tokenize, score and select one instance: a tokenize step, then one step per segment.
+    """Tokenize, score and select one instance: a tokenize step, then its scoring steps.
 
     The first step yields the thinking and then the condition, which is left
     out when it renders empty; a text that cannot be tokenized becomes a
     ScoringError naming the instance and the field (the thinking, when both
     fail). Each text is tokenized once and the ids are concatenated, so
-    thinking positions align one-to-one between the two passes. Global
-    scope is the one-segment case [0, n). Per-segment scope scores each
-    segment against the kept prefix (or, with iterative_original_prefix,
-    the original preceding thinking) and keeps the top fraction inside it.
-    Returns (record, rows, selection). The compressed thinking text is the
-    concatenation of kept spans in original order; actual_ratio is exactly
-    kept_count / original_count. Without ``keep_rows`` rows is empty, so no
-    row outlives its segment's selection; the record and selection are the
-    same.
+    thinking positions align one-to-one between the two passes. A scoring
+    step covers a run of segments after the kept prefix. Where that history
+    does not depend on the selection (global scope, the one-segment case, or
+    iterative_original_prefix, since a causal model scores each segment
+    there as after the original preceding thinking), one step covers [0, n)
+    before the thinking is segmented; otherwise each segment is its own
+    step. Each segment's rows are built from the step's answer and the top
+    fraction inside it is kept. Returns (record, rows, selection). The
+    compressed thinking text is the concatenation of kept spans in original
+    order; actual_ratio is exactly kept_count / original_count. Without
+    ``keep_rows`` rows is empty, so no row outlives its segment's selection;
+    the record and selection are the same.
     """
     config.validate()
     # spans concatenate to the text, so only an empty text has no tokens
@@ -311,20 +307,23 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_rows: bo
     ids, spans = [t for t, _ in answers[0]], [s for _, s in answers[0]]
     cond_prefix = [t for t, _ in answers[1]] if condition else []
     del answers  # its (id, span) tuples, one per token, would live as long as the generator
-    if config.selection_scope == "global":
-        segments = [Segment(0, len(ids), 0)]
-    else:
-        segments = segment_thinking(len(ids), spans, config)
+    n, whole = len(ids), config.selection_scope == "global"
+    fixed = whole or config.iterative_original_prefix  # the history does not depend on the selection
+    if fixed:
+        lp_uncond, lp_cond = yield from _segment_steps([], cond_prefix, ids, 0, config, instance.id)
+    segments = [Segment(0, n)] if whole else segment_thinking(n, spans, config)
     rows: list[TokenScoreRow] = []
     mask: list[bool] = []
     threshold = math.inf
     kept_prefix: list[int] = []
     for seg in segments:
-        history = ids[: seg.start] if config.iterative_original_prefix else kept_prefix
-        seg_rows = yield from _segment_steps(
-            history, cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
-            seg.start, config, instance.id,
-        )
+        first = 0 if fixed else seg.start  # where the log-probabilities of the last step begin
+        if not fixed:
+            lp_uncond, lp_cond = yield from _segment_steps(
+                kept_prefix, cond_prefix, ids[seg.start : seg.end], seg.start, config, instance.id
+            )
+        seg_rows = [_make_row(i, ids[i], spans[i], lp_uncond[i - first], lp_cond[i - first], config)
+                    for i in range(seg.start, seg.end)]
         seg_selection = select_tokens(seg_rows, config)
         mask.extend(seg_selection.kept_mask)
         threshold = min(threshold, seg_selection.threshold)
@@ -336,15 +335,9 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_rows: bo
 
     compressed = "".join(span for span, keep in zip(spans, mask) if keep)
     record = CompressedInstance(
-        id=instance.id,
-        problem=instance.problem,
-        compressed_thinking=compressed,
-        answer=instance.answer,
-        nominal_ratio=config.alpha,
-        actual_ratio=selection.kept_count / len(ids),
-        kept_count=selection.kept_count,
-        original_count=len(ids),
-        extras=dict(instance.extras),
+        id=instance.id, problem=instance.problem, compressed_thinking=compressed, answer=instance.answer,
+        nominal_ratio=config.alpha, actual_ratio=selection.kept_count / n, kept_count=selection.kept_count,
+        original_count=n, extras=dict(instance.extras),
     )
     return record, rows, selection
 

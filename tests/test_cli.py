@@ -812,6 +812,41 @@ class TestFilePaths:
         assert run_cli(compress_args(toy_env, extra=["--report", str(report)])) == 2
         assert_one_error_naming(capfd, report)
 
+    @pytest.mark.parametrize("clash", ["dump", "report", "directory", "score-report", "ablate-report",
+                                       "ablate-report-directory"])
+    def test_clashing_outputs_exit_2_before_any_post(self, toy_env, capfd, clash):
+        from http_stub import StubServer
+
+        out = toy_env["dir"] / "out.jsonl"
+        base = toy_env["dir"] / "ablate" / "base.jsonl"
+        if clash == "directory":
+            out.mkdir()
+        argv = {
+            "dump": compress_args(toy_env, extra=["--score-dump", str(out)]),
+            "report": compress_args(toy_env, extra=["--report", str(out)]),
+            "directory": compress_args(toy_env),
+            "score-report": ["score", *compress_args(toy_env)[1:], "--report", str(out)],
+            "ablate-report": ablate_args(toy_env, base.parent, extra=["--report", str(base)]),
+            "ablate-report-directory": ablate_args(toy_env, base.parent, extra=["--report", str(base.parent)]),
+        }[clash]
+        before = sorted(os.listdir(toy_env["dir"]))
+        with StubServer(ToyBackend(shift_spec())) as server:
+            assert run_cli([*argv, "--backend", f"http:{server.url}"]) == 2
+        named = {"ablate-report": base, "ablate-report-directory": base.parent}.get(clash, out)
+        assert_one_error_naming(capfd, named)
+        assert server.state.request_count == 0
+        assert sorted(os.listdir(toy_env["dir"])) == before
+        assert clash != "directory" or list(out.iterdir()) == []
+
+    def test_emit_to_a_directory_exits_2_and_leaves_no_file(self, toy_env, capfd):
+        compressed, out = toy_env["dir"] / "out.jsonl", toy_env["dir"] / "sft"
+        assert run_cli(compress_args(toy_env)) == 0
+        out.mkdir()
+        before = sorted(os.listdir(toy_env["dir"]))
+        assert run_cli(["emit", "sft", "--input", str(compressed), "--output", str(out)]) == 2
+        assert_one_error_naming(capfd, out)
+        assert sorted(os.listdir(toy_env["dir"])) == before
+
 
 class TestDuplicateIds:
     def test_duplicate_id_fails_the_run_unless_lenient(self, toy_env, caplog):

@@ -14,7 +14,7 @@ from cts.dataset import (
     read_rm_examples,
     write_dataset,
 )
-from cts.errors import DatasetError
+from cts.errors import ConfigError, DatasetError
 
 from conftest import write_jsonl_file
 
@@ -203,6 +203,14 @@ class TestWriteDataset:
             write_dataset(boom(), str(out))
         assert not out.exists()
         assert not (tmp_path / "out.jsonl.tmp").exists()
+
+    def test_failed_rename_is_a_config_error_and_removes_the_temp_file(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.mkdir()  # a file cannot replace a directory
+        with pytest.raises(ConfigError, match="cannot write output file"):
+            write_dataset([make_compressed(0)], str(out))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+        assert list(out.iterdir()) == []
 
     def test_lf_line_endings_utf8(self, tmp_path):
         out = tmp_path / "out.jsonl"

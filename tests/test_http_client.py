@@ -593,16 +593,17 @@ def per_segment_corpus(segments, rng) -> list[dict]:
             for i, k in enumerate(segments)]
 
 
-def compress_per_segment(monkeypatch, tmp_path, corpus_path, transport, workers, command="compress") -> bytes:
+def compress_per_segment(monkeypatch, tmp_path, corpus_path, transport, workers, command="compress",
+                         extra=()) -> bytes:
     """Per-segment compress (or ablate) at ``--segment-budget 4``, over ``transport`` or, without one, the toy backend.
 
-    Returns the bytes written (each ablation mode's file in turn).
+    ``extra`` flags follow the others. Returns the bytes written (each ablation mode's file in turn).
     """
-    out = tmp_path / f"{command}-{workers}-{transport is None}"
+    out = tmp_path / f"{command}-{workers}-{transport is None}-{'-'.join(extra)}"
     backend = f"toy:{write_spec_file(shift_spec(), tmp_path / 'spec.json')}" if transport is None else "http://fake"
     argv = [command, "--input", corpus_path, "--output", str(out), "--ratio", "0.7", "--backend", backend,
             "--condition-template", "{answer}:", "--scope", "per-segment", "--segment-budget", "4",
-            "--boundary-slack", "0", "--workers", str(workers)]
+            "--boundary-slack", "0", "--workers", str(workers), *extra]
     if transport is None:
         assert main(argv) == 0
     else:
@@ -630,6 +631,21 @@ class TestRollingLockstep:
         assert len(transport.tokenize_bodies["/tokenize"]) == math.ceil(groups / workers)
         assert len(transport.logprobs_bodies) == rolling_posts(lengths, segments, workers, SCORE_GROUP, group_chars)
         assert written == compress_per_segment(monkeypatch, tmp_path, corpus_path, None, 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_original_prefix_sends_what_global_scope_sends(self, monkeypatch, tmp_path, workers):
+        # the original prefix does not depend on the selection, so each instance is one step over [0, n)
+        rng = random.Random(41)
+        records = per_segment_corpus([rng.randint(1, 6) for _ in range(4 * SCORE_GROUP + 3)], rng)
+        corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+        sent = []
+        for extra in (["--scope", "global"], ["--iterative-original-prefix"]):
+            transport = ToyTransport(ToyBackend(shift_spec()))
+            written = compress_per_segment(monkeypatch, tmp_path, corpus_path, transport, workers, extra=extra)
+            assert written == compress_per_segment(monkeypatch, tmp_path, corpus_path, None, 1, extra=extra)
+            contexts = sum(len(request["context_ids"]) for body in transport.logprobs_bodies for request in body)
+            sent.append((len(transport.logprobs_bodies), contexts))
+        assert sent[0] == sent[1]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_selections_of_an_instance_count_once(self, monkeypatch, tmp_path, workers):

@@ -1,5 +1,6 @@
 """Property tests of selection: exact counts and ratios, nesting across alphas, a brute-force oracle,
-lockstep scoring of a group against one instance at a time, selection without kept rows, the
+original-prefix scoring against each segment scored after the original thinking, lockstep
+scoring of a group against one instance at a time, selection without kept rows, the
 halving rule of both backend calls, and the rule that sizes the groups.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
@@ -21,6 +22,7 @@ from cts.cli import ABLATION_MODES, GROUP_CHARS, SCORE_GROUP, _groups  # noqa: E
 from cts.dataset import CotInstance  # noqa: E402
 from cts.errors import BackendProtocolError, BackendUnavailable, CtsError  # noqa: E402
 from cts.selector import (  # noqa: E402
+    SCORE_SPACES,
     SelectionConfig,
     _batch_then_split,
     TokenScoreRow,
@@ -28,6 +30,7 @@ from cts.selector import (  # noqa: E402
     compress_steps,
     kept_count_for,
     run_lockstep,
+    score_tokens,
     segment_thinking,
     select_tokens,
 )
@@ -101,6 +104,28 @@ def test_compressed_record_counts_and_ratio_are_exact(thinking, alpha, condition
         lengths = [s.end - s.start for s in segment_thinking(n, [r.span for r in rows], config)]
     assert record.kept_count == sum(kept_count_for(alpha, m) for m in lengths)
     assert record.compressed_thinking == "".join(r.span for r, keep in zip(rows, selection.kept_mask) if keep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="ABC ", min_size=1, max_size=80), alphas, st.booleans(), st.sampled_from(SCORE_SPACES))
+def test_original_prefix_equals_scoring_each_segment_after_the_original_thinking(thinking, alpha, conditional,
+                                                                                  space):
+    # the reference: each segment scored alone against ids[:start], as one causal pass must score it
+    config = SelectionConfig(alpha=alpha, conditional=conditional, condition_template="{answer}:", score_space=space,
+                             selection_scope="per_segment", segment_budget=16, boundary_slack=4,
+                             iterative_original_prefix=True)
+    record, rows, selection = compress_instance(CotInstance("p", "", thinking, "42"), config, BACKEND)
+    tokens, condition = BACKEND.tokenize([thinking, "42:"])
+    ids, spans, cond_prefix = [t for t, _ in tokens], [s for _, s in tokens], [t for t, _ in condition]
+    reference_rows, reference_mask = [], []
+    for seg in segment_thinking(len(ids), spans, config):
+        seg_rows = score_tokens(ids[: seg.start], cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
+                                seg.start, config, BACKEND)
+        reference_rows += seg_rows
+        reference_mask += select_tokens(seg_rows, config).kept_mask
+    assert rows == reference_rows
+    assert selection.kept_mask == reference_mask
+    assert record.compressed_thinking == "".join(span for span, keep in zip(spans, reference_mask) if keep)
 
 
 class BatchLog(ToyBackend):
