@@ -49,6 +49,7 @@ from .selector import (
     compress_steps,
     lockstep_step,
     run_lockstep,
+    score_rows,
     score_rows_to_dicts,
 )
 
@@ -68,7 +69,7 @@ MAX_WORKERS = 64
 # characters of thinking text (_groups); it is the unit of the /tokenize POST (one per batch of
 # --workers groups) and of dispatch to a lane. A lane's /logprobs step is full by the same rule
 # over its live instances, and refills as they end. An instance holds its ids, spans and kept
-# mask until its group is returned, and its score rows too only when a score dump writes them.
+# mask until its group is returned, and its log-probabilities too only when a score dump writes them.
 SCORE_GROUP = 8
 GROUP_CHARS = 4096
 
@@ -313,9 +314,9 @@ def _compress_stream(
     Jobs with equal configs on one backend object are one selection: it is
     tokenized, scored and selected once, and each of those jobs writes and
     reports its outcome, which they share read-only. Only a selection that
-    a job with a ``dump_path`` shares keeps its score rows until its group
-    is returned; every other one drops each segment's rows once it has
-    selected from them.
+    a job with a ``dump_path`` shares keeps its log-probabilities until its
+    group is returned, as two arrays, and its score rows are built as it is
+    written; every other one drops them once it has selected.
 
     Each output path gets its own atomic writer, so an aborted run leaves
     none of them. When the pass ends, the lanes are stopped and then every
@@ -328,7 +329,7 @@ def _compress_stream(
     shared = [next(i for i, other in enumerate(jobs) if other.config == job.config and other.backend is job.backend)
               for job in jobs]
     distinct = {i: jobs[i] for i in shared}
-    # the selections whose rows a score dump writes; the others keep no row past its segment
+    # the selections whose scores a score dump writes; the others keep none past their selection
     dumped = {i for i, job in zip(shared, jobs) if job.dump_path}
 
     def tokenized_groups() -> Iterator[tuple[list[CotInstance], list]]:
@@ -399,11 +400,12 @@ def _compress_stream(
                             builder.add_failed()
                             logger.warning("%s: instance %s failed: %s", job.name, instance_id, exc)
                             continue
-                        record, rows, selection = outcome
+                        record, scores, selection = outcome
                         builder.add_ok(record)
                         if output is not None:
                             output.write(compressed_to_dict(record))
                         if dump is not None:
+                            rows = score_rows(*scores, job.config)
                             for row in score_rows_to_dicts(record.id, rows, selection.kept_mask):
                                 dump.write(row)
                     if outcomes[0][0] is not None:
@@ -421,13 +423,17 @@ def _compress_stream(
     return builders, interrupted
 
 
-def _check_outputs(paths: list[str | None]) -> None:
-    """The files a run writes must be distinct and none a directory: a usage error before any backend call."""
+def _check_outputs(paths: list[str | None], inputs: list[str | None]) -> None:
+    """The files a run writes must be distinct, none a directory and none an input: a usage error before any call."""
     paths = [path for path in paths if path]
     real = [os.path.realpath(path) for path in paths]
     # a file named twice, a directory, or a file named as the directory that holds another
     if len(set(real)) < len(real) or any(os.path.isdir(path) or os.path.dirname(path) in real for path in real):
         raise ConfigError(f"output files must be distinct and not directories, got {paths}")
+    read = {os.path.realpath(path) for path in inputs if path}
+    for path, full in zip(paths, real):
+        if full in read:
+            raise ConfigError(f"output file {path!r} is also an input of the run")
 
 
 def _run_jobs(
@@ -437,7 +443,8 @@ def _run_jobs(
 
     Every report's wall_time_seconds is that of the shared pass.
     """
-    _check_outputs([args.report, *(path for job in jobs for path in (job.output_path, job.dump_path))])
+    _check_outputs([args.report, *(path for job in jobs for path in (job.output_path, job.dump_path))],
+                   [args.input, args.config])
     started = time.monotonic()
     builders, interrupted = _compress_stream(args, jobs, settings["workers"])
     wall = time.monotonic() - started
@@ -469,6 +476,7 @@ def _sft_records(instances: Iterable[CompressedInstance], errors: list[DatasetEr
 
 def cmd_emit(args: argparse.Namespace) -> int:
     """Write one training artifact; every record that cannot be read or rendered is skipped."""
+    _check_outputs([args.output], [args.input, args.responses])
     errors: list[DatasetError] = []
     if args.target == "sft":
         rows = _sft_records(read_compressed_dataset(args.input, errors=errors), errors)

@@ -26,6 +26,7 @@ backend.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Any, Callable, Generator, Hashable, Iterable, Iterator, NamedTuple, Sequence
@@ -112,10 +113,9 @@ class SelectionConfig:
 
 @dataclass(slots=True)
 class TokenScoreRow:
-    """Per-token alignment of id, surface span, both perplexities, and score."""
+    """Per-token alignment of position, surface span, both perplexities, and score."""
 
     position: int
-    token: int
     span: str
     ppl_uncond: float
     ppl_cond: float
@@ -155,19 +155,19 @@ def _diff(a: float, b: float) -> float:
     return a - b
 
 
-def _make_row(
-    position: int, token: int, span: str, lp_uncond: float, lp_cond: float, config: SelectionConfig
-) -> TokenScoreRow:
+def _token_score(lp_uncond: float, lp_cond: float, config: SelectionConfig) -> tuple[float, float, float]:
+    """One token's (ppl_uncond, ppl_cond, score) from its two log-probabilities in bits."""
     ppl_u = ppl_of(lp_uncond)
-    if not config.conditional:
-        score = ppl_u if config.score_space == "ppl_diff" else math.log2(ppl_u)
-        return TokenScoreRow(position, token, span, ppl_u, ppl_u, score)
-    ppl_c = ppl_of(lp_cond)
-    if config.score_space == "ppl_diff":
-        score = _diff(ppl_u, ppl_c)
-    else:
-        score = _diff(math.log2(ppl_u), math.log2(ppl_c))
-    return TokenScoreRow(position, token, span, ppl_u, ppl_c, score)
+    ppl_c = ppl_of(lp_cond) if config.conditional else ppl_u
+    u, c = (ppl_u, ppl_c) if config.score_space == "ppl_diff" else (math.log2(ppl_u), math.log2(ppl_c))
+    return ppl_u, ppl_c, _diff(u, c) if config.conditional else u
+
+
+def score_rows(spans: Sequence[str], lp_uncond: Sequence[float], lp_cond: Sequence[float],
+               config: SelectionConfig, first_position: int = 0) -> list[TokenScoreRow]:
+    """The score rows of a run of tokens, numbered from first_position, from their spans and log-probabilities."""
+    return [TokenScoreRow(first_position + i, span, *_token_score(u, c, config))
+            for i, (span, u, c) in enumerate(zip(spans, lp_uncond, lp_cond))]
 
 
 def _segment_steps(history: Sequence[int], cond_prefix: Sequence[int], ids: Sequence[int], first_position: int,
@@ -208,9 +208,7 @@ def score_tokens(
 ) -> list[TokenScoreRow]:
     """Score a run of tokens in one batched logprobs request; rows are numbered from first_position."""
     steps = _segment_steps(history, cond_prefix, ids, first_position, config, instance_id)
-    lp_uncond, lp_cond = _run_alone(steps, backend)
-    return [_make_row(first_position + i, ids[i], spans[i], lp_uncond[i], lp_cond[i], config)
-            for i in range(len(ids))]
+    return score_rows(spans, *_run_alone(steps, backend), config, first_position)
 
 
 def segment_thinking(n_tokens: int, spans: Sequence[str], config: SelectionConfig) -> list[Segment]:
@@ -257,23 +255,24 @@ def kept_count_for(alpha: float, n: int) -> int:
     return min(n, max(1, k))
 
 
-def select_tokens(rows: Sequence[TokenScoreRow], config: SelectionConfig) -> SelectionResult:
-    """Keep the top alpha fraction of the given rows by (score desc, position asc).
+def select_tokens(scores: Sequence[float], config: SelectionConfig) -> SelectionResult:
+    """Keep the top alpha fraction of the given scores by (score desc, index asc).
 
-    At least one row is kept. kept_mask follows the order of ``rows``; the
-    reported threshold is the lowest kept score.
+    At least one score is kept. kept_mask follows the order of ``scores``;
+    the reported threshold is the lowest kept score.
     """
-    if not rows:
-        raise ConfigError("select_tokens requires at least one scored row")
-    ranked = sorted(range(len(rows)), key=lambda i: (-rows[i].score, rows[i].position))
-    mask = [False] * len(rows)
-    for i in ranked[: kept_count_for(config.alpha, len(rows))]:
+    if not scores:
+        raise ConfigError("select_tokens requires at least one score")
+    # sorted is stable with reverse=True too, so equal scores stay in index order
+    ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    mask = [False] * len(scores)
+    for i in ranked[: kept_count_for(config.alpha, len(scores))]:
         mask[i] = True
-    threshold = min(row.score for row, keep in zip(rows, mask) if keep)
+    threshold = min(score for score, keep in zip(scores, mask) if keep)
     return SelectionResult(threshold=threshold, kept_mask=mask, kept_count=sum(mask))
 
 
-def compress_steps(instance: CotInstance, config: SelectionConfig, keep_rows: bool = True) -> Steps:
+def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: bool = True) -> Steps:
     """Tokenize, score and select one instance: a tokenize step, then its scoring steps.
 
     The first step yields the thinking and then the condition, which is left
@@ -284,14 +283,16 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_rows: bo
     step covers a run of segments after the kept prefix. Where that history
     does not depend on the selection (global scope, the one-segment case, or
     iterative_original_prefix, since a causal model scores each segment
-    there as after the original preceding thinking), one step covers [0, n)
-    before the thinking is segmented; otherwise each segment is its own
-    step. Each segment's rows are built from the step's answer and the top
-    fraction inside it is kept. Returns (record, rows, selection). The
-    compressed thinking text is the concatenation of kept spans in original
-    order; actual_ratio is exactly kept_count / original_count. Without
-    ``keep_rows`` rows is empty, so no row outlives its segment's selection;
-    the record and selection are the same.
+    there as after the original preceding thinking), the one step covers
+    [0, n); otherwise each segment is its own step. The log-probabilities in
+    bits, as the backend answered them, are appended to two arrays over
+    [0, n); each segment's scores are computed from them as floats and the
+    top fraction inside it is kept. Returns (record, scores, selection),
+    where scores is the tuple (spans, lp_uncond, lp_cond) that
+    ``score_rows`` turns into rows, or None without ``keep_scores``; the
+    record and selection are the same either way. The compressed thinking
+    text is the concatenation of kept spans in original order; actual_ratio
+    is exactly kept_count / original_count.
     """
     config.validate()
     # spans concatenate to the text, so only an empty text has no tokens
@@ -309,28 +310,24 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_rows: bo
     del answers  # its (id, span) tuples, one per token, would live as long as the generator
     n, whole = len(ids), config.selection_scope == "global"
     fixed = whole or config.iterative_original_prefix  # the history does not depend on the selection
-    if fixed:
-        lp_uncond, lp_cond = yield from _segment_steps([], cond_prefix, ids, 0, config, instance.id)
     segments = [Segment(0, n)] if whole else segment_thinking(n, spans, config)
-    rows: list[TokenScoreRow] = []
+    lp_uncond, lp_cond = array("d"), array("d")  # of the tokens scored so far; each step's answers are appended
     mask: list[bool] = []
     threshold = math.inf
     kept_prefix: list[int] = []
     for seg in segments:
-        first = 0 if fixed else seg.start  # where the log-probabilities of the last step begin
-        if not fixed:
-            lp_uncond, lp_cond = yield from _segment_steps(
-                kept_prefix, cond_prefix, ids[seg.start : seg.end], seg.start, config, instance.id
+        if len(lp_uncond) < seg.end:  # not scored yet; where the history is fixed, the first step scores [0, n)
+            step = yield from _segment_steps(
+                kept_prefix, cond_prefix, ids if fixed else ids[seg.start : seg.end], seg.start, config, instance.id
             )
-        seg_rows = [_make_row(i, ids[i], spans[i], lp_uncond[i - first], lp_cond[i - first], config)
-                    for i in range(seg.start, seg.end)]
-        seg_selection = select_tokens(seg_rows, config)
+            lp_uncond.extend(step[0])
+            lp_cond.extend(step[1])
+        seg_selection = select_tokens(
+            [_token_score(lp_uncond[i], lp_cond[i], config)[2] for i in range(seg.start, seg.end)], config
+        )
         mask.extend(seg_selection.kept_mask)
         threshold = min(threshold, seg_selection.threshold)
-        kept_prefix.extend(row.token for row, keep in zip(seg_rows, seg_selection.kept_mask) if keep)
-        if keep_rows:
-            rows.extend(seg_rows)
-        del seg_rows  # not held while the next segment is scored
+        kept_prefix.extend(ids[i] for i in range(seg.start, seg.end) if mask[i])
     selection = SelectionResult(threshold=threshold, kept_mask=mask, kept_count=sum(mask))
 
     compressed = "".join(span for span, keep in zip(spans, mask) if keep)
@@ -339,7 +336,7 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_rows: bo
         nominal_ratio=config.alpha, actual_ratio=selection.kept_count / n, kept_count=selection.kept_count,
         original_count=n, extras=dict(instance.extras),
     )
-    return record, rows, selection
+    return record, (spans, lp_uncond, lp_cond) if keep_scores else None, selection
 
 
 def compress_instance(
@@ -350,7 +347,8 @@ def compress_instance(
     It is the one-instance case of a CLI group, and deterministic end to end
     for a fixed (instance, config, backend).
     """
-    return _run_alone(compress_steps(instance, config), backend)
+    record, scores, selection = _run_alone(compress_steps(instance, config), backend)
+    return record, score_rows(*scores, config), selection
 
 
 def _item_key(item: Any) -> Hashable:

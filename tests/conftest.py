@@ -11,7 +11,7 @@ import pytest
 
 import cts.cli
 from cts.backends import HttpBackend, HttpBackendConfig, ToyBackend, ToyLmSpec
-from cts.selector import compress_instance
+from cts.selector import compress_instance, score_rows
 
 # A file or socket a test leaves open fails it. The filters are set here and
 # not in pyproject.toml so that they hold for this suite only: bench/ has its
@@ -122,6 +122,15 @@ def score_global(instance, config, backend):
     """Score every thinking token as global scope does: one segment [0, n), no history."""
     _, rows, _ = compress_instance(instance, dataclasses.replace(config, selection_scope="global"), backend)
     return rows
+
+
+def rows_of(outcome, config):
+    """A lockstep outcome of ``compress_steps`` with its scores built into rows, as ``compress_instance`` has them."""
+    result, error = outcome
+    if result is None:
+        return outcome
+    record, scores, selection = result
+    return (record, score_rows(*scores, config), selection), error
 
 
 def write_spec_file(spec: ToyLmSpec, path) -> str:

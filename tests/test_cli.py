@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -251,9 +252,9 @@ class TestScore:
     def test_only_a_selection_with_a_score_dump_keeps_its_rows(self, toy_env, monkeypatch):
         asked = []
 
-        def recording_compress_steps(instance, config, keep_rows=True):
-            asked.append(keep_rows)
-            return compress_steps(instance, config, keep_rows)
+        def recording_compress_steps(instance, config, keep_scores=True):
+            asked.append(keep_scores)
+            return compress_steps(instance, config, keep_scores)
 
         monkeypatch.setattr(cts.cli, "compress_steps", recording_compress_steps)
         compress_dump, score_dump = toy_env["dir"] / "compress-dump.jsonl", toy_env["dir"] / "score-dump.jsonl"
@@ -264,10 +265,10 @@ class TestScore:
             (["score", "--input", toy_env["corpus"], "--output", str(score_dump), "--ratio", "0.7",
               "--backend", f"toy:{toy_env['spec']}", "--condition-template", CONDITION], True),
         ]
-        for args, keep_rows in runs:
+        for args, keep_scores in runs:
             asked.clear()
             assert run_cli(args) == 0
-            assert set(asked) == {keep_rows}, args[0]
+            assert set(asked) == {keep_scores}, args[0]
         # the dump the library writes, with every row kept
         config = SelectionConfig(alpha=0.7, condition_template=CONDITION)
         backend = ToyBackend(shift_spec())
@@ -278,6 +279,36 @@ class TestScore:
             dump_rows += score_rows_to_dicts(record.id, rows, selection.kept_mask)
         write_jsonl(dump_rows, str(expected))
         assert compress_dump.read_bytes() == score_dump.read_bytes() == expected.read_bytes()
+
+
+    def test_a_dump_run_holds_at_most_15_percent_more_than_a_plain_run(self, tmp_path, monkeypatch):
+        # the bench's long-instance recipe: 300 one-character symbols, 3,000-5,000 tokens each.
+        # The peak of the Python heap above the built backend, whose table is the same in both runs
+        vocab = [chr(0x100 + i) for i in range(300)]
+        rng = random.Random(1)
+        spec = write_spec_file(random_spec(vocab, rng), tmp_path / "spec.json")
+        corpus = write_jsonl_file(make_corpus(8, vocab, rng, min_tokens=3000, max_tokens=5000), tmp_path / "c.jsonl")
+        built, original = {}, cts.cli.build_backend
+
+        def build_backend(descriptor):
+            backend = original(descriptor)
+            built["size"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return backend
+
+        monkeypatch.setattr(cts.cli, "build_backend", build_backend)
+
+        def peak(*extra) -> int:
+            tracemalloc.start()
+            try:
+                assert run_cli(["compress", "--input", corpus, "--output", str(tmp_path / "out.jsonl"), "--ratio", "0.7",
+                                "--backend", f"toy:{spec}", "--condition-template", "{answer}", *extra]) == 0
+                return tracemalloc.get_traced_memory()[1] - built["size"]
+            finally:
+                tracemalloc.stop()
+
+        plain = peak()
+        assert peak("--score-dump", str(tmp_path / "dump.jsonl")) / plain <= 1.15
 
 
 class TestEmitCommand:
@@ -837,6 +868,43 @@ class TestFilePaths:
         assert server.state.request_count == 0
         assert sorted(os.listdir(toy_env["dir"])) == before
         assert clash != "directory" or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("clash", ["output", "output-relative", "report", "dump", "score", "config", "ablate",
+                                       "emit-sft", "emit-rm-rows-input", "emit-rm-rows-responses"])
+    def test_an_output_that_names_an_input_exits_2_and_leaves_it(self, toy_env, capfd, monkeypatch, clash):
+        from http_stub import StubServer
+
+        work = toy_env["dir"]
+        corpus = toy_env["corpus"]
+        config = write_jsonl_file([{"ratio": 0.5}], work / "config.json")
+        examples = write_jsonl_file([{"question": "q", "answer": "a", "reasoning_steps": ["s"]}], work / "ex.jsonl")
+        responses = write_jsonl_file([{"source_id": "line:1", "compressed_steps": "s"}], work / "responses.jsonl")
+        (work / "ablate").mkdir()
+        in_ablate = write_jsonl_file(read_jsonl_file(corpus), work / "ablate" / "base.jsonl")
+        rm_rows = ["emit", "rm-rows", "--input", examples, "--responses", responses, "--output"]
+        monkeypatch.chdir(work)
+        argv, named = {
+            "output": (compress_args(toy_env, corpus), corpus),
+            "output-relative": ([*compress_args(toy_env)[:3], "--output", "corpus.jsonl", *compress_args(toy_env)[5:]],
+                                "corpus.jsonl"),
+            "report": (compress_args(toy_env, extra=["--report", corpus]), corpus),
+            "dump": (compress_args(toy_env, extra=["--score-dump", corpus]), corpus),
+            "score": (["score", *compress_args(toy_env, corpus)[1:]], corpus),
+            "config": (compress_args(toy_env, extra=["--config", config, "--report", config]), config),
+            "ablate": (["ablate", "--input", in_ablate, *ablate_args(toy_env, work / "ablate")[3:]], in_ablate),
+            "emit-sft": (["emit", "sft", "--input", corpus, "--output", corpus], corpus),
+            "emit-rm-rows-input": ([*rm_rows, examples], examples),
+            "emit-rm-rows-responses": ([*rm_rows, responses], responses),
+        }[clash]
+        inputs = {path: Path(path).read_bytes() for path in (corpus, config, examples, responses, in_ablate)}
+        before = sorted(os.listdir(work))
+        with StubServer(ToyBackend(shift_spec())) as server:
+            backend = [] if argv[0] == "emit" else ["--backend", f"http:{server.url}"]
+            assert run_cli([*argv, *backend]) == 2
+        assert_one_error_naming(capfd, named)
+        assert server.state.request_count == 0
+        assert sorted(os.listdir(work)) == before
+        assert {path: Path(path).read_bytes() for path in inputs} == inputs
 
     def test_emit_to_a_directory_exits_2_and_leaves_no_file(self, toy_env, capfd):
         compressed, out = toy_env["dir"] / "out.jsonl", toy_env["dir"] / "sft"

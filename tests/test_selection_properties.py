@@ -1,5 +1,6 @@
 """Property tests of selection: exact counts and ratios, nesting across alphas, a brute-force oracle,
-original-prefix scoring against each segment scored after the original thinking, lockstep
+original-prefix scoring against each segment scored after the original thinking, kept-prefix
+scoring against each segment scored after the ids kept before it, lockstep
 scoring of a group against one instance at a time, selection without kept rows, the
 halving rule of both backend calls, and the rule that sizes the groups.
 
@@ -19,13 +20,12 @@ from hypothesis import strategies as st  # noqa: E402
 import cts.cli  # noqa: E402
 from cts.backends import ToyBackend  # noqa: E402
 from cts.cli import ABLATION_MODES, GROUP_CHARS, SCORE_GROUP, _groups  # noqa: E402
-from cts.dataset import CotInstance  # noqa: E402
+from cts.dataset import CompressedInstance, CotInstance  # noqa: E402
 from cts.errors import BackendProtocolError, BackendUnavailable, CtsError  # noqa: E402
 from cts.selector import (  # noqa: E402
     SCORE_SPACES,
     SelectionConfig,
     _batch_then_split,
-    TokenScoreRow,
     compress_instance,
     compress_steps,
     kept_count_for,
@@ -35,7 +35,7 @@ from cts.selector import (  # noqa: E402
     select_tokens,
 )
 
-from conftest import halving_calls, shift_spec  # noqa: E402
+from conftest import halving_calls, rows_of, shift_spec  # noqa: E402
 
 BACKEND = ToyBackend(shift_spec())
 
@@ -48,37 +48,29 @@ scores = st.lists(
 )
 
 
-def rows_from(values: list[float], first_position: int) -> list[TokenScoreRow]:
-    return [TokenScoreRow(first_position + i, 0, "x", 1.0, 1.0, s) for i, s in enumerate(values)]
-
-
 def kept(mask: list[bool]) -> set[int]:
     return {i for i, keep in enumerate(mask) if keep}
 
 
 @settings(max_examples=200, deadline=None)
-@given(scores, alphas, st.integers(min_value=0, max_value=1000))
-def test_select_tokens_matches_the_rank_counting_oracle(values, alpha, first_position):
-    rows = rows_from(values, first_position)
-    k = kept_count_for(alpha, len(rows))
-    result = select_tokens(rows, SelectionConfig(alpha=alpha))
-    # row i is kept iff fewer than k rows outrank it (higher score, or equal score and earlier)
-    beaten_by = [
-        sum(1 for other in rows if (other.score, -other.position) > (row.score, -row.position))
-        for row in rows
-    ]
+@given(scores, alphas)
+def test_select_tokens_matches_the_rank_counting_oracle(values, alpha):
+    k = kept_count_for(alpha, len(values))
+    result = select_tokens(values, SelectionConfig(alpha=alpha))
+    # score i is kept iff fewer than k scores outrank it (higher, or equal and earlier)
+    beaten_by = [sum(1 for j, other in enumerate(values) if (other, -j) > (score, -i))
+                 for i, score in enumerate(values)]
     assert result.kept_mask == [b < k for b in beaten_by]
     assert result.kept_count == k == sum(result.kept_mask)
-    assert result.threshold == min(row.score for row, keep in zip(rows, result.kept_mask) if keep)
+    assert result.threshold == min(score for score, keep in zip(values, result.kept_mask) if keep)
 
 
 @settings(max_examples=200, deadline=None)
 @given(scores, st.lists(alphas, min_size=2, max_size=5))
 def test_kept_sets_nest_across_alphas(values, some_alphas):
-    rows = rows_from(values, 0)
     previous: set[int] = set()
     for alpha in sorted(some_alphas):
-        current = kept(select_tokens(rows, SelectionConfig(alpha=alpha)).kept_mask)
+        current = kept(select_tokens(values, SelectionConfig(alpha=alpha)).kept_mask)
         assert previous <= current
         previous = current
 
@@ -122,10 +114,36 @@ def test_original_prefix_equals_scoring_each_segment_after_the_original_thinking
         seg_rows = score_tokens(ids[: seg.start], cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
                                 seg.start, config, BACKEND)
         reference_rows += seg_rows
-        reference_mask += select_tokens(seg_rows, config).kept_mask
+        reference_mask += select_tokens([row.score for row in seg_rows], config).kept_mask
     assert rows == reference_rows
     assert selection.kept_mask == reference_mask
     assert record.compressed_thinking == "".join(span for span, keep in zip(spans, reference_mask) if keep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="ABC ", min_size=1, max_size=80), alphas, st.booleans(), st.sampled_from(SCORE_SPACES))
+def test_kept_prefix_equals_scoring_each_segment_after_the_ids_kept_before_it(thinking, alpha, conditional, space):
+    # the reference: each segment scored alone after the kept ids of the segments before it, one segment at a time
+    config = SelectionConfig(alpha=alpha, conditional=conditional, condition_template="{answer}:", score_space=space,
+                             selection_scope="per_segment", segment_budget=16, boundary_slack=4)
+    record, rows, selection = compress_instance(CotInstance("p", "", thinking, "42"), config, BACKEND)
+    tokens, condition = BACKEND.tokenize([thinking, "42:"])
+    ids, spans, cond_prefix = [t for t, _ in tokens], [s for _, s in tokens], [t for t, _ in condition]
+    kept_prefix, reference_rows, reference_mask = [], [], []
+    for seg in segment_thinking(len(ids), spans, config):
+        seg_rows = score_tokens(kept_prefix, cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
+                                seg.start, config, BACKEND)
+        seg_mask = select_tokens([row.score for row in seg_rows], config).kept_mask
+        kept_prefix += [token for token, keep in zip(ids[seg.start : seg.end], seg_mask) if keep]
+        reference_rows += seg_rows
+        reference_mask += seg_mask
+    assert rows == reference_rows
+    assert selection.kept_mask == reference_mask
+    kept = sum(reference_mask)
+    assert record == CompressedInstance(
+        id="p", problem="", compressed_thinking="".join(span for span, keep in zip(spans, reference_mask) if keep),
+        answer="42", nominal_ratio=alpha, actual_ratio=kept / len(ids), kept_count=kept, original_count=len(ids),
+    )
 
 
 class BatchLog(ToyBackend):
@@ -162,7 +180,7 @@ def test_lockstep_group_equals_one_instance_at_a_time(group, alpha, conditional,
     config = scoring_config(scope, original_prefix, alpha=alpha, conditional=conditional)
     alone = [(compress_instance(inst, config, BACKEND), None) for inst in group]
     if width is None:  # every task taken at once
-        assert list(run_lockstep(lockstep_tasks(group, [config], BACKEND))) == alone
+        assert [rows_of(outcome, config) for outcome in run_lockstep(lockstep_tasks(group, [config], BACKEND))] == alone
         return
 
     def full(live):
@@ -171,7 +189,8 @@ def test_lockstep_group_equals_one_instance_at_a_time(group, alpha, conditional,
 
     # rolling: a task joins, from a lazy iterable, as soon as fewer than ``width`` are live
     backend = BatchLog()
-    assert list(run_lockstep(iter(lockstep_tasks(group, [config], backend)), full)) == alone
+    outcomes = run_lockstep(iter(lockstep_tasks(group, [config], backend)), full)
+    assert [rows_of(outcome, config) for outcome in outcomes] == alone
     assert all(len(batch) <= 2 * width for batch in backend.batches)
 
 
@@ -186,14 +205,14 @@ def test_lockstep_group_equals_one_instance_at_a_time(group, alpha, conditional,
 def test_without_rows_the_record_and_selection_are_the_same(thinking, alpha, conditional, scope, original_prefix):
     config = scoring_config(scope, original_prefix, alpha=alpha, conditional=conditional)
     instance = CotInstance("p", "", thinking, "42")
-    [(with_rows, _), (without_rows, _)] = run_lockstep(
-        [(compress_steps(instance, config, keep_rows), BACKEND) for keep_rows in (True, False)]
+    [with_rows, (without_rows, _)] = run_lockstep(
+        [(compress_steps(instance, config, keep_scores), BACKEND) for keep_scores in (True, False)]
     )
-    record, rows, selection = with_rows
+    (record, rows, selection), _ = rows_of(with_rows, config)
     assert len(rows) == len(thinking)
     assert selection.threshold == min(row.score for row, keep in zip(rows, selection.kept_mask) if keep)
     assert without_rows[0] == record
-    assert without_rows[1] == []
+    assert without_rows[1] is None
     assert without_rows[2] == selection  # kept_mask, kept_count and threshold
 
 

@@ -11,7 +11,6 @@ from cts.errors import BackendProtocolError, BackendUnavailable, ConfigError, Sc
 from cts.selector import (
     SelectionConfig,
     Segment,
-    TokenScoreRow,
     compress_instance,
     compress_steps,
     kept_count_for,
@@ -20,7 +19,7 @@ from cts.selector import (
     select_tokens,
 )
 
-from conftest import score_global, shift_spec, uniform_spec
+from conftest import rows_of, score_global, shift_spec, uniform_spec
 
 CONDITION = "{answer}:"  # renders inside the toy vocabularies used here
 
@@ -33,10 +32,6 @@ def config(**overrides) -> SelectionConfig:
 
 def instance(thinking: str, answer: str = "42", problem: str = "", iid: str = "t-0") -> CotInstance:
     return CotInstance(id=iid, problem=problem, thinking=thinking, answer=answer)
-
-
-def rows_from(scores: list[float]) -> list[TokenScoreRow]:
-    return [TokenScoreRow(i, 0, "x", 1.0, 1.0, s) for i, s in enumerate(scores)]
 
 
 class RecordingBackend(LogprobBackend):
@@ -252,25 +247,21 @@ class TestSegmentThinking:
 
 class TestSelectTokens:
     def test_distinct_scores_keep_top_half(self):
-        rows = rows_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
-        result = select_tokens(rows, config(alpha=0.5))
+        result = select_tokens([1, 2, 3, 4, 5, 6, 7, 8, 9, 10], config(alpha=0.5))
         assert [i for i, k in enumerate(result.kept_mask) if k] == [5, 6, 7, 8, 9]
         assert result.threshold == 6
         assert result.kept_count == 5
 
     def test_alpha_one_keeps_everything(self):
-        rows = rows_from([3.0, 1.0, 2.0])
-        result = select_tokens(rows, config(alpha=1.0))
+        result = select_tokens([3.0, 1.0, 2.0], config(alpha=1.0))
         assert result.kept_mask == [True, True, True]
 
     def test_all_equal_scores_tie_break_by_position(self):
-        rows = rows_from([7.0] * 10)
-        result = select_tokens(rows, config(alpha=0.5))
+        result = select_tokens([7.0] * 10, config(alpha=0.5))
         assert [i for i, k in enumerate(result.kept_mask) if k] == [0, 1, 2, 3, 4]
 
     def test_minimum_one_token_kept(self):
-        rows = rows_from([1.0, 2.0, 3.0])
-        result = select_tokens(rows, config(alpha=0.01))
+        result = select_tokens([1.0, 2.0, 3.0], config(alpha=0.01))
         assert result.kept_count == 1
 
     def test_round_half_up(self):
@@ -283,10 +274,10 @@ class TestSelectTokens:
         assert kept_count_for(0.01, 5) == 1  # floor is the minimum retention
 
     def test_per_segment_scope_selects_within_each_segment(self):
-        # the segment loop selects over each segment's rows; masks follow the rows given
-        rows = rows_from([10, 9, 8, 7, 1, 2, 3, 4])
+        # the segment loop selects over each segment's scores; masks follow the scores given
+        scores = [10, 9, 8, 7, 1, 2, 3, 4]
         cfg = config(alpha=0.5, selection_scope="per_segment")
-        mask = select_tokens(rows[0:4], cfg).kept_mask + select_tokens(rows[4:8], cfg).kept_mask
+        mask = select_tokens(scores[0:4], cfg).kept_mask + select_tokens(scores[4:8], cfg).kept_mask
         assert [i for i, k in enumerate(mask) if k] == [0, 1, 6, 7]
 
     def test_global_scope_ignores_segments(self, shift_backend):
@@ -300,10 +291,9 @@ class TestSelectTokens:
         for trial in range(30):
             n = rng.randint(1, 80)
             scores = [rng.choice([rng.random(), 0.5]) for _ in range(n)]  # include ties
-            rows = rows_from(scores)
             previous: set[int] = set()
             for alpha in (0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
-                result = select_tokens(rows, config(alpha=alpha))
+                result = select_tokens(scores, config(alpha=alpha))
                 kept = {i for i, k in enumerate(result.kept_mask) if k}
                 assert previous <= kept
                 previous = kept
@@ -426,8 +416,9 @@ class TestRequestBudget:
 
 
 def lockstep(inst, configs, backend):
-    """Each config's selection of one instance, run in lockstep."""
-    return [result for result, _ in run_lockstep([(compress_steps(inst, cfg), backend) for cfg in configs])]
+    """Each config's selection of one instance, run in lockstep, with its scores as rows."""
+    outcomes = run_lockstep([(compress_steps(inst, cfg), backend) for cfg in configs])
+    return [rows_of(outcome, cfg)[0] for cfg, outcome in zip(configs, outcomes)]
 
 
 class TestRequestCache:
@@ -458,7 +449,8 @@ class TestRequestCache:
         assert result is None and isinstance(exc.__cause__, TokenizeError)
         assert str(exc).startswith("instance t-1: cannot tokenize thinking: ")
         for i in (0, 2):
-            assert outcomes[i] == (compress_instance(insts[i], config(conditional=False), shift_backend), None)
+            assert rows_of(outcomes[i], config(conditional=False)) == (
+                compress_instance(insts[i], config(conditional=False), shift_backend), None)
 
     def test_unavailable_backend_ends_the_batch(self, shift_backend):
         class Down(RecordingBackend):
@@ -518,7 +510,8 @@ class TestLockstep:
         # a's two contexts once, b's two
         assert backend.batch_sizes == [4]
         assert len(set(backend.requests)) == 4
-        assert outcomes == [(compress_instance(i, config(), shift_backend), None) for i in group]
+        assert [rows_of(outcome, config()) for outcome in outcomes] == [
+            (compress_instance(i, config(), shift_backend), None) for i in group]
 
     def test_one_batch_per_backend_per_step(self, shift_backend):
         standard, tuned = RecordingBackend(shift_backend), RecordingBackend(shift_backend)
@@ -529,7 +522,8 @@ class TestLockstep:
         # steps: a has 2 segments, b 1 and c 3; two contexts per segment
         assert standard.batch_sizes == [4, 2]
         assert tuned.batch_sizes == [2, 2, 2]
-        assert outcomes == [(compress_instance(i, cfg, shift_backend), None) for i in insts]
+        assert [rows_of(outcome, cfg) for outcome in outcomes] == [
+            (compress_instance(i, cfg, shift_backend), None) for i in insts]
 
     # the failed call's halves go out again, and each half that fails is halved in turn
     @pytest.mark.parametrize("scope, batch_sizes, failed_range", [
@@ -555,7 +549,7 @@ class TestLockstep:
         assert result is None and str(exc) == str(alone.value) and exc.positions == alone.value.positions
         for inst, outcome in zip(insts, outcomes):
             if inst is not insts[1]:
-                assert outcome == (compress_instance(inst, cfg, shift_backend), None)
+                assert rows_of(outcome, cfg) == (compress_instance(inst, cfg, shift_backend), None)
 
     def test_unavailable_backend_is_not_asked_again(self, shift_backend):
         [(two, _)] = shift_backend.tokenize(["2"])[0]
@@ -609,7 +603,8 @@ def test_a_call_short_of_answers_fails_only_the_instance_at_fault(backend_class,
     assert result is None and isinstance(exc, ScoringError) and isinstance(exc.__cause__, BackendProtocolError)
     assert str(exc).startswith(message)
     for i in (0, 2):
-        assert outcomes[i] == (compress_instance(insts[i], config(), ToyBackend(shift_spec())), None)
+        alone = compress_instance(insts[i], config(), ToyBackend(shift_spec()))
+        assert rows_of(outcomes[i], config()) == (alone, None)
 
 
 class TestIterativeSegments:
