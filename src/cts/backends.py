@@ -216,11 +216,11 @@ _STALE = (BrokenPipeError, ConnectionResetError)
 
 
 def _split_url(url: str) -> urllib.parse.SplitResult:
-    split = urllib.parse.urlsplit(url)
     try:
+        split = urllib.parse.urlsplit(url)
         split.port
-    except ValueError as exc:
-        raise ConfigError(f"backend URL {url!r} has an invalid port") from exc
+    except ValueError as exc:  # an IPv6 host without its closing bracket, or a port that is not one
+        raise ConfigError(f"backend URL {url!r} has an invalid port or IPv6 host: {exc}") from exc
     if split.scheme not in ("http", "https") or not split.hostname:
         raise ConfigError(f"backend URL {url!r} needs an http(s) scheme and a host")
     return split
@@ -239,7 +239,6 @@ class HttpBackendConfig:
     timeout: float = 30.0
     max_retries: int = 3
     retry_backoff: float = 0.5
-    natural_log: bool = False  # server reports nats; convert to bits at this boundary
 
 
 class HttpBackend(LogprobBackend):
@@ -396,8 +395,6 @@ class HttpBackend(LogprobBackend):
             bits = [float(v) for v in raw]
         except OverflowError as exc:
             raise BackendProtocolError("logprob response has an integer too large for a float") from exc
-        if self.config.natural_log:
-            bits = [v / math.log(2) for v in bits]
         for v in bits:
             if not math.isfinite(v):
                 raise BackendProtocolError("remote backend reported a non-finite log probability")

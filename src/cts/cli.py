@@ -66,9 +66,10 @@ EXIT_INTERRUPT = 130
 
 MAX_WORKERS = 64
 # the window rule (_fills_window): a group closes at SCORE_GROUP instances and GROUP_CHARS
-# characters of thinking text (_groups); it is the unit of the /tokenize POST (one per batch of
-# --workers groups) and of dispatch to a lane. A lane's /logprobs step is full by the same rule
-# over its live instances, and refills as they end. An instance holds its ids, spans and kept
+# characters of thinking text (_groups); it is the unit of dispatch to a lane. One /tokenize POST
+# serves a batch of groups (_batches): --workers groups first, then at least --workers groups and
+# LOOKAHEAD_PER_WORKER x GROUP_CHARS characters. A lane's /logprobs step is full by the window
+# rule over its live instances, and refills as they end. An instance holds its ids, spans and kept
 # mask until its group is returned, and its log-probabilities too only when a score dump writes them.
 SCORE_GROUP = 8
 GROUP_CHARS = 4096
@@ -284,21 +285,42 @@ def _groups(instances: Iterable[CotInstance]) -> Iterator[list[CotInstance]]:
         yield group
 
 
+def _batches(groups: Iterable[list[CotInstance]], workers: int) -> Iterator[list[list[CotInstance]]]:
+    """Consecutive lists of groups, each tokenized in one call; the last may hold less than the rest.
+
+    The first batch is ``workers`` groups, one per lane. Each later one
+    closes at ``workers`` groups and ``LOOKAHEAD_PER_WORKER`` x
+    ``GROUP_CHARS`` characters of thinking, the least text of one lane's
+    window; every group but the last holds ``GROUP_CHARS``, so that is at
+    most ``max(workers, LOOKAHEAD_PER_WORKER)`` groups.
+    """
+    batch: list[list[CotInstance]] = []
+    chars = least = 0
+    for group in groups:
+        batch.append(group)
+        chars += sum(len(instance.thinking) for instance in group)
+        if len(batch) >= workers and chars >= least:
+            yield batch
+            batch, chars, least = [], 0, LOOKAHEAD_PER_WORKER * GROUP_CHARS
+    if batch:
+        yield batch
+
+
 def _compress_stream(
     args: argparse.Namespace, jobs: list[Job], workers: int
 ) -> tuple[list[ReportBuilder], bool]:
     """Read the input once and run every job on each instance; returns (builders, interrupted).
 
-    Groups of consecutive instances (``_groups``) are the unit of tokenizing
-    and of dispatch. Each instance runs the steps of each selection
-    (``compress_steps``). Their first step, tokenizing, is run for a batch
-    of ``workers`` consecutive groups at once on the calling thread: one
-    tokenize call per backend with the distinct texts of the whole batch,
-    halved when it fails (``selector._batch_then_split``). ``map_ordered``
-    deals group g to lane g mod ``workers``, each lane on a thread of its
-    own, and takes a batch's groups as its window has room, so tokenizing
-    runs up to ``runner.LOOKAHEAD_PER_WORKER`` (4) batches ahead of the
-    oldest group not yet written, at one worker too.
+    Groups of consecutive instances (``_groups``) are the unit of dispatch.
+    Each instance runs the steps of each selection (``compress_steps``).
+    Their first step, tokenizing, is run for a batch of groups (``_batches``)
+    at once on the calling thread: one tokenize call per backend with the
+    distinct texts of the whole batch, halved when it fails
+    (``selector._batch_then_split``). ``map_ordered`` deals group g to lane
+    g mod ``workers``, each lane on a thread of its own, and takes a batch's
+    groups as its window of ``runner.LOOKAHEAD_PER_WORKER`` (4) x
+    ``workers`` groups has room, so tokenizing runs at most one batch beyond
+    that window, at one worker too.
 
     Each lane runs one rolling lockstep (``run_lockstep``) over its groups.
     Before each step its next instances in input order join until the live
@@ -333,9 +355,8 @@ def _compress_stream(
     dumped = {i for i, job in zip(shared, jobs) if job.dump_path}
 
     def tokenized_groups() -> Iterator[tuple[list[CotInstance], list]]:
-        # on the calling thread, which map_ordered runs up to LOOKAHEAD_PER_WORKER batches ahead
-        groups = _groups(instances)
-        for batch in iter(lambda: list(itertools.islice(groups, workers)), []):
+        # on the calling thread, as map_ordered takes a batch's first group
+        for batch in _batches(_groups(instances), workers):
             tasks = [(compress_steps(instance, job.config, i in dumped), job.backend)
                      for group in batch for instance in group for i, job in distinct.items()]
             started = iter(zip(tasks, lockstep_step(tasks)))
@@ -424,16 +445,18 @@ def _compress_stream(
 
 
 def _check_outputs(paths: list[str | None], inputs: list[str | None]) -> None:
-    """The files a run writes must be distinct, none a directory and none an input: a usage error before any call."""
+    """Output files must be distinct, none an input, each a regular file if it exists: a usage error before any call."""
     paths = [path for path in paths if path]
     real = [os.path.realpath(path) for path in paths]
-    # a file named twice, a directory, or a file named as the directory that holds another
-    if len(set(real)) < len(real) or any(os.path.isdir(path) or os.path.dirname(path) in real for path in real):
+    # a file named twice, or a file named as the directory that holds another
+    if len(set(real)) < len(real) or any(os.path.dirname(path) in real for path in real):
         raise ConfigError(f"output files must be distinct and not directories, got {paths}")
     read = {os.path.realpath(path) for path in inputs if path}
     for path, full in zip(paths, real):
         if full in read:
             raise ConfigError(f"output file {path!r} is also an input of the run")
+        if os.path.exists(full) and not os.path.isfile(full):
+            raise ConfigError(f"output file {path!r} exists and is not a regular file")
 
 
 def _run_jobs(
@@ -443,8 +466,10 @@ def _run_jobs(
 
     Every report's wall_time_seconds is that of the shared pass.
     """
+    specs = [backend[len("toy:"):] for backend in (settings["backend"], settings["backend_tuned"])
+             if backend and backend.startswith("toy:")]
     _check_outputs([args.report, *(path for job in jobs for path in (job.output_path, job.dump_path))],
-                   [args.input, args.config])
+                   [args.input, args.config, *specs])
     started = time.monotonic()
     builders, interrupted = _compress_stream(args, jobs, settings["workers"])
     wall = time.monotonic() - started

@@ -180,7 +180,7 @@ def _segment_steps(history: Sequence[int], cond_prefix: Sequence[int], ids: Sequ
     ScoringError naming thinking tokens [first_position, first_position + n).
     """
     n = len(ids)
-    contexts = [[*history, *ids]]
+    contexts = [[*history, *ids] if history else ids]  # no copy of ids while the request waits to be sent
     if config.conditional:
         contexts.append([*cond_prefix, *history, *ids])
     responses = yield [LogprobRequest(context, len(context) - n, len(context)) for context in contexts]

@@ -86,7 +86,6 @@ class StubState:
         self.backend = backend
         self.fail_next = 0  # respond 503 this many times before succeeding
         self.truncate_logprobs = False
-        self.report_nats = False
         self.report_non_finite = False
         self.corrupt_spans = False
         self.required_token: str | None = None
@@ -185,8 +184,6 @@ class _Handler(BaseHTTPRequestHandler):
         state = self.state
         req = LogprobRequest(payload["context_ids"], payload["start"], payload["end"])
         bits = state.backend.logprobs_batch([req])[0].logprobs_bits
-        if state.report_nats:
-            bits = [b * math.log(2) for b in bits]
         if state.report_non_finite:
             bits = [-math.inf] * len(bits)
         if state.truncate_logprobs and bits:

@@ -339,13 +339,6 @@ class TestHttpBackend:
             with pytest.raises(BackendProtocolError):
                 client.tokenize(["AB"])
 
-    def test_natural_log_conversion(self, uniform4_backend):
-        with StubServer(uniform4_backend) as server:
-            server.state.report_nats = True
-            client = self._client(server, natural_log=True)
-            resp = client.logprobs_batch([LogprobRequest([0, 1, 2], 0, 3)])[0]
-            assert resp.logprobs_bits == pytest.approx([-2.0, -2.0, -2.0], abs=1e-12)
-
     def test_bearer_token_sent(self, uniform4_backend):
         with StubServer(uniform4_backend) as server:
             server.state.required_token = "sekret"

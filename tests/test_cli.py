@@ -1,8 +1,13 @@
+import contextlib
 import importlib
 import json
 import math
 import os
 import random
+import socket
+import stat
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +26,7 @@ from conftest import (
 )
 
 CONDITION = "{answer}:"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(args):
@@ -905,6 +911,64 @@ class TestFilePaths:
         assert server.state.request_count == 0
         assert sorted(os.listdir(work)) == before
         assert {path: Path(path).read_bytes() for path in inputs} == inputs
+
+    @pytest.mark.parametrize("clash", ["output", "dump", "report", "ablate-tuned-report"])
+    def test_an_output_that_names_the_toy_spec_exits_2_and_leaves_it(self, toy_env, capfd, clash):
+        from http_stub import StubServer
+
+        spec = toy_env["spec"]
+        before_spec, before = Path(spec).read_bytes(), sorted(os.listdir(toy_env["dir"]))
+        with StubServer(ToyBackend(shift_spec())) as server:
+            argv = {
+                "output": compress_args(toy_env, extra=["--output", spec]),
+                "dump": compress_args(toy_env, extra=["--score-dump", spec]),
+                "report": compress_args(toy_env, extra=["--report", spec]),
+                # the spec of the tuned backend is an input too; the standard backend gets no POST
+                "ablate-tuned-report": ablate_args(toy_env, toy_env["dir"] / "ablate", extra=[
+                    "--backend", f"http:{server.url}", "--backend-tuned", f"toy:{spec}", "--report", spec]),
+            }[clash]
+            assert run_cli(argv) == 2
+        assert_one_error_naming(capfd, spec)
+        assert server.state.request_count == 0
+        assert Path(spec).read_bytes() == before_spec
+        assert sorted(os.listdir(toy_env["dir"])) == before
+
+    # each output a run writes: the dataset, the score dump, a mode file of ablate, the report, emit's output
+    @pytest.mark.parametrize("output", ["output", "dump", "ablate-mode", "report", "emit"])
+    @pytest.mark.parametrize("kind", ["fifo", "socket"])
+    def test_an_output_that_is_not_a_regular_file_exits_2_and_leaves_it(self, toy_env, output, kind):
+        from http_stub import StubServer
+
+        work = toy_env["dir"]
+        (work / "ablate").mkdir()
+        special = work / ("ablate/conditional.jsonl" if output == "ablate-mode" else "special")
+        with contextlib.ExitStack() as stack:
+            if kind == "fifo":
+                os.mkfifo(special)
+            else:
+                listener = stack.enter_context(socket.socket(socket.AF_UNIX))
+                listener.bind(str(special))
+            before = sorted(os.listdir(work)), sorted(os.listdir(work / "ablate"))
+            server = stack.enter_context(StubServer(ToyBackend(shift_spec())))
+            backend = ["--backend", f"http:{server.url}"]
+            argv = {
+                "output": compress_args(toy_env, extra=["--output", str(special), *backend]),
+                "dump": compress_args(toy_env, extra=["--score-dump", str(special), *backend]),
+                "ablate-mode": ablate_args(toy_env, work / "ablate", extra=backend),
+                "report": compress_args(toy_env, extra=["--report", str(special), *backend]),
+                "emit": ["emit", "sft", "--input", toy_env["corpus"], "--output", str(special)],
+            }[output]
+            # in a child, so that a run that opens the FIFO fails on the timeout instead of hanging the suite
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-m", "cts.cli", *argv], env=env, capture_output=True,
+                                  text=True, timeout=30)
+            assert done.returncode == 2, done.stderr
+            errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+            assert len(errors) == 1 and str(special) in errors[0] and "Traceback" not in done.stderr
+            assert server.state.request_count == 0
+            assert (sorted(os.listdir(work)), sorted(os.listdir(work / "ablate"))) == before
+            mode = os.stat(special).st_mode
+            assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISSOCK(mode)
 
     def test_emit_to_a_directory_exits_2_and_leaves_no_file(self, toy_env, capfd):
         compressed, out = toy_env["dir"] / "out.jsonl", toy_env["dir"] / "sft"

@@ -1,5 +1,6 @@
 """The HTTP client's connections, lifecycle and retry schedule, against real sockets and a fake transport."""
 
+import itertools
 import json
 import math
 import os
@@ -214,7 +215,7 @@ def groups_of(records) -> list:
 
 
 def batches_of(records, workers) -> list:
-    """The records of each batch: ``workers`` consecutive groups of SCORE_GROUP instances."""
+    """The records of each batch when groups close by count alone: ``workers`` consecutive groups of SCORE_GROUP."""
     size = workers * SCORE_GROUP
     return [records[i:i + size] for i in range(0, len(records), size)]
 
@@ -284,14 +285,43 @@ class TestGroupSize:
         corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
         transport = ToyTransport(ToyBackend(shift_spec()))
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=2)
-        # one /tokenize POST per batch of 2 groups
-        batch_sizes = [sum(sizes[i:i + 2]) for i in range(0, len(sizes), 2)]
-        starts = [sum(batch_sizes[:i]) for i in range(len(batch_sizes))]
-        expected = [tokenize_body(records[start:start + size]) for start, size in zip(starts, batch_sizes)]
+        lengths = [len(record["thinking"]) for record in records]
+        groups = groups_by_rule(lengths, SCORE_GROUP, GROUP_CHARS)
+        assert [len(group) for group in groups] == sizes
+        # the first /tokenize POST holds a group per lane; here the second holds what is left
+        batches = batches_by_rule(groups, lengths, 2, GROUP_CHARS)
+        expected = [tokenize_body([records[i] for i in batch]) for batch in batches]
         assert transport.tokenize_bodies["/tokenize"] == expected
         # both scoring contexts of every instance of a group in one POST
         assert sorted(len(body) for body in transport.logprobs_bodies) == sorted(2 * size for size in sizes)
-        assert len(transport.posts) == len(batch_sizes) + len(sizes)
+        assert len(transport.posts) == len(batches) + len(sizes)
+        spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
+        assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
+
+    # 13 groups of 21 instances of 200 characters: after a group per lane, a batch closes at its fourth group
+    # (16,800 characters); 5 groups of 8 instances of 2,100 characters: every group holds 16,800, so a batch
+    # closes at one group per lane, as the first does
+    @pytest.mark.parametrize("n, chars, batch_groups", [
+        (273, 200, {1: [1, 4, 4, 4], 2: [2, 4, 4, 3], 3: [3, 4, 4, 2]}),
+        (40, 2100, {1: [1, 1, 1, 1, 1], 2: [2, 2, 1], 3: [3, 2]}),
+    ], ids=["short-by-characters", "long-by-workers"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_later_tokenize_batches_hold_a_lane_window_of_text(self, monkeypatch, tmp_path, n, chars,
+                                                               batch_groups, workers):
+        assert LOOKAHEAD_PER_WORKER * GROUP_CHARS == 16384
+        records = make_corpus(n, list("ABC "), random.Random(7), min_tokens=chars, max_tokens=chars)
+        corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+        transport = ToyTransport(ToyBackend(shift_spec()))
+        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers)
+        lengths = [len(record["thinking"]) for record in records]
+        groups = groups_by_rule(lengths, SCORE_GROUP, GROUP_CHARS)
+        batches = batches_by_rule(groups, lengths, workers, GROUP_CHARS)
+        starts = itertools.accumulate(batch_groups[workers][:-1], initial=0)
+        assert batches == [[i for group in groups[start:start + size] for i in group]
+                           for start, size in zip(starts, batch_groups[workers])]
+        expected = [tokenize_body([records[i] for i in batch]) for batch in batches]
+        assert transport.tokenize_bodies["/tokenize"] == expected
+        assert len(transport.logprobs_bodies) == len(groups)
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
@@ -540,6 +570,35 @@ def _compress_with_toy(corpus, spec_path, tmp_path) -> bytes:
     return out.read_bytes()
 
 
+def groups_by_rule(lengths, min_count, min_chars) -> list[list[int]]:
+    """The instances of each group, as ``cli._groups`` closes them, for instances of the given lengths."""
+    groups, group = [], []
+    for i, length in enumerate(lengths):
+        group.append(i)
+        if len(group) >= min_count and sum(lengths[j] for j in group) >= min_chars:
+            groups.append(group)
+            group = []
+    return groups + [group] if group else groups
+
+
+def batches_by_rule(groups, lengths, workers, group_chars) -> list[list[int]]:
+    """The instances of each /tokenize batch, by brute force over where each batch may end.
+
+    The first batch is ``workers`` groups; each later one is the fewest
+    groups, at least ``workers``, that hold LOOKAHEAD_PER_WORKER x
+    ``group_chars`` characters of thinking; the last batch may be short.
+    """
+    batches, start = [], 0
+    while start < len(groups):
+        least = LOOKAHEAD_PER_WORKER * group_chars if batches else 0
+        ends = range(start + workers, len(groups) + 1)
+        end = next((end for end in ends if sum(lengths[i] for group in groups[start:end] for i in group) >= least),
+                   len(groups))
+        batches.append([i for group in groups[start:end] for i in group])
+        start = end
+    return batches
+
+
 def rolling_posts(lengths, segments, workers, min_count, min_chars) -> int:
     """The /logprobs POSTs of the rolling rule, simulated: one POST per step of each lane.
 
@@ -551,13 +610,7 @@ def rolling_posts(lengths, segments, workers, min_count, min_chars) -> int:
     not returned, and a group is returned once it and every earlier group
     of the lane have ended. A step scores one segment of each live instance.
     """
-    groups, group = [], []
-    for i, length in enumerate(lengths):
-        group.append(i)
-        if len(group) >= min_count and sum(lengths[j] for j in group) >= min_chars:
-            groups.append(group)
-            group = []
-    groups += [group] if group else []
+    groups = groups_by_rule(lengths, min_count, min_chars)
     posts = 0
     for lane in range(workers):
         mine = groups[lane::workers]
@@ -627,8 +680,10 @@ class TestRollingLockstep:
         transport = ToyTransport(ToyBackend(shift_spec()))
         written = compress_per_segment(monkeypatch, tmp_path, corpus_path, transport, workers)
         lengths = [len(record["thinking"]) for record in records]
-        groups = len(list(cts.cli._groups([CotInstance(str(i), "", "A" * n, "") for i, n in enumerate(lengths)])))
-        assert len(transport.tokenize_bodies["/tokenize"]) == math.ceil(groups / workers)
+        # each /tokenize POST holds exactly the distinct texts of its batch
+        batches = batches_by_rule(groups_by_rule(lengths, SCORE_GROUP, group_chars), lengths, workers, group_chars)
+        expected = [tokenize_body([records[i] for i in batch]) for batch in batches]
+        assert transport.tokenize_bodies["/tokenize"] == expected
         assert len(transport.logprobs_bodies) == rolling_posts(lengths, segments, workers, SCORE_GROUP, group_chars)
         assert written == compress_per_segment(monkeypatch, tmp_path, corpus_path, None, 1)
 
@@ -841,6 +896,10 @@ class TestUrl:
     def test_invalid_port_is_a_config_error(self, url):
         with pytest.raises(ConfigError, match="invalid port"):
             HttpBackend(HttpBackendConfig(base_url=url))
+
+    def test_unclosed_ipv6_bracket_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="Invalid IPv6 URL"):
+            HttpBackend(HttpBackendConfig(base_url="http://[::1"))
 
     def test_host_that_cannot_be_sent_is_a_config_error(self):
         with pytest.raises(ConfigError, match="invalid host"):
