@@ -47,8 +47,8 @@ from .selector import (
     SelectionConfig,
     compress_instance,  # noqa: F401  not called here; bench/cli_child.py instruments cts.cli by this name
     compress_steps,
+    ended,
     lockstep_step,
-    run_lockstep,
     score_rows,
     score_rows_to_dicts,
 )
@@ -65,12 +65,10 @@ EXIT_BACKEND = 3
 EXIT_INTERRUPT = 130
 
 MAX_WORKERS = 64
-# the window rule (_fills_window): a group closes at SCORE_GROUP instances and GROUP_CHARS
-# characters of thinking text (_groups); it is the unit of dispatch to a lane. One /tokenize POST
-# serves a batch of groups (_batches): --workers groups first, then at least --workers groups and
-# LOOKAHEAD_PER_WORKER x GROUP_CHARS characters. A lane's /logprobs step is full by the window
-# rule over its live instances, and refills as they end. An instance holds its ids, spans and kept
-# mask until its group is returned, and its log-probabilities too only when a score dump writes them.
+# the window rule (_fills_window): a group (_groups), the unit of dispatch to a lane, closes at
+# SCORE_GROUP instances and GROUP_CHARS characters of thinking text, and a lane's /logprobs step is
+# full by the same rule over its live instances. An instance holds its ids, spans and kept mask until
+# its group is returned, and its log-probabilities too only when a score dump writes them.
 SCORE_GROUP = 8
 GROUP_CHARS = 4096
 
@@ -217,6 +215,7 @@ def _write_report(payload: dict[str, Any], args: argparse.Namespace) -> None:
     report_path = getattr(args, "report", None)
     if report_path:
         try:
+            os.makedirs(os.path.dirname(os.path.abspath(report_path)), exist_ok=True)
             with open(report_path, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, ensure_ascii=False, indent=2)
                 fh.write("\n")
@@ -228,12 +227,8 @@ def _write_report(payload: dict[str, Any], args: argparse.Namespace) -> None:
 
 def _emit_report(report: RunReport, args: argparse.Namespace) -> None:
     _write_report(report.to_dict(), args)
-    logger.info(
-        "done: %d ok, %d failed, mean actual ratio %s",
-        report.instances_ok,
-        report.instances_failed,
-        "n/a" if report.mean_actual_ratio is None else f"{report.mean_actual_ratio:.4f}",
-    )
+    mean = "n/a" if report.mean_actual_ratio is None else f"{report.mean_actual_ratio:.4f}"
+    logger.info("done: %d ok, %d failed, mean actual ratio %s", report.instances_ok, report.instances_failed, mean)
 
 
 def _log_skipped(errors: list[DatasetError]) -> None:
@@ -306,9 +301,7 @@ def _batches(groups: Iterable[list[CotInstance]], workers: int) -> Iterator[list
         yield batch
 
 
-def _compress_stream(
-    args: argparse.Namespace, jobs: list[Job], workers: int
-) -> tuple[list[ReportBuilder], bool]:
+def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) -> tuple[list[ReportBuilder], bool]:
     """Read the input once and run every job on each instance; returns (builders, interrupted).
 
     Groups of consecutive instances (``_groups``) are the unit of dispatch.
@@ -318,20 +311,20 @@ def _compress_stream(
     distinct texts of the whole batch, halved when it fails
     (``selector._batch_then_split``). ``map_ordered`` deals group g to lane
     g mod ``workers``, each lane on a thread of its own, and takes a batch's
-    groups as its window of ``runner.LOOKAHEAD_PER_WORKER`` (4) x
-    ``workers`` groups has room, so tokenizing runs at most one batch beyond
-    that window, at one worker too.
+    groups as its window of ``LOOKAHEAD_PER_WORKER`` (4) x ``workers``
+    groups has room, so tokenizing runs at most one batch beyond it.
 
-    Each lane runs one rolling lockstep (``run_lockstep``) over its groups.
-    Before each step its next instances in input order join until the live
-    ones fill the window (``_fills_window``), so an instance that ends frees
-    its place at the next step, and the step's one logprobs call per
-    backend (distinct requests, halved when it fails) serves whatever is
-    live. A lane begins a group only while it holds fewer than
-    ``LOOKAHEAD_PER_WORKER`` groups not yet returned, so it never waits on
-    a group beyond the window, and each admission depends on the lane's own
-    groups alone, so at a given ``workers`` the POST count repeats exactly.
-    Only the instances whose own texts or requests fail are lost.
+    Each lane runs one rolling loop over its groups, the rule that
+    ``tests/test_http_client.py::rolling_posts`` simulates. Before each
+    ``lockstep_step`` it takes its next instances in input order, each with
+    all its selections, until the live ones fill the window
+    (``_fills_window``), so an instance that ends frees its place and the
+    step's one logprobs call per backend serves whatever is live. A lane
+    begins a group only while it holds fewer than ``LOOKAHEAD_PER_WORKER``,
+    so it never waits on a group beyond the window; admission depends on
+    the lane's own groups alone, so at a given ``workers`` the POST count
+    repeats exactly. Only the instances whose own texts or requests fail
+    are lost.
 
     Jobs with equal configs on one backend object are one selection: it is
     tokenized, scored and selected once, and each of those jobs writes and
@@ -354,47 +347,43 @@ def _compress_stream(
     # the selections whose scores a score dump writes; the others keep none past their selection
     dumped = {i for i, job in zip(shared, jobs) if job.dump_path}
 
-    def tokenized_groups() -> Iterator[tuple[list[CotInstance], list]]:
-        # on the calling thread, as map_ordered takes a batch's first group
+    def tokenized_groups() -> Iterator[list[tuple]]:
+        # on the calling thread, as map_ordered takes a batch's first group; each group is its
+        # list of entries (instance, its selections' tasks, their states)
         for batch in _batches(_groups(instances), workers):
             tasks = [(compress_steps(instance, job.config, i in dumped), job.backend)
                      for group in batch for instance in group for i, job in distinct.items()]
-            started = iter(zip(tasks, lockstep_step(tasks)))
+            states, tasks = iter(lockstep_step(tasks)), iter(tasks)
             for group in batch:
-                yield group, [(*task, state) for task, state in itertools.islice(started, len(group) * len(distinct))]
+                yield [(instance, list(itertools.islice(tasks, len(distinct))),
+                        list(itertools.islice(states, len(distinct)))) for instance in group]
 
-    def lane(groups: Iterator[tuple[list[CotInstance], list]]) -> Iterator[list]:
-        # one rolling lockstep over this lane's groups, in order; yields each group's (id, outcomes) list
-        pending: deque = deque()  # (group, its tasks' generators) of each group begun and not yet yielded
-        instance_of = {}  # each begun task's generator -> its instance
-        position = 0  # how many tasks of the newest group are begun
-
-        def begun() -> Iterator[tuple]:
-            nonlocal position
-            for group, tasks in groups:
-                pending.append((group, [steps for steps, *_ in tasks]))
-                for position, task in enumerate(tasks, 1):
-                    instance_of[task[0]] = group[(position - 1) // len(distinct)]
-                    yield task
-
-        def full(live: list) -> bool:
-            if position % len(distinct):  # the selections of an instance join together
-                return False
-            if position == len(pending[-1][1]) and len(pending) >= LOOKAHEAD_PER_WORKER:
-                return True  # a group begins only while fewer than LOOKAHEAD_PER_WORKER are held
-            instances = {id(instance): instance for instance in (instance_of[steps] for steps, _ in live)}.values()
-            return _fills_window(len(instances), sum(len(instance.thinking) for instance in instances))
-
-        done: list = []  # the outcomes of the oldest pending group so far
-        for outcome in run_lockstep(begun(), full):
-            done.append(outcome)
-            group, generators = pending[0]
-            if len(done) == len(generators):
-                pending.popleft()
-                for steps in generators:
-                    del instance_of[steps]
-                outcomes, done = iter(done), []
-                yield [(instance.id, {i: next(outcomes) for i in distinct}) for instance in group]
+    def lane(groups: Iterator[list[tuple]]) -> Iterator[list]:
+        # one rolling loop over this lane's groups, in order; yields each group's (id, outcomes) list
+        held: deque = deque()  # the entries of each group begun and not yet yielded
+        untaken: Iterator[tuple] = iter(())  # the newest group's entries not yet taken
+        live: list[tuple] = []  # the entries taken whose tasks have not all ended, in the order taken
+        while True:
+            # an entry not yet taken has ended only if it ended at tokenizing, and then taking it changes nothing
+            while held and all(ended(states) for *_, states in held[0]):
+                yield [(instance.id, dict(zip(distinct, states))) for instance, _, states in held.popleft()]
+            if not _fills_window(len(live), sum(len(instance.thinking) for instance, *_ in live)):
+                if entry := next(untaken, None):  # an instance joins with all its selections
+                    if not ended(entry[2]):
+                        live.append(entry)
+                    continue
+                # a group begins only while fewer than LOOKAHEAD_PER_WORKER are held
+                if len(held) < LOOKAHEAD_PER_WORKER and (entries := next(groups, None)):
+                    held.append(entries)
+                    untaken = iter(entries)
+                    continue
+            if not live:
+                return
+            states = iter(lockstep_step([task for _, tasks, _ in live for task in tasks],
+                                        [state for *_, states in live for state in states]))
+            for *_, states_of in live:
+                states_of[:] = itertools.islice(states, len(states_of))
+            live = [entry for entry in live if not ended(entry[2])]
 
     interrupted = False
     try:
@@ -444,9 +433,11 @@ def _compress_stream(
     return builders, interrupted
 
 
-def _check_outputs(paths: list[str | None], inputs: list[str | None]) -> None:
-    """Output files must be distinct, none an input, each a regular file if it exists: a usage error before any call."""
-    paths = [path for path in paths if path]
+def _check_outputs(written: list[str | None], inputs: list[str | None], report: str | None = None) -> None:
+    """A usage error before any call: outputs must be distinct, none an input, each a regular file if it
+    exists; the temp file of each ``written`` one (``JsonlWriter``) must be no file of the run and not exist."""
+    written = [path for path in written if path]
+    paths = [*written, report] if report else written
     real = [os.path.realpath(path) for path in paths]
     # a file named twice, or a file named as the directory that holds another
     if len(set(real)) < len(real) or any(os.path.dirname(path) in real for path in real):
@@ -457,6 +448,13 @@ def _check_outputs(paths: list[str | None], inputs: list[str | None]) -> None:
             raise ConfigError(f"output file {path!r} is also an input of the run")
         if os.path.exists(full) and not os.path.isfile(full):
             raise ConfigError(f"output file {path!r} exists and is not a regular file")
+    for path in written:
+        tmp = path + ".tmp"
+        if os.path.realpath(tmp) in read | set(real):
+            raise ConfigError(f"temp file {tmp!r} of output file {path!r} is also an input or output of the run")
+        if os.path.lexists(tmp):
+            raise ConfigError(f"temp file {tmp!r} of output file {path!r} exists; "
+                              "it may be left over from an interrupted run")
 
 
 def _run_jobs(
@@ -468,8 +466,8 @@ def _run_jobs(
     """
     specs = [backend[len("toy:"):] for backend in (settings["backend"], settings["backend_tuned"])
              if backend and backend.startswith("toy:")]
-    _check_outputs([args.report, *(path for job in jobs for path in (job.output_path, job.dump_path))],
-                   [args.input, args.config, *specs])
+    _check_outputs([path for job in jobs for path in (job.output_path, job.dump_path)],
+                   [args.input, args.config, *specs], args.report)
     started = time.monotonic()
     builders, interrupted = _compress_stream(args, jobs, settings["workers"])
     wall = time.monotonic() - started

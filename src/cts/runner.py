@@ -16,10 +16,11 @@ it has not yielded; a lane that asks while it holds that many gets a
 RuntimeError, so a lane that breaks the rule fails instead of hanging.
 Then the lane that holds the oldest item not yet returned never waits on
 an item beyond that window, so the calling thread, which waits for that
-item's result, and the lanes cannot deadlock. The CLI's items are groups of instances, each lane a rolling
-lockstep over its groups (``cts.cli._compress_stream``), and the calling
-thread tokenizes a batch of groups (``cts.cli._batches``) as it takes the
-batch's first group, so it holds at most one batch beyond the window.
+item's result, and the lanes cannot deadlock. The CLI's items are groups
+of instances, and each lane one rolling loop of lockstep steps over its
+groups (``cts.cli._compress_stream``); the calling thread tokenizes a
+batch of groups (``cts.cli._batches``) as it takes the batch's first
+group, so it holds at most one batch beyond the window.
 
 When the caller stops (it closes the iterator, or a lane or ``items``
 raises), each lane takes no more items and ends at its next result, or

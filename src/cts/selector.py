@@ -29,7 +29,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Callable, Generator, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Generator, Hashable, NamedTuple, Sequence
 
 from .backends import LogprobBackend, LogprobRequest, ppl_of
 from .dataset import CompressedInstance, CotInstance
@@ -398,14 +398,20 @@ def _advance(steps: Steps, answers: Any) -> Sequence | Outcome:
         return Outcome(None, exc)
 
 
+def ended(states: Sequence) -> bool:
+    """Whether every task of ``states`` has ended: each state is an ``Outcome``."""
+    return all(isinstance(state, Outcome) for state in states)
+
+
 def lockstep_step(tasks: Sequence[tuple[Steps, LogprobBackend]], states: Sequence | None = None) -> list:
-    """One step of ``run_lockstep``; returns each task's next state.
+    """One step of ``(steps, backend)`` tasks side by side; returns each task's next state.
 
     A task's state is the items its generator last yielded, or its
     ``Outcome`` once it has ended. With no ``states`` the tasks start here.
     The live tasks' texts go to their backend's tokenize and their requests
     to its logprobs_batch, the distinct items of one call at once, halved
-    when a call fails (see _batch_then_split).
+    when a call fails (see _batch_then_split). A CLI lane steps its live
+    instances by it (``cts.cli._compress_stream``).
     """
     if states is None:
         states = [_advance(steps, None) for steps, _ in tasks]
@@ -421,46 +427,18 @@ def lockstep_step(tasks: Sequence[tuple[Steps, LogprobBackend]], states: Sequenc
     return states
 
 
-def run_lockstep(
-    tasks: Iterable[tuple], full: Callable[[list], bool] = lambda live: False
-) -> Iterator[Outcome]:
-    """Run step generators side by side, one call per backend per step, taking new tasks as others end.
+def run_lockstep(tasks: Sequence[tuple[Steps, LogprobBackend]]) -> list[Outcome]:
+    """Run ``(steps, backend)`` tasks side by side to their ends; returns each task's ``Outcome``, in order.
 
-    Each step is one ``lockstep_step``. A task is ``(steps, backend)``, or
-    ``(steps, backend, state)`` to resume it from the state an earlier
-    ``lockstep_step`` left it in. Before each step, tasks are taken from
-    ``tasks`` in order until ``full(live)`` holds for the live tasks, the
-    ``(steps, backend)`` pairs taken and not yet ended (it is asked only
-    while some are live); by default every task is taken before the first
-    step. So a task that ends frees its place for the next one at the next
-    step, and a step's round trip is shared by whatever tasks are live in
-    it. Tasks that share a text or a request (the selections run on one
-    instance share the thinking and their unconditional contexts, always
-    in the same step) send it once. Yields each task's ``Outcome`` in task
-    order, once it and every earlier task have ended, and before the next
-    task is taken. A BackendUnavailable is not a per-task failure: it
-    propagates.
+    Each step is one ``lockstep_step`` over the tasks not yet ended. Tasks
+    that share a text or a request (the selections run on one instance
+    share the thinking and their unconditional contexts, always in the same
+    step) send it once. A BackendUnavailable propagates.
     """
-    tasks = iter(tasks)
-    taken: list[tuple[Steps, LogprobBackend]] = []
-    states: list = []
-    while True:
-        live = [task for task, state in zip(taken, states) if not isinstance(state, Outcome)]
-        while True:
-            # the ended tasks at the head go out before another is taken, whether or not any is live
-            ended = next((i for i, state in enumerate(states) if not isinstance(state, Outcome)), len(states))
-            yield from states[:ended]
-            del taken[:ended], states[:ended]
-            if live and full(live) or (task := next(tasks, None)) is None:
-                break
-            steps, backend, *state = task
-            taken.append((steps, backend))
-            states.append(state[0] if state else _advance(steps, None))
-            if not isinstance(states[-1], Outcome):
-                live.append(taken[-1])
-        if not live:
-            return
-        states = lockstep_step(taken, states)
+    states = lockstep_step(tasks)
+    while not ended(states):
+        states = lockstep_step(tasks, states)
+    return states
 
 
 def _run_alone(steps: Steps, backend: LogprobBackend) -> Any:

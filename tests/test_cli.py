@@ -844,10 +844,14 @@ class TestFilePaths:
         assert run_cli(argv_for(command, toy_env, toy_env["corpus"], out)) == 2
         assert_one_error_naming(capfd, out)
 
-    def test_report_in_a_missing_directory_exits_2(self, toy_env, capfd):
+    @pytest.mark.parametrize("command", ["compress", "ablate"])
+    def test_a_report_in_a_missing_directory_is_written(self, toy_env, command):
+        # the report's directory is made, as every other output's is, so the run does not fail at its end
         report = toy_env["dir"] / "missing" / "report.json"
-        assert run_cli(compress_args(toy_env, extra=["--report", str(report)])) == 2
-        assert_one_error_naming(capfd, report)
+        argv = {"compress": compress_args(toy_env), "ablate": ablate_args(toy_env, toy_env["dir"] / "ablate")}[command]
+        assert run_cli([*argv, "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["base"]["instances_ok"] == 40 if command == "ablate" else payload["instances_ok"] == 40
 
     @pytest.mark.parametrize("clash", ["dump", "report", "directory", "score-report", "ablate-report",
                                        "ablate-report-directory"])
@@ -969,6 +973,42 @@ class TestFilePaths:
             assert (sorted(os.listdir(work)), sorted(os.listdir(work / "ablate"))) == before
             mode = os.stat(special).st_mode
             assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISSOCK(mode)
+
+    # an output goes to its temp file (path + ".tmp") first, then is renamed over the path
+    @pytest.mark.parametrize("clash", ["input", "dump", "report", "leftover", "ablate-leftover", "emit-input",
+                                       "emit-leftover"])
+    def test_an_output_whose_temp_file_clashes_exits_2_and_leaves_every_file(self, toy_env, capfd, clash):
+        from http_stub import StubServer
+
+        work = toy_env["dir"]
+        corpus = read_jsonl_file(toy_env["corpus"])
+        data, tmp = work / "data.jsonl", work / "data.jsonl.tmp"
+        (work / "ablate").mkdir()
+        compressed = write_jsonl_file([{"id": "c", "problem": "", "compressed_thinking": "A", "answer": "B",
+                                        "nominal_ratio": 0.5, "actual_ratio": 0.5, "kept_count": 1,
+                                        "original_count": 2}], work / "compressed.jsonl")
+        write_jsonl_file(corpus, data)
+        write_jsonl_file(read_jsonl_file(compressed) if clash.startswith("emit") else corpus, tmp)
+        named, argv = tmp, {
+            "input": compress_args(toy_env, extra=["--input", str(tmp), "--output", str(data)]),
+            "dump": compress_args(toy_env, extra=["--output", str(tmp), "--score-dump", str(data)]),
+            "report": compress_args(toy_env, extra=["--output", str(data), "--report", str(tmp)]),
+            "leftover": compress_args(toy_env, extra=["--output", str(data)]),
+            "ablate-leftover": ablate_args(toy_env, work / "ablate"),
+            "emit-input": ["emit", "sft", "--input", str(tmp), "--output", str(data)],
+            "emit-leftover": ["emit", "sft", "--input", compressed, "--output", str(data)],
+        }[clash]
+        if clash == "ablate-leftover":
+            named = work / "ablate" / "proposed.jsonl.tmp"
+            write_jsonl_file(corpus, named)
+        files = {path: path.read_bytes() for path in [*work.iterdir(), *(work / "ablate").iterdir()] if path.is_file()}
+        with StubServer(ToyBackend(shift_spec())) as server:
+            backend = [] if argv[0] == "emit" else ["--backend", f"http:{server.url}"]
+            assert run_cli([*argv, *backend]) == 2
+        assert_one_error_naming(capfd, named)
+        assert server.state.request_count == 0
+        assert {path: path.read_bytes() for path in [*work.iterdir(), *(work / "ablate").iterdir()]
+                if path.is_file()} == files
 
     def test_emit_to_a_directory_exits_2_and_leaves_no_file(self, toy_env, capfd):
         compressed, out = toy_env["dir"] / "out.jsonl", toy_env["dir"] / "sft"

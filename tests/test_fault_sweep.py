@@ -7,7 +7,9 @@ answers one item short in any call holding a marker. Every run must end;
 exactly the marked instances fail, each logged with the message it gets when
 compressed alone; every other line equals the toy backend's; the exit code is
 3 when a transient fault outlasts the retries, else 1 or 0; and no lane
-thread or connection is left.
+thread or connection is left. A second property runs the same CLI on the
+toy backend without faults: every line it writes equals its instance
+compressed alone, whatever the lanes' rolling admission put beside it.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
@@ -29,7 +31,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import cts.cli  # noqa: E402
 from cts.backends import HttpBackend, HttpBackendConfig, ToyBackend  # noqa: E402
-from cts.dataset import CotInstance  # noqa: E402
+from cts.dataset import CotInstance, compressed_to_dict  # noqa: E402
 from cts.errors import CtsError  # noqa: E402
 from cts.runner import LOOKAHEAD_PER_WORKER  # noqa: E402
 from cts.selector import SelectionConfig, compress_instance  # noqa: E402
@@ -182,3 +184,28 @@ def test_faults_fail_exactly_the_marked_instances(command, scope, workers, over_
                 alone.close()
                 assert failures.messages == logged
             assert server.wait_until_all_closed()
+
+
+@settings(deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["compress", "ablate"]),
+    scope=st.sampled_from(sorted(SCOPES)),
+    workers=st.sampled_from([2, 3, 1]),
+    seed=st.integers(0, 2**16),
+)
+def test_every_line_equals_its_instance_compressed_alone(command, scope, workers, seed):
+    rng = random.Random(seed)
+    # more groups than map_ordered's window of LOOKAHEAD_PER_WORKER x workers, of 1 to 4 segments each
+    records, _ = corpus(rng, LOOKAHEAD_PER_WORKER * workers + rng.randint(1, 3), 0.0, [])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus_path = write_jsonl_file(records, tmp / "corpus.jsonl")
+        toy = f"toy:{write_spec_file(SPEC, tmp / 'spec.json')}"
+        with mock.patch.multiple(cts.cli, SCORE_GROUP=GROUP, GROUP_CHARS=0):
+            assert cts.cli.main(argv(command, corpus_path, tmp / "out", scope, workers, toy)) == 0
+        written = output_lines(tmp / "out", command)
+    backend = ToyBackend(SPEC)
+    instances = [CotInstance(r["id"], r["problem"], r["thinking"], r["answer"]) for r in records]
+    alone = [compressed_to_dict(compress_instance(instance, config, backend)[0])
+             for _, config in jobs(command, scope) for instance in instances]
+    assert written == [json.dumps(record, ensure_ascii=False).encode() + b"\n" for record in alone]

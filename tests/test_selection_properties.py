@@ -174,24 +174,11 @@ def lockstep_tasks(group, configs, backend):
 
 
 @settings(max_examples=100, deadline=None)
-@given(groups, alphas, st.booleans(), st.sampled_from(["global", "per_segment"]), st.booleans(),
-       st.none() | st.integers(min_value=1, max_value=6))
-def test_lockstep_group_equals_one_instance_at_a_time(group, alpha, conditional, scope, original_prefix, width):
+@given(groups, alphas, st.booleans(), st.sampled_from(["global", "per_segment"]), st.booleans())
+def test_lockstep_group_equals_one_instance_at_a_time(group, alpha, conditional, scope, original_prefix):
     config = scoring_config(scope, original_prefix, alpha=alpha, conditional=conditional)
     alone = [(compress_instance(inst, config, BACKEND), None) for inst in group]
-    if width is None:  # every task taken at once
-        assert [rows_of(outcome, config) for outcome in run_lockstep(lockstep_tasks(group, [config], BACKEND))] == alone
-        return
-
-    def full(live):
-        assert live  # asked only while some task is live
-        return len(live) >= width
-
-    # rolling: a task joins, from a lazy iterable, as soon as fewer than ``width`` are live
-    backend = BatchLog()
-    outcomes = run_lockstep(iter(lockstep_tasks(group, [config], backend)), full)
-    assert [rows_of(outcome, config) for outcome in outcomes] == alone
-    assert all(len(batch) <= 2 * width for batch in backend.batches)
+    assert [rows_of(outcome, config) for outcome in run_lockstep(lockstep_tasks(group, [config], BACKEND))] == alone
 
 
 @settings(max_examples=100, deadline=None)
