@@ -5,7 +5,6 @@ from .backends import (
     HttpBackendConfig,
     LogprobBackend,
     LogprobRequest,
-    LogprobResponse,
     ToyBackend,
     ToyLmSpec,
     ppl_of,
@@ -40,7 +39,6 @@ from .errors import (
 )
 from .report import ReportBuilder, RunReport, report_from_records
 from .selector import (
-    Segment,
     SelectionConfig,
     SelectionResult,
     TokenScoreRow,

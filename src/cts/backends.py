@@ -1,7 +1,7 @@
 """Log-probability backends.
 
-A backend is anything that can (a) tokenize texts into (token id, surface
-span) pairs whose spans concatenate back to the input, and (b) report
+A backend is anything that can (a) tokenize texts into token ids and
+their surface spans, which concatenate back to the input, and (b) report
 per-position next-token log probabilities, base 2, for a batch of spans
 of id contexts. Two implementations ship here:
 
@@ -24,6 +24,7 @@ import json
 import math
 import queue
 import random
+import re
 import ssl
 import time
 import urllib.parse
@@ -44,11 +45,6 @@ class LogprobRequest:
     context: Sequence[int]
     start: int
     end: int
-
-
-@dataclass
-class LogprobResponse:
-    logprobs_bits: list[float]
 
 
 def ppl_of(logprob_bits: float) -> float:
@@ -81,18 +77,19 @@ class LogprobBackend(abc.ABC):
     """Uniform contract for obtaining per-token log probabilities."""
 
     @abc.abstractmethod
-    def tokenize(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
-        """Split each text into (token id, surface span) pairs, answers in input order.
+    def tokenize(self, texts: Sequence[str]) -> list[tuple[list[int], list[str]]]:
+        """Split each text into tokens: one (ids, spans) per text, in input order.
 
-        A bare str raises TypeError. A text's spans concatenate to it byte
-        for byte, and the answer is deterministic for a fixed backend.
+        ids and spans are lists of equal length, one entry per token. A bare
+        str raises TypeError. A text's spans concatenate to it byte for
+        byte, and the answer is deterministic for a fixed backend.
         tokenize(x) + tokenize(y) need not equal tokenize(x + y); callers
         must tokenize each text field once and concatenate ids.
         """
 
     @abc.abstractmethod
-    def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
-        """Score each request, answers in request order. Deterministic for fixed backend state."""
+    def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[list[float]]:
+        """Score each request: one list of log2 P for [start, end) per request, in order; deterministic."""
 
     def close(self) -> None:
         """Release what the backend holds open; this default holds nothing."""
@@ -166,24 +163,25 @@ class ToyBackend(LogprobBackend):
             prev_id = -1 if prev == START else self._token_to_id[prev]
             self._rows[prev_id] = {self._token_to_id[tok]: p for tok, p in row.items()}
 
-    def tokenize(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
+    def tokenize(self, texts: Sequence[str]) -> list[tuple[list[int], list[str]]]:
         return [self._tokenize(text) for text in _texts(texts)]
 
-    def _tokenize(self, text: str) -> list[tuple[int, str]]:
+    def _tokenize(self, text: str) -> tuple[list[int], list[str]]:
         # greedy longest match over the closed vocabulary
-        out: list[tuple[int, str]] = []
-        i = 0
-        n = len(text)
+        ids: list[int] = []
+        spans: list[str] = []
+        i, n = 0, len(text)
         while i < n:
             for length in self._lengths:
                 candidate = text[i : i + length]
                 if len(candidate) == length and candidate in self._token_to_id:
-                    out.append((self._token_to_id[candidate], candidate))
+                    ids.append(self._token_to_id[candidate])
+                    spans.append(candidate)
                     i += length
                     break
             else:
                 raise TokenizeError(f"no vocabulary token matches text at offset {i}: {text[i : i + 16]!r}")
-        return out
+        return ids, spans
 
     def probability(self, prev_id: int, token_id: int) -> float:
         """Table lookup P(token | prev); prev_id -1 selects the START row."""
@@ -193,18 +191,14 @@ class ToyBackend(LogprobBackend):
             raise BackendProtocolError(f"toy model has no distribution row for previous token {prev!r}")
         return row.get(token_id, 0.0)
 
-    def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
+    def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[list[float]]:
         return [self._score(r) for r in requests_]
 
-    def _score(self, request: LogprobRequest) -> LogprobResponse:
+    def _score(self, request: LogprobRequest) -> list[float]:
         _validate_request(request, vocab_size=len(self.spec.vocabulary))
         ctx = request.context
-        bits: list[float] = []
-        for t in range(request.start, request.end):
-            prev_id = ctx[t - 1] if t > 0 else -1
-            p = self.probability(prev_id, ctx[t])
-            bits.append(math.log2(p) if p > 0.0 else -math.inf)
-        return LogprobResponse(bits)
+        ps = (self.probability(ctx[t - 1] if t > 0 else -1, ctx[t]) for t in range(request.start, request.end))
+        return [math.log2(p) if p > 0.0 else -math.inf for p in ps]
 
 
 # post(path, body, headers) -> (status, response headers, response body): one HTTP POST
@@ -223,6 +217,10 @@ def _split_url(url: str) -> urllib.parse.SplitResult:
         raise ConfigError(f"backend URL {url!r} has an invalid port or IPv6 host: {exc}") from exc
     if split.scheme not in ("http", "https") or not split.hostname:
         raise ConfigError(f"backend URL {url!r} needs an http(s) scheme and a host")
+    # http.client sends a path only of printable ASCII; urlsplit drops tabs and newlines unseen
+    if split.query or split.fragment or re.search(r"[^\x21-\x7e]", split.path) or re.search(r"[\t\n\r]", url):
+        raise ConfigError(f"backend URL {url!r} cannot be sent: it needs a printable ASCII path, no tab or "
+                          "newline, and no query or fragment (the request paths would drop them)")
     return split
 
 
@@ -265,7 +263,8 @@ class HttpBackend(LogprobBackend):
     the text) are BackendProtocolError and never retried; any other
     failure to send a request is a BackendError.
     Requests are idempotent so retries are safe. ``sleep`` and ``uniform``
-    are the clock and random source of the backoff.
+    are the clock and random source of the backoff. A token or base URL
+    that http.client cannot send is a ConfigError here, before any POST.
     """
 
     def __init__(
@@ -282,6 +281,9 @@ class HttpBackend(LogprobBackend):
         self._base_path = url.path.rstrip("/")
         self._headers = {"Content-Type": "application/json"}
         if config.token:
+            if re.search(r"[^\x20-\x7e\xa0-\xff]", config.token):  # never print the token itself
+                raise ConfigError("the backend token (CTS_BACKEND_TOKEN) holds a control character or one outside "
+                                  "Latin-1, which an HTTP header cannot carry")
             self._headers["Authorization"] = f"Bearer {config.token}"
         connection_class, tls = http.client.HTTPConnection, {}
         if url.scheme == "https":
@@ -362,14 +364,14 @@ class HttpBackend(LogprobBackend):
             f"{url} unreachable after {self.config.max_retries + 1} attempts: {last_exc}"
         ) from last_exc
 
-    def tokenize(self, texts: Sequence[str]) -> list[list[tuple[int, str]]]:
+    def tokenize(self, texts: Sequence[str]) -> list[tuple[list[int], list[str]]]:
         data = self._post("/tokenize", [{"text": text} for text in _texts(texts)])
         if not isinstance(data, list) or len(data) != len(texts):
             raise BackendProtocolError("batched tokenize response is not a matching-length array")
         return [self._parse_tokens(d, text) for d, text in zip(data, texts)]
 
     @staticmethod
-    def _parse_tokens(data, text: str) -> list[tuple[int, str]]:
+    def _parse_tokens(data, text: str) -> tuple[list[int], list[str]]:
         ids = data.get("token_ids") if isinstance(data, dict) else None
         spans = data.get("spans") if isinstance(data, dict) else None
         if not isinstance(ids, list) or not isinstance(spans, list):
@@ -380,9 +382,9 @@ class HttpBackend(LogprobBackend):
             raise BackendProtocolError("tokenize response has a token id that is not a non-negative integer")
         if not all(type(span) is str for span in spans) or "".join(spans) != text:
             raise BackendProtocolError("tokenize spans do not concatenate back to the input text")
-        return list(zip(ids, spans))
+        return ids, spans
 
-    def _parse_response(self, data, request: LogprobRequest) -> LogprobResponse:
+    def _parse_response(self, data, request: LogprobRequest) -> list[float]:
         raw = data.get("logprobs_bits") if isinstance(data, dict) else None
         if not isinstance(raw, list):
             raise BackendProtocolError("logprob response missing the logprobs_bits array")
@@ -400,9 +402,9 @@ class HttpBackend(LogprobBackend):
                 raise BackendProtocolError("remote backend reported a non-finite log probability")
             if v > 0.0:
                 raise BackendProtocolError(f"remote backend reported a positive log probability {v!r} (P > 1)")
-        return LogprobResponse(bits)
+        return bits
 
-    def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[LogprobResponse]:
+    def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[list[float]]:
         if not requests_:
             return []
         for r in requests_:

@@ -123,14 +123,6 @@ class TokenScoreRow:
 
 
 @dataclass(slots=True)
-class Segment:
-    """Half-open token index range [start, end) over the thinking tokens."""
-
-    start: int
-    end: int
-
-
-@dataclass(slots=True)
 class SelectionResult:
     threshold: float
     kept_mask: list[bool]
@@ -176,15 +168,15 @@ def _segment_steps(history: Sequence[int], cond_prefix: Sequence[int], ids: Sequ
 
     The unconditional context is history + ids, the conditional one
     cond_prefix + history + ids (without ``conditional``, both lists are the
-    unconditional one). A CtsError among the responses becomes a
+    unconditional one). A CtsError among the answers becomes a
     ScoringError naming thinking tokens [first_position, first_position + n).
     """
     n = len(ids)
     contexts = [[*history, *ids] if history else ids]  # no copy of ids while the request waits to be sent
     if config.conditional:
         contexts.append([*cond_prefix, *history, *ids])
-    responses = yield [LogprobRequest(context, len(context) - n, len(context)) for context in contexts]
-    failed = next((response for response in responses if isinstance(response, CtsError)), None)
+    answers = yield [LogprobRequest(context, len(context) - n, len(context)) for context in contexts]
+    failed = next((answer for answer in answers if isinstance(answer, CtsError)), None)
     if failed is not None:
         raise ScoringError(
             f"instance {instance_id}: backend failed scoring thinking tokens "
@@ -192,8 +184,7 @@ def _segment_steps(history: Sequence[int], cond_prefix: Sequence[int], ids: Sequ
             instance_id,
             (first_position, first_position + n),
         ) from failed
-    lp_uncond = responses[0].logprobs_bits
-    return lp_uncond, responses[1].logprobs_bits if config.conditional else lp_uncond
+    return answers[0], answers[1] if config.conditional else answers[0]
 
 
 def score_tokens(
@@ -211,8 +202,8 @@ def score_tokens(
     return score_rows(spans, *_run_alone(steps, backend), config, first_position)
 
 
-def segment_thinking(n_tokens: int, spans: Sequence[str], config: SelectionConfig) -> list[Segment]:
-    """Partition [0, n) into contiguous segments of at most segment_budget tokens.
+def segment_thinking(n_tokens: int, spans: Sequence[str], config: SelectionConfig) -> list[range]:
+    """Partition [0, n) into contiguous segments of at most segment_budget tokens, each a range of token indices.
 
     Oversized cuts move backward up to boundary_slack positions to the
     nearest boundary whose preceding span ends with whitespace or sentence
@@ -220,29 +211,21 @@ def segment_thinking(n_tokens: int, spans: Sequence[str], config: SelectionConfi
     """
     if n_tokens < 1:
         raise ConfigError("cannot segment an empty token sequence")
-    budget = config.segment_budget
-    slack = config.boundary_slack
-    segments: list[Segment] = []
+    budget, slack = config.segment_budget, config.boundary_slack
+    segments: list[range] = []
     start = 0
     while n_tokens - start > budget:
         end = start + budget
-        cut = end
-        lowest = max(start + 1, end - slack)
-        for j in range(end - 1, lowest - 1, -1):
-            if _ends_on_boundary(spans[j - 1]):
-                cut = j
-                break
-        segments.append(Segment(start, cut))
+        candidates = range(end - 1, max(start + 1, end - slack) - 1, -1)  # latest first
+        cut = next((j for j in candidates if _ends_on_boundary(spans[j - 1])), end)
+        segments.append(range(start, cut))
         start = cut
-    segments.append(Segment(start, n_tokens))
+    segments.append(range(start, n_tokens))
     return segments
 
 
 def _ends_on_boundary(span: str) -> bool:
-    if not span:
-        return False
-    last = span[-1]
-    return last.isspace() or last in _BOUNDARY_PUNCT
+    return bool(span) and (span[-1].isspace() or span[-1] in _BOUNDARY_PUNCT)
 
 
 def kept_count_for(alpha: float, n: int) -> int:
@@ -305,29 +288,28 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
             raise ScoringError(
                 f"instance {instance.id}: cannot tokenize {field}: {answer}", instance.id
             ) from answer
-    ids, spans = [t for t, _ in answers[0]], [s for _, s in answers[0]]
-    cond_prefix = [t for t, _ in answers[1]] if condition else []
-    del answers  # its (id, span) tuples, one per token, would live as long as the generator
+    ids, spans = answers[0]
+    cond_prefix = answers[1][0] if condition else []
     n, whole = len(ids), config.selection_scope == "global"
     fixed = whole or config.iterative_original_prefix  # the history does not depend on the selection
-    segments = [Segment(0, n)] if whole else segment_thinking(n, spans, config)
+    segments = [range(n)] if whole else segment_thinking(n, spans, config)
     lp_uncond, lp_cond = array("d"), array("d")  # of the tokens scored so far; each step's answers are appended
     mask: list[bool] = []
     threshold = math.inf
     kept_prefix: list[int] = []
     for seg in segments:
-        if len(lp_uncond) < seg.end:  # not scored yet; where the history is fixed, the first step scores [0, n)
+        if len(lp_uncond) < seg.stop:  # not scored yet; where the history is fixed, the first step scores [0, n)
             step = yield from _segment_steps(
-                kept_prefix, cond_prefix, ids if fixed else ids[seg.start : seg.end], seg.start, config, instance.id
+                kept_prefix, cond_prefix, ids if fixed else ids[seg.start : seg.stop], seg.start, config, instance.id
             )
             lp_uncond.extend(step[0])
             lp_cond.extend(step[1])
         seg_selection = select_tokens(
-            [_token_score(lp_uncond[i], lp_cond[i], config)[2] for i in range(seg.start, seg.end)], config
+            [_token_score(lp_uncond[i], lp_cond[i], config)[2] for i in seg], config
         )
         mask.extend(seg_selection.kept_mask)
         threshold = min(threshold, seg_selection.threshold)
-        kept_prefix.extend(ids[i] for i in range(seg.start, seg.end) if mask[i])
+        kept_prefix.extend(ids[i] for i in seg if mask[i])
     selection = SelectionResult(threshold=threshold, kept_mask=mask, kept_count=sum(mask))
 
     compressed = "".join(span for span, keep in zip(spans, mask) if keep)

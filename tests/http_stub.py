@@ -61,7 +61,7 @@ class UntokenizableAnswers(ToyBackend):
         try:
             return super()._tokenize(text)
         except TokenizeError:
-            return []
+            return [], []
 
 
 class ShortAnswers(ToyBackend):
@@ -135,7 +135,7 @@ class _Handler(BaseHTTPRequestHandler):
         if state.faults is not None and self._transient_fault(body):
             return
         if self.path.endswith("/tokenize"):
-            answers = [self._tokens(pairs) for pairs in state.backend.tokenize([d["text"] for d in data])]
+            answers = [self._tokens(*answer) for answer in state.backend.tokenize([d["text"] for d in data])]
         elif self.path.endswith("/logprobs"):
             answers = [self._score(d) for d in data]
         else:
@@ -174,16 +174,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(503, {"error": "busy"}, [("Retry-After", "0")] if fault == "503-retry-after-0" else [])
         return fault is not None
 
-    def _tokens(self, pairs: list) -> dict:
-        spans = [s for _, s in pairs]
+    def _tokens(self, ids: list, spans: list) -> dict:
         if self.state.corrupt_spans and spans:
             spans = spans[:-1] + [spans[-1] + "?"]
-        return {"token_ids": [t for t, _ in pairs], "spans": spans}
+        return {"token_ids": ids, "spans": spans}
 
     def _score(self, payload: dict) -> dict:
         state = self.state
         req = LogprobRequest(payload["context_ids"], payload["start"], payload["end"])
-        bits = state.backend.logprobs_batch([req])[0].logprobs_bits
+        bits = state.backend.logprobs_batch([req])[0]
         if state.report_non_finite:
             bits = [-math.inf] * len(bits)
         if state.truncate_logprobs and bits:

@@ -52,18 +52,17 @@ class TestPplOf:
 
 class TestToyTokenize:
     def test_whitespace_preserving_split(self, uniform4_backend):
-        pairs = uniform4_backend.tokenize(["A B"])[0]
-        assert [s for _, s in pairs] == ["A", " ", "B"]
-        ids = [t for t, _ in pairs]
+        ids, spans = uniform4_backend.tokenize(["A B"])[0]
+        assert spans == ["A", " ", "B"]
         assert ids == [uniform4_backend._token_to_id[s] for s in ("A", " ", "B")]
 
     def test_empty_text(self, uniform4_backend):
-        assert uniform4_backend.tokenize([""])[0] == []
+        assert uniform4_backend.tokenize([""])[0] == ([], [])
 
     def test_spans_concatenate_to_input(self, uniform4_backend):
         text = "ABC A CB  BA"
-        pairs = uniform4_backend.tokenize([text])[0]
-        assert "".join(s for _, s in pairs) == text
+        _, spans = uniform4_backend.tokenize([text])[0]
+        assert "".join(spans) == text
 
     def test_unknown_span_reports_offset(self, uniform4_backend):
         with pytest.raises(TokenizeError) as exc:
@@ -74,9 +73,9 @@ class TestToyTokenize:
     def test_greedy_longest_match(self):
         spec = uniform_spec(["a", "ab", "b"])
         backend = ToyBackend(spec)
-        assert [s for _, s in backend.tokenize(["ab"])[0]] == ["ab"]
-        assert [s for _, s in backend.tokenize(["ba"])[0]] == ["b", "a"]
-        assert [s for _, s in backend.tokenize(["abb"])[0]] == ["ab", "b"]
+        assert backend.tokenize(["ab"])[0][1] == ["ab"]
+        assert backend.tokenize(["ba"])[0][1] == ["b", "a"]
+        assert backend.tokenize(["abb"])[0][1] == ["ab", "b"]
 
     def test_answers_in_input_order(self, uniform4_backend):
         texts = ["A B", "", "CBA", "A B"]
@@ -90,9 +89,9 @@ class TestToyTokenize:
 
 class TestToyLogprobs:
     def test_uniform_rows_over_4_tokens(self, uniform4_backend):
-        ctx = [t for t, _ in uniform4_backend.tokenize(["ABC"])[0]]
+        ctx = uniform4_backend.tokenize(["ABC"])[0][0]
         resp = uniform4_backend.logprobs_batch([LogprobRequest(ctx, 0, 3)])[0]
-        assert resp.logprobs_bits == [-2.0, -2.0, -2.0]
+        assert resp == [-2.0, -2.0, -2.0]
 
     def test_bigram_half_probability(self):
         vocab = ["A", "B"]
@@ -105,9 +104,9 @@ class TestToyLogprobs:
             },
         )
         backend = ToyBackend(spec)
-        ctx = [t for t, _ in backend.tokenize(["AB"])[0]]
+        ctx = backend.tokenize(["AB"])[0][0]
         resp = backend.logprobs_batch([LogprobRequest(ctx, 1, 2)])[0]
-        assert resp.logprobs_bits == [-1.0]
+        assert resp == [-1.0]
 
     def test_eighth_probability_is_three_bits(self):
         # oracle: read P(C | B) = 0.125 directly from the table -> -3 bits
@@ -120,9 +119,9 @@ class TestToyLogprobs:
             },
         )
         backend = ToyBackend(spec)
-        ctx = [t for t, _ in backend.tokenize(["BC"])[0]]
+        ctx = backend.tokenize(["BC"])[0][0]
         resp = backend.logprobs_batch([LogprobRequest(ctx, 1, 2)])[0]
-        assert resp.logprobs_bits == [-3.0]
+        assert resp == [-3.0]
 
     def test_start_row_scores_position_zero(self):
         spec = ToyLmSpec(
@@ -130,8 +129,8 @@ class TestToyLogprobs:
             table={"START": {"A": 0.25, "B": 0.75}, "A": {"A": 0.5, "B": 0.5}, "B": {"A": 1.0}},
         )
         backend = ToyBackend(spec)
-        ctx = [t for t, _ in backend.tokenize(["A"])[0]]
-        assert backend.logprobs_batch([LogprobRequest(ctx, 0, 1)])[0].logprobs_bits == [-2.0]
+        ctx = backend.tokenize(["A"])[0][0]
+        assert backend.logprobs_batch([LogprobRequest(ctx, 0, 1)])[0] == [-2.0]
 
     def test_zero_probability_reports_negative_infinity(self):
         spec = ToyLmSpec(
@@ -139,8 +138,8 @@ class TestToyLogprobs:
             table={"START": {"A": 1.0}, "A": {"A": 1.0}, "B": {"A": 1.0}},
         )
         backend = ToyBackend(spec)
-        ctx = [t for t, _ in backend.tokenize(["AB"])[0]]
-        bits = backend.logprobs_batch([LogprobRequest(ctx, 0, 2)])[0].logprobs_bits
+        ctx = backend.tokenize(["AB"])[0][0]
+        bits = backend.logprobs_batch([LogprobRequest(ctx, 0, 2)])[0]
         assert bits[0] == 0.0
         assert bits[1] == -math.inf
         assert ppl_of(bits[1]) == math.inf
@@ -153,19 +152,19 @@ class TestToyLogprobs:
             ctx = [rng.randrange(len(vocab)) for _ in range(rng.randint(2, 12))]
             start = rng.randrange(len(ctx))
             resp = backend.logprobs_batch([LogprobRequest(ctx, start, len(ctx))])[0]
-            for offset, bits in enumerate(resp.logprobs_bits):
+            for offset, bits in enumerate(resp):
                 t = start + offset
                 prev = ctx[t - 1] if t > 0 else -1
                 p = backend.probability(prev, ctx[t])
                 assert ppl_of(bits) == pytest.approx(1.0 / p, abs=1e-12)
 
     def test_determinism(self, uniform4_backend):
-        ctx = [t for t, _ in uniform4_backend.tokenize(["ABCA CB"])[0]]
+        ctx = uniform4_backend.tokenize(["ABCA CB"])[0][0]
         req = LogprobRequest(ctx, 0, len(ctx))
         assert uniform4_backend.logprobs_batch([req])[0] == uniform4_backend.logprobs_batch([req])[0]
 
     def test_thread_safety_of_shared_backend(self, shift_backend):
-        ctx = [t for t, _ in shift_backend.tokenize(["ABCABC"])[0]]
+        ctx = shift_backend.tokenize(["ABCABC"])[0][0]
         req = LogprobRequest(ctx, 0, len(ctx))
         expected = shift_backend.logprobs_batch([req])[0]
         results = [None] * 8
@@ -195,7 +194,7 @@ class TestContract:
     def test_backend_without_logprobs_batch_cannot_be_made(self):
         class TokenizeOnly(LogprobBackend):
             def tokenize(self, texts):
-                return [[] for _ in texts]
+                return [([], []) for _ in texts]
 
         with pytest.raises(TypeError, match="logprobs_batch"):
             TokenizeOnly()
@@ -268,7 +267,7 @@ class TestHttpBackend:
             client = self._client(server)
             text = "AB C:42"
             assert client.tokenize([text])[0] == shift_backend.tokenize([text])[0]
-            ctx = [t for t, _ in shift_backend.tokenize([text])[0]]
+            ctx = shift_backend.tokenize([text])[0][0]
             req = LogprobRequest(ctx, 1, len(ctx))
             assert client.logprobs_batch([req])[0] == shift_backend.logprobs_batch([req])[0]
 
@@ -289,7 +288,7 @@ class TestHttpBackend:
     def test_batch_matches_sequential(self, shift_backend):
         with StubServer(shift_backend) as server:
             client = self._client(server)
-            ctx = [t for t, _ in shift_backend.tokenize(["ABCABC"])[0]]
+            ctx = shift_backend.tokenize(["ABCABC"])[0][0]
             reqs = [LogprobRequest(ctx, 0, 3), LogprobRequest(ctx, 3, 6)]
             assert client.logprobs_batch(reqs) == [client.logprobs_batch([r])[0] for r in reqs]
             assert client.logprobs_batch([]) == []
@@ -299,7 +298,7 @@ class TestHttpBackend:
             server.state.fail_next = 2
             client = self._client(server)
             resp = client.logprobs_batch([LogprobRequest([0, 1, 2], 0, 3)])[0]
-            assert resp.logprobs_bits == [-2.0, -2.0, -2.0]
+            assert resp == [-2.0, -2.0, -2.0]
 
     def test_unreachable_after_retries(self, uniform4_backend):
         with StubServer(uniform4_backend) as server:
@@ -358,8 +357,8 @@ class TestHttpBackend:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(payload))
         backend = ToyBackend(ToyLmSpec.from_file(str(path)))
-        ctx = [t for t, _ in backend.tokenize(["AB"])[0]]
-        assert backend.logprobs_batch([LogprobRequest(ctx, 0, 2)])[0].logprobs_bits == [-1.0, 0.0]
+        ctx = backend.tokenize(["AB"])[0][0]
+        assert backend.logprobs_batch([LogprobRequest(ctx, 0, 2)])[0] == [-1.0, 0.0]
 
 
 TEXT = "AB"
@@ -385,8 +384,8 @@ class TestWireBoundary:
             fake_client([{"logprobs_bits": bits}]).logprobs_batch([REQUEST])
 
     def test_valid_payloads_still_parse(self):
-        assert fake_client([{"token_ids": [0, 1], "spans": ["A", "B"]}]).tokenize([TEXT]) == [[(0, "A"), (1, "B")]]
-        assert fake_client([{"logprobs_bits": [-1, 0.0]}]).logprobs_batch([REQUEST])[0].logprobs_bits == [-1.0, 0.0]
+        assert fake_client([{"token_ids": [0, 1], "spans": ["A", "B"]}]).tokenize([TEXT]) == [([0, 1], ["A", "B"])]
+        assert fake_client([{"logprobs_bits": [-1, 0.0]}]).logprobs_batch([REQUEST])[0] == [-1.0, 0.0]
         # one response object, not an array of them, is malformed however valid the object
         with pytest.raises(BackendProtocolError):
             fake_client({"logprobs_bits": [-1, 0.0]}).logprobs_batch([REQUEST])

@@ -670,6 +670,31 @@ class TestBackendsAndConfig:
         assert "needs an http(s) scheme and a host" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("token, path", [
+        ("s3cret\nX-Injected: 1", ""),  # a header http.client refuses
+        ("s3cret€", ""),  # outside Latin-1
+        ("s3cret", "/a b"),
+        ("s3cret", "/v1?key=abc"),  # the query would be dropped
+        ("s3cret", "/v1#frag"),
+    ])
+    def test_backend_token_or_url_that_cannot_be_sent_exits_2_before_any_post(self, toy_env, monkeypatch, capfd,
+                                                                               token, path):
+        from http_stub import StubServer
+
+        monkeypatch.setenv("CTS_BACKEND_TOKEN", token)
+        with StubServer(ToyBackend(shift_spec())) as server:
+            code = run_cli(compress_args(toy_env, extra=["--backend", f"http:{server.url}{path}"]))
+            assert server.state.request_count == 0
+        err = capfd.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "s3cret" not in err
+        if path:
+            assert "cannot be sent" in err
+        else:
+            assert "CTS_BACKEND_TOKEN" in err
+        assert not (toy_env["dir"] / "out.jsonl").exists()
+
     def test_unknown_backend_descriptor_exits_2(self, toy_env):
         code = run_cli(compress_args(toy_env, extra=["--backend", "carrier-pigeon:coop"]))
         assert code == 2
@@ -1018,6 +1043,88 @@ class TestFilePaths:
         assert run_cli(["emit", "sft", "--input", str(compressed), "--output", str(out)]) == 2
         assert_one_error_naming(capfd, out)
         assert sorted(os.listdir(toy_env["dir"])) == before
+
+
+
+class TestErrorBranches:
+    """Usage errors and per-record failures on paths that no other test takes."""
+
+    @pytest.mark.parametrize("text", ["{not json", "[0.5]"])
+    def test_config_file_that_is_not_a_json_object_exits_2(self, toy_env, capfd, text):
+        cfg = toy_env["dir"] / "cfg.json"
+        cfg.write_text(text)
+        assert run_cli(compress_args(toy_env, extra=["--config", str(cfg)])) == 2
+        assert_one_error_naming(capfd, cfg)
+
+    def test_no_ratio_exits_2(self, toy_env, capfd):
+        args = compress_args(toy_env)
+        i = args.index("--ratio")
+        del args[i : i + 2]
+        assert run_cli(args) == 2
+        assert capfd.readouterr().err.startswith("error: a retention ratio is required")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--segment-budget", "0", "segment_budget must be >= 1, got 0"),
+        ("--boundary-slack", "600", "boundary_slack must be in [0, segment_budget), got 600"),
+    ])
+    def test_segment_setting_out_of_range_exits_2(self, toy_env, capfd, flag, value, message):
+        assert run_cli(compress_args(toy_env, extra=[flag, value])) == 2
+        assert capfd.readouterr().err == f"error: {message}\n"
+
+    def test_report_under_a_regular_file_exits_2_after_the_dataset_is_written(self, toy_env, capfd):
+        blocker = toy_env["dir"] / "blocker"
+        blocker.write_text("")
+        report = blocker / "report.json"
+        assert run_cli(compress_args(toy_env, extra=["--report", str(report)])) == 2
+        assert_one_error_naming(capfd, report)
+        assert len(read_jsonl_file(toy_env["dir"] / "out.jsonl")) == 40
+
+    def test_emit_sft_skips_a_record_with_empty_compressed_thinking(self, toy_env, caplog):
+        assert run_cli(compress_args(toy_env)) == 0
+        records = read_jsonl_file(toy_env["dir"] / "out.jsonl")
+        records[1]["compressed_thinking"] = ""
+        compressed = write_jsonl_file(records, toy_env["dir"] / "edited.jsonl")
+        others = write_jsonl_file(records[:1] + records[2:], toy_env["dir"] / "others.jsonl")
+        sft, others_sft = toy_env["dir"] / "sft.jsonl", toy_env["dir"] / "others-sft.jsonl"
+        assert run_cli(["emit", "sft", "--input", compressed, "--output", str(sft)]) == 1
+        assert run_cli(["emit", "sft", "--input", others, "--output", str(others_sft)]) == 0
+        assert sft.read_bytes() == others_sft.read_bytes()
+        assert len(read_jsonl_file(sft)) == len(records) - 1
+        assert f"instance {records[1]['id']}: compressed_thinking is empty" in caplog.text
+
+    def test_emit_rm_rows_without_responses_exits_2(self, tmp_path, capfd):
+        examples = write_jsonl_file([{"question": "q", "answer": "a", "reasoning_steps": ["s"]}], tmp_path / "ex.jsonl")
+        out = tmp_path / "rows.jsonl"
+        assert run_cli(["emit", "rm-rows", "--input", examples, "--output", str(out)]) == 2
+        assert capfd.readouterr().err == "error: emit rm-rows requires --responses\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"vocabulary": [], "table": {}}, "toy model vocabulary is empty"),
+        ({"vocabulary": ["A", "A"], "table": {"START": {"A": 1.0}}}, "toy model vocabulary contains duplicates"),
+        ({"vocabulary": ["A"], "table": {"START": {"B": 1.0}}}, "table entry 'B' (row 'START') is not in the vocabulary"),
+    ])
+    def test_toy_spec_that_does_not_validate_exits_2(self, toy_env, capfd, spec, message):
+        path = toy_env["dir"] / "bad-spec.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli(compress_args(toy_env, extra=["--backend", f"toy:{path}"])) == 2
+        assert capfd.readouterr().err == f"error: {message}\n"
+
+    def test_token_without_a_row_fails_only_the_instance_where_another_token_follows_it(self, tmp_path, caplog):
+        # "B" has no row: P(next | B) is asked only where a token follows it
+        spec = write_spec_file(ToyLmSpec(["A", "B"], {"START": {"A": 0.5, "B": 0.5}, "A": {"A": 0.5, "B": 0.5}}),
+                               tmp_path / "spec.json")
+        corpus = write_jsonl_file([{"id": "b-last", "problem": "", "thinking": "AAB", "answer": "A"},
+                                   {"id": "b-inside", "problem": "", "thinking": "ABA", "answer": "A"}],
+                                  tmp_path / "in.jsonl")
+        out = tmp_path / "out.jsonl"
+        code = run_cli(["compress", "--input", corpus, "--output", str(out), "--ratio", "0.5",
+                        "--backend", f"toy:{spec}", "--condition-template", "{answer}"])
+        assert code == 1
+        assert [record["id"] for record in read_jsonl_file(out)] == ["b-last"]
+        failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        assert len(failed) == 1 and "b-inside" in failed[0]
+        assert "no distribution row for previous token 'B'" in failed[0]
 
 
 class TestDuplicateIds:

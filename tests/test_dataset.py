@@ -59,6 +59,18 @@ class TestReadDataset:
         assert len(errors) == 1
         assert errors[0].line == 2
 
+    def test_whitespace_only_line_is_skipped_without_an_error(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{"problem": "p0", "thinking": "t0", "answer": "a0"}\n \t \r\n'
+                         b'{"problem": "p2", "thinking": "t2", "answer": "a2"}\n')
+        errors = []
+        instances = list(read_dataset(str(path), errors=errors))
+        assert [(x.id, x.problem) for x in instances] == [("line:1", "p0"), ("line:3", "p2")]
+        assert errors == []
+
+    def test_error_with_a_path_and_no_line_names_the_path(self):
+        assert str(DatasetError("cannot be read", path="in.jsonl")) == "in.jsonl: cannot be read"
+
     def test_missing_mapped_field(self, tmp_path):
         path = write_jsonl_file([{"problem": "p", "answer": "a"}], tmp_path / "in.jsonl")
         errors = []

@@ -18,7 +18,7 @@ import cts.cli
 from cts.backends import MAX_IN_FLIGHT, HttpBackend, HttpBackendConfig, LogprobRequest, ToyBackend
 from cts.cli import GROUP_CHARS, SCORE_GROUP, main
 from cts.dataset import CotInstance
-from cts.errors import BackendError, BackendUnavailable, ConfigError, ScoringError
+from cts.errors import BackendUnavailable, ConfigError, ScoringError
 from cts.runner import LOOKAHEAD_PER_WORKER
 from cts.selector import SelectionConfig, compress_instance
 
@@ -78,13 +78,11 @@ class TestKeepAlive:
             assert len(server.accepted) == 1
             assert len(sleeps) == 1
 
-    def test_token_that_cannot_be_a_header_is_a_backend_error(self, shift_backend):
+    def test_token_that_cannot_be_a_header_is_a_config_error_before_any_post(self, shift_backend):
         with CountingStub(shift_backend) as server:
-            client, sleeps = client_for(server, token="tok\nen", max_retries=2)
-            with closing(client), pytest.raises(BackendError) as exc:
-                client.logprobs_batch([REQUEST])
-            assert type(exc.value) is BackendError  # not retried, not unavailable
-            assert sleeps == [] and server.state.request_count == 0
+            with pytest.raises(ConfigError):
+                client_for(server, token="tok\nen", max_retries=2)
+            assert server.state.request_count == 0 and server.accepted == []
 
 
 class TestLifecycle:
@@ -162,11 +160,11 @@ class ToyTransport:
         if path.endswith("/tokenize"):
             self.tokenize_bodies[path].append(data)
             answers = self.backend.tokenize([d["text"] for d in data])
-            reply = [{"token_ids": [t for t, _ in pairs], "spans": [s for _, s in pairs]} for pairs in answers]
+            reply = [{"token_ids": ids, "spans": spans} for ids, spans in answers]
         else:
             self.logprobs_bodies.append(data)
             requests_ = [LogprobRequest(d["context_ids"], d["start"], d["end"]) for d in data]
-            reply = [{"logprobs_bits": a.logprobs_bits} for a in self.backend.logprobs_batch(requests_)]
+            reply = [{"logprobs_bits": bits} for bits in self.backend.logprobs_batch(requests_)]
         return 200, {}, json.dumps(reply).encode("utf-8")
 
 
@@ -335,7 +333,7 @@ class CorruptReplies(ToyTransport):
 
     def __init__(self, backend, thinking):
         super().__init__(backend)
-        self.ids = [t for t, _ in backend.tokenize([thinking])[0]]
+        self.ids = backend.tokenize([thinking])[0][0]
 
     def post(self, path, body, headers):
         status, reply_headers, reply = super().post(path, body, headers)
@@ -846,7 +844,7 @@ class TestRetryBackoff:
             return random.Random(len(bounds)).uniform(low, high)
 
         client, sleeps = retrying_client(Replies((503, {}), (502, {}), (500, {})), uniform=uniform)
-        assert client.logprobs_batch([REQUEST])[0].logprobs_bits == [-1.0, -1.0, -1.0]
+        assert client.logprobs_batch([REQUEST])[0] == [-1.0, -1.0, -1.0]
         assert bounds == [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0)]
         assert len(sleeps) == 3
         assert all(0.0 <= s <= high for s, (_, high) in zip(sleeps, bounds))
@@ -904,6 +902,28 @@ class TestUrl:
     def test_host_that_cannot_be_sent_is_a_config_error(self):
         with pytest.raises(ConfigError, match="invalid host"):
             HttpBackend(HttpBackendConfig(base_url="http://a b/"))
+
+    # urlsplit drops a tab or newline anywhere, so "/a\nb" would go to "/ab"; "é" is not ASCII
+    @pytest.mark.parametrize("path", ["/a b", "/a\x00b", "/a\x7fb", "/a\nb", "/v1\t", "/é", "/v1?k=v", "/v1#f"])
+    def test_path_that_cannot_be_sent_is_a_config_error(self, path):
+        with pytest.raises(ConfigError, match="cannot be sent"):
+            HttpBackend(HttpBackendConfig(base_url=f"http://fake{path}"))
+
+    @pytest.mark.parametrize("token", ["s3cret\r\n", "s3cret\x00", "s3cret\x7f", "s3cret\x85", "s3cret\t", "s3cret€"])
+    def test_token_that_cannot_be_sent_is_a_config_error_that_does_not_show_it(self, token):
+        with pytest.raises(ConfigError) as exc:
+            HttpBackend(HttpBackendConfig(base_url="http://fake", token=token))
+        assert "s3cret" not in str(exc.value)
+
+    def test_latin_1_token_is_sent(self):
+        headers = []
+
+        def post(path, body, sent):
+            headers.append(sent["Authorization"])
+            return 200, {}, b'[{"token_ids": [0], "spans": ["A"]}]'
+
+        HttpBackend(HttpBackendConfig(base_url="http://fake", token="s3cret é"), post).tokenize(["A"])
+        assert headers == ["Bearer s3cret é"]
 
 
 def test_cli_import_does_not_load_requests():

@@ -93,7 +93,7 @@ def test_compressed_record_counts_and_ratio_are_exact(thinking, alpha, condition
     if scope == "global":
         lengths = [n]
     else:
-        lengths = [s.end - s.start for s in segment_thinking(n, [r.span for r in rows], config)]
+        lengths = [len(s) for s in segment_thinking(n, [r.span for r in rows], config)]
     assert record.kept_count == sum(kept_count_for(alpha, m) for m in lengths)
     assert record.compressed_thinking == "".join(r.span for r, keep in zip(rows, selection.kept_mask) if keep)
 
@@ -107,11 +107,10 @@ def test_original_prefix_equals_scoring_each_segment_after_the_original_thinking
                              selection_scope="per_segment", segment_budget=16, boundary_slack=4,
                              iterative_original_prefix=True)
     record, rows, selection = compress_instance(CotInstance("p", "", thinking, "42"), config, BACKEND)
-    tokens, condition = BACKEND.tokenize([thinking, "42:"])
-    ids, spans, cond_prefix = [t for t, _ in tokens], [s for _, s in tokens], [t for t, _ in condition]
+    (ids, spans), (cond_prefix, _) = BACKEND.tokenize([thinking, "42:"])
     reference_rows, reference_mask = [], []
     for seg in segment_thinking(len(ids), spans, config):
-        seg_rows = score_tokens(ids[: seg.start], cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
+        seg_rows = score_tokens(ids[: seg.start], cond_prefix, ids[seg.start : seg.stop], spans[seg.start : seg.stop],
                                 seg.start, config, BACKEND)
         reference_rows += seg_rows
         reference_mask += select_tokens([row.score for row in seg_rows], config).kept_mask
@@ -127,14 +126,13 @@ def test_kept_prefix_equals_scoring_each_segment_after_the_ids_kept_before_it(th
     config = SelectionConfig(alpha=alpha, conditional=conditional, condition_template="{answer}:", score_space=space,
                              selection_scope="per_segment", segment_budget=16, boundary_slack=4)
     record, rows, selection = compress_instance(CotInstance("p", "", thinking, "42"), config, BACKEND)
-    tokens, condition = BACKEND.tokenize([thinking, "42:"])
-    ids, spans, cond_prefix = [t for t, _ in tokens], [s for _, s in tokens], [t for t, _ in condition]
+    (ids, spans), (cond_prefix, _) = BACKEND.tokenize([thinking, "42:"])
     kept_prefix, reference_rows, reference_mask = [], [], []
     for seg in segment_thinking(len(ids), spans, config):
-        seg_rows = score_tokens(kept_prefix, cond_prefix, ids[seg.start : seg.end], spans[seg.start : seg.end],
+        seg_rows = score_tokens(kept_prefix, cond_prefix, ids[seg.start : seg.stop], spans[seg.start : seg.stop],
                                 seg.start, config, BACKEND)
         seg_mask = select_tokens([row.score for row in seg_rows], config).kept_mask
-        kept_prefix += [token for token, keep in zip(ids[seg.start : seg.end], seg_mask) if keep]
+        kept_prefix += [token for token, keep in zip(ids[seg.start : seg.stop], seg_mask) if keep]
         reference_rows += seg_rows
         reference_mask += seg_mask
     assert rows == reference_rows

@@ -10,7 +10,6 @@ from cts.dataset import CotInstance, compressed_to_dict
 from cts.errors import BackendProtocolError, BackendUnavailable, ConfigError, ScoringError, TokenizeError
 from cts.selector import (
     SelectionConfig,
-    Segment,
     compress_instance,
     compress_steps,
     kept_count_for,
@@ -60,7 +59,7 @@ class RecordingBackend(LogprobBackend):
 
 
 def ids_of(backend, text: str) -> tuple[int, ...]:
-    return tuple(t for t, _ in backend.tokenize([text])[0])
+    return tuple(backend.tokenize([text])[0][0])
 
 
 class TestBuildContexts:
@@ -203,31 +202,31 @@ class TestScoreTokens:
 class TestSegmentThinking:
     def test_under_budget_single_segment(self):
         segs = segment_thinking(10, ["x"] * 10, config(segment_budget=512))
-        assert segs == [Segment(0, 10)]
+        assert segs == [range(0, 10)]
 
     def test_forced_split_without_candidates(self):
         segs = segment_thinking(1000, ["x"] * 1000, config(segment_budget=512, boundary_slack=32))
-        assert [(s.start, s.end) for s in segs] == [(0, 512), (512, 1000)]
+        assert [(s.start, s.stop) for s in segs] == [(0, 512), (512, 1000)]
 
     def test_snaps_to_whitespace_boundary(self):
         # oracle: last qualifying cut in [480, 512) is 500 (span 499 ends in space)
         spans = ["x"] * 520
         spans[499] = "x "
         segs = segment_thinking(520, spans, config(segment_budget=512, boundary_slack=32))
-        assert [(s.start, s.end) for s in segs] == [(0, 500), (500, 520)]
+        assert [(s.start, s.stop) for s in segs] == [(0, 500), (500, 520)]
 
     def test_prefers_latest_qualifying_boundary(self):
         spans = ["x"] * 520
         spans[489] = "x."
         spans[505] = "x\n"
         segs = segment_thinking(520, spans, config(segment_budget=512, boundary_slack=32))
-        assert segs[0].end == 506
+        assert segs[0].stop == 506
 
     def test_candidate_outside_slack_ignored(self):
         spans = ["x"] * 520
         spans[470] = "x "  # cut 471 < 512 - 32
         segs = segment_thinking(520, spans, config(segment_budget=512, boundary_slack=32))
-        assert [(s.start, s.end) for s in segs] == [(0, 512), (512, 520)]
+        assert [(s.start, s.stop) for s in segs] == [(0, 512), (512, 520)]
 
     def test_partition_properties_random(self):
         rng = random.Random(11)
@@ -238,11 +237,16 @@ class TestSegmentThinking:
             spans = [rng.choice(["x", "x ", "y.", "z"]) for _ in range(n)]
             segs = segment_thinking(n, spans, config(segment_budget=budget, boundary_slack=slack))
             assert segs[0].start == 0
-            assert segs[-1].end == n
+            assert segs[-1].stop == n
             for a, b in zip(segs, segs[1:]):
-                assert a.end == b.start
-            assert all(s.end - s.start >= 1 for s in segs)
-            assert all(s.end - s.start <= budget for s in segs)
+                assert a.stop == b.start
+            assert all(s.stop - s.start >= 1 for s in segs)
+            assert all(s.stop - s.start <= budget for s in segs)
+
+
+    def test_empty_sequence_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="empty token sequence"):
+            segment_thinking(0, [], config())
 
 
 class TestSelectTokens:
@@ -345,7 +349,7 @@ class TestCompressInstance:
             thinking = "".join(rng.choice("ABC ") for _ in range(rng.randint(1, 40)))
             inst = instance(thinking)
             record, _, sel = compress_instance(inst, config(alpha=rng.choice([0.3, 0.5, 0.8])), shift_backend)
-            spans = [s for _, s in shift_backend.tokenize([thinking])[0]]
+            spans = shift_backend.tokenize([thinking])[0][1]
             rebuilt = "".join(s for s, keep in zip(spans, sel.kept_mask) if keep)
             assert record.compressed_thinking == rebuilt
             it = iter(thinking)
@@ -387,6 +391,11 @@ class TestCompressInstance:
             config(alpha=alpha).validate()
         with pytest.raises(ConfigError):
             compress_instance(instance("A"), config(alpha=alpha), shift_backend)
+
+
+    def test_unknown_score_space_is_rejected(self):
+        with pytest.raises(ConfigError, match="score_space must be one of"):
+            config(score_space="x").validate()
 
 
 class TestRequestBudget:
@@ -534,7 +543,7 @@ class TestLockstep:
     def test_failed_batch_is_sent_again_task_by_task(self, shift_backend, scope, batch_sizes, failed_range):
         cfg = config(conditional=False, selection_scope=scope, segment_budget=2, boundary_slack=0)
         insts = [instance(t, iid=f"t-{i}") for i, t in enumerate(["ABC A", "BA2C", "CAB", "C C"])]
-        [(two, _)] = shift_backend.tokenize(["2"])[0]
+        [two], _ = shift_backend.tokenize(["2"])[0]
 
         def failing():
             return FailsOnToken(shift_backend, two, BackendProtocolError("bad reply"))
@@ -552,7 +561,7 @@ class TestLockstep:
                 assert rows_of(outcome, cfg) == (compress_instance(inst, cfg, shift_backend), None)
 
     def test_unavailable_backend_is_not_asked_again(self, shift_backend):
-        [(two, _)] = shift_backend.tokenize(["2"])[0]
+        [two], _ = shift_backend.tokenize(["2"])[0]
         backend = FailsOnToken(shift_backend, two, BackendUnavailable("down"))
         insts = [instance(t, iid=f"t-{i}") for i, t in enumerate(["ABC A", "AB2C", "CAB"])]
         with pytest.raises(BackendUnavailable):
@@ -564,8 +573,8 @@ class TestLockstep:
 
     def test_steps_may_yield_a_tuple(self, shift_backend):
         def steps():
-            (pairs,) = yield ("AB",)
-            return len(pairs)
+            ((ids, _),) = yield ("AB",)
+            return len(ids)
 
         assert list(run_lockstep([(steps(), shift_backend)])) == [(2, None)]
 
@@ -586,7 +595,7 @@ class ShortLogprobs(ToyBackend):
 
     def logprobs_batch(self, requests_):
         answers = super().logprobs_batch(requests_)
-        marked = [t for t, _ in self.tokenize([MARKED])[0]]
+        marked = self.tokenize([MARKED])[0][0]
         return answers[:-1] if any(list(r.context[-len(marked):]) == marked for r in requests_) else answers
 
 
@@ -619,7 +628,7 @@ class TestIterativeSegments:
             boundary_slack=0,
         )
         _, _, selection = compress_instance(inst, cfg, backend)
-        ids = [t for t, _ in backend.tokenize(["abcdefgh"])[0]]
+        ids = backend.tokenize(["abcdefgh"])[0][0]
         # zero condition shift -> position tie-break keeps the first half
         assert [i for i, k in enumerate(selection.kept_mask) if k] == [0, 1, 4, 5]
         seg2_scoring = [r for r in backend.requests if r[1] == 2 and r[2] == 6]
@@ -640,7 +649,7 @@ class TestIterativeSegments:
             iterative_original_prefix=True,
         )
         compress_instance(inst, cfg, backend)
-        ids = [t for t, _ in backend.tokenize(["abcdefgh"])[0]]
+        ids = backend.tokenize(["abcdefgh"])[0][0]
         # one step over [0, n) with the whole thinking as context; the empty
         # condition makes both contexts the same request, sent once
         assert backend.batch_sizes == [1]

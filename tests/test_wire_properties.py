@@ -1,9 +1,13 @@
-"""Property tests of the HTTP wire boundary: malformed /tokenize and /logprobs bodies, no sockets.
+"""Property tests of the HTTP wire boundary: the answers a reply gives, and malformed bodies.
+
+Replies come from a fake transport, without sockets, except where a test
+goes through the in-process stub server.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
 
 import math
+import random
 
 import pytest
 
@@ -12,10 +16,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cts.backends import LogprobRequest  # noqa: E402
+from cts.backends import HttpBackend, HttpBackendConfig, LogprobRequest, ToyBackend  # noqa: E402
+from cts.dataset import CotInstance  # noqa: E402
 from cts.errors import BackendProtocolError  # noqa: E402
+from cts.selector import SelectionConfig, compress_instance, segment_thinking  # noqa: E402
 
-from conftest import fake_client  # noqa: E402
+from conftest import fake_client, random_spec, shift_spec  # noqa: E402
+from http_stub import StubServer  # noqa: E402
 
 TEXT = "AB"
 REQUEST = LogprobRequest([0, 1, 2], 1, 3)
@@ -34,6 +41,85 @@ bad_float = st.floats(min_value=0.0, exclude_min=True) | st.sampled_from([math.n
     st.integers(min_value=1) | st.integers(max_value=-(10**309))
 
 
+
+@st.composite
+def tokenize_replies(draw):
+    """A /tokenize answer for TEXT that passes every check: TEXT cut anywhere, so empty spans too, any ids >= 0."""
+    bounds = [0, *sorted(draw(st.lists(st.integers(0, len(TEXT)), max_size=5))), len(TEXT)]
+    spans = [TEXT[a:b] for a, b in zip(bounds, bounds[1:])]
+    return {"token_ids": draw(st.lists(st.integers(min_value=0), min_size=len(spans), max_size=len(spans))),
+            "spans": spans}
+
+
+# each a number the client reads exactly as a float
+valid_bits = st.integers(min_value=-(2**53), max_value=0) | st.floats(max_value=0.0, allow_nan=False,
+                                                                        allow_infinity=False)
+
+
+class TestAnswers:
+    """A reply that passes the checks is answered as the reply's own values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tokenize_replies())
+    def test_tokenize_returns_the_reply_token_ids_and_spans(self, reply):
+        assert fake_client([reply]).tokenize([TEXT]) == [(reply["token_ids"], reply["spans"])]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(valid_bits, min_size=2, max_size=2))
+    def test_logprobs_batch_returns_the_reply_numbers_as_floats(self, bits):
+        [answer] = fake_client([{"logprobs_bits": bits}]).logprobs_batch([REQUEST])
+        assert answer == bits and all(type(v) is float for v in answer)
+
+
+TOY = ToyBackend(shift_spec())
+
+
+class EmptyAfterSpace(ToyBackend):
+    """The toy model, answering one more token after each space: "~", with the empty span ""."""
+
+    def _tokenize(self, text):
+        ids, spans = super()._tokenize(text)
+        out_ids, out_spans = [], []
+        for token, span in zip(ids, spans):
+            out_ids.append(token)
+            out_spans.append(span)
+            if span == " ":
+                out_ids.append(self._token_to_id["~"])
+                out_spans.append("")
+        return out_ids, out_spans
+
+
+@pytest.fixture(scope="module")
+def clients():
+    """HttpBackends on two stub servers: one of the shift-table toy model, one of EmptyAfterSpace."""
+    with StubServer(TOY) as toy, StubServer(EmptyAfterSpace(random_spec(["A", "B", " ", "~"], random.Random(3)))) \
+            as empty:
+        backends = [HttpBackend(HttpBackendConfig(base_url=server.url, max_retries=0)) for server in (toy, empty)]
+        yield backends
+        for backend in backends:
+            backend.close()
+
+
+class TestThroughTheStub:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.text(alphabet="ABC :42", max_size=12), max_size=4))
+    def test_http_tokenize_equals_the_toy_backend(self, clients, texts):
+        assert clients[0].tokenize(texts) == TOY.tokenize(texts)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.text(alphabet="AB ", min_size=1, max_size=40), st.sampled_from([0.3, 0.5, 0.8]))
+    def test_an_empty_span_is_accepted_and_no_cut_lands_after_it(self, clients, thinking, alpha):
+        client = clients[1]
+        config = SelectionConfig(alpha=alpha, condition_template="{answer}", selection_scope="per_segment",
+                                 segment_budget=4, boundary_slack=3)
+        record, rows, selection = compress_instance(CotInstance("e", "", thinking, "B"), config, client)
+        [(_, spans)] = client.tokenize([thinking])
+        assert [row.span for row in rows] == spans
+        assert record.compressed_thinking == "".join(span for span, keep in zip(spans, selection.kept_mask) if keep)
+        # a span "" never ends on a boundary, and each one follows a space, a boundary within the slack
+        assert all(spans[seg.start - 1] != "" for seg in segment_thinking(len(spans), spans, config)[1:])
+
+
 class TestWireProperties:
     """Every malformed /tokenize or /logprobs payload is a BackendProtocolError, never another error."""
 
@@ -50,11 +136,11 @@ class TestWireProperties:
         clients = [fake_client(body=payload[1])] if raw else [fake_client(payload), fake_client([payload])]
         for client in clients:
             try:
-                [pairs] = client.tokenize([TEXT])
+                [(ids, spans)] = client.tokenize([TEXT])
             except BackendProtocolError:
                 continue
-            assert "".join(span for _, span in pairs) == TEXT
-            assert all(type(i) is int and i >= 0 for i, _ in pairs)
+            assert "".join(spans) == TEXT
+            assert all(type(i) is int and i >= 0 for i in ids)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
@@ -65,7 +151,7 @@ class TestWireProperties:
     def test_arbitrary_logprobs_payload_parses_or_is_protocol_error(self, payload):
         for body in (payload, [payload]):
             try:
-                bits = fake_client(body).logprobs_batch([REQUEST])[0].logprobs_bits
+                bits = fake_client(body).logprobs_batch([REQUEST])
             except BackendProtocolError:
                 continue
             assert len(bits) == 2 and all(math.isfinite(v) and v <= 0.0 for v in bits)
