@@ -170,7 +170,8 @@ class ToyBackend(LogprobBackend):
         # greedy longest match over the closed vocabulary
         ids: list[int] = []
         spans: list[str] = []
-        i, n = 0, len(text)
+        i = 0
+        n = len(text)
         while i < n:
             for length in self._lengths:
                 candidate = text[i : i + length]
@@ -197,8 +198,12 @@ class ToyBackend(LogprobBackend):
     def _score(self, request: LogprobRequest) -> list[float]:
         _validate_request(request, vocab_size=len(self.spec.vocabulary))
         ctx = request.context
-        ps = (self.probability(ctx[t - 1] if t > 0 else -1, ctx[t]) for t in range(request.start, request.end))
-        return [math.log2(p) if p > 0.0 else -math.inf for p in ps]
+        bits: list[float] = []
+        for t in range(request.start, request.end):
+            prev_id = ctx[t - 1] if t > 0 else -1
+            p = self.probability(prev_id, ctx[t])
+            bits.append(math.log2(p) if p > 0.0 else -math.inf)
+        return bits
 
 
 # post(path, body, headers) -> (status, response headers, response body): one HTTP POST

@@ -211,13 +211,18 @@ def segment_thinking(n_tokens: int, spans: Sequence[str], config: SelectionConfi
     """
     if n_tokens < 1:
         raise ConfigError("cannot segment an empty token sequence")
-    budget, slack = config.segment_budget, config.boundary_slack
+    budget = config.segment_budget
+    slack = config.boundary_slack
     segments: list[range] = []
     start = 0
     while n_tokens - start > budget:
         end = start + budget
-        candidates = range(end - 1, max(start + 1, end - slack) - 1, -1)  # latest first
-        cut = next((j for j in candidates if _ends_on_boundary(spans[j - 1])), end)
+        cut = end
+        lowest = max(start + 1, end - slack)
+        for j in range(end - 1, lowest - 1, -1):
+            if _ends_on_boundary(spans[j - 1]):
+                cut = j
+                break
         segments.append(range(start, cut))
         start = cut
     segments.append(range(start, n_tokens))
@@ -225,7 +230,10 @@ def segment_thinking(n_tokens: int, spans: Sequence[str], config: SelectionConfi
 
 
 def _ends_on_boundary(span: str) -> bool:
-    return bool(span) and (span[-1].isspace() or span[-1] in _BOUNDARY_PUNCT)
+    if not span:
+        return False
+    last = span[-1]
+    return last.isspace() or last in _BOUNDARY_PUNCT
 
 
 def kept_count_for(alpha: float, n: int) -> int:
@@ -289,6 +297,10 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
                 f"instance {instance.id}: cannot tokenize {field}: {answer}", instance.id
             ) from answer
     ids, spans = answers[0]
+    if len(ids) != len(spans):
+        raise ScoringError(
+            f"instance {instance.id}: backend tokenize answer has {len(ids)} ids and {len(spans)} spans", instance.id
+        )
     cond_prefix = answers[1][0] if condition else []
     n, whole = len(ids), config.selection_scope == "global"
     fixed = whole or config.iterative_original_prefix  # the history does not depend on the selection

@@ -198,6 +198,15 @@ class TestScoreTokens:
             compress_instance(bad, config(), shift_backend)
         assert "t-0" in str(exc.value)
 
+    def test_tokenize_answer_with_unequal_ids_and_spans_is_scoring_error(self):
+        class DropsASpan(ToyBackend):
+            def tokenize(self, texts):
+                return [(ids, spans[:-1]) for ids, spans in super().tokenize(texts)]
+
+        with pytest.raises(ScoringError) as exc:
+            compress_instance(instance("ABCA"), config(), DropsASpan(shift_spec()))
+        assert str(exc.value) == "instance t-0: backend tokenize answer has 4 ids and 3 spans"
+
 
 class TestSegmentThinking:
     def test_under_budget_single_segment(self):

@@ -151,7 +151,7 @@ class TestWireProperties:
     def test_arbitrary_logprobs_payload_parses_or_is_protocol_error(self, payload):
         for body in (payload, [payload]):
             try:
-                bits = fake_client(body).logprobs_batch([REQUEST])
+                bits = fake_client(body).logprobs_batch([REQUEST])[0]
             except BackendProtocolError:
                 continue
             assert len(bits) == 2 and all(math.isfinite(v) and v <= 0.0 for v in bits)
