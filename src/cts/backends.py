@@ -235,6 +235,31 @@ def _retry_after(status: int, headers: Mapping[str, str]) -> float | None:
     return float(value) if value.strip().isdecimal() else None
 
 
+def _bad_id(token) -> ConfigError:
+    return ConfigError(f"context id {token!r} is not an int in [0, 2**63)")
+
+
+class _IdTexts(dict):
+    """The decimal text of each context id a backend has sent, admitted at its first use.
+
+    So it holds one entry per distinct id seen, whatever the vocabulary's
+    size. ``join`` checks every id's type first: True and 1.0 would find
+    the entry of 1.
+    """
+
+    def __missing__(self, token: int) -> str:
+        if not 0 <= token < 2**63:
+            raise _bad_id(token)
+        text = self[token] = str(token)
+        return text
+
+    def join(self, context: Sequence[int]) -> str:
+        """The ids of a non-empty context as a JSON array's items, "3,1,4"; a ConfigError names a bad id."""
+        if set(map(type, context)) != {int}:
+            raise _bad_id(next(token for token in context if type(token) is not int))
+        return ",".join(map(self.__getitem__, context))
+
+
 @dataclass
 class HttpBackendConfig:
     base_url: str
@@ -266,7 +291,8 @@ class HttpBackend(LogprobBackend):
     payloads (wrong shape or length, non-integer ids, non-numeric,
     non-finite or positive log probabilities, spans that do not reassemble
     the text) are BackendProtocolError and never retried; any other
-    failure to send a request is a BackendError.
+    failure to send a request is a BackendError. A context id that is not
+    an int in [0, 2**63) fails its call with a ConfigError, before any POST.
     Requests are idempotent so retries are safe. ``sleep`` and ``uniform``
     are the clock and random source of the backoff. A token or base URL
     that http.client cannot send is a ConfigError here, before any POST.
@@ -302,6 +328,7 @@ class HttpBackend(LogprobBackend):
         for connection in self._connections:
             self._idle.put(connection)
         self._transport = transport or self._send
+        self._id_texts = _IdTexts()
         self._sleep = sleep
         self._uniform = uniform
 
@@ -335,9 +362,8 @@ class HttpBackend(LogprobBackend):
         finally:
             self._idle.put(connection)
 
-    def _post(self, path: str, payload) -> object:
+    def _post(self, path: str, body: bytes) -> object:
         url = self._base_url + path
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         last_exc: Exception | None = None
         retry_after: float | None = None  # the wait the last failure asked for, if any
         for attempt in range(self.config.max_retries + 1):
@@ -370,7 +396,8 @@ class HttpBackend(LogprobBackend):
         ) from last_exc
 
     def tokenize(self, texts: Sequence[str]) -> list[tuple[list[int], list[str]]]:
-        data = self._post("/tokenize", [{"text": text} for text in _texts(texts)])
+        payload = [{"text": text} for text in _texts(texts)]
+        data = self._post("/tokenize", json.dumps(payload, separators=(",", ":")).encode("utf-8"))
         if not isinstance(data, list) or len(data) != len(texts):
             raise BackendProtocolError("batched tokenize response is not a matching-length array")
         return [self._parse_tokens(d, text) for d, text in zip(data, texts)]
@@ -383,9 +410,9 @@ class HttpBackend(LogprobBackend):
             raise BackendProtocolError("tokenize response missing the token_ids/spans arrays")
         if len(ids) != len(spans):
             raise BackendProtocolError("tokenize response has mismatched token_ids/spans lengths")
-        if not all(type(i) is int and i >= 0 for i in ids):
+        if ids and (set(map(type, ids)) != {int} or min(ids) < 0):
             raise BackendProtocolError("tokenize response has a token id that is not a non-negative integer")
-        if not all(type(span) is str for span in spans) or "".join(spans) != text:
+        if not set(map(type, spans)) <= {str} or "".join(spans) != text:
             raise BackendProtocolError("tokenize spans do not concatenate back to the input text")
         return ids, spans
 
@@ -396,17 +423,20 @@ class HttpBackend(LogprobBackend):
         wanted = request.end - request.start
         if len(raw) != wanted:
             raise BackendProtocolError(f"logprob response has {len(raw)} entries, expected {wanted}")
-        if not all(type(v) in (int, float) for v in raw):
+        types = set(map(type, raw))
+        if not types <= {int, float}:
             raise BackendProtocolError("logprob response has an entry that is not a number")
         try:
-            bits = [float(v) for v in raw]
+            bits = list(map(float, raw)) if int in types else raw
         except OverflowError as exc:
             raise BackendProtocolError("logprob response has an integer too large for a float") from exc
-        for v in bits:
-            if not math.isfinite(v):
-                raise BackendProtocolError("remote backend reported a non-finite log probability")
-            if v > 0.0:
-                raise BackendProtocolError(f"remote backend reported a positive log probability {v!r} (P > 1)")
+        # min and max need a value, and a request spans at least one position; the loop names the first fault
+        if any(map(math.isnan, bits)) or min(bits) == -math.inf or max(bits) > 0.0:
+            for v in bits:
+                if not math.isfinite(v):
+                    raise BackendProtocolError("remote backend reported a non-finite log probability")
+                if v > 0.0:
+                    raise BackendProtocolError(f"remote backend reported a positive log probability {v!r} (P > 1)")
         return bits
 
     def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[list[float]]:
@@ -414,9 +444,19 @@ class HttpBackend(LogprobBackend):
             return []
         for r in requests_:
             _validate_request(r)
-        data = self._post(
-            "/logprobs", [{"context_ids": list(r.context), "start": r.start, "end": r.end} for r in requests_]
-        )
+        data = self._post("/logprobs", self._logprobs_body(requests_))
         if not isinstance(data, list) or len(data) != len(requests_):
             raise BackendProtocolError("batched logprob response is not a matching-length array")
         return [self._parse_response(d, r) for d, r in zip(data, requests_)]
+
+    def _logprobs_body(self, requests_: Sequence[LogprobRequest]) -> bytes:
+        """The /logprobs body, from cached id texts: byte for byte what compact ``json.dumps`` writes.
+
+        That is ``json.dumps(payload, separators=(",", ":")).encode()`` of
+        the array of ``{"context_ids": [...], "start": s, "end": e}``.
+        """
+        objects = []
+        for r in requests_:
+            ids = self._id_texts.join(r.context)
+            objects.append(f'{{"context_ids":[{ids}],"start":{json.dumps(r.start)},"end":{json.dumps(r.end)}}}')
+        return f"[{','.join(objects)}]".encode()

@@ -29,6 +29,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import compress, repeat
+from operator import neg, sub
 from typing import Any, Callable, Generator, Hashable, NamedTuple, Sequence
 
 from .backends import LogprobBackend, LogprobRequest, ppl_of
@@ -155,6 +157,26 @@ def _token_score(lp_uncond: float, lp_cond: float, config: SelectionConfig) -> t
     return ppl_u, ppl_c, _diff(u, c) if config.conditional else u
 
 
+def _scores(lp_uncond: Sequence[float], lp_cond: Sequence[float], config: SelectionConfig) -> list[float]:
+    """``_token_score(u, c, config)[2]`` of each pair of a run of tokens, each operation over the whole run at once.
+
+    The float operations are _token_score's, in its order. A log-probability
+    of -inf or at most -1024 bits has perplexity +inf, which 2 ** -bits
+    cannot give, so a run holding one takes _token_score token by token.
+    """
+    if not (min(lp_uncond) > -1024.0 and (not config.conditional or min(lp_cond) > -1024.0)):
+        return [_token_score(u, c, config)[2] for u, c in zip(lp_uncond, lp_cond)]
+
+    def space(lps: Sequence[float]) -> list[float]:
+        ppl = list(map(pow, repeat(2.0), map(neg, lps)))
+        return ppl if config.score_space == "ppl_diff" else list(map(math.log2, ppl))
+
+    if not config.conditional:
+        return space(lp_uncond)
+    # finite values: equal ones subtract to 0.0, as _diff has them
+    return list(map(sub, space(lp_uncond), space(lp_cond)))
+
+
 def score_rows(spans: Sequence[str], lp_uncond: Sequence[float], lp_cond: Sequence[float],
                config: SelectionConfig, first_position: int = 0) -> list[TokenScoreRow]:
     """The score rows of a run of tokens, numbered from first_position, from their spans and log-probabilities."""
@@ -256,11 +278,11 @@ def select_tokens(scores: Sequence[float], config: SelectionConfig) -> Selection
         raise ConfigError("select_tokens requires at least one score")
     # sorted is stable with reverse=True too, so equal scores stay in index order
     ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    k = kept_count_for(config.alpha, len(scores))
     mask = [False] * len(scores)
-    for i in ranked[: kept_count_for(config.alpha, len(scores))]:
+    for i in ranked[:k]:
         mask[i] = True
-    threshold = min(score for score, keep in zip(scores, mask) if keep)
-    return SelectionResult(threshold=threshold, kept_mask=mask, kept_count=sum(mask))
+    return SelectionResult(threshold=scores[ranked[k - 1]], kept_mask=mask, kept_count=k)
 
 
 def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: bool = True) -> Steps:
@@ -317,14 +339,14 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
             lp_uncond.extend(step[0])
             lp_cond.extend(step[1])
         seg_selection = select_tokens(
-            [_token_score(lp_uncond[i], lp_cond[i], config)[2] for i in seg], config
+            _scores(lp_uncond[seg.start : seg.stop], lp_cond[seg.start : seg.stop], config), config
         )
         mask.extend(seg_selection.kept_mask)
         threshold = min(threshold, seg_selection.threshold)
-        kept_prefix.extend(ids[i] for i in seg if mask[i])
+        kept_prefix.extend(compress(ids[seg.start : seg.stop], seg_selection.kept_mask))
     selection = SelectionResult(threshold=threshold, kept_mask=mask, kept_count=sum(mask))
 
-    compressed = "".join(span for span, keep in zip(spans, mask) if keep)
+    compressed = "".join(compress(spans, mask))
     record = CompressedInstance(
         id=instance.id, problem=instance.problem, compressed_thinking=compressed, answer=instance.answer,
         nominal_ratio=config.alpha, actual_ratio=selection.kept_count / n, kept_count=selection.kept_count,
@@ -355,16 +377,25 @@ def _item_key(item: Any) -> Hashable:
 def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list]) -> dict:
     """Each task's answers, one per item, with the CtsError of an item that failed alone in its place.
 
-    The distinct items of all tasks go out in one ``send`` call. When it
-    fails, or does not answer each item once, each half of the items goes
-    out again by the same rule (``_halving``), and a single item that fails
-    gets its CtsError. So the failure lands on the items at fault: k of n
-    cost at most 1 + 2k * ceil(log2 n) calls, and never more than 2n - 1.
-    A BackendUnavailable propagates.
+    The distinct items of all tasks (the first of equal ones) go out in one
+    ``send`` call. When it fails, or does not answer each item once, each
+    half of the items goes out again by the same rule (``_halving``), and a
+    single item that fails gets its CtsError. So the failure lands on the
+    items at fault: k of n cost at most 1 + 2k * ceil(log2 n) calls, and
+    never more than 2n - 1. A BackendUnavailable propagates.
     """
-    distinct = {_item_key(item): item for items in tasks.values() for item in items}
-    by_key = dict(zip(distinct, _halving(send, list(distinct.values()))))
-    return {task: [by_key[_item_key(item)] for item in items] for task, items in tasks.items()}
+    batch: list = []
+    places: dict[Hashable, int] = {}  # an item's key -> the place of the first equal item in batch
+
+    def place(item: Any) -> int:
+        i = places.setdefault(_item_key(item), len(batch))  # a key, a whole context's tuple, is hashed once
+        if i == len(batch):
+            batch.append(item)
+        return i
+
+    slots = {task: [place(item) for item in items] for task, items in tasks.items()}
+    answers = _halving(send, batch)
+    return {task: [answers[i] for i in task_slots] for task, task_slots in slots.items()}
 
 
 def _halving(send: Callable[[list], list], batch: list) -> list:

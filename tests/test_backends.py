@@ -2,6 +2,7 @@ import http.client
 import json
 import math
 import random
+import re
 import threading
 
 import pytest
@@ -25,7 +26,7 @@ from cts.errors import (
     ScoringError,
     TokenizeError,
 )
-from cts.selector import SelectionConfig, compress_instance
+from cts.selector import SelectionConfig, _batch_then_split, compress_instance
 
 from conftest import FakeTransport, fake_client, random_spec, uniform_spec, write_spec_file
 from http_stub import StubServer, UntokenizableAnswers
@@ -292,6 +293,24 @@ class TestHttpBackend:
             reqs = [LogprobRequest(ctx, 0, 3), LogprobRequest(ctx, 3, 6)]
             assert client.logprobs_batch(reqs) == [client.logprobs_batch([r])[0] for r in reqs]
             assert client.logprobs_batch([]) == []
+
+    @pytest.mark.parametrize("bad", [True, 1.0, -1, "x", 2**63, 10**30])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_context_id_not_an_int_in_range_is_a_config_error_before_any_post(self, shift_backend, bad, warm):
+        good = LogprobRequest([0, 1, 2], 0, 3)
+        with StubServer(shift_backend) as server:
+            client = self._client(server)
+            if warm:  # the client now holds the text of 1, which True and 1.0 equal
+                client.logprobs_batch([good])
+            posts = server.state.request_count
+            with pytest.raises(ConfigError, match=f"context id {re.escape(repr(bad))} "):
+                client.logprobs_batch([LogprobRequest([0, bad, 2], 1, 3)])
+            assert server.state.request_count == posts
+            # one call of both: halving lands the error on the request at fault alone
+            answers = _batch_then_split(client.logprobs_batch, {"good": [good],
+                                                                "bad": [LogprobRequest([2, bad], 0, 2)]})
+            assert answers["good"] == shift_backend.logprobs_batch([good])
+            assert isinstance(answers["bad"][0], ConfigError)
 
     def test_retries_transient_503_then_succeeds(self, uniform4_backend):
         with StubServer(uniform4_backend) as server:

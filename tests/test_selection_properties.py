@@ -1,4 +1,5 @@
 """Property tests of selection: exact counts and ratios, nesting across alphas, a brute-force oracle,
+segment scores computed a list at a time against token by token,
 original-prefix scoring against each segment scored after the original thinking, kept-prefix
 scoring against each segment scored after the ids kept before it, lockstep
 scoring of a group against one instance at a time, selection without kept rows, the
@@ -8,13 +9,15 @@ These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
 
 import math
+import struct
+from array import array
 from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import cts.cli  # noqa: E402
@@ -26,6 +29,8 @@ from cts.selector import (  # noqa: E402
     SCORE_SPACES,
     SelectionConfig,
     _batch_then_split,
+    _scores,
+    _token_score,
     compress_instance,
     compress_steps,
     kept_count_for,
@@ -63,6 +68,38 @@ def test_select_tokens_matches_the_rank_counting_oracle(values, alpha):
     assert result.kept_mask == [b < k for b in beaten_by]
     assert result.kept_count == k == sum(result.kept_mask)
     assert result.threshold == min(score for score, keep in zip(values, result.kept_mask) if keep)
+
+
+def bits_of(values) -> list[bytes]:
+    return [struct.pack("<d", value) for value in values]
+
+
+# log-probabilities in bits as a backend answers them: from [-1100, 0], where 2 ** -bits overflows at -1024 and
+# below, and -inf; often all above -1024, so that a run takes the list-at-a-time path
+log_probs = st.floats(min_value=-1100.0, max_value=0.0) | st.floats(min_value=-40.0, max_value=0.0) | \
+    st.sampled_from([-math.inf, -1024.0, -1023.9999999999999, -0.0])
+
+
+# no example count is set here, so CI's "fault-sweep" profile sets it
+@settings(deadline=None)
+@given(st.lists(st.tuples(log_probs, log_probs), min_size=1, max_size=60), st.integers(0, 59), st.integers(1, 60),
+       alphas, st.booleans(), st.sampled_from(SCORE_SPACES))
+# the last value whose perplexity is a float, and the first that is not, on either side
+@example([(-2.0, -1023.9999999999999), (-1.0, -1024.0)], 0, 2, 0.5, True, "ppl_diff")
+@example([(-1023.9999999999999, -1.0), (-1024.0, -1.0)], 1, 1, 0.5, False, "bits_diff")
+@example([(-1023.9999999999999, -1.0), (-1.0, -2.0)], 0, 2, 0.5, True, "bits_diff")
+def test_segment_scores_equal_token_scores_bit_for_bit(pairs, start, length, alpha, conditional, space):
+    config = SelectionConfig(alpha=alpha, conditional=conditional, score_space=space)
+    lp_uncond, lp_cond = array("d", [u for u, _ in pairs]), array("d", [c for _, c in pairs])
+    start %= len(pairs)
+    stop = min(len(pairs), start + length)
+    # a segment's slices of the two arrays, as compress_steps takes them
+    values = _scores(lp_uncond[start:stop], lp_cond[start:stop], config)
+    assert bits_of(values) == bits_of(_token_score(u, c, config)[2] for u, c in pairs[start:stop])
+    # the threshold and kept count read from the ranking are the lowest kept score and the kept mask's count
+    result = select_tokens(values, config)
+    assert result.kept_count == sum(result.kept_mask)
+    assert bits_of([result.threshold]) == bits_of([min(score for score, keep in zip(values, result.kept_mask) if keep)])
 
 
 @settings(max_examples=200, deadline=None)

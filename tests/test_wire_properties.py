@@ -1,11 +1,14 @@
-"""Property tests of the HTTP wire boundary: the answers a reply gives, and malformed bodies.
+"""Property tests of the HTTP wire boundary: the answers a reply gives, malformed bodies, and request bodies.
 
 Replies come from a fake transport, without sockets, except where a test
-goes through the in-process stub server.
+goes through the in-process stub server. The client's one-pass request
+bodies and reply checks are held against the json.dumps body and the
+per-item checks they replace.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
 
+import json
 import math
 import random
 
@@ -194,3 +197,117 @@ class TestWireProperties:
             bits = data.draw(st.text(max_size=3) | st.dictionaries(st.text(max_size=2), st.floats(), max_size=2))
         with pytest.raises(BackendProtocolError):
             fake_client([{"logprobs_bits": bits}]).logprobs_batch([REQUEST])
+
+
+class Capture:
+    """A transport that keeps each POST body and answers every request with log-probabilities of -1 bit."""
+
+    def __init__(self):
+        self.bodies: list[bytes] = []
+
+    def post(self, path, body, headers):
+        self.bodies.append(body)
+        reply = [{"logprobs_bits": [-1.0] * (item["end"] - item["start"])} for item in json.loads(body)]
+        return 200, {}, json.dumps(reply).encode("utf-8")
+
+
+@st.composite
+def request_batches(draw):
+    """1-6 requests over 1-4 contexts, so that requests share a context; ids 0-9, which repeat, and up to 2**40."""
+    token_ids = st.integers(0, 9) | st.integers(0, 2**40)
+    contexts = draw(st.lists(st.lists(token_ids, min_size=1, max_size=8), min_size=1, max_size=4))
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        context = draw(st.sampled_from(contexts))
+        start = draw(st.integers(0, len(context) - 1))
+        batch.append(LogprobRequest(context, start, draw(st.integers(start + 1, len(context)))))
+    return batch
+
+
+def reference_parse_tokens(data, text):
+    """``HttpBackend._parse_tokens`` as it was: one pass over the ids and one over the spans, item by item."""
+    ids = data.get("token_ids") if isinstance(data, dict) else None
+    spans = data.get("spans") if isinstance(data, dict) else None
+    if not isinstance(ids, list) or not isinstance(spans, list):
+        raise BackendProtocolError("tokenize response missing the token_ids/spans arrays")
+    if len(ids) != len(spans):
+        raise BackendProtocolError("tokenize response has mismatched token_ids/spans lengths")
+    if not all(type(i) is int and i >= 0 for i in ids):
+        raise BackendProtocolError("tokenize response has a token id that is not a non-negative integer")
+    if not all(type(span) is str for span in spans) or "".join(spans) != text:
+        raise BackendProtocolError("tokenize spans do not concatenate back to the input text")
+    return ids, spans
+
+
+def reference_parse_response(data, request):
+    """``HttpBackend._parse_response`` as it was: four passes over the values, item by item."""
+    raw = data.get("logprobs_bits") if isinstance(data, dict) else None
+    if not isinstance(raw, list):
+        raise BackendProtocolError("logprob response missing the logprobs_bits array")
+    wanted = request.end - request.start
+    if len(raw) != wanted:
+        raise BackendProtocolError(f"logprob response has {len(raw)} entries, expected {wanted}")
+    if not all(type(v) in (int, float) for v in raw):
+        raise BackendProtocolError("logprob response has an entry that is not a number")
+    try:
+        bits = [float(v) for v in raw]
+    except OverflowError as exc:
+        raise BackendProtocolError("logprob response has an integer too large for a float") from exc
+    for v in bits:
+        if not math.isfinite(v):
+            raise BackendProtocolError("remote backend reported a non-finite log probability")
+        if v > 0.0:
+            raise BackendProtocolError(f"remote backend reported a positive log probability {v!r} (P > 1)")
+    return bits
+
+
+def outcome(parse, *args):
+    """What a parse gives: the repr of its value, which tells -0.0 from 0.0 and 1 from 1.0, or its error."""
+    try:
+        return repr(parse(*args))
+    except Exception as exc:  # noqa: BLE001 - the class and message are what is compared
+        return type(exc), str(exc)
+
+
+class TestOracles:
+    """The request body and the reply checks equal the code they replace, byte for byte and error for error.
+
+    No example count is set here, so CI's "fault-sweep" profile sets it.
+    """
+
+    @settings(deadline=None)
+    @given(st.lists(request_batches(), min_size=1, max_size=3))
+    def test_logprobs_body_equals_json_dumps_on_a_fresh_and_a_warm_backend(self, batches):
+        capture = Capture()
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), capture.post)
+        for _ in range(2):  # the first round fills the cache of id texts, the second reads it
+            for batch in batches:
+                client.logprobs_batch(batch)
+        oracle = [json.dumps([{"context_ids": list(r.context), "start": r.start, "end": r.end} for r in batch],
+                             separators=(",", ":")).encode("utf-8") for batch in batches]
+        assert capture.bodies == oracle * 2
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        json_values,
+        st.fixed_dictionaries({"token_ids": json_values, "spans": json_values}),
+        st.fixed_dictionaries({"token_ids": st.lists(json_values | not_an_id | st.integers(min_value=0), max_size=3),
+                               "spans": st.lists(st.sampled_from(["A", "B", "AB", ""]) | json_values, max_size=3)}),
+        tokenize_replies(),
+    ))
+    def test_parse_tokens_equals_the_per_item_checks(self, payload):
+        assert outcome(HttpBackend._parse_tokens, payload, TEXT) == outcome(reference_parse_tokens, payload, TEXT)
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        json_values,
+        st.fixed_dictionaries({"logprobs_bits": json_values}),
+        st.fixed_dictionaries({"logprobs_bits": st.lists(json_values | valid_bits | bad_float | not_a_number,
+                                                         min_size=2, max_size=2)}),
+        st.fixed_dictionaries({"logprobs_bits": st.lists(valid_bits | bad_float, min_size=2, max_size=2)}),
+        st.fixed_dictionaries({"logprobs_bits": st.lists(valid_bits | st.sampled_from([-math.inf, math.inf, math.nan]),
+                                                         min_size=2, max_size=2)}),
+    ))
+    def test_parse_response_equals_the_per_item_checks(self, payload):
+        client = fake_client()
+        assert outcome(client._parse_response, payload, REQUEST) == outcome(reference_parse_response, payload, REQUEST)
