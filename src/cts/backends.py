@@ -38,13 +38,24 @@ START = "START"  # reserved table key for the start-of-sequence distribution
 MAX_IN_FLIGHT = 8
 
 
+def _bad_id(token) -> ConfigError:
+    return ConfigError(f"context id {token!r} is not an int in [0, 2**63)")
+
+
 @dataclass
 class LogprobRequest:
-    """Ask for log2 P(context[t] | context[:t]) for every t in [start, end)."""
+    """Ask for log2 P(context[t] | context[:t]) for every t in [start, end): int ids and bounds, checked when made."""
 
     context: Sequence[int]
     start: int
     end: int
+
+    def __post_init__(self) -> None:
+        n = len(self.context)
+        if type(self.start) is not int or type(self.end) is not int or not 0 <= self.start < self.end <= n:
+            raise ConfigError(f"invalid logprob span [{self.start}, {self.end}) for context of length {n}")
+        if set(map(type, self.context)) != {int}:  # True and 1.0 would score, and key a request, as 1
+            raise _bad_id(next(token for token in self.context if type(token) is not int))
 
 
 def ppl_of(logprob_bits: float) -> float:
@@ -59,18 +70,6 @@ def _texts(texts: Sequence[str]) -> Sequence[str]:
     if isinstance(texts, str):  # a str is a sequence of str too: one text per character
         raise TypeError("tokenize takes a sequence of texts, not a str")
     return texts
-
-
-def _validate_request(request: LogprobRequest, vocab_size: int | None = None) -> None:
-    n = len(request.context)
-    if not (0 <= request.start < request.end <= n):
-        raise ConfigError(
-            f"invalid logprob span [{request.start}, {request.end}) for context of length {n}"
-        )
-    if vocab_size is not None:
-        for tok in request.context:
-            if not (0 <= tok < vocab_size):
-                raise BackendProtocolError(f"token id {tok} outside vocabulary of size {vocab_size}")
 
 
 class LogprobBackend(abc.ABC):
@@ -156,6 +155,7 @@ class ToyBackend(LogprobBackend):
         spec.validate()
         self.spec = spec
         self._token_to_id = {tok: i for i, tok in enumerate(spec.vocabulary)}
+        self._ids = frozenset(self._token_to_id.values())
         self._lengths = sorted({len(tok) for tok in spec.vocabulary}, reverse=True)
         # rows keyed by previous token id; -1 is the START row
         self._rows: dict[int, dict[int, float]] = {}
@@ -196,8 +196,10 @@ class ToyBackend(LogprobBackend):
         return [self._score(r) for r in requests_]
 
     def _score(self, request: LogprobRequest) -> list[float]:
-        _validate_request(request, vocab_size=len(self.spec.vocabulary))
         ctx = request.context
+        if not self._ids.issuperset(ctx):  # one pass in C: faster than min and max, or a loop
+            bad = next(tok for tok in ctx if tok not in self._ids)
+            raise BackendProtocolError(f"token id {bad} outside vocabulary of size {len(self._ids)}")
         bits: list[float] = []
         for t in range(request.start, request.end):
             prev_id = ctx[t - 1] if t > 0 else -1
@@ -235,16 +237,11 @@ def _retry_after(status: int, headers: Mapping[str, str]) -> float | None:
     return float(value) if value.strip().isdecimal() else None
 
 
-def _bad_id(token) -> ConfigError:
-    return ConfigError(f"context id {token!r} is not an int in [0, 2**63)")
-
-
 class _IdTexts(dict):
     """The decimal text of each context id a backend has sent, admitted at its first use.
 
     So it holds one entry per distinct id seen, whatever the vocabulary's
-    size. ``join`` checks every id's type first: True and 1.0 would find
-    the entry of 1.
+    size; each is checked against the wire's id range once, when admitted.
     """
 
     def __missing__(self, token: int) -> str:
@@ -252,12 +249,6 @@ class _IdTexts(dict):
             raise _bad_id(token)
         text = self[token] = str(token)
         return text
-
-    def join(self, context: Sequence[int]) -> str:
-        """The ids of a non-empty context as a JSON array's items, "3,1,4"; a ConfigError names a bad id."""
-        if set(map(type, context)) != {int}:
-            raise _bad_id(next(token for token in context if type(token) is not int))
-        return ",".join(map(self.__getitem__, context))
 
 
 @dataclass
@@ -291,8 +282,9 @@ class HttpBackend(LogprobBackend):
     payloads (wrong shape or length, non-integer ids, non-numeric,
     non-finite or positive log probabilities, spans that do not reassemble
     the text) are BackendProtocolError and never retried; any other
-    failure to send a request is a BackendError. A context id that is not
-    an int in [0, 2**63) fails its call with a ConfigError, before any POST.
+    failure to send a request is a BackendError. A request's types and span
+    are checked where it is made (LogprobRequest); a context id outside
+    [0, 2**63) fails its call with a ConfigError, before any POST.
     Requests are idempotent so retries are safe. ``sleep`` and ``uniform``
     are the clock and random source of the backoff. A token or base URL
     that http.client cannot send is a ConfigError here, before any POST.
@@ -442,8 +434,6 @@ class HttpBackend(LogprobBackend):
     def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[list[float]]:
         if not requests_:
             return []
-        for r in requests_:
-            _validate_request(r)
         data = self._post("/logprobs", self._logprobs_body(requests_))
         if not isinstance(data, list) or len(data) != len(requests_):
             raise BackendProtocolError("batched logprob response is not a matching-length array")
@@ -457,6 +447,6 @@ class HttpBackend(LogprobBackend):
         """
         objects = []
         for r in requests_:
-            ids = self._id_texts.join(r.context)
-            objects.append(f'{{"context_ids":[{ids}],"start":{json.dumps(r.start)},"end":{json.dumps(r.end)}}}')
+            ids = ",".join(map(self._id_texts.__getitem__, r.context))
+            objects.append(f'{{"context_ids":[{ids}],"start":{r.start},"end":{r.end}}}')  # ints: JSON text is str
         return f"[{','.join(objects)}]".encode()

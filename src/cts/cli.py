@@ -449,7 +449,7 @@ def _check_outputs(written: list[str | None], inputs: list[str | None], report: 
         if os.path.exists(full) and not os.path.isfile(full):
             raise ConfigError(f"output file {path!r} exists and is not a regular file")
     for path in written:
-        tmp = path + ".tmp"
+        tmp = JsonlWriter(path).tmp_path
         if os.path.realpath(tmp) in read | set(real):
             raise ConfigError(f"temp file {tmp!r} of output file {path!r} is also an input or output of the run")
         if os.path.lexists(tmp):

@@ -26,7 +26,7 @@ from cts.errors import (
     ScoringError,
     TokenizeError,
 )
-from cts.selector import SelectionConfig, _batch_then_split, compress_instance
+from cts.selector import Outcome, SelectionConfig, _batch_then_split, compress_instance, run_lockstep
 
 from conftest import FakeTransport, fake_client, random_spec, uniform_spec, write_spec_file
 from http_stub import StubServer, UntokenizableAnswers
@@ -303,6 +303,11 @@ class TestHttpBackend:
             if warm:  # the client now holds the text of 1, which True and 1.0 equal
                 client.logprobs_batch([good])
             posts = server.state.request_count
+            if type(bad) is not int:  # no request can hold it, so none reaches the client
+                with pytest.raises(ConfigError, match=f"context id {re.escape(repr(bad))} "):
+                    LogprobRequest([0, bad, 2], 1, 3)
+                assert server.state.request_count == posts
+                return
             with pytest.raises(ConfigError, match=f"context id {re.escape(repr(bad))} "):
                 client.logprobs_batch([LogprobRequest([0, bad, 2], 1, 3)])
             assert server.state.request_count == posts
@@ -454,6 +459,36 @@ def either_backend(request, shift_backend):
         return
     with StubServer(UntokenizableAnswers(shift_backend.spec)) as server:
         yield HttpBackend(HttpBackendConfig(base_url=server.url, max_retries=0, timeout=5.0))
+
+
+# (context, start, end) that no LogprobRequest holds: a bool or a float where an int goes, though each equals one
+UNBUILDABLE = {"id-True": ([0, True, 2], 1, 3), "id-1.0": ([0, 1.0, 2], 1, 3), "start-True": ([0, 1, 2], True, 3),
+               "start-1.0": ([0, 1, 2], 1.0, 3), "end-True": ([0, 1, 2], 0, True), "end-1.0": ([0, 1, 2], 0, 1.0)}
+
+
+class TestRequestRule:
+    """Both backends score requests of one rule, checked where a LogprobRequest is made."""
+
+    @pytest.mark.parametrize("parts", UNBUILDABLE.values(), ids=UNBUILDABLE.keys())
+    def test_a_bool_or_float_id_or_bound_is_a_config_error_on_both_backends_before_any_post(self, shift_backend,
+                                                                                             parts):
+        transport = FakeTransport([{"logprobs_bits": [-1.0, -1.0]}])
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), transport.post)
+        for backend in (shift_backend, client):
+            with pytest.raises(ConfigError, match=r"^(context id|invalid logprob span) "):
+                backend.logprobs_batch([LogprobRequest(*parts)])
+        assert transport.posts == 0
+
+    @pytest.mark.parametrize("parts", UNBUILDABLE.values(), ids=UNBUILDABLE.keys())
+    def test_a_step_whose_request_cannot_be_built_ends_in_a_config_error_alone(self, either_backend, shift_backend,
+                                                                               parts):
+        def steps(parts):
+            return (yield [LogprobRequest(*parts)])
+
+        good = ([0, 1, 2], 1, 3)  # equal by value to the request of [0, True, 2] or [0, 1.0, 2]
+        [scored, failed] = run_lockstep([(steps(good), either_backend), (steps(parts), either_backend)])
+        assert scored == Outcome(shift_backend.logprobs_batch([LogprobRequest(*good)]), None)
+        assert failed.result is None and isinstance(failed.error, ConfigError)
 
 
 class TestTokenizeBatch:

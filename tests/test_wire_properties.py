@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from cts.backends import HttpBackend, HttpBackendConfig, LogprobRequest, ToyBackend  # noqa: E402
 from cts.dataset import CotInstance  # noqa: E402
-from cts.errors import BackendProtocolError  # noqa: E402
+from cts.errors import BackendProtocolError, ConfigError  # noqa: E402
 from cts.selector import SelectionConfig, compress_instance, segment_thinking  # noqa: E402
 
 from conftest import fake_client, random_spec, shift_spec  # noqa: E402
@@ -93,14 +93,20 @@ class EmptyAfterSpace(ToyBackend):
 
 
 @pytest.fixture(scope="module")
-def clients():
-    """HttpBackends on two stub servers: one of the shift-table toy model, one of EmptyAfterSpace."""
+def servers():
+    """Two stub servers: one of the shift-table toy model, one of EmptyAfterSpace."""
     with StubServer(TOY) as toy, StubServer(EmptyAfterSpace(random_spec(["A", "B", " ", "~"], random.Random(3)))) \
             as empty:
-        backends = [HttpBackend(HttpBackendConfig(base_url=server.url, max_retries=0)) for server in (toy, empty)]
-        yield backends
-        for backend in backends:
-            backend.close()
+        yield toy, empty
+
+
+@pytest.fixture(scope="module")
+def clients(servers):
+    """An HttpBackend on each of ``servers``."""
+    backends = [HttpBackend(HttpBackendConfig(base_url=server.url, max_retries=0)) for server in servers]
+    yield backends
+    for backend in backends:
+        backend.close()
 
 
 class TestThroughTheStub:
@@ -121,6 +127,57 @@ class TestThroughTheStub:
         assert record.compressed_thinking == "".join(span for span, keep in zip(spans, selection.kept_mask) if keep)
         # a span "" never ends on a boundary, and each one follows a space, a boundary within the slack
         assert all(spans[seg.start - 1] != "" for seg in segment_thinking(len(spans), spans, config)[1:])
+
+
+@st.composite
+def request_parts(draw):
+    """A (context, start, end) for LogprobRequest: toy-vocabulary ids and a valid span, either perhaps broken.
+
+    A broken id is any int (negative, past the vocabulary, past 2**63), a
+    bool, a float or a str; a broken bound is a small int, a bool or a float.
+    """
+    context = draw(st.lists(st.integers(0, len(TOY.spec.vocabulary) - 1), max_size=6))
+    if context and draw(st.booleans()):
+        any_id = st.integers() | st.integers(min_value=2**63) | st.booleans() | st.floats() | st.text(max_size=2)
+        for i in draw(st.lists(st.integers(0, len(context) - 1), min_size=1, max_size=3)):
+            context[i] = draw(any_id)
+    start = draw(st.integers(0, max(len(context) - 1, 0)))
+    end = draw(st.integers(start + 1, max(len(context), start + 1)))
+    if draw(st.booleans()):
+        any_bound = st.integers(-1, len(context) + 1) | st.booleans() | st.floats(-1, len(context) + 1)
+        start, end = draw(st.just(start) | any_bound), draw(st.just(end) | any_bound)
+    return context, start, end
+
+
+class TestRequestRule:
+    """One rule for the requests of every backend, checked where a LogprobRequest is made.
+
+    No example count is set here, so CI's "fault-sweep" profile sets it.
+    """
+
+    @settings(deadline=None)
+    @given(request_parts())
+    def test_a_request_builds_iff_the_rule_holds_and_each_backend_checks_only_its_id_range(self, servers, clients,
+                                                                                           parts):
+        context, start, end = parts
+        rule = type(start) is type(end) is int and 0 <= start < end <= len(context) and \
+            all(type(token) is int for token in context)
+        try:
+            request = LogprobRequest(context, start, end)
+        except ConfigError:
+            assert not rule
+            return
+        assert rule
+        posts = servers[0].state.request_count
+        if all(0 <= token < len(TOY.spec.vocabulary) for token in context):
+            assert clients[0].logprobs_batch([request]) == TOY.logprobs_batch([request])
+            return
+        with pytest.raises(BackendProtocolError, match="outside vocabulary"):
+            TOY.logprobs_batch([request])
+        if not all(0 <= token < 2**63 for token in context):
+            with pytest.raises(ConfigError, match=r"is not an int in \[0, 2\*\*63\)"):
+                clients[0].logprobs_batch([request])
+            assert servers[0].state.request_count == posts
 
 
 class TestWireProperties:
