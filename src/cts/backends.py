@@ -42,15 +42,16 @@ def _bad_id(token) -> ConfigError:
     return ConfigError(f"context id {token!r} is not an int in [0, 2**63)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogprobRequest:
-    """Ask for log2 P(context[t] | context[:t]) for every t in [start, end): int ids and bounds, checked when made."""
+    """Ask for log2 P(context[t] | context[:t]) for every t in [start, end): a frozen value, checked when made."""
 
-    context: Sequence[int]
+    context: tuple[int, ...]  # stored as a tuple (a tuple as itself), so equal requests are one dict key
     start: int
     end: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "context", tuple(self.context))
         n = len(self.context)
         if type(self.start) is not int or type(self.end) is not int or not 0 <= self.start < self.end <= n:
             raise ConfigError(f"invalid logprob span [{self.start}, {self.end}) for context of length {n}")
@@ -279,9 +280,9 @@ class HttpBackend(LogprobBackend):
     Transport failures and 5xx responses are retried after a full-jitter
     exponential backoff (or the numeric Retry-After of a 503, at most
     ``config.timeout``), then surface as BackendUnavailable. Malformed
-    payloads (wrong shape or length, non-integer ids, non-numeric,
-    non-finite or positive log probabilities, spans that do not reassemble
-    the text) are BackendProtocolError and never retried; any other
+    payloads (wrong shape or length, token ids not ints in [0, 2**63),
+    non-numeric, non-finite or positive log probabilities, spans that do not
+    reassemble the text) are BackendProtocolError and never retried; any other
     failure to send a request is a BackendError. A request's types and span
     are checked where it is made (LogprobRequest); a context id outside
     [0, 2**63) fails its call with a ConfigError, before any POST.
@@ -402,8 +403,8 @@ class HttpBackend(LogprobBackend):
             raise BackendProtocolError("tokenize response missing the token_ids/spans arrays")
         if len(ids) != len(spans):
             raise BackendProtocolError("tokenize response has mismatched token_ids/spans lengths")
-        if ids and (set(map(type, ids)) != {int} or min(ids) < 0):
-            raise BackendProtocolError("tokenize response has a token id that is not a non-negative integer")
+        if ids and (set(map(type, ids)) != {int} or min(ids) < 0 or max(ids) >= 2**63):
+            raise BackendProtocolError("tokenize response has a token id that is not an int in [0, 2**63)")
         if not set(map(type, spans)) <= {str} or "".join(spans) != text:
             raise BackendProtocolError("tokenize spans do not concatenate back to the input text")
         return ids, spans

@@ -188,15 +188,16 @@ def _segment_steps(history: Sequence[int], cond_prefix: Sequence[int], ids: Sequ
                    config: SelectionConfig, instance_id: str) -> Steps:
     """One scoring step: yield its batched request, return the log-probabilities (uncond, cond) of ``ids``.
 
-    The unconditional context is history + ids, the conditional one
-    cond_prefix + history + ids (without ``conditional``, both lists are the
-    unconditional one). A CtsError among the answers becomes a
-    ScoringError naming thinking tokens [first_position, first_position + n).
+    The unconditional context is the tuple (*history, *ids), the conditional
+    one (*cond_prefix, *history, *ids); without ``conditional`` only the
+    first is sent, and its answer is returned twice. A CtsError among the
+    answers becomes a ScoringError naming thinking tokens [first_position,
+    first_position + n).
     """
     n = len(ids)
-    contexts = [[*history, *ids] if history else ids]  # no copy of ids while the request waits to be sent
+    contexts = [(*history, *ids) if history else ids]  # a tuple ids is the request's context itself, not a copy
     if config.conditional:
-        contexts.append([*cond_prefix, *history, *ids])
+        contexts.append((*cond_prefix, *history, *ids))
     answers = yield [LogprobRequest(context, len(context) - n, len(context)) for context in contexts]
     failed = next((answer for answer in answers if isinstance(answer, CtsError)), None)
     if failed is not None:
@@ -318,12 +319,13 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
             raise ScoringError(
                 f"instance {instance.id}: cannot tokenize {field}: {answer}", instance.id
             ) from answer
-    ids, spans = answers[0]
+    (ids, spans), cond_prefix = answers[0], answers[1][0] if condition else ()
+    del answers, answer  # so the tuple below is the one copy of the ids held: its slices and requests share it
+    ids = tuple(ids)
     if len(ids) != len(spans):
         raise ScoringError(
             f"instance {instance.id}: backend tokenize answer has {len(ids)} ids and {len(spans)} spans", instance.id
         )
-    cond_prefix = answers[1][0] if condition else []
     n, whole = len(ids), config.selection_scope == "global"
     fixed = whole or config.iterative_original_prefix  # the history does not depend on the selection
     segments = [range(n)] if whole else segment_thinking(n, spans, config)
@@ -367,13 +369,6 @@ def compress_instance(
     return record, score_rows(*scores, config), selection
 
 
-def _item_key(item: Any) -> Hashable:
-    """What makes two items of one call the same: a request's span of its context; other items themselves."""
-    if isinstance(item, LogprobRequest):
-        return tuple(item.context), item.start, item.end
-    return item
-
-
 def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list]) -> dict:
     """Each task's answers, one per item, with the CtsError of an item that failed alone in its place.
 
@@ -385,10 +380,10 @@ def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list]) -> d
     never more than 2n - 1. A BackendUnavailable propagates.
     """
     batch: list = []
-    places: dict[Hashable, int] = {}  # an item's key -> the place of the first equal item in batch
+    places: dict[Hashable, int] = {}  # an item, a text or a request, as its own key -> its first place in batch
 
     def place(item: Any) -> int:
-        i = places.setdefault(_item_key(item), len(batch))  # a key, a whole context's tuple, is hashed once
+        i = places.setdefault(item, len(batch))  # hashed once: a request by its value, its whole context included
         if i == len(batch):
             batch.append(item)
         return i
@@ -447,8 +442,9 @@ def lockstep_step(tasks: Sequence[tuple[Steps, LogprobBackend]], states: Sequenc
             calls.setdefault(send, {})[task] = items
     states = list(states)
     for send, batch in calls.items():
-        for task, answers in _batch_then_split(send, batch).items():
-            states[task] = _advance(tasks[task][0], answers)
+        answered = _batch_then_split(send, batch)
+        for task in batch:  # each task's answers are let go as it is advanced
+            states[task] = _advance(tasks[task][0], answered.pop(task))
     return states
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import http.client
 import json
 import math
@@ -489,6 +490,26 @@ class TestRequestRule:
         [scored, failed] = run_lockstep([(steps(good), either_backend), (steps(parts), either_backend)])
         assert scored == Outcome(shift_backend.logprobs_batch([LogprobRequest(*good)]), None)
         assert failed.result is None and isinstance(failed.error, ConfigError)
+
+    @pytest.mark.parametrize("field, value", [("context", [0, True, 2]), ("start", 1.0), ("end", 2)],
+                             ids=["context", "start", "end"])
+    def test_a_request_cannot_be_changed_after_its_check(self, field, value):
+        request = LogprobRequest([0, 1, 2], 1, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(request, field, value)
+        assert request == LogprobRequest((0, 1, 2), 1, 3)
+
+    def test_a_list_context_is_stored_as_an_equal_tuple_and_a_tuple_context_as_itself(self):
+        ids = [0, 1, 2]
+        assert LogprobRequest(ids, 1, 3).context == (0, 1, 2)
+        assert type(LogprobRequest(ids, 1, 3).context) is tuple
+        ids = (0, 1, 2)
+        assert LogprobRequest(ids, 1, 3).context is ids
+
+    def test_requests_from_an_equal_list_and_tuple_are_equal_and_hash_equal(self):
+        from_list, from_tuple = LogprobRequest([0, 1, 2], 1, 3), LogprobRequest((0, 1, 2), 1, 3)
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+        assert len({from_list, from_tuple, LogprobRequest((0, 1, 2), 2, 3)}) == 2
 
 
 class TestTokenizeBatch:

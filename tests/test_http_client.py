@@ -20,7 +20,7 @@ from cts.cli import GROUP_CHARS, SCORE_GROUP, main
 from cts.dataset import CotInstance
 from cts.errors import BackendUnavailable, ConfigError, ScoringError
 from cts.runner import LOOKAHEAD_PER_WORKER
-from cts.selector import SelectionConfig, compress_instance
+from cts.selector import SelectionConfig, compress_instance, compress_steps, run_lockstep
 
 from conftest import halving_calls, make_corpus, shift_spec, write_jsonl_file, write_spec_file
 from http_stub import CountingStub, UntokenizableAnswers
@@ -447,6 +447,34 @@ class TestGroupTokenizeIsolation:
         assert "cannot tokenize condition" in str(exc.value)
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert failed == [f"compress: instance {records[bad]['id']} failed: {exc.value}"]
+
+    def test_a_token_id_past_the_wire_range_fails_its_instance_at_tokenizing(self):
+        class IdPastTheWire(ToyTransport):
+            """Answers as the toy model does, but the thinking "CAB" gets a first token id of 2**63."""
+
+            def post(self, path, body, headers):
+                status, reply_headers, reply = super().post(path, body, headers)
+                items = json.loads(reply)
+                for item, request in zip(items, json.loads(body)):
+                    if request.get("text") == "CAB":
+                        item["token_ids"][0] = 2**63
+                return status, reply_headers, json.dumps(items).encode("utf-8")
+
+        instances = [CotInstance(f"i{i}", "", thinking, "42") for i, thinking in enumerate(["ABC", "CAB", "BCA", "AB"])]
+        config = SelectionConfig(alpha=0.7, condition_template="{answer}:")
+        transport = IdPastTheWire(ToyBackend(shift_spec()))
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=0), transport.post)
+        outcomes = run_lockstep([(compress_steps(instance, config), client) for instance in instances])
+        # a tokenize answer the client could never send back: the instance fails at tokenizing, not at scoring
+        assert outcomes[1].result is None and isinstance(outcomes[1].error, ScoringError)
+        assert "cannot tokenize thinking" in str(outcomes[1].error)
+        assert "not an int in [0, 2**63)" in str(outcomes[1].error)
+        # so the three good instances are scored in one /logprobs POST, with no halving
+        assert [path for path, _ in transport.posts].count("/logprobs") == 1
+        toy = ToyBackend(shift_spec())
+        for i in (0, 2, 3):
+            assert outcomes[i].error is None
+            assert outcomes[i].result[0] == compress_instance(instances[i], config, toy)[0]
 
 
 @pytest.mark.usefixtures("groups_by_count")

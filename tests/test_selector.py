@@ -2,6 +2,7 @@ import json
 import math
 import random
 import threading
+import weakref
 
 import pytest
 
@@ -13,6 +14,7 @@ from cts.selector import (
     compress_instance,
     compress_steps,
     kept_count_for,
+    lockstep_step,
     run_lockstep,
     segment_thinking,
     select_tokens,
@@ -62,6 +64,10 @@ def ids_of(backend, text: str) -> tuple[int, ...]:
     return tuple(backend.tokenize([text])[0][0])
 
 
+class Ids(list):
+    """A list of token ids that a weakref can point at."""
+
+
 class TestBuildContexts:
     # compress_steps tokenizes the thinking and the condition once each; a
     # segment's unconditional context is its history + thinking ids and its
@@ -106,6 +112,45 @@ class TestBuildContexts:
     def test_empty_thinking_rejected(self, shift_backend):
         with pytest.raises(ScoringError):
             compress_instance(instance(""), config(), shift_backend)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"condition_template": ""}, {"conditional": False},
+        {"selection_scope": "per_segment", "segment_budget": 4, "boundary_slack": 0},
+    ], ids=["global", "empty-condition", "unconditional", "per-segment"])
+    def test_the_tokenize_answer_ids_are_not_held_once_copied_to_one_tuple(self, shift_backend, overrides):
+        cfg = config(**overrides)
+        steps = compress_steps(instance("ABC AB CAB"), cfg)
+        texts = next(steps)
+        (ids, spans), *condition = shift_backend.tokenize(texts)
+        ids = Ids(ids)
+        held = weakref.ref(ids)
+        requests_ = steps.send([(ids, spans), *condition])
+        del ids, condition
+        assert held() is None  # the generator keeps its own tuple of the ids, not the answer's list
+        while True:
+            try:
+                requests_ = steps.send(shift_backend.logprobs_batch(requests_))
+            except StopIteration as stop:
+                record, _, selection = stop.value
+                break
+        expected, _, expected_selection = compress_instance(instance("ABC AB CAB"), cfg, shift_backend)
+        assert (record, selection) == (expected, expected_selection)
+
+    def test_a_lockstep_step_lets_go_of_each_task_answers_once_it_is_advanced(self):
+        class WeakIds(ToyBackend):
+            def tokenize(self, texts):
+                answers = [(Ids(ids), spans) for ids, spans in super().tokenize(texts)]
+                self.held = [weakref.ref(ids) for ids, _ in answers]
+                return answers
+
+        backend, alive = WeakIds(shift_spec()), []
+
+        def probe():  # advanced after the instance, in the same step: is the instance's answer still held?
+            yield ["C"]
+            alive.append(backend.held[0]() is not None)
+
+        lockstep_step([(compress_steps(instance("ABC AB CAB"), config()), backend), (probe(), backend)])
+        assert alive == [False]
 
 
 class TestScoreTokens:

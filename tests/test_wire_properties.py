@@ -47,10 +47,10 @@ bad_float = st.floats(min_value=0.0, exclude_min=True) | st.sampled_from([math.n
 
 @st.composite
 def tokenize_replies(draw):
-    """A /tokenize answer for TEXT that passes every check: TEXT cut anywhere, so empty spans too, any ids >= 0."""
+    """A /tokenize answer for TEXT that passes every check: TEXT cut anywhere, so empty spans too, ids in [0, 2**63)."""
     bounds = [0, *sorted(draw(st.lists(st.integers(0, len(TEXT)), max_size=5))), len(TEXT)]
     spans = [TEXT[a:b] for a, b in zip(bounds, bounds[1:])]
-    return {"token_ids": draw(st.lists(st.integers(min_value=0), min_size=len(spans), max_size=len(spans))),
+    return {"token_ids": draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(spans), max_size=len(spans))),
             "spans": spans}
 
 
@@ -150,7 +150,7 @@ def request_parts(draw):
 
 
 class TestRequestRule:
-    """One rule for the requests of every backend, checked where a LogprobRequest is made.
+    """One rule for the requests of every backend, checked where a LogprobRequest is made, which is a value.
 
     No example count is set here, so CI's "fault-sweep" profile sets it.
     """
@@ -168,6 +168,10 @@ class TestRequestRule:
             assert not rule
             return
         assert rule
+        # a value: its context a tuple of the drawn ids, equal and hash equal to the request of that tuple
+        assert type(request.context) is tuple and request.context == tuple(context)
+        from_tuple = LogprobRequest(tuple(context), start, end)
+        assert request == from_tuple and hash(request) == hash(from_tuple)
         posts = servers[0].state.request_count
         if all(0 <= token < len(TOY.spec.vocabulary) for token in context):
             assert clients[0].logprobs_batch([request]) == TOY.logprobs_batch([request])
@@ -289,8 +293,8 @@ def reference_parse_tokens(data, text):
         raise BackendProtocolError("tokenize response missing the token_ids/spans arrays")
     if len(ids) != len(spans):
         raise BackendProtocolError("tokenize response has mismatched token_ids/spans lengths")
-    if not all(type(i) is int and i >= 0 for i in ids):
-        raise BackendProtocolError("tokenize response has a token id that is not a non-negative integer")
+    if not all(type(i) is int and 0 <= i < 2**63 for i in ids):
+        raise BackendProtocolError("tokenize response has a token id that is not an int in [0, 2**63)")
     if not all(type(span) is str for span in spans) or "".join(spans) != text:
         raise BackendProtocolError("tokenize spans do not concatenate back to the input text")
     return ids, spans
@@ -348,7 +352,8 @@ class TestOracles:
     @given(st.one_of(
         json_values,
         st.fixed_dictionaries({"token_ids": json_values, "spans": json_values}),
-        st.fixed_dictionaries({"token_ids": st.lists(json_values | not_an_id | st.integers(min_value=0), max_size=3),
+        st.fixed_dictionaries({"token_ids": st.lists(json_values | not_an_id | st.integers(min_value=0) |
+                                                     st.integers(min_value=2**63), max_size=3),
                                "spans": st.lists(st.sampled_from(["A", "B", "AB", ""]) | json_values, max_size=3)}),
         tokenize_replies(),
     ))
