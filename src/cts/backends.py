@@ -95,9 +95,9 @@ class LogprobBackend(abc.ABC):
         """Release what the backend holds open; this default holds nothing."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToyLmSpec:
-    """A per-previous-token probability table over a closed vocabulary.
+    """A per-previous-token probability table over a closed vocabulary: a frozen value, checked when made.
 
     ``table`` maps a previous token string (or the reserved key "START" for
     sequence-initial positions) to a distribution over vocabulary strings.
@@ -109,7 +109,7 @@ class ToyLmSpec:
     vocabulary: list[str]
     table: dict[str, dict[str, float]]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if type(self.vocabulary) is not list or not all(type(tok) is str and tok for tok in self.vocabulary):
             raise ConfigError(f"toy model vocabulary must be a list of non-empty str, got {self.vocabulary!r}")
         if not self.vocabulary:
@@ -142,18 +142,15 @@ class ToyLmSpec:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read toy model spec {path!r}: {exc}") from exc
         try:
-            spec = cls(vocabulary=data["vocabulary"], table=data["table"])
+            return cls(vocabulary=data["vocabulary"], table=data["table"])
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed toy model spec {path!r}: {exc}") from exc
-        spec.validate()
-        return spec
 
 
 class ToyBackend(LogprobBackend):
-    """Deterministic table-model backend; the reference-model stand-in for tests."""
+    """Deterministic table-model backend for tests; it copies the table of its spec, which was checked when made."""
 
     def __init__(self, spec: ToyLmSpec):
-        spec.validate()
         self.spec = spec
         self._token_to_id = {tok: i for i, tok in enumerate(spec.vocabulary)}
         self._ids = frozenset(self._token_to_id.values())

@@ -165,7 +165,7 @@ def selection_config_from(settings: dict[str, Any]) -> SelectionConfig:
     for key, choices in _CHOICES.items():
         if settings[key] not in choices:
             raise ConfigError(f"{key} must be one of {choices}, got {settings[key]!r}")
-    config = SelectionConfig(
+    return SelectionConfig(
         alpha=float(ratio),
         conditional=settings["conditional"],
         condition_template=settings["condition_template"],
@@ -175,8 +175,6 @@ def selection_config_from(settings: dict[str, Any]) -> SelectionConfig:
         selection_scope=settings["scope"].replace("-", "_"),
         iterative_original_prefix=settings["iterative_original_prefix"],
     )
-    config.validate()
-    return config
 
 
 def build_backend(descriptor: str | None) -> LogprobBackend:

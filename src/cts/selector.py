@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import compress, repeat
 from operator import neg, sub
@@ -60,9 +60,9 @@ class Outcome(NamedTuple):
 _BOUNDARY_PUNCT = ".!?。！？"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionConfig:
-    """Knobs for scoring and selection.
+    """Knobs for scoring and selection: a frozen value, so a bad field is a ConfigError when it is made.
 
     alpha: fraction of thinking tokens to retain, an int or float in (0, 1].
     conditional: score against the answer-conditioned context; off gives the
@@ -94,9 +94,12 @@ class SelectionConfig:
     selection_scope: str = "global"
     iterative_original_prefix: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)) or not 0 < self.alpha <= 1:
             raise ConfigError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
+        for field in fields(self)[1:]:  # each field but alpha has its default's type exactly: no bool is an int
+            if type(value := getattr(self, field.name)) is not type(field.default):
+                raise ConfigError(f"{field.name} must be {type(field.default).__name__}, got {value!r}")
         if self.segment_budget < 1:
             raise ConfigError(f"segment_budget must be >= 1, got {self.segment_budget!r}")
         if not (0 <= self.boundary_slack < self.segment_budget):
@@ -306,9 +309,8 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
     ``score_rows`` turns into rows, or None without ``keep_scores``; the
     record and selection are the same either way. The compressed thinking
     text is the concatenation of kept spans in original order; actual_ratio
-    is exactly kept_count / original_count.
+    is exactly kept_count / original_count. The config was checked when made.
     """
-    config.validate()
     # spans concatenate to the text, so only an empty text has no tokens
     if not instance.thinking:
         raise ScoringError(f"instance {instance.id}: thinking text produced no tokens", instance.id)

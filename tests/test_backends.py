@@ -204,24 +204,30 @@ class TestContract:
 
 class TestToyLmSpec:
     def test_row_must_sum_to_one(self):
-        spec = ToyLmSpec(vocabulary=["A", "B"], table={"START": {"A": 0.6, "B": 0.6}})
         with pytest.raises(ConfigError):
-            spec.validate()
+            ToyLmSpec(vocabulary=["A", "B"], table={"START": {"A": 0.6, "B": 0.6}})
 
     def test_probability_range_checked(self):
-        spec = ToyLmSpec(vocabulary=["A", "B"], table={"START": {"A": 1.5, "B": -0.5}})
         with pytest.raises(ConfigError):
-            spec.validate()
+            ToyLmSpec(vocabulary=["A", "B"], table={"START": {"A": 1.5, "B": -0.5}})
 
     def test_start_reserved(self):
-        spec = ToyLmSpec(vocabulary=["START", "B"], table={"START": {"B": 1.0}})
         with pytest.raises(ConfigError):
-            spec.validate()
+            ToyLmSpec(vocabulary=["START", "B"], table={"START": {"B": 1.0}})
 
     def test_unknown_row_key_rejected(self):
-        spec = ToyLmSpec(vocabulary=["A"], table={"Z": {"A": 1.0}})
         with pytest.raises(ConfigError):
-            spec.validate()
+            ToyLmSpec(vocabulary=["A"], table={"Z": {"A": 1.0}})
+
+    def test_empty_spec_is_rejected_when_made(self):
+        with pytest.raises(ConfigError, match="vocabulary is empty"):
+            ToyLmSpec(vocabulary=[], table={})
+
+    def test_every_field_is_frozen(self):
+        spec = uniform_spec(["A", "B"])
+        for field in dataclasses.fields(spec):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, field.name, getattr(spec, field.name))
 
     def test_from_file_round_trip(self, tmp_path):
         spec = uniform_spec(["A", "B", " "])

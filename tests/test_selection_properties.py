@@ -3,11 +3,13 @@ segment scores computed a list at a time against token by token,
 original-prefix scoring against each segment scored after the original thinking, kept-prefix
 scoring against each segment scored after the ids kept before it, lockstep
 scoring of a group against one instance at a time, selection without kept rows, the
-halving rule of both backend calls, and the rule that sizes the groups.
+halving rule of both backend calls, the rule that sizes the groups, and building a config from fields of
+any type: it is checked when made, or not made at all.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
 
+import dataclasses
 import math
 import struct
 from array import array
@@ -24,9 +26,10 @@ import cts.cli  # noqa: E402
 from cts.backends import ToyBackend  # noqa: E402
 from cts.cli import ABLATION_MODES, GROUP_CHARS, SCORE_GROUP, _groups  # noqa: E402
 from cts.dataset import CompressedInstance, CotInstance  # noqa: E402
-from cts.errors import BackendProtocolError, BackendUnavailable, CtsError  # noqa: E402
+from cts.errors import BackendProtocolError, BackendUnavailable, ConfigError, CtsError  # noqa: E402
 from cts.selector import (  # noqa: E402
     SCORE_SPACES,
+    SELECTION_SCOPES,
     SelectionConfig,
     _batch_then_split,
     _scores,
@@ -133,6 +136,44 @@ def test_compressed_record_counts_and_ratio_are_exact(thinking, alpha, condition
         lengths = [len(s) for s in segment_thinking(n, [r.span for r in rows], config)]
     assert record.kept_count == sum(kept_count_for(alpha, m) for m in lengths)
     assert record.compressed_thinking == "".join(r.span for r, keep in zip(rows, selection.kept_mask) if keep)
+
+
+# the valid values of each SelectionConfig field, and values of the wrong type or range, some of which are valid
+# for other fields: a bool for an int, "no" and 0 for a flag, None, floats and lists
+valid_fields = st.fixed_dictionaries({
+    "alpha": alphas,
+    "conditional": st.booleans(),
+    "condition_template": st.sampled_from(["{answer}:", "", "{problem}{answer}:", "{answer}{"]),
+    "segment_budget": st.integers(1, 16),
+    "boundary_slack": st.integers(0, 3),
+    "score_space": st.sampled_from(SCORE_SPACES),
+    "selection_scope": st.sampled_from(SELECTION_SCOPES),
+    "iterative_original_prefix": st.booleans(),
+})
+odd_values = st.sampled_from([True, False, 0, 1, -1, 0.5, 2.5, math.nan, math.inf, "no", "", "8", "per-segment",
+                              None, [], [0.5]])
+wrong_fields = st.dictionaries(st.sampled_from([field.name for field in dataclasses.fields(SelectionConfig)]),
+                               odd_values, max_size=3)
+
+
+@settings(deadline=None)
+@given(valid_fields, wrong_fields, st.text(alphabet="ABC ", min_size=1, max_size=40))
+def test_a_config_is_checked_when_made(fields, wrong, thinking):
+    try:
+        config = SelectionConfig(**{**fields, **wrong})
+    except ConfigError:
+        return
+    assert type(config.alpha) in (int, float) and 0 < config.alpha <= 1
+    assert type(config.conditional) is bool and type(config.iterative_original_prefix) is bool
+    assert type(config.segment_budget) is int and type(config.boundary_slack) is int
+    assert 0 <= config.boundary_slack < config.segment_budget
+    assert type(config.condition_template) is str
+    assert not config.conditional or not config.condition_template or "{answer}" in config.condition_template
+    assert config.score_space in SCORE_SPACES and config.selection_scope in SELECTION_SCOPES
+    try:
+        compress_instance(CotInstance("p", "", thinking, "42"), config, BACKEND)
+    except CtsError:  # a template that does not render fails the instance
+        pass
 
 
 @settings(max_examples=100, deadline=None)

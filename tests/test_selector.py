@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -93,9 +94,8 @@ class TestBuildContexts:
         assert backend.requests == [(thinking, 0, n), (prefix + thinking, p, p + n)]
 
     def test_template_without_answer_placeholder_rejected(self, shift_backend):
-        cfg = config(condition_template="no placeholder here")
         with pytest.raises(ConfigError):
-            compress_instance(instance("A"), cfg, shift_backend)
+            compress_instance(instance("A"), config(condition_template="no placeholder here"), shift_backend)
 
     def test_empty_template_is_explicit_no_op(self, shift_backend):
         backend = RecordingBackend(shift_backend)
@@ -442,14 +442,38 @@ class TestCompressInstance:
     def test_alpha_that_is_not_a_number_is_rejected(self, shift_backend, alpha):
         # a bool is an int to Python, but kept_count_for cannot read "True" as a number
         with pytest.raises(ConfigError, match="alpha must be a number"):
-            config(alpha=alpha).validate()
+            config(alpha=alpha)
         with pytest.raises(ConfigError):
             compress_instance(instance("A"), config(alpha=alpha), shift_backend)
 
 
     def test_unknown_score_space_is_rejected(self):
         with pytest.raises(ConfigError, match="score_space must be one of"):
-            config(score_space="x").validate()
+            config(score_space="x")
+
+
+class TestConfigValue:
+    # a SelectionConfig is a frozen value: a bad field is a ConfigError where it is made, never later in a run
+    @pytest.mark.parametrize("field, value", [
+        ("segment_budget", "8"), ("segment_budget", 2.5), ("segment_budget", True), ("boundary_slack", None),
+        ("boundary_slack", False), ("condition_template", 5), ("conditional", "no"),
+        ("iterative_original_prefix", "no"),
+    ])
+    def test_field_of_the_wrong_type_is_rejected_when_made(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            config(**{field: value})
+
+    def test_every_field_is_frozen(self):
+        cfg = config()
+        for field in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, field.name, getattr(cfg, field.name))
+
+    @pytest.mark.parametrize("make", [lambda: config(alpha=2.0), lambda: dataclasses.replace(config(), alpha=0.0)],
+                             ids=["made", "replaced"])
+    def test_alpha_out_of_range_is_rejected_when_made(self, make):
+        with pytest.raises(ConfigError, match="alpha must be a number"):
+            make()
 
 
 class TestRequestBudget:
