@@ -28,12 +28,16 @@ import re
 import ssl
 import time
 import urllib.parse
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .errors import BackendError, BackendProtocolError, BackendUnavailable, ConfigError, TokenizeError
 
 START = "START"  # reserved table key for the start-of-sequence distribution
+_MAPPINGS = (dict, MappingProxyType)  # the types a toy spec's table and rows may have
 # keep-alive connections an HttpBackend holds, so also the most POSTs it has in flight
 MAX_IN_FLIGHT = 8
 
@@ -77,10 +81,11 @@ class LogprobBackend(abc.ABC):
     """Uniform contract for obtaining per-token log probabilities."""
 
     @abc.abstractmethod
-    def tokenize(self, texts: Sequence[str]) -> list[tuple[list[int], list[str]]]:
+    def tokenize(self, texts: Sequence[str]) -> list[tuple[tuple[int, ...], list[str]]]:
         """Split each text into tokens: one (ids, spans) per text, in input order.
 
-        ids and spans are lists of equal length, one entry per token. A bare
+        ids is a tuple and spans a list of equal length, one entry per token;
+        so every selection of one text shares the ids of its answer. A bare
         str raises TypeError. A text's spans concatenate to it byte for
         byte, and the answer is deterministic for a fixed backend.
         tokenize(x) + tokenize(y) need not equal tokenize(x + y); callers
@@ -101,25 +106,29 @@ class ToyLmSpec:
 
     ``table`` maps a previous token string (or the reserved key "START" for
     sequence-initial positions) to a distribution over vocabulary strings.
-    The vocabulary is a list of distinct non-empty str and each row a dict;
-    every probability is an int or a float (not a bool) in [0, 1] and every
-    row sums to 1 within 1e-9.
+    The vocabulary, a list or tuple of distinct non-empty str, is stored as a
+    tuple, and the table and its rows, each a dict or read-only mapping, as
+    read-only copies, before they are checked: every probability is an int or
+    a float (not a bool) in [0, 1] and every row sums to 1 within 1e-9.
     """
 
-    vocabulary: list[str]
-    table: dict[str, dict[str, float]]
+    vocabulary: tuple[str, ...]
+    table: Mapping[str, Mapping[str, float]]
 
     def __post_init__(self) -> None:
-        if type(self.vocabulary) is not list or not all(type(tok) is str and tok for tok in self.vocabulary):
+        if type(self.vocabulary) not in (list, tuple) or not all(type(tok) is str and tok for tok in self.vocabulary):
             raise ConfigError(f"toy model vocabulary must be a list of non-empty str, got {self.vocabulary!r}")
+        if type(self.table) not in _MAPPINGS or not all(type(row) in _MAPPINGS for row in self.table.values()):
+            raise ConfigError("toy model table must map each previous token to an object of probabilities")
+        object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
+        rows = {prev: MappingProxyType(dict(row)) for prev, row in self.table.items()}
+        object.__setattr__(self, "table", MappingProxyType(rows))
         if not self.vocabulary:
             raise ConfigError("toy model vocabulary is empty")
         if len(set(self.vocabulary)) != len(self.vocabulary):
             raise ConfigError("toy model vocabulary contains duplicates")
         if START in self.vocabulary:
             raise ConfigError(f"{START!r} is reserved and may not appear in the vocabulary")
-        if type(self.table) is not dict or not all(type(row) is dict for row in self.table.values()):
-            raise ConfigError("toy model table must map each previous token to an object of probabilities")
         known = set(self.vocabulary)
         for prev, row in self.table.items():
             if prev != START and prev not in known:
@@ -148,62 +157,52 @@ class ToyLmSpec:
 
 
 class ToyBackend(LogprobBackend):
-    """Deterministic table-model backend for tests; it copies the table of its spec, which was checked when made."""
+    """Deterministic table-model backend for tests: it scores by lookup in the log2 of its spec's table."""
 
     def __init__(self, spec: ToyLmSpec):
         self.spec = spec
         self._token_to_id = {tok: i for i, tok in enumerate(spec.vocabulary)}
         self._ids = frozenset(self._token_to_id.values())
         self._lengths = sorted({len(tok) for tok in spec.vocabulary}, reverse=True)
-        # rows keyed by previous token id; -1 is the START row
-        self._rows: dict[int, dict[int, float]] = {}
-        for prev, row in spec.table.items():
-            prev_id = -1 if prev == START else self._token_to_id[prev]
-            self._rows[prev_id] = {self._token_to_id[tok]: p for tok, p in row.items()}
+        # log2 P(token | previous token) by ids, -inf where P is 0 or the row leaves the token out: an array (a
+        # quarter of a list's memory) per previous id, None for no row, the START row last, so that id -1 reads it
+        self._names = (*spec.vocabulary, START)
+        self._bits = [None if row is None else array("d", [math.log2(p) if p > 0.0 else -math.inf
+                                                         for p in map(row.get, spec.vocabulary, repeat(0.0))])
+                      for row in map(spec.table.get, self._names)]
 
-    def tokenize(self, texts: Sequence[str]) -> list[tuple[list[int], list[str]]]:
+    def tokenize(self, texts: Sequence[str]) -> list[tuple[tuple[int, ...], list[str]]]:
         return [self._tokenize(text) for text in _texts(texts)]
 
-    def _tokenize(self, text: str) -> tuple[list[int], list[str]]:
+    def _tokenize(self, text: str) -> tuple[tuple[int, ...], list[str]]:
         # greedy longest match over the closed vocabulary
-        ids: list[int] = []
         spans: list[str] = []
         i = 0
-        n = len(text)
-        while i < n:
+        while i < len(text):
             for length in self._lengths:
                 candidate = text[i : i + length]
                 if len(candidate) == length and candidate in self._token_to_id:
-                    ids.append(self._token_to_id[candidate])
                     spans.append(candidate)
                     i += length
                     break
             else:
                 raise TokenizeError(f"no vocabulary token matches text at offset {i}: {text[i : i + 16]!r}")
-        return ids, spans
-
-    def probability(self, prev_id: int, token_id: int) -> float:
-        """Table lookup P(token | prev); prev_id -1 selects the START row."""
-        row = self._rows.get(prev_id)
-        if row is None:
-            prev = START if prev_id == -1 else self.spec.vocabulary[prev_id]
-            raise BackendProtocolError(f"toy model has no distribution row for previous token {prev!r}")
-        return row.get(token_id, 0.0)
+        return tuple(map(self._token_to_id.__getitem__, spans)), spans
 
     def logprobs_batch(self, requests_: Sequence[LogprobRequest]) -> list[list[float]]:
         return [self._score(r) for r in requests_]
 
     def _score(self, request: LogprobRequest) -> list[float]:
-        ctx = request.context
+        ctx, start, end = request.context, request.start, request.end
         if not self._ids.issuperset(ctx):  # one pass in C: faster than min and max, or a loop
             bad = next(tok for tok in ctx if tok not in self._ids)
             raise BackendProtocolError(f"token id {bad} outside vocabulary of size {len(self._ids)}")
-        bits: list[float] = []
-        for t in range(request.start, request.end):
-            prev_id = ctx[t - 1] if t > 0 else -1
-            p = self.probability(prev_id, ctx[t])
-            bits.append(math.log2(p) if p > 0.0 else -math.inf)
-        return bits
+        prevs = ctx[start - 1 : end - 1] if start else (-1, *ctx[: end - 1])
+        try:  # one pass in C: the row of each position's previous token, then its entry
+            return list(map(array.__getitem__, map(self._bits.__getitem__, prevs), ctx[start:end]))
+        except TypeError:  # a None row
+            prev = self._names[next(prev for prev in prevs if self._bits[prev] is None)]
+            raise BackendProtocolError(f"toy model has no distribution row for previous token {prev!r}") from None
 
 
 # post(path, body, headers) -> (status, response headers, response body): one HTTP POST
@@ -385,7 +384,7 @@ class HttpBackend(LogprobBackend):
             f"{url} unreachable after {self.config.max_retries + 1} attempts: {last_exc}"
         ) from last_exc
 
-    def tokenize(self, texts: Sequence[str]) -> list[tuple[list[int], list[str]]]:
+    def tokenize(self, texts: Sequence[str]) -> list[tuple[tuple[int, ...], list[str]]]:
         payload = [{"text": text} for text in _texts(texts)]
         data = self._post("/tokenize", json.dumps(payload, separators=(",", ":")).encode("utf-8"))
         if not isinstance(data, list) or len(data) != len(texts):
@@ -393,7 +392,7 @@ class HttpBackend(LogprobBackend):
         return [self._parse_tokens(d, text) for d, text in zip(data, texts)]
 
     @staticmethod
-    def _parse_tokens(data, text: str) -> tuple[list[int], list[str]]:
+    def _parse_tokens(data, text: str) -> tuple[tuple[int, ...], list[str]]:
         ids = data.get("token_ids") if isinstance(data, dict) else None
         spans = data.get("spans") if isinstance(data, dict) else None
         if not isinstance(ids, list) or not isinstance(spans, list):
@@ -404,7 +403,7 @@ class HttpBackend(LogprobBackend):
             raise BackendProtocolError("tokenize response has a token id that is not an int in [0, 2**63)")
         if not set(map(type, spans)) <= {str} or "".join(spans) != text:
             raise BackendProtocolError("tokenize spans do not concatenate back to the input text")
-        return ids, spans
+        return tuple(ids), spans
 
     def _parse_response(self, data, request: LogprobRequest) -> list[float]:
         raw = data.get("logprobs_bits") if isinstance(data, dict) else None

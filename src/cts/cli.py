@@ -328,8 +328,8 @@ def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) ->
     tokenized, scored and selected once, and each of those jobs writes and
     reports its outcome, which they share read-only. Only a selection that
     a job with a ``dump_path`` shares keeps its log-probabilities until its
-    group is returned, as two arrays, and its score rows are built as it is
-    written; every other one drops them once it has selected.
+    group is returned, as two arrays, and its score rows are built, one token
+    at a time, as it is written; every other one drops them once selected.
 
     Each output path gets its own atomic writer, so an aborted run leaves
     none of them. When the pass ends, the lanes are stopped and then every
@@ -412,9 +412,9 @@ def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) ->
                         builder.add_ok(record)
                         if output is not None:
                             output.write(compressed_to_dict(record))
-                        if dump is not None:
-                            rows = score_rows(*scores, job.config)
-                            for row in score_rows_to_dicts(record.id, rows, selection.kept_mask):
+                        if dump is not None:  # one token's row and object at a time
+                            for row in score_rows_to_dicts(record.id, score_rows(*scores, job.config),
+                                                           selection.kept_mask):
                                 dump.write(row)
                     if outcomes[0][0] is not None:
                         yield outcomes[0][0][0]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import compress, repeat
 from operator import neg, sub
-from typing import Any, Callable, Generator, Hashable, NamedTuple, Sequence
+from typing import Any, Callable, Generator, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .backends import LogprobBackend, LogprobRequest, ppl_of
 from .dataset import CompressedInstance, CotInstance
@@ -181,10 +181,10 @@ def _scores(lp_uncond: Sequence[float], lp_cond: Sequence[float], config: Select
 
 
 def score_rows(spans: Sequence[str], lp_uncond: Sequence[float], lp_cond: Sequence[float],
-               config: SelectionConfig, first_position: int = 0) -> list[TokenScoreRow]:
-    """The score rows of a run of tokens, numbered from first_position, from their spans and log-probabilities."""
-    return [TokenScoreRow(first_position + i, span, *_token_score(u, c, config))
-            for i, (span, u, c) in enumerate(zip(spans, lp_uncond, lp_cond))]
+               config: SelectionConfig, first_position: int = 0) -> Iterator[TokenScoreRow]:
+    """The score rows of a run of tokens, numbered from first_position, each built as it is taken."""
+    return (TokenScoreRow(first_position + i, span, *_token_score(u, c, config))
+            for i, (span, u, c) in enumerate(zip(spans, lp_uncond, lp_cond)))
 
 
 def _segment_steps(history: Sequence[int], cond_prefix: Sequence[int], ids: Sequence[int], first_position: int,
@@ -225,7 +225,7 @@ def score_tokens(
 ) -> list[TokenScoreRow]:
     """Score a run of tokens in one batched logprobs request; rows are numbered from first_position."""
     steps = _segment_steps(history, cond_prefix, ids, first_position, config, instance_id)
-    return score_rows(spans, *_run_alone(steps, backend), config, first_position)
+    return list(score_rows(spans, *_run_alone(steps, backend), config, first_position))
 
 
 def segment_thinking(n_tokens: int, spans: Sequence[str], config: SelectionConfig) -> list[range]:
@@ -322,8 +322,8 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
                 f"instance {instance.id}: cannot tokenize {field}: {answer}", instance.id
             ) from answer
     (ids, spans), cond_prefix = answers[0], answers[1][0] if condition else ()
-    del answers, answer  # so the tuple below is the one copy of the ids held: its slices and requests share it
-    ids = tuple(ids)
+    del answers, answer  # so the ids below are the one copy held, which its slices and requests share
+    ids = tuple(ids)  # a backend's answer is a tuple already, which every selection of the text shares
     if len(ids) != len(spans):
         raise ScoringError(
             f"instance {instance.id}: backend tokenize answer has {len(ids)} ids and {len(spans)} spans", instance.id
@@ -368,7 +368,7 @@ def compress_instance(
     for a fixed (instance, config, backend).
     """
     record, scores, selection = _run_alone(compress_steps(instance, config), backend)
-    return record, score_rows(*scores, config), selection
+    return record, list(score_rows(*scores, config)), selection
 
 
 def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list]) -> dict:
@@ -472,9 +472,9 @@ def _run_alone(steps: Steps, backend: LogprobBackend) -> Any:
     return result
 
 
-def score_rows_to_dicts(instance_id: str, rows: Sequence[TokenScoreRow], mask: Sequence[bool]) -> list[dict]:
-    """Rows of the per-token score dump: one object per thinking token."""
-    return [
+def score_rows_to_dicts(instance_id: str, rows: Iterable[TokenScoreRow], mask: Sequence[bool]) -> Iterator[dict]:
+    """Rows of the per-token score dump: one object per thinking token, each built as it is taken."""
+    return (
         {
             "instance_id": instance_id,
             "position": row.position,
@@ -485,4 +485,4 @@ def score_rows_to_dicts(instance_id: str, rows: Sequence[TokenScoreRow], mask: S
             "kept": bool(mask[row.position]),
         }
         for row in rows
-    ]
+    )

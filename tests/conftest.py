@@ -130,11 +130,11 @@ def rows_of(outcome, config):
     if result is None:
         return outcome
     record, scores, selection = result
-    return (record, score_rows(*scores, config), selection), error
+    return (record, list(score_rows(*scores, config)), selection), error
 
 
 def write_spec_file(spec: ToyLmSpec, path) -> str:
-    payload = {"vocabulary": spec.vocabulary, "table": spec.table}
+    payload = {"vocabulary": spec.vocabulary, "table": {prev: dict(row) for prev, row in spec.table.items()}}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False)
     return str(path)

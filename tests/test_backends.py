@@ -56,10 +56,10 @@ class TestToyTokenize:
     def test_whitespace_preserving_split(self, uniform4_backend):
         ids, spans = uniform4_backend.tokenize(["A B"])[0]
         assert spans == ["A", " ", "B"]
-        assert ids == [uniform4_backend._token_to_id[s] for s in ("A", " ", "B")]
+        assert ids == tuple(uniform4_backend._token_to_id[s] for s in ("A", " ", "B"))
 
     def test_empty_text(self, uniform4_backend):
-        assert uniform4_backend.tokenize([""])[0] == ([], [])
+        assert uniform4_backend.tokenize([""])[0] == ((), [])
 
     def test_spans_concatenate_to_input(self, uniform4_backend):
         text = "ABC A CB  BA"
@@ -149,15 +149,16 @@ class TestToyLogprobs:
     def test_oracle_equivalence_reciprocal_of_table_entry(self):
         rng = random.Random(7)
         vocab = list("abcdef")
-        backend = ToyBackend(random_spec(vocab, rng))
+        spec = random_spec(vocab, rng)
+        backend = ToyBackend(spec)
         for _ in range(50):
             ctx = [rng.randrange(len(vocab)) for _ in range(rng.randint(2, 12))]
             start = rng.randrange(len(ctx))
             resp = backend.logprobs_batch([LogprobRequest(ctx, start, len(ctx))])[0]
             for offset, bits in enumerate(resp):
                 t = start + offset
-                prev = ctx[t - 1] if t > 0 else -1
-                p = backend.probability(prev, ctx[t])
+                prev = vocab[ctx[t - 1]] if t > 0 else "START"
+                p = spec.table[prev][vocab[ctx[t]]]
                 assert ppl_of(bits) == pytest.approx(1.0 / p, abs=1e-12)
 
     def test_determinism(self, uniform4_backend):
@@ -228,6 +229,26 @@ class TestToyLmSpec:
         for field in dataclasses.fields(spec):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(spec, field.name, getattr(spec, field.name))
+
+    def test_a_spec_holds_what_it_checked(self, tmp_path):
+        vocabulary, table = ["A", "B"], {"START": {"A": 0.5, "B": 0.5}}
+        spec = ToyLmSpec(vocabulary, table)
+        table["START"]["A"] = 5.0  # the caller's containers are not the spec's
+        vocabulary.append("C")
+        assert spec == ToyLmSpec(["A", "B"], {"START": {"A": 0.5, "B": 0.5}})
+        spec = uniform_spec(["A", "B"])
+        backend = ToyBackend(spec)
+        request = LogprobRequest((0, 1, 0), 0, 3)
+        before = backend.logprobs_batch([request])
+        with pytest.raises(TypeError):
+            spec.table["START"]["A"] = 5.0
+        with pytest.raises(AttributeError):
+            spec.vocabulary.append("C")
+        assert spec.table["START"]["A"] == 0.5 and spec.vocabulary == ("A", "B")
+        assert backend.logprobs_batch([request]) == ToyBackend(spec).logprobs_batch([request]) == before
+        # a spec's own tuple and read-only mappings make a spec again
+        assert dataclasses.replace(spec) == spec
+        assert ToyLmSpec.from_file(write_spec_file(spec, tmp_path / "spec.json")) == spec
 
     def test_from_file_round_trip(self, tmp_path):
         spec = uniform_spec(["A", "B", " "])
@@ -415,7 +436,7 @@ class TestWireBoundary:
             fake_client([{"logprobs_bits": bits}]).logprobs_batch([REQUEST])
 
     def test_valid_payloads_still_parse(self):
-        assert fake_client([{"token_ids": [0, 1], "spans": ["A", "B"]}]).tokenize([TEXT]) == [([0, 1], ["A", "B"])]
+        assert fake_client([{"token_ids": [0, 1], "spans": ["A", "B"]}]).tokenize([TEXT]) == [((0, 1), ["A", "B"])]
         assert fake_client([{"logprobs_bits": [-1, 0.0]}]).logprobs_batch([REQUEST])[0] == [-1.0, 0.0]
         # one response object, not an array of them, is malformed however valid the object
         with pytest.raises(BackendProtocolError):

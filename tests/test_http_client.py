@@ -333,7 +333,7 @@ class CorruptReplies(ToyTransport):
 
     def __init__(self, backend, thinking):
         super().__init__(backend)
-        self.ids = backend.tokenize([thinking])[0][0]
+        self.ids = list(backend.tokenize([thinking])[0][0])  # as the parsed JSON body has them
 
     def post(self, path, body, headers):
         status, reply_headers, reply = super().post(path, body, headers)

@@ -674,7 +674,7 @@ class ShortLogprobs(ToyBackend):
     def logprobs_batch(self, requests_):
         answers = super().logprobs_batch(requests_)
         marked = self.tokenize([MARKED])[0][0]
-        return answers[:-1] if any(list(r.context[-len(marked):]) == marked for r in requests_) else answers
+        return answers[:-1] if any(r.context[-len(marked):] == marked for r in requests_) else answers
 
 
 @pytest.mark.parametrize("backend_class, message", [

@@ -11,6 +11,7 @@ These need ``hypothesis`` (a dev extra); without it the module is skipped.
 import json
 import math
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -19,9 +20,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cts.backends import HttpBackend, HttpBackendConfig, LogprobRequest, ToyBackend  # noqa: E402
+from cts.backends import START, HttpBackend, HttpBackendConfig, LogprobRequest, ToyBackend, ToyLmSpec  # noqa: E402
 from cts.dataset import CotInstance  # noqa: E402
-from cts.errors import BackendProtocolError, ConfigError  # noqa: E402
+from cts.errors import BackendProtocolError, BackendUnavailable, ConfigError  # noqa: E402
 from cts.selector import SelectionConfig, compress_instance, segment_thinking  # noqa: E402
 
 from conftest import fake_client, random_spec, shift_spec  # noqa: E402
@@ -65,7 +66,7 @@ class TestAnswers:
     @settings(max_examples=200, deadline=None)
     @given(tokenize_replies())
     def test_tokenize_returns_the_reply_token_ids_and_spans(self, reply):
-        assert fake_client([reply]).tokenize([TEXT]) == [(reply["token_ids"], reply["spans"])]
+        assert fake_client([reply]).tokenize([TEXT]) == [(tuple(reply["token_ids"]), reply["spans"])]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(valid_bits, min_size=2, max_size=2))
@@ -127,6 +128,93 @@ class TestThroughTheStub:
         assert record.compressed_thinking == "".join(span for span, keep in zip(spans, selection.kept_mask) if keep)
         # a span "" never ends on a boundary, and each one follows a space, a boundary within the slack
         assert all(spans[seg.start - 1] != "" for seg in segment_thinking(len(spans), spans, config)[1:])
+
+
+@st.composite
+def toy_specs(draw):
+    """A (vocabulary, table) that ToyLmSpec accepts, as a list or tuple and dicts or read-only mappings.
+
+    A row may be missing (START's too), and an entry may be 0, 0.0 or left
+    out of its row; a row's one non-zero entry may be the int 1.
+    """
+    vocabulary = draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5, unique=True))
+    table = {}
+    for prev in [START, *vocabulary]:
+        weights = draw(st.lists(st.integers(0, 4), min_size=len(vocabulary), max_size=len(vocabulary)))
+        if not any(weights) or draw(st.integers(0, 3)) == 0:  # no row
+            continue
+        total, row = sum(weights), {}
+        for tok, w in zip(vocabulary, weights):
+            if w == total:
+                row[tok] = draw(st.sampled_from([1, 1.0]))
+            elif w:
+                row[tok] = w / total
+            elif draw(st.booleans()):
+                row[tok] = draw(st.sampled_from([0, 0.0]))
+        table[prev] = draw(st.sampled_from([dict, MappingProxyType]))(row)
+    container = draw(st.sampled_from([list, tuple]))
+    return container(vocabulary), draw(st.sampled_from([dict, MappingProxyType]))(table)
+
+
+def reference_bits(spec, request):
+    """log2 P of each position of ``request``, from the spec's table of strings: -inf for P = 0."""
+    bits = []
+    for t in range(request.start, request.end):
+        prev = spec.vocabulary[request.context[t - 1]] if t else START
+        if prev not in spec.table:
+            raise BackendProtocolError(f"toy model has no distribution row for previous token {prev!r}")
+        p = spec.table[prev].get(spec.vocabulary[request.context[t]], 0.0)
+        bits.append(math.log2(p) if p > 0 else -math.inf)
+    return bits
+
+
+@pytest.fixture(scope="module")
+def table_server():
+    """A stub server whose toy model a test may replace, and an HttpBackend on it that does not retry."""
+    with StubServer(TOY) as server:
+        client = HttpBackend(HttpBackendConfig(base_url=server.url, max_retries=0))
+        yield server, client
+        client.close()
+
+
+class TestToyTable:
+    """ToyBackend scores by lookup in the bits of its spec's table, which the spec holds as it checked it.
+
+    No example count is set here, so CI's "fault-sweep" profile sets it.
+    """
+
+    @settings(deadline=None)
+    @given(toy_specs(), st.data())
+    def test_bits_equal_the_log2_of_the_spec_table_in_process_and_over_the_stub(self, table_server, parts, data):
+        vocabulary, table = parts
+        spec = ToyLmSpec(vocabulary, table)
+        # the spec holds what it was given and checked, as a tuple and read-only mappings
+        assert type(spec.vocabulary) is tuple and spec.vocabulary == tuple(vocabulary)
+        assert type(spec.table) is MappingProxyType and spec.table == table
+        assert all(type(row) is MappingProxyType for row in spec.table.values())
+        context = data.draw(st.lists(st.integers(0, len(vocabulary) - 1), min_size=1, max_size=8))
+        start = data.draw(st.integers(0, len(context) - 1))
+        request = LogprobRequest(context, start, data.draw(st.integers(start + 1, len(context))))
+        backend = ToyBackend(spec)
+        try:
+            expected = reference_bits(spec, request)
+        except BackendProtocolError as exc:
+            with pytest.raises(BackendProtocolError) as raised:
+                backend.logprobs_batch([request])
+            assert str(raised.value) == str(exc)
+            expected = None
+        else:
+            assert backend.logprobs_batch([request]) == [expected]
+        server, client = table_server
+        server.state.backend = backend
+        if expected is None:  # the stub cannot score it, and ends the connection without a reply
+            with pytest.raises(BackendUnavailable):
+                client.logprobs_batch([request])
+        elif -math.inf in expected:  # the wire carries no -inf, and the client refuses the -Infinity it reads
+            with pytest.raises(BackendProtocolError, match="non-finite"):
+                client.logprobs_batch([request])
+        else:
+            assert client.logprobs_batch([request]) == [expected]
 
 
 @st.composite
@@ -297,7 +385,7 @@ def reference_parse_tokens(data, text):
         raise BackendProtocolError("tokenize response has a token id that is not an int in [0, 2**63)")
     if not all(type(span) is str for span in spans) or "".join(spans) != text:
         raise BackendProtocolError("tokenize spans do not concatenate back to the input text")
-    return ids, spans
+    return tuple(ids), spans
 
 
 def reference_parse_response(data, request):
