@@ -109,7 +109,7 @@ class ToyLmSpec:
     The vocabulary, a list or tuple of distinct non-empty str, is stored as a
     tuple, and the table and its rows, each a dict or read-only mapping, as
     read-only copies, before they are checked: every probability is an int or
-    a float (not a bool) in [0, 1] and every row sums to 1 within 1e-9.
+    a float (not a bool) in [0, 1], every row sums to 1 within 1e-9, and the table has a "START" row.
     """
 
     vocabulary: tuple[str, ...]
@@ -142,6 +142,8 @@ class ToyLmSpec:
                 total += p
             if abs(total - 1.0) > 1e-9:
                 raise ConfigError(f"row {prev!r} sums to {total!r}, expected 1 within 1e-9")
+        if START not in self.table:  # every request that scores position 0 reads it
+            raise ConfigError(f"toy model table has no {START!r} row for sequence-initial positions")
 
     @classmethod
     def from_file(cls, path: str) -> "ToyLmSpec":

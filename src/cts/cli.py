@@ -23,7 +23,7 @@ import time
 from collections import deque
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .backends import HttpBackend, HttpBackendConfig, LogprobBackend, ToyBackend, ToyLmSpec
 from .dataset import (
@@ -255,6 +255,20 @@ def _fills_window(count: int, chars: int) -> bool:
     return count >= SCORE_GROUP and chars >= GROUP_CHARS
 
 
+def _runs(items: Iterable[Any], chars_of: Callable[[Any], int], full: Callable[[int, int], bool]) -> Iterator[list]:
+    """Consecutive lists of ``items``, each closed once ``full(count, characters)``; the last may hold less."""
+    run: list = []
+    chars = 0
+    for item in items:
+        run.append(item)
+        chars += chars_of(item)
+        if full(len(run), chars):
+            yield run
+            run, chars = [], 0
+    if run:
+        yield run
+
+
 def _groups(instances: Iterable[CotInstance]) -> Iterator[list[CotInstance]]:
     """Consecutive lists of instances; the last may hold less than the rest.
 
@@ -266,37 +280,20 @@ def _groups(instances: Iterable[CotInstance]) -> Iterator[list[CotInstance]]:
     SCORE_GROUP`` characters on average go ``SCORE_GROUP`` to a group, and
     shorter ones share a group by characters.
     """
-    group: list[CotInstance] = []
-    chars = 0
-    for instance in instances:
-        group.append(instance)
-        chars += len(instance.thinking)
-        if _fills_window(len(group), chars):
-            yield group
-            group, chars = [], 0
-    if group:
-        yield group
+    return _runs(instances, lambda instance: len(instance.thinking), _fills_window)
 
 
 def _batches(groups: Iterable[list[CotInstance]], workers: int) -> Iterator[list[list[CotInstance]]]:
     """Consecutive lists of groups, each tokenized in one call; the last may hold less than the rest.
 
-    The first batch is ``workers`` groups, one per lane. Each later one
-    closes at ``workers`` groups and ``LOOKAHEAD_PER_WORKER`` x
-    ``GROUP_CHARS`` characters of thinking, the least text of one lane's
-    window; every group but the last holds ``GROUP_CHARS``, so that is at
-    most ``max(workers, LOOKAHEAD_PER_WORKER)`` groups.
+    A batch, the first one too, closes at ``workers`` groups and
+    ``LOOKAHEAD_PER_WORKER`` x ``workers`` x ``GROUP_CHARS`` characters of
+    thinking, the least text of ``map_ordered``'s whole window; every group
+    but the last holds ``GROUP_CHARS``, so that is at most the window's
+    ``LOOKAHEAD_PER_WORKER`` x ``workers`` groups.
     """
-    batch: list[list[CotInstance]] = []
-    chars = least = 0
-    for group in groups:
-        batch.append(group)
-        chars += sum(len(instance.thinking) for instance in group)
-        if len(batch) >= workers and chars >= least:
-            yield batch
-            batch, chars, least = [], 0, LOOKAHEAD_PER_WORKER * GROUP_CHARS
-    if batch:
-        yield batch
+    return _runs(groups, lambda group: sum(len(instance.thinking) for instance in group),
+                 lambda count, chars: count >= workers and chars >= LOOKAHEAD_PER_WORKER * workers * GROUP_CHARS)
 
 
 def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) -> tuple[list[ReportBuilder], bool]:
@@ -309,8 +306,8 @@ def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) ->
     distinct texts of the whole batch, halved when it fails
     (``selector._batch_then_split``). ``map_ordered`` deals group g to lane
     g mod ``workers``, each lane on a thread of its own, and takes a batch's
-    groups as its window of ``LOOKAHEAD_PER_WORKER`` (4) x ``workers``
-    groups has room, so tokenizing runs at most one batch beyond it.
+    groups as its window of ``LOOKAHEAD_PER_WORKER`` (4) x ``workers`` groups
+    has room; a batch is at most a window, so tokenizing runs at most one batch beyond it.
 
     Each lane runs one rolling loop over its groups, the rule that
     ``tests/test_http_client.py::rolling_posts`` simulates. Before each

@@ -19,8 +19,8 @@ an item beyond that window, so the calling thread, which waits for that
 item's result, and the lanes cannot deadlock. The CLI's items are groups
 of instances, and each lane one rolling loop of lockstep steps over its
 groups (``cts.cli._compress_stream``); the calling thread tokenizes a
-batch of groups (``cts.cli._batches``) as it takes the batch's first
-group, so it holds at most one batch beyond the window.
+batch of at most a window's groups (``cts.cli._batches``) as it takes
+the batch's first group, so it holds at most one batch beyond the window.
 
 When the caller stops (it closes the iterator, or a lane or ``items``
 raises), each lane takes no more items and ends at its next result, or

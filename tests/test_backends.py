@@ -220,6 +220,22 @@ class TestToyLmSpec:
         with pytest.raises(ConfigError):
             ToyLmSpec(vocabulary=["A"], table={"Z": {"A": 1.0}})
 
+    @pytest.mark.parametrize("table", [{"A": {"A": 1.0}}, {}], ids=["other-rows", "no-rows"])
+    def test_a_table_without_a_start_row_exits_2(self, tmp_path, capfd, table):
+        # every request that scores position 0 reads the START row, so a spec without one is a usage error
+        with pytest.raises(ConfigError, match="no 'START' row"):
+            ToyLmSpec(vocabulary=["A"], table=table)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"vocabulary": ["A"], "table": table}))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"problem": "", "thinking": "AA", "answer": "A"}) + "\n")
+        assert main([
+            "compress", "--input", str(corpus), "--output", str(tmp_path / "out.jsonl"), "--ratio", "0.5",
+            "--backend", f"toy:{path}", "--condition-template", "{answer}",
+        ]) == 2
+        assert not (tmp_path / "out.jsonl").exists()
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_empty_spec_is_rejected_when_made(self):
         with pytest.raises(ConfigError, match="vocabulary is empty"):
             ToyLmSpec(vocabulary=[], table={})

@@ -274,20 +274,28 @@ class TestGroupSize:
     """At the default constants a group closes at SCORE_GROUP instances and GROUP_CHARS characters of thinking."""
 
     # 200 characters each: a group closes at its 21st instance (4,200 characters); 2,100 each: two reach
-    # GROUP_CHARS, yet a group waits for its eighth instance
-    @pytest.mark.parametrize("n, chars, sizes", [(60, 200, [21, 21, 18]), (20, 2100, [8, 8, 4])],
-                             ids=["short-by-characters", "long-by-eight"])
-    def test_group_sizes(self, monkeypatch, tmp_path, n, chars, sizes):
+    # GROUP_CHARS, yet a group waits for its eighth instance. At 2 workers a batch closes at 2 groups and
+    # 32,768 characters: the 12,000 of the short corpus go in one batch, a long group holds 16,800. The
+    # shape of the bench's http-compress corpus, 100 instances of 150 to 250 characters (19,864 here),
+    # sends 1 /tokenize and 5 /logprobs POSTs
+    @pytest.mark.parametrize("n, chars, sizes, batch_groups", [
+        (60, (200, 200), [21, 21, 18], [3]),
+        (20, (2100, 2100), [8, 8, 4], [2, 1]),
+        (100, (150, 250), [20, 21, 22, 21, 16], [5]),
+    ], ids=["short-by-characters", "long-by-eight", "http-compress-shape"])
+    def test_group_sizes(self, monkeypatch, tmp_path, n, chars, sizes, batch_groups):
         assert (SCORE_GROUP, GROUP_CHARS) == (8, 4096)
-        records = make_corpus(n, list("ABC "), random.Random(5), min_tokens=chars, max_tokens=chars)
+        records = make_corpus(n, list("ABC "), random.Random(5), min_tokens=chars[0], max_tokens=chars[1])
         corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
         transport = ToyTransport(ToyBackend(shift_spec()))
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=2)
         lengths = [len(record["thinking"]) for record in records]
         groups = groups_by_rule(lengths, SCORE_GROUP, GROUP_CHARS)
         assert [len(group) for group in groups] == sizes
-        # the first /tokenize POST holds a group per lane; here the second holds what is left
         batches = batches_by_rule(groups, lengths, 2, GROUP_CHARS)
+        starts = itertools.accumulate(batch_groups[:-1], initial=0)
+        assert batches == [[i for group in groups[start:start + size] for i in group]
+                           for start, size in zip(starts, batch_groups)]
         expected = [tokenize_body([records[i] for i in batch]) for batch in batches]
         assert transport.tokenize_bodies["/tokenize"] == expected
         # both scoring contexts of every instance of a group in one POST
@@ -296,16 +304,16 @@ class TestGroupSize:
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
-    # 13 groups of 21 instances of 200 characters: after a group per lane, a batch closes at its fourth group
-    # (16,800 characters); 5 groups of 8 instances of 2,100 characters: every group holds 16,800, so a batch
-    # closes at one group per lane, as the first does
+    # a batch, the first one too, closes at `workers` groups and 16,384 characters per worker, the least text
+    # of map_ordered's window of 4 groups per worker. 13 groups of 21 instances of 200 characters (4,200 a
+    # group): a batch is the window's 4 groups per worker, and at 4 workers all 13 are one batch; 5 groups of
+    # 8 instances of 2,100 characters: every group holds 16,800, so a batch is one group per lane
     @pytest.mark.parametrize("n, chars, batch_groups", [
-        (273, 200, {1: [1, 4, 4, 4], 2: [2, 4, 4, 3], 3: [3, 4, 4, 2]}),
-        (40, 2100, {1: [1, 1, 1, 1, 1], 2: [2, 2, 1], 3: [3, 2]}),
+        (273, 200, {1: [4, 4, 4, 1], 2: [8, 5], 3: [12, 1], 4: [13]}),
+        (40, 2100, {1: [1, 1, 1, 1, 1], 2: [2, 2, 1], 3: [3, 2], 4: [4, 1]}),
     ], ids=["short-by-characters", "long-by-workers"])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_later_tokenize_batches_hold_a_lane_window_of_text(self, monkeypatch, tmp_path, n, chars,
-                                                               batch_groups, workers):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_tokenize_batches_hold_a_window_of_text(self, monkeypatch, tmp_path, n, chars, batch_groups, workers):
         assert LOOKAHEAD_PER_WORKER * GROUP_CHARS == 16384
         records = make_corpus(n, list("ABC "), random.Random(7), min_tokens=chars, max_tokens=chars)
         corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
@@ -477,9 +485,25 @@ class TestGroupTokenizeIsolation:
             assert outcomes[i].result[0] == compress_instance(instances[i], config, toy)[0]
 
 
+class HeldScoring(ToyTransport):
+    """Holds the first /logprobs replies back until every lane waits on one, and a moment longer."""
+
+    def __init__(self, backend, lanes):
+        super().__init__(backend)
+        self.all_waiting = threading.Barrier(lanes, timeout=10)
+        self.tokenized_before_a_reply: list[int] = []
+
+    def post(self, path, body, headers):
+        if path == "/logprobs" and not self.tokenized_before_a_reply:
+            self.all_waiting.wait()
+            time.sleep(0.2)  # were it let, the calling thread would tokenize further ahead by now
+            self.tokenized_before_a_reply.append(len(self.tokenize_bodies["/tokenize"]))
+        return super().post(path, body, headers)
+
+
 @pytest.mark.usefixtures("groups_by_count")
 class TestBatchTokenize:
-    """The /tokenize POST that a batch of ``workers`` groups shares, sent ahead of the workers."""
+    """The /tokenize POST that a batch of groups shares, sent ahead of the workers."""
 
     def test_unavailable_tokenize_exits_3_and_leaves_no_output(self, monkeypatch, tmp_path, corpus, capfd):
         records, corpus_path = corpus
@@ -497,31 +521,31 @@ class TestBatchTokenize:
         assert [path for path, _ in transport.posts].count("/tokenize") == 2
         assert "Traceback" not in capfd.readouterr().err
 
-    def test_tokenizing_runs_a_bounded_number_of_batches_ahead(self, monkeypatch, tmp_path):
-        records = make_corpus(10 * SCORE_GROUP, list("ABC "), random.Random(19))  # 5 batches of 2 groups
+    # while every lane's first /logprobs reply is held, the calling thread has tokenized the batches that hold
+    # map_ordered's window of LOOKAHEAD_PER_WORKER (4) groups per worker, and no more. By count alone a batch
+    # is 2 groups at 2 workers: the window is 4 batches. At the default GROUP_CHARS, 200-character instances
+    # go 21 to a group (4,200 characters), so a batch of 16,384 characters per worker is the window's groups:
+    # one /tokenize POST. 600-character instances go 8 to a group (4,800), so a batch is 7 groups at 2
+    # workers and 14 at 4, and the window's last group begins the second batch: two POSTs
+    @pytest.mark.parametrize("group_chars, chars, per_group, workers, held_tokenize, tokenize_posts", [
+        (0, 40, SCORE_GROUP, 2, 4, 10),
+        (GROUP_CHARS, 200, 21, 2, 1, 3),
+        (GROUP_CHARS, 200, 21, 4, 1, 3),
+        (GROUP_CHARS, 600, SCORE_GROUP, 2, 2, 3),
+        (GROUP_CHARS, 600, SCORE_GROUP, 4, 2, 3),
+    ], ids=["by-count-2", "short-2", "short-4", "600-characters-2", "600-characters-4"])
+    def test_tokenizing_runs_a_bounded_number_of_batches_ahead(self, monkeypatch, tmp_path, group_chars, chars,
+                                                               per_group, workers, held_tokenize, tokenize_posts):
+        monkeypatch.setattr(cts.cli, "GROUP_CHARS", group_chars)
+        groups = 2 * LOOKAHEAD_PER_WORKER * workers + 3  # two windows and 3 groups
+        records = make_corpus(per_group * groups, list("ABC "), random.Random(19), min_tokens=chars,
+                              max_tokens=chars)
         corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
-
-        class HeldScoring(ToyTransport):
-            """Holds the first /logprobs replies back until both workers wait on one, and a moment longer."""
-
-            def __init__(self, backend):
-                super().__init__(backend)
-                self.both_waiting = threading.Barrier(2, timeout=10)
-                self.tokenized_before_a_reply: list[int] = []
-
-            def post(self, path, body, headers):
-                if path == "/logprobs" and not self.tokenized_before_a_reply:
-                    self.both_waiting.wait()
-                    time.sleep(0.2)  # were it let, the calling thread would tokenize further ahead by now
-                    self.tokenized_before_a_reply.append(len(self.tokenize_bodies["/tokenize"]))
-                return super().post(path, body, headers)
-
-        transport = HeldScoring(ToyBackend(shift_spec()))
-        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, 2)
-        # map_ordered's window of LOOKAHEAD_PER_WORKER (4) groups per worker: the batch being
-        # scored and the 3 batches tokenized ahead of it, but not the fifth
-        assert transport.tokenized_before_a_reply[0] == 4
-        assert len(transport.tokenize_bodies["/tokenize"]) == 5
+        transport = HeldScoring(ToyBackend(shift_spec()), workers)
+        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers)
+        assert transport.tokenized_before_a_reply[0] == held_tokenize
+        assert len(transport.tokenize_bodies["/tokenize"]) == tokenize_posts
+        assert len(transport.logprobs_bodies) == groups
         assert written == _compress_with_toy(corpus_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
 
 
@@ -610,13 +634,13 @@ def groups_by_rule(lengths, min_count, min_chars) -> list[list[int]]:
 def batches_by_rule(groups, lengths, workers, group_chars) -> list[list[int]]:
     """The instances of each /tokenize batch, by brute force over where each batch may end.
 
-    The first batch is ``workers`` groups; each later one is the fewest
-    groups, at least ``workers``, that hold LOOKAHEAD_PER_WORKER x
+    Each batch, the first one too, is the fewest groups, at least
+    ``workers``, that hold LOOKAHEAD_PER_WORKER x ``workers`` x
     ``group_chars`` characters of thinking; the last batch may be short.
     """
     batches, start = [], 0
+    least = LOOKAHEAD_PER_WORKER * workers * group_chars
     while start < len(groups):
-        least = LOOKAHEAD_PER_WORKER * group_chars if batches else 0
         ends = range(start + workers, len(groups) + 1)
         end = next((end for end in ends if sum(lengths[i] for group in groups[start:end] for i in group) >= least),
                    len(groups))
