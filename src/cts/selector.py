@@ -31,6 +31,7 @@ from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import compress, repeat
 from operator import neg, sub
+from string import Formatter
 from typing import Any, Callable, Generator, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .backends import LogprobBackend, LogprobRequest, ppl_of
@@ -67,9 +68,11 @@ class SelectionConfig:
     alpha: fraction of thinking tokens to retain, an int or float in (0, 1].
     conditional: score against the answer-conditioned context; off gives the
         pure-perplexity baseline.
-    condition_template: text prepended as conditioning context; must contain
-        {answer} unless empty ({problem} optional). An empty template is an
-        explicit no-op condition.
+    condition_template: text prepended as conditioning context; unless
+        empty, it must hold a replacement field named answer ({answer},
+        {answer!r} or {answer:>5}, but not the escaped {{answer}}), and
+        {problem} is optional. An empty template is an explicit no-op
+        condition.
     segment_budget / boundary_slack: maximum thinking tokens per segment and
         how far a cut may move back to land on a clean span boundary.
     score_space: "ppl_diff" (difference of perplexities) or "bits_diff"
@@ -112,8 +115,13 @@ class SelectionConfig:
             raise ConfigError(
                 f"selection_scope must be one of {SELECTION_SCOPES}, got {self.selection_scope!r}"
             )
-        if self.conditional and self.condition_template and "{answer}" not in self.condition_template:
-            raise ConfigError("condition_template must contain {answer} (or be empty) when conditional")
+        if self.conditional and self.condition_template:
+            try:  # a template malformed before its answer field holds none; after it, it fails each instance
+                has_answer = "answer" in (name for _, name, _, _ in Formatter().parse(self.condition_template))
+            except ValueError:
+                has_answer = False
+            if not has_answer:
+                raise ConfigError("condition_template must contain {answer} (or be empty) when conditional")
 
 
 @dataclass(slots=True)
@@ -194,22 +202,24 @@ def _segment_steps(history: Sequence[int], cond_prefix: Sequence[int], ids: Sequ
     The unconditional context is the tuple (*history, *ids), the conditional
     one (*cond_prefix, *history, *ids); without ``conditional`` only the
     first is sent, and its answer is returned twice. A CtsError among the
-    answers becomes a ScoringError naming thinking tokens [first_position,
-    first_position + n).
+    answers, or an answer that does not hold n log-probabilities, becomes a
+    ScoringError naming thinking tokens [first_position, first_position + n).
     """
     n = len(ids)
     contexts = [(*history, *ids) if history else ids]  # a tuple ids is the request's context itself, not a copy
     if config.conditional:
         contexts.append((*cond_prefix, *history, *ids))
     answers = yield [LogprobRequest(context, len(context) - n, len(context)) for context in contexts]
-    failed = next((answer for answer in answers if isinstance(answer, CtsError)), None)
+    failed = next((answer for answer in answers if isinstance(answer, CtsError) or len(answer) != n), None)
     if failed is not None:
+        cause = failed if isinstance(failed, CtsError) else None
+        reason = cause or f"{len(failed)} log-probabilities answered for {n} tokens"
         raise ScoringError(
             f"instance {instance_id}: backend failed scoring thinking tokens "
-            f"[{first_position}, {first_position + n}): {failed}",
+            f"[{first_position}, {first_position + n}): {reason}",
             instance_id,
             (first_position, first_position + n),
-        ) from failed
+        ) from cause
     return answers[0], answers[1] if config.conditional else answers[0]
 
 
@@ -295,17 +305,18 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
     The first step yields the thinking and then the condition, which is left
     out when it renders empty; a text that cannot be tokenized becomes a
     ScoringError naming the instance and the field (the thinking, when both
-    fail). Each text is tokenized once and the ids are concatenated, so
-    thinking positions align one-to-one between the two passes. A scoring
-    step covers a run of segments after the kept prefix. Where that history
-    does not depend on the selection (global scope, the one-segment case, or
-    iterative_original_prefix, since a causal model scores each segment
-    there as after the original preceding thinking), the one step covers
-    [0, n); otherwise each segment is its own step. The log-probabilities in
-    bits, as the backend answered them, are appended to two arrays over
-    [0, n); each segment's scores are computed from them as floats and the
-    top fraction inside it is kept. Returns (record, scores, selection),
-    where scores is the tuple (spans, lp_uncond, lp_cond) that
+    fail), and so does a thinking answered with no ids, or with ids and spans
+    of unequal length. Each text is tokenized once and the ids are
+    concatenated, so thinking positions align one-to-one between the two
+    passes. A scoring step covers a run of segments after the kept prefix.
+    Where that history does not depend on the selection (global scope, the
+    one-segment case, or iterative_original_prefix, since a causal model
+    scores each segment there as after the original preceding thinking), the
+    one step covers [0, n); otherwise each segment is its own step. The
+    log-probabilities in bits, as the backend answered them, are appended to
+    two arrays over [0, n); each segment's scores are computed from them as
+    floats and the top fraction inside it is kept. Returns (record, scores,
+    selection), where scores is the tuple (spans, lp_uncond, lp_cond) that
     ``score_rows`` turns into rows, or None without ``keep_scores``; the
     record and selection are the same either way. The compressed thinking
     text is the concatenation of kept spans in original order; actual_ratio
@@ -324,7 +335,7 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
     (ids, spans), cond_prefix = answers[0], answers[1][0] if condition else ()
     del answers, answer  # so the ids below are the one copy held, which its slices and requests share
     ids = tuple(ids)  # a backend's answer is a tuple already, which every selection of the text shares
-    if len(ids) != len(spans):
+    if not ids or len(ids) != len(spans):
         raise ScoringError(
             f"instance {instance.id}: backend tokenize answer has {len(ids)} ids and {len(spans)} spans", instance.id
         )

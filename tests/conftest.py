@@ -24,7 +24,7 @@ try:
 except ImportError:  # a dev extra; the property tests skip themselves without it
     pass
 else:
-    # CI's "Fault sweep" step runs tests/test_fault_sweep.py with --hypothesis-profile fault-sweep:
+    # CI's "Property tests" step runs every module that uses hypothesis with --hypothesis-profile fault-sweep:
     # 5x the examples of hypothesis's default profile, which tier-1 runs
     settings.register_profile("fault-sweep", max_examples=500)
 

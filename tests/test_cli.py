@@ -73,6 +73,18 @@ def test_names_the_bench_patches_are_there(module, name):
     assert callable(getattr(importlib.import_module(module), name))
 
 
+def test_importing_the_cli_loads_only_the_standard_library():
+    # a fresh interpreter (-I: no PYTHONPATH, no user site) with src first on the path; site-packages stays on
+    # it, so a third-party import shows up as loaded; modules that site loaded at startup are not counted
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import cts.cli; "
+            "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, SRC], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "cts" in loaded
+    assert loaded - {"cts"} <= set(sys.stdlib_module_names), loaded - {"cts"} - set(sys.stdlib_module_names)
+
+
 class TestCompress:
     def test_ratio_07_report_band(self, toy_env):
         report_path = toy_env["dir"] / "report.json"
@@ -156,9 +168,10 @@ class TestCompress:
         assert report["instances_failed"] == 1
         assert run_cli(args + ["--lenient"]) == 0
 
-    @pytest.mark.parametrize("template", ["{answer}{problem.x}", "{answer}{problem[x]}"])
+    @pytest.mark.parametrize("template", ["{answer}{problem.x}", "{answer}{problem[x]}", "{answer}{"])
     def test_template_that_cannot_render_fails_each_instance(self, toy_env, caplog, template):
-        # attribute and index lookups pass validation but fail on the str they are applied to
+        # attribute and index lookups, and a brace left open after the answer field, pass validation but fail
+        # as each instance renders
         report = toy_env["dir"] / "report.json"
         args = compress_args(toy_env, extra=["--condition-template", template, "--report", str(report)])
         assert run_cli(args) == 1
@@ -166,6 +179,13 @@ class TestCompress:
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert len(failed) == 40
         assert all(f"bad condition template {template!r}" in message for message in failed)
+
+    def test_template_with_no_answer_field_exits_2(self, toy_env, capfd):
+        # the escaped "{{answer}}" renders the constant text "{answer}", so every condition would be the same
+        assert run_cli(compress_args(toy_env, extra=["--condition-template", "{{answer}}: "])) == 2
+        err = capfd.readouterr().err
+        assert err == "error: condition_template must contain {answer} (or be empty) when conditional\n"
+        assert not (toy_env["dir"] / "out.jsonl").exists()
 
     def test_score_dump_alongside_dataset(self, toy_env):
         dump = toy_env["dir"] / "dump.jsonl"
@@ -662,13 +682,15 @@ class TestBackendsAndConfig:
         assert code == 3
         assert not (toy_env["dir"] / "out.jsonl").exists()
 
-    @pytest.mark.parametrize("descriptor", ["http:http://", "https://", "http:localhost:8000"])
+    @pytest.mark.parametrize("descriptor", ["http:http://", "https://", "http:localhost:8000", "http://[::1"])
     def test_backend_url_without_host_exits_2(self, toy_env, descriptor, capsys):
         code = run_cli(compress_args(toy_env, extra=["--backend", descriptor]))
         assert code == 2
         err = capsys.readouterr().err
-        assert "needs an http(s) scheme and a host" in err
+        message = "has an invalid port or IPv6 host" if "[" in descriptor else "needs an http(s) scheme and a host"
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
         assert "Traceback" not in err
+        assert not (toy_env["dir"] / "out.jsonl").exists()
 
     @pytest.mark.parametrize("token, path", [
         ("s3cret\nX-Injected: 1", ""),  # a header http.client refuses
@@ -807,7 +829,7 @@ class TestBackendsAndConfig:
         assert run_cli(compress_args(toy_env, extra=["--config", str(cfg_path)])) == 2
         err = capfd.readouterr().err
         choices = {"scope": ("global", "per-segment"), "score_space": ("ppl-diff", "bits-diff")}[key]
-        assert f"error: {key} must be one of {choices}, got {value!r}" in err
+        assert err == f"error: {key} must be one of {choices}, got {value!r}\n"
         assert "selection_scope" not in err
         assert "Traceback" not in err
         assert not (toy_env["dir"] / "out.jsonl").exists()
@@ -1000,8 +1022,8 @@ class TestFilePaths:
             assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISSOCK(mode)
 
     # an output goes to its temp file (path + ".tmp") first, then is renamed over the path
-    @pytest.mark.parametrize("clash", ["input", "dump", "report", "leftover", "ablate-leftover", "emit-input",
-                                       "emit-leftover"])
+    @pytest.mark.parametrize("clash", ["input", "dump", "output-temp-dump", "report", "leftover", "ablate-leftover",
+                                       "emit-input", "emit-leftover"])
     def test_an_output_whose_temp_file_clashes_exits_2_and_leaves_every_file(self, toy_env, capfd, clash):
         from http_stub import StubServer
 
@@ -1017,6 +1039,7 @@ class TestFilePaths:
         named, argv = tmp, {
             "input": compress_args(toy_env, extra=["--input", str(tmp), "--output", str(data)]),
             "dump": compress_args(toy_env, extra=["--output", str(tmp), "--score-dump", str(data)]),
+            "output-temp-dump": compress_args(toy_env, extra=["--output", str(data), "--score-dump", str(tmp)]),
             "report": compress_args(toy_env, extra=["--output", str(data), "--report", str(tmp)]),
             "leftover": compress_args(toy_env, extra=["--output", str(data)]),
             "ablate-leftover": ablate_args(toy_env, work / "ablate"),
@@ -1103,6 +1126,10 @@ class TestErrorBranches:
         ({"vocabulary": [], "table": {}}, "toy model vocabulary is empty"),
         ({"vocabulary": ["A", "A"], "table": {"START": {"A": 1.0}}}, "toy model vocabulary contains duplicates"),
         ({"vocabulary": ["A"], "table": {"START": {"B": 1.0}}}, "table entry 'B' (row 'START') is not in the vocabulary"),
+        ({"vocabulary": [1, "A"], "table": {"START": {"A": 1.0}}},
+         "toy model vocabulary must be a list of non-empty str, got [1, 'A']"),
+        ({"vocabulary": ["A"], "table": {"A": {"A": 1.0}}},
+         "toy model table has no 'START' row for sequence-initial positions"),
     ])
     def test_toy_spec_that_does_not_validate_exits_2(self, toy_env, capfd, spec, message):
         path = toy_env["dir"] / "bad-spec.json"

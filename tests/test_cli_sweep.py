@@ -50,8 +50,9 @@ SETTINGS: dict[str, dict[str, tuple[list, list]]] = {
               "config": (["global", "per-segment"], ["per_segment", "", 1])},
     "score_space": {"flag": (["ppl-diff", "bits-diff"], ["bits_diff"]),
                     "config": (["ppl-diff", "bits-diff"], ["bits", 0])},
-    "condition_template": {"flag": (["{answer}:", "", "{answer}{", "{answer}{problem.x}"], [":"]),
-                           "config": (["{answer}:", DEFAULT_CONDITION_TEMPLATE, ""], ["no answer", 5, None])},
+    "condition_template": {"flag": (["{answer}:", "", "{answer}{", "{answer}{problem.x}"], [":", "{{answer}}"]),
+                           "config": (["{answer}:", DEFAULT_CONDITION_TEMPLATE, ""],
+                                      ["no answer", "{{answer}}", 5, None])},
     "workers": {"flag": (["1", "2", "3", "4"], ["0", "65", "2.0", "x"]),
                 "config": ([1, 2, 4], [0, 65, 2.0, "2", True, None])},
     "conditional": {"flag": ([["--conditional"], ["--no-conditional"]], [["--conditional=no"]]),

@@ -16,6 +16,7 @@ from cts.selector import (
     compress_steps,
     kept_count_for,
     lockstep_step,
+    render_condition,
     run_lockstep,
     segment_thinking,
     select_tokens,
@@ -475,6 +476,17 @@ class TestConfigValue:
         with pytest.raises(ConfigError, match="alpha must be a number"):
             make()
 
+    # the template must hold a replacement field named answer: an escaped {{answer}} renders the constant "{answer}"
+    @pytest.mark.parametrize("template", ["{{answer}}", "{{answer}}: ", "{:{answer}}", "{ {answer}", "{{{{answer}}}}"])
+    def test_template_with_no_answer_field_is_rejected_when_made(self, template):
+        with pytest.raises(ConfigError, match="condition_template must contain {answer}"):
+            config(condition_template=template)
+
+    @pytest.mark.parametrize("template, rendered", [("{answer!r}", "'42'"), ("{answer:>5}", "   42"),
+                                                    ("{{{answer}}}", "{42}")])
+    def test_template_with_an_answer_field_is_accepted(self, template, rendered):
+        assert render_condition(config(condition_template=template), instance("A")) == rendered
+
 
 class TestRequestBudget:
     # per instance: tokenize the thinking once and the condition once, then
@@ -692,6 +704,57 @@ def test_a_call_short_of_answers_fails_only_the_instance_at_fault(backend_class,
     for i in (0, 2):
         alone = compress_instance(insts[i], config(), ToyBackend(shift_spec()))
         assert rows_of(outcomes[i], config()) == (alone, None)
+
+
+class EmptyTokenize(ToyBackend):
+    """Answers no ids and no spans for each text that holds MARKED."""
+
+    def tokenize(self, texts):
+        return [((), []) if MARKED in text else answer for text, answer in zip(texts, super().tokenize(texts))]
+
+
+class MiscountedLogprobs(ToyBackend):
+    """Answers ``extra`` log-probabilities more (fewer, when negative) to each request whose context ends in MARKED."""
+
+    extra = 0
+
+    def logprobs_batch(self, requests_):
+        marked = self.tokenize([MARKED])[0][0]
+        return [answer[: len(answer) + self.extra] + [0.0] * self.extra if r.context[-len(marked):] == marked
+                else answer for r, answer in zip(requests_, super().logprobs_batch(requests_))]
+
+
+class OneLogprobShort(MiscountedLogprobs):
+    extra = -1
+
+
+class OneLogprobLong(MiscountedLogprobs):
+    extra = 1
+
+
+PER_SEGMENT = {"selection_scope": "per_segment", "segment_budget": 4, "boundary_slack": 0}
+
+
+# the selector checks the shape of every backend's answers, not only HttpBackend's wire
+@pytest.mark.parametrize("backend_class, thinking, overrides, message, positions", [
+    (EmptyTokenize, MARKED, {}, "backend tokenize answer has 0 ids and 0 spans", None),
+    (EmptyTokenize, MARKED, PER_SEGMENT, "backend tokenize answer has 0 ids and 0 spans", None),
+    (OneLogprobShort, MARKED, {},
+     "backend failed scoring thinking tokens [0, 4): 3 log-probabilities answered for 4 tokens", (0, 4)),
+    # the second segment's contexts end in MARKED: the kept prefix of "ABC " and then MARKED
+    (OneLogprobLong, f"ABC {MARKED}", PER_SEGMENT,
+     "backend failed scoring thinking tokens [4, 8): 5 log-probabilities answered for 4 tokens", (4, 8)),
+], ids=["empty-tokenize", "empty-tokenize-per-segment", "logprobs-short", "logprobs-long-per-segment"])
+def test_an_answer_of_the_wrong_shape_fails_only_its_instance(backend_class, thinking, overrides, message, positions):
+    cfg = config(**overrides)
+    insts = [instance(t, iid=f"t-{i}") for i, t in enumerate(["ABC A", thinking, "CAB"])]
+    outcomes = list(run_lockstep(tasks_for(insts, cfg, backend_class(shift_spec()))))
+    result, exc = outcomes[1]
+    assert result is None and isinstance(exc, ScoringError)
+    assert (str(exc), exc.positions) == (f"instance t-1: {message}", positions)
+    for i in (0, 2):
+        alone = compress_instance(insts[i], cfg, ToyBackend(shift_spec()))
+        assert rows_of(outcomes[i], cfg) == (alone, None)
 
 
 class TestIterativeSegments:
