@@ -2,6 +2,8 @@
 
 Subcommands: compress, score (compress writing only the score dump),
 emit {sft|rm-prompts|rm-rows}, ablate, stats.
+Each setting of compress, score and ablate is declared once, in ``SETTINGS``:
+its flag, its config-file key and type, and the SelectionConfig field it fills.
 Config precedence: CLI flag > config file > environment > built-in default.
 Progress and warnings go to stderr; data artifacts go to files; nothing is
 printed to stdout unless asked for (--print-report, stats).
@@ -43,7 +45,8 @@ from .errors import BackendUnavailable, ConfigError, CtsError, DatasetError
 from .report import ReportBuilder, RunReport, report_from_records
 from .runner import LOOKAHEAD_PER_WORKER, map_ordered
 from .selector import (
-    DEFAULT_CONDITION_TEMPLATE,
+    SCORE_SPACES,
+    SELECTION_SCOPES,
     SelectionConfig,
     compress_instance,  # noqa: F401  not called here; bench/cli_child.py instruments cts.cli by this name
     compress_steps,
@@ -89,30 +92,55 @@ ABLATION_MODES = (
     AblationMode("proposed", conditional=True, rm_profile="tuned"),
 )
 
-_DEFAULTS: dict[str, Any] = {
-    "ratio": None,
-    "conditional": True,
-    "condition_template": DEFAULT_CONDITION_TEMPLATE,
-    "segment_budget": 512,
-    "boundary_slack": 32,
-    "scope": "global",
-    "score_space": "ppl-diff",
-    "iterative_original_prefix": False,
-    "backend": None,
-    "backend_tuned": None,
-    "workers": 1,
-    "lenient": False,
-}
-# settings that may come from a JSON config file, and the types of value each
-# may have there: those of the value its CLI flag produces
-_CONFIG_TYPES: dict[str, tuple[type, ...]] = {
-    **dict.fromkeys(("conditional", "iterative_original_prefix", "lenient"), (bool,)),
-    **dict.fromkeys(("segment_budget", "boundary_slack", "workers"), (int,)),
-    **dict.fromkeys(("condition_template", "scope", "score_space", "backend", "backend_tuned"), (str,)),
-    "ratio": (int, float),
-}
-# the values a setting with a fixed set of spellings may take, from its flag or a config file
-_CHOICES: dict[str, tuple[str, ...]] = {"scope": ("global", "per-segment"), "score_space": ("ppl-diff", "bits-diff")}
+
+@dataclass(frozen=True)
+class Setting:
+    """A setting of compress, score and ablate: its config-file key, and its flag, the key with hyphens.
+
+    A selection setting fills the SelectionConfig ``field``; a field default
+    is the setting's default, and its type the one a config file may hold.
+    A setting with no field default has ``types`` (the last one the flag's;
+    a string unless stated) and ``default``. ``choices`` are the field's
+    values in hyphen spelling. A boolean selection setting has a ``--no-``
+    flag too; a boolean runtime setting only turns on.
+    """
+
+    key: str
+    field: str | None = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    types: tuple[type, ...] = (str,)
+    default: Any = None
+
+    def __post_init__(self) -> None:
+        default = next((f.default for f in dataclasses.fields(SelectionConfig) if f.name == self.field),
+                       dataclasses.MISSING)
+        if default is not dataclasses.MISSING:
+            object.__setattr__(self, "types", (type(default),))
+            object.__setattr__(self, "default", _hyphens(default) if self.choices else default)
+
+
+def _hyphens(value: str) -> str:
+    return value.replace("_", "-")
+
+
+# the one place a setting is declared, in flag order; ablate alone takes --backend-tuned, after its schema flags
+SETTINGS: dict[str, Setting] = {setting.key: setting for setting in (
+    Setting("ratio", "alpha", types=(int, float), help="retention ratio in (0, 1]"),
+    Setting("conditional", "conditional", help="score against the answer-conditioned context (default: on)"),
+    Setting("condition_template", "condition_template",
+            help="conditioning text; {answer} required unless empty, {problem} optional"),
+    Setting("segment_budget", "segment_budget"),
+    Setting("boundary_slack", "boundary_slack"),
+    Setting("scope", "selection_scope", tuple(map(_hyphens, SELECTION_SCOPES))),
+    Setting("score_space", "score_space", tuple(map(_hyphens, SCORE_SPACES))),
+    Setting("iterative_original_prefix", "iterative_original_prefix",
+            help="per-segment scope: condition on the original instead of the compressed prefix"),
+    Setting("backend", help="toy:<spec.json> or http:<url>"),
+    Setting("workers", help=f"scoring lanes run at once, 1 to {MAX_WORKERS}", types=(int,), default=1),
+    Setting("lenient", help="exit 0 even when some records fail", types=(bool,), default=False),
+    Setting("backend_tuned", help="backend for the tuned profile (default: same as --backend)"),
+)}
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
@@ -123,11 +151,11 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    unknown = data.keys() - _CONFIG_TYPES.keys()
+    unknown = data.keys() - SETTINGS.keys()
     if unknown:
         raise ConfigError(f"config file {path!r} has unknown keys: {sorted(unknown)}")
     for key, value in data.items():
-        types = _CONFIG_TYPES[key]
+        types = SETTINGS[key].types
         if type(value) not in types:
             names = " or ".join(t.__name__ for t in types)
             raise ConfigError(f"config file {path!r}: {key} must be {names}, got {value!r}")
@@ -136,14 +164,14 @@ def _load_config_file(path: str) -> dict[str, Any]:
 
 def resolve_settings(args: argparse.Namespace, *, default_ratio: float | None = None) -> dict[str, Any]:
     """Merge defaults, environment, config file, and CLI flags (highest wins)."""
-    settings = dict(_DEFAULTS)
+    settings = {key: setting.default for key, setting in SETTINGS.items()}
     env_url = os.environ.get(ENV_BACKEND_URL)
     if env_url:
         settings["backend"] = env_url
     config_path = getattr(args, "config", None)
     if config_path:
         settings.update(_load_config_file(config_path))
-    for key in _CONFIG_TYPES:
+    for key in SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -162,19 +190,13 @@ def selection_config_from(settings: dict[str, Any]) -> SelectionConfig:
     ratio = settings["ratio"]
     if not 0 < ratio <= 1:
         raise ConfigError(f"ratio must be in (0, 1], got {ratio!r}")
-    for key, choices in _CHOICES.items():
-        if settings[key] not in choices:
-            raise ConfigError(f"{key} must be one of {choices}, got {settings[key]!r}")
-    return SelectionConfig(
-        alpha=float(ratio),
-        conditional=settings["conditional"],
-        condition_template=settings["condition_template"],
-        segment_budget=settings["segment_budget"],
-        boundary_slack=settings["boundary_slack"],
-        score_space=settings["score_space"].replace("-", "_"),
-        selection_scope=settings["scope"].replace("-", "_"),
-        iterative_original_prefix=settings["iterative_original_prefix"],
-    )
+    for key, setting in SETTINGS.items():
+        if setting.choices and settings[key] not in setting.choices:
+            raise ConfigError(f"{key} must be one of {setting.choices}, got {settings[key]!r}")
+    # a field holds what its flag gives (a float ratio), a choice in underscore spelling
+    fields = {setting.field: settings[key].replace("-", "_") if setting.choices else setting.types[-1](settings[key])
+              for key, setting in SETTINGS.items() if setting.field}
+    return SelectionConfig(**fields)
 
 
 def build_backend(descriptor: str | None) -> LogprobBackend:
@@ -555,46 +577,24 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", "-o", required=True, help="output path")
 
 
-def _add_selection_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ratio", type=float, default=None, help="retention ratio in (0, 1]")
-    parser.add_argument(
-        "--conditional",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="score against the answer-conditioned context (default: on)",
-    )
-    parser.add_argument("--condition-template", dest="condition_template", default=None,
-                        help="conditioning text; {answer} required unless empty, {problem} optional")
-    parser.add_argument("--segment-budget", dest="segment_budget", type=int, default=None)
-    parser.add_argument("--boundary-slack", dest="boundary_slack", type=int, default=None)
-    parser.add_argument("--scope", choices=_CHOICES["scope"], default=None)
-    parser.add_argument("--score-space", dest="score_space", choices=_CHOICES["score_space"], default=None)
-    parser.add_argument(
-        "--iterative-original-prefix",
-        dest="iterative_original_prefix",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="per-segment scope: condition on the original instead of the compressed prefix",
-    )
+def _add_setting_arguments(parser: argparse.ArgumentParser, keys: Iterable[str]) -> None:
+    for key in keys:
+        setting = SETTINGS[key]
+        kind = ({"action": argparse.BooleanOptionalAction if setting.field else "store_true"}
+                if setting.types == (bool,) else {"type": setting.types[-1], "choices": setting.choices})
+        parser.add_argument(f"--{_hyphens(key)}", default=None, help=setting.help, **kind)
 
 
-def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default=None, help="toy:<spec.json> or http:<url>")
-    parser.add_argument("--workers", type=int, default=None,
-                        help=f"scoring lanes run at once, 1 to {MAX_WORKERS}")
-    parser.add_argument("--lenient", action="store_true", default=None,
-                        help="exit 0 even when some records fail")
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The arguments of compress, score and ablate, but ablate's --backend-tuned."""
+    _add_io_arguments(parser)
+    _add_setting_arguments(parser, [key for key in SETTINGS if key != "backend_tuned"])
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--report", default=None, help="write the run report JSON here")
     parser.add_argument("--print-report", dest="print_report", action="store_true",
                         help="print the run report JSON to stdout")
-
-
-def _add_schema_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--problem-key", dest="problem_key", default=None)
-    parser.add_argument("--thinking-key", dest="thinking_key", default=None)
-    parser.add_argument("--answer-key", dest="answer_key", default=None)
-    parser.add_argument("--id-key", dest="id_key", default=None)
+    for field in ("problem", "thinking", "answer", "id"):  # the input schema
+        parser.add_argument(f"--{field}-key", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -605,19 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compress = sub.add_parser("compress", help="write a compressed dataset")
-    _add_io_arguments(p_compress)
-    _add_selection_arguments(p_compress)
-    _add_runtime_arguments(p_compress)
-    _add_schema_arguments(p_compress)
+    _add_run_arguments(p_compress)
     p_compress.add_argument("--score-dump", dest="score_dump", default=None,
                             help="also write the per-token score dump JSONL here")
     p_compress.set_defaults(func=cmd_compress)
 
     p_score = sub.add_parser("score", help="write the per-token score dump without a dataset")
-    _add_io_arguments(p_score)
-    _add_selection_arguments(p_score)
-    _add_runtime_arguments(p_score)
-    _add_schema_arguments(p_score)
+    _add_run_arguments(p_score)
     p_score.set_defaults(func=cmd_compress)
 
     p_emit = sub.add_parser("emit", help="render training artifacts")
@@ -630,12 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit.set_defaults(func=cmd_emit)
 
     p_ablate = sub.add_parser("ablate", help="run the four ablation modes over one input")
-    _add_io_arguments(p_ablate)
-    _add_selection_arguments(p_ablate)
-    _add_runtime_arguments(p_ablate)
-    _add_schema_arguments(p_ablate)
-    p_ablate.add_argument("--backend-tuned", dest="backend_tuned", default=None,
-                          help="backend for the tuned profile (default: same as --backend)")
+    _add_run_arguments(p_ablate)
+    _add_setting_arguments(p_ablate, ["backend_tuned"])
     p_ablate.set_defaults(func=cmd_ablate)
 
     p_stats = sub.add_parser("stats", help="recompute the report from a compressed dataset")

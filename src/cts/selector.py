@@ -306,7 +306,8 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
     out when it renders empty; a text that cannot be tokenized becomes a
     ScoringError naming the instance and the field (the thinking, when both
     fail), and so does a thinking answered with no ids, or with ids and spans
-    of unequal length. Each text is tokenized once and the ids are
+    of unequal length, and a condition answered with no ids. Each text is
+    tokenized once and the ids are
     concatenated, so thinking positions align one-to-one between the two
     passes. A scoring step covers a run of segments after the kept prefix.
     Where that history does not depend on the selection (global scope, the
@@ -333,6 +334,8 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
                 f"instance {instance.id}: cannot tokenize {field}: {answer}", instance.id
             ) from answer
     (ids, spans), cond_prefix = answers[0], answers[1][0] if condition else ()
+    if condition and not cond_prefix:  # else every conditional context would be the unconditional one
+        raise ScoringError(f"instance {instance.id}: cannot tokenize condition: no ids answered", instance.id)
     del answers, answer  # so the ids below are the one copy held, which its slices and requests share
     ids = tuple(ids)  # a backend's answer is a tuple already, which every selection of the text shares
     if not ids or len(ids) != len(spans):

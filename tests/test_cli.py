@@ -839,6 +839,36 @@ class TestBackendsAndConfig:
         cfg_path.write_text('{"ratios": 0.5}')
         assert run_cli(compress_args(toy_env, extra=["--config", str(cfg_path)])) == 2
 
+    # every config-file setting: its flag's arguments, and the same value as its config-file key holds it
+    @pytest.mark.parametrize("key, flag, value", [
+        ("ratio", ["--ratio", "0.25"], 0.25),
+        ("conditional", ["--no-conditional"], False),
+        ("condition_template", ["--condition-template", "{answer}:"], "{answer}:"),
+        ("segment_budget", ["--segment-budget", "64"], 64),
+        ("boundary_slack", ["--boundary-slack", "8"], 8),
+        ("scope", ["--scope", "per-segment"], "per-segment"),
+        ("score_space", ["--score-space", "bits-diff"], "bits-diff"),
+        ("iterative_original_prefix", ["--iterative-original-prefix"], True),
+        ("backend", ["--backend", "http://localhost:8000"], "http://localhost:8000"),
+        ("workers", ["--workers", "3"], 3),
+        ("lenient", ["--lenient"], True),
+        ("backend_tuned", ["--backend-tuned", "http://localhost:8001"], "http://localhost:8001"),
+    ])
+    def test_flag_and_config_file_resolve_alike(self, tmp_path, monkeypatch, key, flag, value):
+        monkeypatch.delenv("CTS_BACKEND_URL", raising=False)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        base = ["ablate", "--input", "in.jsonl", "--output", "out"]  # ablate takes every setting's flag
+
+        def resolved(argv):
+            settings = cts.cli.resolve_settings(cts.cli.build_parser().parse_args(base + argv), default_ratio=0.5)
+            return settings, cts.cli.selection_config_from(settings)
+
+        from_flag = resolved(flag)
+        assert from_flag == resolved(["--config", str(cfg_path)])
+        assert from_flag[0][key] == value
+        assert from_flag[0] != resolved([])[0]
+
 
 def assert_one_error_naming(capfd, path):
     err = capfd.readouterr().err

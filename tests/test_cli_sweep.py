@@ -62,6 +62,8 @@ SETTINGS: dict[str, dict[str, tuple[list, list]]] = {
                                   "config": ([True, False], ["no", 1])},
     "lenient": {"flag": ([["--lenient"]], [["--lenient=yes"]]), "config": ([True, False], ["yes", 0])},
 }
+# each run names its toy backend by flag, so these are not drawn; tests/test_cli.py covers them
+NOT_DRAWN = {"backend", "backend_tuned"}
 # a setting drawn: its (source, value), or None when it is not given
 valid_settings = st.fixed_dictionaries({
     name: st.none() | st.sampled_from([(source, value) for source, (valid, _) in sources.items() for value in valid])
@@ -72,6 +74,11 @@ wrong_settings = st.lists(
                      for source, (_, wrong) in sources.items() for value in wrong]),
     max_size=2, unique_by=lambda wrong: wrong[0],
 ).map(dict)
+
+
+def test_the_sweep_draws_every_setting():
+    # a setting added to cts.cli.SETTINGS needs its valid and wrong values here
+    assert SETTINGS.keys() | NOT_DRAWN == cts.cli.SETTINGS.keys()
 
 
 def arguments(name: str, value) -> list[str]:

@@ -253,6 +253,25 @@ class TestScoreTokens:
             compress_instance(instance("ABCA"), config(), DropsASpan(shift_spec()))
         assert str(exc.value) == "instance t-0: backend tokenize answer has 4 ids and 3 spans"
 
+    @pytest.mark.parametrize("scope", ["global", "per_segment"])
+    def test_condition_answered_with_no_ids_fails_its_instance_alone(self, scope):
+        # unchecked, no ids would make every conditional context the unconditional one, and the instance succeed
+        class NoConditionIds(ToyBackend):
+            def tokenize(self, texts):
+                return [((), []) if text == "42:" else answer for text, answer in zip(texts, super().tokenize(texts))]
+
+        cfg = config(selection_scope=scope, segment_budget=2, boundary_slack=0)
+        instances = [instance("ABCAB", answer="4", iid="t-0"), instance("ABCAB", iid="t-1"),
+                     instance("CABBA", answer="4", iid="t-2")]
+        backend = NoConditionIds(shift_spec())  # one backend, so each step is one call for all three
+        outcomes = run_lockstep([(compress_steps(inst, cfg), backend) for inst in instances])
+        assert outcomes[1].result is None
+        assert isinstance(outcomes[1].error, ScoringError)
+        assert str(outcomes[1].error) == "instance t-1: cannot tokenize condition: no ids answered"
+        for i in (0, 2):
+            alone = run_lockstep([(compress_steps(instances[i], cfg), ToyBackend(shift_spec()))])
+            assert rows_of(outcomes[i], cfg) == rows_of(alone[0], cfg)
+
 
 class TestSegmentThinking:
     def test_under_budget_single_segment(self):
