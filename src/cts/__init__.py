@@ -40,7 +40,6 @@ from .errors import (
 from .report import ReportBuilder, RunReport, report_from_records
 from .selector import (
     SelectionConfig,
-    SelectionResult,
     TokenScoreRow,
     compress_instance,
     compress_steps,

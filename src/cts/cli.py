@@ -231,18 +231,21 @@ def _config_echo(settings: dict[str, Any], config: SelectionConfig, args: argpar
 
 
 def _write_report(payload: dict[str, Any], args: argparse.Namespace) -> None:
-    """Write the report JSON to --report and print it with --print-report."""
+    """Write the report JSON to --report and print it with --print-report, one text made before the file opens.
+
+    A byte of a path that is not UTF-8 (the surrogate ``\\udcff``) is written as its JSON escape.
+    """
+    text = json.dumps(payload, ensure_ascii=False, indent=2).encode("utf-8", "backslashreplace").decode("utf-8")
     report_path = getattr(args, "report", None)
     if report_path:
         try:
             os.makedirs(os.path.dirname(os.path.abspath(report_path)), exist_ok=True)
             with open(report_path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, ensure_ascii=False, indent=2)
-                fh.write("\n")
+                fh.write(text + "\n")
         except OSError as exc:
             raise ConfigError(f"cannot write report {report_path!r}: {exc}") from exc
     if getattr(args, "print_report", False):
-        print(json.dumps(payload, ensure_ascii=False))
+        print(text)
 
 
 def _emit_report(report: RunReport, args: argparse.Namespace) -> None:
@@ -427,13 +430,12 @@ def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) ->
                             builder.add_failed()
                             logger.warning("%s: instance %s failed: %s", job.name, instance_id, exc)
                             continue
-                        record, scores, selection = outcome
+                        record, scores, mask = outcome
                         builder.add_ok(record)
                         if output is not None:
                             output.write(compressed_to_dict(record))
                         if dump is not None:  # one token's row and object at a time
-                            for row in score_rows_to_dicts(record.id, score_rows(*scores, job.config),
-                                                           selection.kept_mask):
+                            for row in score_rows_to_dicts(record.id, score_rows(*scores, job.config), mask):
                                 dump.write(row)
                     if outcomes[0][0] is not None:
                         yield outcomes[0][0][0]

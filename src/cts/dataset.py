@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -26,6 +27,9 @@ DEFAULT_SCHEMA = {
     "thinking": "thinking",
     "answer": "answer",
 }
+
+# the JSON escape of a UTF-16 surrogate code point, \uD800 to \uDFFF
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 # read_dataset skips a record whose id repeats one of this many records kept before it
 DUPLICATE_ID_WINDOW = 1024
@@ -88,10 +92,6 @@ def _field(obj: dict, key: str) -> Any:
 def _checked_text(value: Any, key: str) -> str:
     if not isinstance(value, str):
         raise DatasetError(f"field {key!r} must be a string, got {type(value).__name__}")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise DatasetError(f"field {key!r} contains unpaired surrogate code points") from None
     return value
 
 
@@ -112,10 +112,11 @@ def _read_jsonl(
     """Stream ``parse(obj, line_no)`` over the JSON objects of a JSONL file, in order.
 
     Lines end at LF (a CRLF line parses too). Blank lines are skipped. A
-    line that is not UTF-8, not JSON, not an object, or that ``parse``
-    rejects with a DatasetError is skipped too; its error, stamped with the
-    1-based line and the path, is appended to ``errors`` (if given). A file
-    that cannot be opened is a ConfigError.
+    line that is not UTF-8, not JSON, not an object, that holds an unpaired
+    surrogate anywhere (in a key or a value, nested ones too), or that
+    ``parse`` rejects with a DatasetError is skipped too; its error, stamped
+    with the 1-based line and the path, is appended to ``errors`` (if
+    given). A file that cannot be opened is a ConfigError.
     """
     try:
         fh = open(path, "rb")
@@ -132,6 +133,12 @@ def _read_jsonl(
                     continue
                 try:
                     obj = json.loads(line)
+                    # a strict UTF-8 line holds a surrogate only by a \uD800-\uDFFF escape, and a paired
+                    # one decodes to one character; one left unpaired cannot be written back out
+                    if _SURROGATE_ESCAPE.search(line):
+                        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DatasetError("unpaired surrogate code point in the record") from None
                 except json.JSONDecodeError as exc:
                     raise DatasetError(f"malformed JSON: {exc.msg}") from exc
                 # an integer literal over Python's int-string limit, or nesting past the recursion limit

@@ -135,13 +135,6 @@ class TokenScoreRow:
     score: float
 
 
-@dataclass(slots=True)
-class SelectionResult:
-    threshold: float
-    kept_mask: list[bool]
-    kept_count: int
-
-
 def render_condition(config: SelectionConfig, instance: CotInstance) -> str:
     if not config.conditional:
         return ""
@@ -282,11 +275,10 @@ def kept_count_for(alpha: float, n: int) -> int:
     return min(n, max(1, k))
 
 
-def select_tokens(scores: Sequence[float], config: SelectionConfig) -> SelectionResult:
-    """Keep the top alpha fraction of the given scores by (score desc, index asc).
+def select_tokens(scores: Sequence[float], config: SelectionConfig) -> list[bool]:
+    """The kept mask of the top alpha fraction of the given scores by (score desc, index asc).
 
-    At least one score is kept. kept_mask follows the order of ``scores``;
-    the reported threshold is the lowest kept score.
+    At least one score is kept. The mask follows the order of ``scores``.
     """
     if not scores:
         raise ConfigError("select_tokens requires at least one score")
@@ -296,7 +288,7 @@ def select_tokens(scores: Sequence[float], config: SelectionConfig) -> Selection
     mask = [False] * len(scores)
     for i in ranked[:k]:
         mask[i] = True
-    return SelectionResult(threshold=scores[ranked[k - 1]], kept_mask=mask, kept_count=k)
+    return mask
 
 
 def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: bool = True) -> Steps:
@@ -317,11 +309,12 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
     log-probabilities in bits, as the backend answered them, are appended to
     two arrays over [0, n); each segment's scores are computed from them as
     floats and the top fraction inside it is kept. Returns (record, scores,
-    selection), where scores is the tuple (spans, lp_uncond, lp_cond) that
-    ``score_rows`` turns into rows, or None without ``keep_scores``; the
-    record and selection are the same either way. The compressed thinking
-    text is the concatenation of kept spans in original order; actual_ratio
-    is exactly kept_count / original_count. The config was checked when made.
+    mask), where scores is the tuple (spans, lp_uncond, lp_cond) that
+    ``score_rows`` turns into rows, or None without ``keep_scores``, and mask
+    is the kept mask over [0, n); the record and mask are the same either
+    way. The compressed thinking text is the concatenation of kept spans in
+    original order; actual_ratio is exactly kept_count / original_count. The
+    config was checked when made.
     """
     # spans concatenate to the text, so only an empty text has no tokens
     if not instance.thinking:
@@ -347,7 +340,6 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
     segments = [range(n)] if whole else segment_thinking(n, spans, config)
     lp_uncond, lp_cond = array("d"), array("d")  # of the tokens scored so far; each step's answers are appended
     mask: list[bool] = []
-    threshold = math.inf
     kept_prefix: list[int] = []
     for seg in segments:
         if len(lp_uncond) < seg.stop:  # not scored yet; where the history is fixed, the first step scores [0, n)
@@ -356,33 +348,30 @@ def compress_steps(instance: CotInstance, config: SelectionConfig, keep_scores: 
             )
             lp_uncond.extend(step[0])
             lp_cond.extend(step[1])
-        seg_selection = select_tokens(
+        seg_mask = select_tokens(
             _scores(lp_uncond[seg.start : seg.stop], lp_cond[seg.start : seg.stop], config), config
         )
-        mask.extend(seg_selection.kept_mask)
-        threshold = min(threshold, seg_selection.threshold)
-        kept_prefix.extend(compress(ids[seg.start : seg.stop], seg_selection.kept_mask))
-    selection = SelectionResult(threshold=threshold, kept_mask=mask, kept_count=sum(mask))
-
-    compressed = "".join(compress(spans, mask))
+        mask.extend(seg_mask)
+        kept_prefix.extend(compress(ids[seg.start : seg.stop], seg_mask))
+    kept = sum(mask)
     record = CompressedInstance(
-        id=instance.id, problem=instance.problem, compressed_thinking=compressed, answer=instance.answer,
-        nominal_ratio=config.alpha, actual_ratio=selection.kept_count / n, kept_count=selection.kept_count,
+        id=instance.id, problem=instance.problem, compressed_thinking="".join(compress(spans, mask)),
+        answer=instance.answer, nominal_ratio=config.alpha, actual_ratio=kept / n, kept_count=kept,
         original_count=n, extras=dict(instance.extras),
     )
-    return record, (spans, lp_uncond, lp_cond) if keep_scores else None, selection
+    return record, (spans, lp_uncond, lp_cond) if keep_scores else None, mask
 
 
 def compress_instance(
     instance: CotInstance, config: SelectionConfig, backend: LogprobBackend
-) -> tuple[CompressedInstance, list[TokenScoreRow], SelectionResult]:
+) -> tuple[CompressedInstance, list[TokenScoreRow], list[bool]]:
     """Run the full pipeline for one instance: tokenize once, then score and select each segment.
 
     It is the one-instance case of a CLI group, and deterministic end to end
     for a fixed (instance, config, backend).
     """
-    record, scores, selection = _run_alone(compress_steps(instance, config), backend)
-    return record, list(score_rows(*scores, config)), selection
+    record, scores, mask = _run_alone(compress_steps(instance, config), backend)
+    return record, list(score_rows(*scores, config)), mask
 
 
 def _batch_then_split(send: Callable[[list], list], tasks: dict[Any, list]) -> dict:

@@ -129,8 +129,8 @@ def rows_of(outcome, config):
     result, error = outcome
     if result is None:
         return outcome
-    record, scores, selection = result
-    return (record, list(score_rows(*scores, config)), selection), error
+    record, scores, mask = result
+    return (record, list(score_rows(*scores, config)), mask), error
 
 
 def write_spec_file(spec: ToyLmSpec, path) -> str:

@@ -181,8 +181,7 @@ class TestAcceptance:
                 previous: set[int] = set()
                 for alpha in SWEEP + (1.0,):
                     cfg = SelectionConfig(alpha=alpha, condition_template=CONDITION)
-                    selection = select_tokens([row.score for row in rows], cfg)
-                    kept = {i for i, k in enumerate(selection.kept_mask) if k}
+                    kept = {i for i, k in enumerate(select_tokens([row.score for row in rows], cfg)) if k}
                     assert previous <= kept, f"kept sets do not nest at alpha {alpha}"
                     previous = kept
 

@@ -301,8 +301,8 @@ class TestScore:
         expected = toy_env["dir"] / "expected.jsonl"
         dump_rows = []
         for instance in read_dataset(toy_env["corpus"]):
-            record, rows, selection = compress_instance(instance, config, backend)
-            dump_rows += score_rows_to_dicts(record.id, rows, selection.kept_mask)
+            record, rows, mask = compress_instance(instance, config, backend)
+            dump_rows += score_rows_to_dicts(record.id, rows, mask)
         write_jsonl(dump_rows, str(expected))
         assert compress_dump.read_bytes() == score_dump.read_bytes() == expected.read_bytes()
 
@@ -930,6 +930,32 @@ class TestFilePaths:
         payload = json.loads(report.read_text())
         assert payload["base"]["instances_ok"] == 40 if command == "ablate" else payload["instances_ok"] == 40
 
+    def test_a_report_echoing_a_path_that_is_not_utf8_is_written_whole(self, toy_env, capsys):
+        # argv hands the byte 0xff of a file name to Python as the surrogate \udcff
+        name = os.fsdecode(os.fsencode(str(toy_env["dir"])) + b"/in\xff.jsonl")
+        try:
+            Path(name).write_bytes(Path(toy_env["corpus"]).read_bytes())
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        report = toy_env["dir"] / "report.json"
+        argv = compress_args(toy_env, extra=["--report", str(report), "--print-report"])
+        argv[argv.index("--input") + 1] = name
+        assert run_cli(argv) == 0
+        with open(report, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert payload["config_echo"]["input"] == name
+        assert json.loads(capsys.readouterr().out) == payload
+        assert sorted(os.listdir(toy_env["dir"])) == sorted(["corpus.jsonl", "spec.json", os.path.basename(name),
+                                                            "out.jsonl", "report.json"])
+
+    def test_a_report_of_utf8_paths_is_written_as_before(self, toy_env):
+        # indent 2, non-ASCII text as itself, one newline at the end
+        report = toy_env["dir"] / "réport.json"
+        assert run_cli(compress_args(toy_env, extra=["--report", str(report)])) == 0
+        text = report.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), ensure_ascii=False, indent=2) + "\n"
+        assert "\\u" not in text
+
     @pytest.mark.parametrize("clash", ["dump", "report", "directory", "score-report", "ablate-report",
                                        "ablate-report-directory"])
     def test_clashing_outputs_exit_2_before_any_post(self, toy_env, capfd, clash):
@@ -1285,3 +1311,64 @@ class TestNotUtf8:
         assert len(read_jsonl_file(sft)) == n
         assert "Traceback" not in capsys.readouterr().err
         assert f"{path}:2: not UTF-8" in caplog.text
+
+
+class TestUnpairedSurrogate:
+    """A record that holds an unpaired surrogate anywhere (a \\ud800-style escape) is a skipped record, whichever
+    command reads it: it could not be written back out as UTF-8."""
+
+    @staticmethod
+    def write_escaped(objects, path) -> str:
+        # ensure_ascii writes each surrogate as its JSON escape, the only way a UTF-8 file can hold one
+        Path(path).write_text("".join(json.dumps(obj) + "\n" for obj in objects), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("field, value", [("note", "\ud800"), ("id", "\ud800"), ("nested", {"k": ["\udfff"]}),
+                                              ("\udc00", "key")], ids=["extra", "id", "nested", "key"])
+    def test_compress_skips_the_record(self, toy_env, capsys, caplog, field, value):
+        records = read_jsonl_file(toy_env["corpus"])[:3]
+        records[1] = {**records[1], field: value}
+        argv = compress_args(toy_env)
+        argv[argv.index("--input") + 1] = self.write_escaped(records, toy_env["dir"] / "bad.jsonl")
+        assert run_cli(argv) == 1
+        out = read_jsonl_file(toy_env["dir"] / "out.jsonl")
+        assert [row["id"] for row in out] == [records[0]["id"], records[2]["id"]]
+        assert "Traceback" not in capsys.readouterr().err
+        assert "bad.jsonl:2: unpaired surrogate" in caplog.text
+        assert run_cli([*argv, "--lenient"]) == 0
+
+    def test_a_paired_surrogate_escape_is_one_character_and_passes(self, toy_env):
+        records = read_jsonl_file(toy_env["corpus"])[:2]
+        records[1]["note"] = "\U0001f600"
+        argv = compress_args(toy_env)
+        argv[argv.index("--input") + 1] = self.write_escaped(records, toy_env["dir"] / "paired.jsonl")
+        assert run_cli(argv) == 0
+        assert read_jsonl_file(toy_env["dir"] / "out.jsonl")[1]["note"] == "\U0001f600"
+
+    @pytest.mark.parametrize("target", ["rm-prompts", "rm-rows"])
+    def test_emit_skips_the_record(self, tmp_path, capsys, caplog, target):
+        steps = {"rm-prompts": ["the cat", "\ud800"], "rm-rows": ["the cat"]}[target]
+        examples = self.write_escaped([
+            {"id": "e1", "question": "q", "answer": "a", "reasoning_steps": ["the cat"]},
+            {"id": "e2", "question": "q", "answer": "a", "reasoning_steps": steps},
+        ], tmp_path / "ex.jsonl")
+        responses = self.write_escaped([
+            {"source_id": "e1", "compressed_steps": ["cat"]},
+            {"source_id": "e2", "compressed_steps": ["cat", "\udcff"]},
+        ], tmp_path / "resp.jsonl")
+        out = tmp_path / "out.jsonl"
+        assert run_cli(["emit", target, "--input", examples, "--responses", responses, "--output", str(out)]) == 1
+        assert [row["source_id"] for row in read_jsonl_file(out)] == ["e1"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert f"{'ex' if target == 'rm-prompts' else 'resp'}.jsonl:2: unpaired surrogate" in caplog.text
+
+    def test_stats_skips_the_record(self, toy_env, capsys, caplog):
+        assert run_cli(compress_args(toy_env)) == 0
+        records = read_jsonl_file(toy_env["dir"] / "out.jsonl")[:2]
+        records[1]["note"] = "\ud800"
+        path = self.write_escaped(records, toy_env["dir"] / "bad.jsonl")
+        capsys.readouterr()
+        assert run_cli(["stats", "--input", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["instances_ok"], report["instances_failed"]) == (1, 1)
+        assert "bad.jsonl:2: unpaired surrogate" in caplog.text

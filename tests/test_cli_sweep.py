@@ -3,11 +3,12 @@
 Each example runs compress, score or ablate with each selection and runtime
 setting given by its flag, by a config file, or not at all: each one valid
 (some at a bound), and up to two of them out of range or of the wrong type.
-Every run exits 0, 1 or 2 (an argparse usage error is its SystemExit(2)) and
-writes no traceback to stderr; a run that exits 2 starts no lane and leaves
-no output or temp file; a wrong --workers exits 2; and the input, config and
-spec files are byte-identical afterwards. Every path lies under the test's
-tmp_path.
+Its input ends in up to two bad lines, each a record that every reader
+skips. Every run exits 0, 1 or 2 (an argparse usage error is its
+SystemExit(2)) and writes no traceback to stderr; a run that exits 2 starts
+no lane and leaves no output or temp file; a wrong --workers exits 2; no
+temp file is left and no bad line's id reaches an output; and the input, config and spec files are
+byte-identical afterwards. Every path lies under the test's tmp_path.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
@@ -36,6 +37,18 @@ from conftest import random_spec, write_jsonl_file, write_spec_file  # noqa: E40
 SPEC = random_spec(sorted(set(DEFAULT_CONDITION_TEMPLATE.replace("{answer}", "") + "ABC 42")), random.Random(0))
 RECORDS = [{"id": f"s-{i}", "problem": "", "thinking": thinking, "answer": "42"}
            for i, thinking in enumerate(["AB CA BC", "CCA B", "A", "ABZ C", "B CAB CAB CAB A"])]
+
+# input lines that are skipped records: no thinking, a thinking that is not text, a line that is not UTF-8, and an
+# unpaired surrogate (its JSON escape) in the thinking, in an extra field, nested in one, or in the id
+BAD_LINES = [
+    b'{"id": "bad-0", "problem": "", "answer": "42"}',
+    b'{"id": "bad-1", "problem": "", "thinking": 7, "answer": "42"}',
+    b'{"id": "bad-2", "problem": "", "thinking": "AB \xff", "answer": "42"}',
+    b'{"id": "bad-3", "problem": "", "thinking": "AB \\ud800", "answer": "42"}',
+    b'{"id": "bad-4", "problem": "", "thinking": "AB", "answer": "42", "note": "\\udfff"}',
+    b'{"id": "bad-5", "problem": "", "thinking": "AB", "answer": "42", "meta": {"tags": ["x", "\\udc80"]}}',
+    b'{"id": "bad-6-\\ud83d", "problem": "", "thinking": "AB", "answer": "42"}',
+]
 
 # per setting and source, the valid values (some at a bound), then the values out of range or of the wrong type:
 # a "flag" value is the text after its flag, or the arguments of a boolean flag; a "config" value is JSON
@@ -103,12 +116,15 @@ def run(argv: list[str]) -> tuple[int, str, bool]:
 # the "fault-sweep" profile of conftest.py
 @settings(deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(["compress", "score", "ablate"]), valid=valid_settings, wrong=wrong_settings)
-def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, valid, wrong):
+@given(command=st.sampled_from(["compress", "score", "ablate"]), valid=valid_settings, wrong=wrong_settings,
+       bad=st.lists(st.sampled_from(BAD_LINES), max_size=2))
+def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, valid, wrong, bad):
     drawn = {name: setting for name, setting in {**valid, **wrong}.items() if setting is not None}
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         tmp = Path(tmp)
         inputs = [write_jsonl_file(RECORDS, tmp / "in.jsonl"), write_spec_file(SPEC, tmp / "spec.json")]
+        with open(inputs[0], "ab") as fh:
+            fh.writelines(line + b"\n" for line in bad)
         argv = [command, "--input", inputs[0], "--output", str(tmp / "out"), "--backend", f"toy:{inputs[1]}"]
         config = {name: value for name, (source, value) in drawn.items() if source == "config"}
         if config:
@@ -130,4 +146,7 @@ def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, v
         if code == 2:
             assert not started
             assert sorted(str(path) for path in tmp.rglob("*")) == sorted(inputs)
+        outputs = [path for path in tmp.rglob("*") if path.is_file() and str(path) not in inputs]
+        assert not any(path.suffix == ".tmp" for path in outputs)
+        assert not any(b"bad-" in path.read_bytes() for path in outputs)
         assert {path: Path(path).read_bytes() for path in inputs} == before

@@ -64,13 +64,12 @@ def kept(mask: list[bool]) -> set[int]:
 @given(scores, alphas)
 def test_select_tokens_matches_the_rank_counting_oracle(values, alpha):
     k = kept_count_for(alpha, len(values))
-    result = select_tokens(values, SelectionConfig(alpha=alpha))
+    mask = select_tokens(values, SelectionConfig(alpha=alpha))
     # score i is kept iff fewer than k scores outrank it (higher, or equal and earlier)
     beaten_by = [sum(1 for j, other in enumerate(values) if (other, -j) > (score, -i))
                  for i, score in enumerate(values)]
-    assert result.kept_mask == [b < k for b in beaten_by]
-    assert result.kept_count == k == sum(result.kept_mask)
-    assert result.threshold == min(score for score, keep in zip(values, result.kept_mask) if keep)
+    assert mask == [b < k for b in beaten_by]
+    assert sum(mask) == k
 
 
 def bits_of(values) -> list[bytes]:
@@ -99,10 +98,7 @@ def test_segment_scores_equal_token_scores_bit_for_bit(pairs, start, length, alp
     # a segment's slices of the two arrays, as compress_steps takes them
     values = _scores(lp_uncond[start:stop], lp_cond[start:stop], config)
     assert bits_of(values) == bits_of(_token_score(u, c, config)[2] for u, c in pairs[start:stop])
-    # the threshold and kept count read from the ranking are the lowest kept score and the kept mask's count
-    result = select_tokens(values, config)
-    assert result.kept_count == sum(result.kept_mask)
-    assert bits_of([result.threshold]) == bits_of([min(score for score, keep in zip(values, result.kept_mask) if keep)])
+    assert sum(select_tokens(values, config)) == kept_count_for(alpha, len(values))
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,7 +106,7 @@ def test_segment_scores_equal_token_scores_bit_for_bit(pairs, start, length, alp
 def test_kept_sets_nest_across_alphas(values, some_alphas):
     previous: set[int] = set()
     for alpha in sorted(some_alphas):
-        current = kept(select_tokens(values, SelectionConfig(alpha=alpha)).kept_mask)
+        current = kept(select_tokens(values, SelectionConfig(alpha=alpha)))
         assert previous <= current
         previous = current
 
@@ -125,17 +121,17 @@ def test_kept_sets_nest_across_alphas(values, some_alphas):
 def test_compressed_record_counts_and_ratio_are_exact(thinking, alpha, conditional, scope):
     config = SelectionConfig(alpha=alpha, conditional=conditional, condition_template="{answer}:",
                              selection_scope=scope, segment_budget=16, boundary_slack=4)
-    record, rows, selection = compress_instance(CotInstance("p", "", thinking, "42"), config, BACKEND)
+    record, rows, mask = compress_instance(CotInstance("p", "", thinking, "42"), config, BACKEND)
     n = len(thinking)  # one toy token per character
-    assert record.original_count == len(rows) == n
-    assert record.kept_count == selection.kept_count == sum(selection.kept_mask)
+    assert record.original_count == len(rows) == len(mask) == n
+    assert record.kept_count == sum(mask)
     assert record.actual_ratio == record.kept_count / record.original_count
     if scope == "global":
         lengths = [n]
     else:
         lengths = [len(s) for s in segment_thinking(n, [r.span for r in rows], config)]
     assert record.kept_count == sum(kept_count_for(alpha, m) for m in lengths)
-    assert record.compressed_thinking == "".join(r.span for r, keep in zip(rows, selection.kept_mask) if keep)
+    assert record.compressed_thinking == "".join(r.span for r, keep in zip(rows, mask) if keep)
 
 
 # the valid values of each SelectionConfig field, and values of the wrong type or range, some of which are valid
@@ -184,16 +180,16 @@ def test_original_prefix_equals_scoring_each_segment_after_the_original_thinking
     config = SelectionConfig(alpha=alpha, conditional=conditional, condition_template="{answer}:", score_space=space,
                              selection_scope="per_segment", segment_budget=16, boundary_slack=4,
                              iterative_original_prefix=True)
-    record, rows, selection = compress_instance(CotInstance("p", "", thinking, "42"), config, BACKEND)
+    record, rows, mask = compress_instance(CotInstance("p", "", thinking, "42"), config, BACKEND)
     (ids, spans), (cond_prefix, _) = BACKEND.tokenize([thinking, "42:"])
     reference_rows, reference_mask = [], []
     for seg in segment_thinking(len(ids), spans, config):
         seg_rows = score_tokens(ids[: seg.start], cond_prefix, ids[seg.start : seg.stop], spans[seg.start : seg.stop],
                                 seg.start, config, BACKEND)
         reference_rows += seg_rows
-        reference_mask += select_tokens([row.score for row in seg_rows], config).kept_mask
+        reference_mask += select_tokens([row.score for row in seg_rows], config)
     assert rows == reference_rows
-    assert selection.kept_mask == reference_mask
+    assert mask == reference_mask
     assert record.compressed_thinking == "".join(span for span, keep in zip(spans, reference_mask) if keep)
 
 
@@ -203,18 +199,18 @@ def test_kept_prefix_equals_scoring_each_segment_after_the_ids_kept_before_it(th
     # the reference: each segment scored alone after the kept ids of the segments before it, one segment at a time
     config = SelectionConfig(alpha=alpha, conditional=conditional, condition_template="{answer}:", score_space=space,
                              selection_scope="per_segment", segment_budget=16, boundary_slack=4)
-    record, rows, selection = compress_instance(CotInstance("p", "", thinking, "42"), config, BACKEND)
+    record, rows, mask = compress_instance(CotInstance("p", "", thinking, "42"), config, BACKEND)
     (ids, spans), (cond_prefix, _) = BACKEND.tokenize([thinking, "42:"])
     kept_prefix, reference_rows, reference_mask = [], [], []
     for seg in segment_thinking(len(ids), spans, config):
         seg_rows = score_tokens(kept_prefix, cond_prefix, ids[seg.start : seg.stop], spans[seg.start : seg.stop],
                                 seg.start, config, BACKEND)
-        seg_mask = select_tokens([row.score for row in seg_rows], config).kept_mask
+        seg_mask = select_tokens([row.score for row in seg_rows], config)
         kept_prefix += [token for token, keep in zip(ids[seg.start : seg.stop], seg_mask) if keep]
         reference_rows += seg_rows
         reference_mask += seg_mask
     assert rows == reference_rows
-    assert selection.kept_mask == reference_mask
+    assert mask == reference_mask
     kept = sum(reference_mask)
     assert record == CompressedInstance(
         id="p", problem="", compressed_thinking="".join(span for span, keep in zip(spans, reference_mask) if keep),
@@ -271,12 +267,11 @@ def test_without_rows_the_record_and_selection_are_the_same(thinking, alpha, con
     [with_rows, (without_rows, _)] = run_lockstep(
         [(compress_steps(instance, config, keep_scores), BACKEND) for keep_scores in (True, False)]
     )
-    (record, rows, selection), _ = rows_of(with_rows, config)
-    assert len(rows) == len(thinking)
-    assert selection.threshold == min(row.score for row, keep in zip(rows, selection.kept_mask) if keep)
+    (record, rows, mask), _ = rows_of(with_rows, config)
+    assert len(rows) == len(mask) == len(thinking)
     assert without_rows[0] == record
     assert without_rows[1] is None
-    assert without_rows[2] == selection  # kept_mask, kept_count and threshold
+    assert without_rows[2] == mask
 
 
 @settings(max_examples=50, deadline=None)

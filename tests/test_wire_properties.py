@@ -122,10 +122,10 @@ class TestThroughTheStub:
         client = clients[1]
         config = SelectionConfig(alpha=alpha, condition_template="{answer}", selection_scope="per_segment",
                                  segment_budget=4, boundary_slack=3)
-        record, rows, selection = compress_instance(CotInstance("e", "", thinking, "B"), config, client)
+        record, rows, mask = compress_instance(CotInstance("e", "", thinking, "B"), config, client)
         [(_, spans)] = client.tokenize([thinking])
         assert [row.span for row in rows] == spans
-        assert record.compressed_thinking == "".join(span for span, keep in zip(spans, selection.kept_mask) if keep)
+        assert record.compressed_thinking == "".join(span for span, keep in zip(spans, mask) if keep)
         # a span "" never ends on a boundary, and each one follows a space, a boundary within the slack
         assert all(spans[seg.start - 1] != "" for seg in segment_thinking(len(spans), spans, config)[1:])
 
