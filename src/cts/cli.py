@@ -70,8 +70,10 @@ EXIT_INTERRUPT = 130
 MAX_WORKERS = 64
 # the window rule (_fills_window): a group (_groups), the unit of dispatch to a lane, closes at
 # SCORE_GROUP instances and GROUP_CHARS characters of thinking text, and a lane's /logprobs step is
-# full by the same rule over its live instances. An instance holds its ids, spans and kept mask until
-# its group is returned, and its log-probabilities too only when a score dump writes them.
+# full by the same rule over its live instances, but in the input's last batch only when the lane can
+# take nothing more: every group it will still get joins, at most LOOKAHEAD_PER_WORKER held. An
+# instance holds its ids, spans and kept mask until its group is returned, and its log-probabilities
+# too only when a score dump writes them.
 SCORE_GROUP = 8
 GROUP_CHARS = 4096
 
@@ -230,12 +232,14 @@ def _config_echo(settings: dict[str, Any], config: SelectionConfig, args: argpar
     return echo
 
 
-def _write_report(payload: dict[str, Any], args: argparse.Namespace) -> None:
-    """Write the report JSON to --report and print it with --print-report, one text made before the file opens.
+def _json_text(payload: dict[str, Any], indent: int | None = None) -> str:
+    """``payload`` as JSON; a byte of a path that is not UTF-8 (the surrogate ``\\udcff``) is written as its escape."""
+    return json.dumps(payload, ensure_ascii=False, indent=indent).encode("utf-8", "backslashreplace").decode("utf-8")
 
-    A byte of a path that is not UTF-8 (the surrogate ``\\udcff``) is written as its JSON escape.
-    """
-    text = json.dumps(payload, ensure_ascii=False, indent=2).encode("utf-8", "backslashreplace").decode("utf-8")
+
+def _write_report(payload: dict[str, Any], args: argparse.Namespace) -> None:
+    """Write the report JSON to --report and print it with --print-report, one text made before the file opens."""
+    text = _json_text(payload, indent=2)
     report_path = getattr(args, "report", None)
     if report_path:
         try:
@@ -280,18 +284,22 @@ def _fills_window(count: int, chars: int) -> bool:
     return count >= SCORE_GROUP and chars >= GROUP_CHARS
 
 
-def _runs(items: Iterable[Any], chars_of: Callable[[Any], int], full: Callable[[int, int], bool]) -> Iterator[list]:
-    """Consecutive lists of ``items``, each closed once ``full(count, characters)``; the last may hold less."""
+def _runs(items: Iterable[Any], chars_of: Callable[[Any], int],
+          full: Callable[[int, int], bool]) -> Iterator[tuple[list, bool]]:
+    """Consecutive lists of ``items``, each closed once ``full(count, characters)``, and whether it is the last.
+
+    The last may hold less. A full list goes out once the item after it is read, so whether it is the last is known.
+    """
     run: list = []
     chars = 0
     for item in items:
+        if run and full(len(run), chars):
+            yield run, False
+            run, chars = [], 0
         run.append(item)
         chars += chars_of(item)
-        if full(len(run), chars):
-            yield run
-            run, chars = [], 0
     if run:
-        yield run
+        yield run, True
 
 
 def _groups(instances: Iterable[CotInstance]) -> Iterator[list[CotInstance]]:
@@ -305,11 +313,13 @@ def _groups(instances: Iterable[CotInstance]) -> Iterator[list[CotInstance]]:
     SCORE_GROUP`` characters on average go ``SCORE_GROUP`` to a group, and
     shorter ones share a group by characters.
     """
-    return _runs(instances, lambda instance: len(instance.thinking), _fills_window)
+    return (group for group, _ in _runs(instances, lambda instance: len(instance.thinking), _fills_window))
 
 
-def _batches(groups: Iterable[list[CotInstance]], workers: int) -> Iterator[list[list[CotInstance]]]:
-    """Consecutive lists of groups, each tokenized in one call; the last may hold less than the rest.
+def _batches(groups: Iterable[list[CotInstance]], workers: int) -> Iterator[tuple[list[list[CotInstance]], bool]]:
+    """Consecutive lists of groups, each tokenized in one call, and whether it is the input's last batch.
+
+    The last may hold less than the rest; it is known as the last by reading at most one group past it.
 
     A batch, the first one too, closes at ``workers`` groups and
     ``LOOKAHEAD_PER_WORKER`` x ``workers`` x ``GROUP_CHARS`` characters of
@@ -339,7 +349,12 @@ def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) ->
     ``lockstep_step`` it takes its next instances in input order, each with
     all its selections, until the live ones fill the window
     (``_fills_window``), so an instance that ends frees its place and the
-    step's one logprobs call per backend serves whatever is live. A lane
+    step's one logprobs call per backend serves whatever is live. Once the
+    lane has begun a group of the input's last batch, which comes marked
+    with the number of groups after it, a step is full only when the lane
+    can take nothing more: every group it will still get joins that step,
+    at most ``LOOKAHEAD_PER_WORKER`` held, so a lane ends the run in the
+    fewest steps and never asks for a group it will not get. A lane
     begins a group only while it holds fewer than ``LOOKAHEAD_PER_WORKER``,
     so it never waits on a group beyond the window; admission depends on
     the lane's own groups alone, so at a given ``workers`` the POST count
@@ -367,33 +382,39 @@ def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) ->
     # the selections whose scores a score dump writes; the others keep none past their selection
     dumped = {i for i, job in zip(shared, jobs) if job.dump_path}
 
-    def tokenized_groups() -> Iterator[list[tuple]]:
+    def tokenized_groups() -> Iterator[tuple[list[tuple], int | None]]:
         # on the calling thread, as map_ordered takes a batch's first group; each group is its
-        # list of entries (instance, its selections' tasks, their states)
-        for batch in _batches(_groups(instances), workers):
+        # list of entries (instance, its selections' tasks, their states) and, in the input's
+        # last batch, the number of groups after it (None before that batch)
+        for batch, last in _batches(_groups(instances), workers):
             tasks = [(compress_steps(instance, job.config, i in dumped), job.backend)
                      for group in batch for instance in group for i, job in distinct.items()]
             states, tasks = iter(lockstep_step(tasks)), iter(tasks)
-            for group in batch:
-                yield [(instance, list(itertools.islice(tasks, len(distinct))),
-                        list(itertools.islice(states, len(distinct)))) for instance in group]
+            for number, group in enumerate(batch, 1):
+                entries = [(instance, list(itertools.islice(tasks, len(distinct))),
+                            list(itertools.islice(states, len(distinct)))) for instance in group]
+                yield entries, len(batch) - number if last else None
 
-    def lane(groups: Iterator[list[tuple]]) -> Iterator[list]:
+    def lane(groups: Iterator[tuple[list[tuple], int | None]]) -> Iterator[list]:
         # one rolling loop over this lane's groups, in order; yields each group's (id, outcomes) list
         held: deque = deque()  # the entries of each group begun and not yet yielded
         untaken: Iterator[tuple] = iter(())  # the newest group's entries not yet taken
         live: list[tuple] = []  # the entries taken whose tasks have not all ended, in the order taken
+        after: int | None = None  # the groups after the newest one begun, once it is in the last batch
         while True:
             # an entry not yet taken has ended only if it ended at tokenizing, and then taking it changes nothing
             while held and all(ended(states) for *_, states in held[0]):
                 yield [(instance.id, dict(zip(distinct, states))) for instance, _, states in held.popleft()]
-            if not _fills_window(len(live), sum(len(instance.thinking) for instance, *_ in live)):
+            # in the last batch a step is full only when the lane can take nothing more
+            if after is not None or not _fills_window(len(live), sum(len(instance.thinking) for instance, *_ in live)):
                 if entry := next(untaken, None):  # an instance joins with all its selections
                     if not ended(entry[2]):
                         live.append(entry)
                     continue
-                # a group begins only while fewer than LOOKAHEAD_PER_WORKER are held
-                if len(held) < LOOKAHEAD_PER_WORKER and (entries := next(groups, None)):
+                # a group begins only while fewer than LOOKAHEAD_PER_WORKER are held, and only one the lane will get
+                if len(held) < LOOKAHEAD_PER_WORKER and (after is None or after >= workers) and (
+                        group := next(groups, None)):
+                    entries, after = group
                     held.append(entries)
                     untaken = iter(entries)
                     continue
@@ -570,7 +591,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     errors: list[DatasetError] = []
     report = report_from_records(read_compressed_dataset(args.input, errors=errors), args.input, errors)
     _log_skipped(errors)
-    print(json.dumps(report.to_dict(), ensure_ascii=False))
+    print(_json_text(report.to_dict()))
     return EXIT_OK
 
 

@@ -1238,6 +1238,23 @@ class TestStats:
                     "mean_actual_ratio", "actual_ratio_per_token"):
             assert stats[key] == report[key]
 
+    def test_a_path_that_is_not_utf8_is_printed_as_its_json_escape(self, toy_env, capsys):
+        # argv hands the byte 0xff of a file name to Python as the surrogate \udcff, which a strict UTF-8
+        # stdout, as capsys's is, cannot write
+        assert run_cli(compress_args(toy_env)) == 0
+        name = os.fsdecode(os.fsencode(str(toy_env["dir"])) + b"/in\xff.jsonl")
+        try:
+            Path(name).write_bytes((toy_env["dir"] / "out.jsonl").read_bytes())
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        capsys.readouterr()
+        assert run_cli(["stats", "--input", name]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "\\udcff" in out
+        report = json.loads(out)
+        assert report["config_echo"] == {"source": name}
+        assert report["instances_ok"] == 40
+
     def test_non_finite_ratio_is_a_skipped_record(self, toy_env, capsys, caplog):
         assert run_cli(compress_args(toy_env)) == 0
         records = read_jsonl_file(toy_env["dir"] / "out.jsonl")[:2]

@@ -275,15 +275,16 @@ class TestGroupSize:
 
     # 200 characters each: a group closes at its 21st instance (4,200 characters); 2,100 each: two reach
     # GROUP_CHARS, yet a group waits for its eighth instance. At 2 workers a batch closes at 2 groups and
-    # 32,768 characters: the 12,000 of the short corpus go in one batch, a long group holds 16,800. The
-    # shape of the bench's http-compress corpus, 100 instances of 150 to 250 characters (19,864 here),
-    # sends 1 /tokenize and 5 /logprobs POSTs
-    @pytest.mark.parametrize("n, chars, sizes, batch_groups", [
-        (60, (200, 200), [21, 21, 18], [3]),
-        (20, (2100, 2100), [8, 8, 4], [2, 1]),
-        (100, (150, 250), [20, 21, 22, 21, 16], [5]),
+    # 32,768 characters: the 12,000 of the short corpus go in one batch, a long group holds 16,800. In global
+    # scope a lane's step scores the groups it takes; in the last batch it takes every group it will get, so
+    # `steps` lists the groups of each step. The shape of the bench's http-compress corpus, 100 instances of
+    # 150 to 250 characters (19,864 here), sends 1 /tokenize and 2 /logprobs POSTs
+    @pytest.mark.parametrize("n, chars, sizes, batch_groups, steps", [
+        (60, (200, 200), [21, 21, 18], [3], [[0, 2], [1]]),
+        (20, (2100, 2100), [8, 8, 4], [2, 1], [[0], [1], [2]]),
+        (100, (150, 250), [20, 21, 22, 21, 16], [5], [[0, 2, 4], [1, 3]]),
     ], ids=["short-by-characters", "long-by-eight", "http-compress-shape"])
-    def test_group_sizes(self, monkeypatch, tmp_path, n, chars, sizes, batch_groups):
+    def test_group_sizes(self, monkeypatch, tmp_path, n, chars, sizes, batch_groups, steps):
         assert (SCORE_GROUP, GROUP_CHARS) == (8, 4096)
         records = make_corpus(n, list("ABC "), random.Random(5), min_tokens=chars[0], max_tokens=chars[1])
         corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
@@ -298,22 +299,53 @@ class TestGroupSize:
                            for start, size in zip(starts, batch_groups)]
         expected = [tokenize_body([records[i] for i in batch]) for batch in batches]
         assert transport.tokenize_bodies["/tokenize"] == expected
-        # both scoring contexts of every instance of a group in one POST
-        assert sorted(len(body) for body in transport.logprobs_bodies) == sorted(2 * size for size in sizes)
-        assert len(transport.posts) == len(batches) + len(sizes)
+        # both scoring contexts of every instance of a step's groups in one POST
+        assert sorted(len(body) for body in transport.logprobs_bodies) == sorted(
+            2 * sum(sizes[g] for g in step) for step in steps)
+        assert len(steps) == rolling_posts(lengths, [1] * n, 2, SCORE_GROUP, GROUP_CHARS)
+        assert len(transport.posts) == len(batches) + len(steps)
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
+
+    def test_a_lane_scores_its_groups_of_the_last_batch_in_one_step(self, monkeypatch, tmp_path):
+        # the http-compress shape at 2 workers is one batch of 5 groups, so lane 0 takes groups 0, 2 and 4 in its
+        # one step and lane 1 groups 1 and 3; a lane that asked for a group while holding LOOKAHEAD_PER_WORKER
+        # would raise in runner._bounded
+        records = make_corpus(100, list("ABC "), random.Random(5), min_tokens=150, max_tokens=250)
+        corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+        transport = ToyTransport(ToyBackend(shift_spec()))
+        compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=2)
+        lengths = [len(record["thinking"]) for record in records]
+        groups = groups_by_rule(lengths, SCORE_GROUP, GROUP_CHARS)
+        assert len(groups) == 5 and batches_by_rule(groups, lengths, 2, GROUP_CHARS) == [list(range(100))]
+        assert len(transport.logprobs_bodies) == 2
+        # the largest body holds both scoring contexts of each instance of lane 0's 3 groups, and nothing else
+        toy = ToyBackend(shift_spec())
+
+        def contexts(record):
+            (ids, _), (condition, _) = toy.tokenize([record["thinking"], f"{record['answer']}:"])
+            return [list(ids), [*condition, *ids]]
+
+        largest = max(transport.logprobs_bodies, key=len)
+        lane_0 = [records[i] for group in groups[0::2] for i in group]
+        assert len(largest) == 2 * len(lane_0) == 2 * (20 + 22 + 16)
+        assert sorted(request["context_ids"] for request in largest) == sorted(
+            context for record in lane_0 for context in contexts(record))
 
     # a batch, the first one too, closes at `workers` groups and 16,384 characters per worker, the least text
     # of map_ordered's window of 4 groups per worker. 13 groups of 21 instances of 200 characters (4,200 a
     # group): a batch is the window's 4 groups per worker, and at 4 workers all 13 are one batch; 5 groups of
-    # 8 instances of 2,100 characters: every group holds 16,800, so a batch is one group per lane
-    @pytest.mark.parametrize("n, chars, batch_groups", [
-        (273, 200, {1: [4, 4, 4, 1], 2: [8, 5], 3: [12, 1], 4: [13]}),
-        (40, 2100, {1: [1, 1, 1, 1, 1], 2: [2, 2, 1], 3: [3, 2], 4: [4, 1]}),
+    # 8 instances of 2,100 characters: every group holds 16,800, so a batch is one group per lane. A lane
+    # sends one /logprobs POST per group, but one for all its groups of the last batch: at 2 workers lane 0
+    # takes 3 of the short corpus's last 5 groups and lane 1 takes 2, and at 4 workers each lane takes its
+    # 3 or 4 groups in one step
+    @pytest.mark.parametrize("n, chars, batch_groups, logprobs_posts", [
+        (273, 200, {1: [4, 4, 4, 1], 2: [8, 5], 3: [12, 1], 4: [13]}, {1: 13, 2: 10, 3: 13, 4: 4}),
+        (40, 2100, {1: [1, 1, 1, 1, 1], 2: [2, 2, 1], 3: [3, 2], 4: [4, 1]}, {1: 5, 2: 5, 3: 5, 4: 5}),
     ], ids=["short-by-characters", "long-by-workers"])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_tokenize_batches_hold_a_window_of_text(self, monkeypatch, tmp_path, n, chars, batch_groups, workers):
+    def test_tokenize_batches_hold_a_window_of_text(self, monkeypatch, tmp_path, n, chars, batch_groups,
+                                                    logprobs_posts, workers):
         assert LOOKAHEAD_PER_WORKER * GROUP_CHARS == 16384
         records = make_corpus(n, list("ABC "), random.Random(7), min_tokens=chars, max_tokens=chars)
         corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
@@ -327,7 +359,8 @@ class TestGroupSize:
                            for start, size in zip(starts, batch_groups[workers])]
         expected = [tokenize_body([records[i] for i in batch]) for batch in batches]
         assert transport.tokenize_bodies["/tokenize"] == expected
-        assert len(transport.logprobs_bodies) == len(groups)
+        assert len(transport.logprobs_bodies) == logprobs_posts[workers] == rolling_posts(
+            lengths, [1] * n, workers, SCORE_GROUP, GROUP_CHARS)
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
@@ -526,16 +559,20 @@ class TestBatchTokenize:
     # is 2 groups at 2 workers: the window is 4 batches. At the default GROUP_CHARS, 200-character instances
     # go 21 to a group (4,200 characters), so a batch of 16,384 characters per worker is the window's groups:
     # one /tokenize POST. 600-character instances go 8 to a group (4,800), so a batch is 7 groups at 2
-    # workers and 14 at 4, and the window's last group begins the second batch: two POSTs
-    @pytest.mark.parametrize("group_chars, chars, per_group, workers, held_tokenize, tokenize_posts", [
-        (0, 40, SCORE_GROUP, 2, 4, 10),
-        (GROUP_CHARS, 200, 21, 2, 1, 3),
-        (GROUP_CHARS, 200, 21, 4, 1, 3),
-        (GROUP_CHARS, 600, SCORE_GROUP, 2, 2, 3),
-        (GROUP_CHARS, 600, SCORE_GROUP, 4, 2, 3),
+    # workers and 14 at 4, and the window's last group begins the second batch: two POSTs. A lane sends one
+    # /logprobs POST per group, and one for all its groups of the last batch: of 19 groups at 2 workers, the
+    # last 3 (short) or 5 (600 characters) go in 2 POSTs; of 35 at 4 workers, the last 3 go in 3 POSTs and
+    # the last 7 in 4
+    @pytest.mark.parametrize("group_chars, chars, per_group, workers, held_tokenize, tokenize_posts, logprobs_posts", [
+        (0, 40, SCORE_GROUP, 2, 4, 10, 19),
+        (GROUP_CHARS, 200, 21, 2, 1, 3, 18),
+        (GROUP_CHARS, 200, 21, 4, 1, 3, 35),
+        (GROUP_CHARS, 600, SCORE_GROUP, 2, 2, 3, 16),
+        (GROUP_CHARS, 600, SCORE_GROUP, 4, 2, 3, 32),
     ], ids=["by-count-2", "short-2", "short-4", "600-characters-2", "600-characters-4"])
     def test_tokenizing_runs_a_bounded_number_of_batches_ahead(self, monkeypatch, tmp_path, group_chars, chars,
-                                                               per_group, workers, held_tokenize, tokenize_posts):
+                                                               per_group, workers, held_tokenize, tokenize_posts,
+                                                               logprobs_posts):
         monkeypatch.setattr(cts.cli, "GROUP_CHARS", group_chars)
         groups = 2 * LOOKAHEAD_PER_WORKER * workers + 3  # two windows and 3 groups
         records = make_corpus(per_group * groups, list("ABC "), random.Random(19), min_tokens=chars,
@@ -545,7 +582,9 @@ class TestBatchTokenize:
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers)
         assert transport.tokenized_before_a_reply[0] == held_tokenize
         assert len(transport.tokenize_bodies["/tokenize"]) == tokenize_posts
-        assert len(transport.logprobs_bodies) == groups
+        lengths = [len(record["thinking"]) for record in records]
+        assert len(transport.logprobs_bodies) == logprobs_posts == rolling_posts(
+            lengths, [1] * len(records), workers, SCORE_GROUP, group_chars)
         assert written == _compress_with_toy(corpus_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
 
 
@@ -649,7 +688,7 @@ def batches_by_rule(groups, lengths, workers, group_chars) -> list[list[int]]:
     return batches
 
 
-def rolling_posts(lengths, segments, workers, min_count, min_chars) -> int:
+def rolling_posts(lengths, segments, workers, min_count, min_chars, last_batch=True) -> int:
     """The /logprobs POSTs of the rolling rule, simulated: one POST per step of each lane.
 
     Groups close as ``cli._groups`` closes them, and group g goes to lane g
@@ -659,8 +698,17 @@ def rolling_posts(lengths, segments, workers, min_count, min_chars) -> int:
     while fewer than LOOKAHEAD_PER_WORKER groups of the lane are begun and
     not returned, and a group is returned once it and every earlier group
     of the lane have ended. A step scores one segment of each live instance.
+
+    With ``last_batch``, the rule of ``cli._compress_stream``: once a lane
+    has begun a group of the input's last /tokenize batch (``batches_by_rule``
+    at ``min_chars``), a step is full only when the lane can take nothing
+    more. Without it, the reference rule of earlier versions: the window
+    fills every step.
     """
     groups = groups_by_rule(lengths, min_count, min_chars)
+    # the first group of the last batch, or none
+    first_of_last = batches_by_rule(groups, lengths, workers, min_chars)[-1][0] if groups else None
+    tail = next((g for g, group in enumerate(groups) if last_batch and group[0] == first_of_last), len(groups))
     posts = 0
     for lane in range(workers):
         mine = groups[lane::workers]
@@ -673,7 +721,8 @@ def rolling_posts(lengths, segments, workers, min_count, min_chars) -> int:
         while True:
             while returned < begun and ended(returned):
                 returned += 1
-            while not (len(left) >= min_count and sum(lengths[i] for i in left) >= min_chars):
+            while (begun and lane + (begun - 1) * workers >= tail) or not (
+                    len(left) >= min_count and sum(lengths[i] for i in left) >= min_chars):
                 if begun and taken < len(mine[begun - 1]):
                     instance = mine[begun - 1][taken]
                     left[instance] = segments[instance]
@@ -718,9 +767,12 @@ def compress_per_segment(monkeypatch, tmp_path, corpus_path, transport, workers,
 class TestRollingLockstep:
     """Each lane refills its window as instances end, so a step's POST is shared by whatever is live in it."""
 
-    @pytest.mark.parametrize("group_chars", [0, 150], ids=["by-count", "by-characters"])
+    # by characters the 4 groups are one batch, the last, so each lane takes all its groups in one step and
+    # steps on until its longest instance ends; by count the last batch is the last group, of 3 instances
+    @pytest.mark.parametrize("group_chars, posts", [(0, {1: 24, 2: 27, 3: 29}), (150, {1: 6, 2: 12, 3: 18})],
+                             ids=["by-count", "by-characters"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_logprobs_posts_follow_the_rolling_rule(self, monkeypatch, tmp_path, workers, group_chars):
+    def test_logprobs_posts_follow_the_rolling_rule(self, monkeypatch, tmp_path, workers, group_chars, posts):
         monkeypatch.setattr(cts.cli, "GROUP_CHARS", group_chars)
         rng = random.Random(23)
         # 7 groups by count and 4 by characters, so at up to 3 workers lane 0 holds more than one
@@ -734,7 +786,8 @@ class TestRollingLockstep:
         batches = batches_by_rule(groups_by_rule(lengths, SCORE_GROUP, group_chars), lengths, workers, group_chars)
         expected = [tokenize_body([records[i] for i in batch]) for batch in batches]
         assert transport.tokenize_bodies["/tokenize"] == expected
-        assert len(transport.logprobs_bodies) == rolling_posts(lengths, segments, workers, SCORE_GROUP, group_chars)
+        assert len(transport.logprobs_bodies) == posts[workers] == rolling_posts(
+            lengths, segments, workers, SCORE_GROUP, group_chars)
         assert written == compress_per_segment(monkeypatch, tmp_path, corpus_path, None, 1)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -752,8 +805,8 @@ class TestRollingLockstep:
             sent.append((len(transport.logprobs_bodies), contexts))
         assert sent[0] == sent[1]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_the_selections_of_an_instance_count_once(self, monkeypatch, tmp_path, workers):
+    @pytest.mark.parametrize("workers, posts", [(1, 19), (2, 22)], ids=["1", "2"])
+    def test_the_selections_of_an_instance_count_once(self, monkeypatch, tmp_path, workers, posts):
         # ablate with one backend runs two selections of each instance, which join and leave together
         monkeypatch.setattr(cts.cli, "GROUP_CHARS", 0)
         rng = random.Random(37)
@@ -763,7 +816,7 @@ class TestRollingLockstep:
         transport = ToyTransport(ToyBackend(shift_spec()))
         written = compress_per_segment(monkeypatch, tmp_path, corpus_path, transport, workers, "ablate")
         lengths = [len(record["thinking"]) for record in records]
-        assert len(transport.logprobs_bodies) == rolling_posts(lengths, segments, workers, SCORE_GROUP, 0)
+        assert len(transport.logprobs_bodies) == posts == rolling_posts(lengths, segments, workers, SCORE_GROUP, 0)
         assert written == compress_per_segment(monkeypatch, tmp_path, corpus_path, None, 1, "ablate")
 
     @pytest.mark.parametrize("workers", [2, 3])
