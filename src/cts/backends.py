@@ -34,6 +34,7 @@ from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
+from .dataset import JSON_ERRORS, read_json_file
 from .errors import BackendError, BackendProtocolError, BackendUnavailable, ConfigError, TokenizeError
 
 START = "START"  # reserved table key for the start-of-sequence distribution
@@ -147,11 +148,7 @@ class ToyLmSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "ToyLmSpec":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read toy model spec {path!r}: {exc}") from exc
+        data = read_json_file(path, "toy model spec")
         try:
             return cls(vocabulary=data["vocabulary"], table=data["table"])
         except (KeyError, TypeError) as exc:
@@ -218,9 +215,14 @@ _STALE = (BrokenPipeError, ConnectionResetError)
 def _split_url(url: str) -> urllib.parse.SplitResult:
     try:
         split = urllib.parse.urlsplit(url)
+        # http.client would send neither a user name nor a password, and a message below would print them
+        if split.username is not None:
+            raise ConfigError("a backend URL may not hold a user name or password; give a bearer token in "
+                              "CTS_BACKEND_TOKEN")
         split.port
     except ValueError as exc:  # an IPv6 host without its closing bracket, or a port that is not one
-        raise ConfigError(f"backend URL {url!r} has an invalid port or IPv6 host: {exc}") from exc
+        shown = re.sub(r"//[^/?#]*@", "//", url, count=1)  # no password: urlsplit failed before the check above
+        raise ConfigError(f"backend URL {shown!r} has an invalid port or IPv6 host: {exc}") from exc
     if split.scheme not in ("http", "https") or not split.hostname:
         raise ConfigError(f"backend URL {url!r} needs an http(s) scheme and a host")
     # http.client sends a path only of printable ASCII; urlsplit drops tabs and newlines unseen
@@ -380,7 +382,7 @@ class HttpBackend(LogprobBackend):
                 raise BackendProtocolError(f"{url} returned {status}: {data[:200].decode('utf-8', 'replace')}")
             try:
                 return json.loads(data)
-            except ValueError as exc:
+            except JSON_ERRORS as exc:
                 raise BackendProtocolError(f"{url} returned unparseable JSON") from exc
         raise BackendUnavailable(
             f"{url} unreachable after {self.config.max_retries + 1} attempts: {last_exc}"

@@ -29,12 +29,14 @@ from typing import Any, Callable, Iterable, Iterator
 
 from .backends import HttpBackend, HttpBackendConfig, LogprobBackend, ToyBackend, ToyLmSpec
 from .dataset import (
+    INPUT_FIELDS,
     CompressedInstance,
     CotInstance,
     JsonlWriter,
     compressed_to_dict,
     read_compressed_dataset,
     read_dataset,
+    read_json_file,
     read_responses,
     read_rm_examples,
     write_dataset,
@@ -146,11 +148,7 @@ SETTINGS: dict[str, Setting] = {setting.key: setting for setting in (
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    data = read_json_file(path, "config file")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
     unknown = data.keys() - SETTINGS.keys()
@@ -221,8 +219,7 @@ def build_backend(descriptor: str | None) -> LogprobBackend:
 
 
 def _schema_from(args: argparse.Namespace) -> dict[str, str]:
-    flags = {"problem": "problem_key", "thinking": "thinking_key", "answer": "answer_key", "id": "id_key"}
-    return {canon: getattr(args, flag) for canon, flag in flags.items() if getattr(args, flag, None)}
+    return {canon: key for canon in INPUT_FIELDS if (key := getattr(args, f"{canon}_key"))}
 
 
 def _config_echo(settings: dict[str, Any], config: SelectionConfig, args: argparse.Namespace) -> dict[str, Any]:
@@ -616,7 +613,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--report", default=None, help="write the run report JSON here")
     parser.add_argument("--print-report", dest="print_report", action="store_true",
                         help="print the run report JSON to stdout")
-    for field in ("problem", "thinking", "answer", "id"):  # the input schema
+    for field in INPUT_FIELDS:  # the input schema
         parser.add_argument(f"--{field}-key", default=None)
 
 

@@ -2,7 +2,9 @@
 
 Input files are JSON Lines, one object per line, UTF-8 with LF endings.
 Field names are configurable through a schema mapping so heterogeneous
-source datasets can be ingested without rewriting them first.
+source datasets can be ingested without rewriting them first. Every read
+of outside JSON (an input line, a config or spec file, a backend reply)
+treats what JSON_ERRORS names as JSON it cannot read.
 """
 
 from __future__ import annotations
@@ -13,38 +15,25 @@ import os
 import re
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import ConfigError, DatasetError
 
 T = TypeVar("T")
 
-# canonical field -> default JSONL key
-DEFAULT_SCHEMA = {
-    "id": "id",
-    "problem": "problem",
-    "thinking": "thinking",
-    "answer": "answer",
-}
+# the fields of an input record, in flag order, the id last; a schema maps each to its JSONL key, itself by default
+INPUT_FIELDS = ("problem", "thinking", "answer", "id")
+
+# what json.load(s) raises on text it cannot read: a JSONDecodeError, a UnicodeDecodeError and an integer
+# literal over Python's int-string limit are each a ValueError, nesting past the recursion limit a RecursionError
+JSON_ERRORS = (ValueError, RecursionError)
 
 # the JSON escape of a UTF-16 surrogate code point, \uD800 to \uDFFF
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 # read_dataset skips a record whose id repeats one of this many records kept before it
 DUPLICATE_ID_WINDOW = 1024
-
-# Fixed key order of compressed output records; extra input fields follow.
-COMPRESSED_KEY_ORDER = (
-    "id",
-    "problem",
-    "compressed_thinking",
-    "answer",
-    "nominal_ratio",
-    "actual_ratio",
-    "kept_count",
-    "original_count",
-)
 
 
 @dataclass
@@ -71,6 +60,10 @@ class CompressedInstance:
     kept_count: int
     original_count: int
     extras: dict[str, Any] = field(default_factory=dict)
+
+
+# Fixed key order of compressed output records, the fields but extras; extra input fields follow.
+COMPRESSED_KEY_ORDER = tuple(f.name for f in fields(CompressedInstance) if f.name != "extras")
 
 
 @dataclass
@@ -106,6 +99,15 @@ def _record_id(obj: dict, key: str, line_no: int) -> str:
     return f"line:{line_no}" if obj.get(key) is None else _checked_id(obj[key], key)
 
 
+def read_json_file(path: str, what: str) -> Any:
+    """The JSON value of a UTF-8 file; one that cannot be opened or read as JSON is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, *JSON_ERRORS) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _read_jsonl(
     path: str, parse: Callable[[dict, int], T], errors: list[DatasetError] | None
 ) -> Iterator[T]:
@@ -137,13 +139,10 @@ def _read_jsonl(
                     # one decodes to one character; one left unpaired cannot be written back out
                     if _SURROGATE_ESCAPE.search(line):
                         json.dumps(obj, ensure_ascii=False).encode("utf-8")
-                except UnicodeEncodeError:
+                except UnicodeEncodeError:  # a ValueError too
                     raise DatasetError("unpaired surrogate code point in the record") from None
-                except json.JSONDecodeError as exc:
-                    raise DatasetError(f"malformed JSON: {exc.msg}") from exc
-                # an integer literal over Python's int-string limit, or nesting past the recursion limit
-                except (ValueError, RecursionError) as exc:
-                    raise DatasetError(f"malformed JSON: {exc}") from exc
+                except JSON_ERRORS as exc:  # a JSONDecodeError by its msg, without the "line 1" of its place
+                    raise DatasetError(f"malformed JSON: {getattr(exc, 'msg', exc)}") from exc
                 if not isinstance(obj, dict):
                     raise DatasetError(f"expected a JSON object, got {type(obj).__name__}")
                 record = parse(obj, line_no)
@@ -160,22 +159,20 @@ def read_dataset(
 ) -> Iterator[CotInstance]:
     """Stream CotInstance records from a JSONL file, preserving input order.
 
-    ``schema`` maps canonical field names (problem, thinking, answer, id) to
-    the keys used in the file. A record with a missing or non-text mapped
-    field or an id that is not a string or an integer is skipped (see
-    ``_read_jsonl``), and so is a record whose id repeats one of the
-    DUPLICATE_ID_WINDOW records kept before it; duplicates farther apart
-    pass, so memory stays constant. When the id field is absent or null,
-    ids are synthesized as ``line:<n>``.
+    ``schema`` maps fields of INPUT_FIELDS to the keys used in the file. A
+    record with a missing or non-text mapped field or an id that is not a
+    string or an integer is skipped (see ``_read_jsonl``), and so is a
+    record whose id repeats one of the DUPLICATE_ID_WINDOW records kept
+    before it; duplicates farther apart pass, so memory stays constant. When
+    the id field is absent or null, ids are synthesized as ``line:<n>``.
     """
-    mapping = {**DEFAULT_SCHEMA, **(schema or {})}
-    text_keys = [mapping[canon] for canon in ("problem", "thinking", "answer")]
-    consumed = {*text_keys, mapping["id"]}
+    *text_keys, id_key = ((schema or {}).get(canon, canon) for canon in INPUT_FIELDS)
+    consumed = {*text_keys, id_key}
     check_id = _first_id_check(DUPLICATE_ID_WINDOW)
 
     def parse(obj: dict, line_no: int) -> CotInstance:
         problem, thinking, answer = (_checked_text(_field(obj, key), key) for key in text_keys)
-        record_id = check_id(_record_id(obj, mapping["id"], line_no), line_no)
+        record_id = check_id(_record_id(obj, id_key, line_no), line_no)
         extras = {k: v for k, v in obj.items() if k not in consumed}
         return CotInstance(record_id, problem, thinking, answer, extras)
 
@@ -259,9 +256,7 @@ def read_rm_examples(path: str, *, errors: list[DatasetError] | None = None) -> 
 
 
 def _parse_response(obj: dict, line_no: int) -> tuple[str, str]:
-    if "source_id" not in obj or "compressed_steps" not in obj:
-        raise DatasetError("missing source_id or compressed_steps")
-    source_id, steps = _checked_id(obj["source_id"], "source_id"), obj["compressed_steps"]
+    source_id, steps = _checked_id(_field(obj, "source_id"), "source_id"), _field(obj, "compressed_steps")
     if isinstance(steps, list) and all(isinstance(s, str) for s in steps):
         steps = "\n".join(steps)
     if not isinstance(steps, str):

@@ -37,6 +37,15 @@ def pytest_collection_modifyitems(items):
                 item.add_marker(pytest.mark.filterwarnings(leak_filter))
 
 
+# bytes that json.load(s) cannot read, each by another error: not UTF-8 (a UnicodeDecodeError), an integer literal
+# over Python's 4,300-digit limit (a plain ValueError), and arrays nested 100,000 deep (a RecursionError)
+UNREADABLE_JSON = {
+    "not-utf8": b'{"ratio": "\xff"}',
+    "integer-over-the-digit-limit": b"9" * 5000,
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
 @pytest.fixture
 def groups_by_count(monkeypatch):
     """Group instances by count alone, ``SCORE_GROUP`` to a group.

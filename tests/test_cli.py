@@ -22,7 +22,8 @@ from cts.errors import ConfigError
 from cts.selector import SelectionConfig, compress_instance, compress_steps, score_rows_to_dicts
 
 from conftest import (
-    make_corpus, random_spec, read_jsonl_file, shift_spec, uniform_spec, write_jsonl_file, write_spec_file,
+    UNREADABLE_JSON, make_corpus, random_spec, read_jsonl_file, shift_spec, uniform_spec, write_jsonl_file,
+    write_spec_file,
 )
 
 CONDITION = "{answer}:"
@@ -717,6 +718,22 @@ class TestBackendsAndConfig:
             assert "CTS_BACKEND_TOKEN" in err
         assert not (toy_env["dir"] / "out.jsonl").exists()
 
+    @pytest.mark.parametrize("userinfo", ["user:s3cret@", "user@", ":s3cret@"])
+    def test_backend_url_with_a_user_name_or_password_exits_2_before_any_post(self, toy_env, capfd, userinfo):
+        from http_stub import StubServer
+
+        report = toy_env["dir"] / "report.json"
+        with StubServer(ToyBackend(shift_spec())) as server:
+            url = server.url.replace("://", f"://{userinfo}", 1)
+            code = run_cli(compress_args(toy_env, extra=["--backend", url, "--report", str(report)]))
+            assert server.state.request_count == 0
+        err = capfd.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        # the password is neither printed nor echoed in a report; a bearer token is the way to send one
+        assert "s3cret" not in err and "CTS_BACKEND_TOKEN" in err
+        assert not (toy_env["dir"] / "out.jsonl").exists() and not report.exists()
+
     def test_unknown_backend_descriptor_exits_2(self, toy_env):
         code = run_cli(compress_args(toy_env, extra=["--backend", "carrier-pigeon:coop"]))
         assert code == 2
@@ -895,8 +912,9 @@ def argv_for(command, env, input_path, output_path):
 class TestFilePaths:
     """A file that cannot be read or written is a usage error (exit 2) naming its path, not a traceback."""
 
-    @pytest.mark.parametrize("content", [None, b'{"vocabulary": [', b"\xff\xfe"],
-                             ids=["missing", "not-json", "not-utf8"])
+    @pytest.mark.parametrize("content",
+                             [None, b'{"vocabulary": [', b"\xff\xfe", UNREADABLE_JSON["nested-100000-deep"]],
+                             ids=["missing", "not-json", "not-utf8", "nested-100000-deep"])
     def test_unreadable_toy_spec_exits_2(self, toy_env, capfd, content):
         spec = toy_env["dir"] / "bad_spec.json"
         if content is not None:
@@ -1128,10 +1146,11 @@ class TestFilePaths:
 class TestErrorBranches:
     """Usage errors and per-record failures on paths that no other test takes."""
 
-    @pytest.mark.parametrize("text", ["{not json", "[0.5]"])
-    def test_config_file_that_is_not_a_json_object_exits_2(self, toy_env, capfd, text):
+    @pytest.mark.parametrize("content", [b"{not json", b"[0.5]", *UNREADABLE_JSON.values()],
+                             ids=["{not json", "[0.5]", *UNREADABLE_JSON])
+    def test_config_file_that_is_not_a_json_object_exits_2(self, toy_env, capfd, content):
         cfg = toy_env["dir"] / "cfg.json"
-        cfg.write_text(text)
+        cfg.write_bytes(content)
         assert run_cli(compress_args(toy_env, extra=["--config", str(cfg)])) == 2
         assert_one_error_naming(capfd, cfg)
 

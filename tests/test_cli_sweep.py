@@ -4,10 +4,12 @@ Each example runs compress, score or ablate with each selection and runtime
 setting given by its flag, by a config file, or not at all: each one valid
 (some at a bound), and up to two of them out of range or of the wrong type.
 Its input ends in up to two bad lines, each a record that every reader
-skips. Every run exits 0, 1 or 2 (an argparse usage error is its
-SystemExit(2)) and writes no traceback to stderr; a run that exits 2 starts
-no lane and leaves no output or temp file; a wrong --workers exits 2; no
-temp file is left and no bad line's id reaches an output; and the input, config and spec files are
+skips, and its config file or toy spec may be one that json cannot read or
+that holds no JSON object. Every run exits 0, 1 or 2 (an argparse usage
+error is its SystemExit(2)) and writes no traceback to stderr; a run that
+exits 2 starts no lane and leaves no output or temp file; a wrong --workers
+or a bad config or spec file exits 2; no temp file is left and no bad line's
+id reaches an output; and the input, config and spec files are
 byte-identical afterwards. Every path lies under the test's tmp_path.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
@@ -31,7 +33,7 @@ from hypothesis import strategies as st  # noqa: E402
 import cts.cli  # noqa: E402
 from cts.selector import DEFAULT_CONDITION_TEMPLATE  # noqa: E402
 
-from conftest import random_spec, write_jsonl_file, write_spec_file  # noqa: E402
+from conftest import UNREADABLE_JSON, random_spec, write_jsonl_file, write_spec_file  # noqa: E402
 
 # the default condition renders in this vocabulary; a thinking text with a "Z" cannot be tokenized
 SPEC = random_spec(sorted(set(DEFAULT_CONDITION_TEMPLATE.replace("{answer}", "") + "ABC 42")), random.Random(0))
@@ -49,6 +51,12 @@ BAD_LINES = [
     b'{"id": "bad-5", "problem": "", "thinking": "AB", "answer": "42", "meta": {"tags": ["x", "\\udc80"]}}',
     b'{"id": "bad-6-\\ud83d", "problem": "", "thinking": "AB", "answer": "42"}',
 ]
+
+# the bytes of a config file or toy spec that cannot be read: json cannot read them, or they hold a JSON array
+BAD_FILES = [*UNREADABLE_JSON.values(), b"[0.5]"]
+# which file is bad and its bytes, in about one example of four, or None
+bad_files = st.one_of(st.none(), st.none(), st.none(),
+                      st.tuples(st.sampled_from(["config", "spec"]), st.sampled_from(BAD_FILES)))
 
 # per setting and source, the valid values (some at a bound), then the values out of range or of the wrong type:
 # a "flag" value is the text after its flag, or the arguments of a boolean flag; a "config" value is JSON
@@ -117,8 +125,9 @@ def run(argv: list[str]) -> tuple[int, str, bool]:
 @settings(deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["compress", "score", "ablate"]), valid=valid_settings, wrong=wrong_settings,
-       bad=st.lists(st.sampled_from(BAD_LINES), max_size=2))
-def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, valid, wrong, bad):
+       bad=st.lists(st.sampled_from(BAD_LINES), max_size=2),
+       bad_file=bad_files)
+def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, valid, wrong, bad, bad_file):
     drawn = {name: setting for name, setting in {**valid, **wrong}.items() if setting is not None}
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         tmp = Path(tmp)
@@ -127,10 +136,13 @@ def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, v
             fh.writelines(line + b"\n" for line in bad)
         argv = [command, "--input", inputs[0], "--output", str(tmp / "out"), "--backend", f"toy:{inputs[1]}"]
         config = {name: value for name, (source, value) in drawn.items() if source == "config"}
-        if config:
+        if config or bad_file:
             inputs.append(str(tmp / "config.json"))
             Path(inputs[-1]).write_text(json.dumps(config), encoding="utf-8")
             argv += ["--config", inputs[-1]]
+        if bad_file:
+            kind, content = bad_file
+            Path(inputs[-1] if kind == "config" else inputs[1]).write_bytes(content)
         for name, (source, value) in drawn.items():
             if source == "flag":
                 argv += arguments(name, value)
@@ -141,7 +153,7 @@ def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, v
         event(f"exit {code}")
         assert code in (0, 1, 2), stderr
         assert "Traceback" not in stderr
-        if "workers" in wrong:
+        if "workers" in wrong or bad_file:
             assert code == 2, stderr
         if code == 2:
             assert not started

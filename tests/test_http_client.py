@@ -1,10 +1,12 @@
 """The HTTP client's connections, lifecycle and retry schedule, against real sockets and a fake transport."""
 
+import http.client
 import itertools
 import json
 import math
 import os
 import random
+import ssl
 import subprocess
 import sys
 import threading
@@ -22,7 +24,7 @@ from cts.errors import BackendUnavailable, ConfigError, ScoringError
 from cts.runner import LOOKAHEAD_PER_WORKER
 from cts.selector import SelectionConfig, compress_instance, compress_steps, run_lockstep
 
-from conftest import halving_calls, make_corpus, shift_spec, write_jsonl_file, write_spec_file
+from conftest import UNREADABLE_JSON, halving_calls, make_corpus, shift_spec, write_jsonl_file, write_spec_file
 from http_stub import CountingStub, UntokenizableAnswers
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -489,6 +491,33 @@ class TestGroupTokenizeIsolation:
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert failed == [f"compress: instance {records[bad]['id']} failed: {exc.value}"]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_reply_nested_past_the_recursion_limit_fails_only_its_instance(self, monkeypatch, tmp_path, caplog,
+                                                                             workers):
+        records = make_corpus(2 * SCORE_GROUP, list("ABC "), random.Random(11))
+        bad = SCORE_GROUP + 1
+        corpus_path = write_jsonl_file(records, tmp_path / "corpus.jsonl")
+        poison = {"text": records[bad]["thinking"]}
+
+        class DeepReplies(ToyTransport):
+            """Answers as the toy model does, but a /tokenize POST of the bad thinking gets arrays 100,000 deep."""
+
+            def post(self, path, body, headers):
+                reply = super().post(path, body, headers)
+                return (200, {}, UNREADABLE_JSON["nested-100000-deep"]) if poison in json.loads(body) else reply
+
+        transport = DeepReplies(ToyBackend(shift_spec()))
+        written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)
+        # a reply json cannot read is a protocol error of its POST, so the halving rule lands it on the bad text
+        assert transport.tokenize_bodies["/tokenize"] == [
+            call for batch in batches_of(records, workers)
+            for call in halving_calls(tokenize_body(batch), lambda texts: poison in texts)]
+        good_path = write_jsonl_file(records[:bad] + records[bad + 1:], tmp_path / "good.jsonl")
+        assert written == _compress_with_toy(good_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
+        failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        assert len(failed) == 1 and f"instance {records[bad]['id']} failed" in failed[0], failed
+        assert "returned unparseable JSON" in failed[0]
+
     def test_a_token_id_past_the_wire_range_fails_its_instance_at_tokenizing(self):
         class IdPastTheWire(ToyTransport):
             """Answers as the toy model does, but the thinking "CAB" gets a first token id of 2**63."""
@@ -895,8 +924,9 @@ class TestRollingLockstep:
         assert not any(path == "/logprobs" for path, _ in transport.posts)
         assert set(threading.enumerate()) <= before | {run}
 
+    @pytest.mark.parametrize("command", ["compress", "ablate"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_an_interrupt_stops_every_lane(self, monkeypatch, tmp_path, workers):
+    def test_an_interrupt_stops_every_lane(self, monkeypatch, tmp_path, workers, command):
         monkeypatch.setattr(cts.cli, "GROUP_CHARS", 0)
         rng = random.Random(31)
         records = per_segment_corpus([rng.randint(1, 6) for _ in range(8 * SCORE_GROUP)], rng)
@@ -911,13 +941,17 @@ class TestRollingLockstep:
                 return super().post(path, body, headers)
 
         before = set(threading.enumerate())
-        out = tmp_path / "out.jsonl"
+        out, report = tmp_path / "out", tmp_path / "report.json"
         cli_over(monkeypatch, Interrupted(ToyBackend(shift_spec())), [
-            "compress", "--input", corpus_path, "--output", str(out), "--ratio", "0.7", "--backend", "http://fake",
+            command, "--input", corpus_path, "--output", str(out), "--ratio", "0.7", "--backend", "http://fake",
             "--scope", "per-segment", "--segment-budget", "4", "--boundary-slack", "0", "--workers", str(workers),
+            "--report", str(report),
         ], expect=130)
         assert set(threading.enumerate()) <= before
-        assert not out.exists()
+        if command == "compress":  # its report counts what the run did before the interrupt
+            assert not out.exists() and report.exists()
+        else:  # ablate's --output is the directory of its mode files
+            assert os.listdir(out) == [] and not report.exists()
 
 
 class Replies:
@@ -1000,9 +1034,12 @@ class TestUrl:
         with pytest.raises(ConfigError, match="invalid port"):
             HttpBackend(HttpBackendConfig(base_url=url))
 
-    def test_unclosed_ipv6_bracket_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="Invalid IPv6 URL"):
-            HttpBackend(HttpBackendConfig(base_url="http://[::1"))
+    # the bracket fails the URL before its user name is read, and the message still hides the password
+    @pytest.mark.parametrize("url", ["http://[::1", "http://user:s3cret@[::1"])
+    def test_unclosed_ipv6_bracket_is_a_config_error(self, url):
+        with pytest.raises(ConfigError, match="Invalid IPv6 URL") as exc:
+            HttpBackend(HttpBackendConfig(base_url=url))
+        assert "s3cret" not in str(exc.value)
 
     def test_host_that_cannot_be_sent_is_a_config_error(self):
         with pytest.raises(ConfigError, match="invalid host"):
@@ -1019,6 +1056,18 @@ class TestUrl:
         with pytest.raises(ConfigError) as exc:
             HttpBackend(HttpBackendConfig(base_url="http://fake", token=token))
         assert "s3cret" not in str(exc.value)
+
+    def test_an_https_backend_holds_its_pool_of_tls_connections_and_opens_no_socket(self):
+        client = HttpBackend(HttpBackendConfig(base_url="https://example.invalid/v1"))
+        with closing(client):
+            connections = client._connections
+            assert len(connections) == MAX_IN_FLIGHT
+            assert all(type(connection) is http.client.HTTPSConnection for connection in connections)
+            assert {(connection.host, connection.port) for connection in connections} == {("example.invalid", 443)}
+            # one TLS context, made once, serves the whole pool
+            assert len({id(connection._context) for connection in connections}) == 1
+            assert isinstance(connections[0]._context, ssl.SSLContext)
+            assert all(connection.sock is None for connection in connections)
 
     def test_latin_1_token_is_sent(self):
         headers = []

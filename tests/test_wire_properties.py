@@ -25,7 +25,7 @@ from cts.dataset import CotInstance  # noqa: E402
 from cts.errors import BackendProtocolError, BackendUnavailable, ConfigError  # noqa: E402
 from cts.selector import SelectionConfig, compress_instance, segment_thinking  # noqa: E402
 
-from conftest import fake_client, random_spec, shift_spec  # noqa: E402
+from conftest import UNREADABLE_JSON, fake_client, random_spec, shift_spec  # noqa: E402
 from http_stub import StubServer  # noqa: E402
 
 TEXT = "AB"
@@ -286,7 +286,7 @@ class TestWireProperties:
         st.fixed_dictionaries({"token_ids": json_values, "spans": json_values}),
         st.fixed_dictionaries({"token_ids": st.lists(json_values, max_size=3),
                                "spans": st.lists(st.sampled_from(["A", "B", "AB"]), max_size=3)}),
-        st.binary(max_size=12).map(lambda b: ("raw", b)),
+        (st.binary(max_size=12) | st.sampled_from(list(UNREADABLE_JSON.values()))).map(lambda b: ("raw", b)),
     ))
     def test_arbitrary_tokenize_payload_parses_or_is_protocol_error(self, payload):
         raw = isinstance(payload, tuple)
