@@ -212,23 +212,27 @@ Transport = Callable[[str, bytes, Mapping[str, str]], tuple[int, Mapping[str, st
 _STALE = (BrokenPipeError, ConnectionResetError)
 
 
+def without_userinfo(text: str) -> str:
+    """``text``, a URL or descriptor, without what precedes an ``@`` in its host part: after ``//``, or at its start."""
+    return re.sub(r"^([^/?#]*//)?[^/?#]*@", r"\1", text, count=1)
+
+
 def _split_url(url: str) -> urllib.parse.SplitResult:
     try:
         split = urllib.parse.urlsplit(url)
-        # http.client would send neither a user name nor a password, and a message below would print them
+        # http.client would send neither a user name nor a password
         if split.username is not None:
             raise ConfigError("a backend URL may not hold a user name or password; give a bearer token in "
                               "CTS_BACKEND_TOKEN")
         split.port
     except ValueError as exc:  # an IPv6 host without its closing bracket, or a port that is not one
-        shown = re.sub(r"//[^/?#]*@", "//", url, count=1)  # no password: urlsplit failed before the check above
-        raise ConfigError(f"backend URL {shown!r} has an invalid port or IPv6 host: {exc}") from exc
+        raise ConfigError(f"backend URL {without_userinfo(url)!r} has an invalid port or IPv6 host: {exc}") from exc
     if split.scheme not in ("http", "https") or not split.hostname:
-        raise ConfigError(f"backend URL {url!r} needs an http(s) scheme and a host")
+        raise ConfigError(f"backend URL {without_userinfo(url)!r} needs an http(s) scheme and a host")
     # http.client sends a path only of printable ASCII; urlsplit drops tabs and newlines unseen
     if split.query or split.fragment or re.search(r"[^\x21-\x7e]", split.path) or re.search(r"[\t\n\r]", url):
-        raise ConfigError(f"backend URL {url!r} cannot be sent: it needs a printable ASCII path, no tab or "
-                          "newline, and no query or fragment (the request paths would drop them)")
+        raise ConfigError(f"backend URL {without_userinfo(url)!r} cannot be sent: it needs a printable ASCII path, "
+                          "no tab or newline, and no query or fragment (the request paths would drop them)")
     return split
 
 
@@ -316,7 +320,7 @@ class HttpBackend(LogprobBackend):
         try:  # no socket opens before a connection's first POST
             self._connections = [connect() for _ in range(MAX_IN_FLIGHT)]
         except http.client.InvalidURL as exc:
-            raise ConfigError(f"backend URL {config.base_url!r} has an invalid host: {exc}") from exc
+            raise ConfigError(f"backend URL {without_userinfo(config.base_url)!r} has an invalid host: {exc}") from exc
         self._idle: queue.LifoQueue[http.client.HTTPConnection] = queue.LifoQueue()
         for connection in self._connections:
             self._idle.put(connection)
@@ -365,13 +369,11 @@ class HttpBackend(LogprobBackend):
                 self._sleep(self._uniform(0.0, backoff) if retry_after is None else retry_after)
             try:
                 status, headers, data = self._transport(self._base_path + path, body, self._headers)
-            except http.client.InvalidURL as exc:
+            except (http.client.InvalidURL, ValueError) as exc:  # an InvalidURL is an HTTPException too
                 raise BackendError(f"request to {url} failed: {exc}") from exc
             except (OSError, http.client.HTTPException) as exc:
                 last_exc, retry_after = exc, None
                 continue
-            except ValueError as exc:
-                raise BackendError(f"request to {url} failed: {exc}") from exc
             if status >= 500:
                 last_exc = BackendUnavailable(f"{url} returned {status}")
                 retry_after = _retry_after(status, headers)

@@ -27,7 +27,7 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
-from .backends import HttpBackend, HttpBackendConfig, LogprobBackend, ToyBackend, ToyLmSpec
+from .backends import HttpBackend, HttpBackendConfig, LogprobBackend, ToyBackend, ToyLmSpec, without_userinfo
 from .dataset import (
     INPUT_FIELDS,
     CompressedInstance,
@@ -165,9 +165,7 @@ def _load_config_file(path: str) -> dict[str, Any]:
 def resolve_settings(args: argparse.Namespace, *, default_ratio: float | None = None) -> dict[str, Any]:
     """Merge defaults, environment, config file, and CLI flags (highest wins)."""
     settings = {key: setting.default for key, setting in SETTINGS.items()}
-    env_url = os.environ.get(ENV_BACKEND_URL)
-    if env_url:
-        settings["backend"] = env_url
+    settings["backend"] = os.environ.get(ENV_BACKEND_URL) or None
     config_path = getattr(args, "config", None)
     if config_path:
         settings.update(_load_config_file(config_path))
@@ -199,23 +197,24 @@ def selection_config_from(settings: dict[str, Any]) -> SelectionConfig:
     return SelectionConfig(**fields)
 
 
-def build_backend(descriptor: str | None) -> LogprobBackend:
-    """Parse ``toy:<spec.json>`` or ``http:<url>`` (plain URLs also accepted)."""
+def _endpoint(descriptor: str | None) -> tuple[str, str]:
+    """Read a backend descriptor: ``toy:<path>`` is ("toy", path), ``http:<url>`` and an http(s) URL ("http", url)."""
     if not descriptor:
-        raise ConfigError(
-            f"no backend configured (use --backend or the {ENV_BACKEND_URL} environment variable)"
-        )
-    if descriptor.startswith("toy:"):
-        return ToyBackend(ToyLmSpec.from_file(descriptor[len("toy:") :]))
-    url = None
+        raise ConfigError(f"no backend configured (use --backend or the {ENV_BACKEND_URL} environment variable)")
     if descriptor.startswith(("http://", "https://")):
-        url = descriptor
-    elif descriptor.startswith("http:"):
-        url = descriptor[len("http:") :]
-    if url:
-        token = os.environ.get(ENV_BACKEND_TOKEN) or None
-        return HttpBackend(HttpBackendConfig(base_url=url, token=token))
-    raise ConfigError(f"unrecognized backend descriptor {descriptor!r}")
+        return "http", descriptor
+    kind, colon, where = descriptor.partition(":")
+    if colon and kind in ("toy", "http"):
+        return kind, where
+    raise ConfigError(f"unrecognized backend descriptor {without_userinfo(descriptor)!r}")
+
+
+def build_backend(descriptor: str | None) -> LogprobBackend:
+    """The backend a descriptor names (``_endpoint``)."""
+    kind, where = _endpoint(descriptor)
+    if kind == "toy":
+        return ToyBackend(ToyLmSpec.from_file(where))
+    return HttpBackend(HttpBackendConfig(base_url=where, token=os.environ.get(ENV_BACKEND_TOKEN) or None))
 
 
 def _schema_from(args: argparse.Namespace) -> dict[str, str]:
@@ -495,14 +494,14 @@ def _check_outputs(written: list[str | None], inputs: list[str | None], report: 
 
 
 def _run_jobs(
-    args: argparse.Namespace, settings: dict[str, Any], jobs: list[Job], echoes: list[dict[str, Any]]
+    args: argparse.Namespace, settings: dict[str, Any], jobs: list[Job], echoes: list[dict[str, Any]],
+    descriptors: list[str],
 ) -> tuple[list[RunReport], int]:
-    """Run the jobs in one pass; return one report per job and the exit code.
+    """Run the jobs, whose backends ``descriptors`` name, in one pass; return one report per job and the exit code.
 
     Every report's wall_time_seconds is that of the shared pass.
     """
-    specs = [backend[len("toy:"):] for backend in (settings["backend"], settings["backend_tuned"])
-             if backend and backend.startswith("toy:")]
+    specs = [where for kind, where in map(_endpoint, descriptors) if kind == "toy"]
     _check_outputs([path for job in jobs for path in (job.output_path, job.dump_path)],
                    [args.input, args.config, *specs], args.report)
     started = time.monotonic()
@@ -521,7 +520,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
     output_path, dump_path = (None, args.output) if score_only else (args.output, args.score_dump)
     config = selection_config_from(settings)
     job = Job(args.command, config, build_backend(settings["backend"]), output_path, dump_path)
-    (report,), code = _run_jobs(args, settings, [job], [_config_echo(settings, config, args)])
+    (report,), code = _run_jobs(args, settings, [job], [_config_echo(settings, config, args)], [settings["backend"]])
     _emit_report(report, args)
     return code
 
@@ -561,11 +560,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     # every mode's settings are checked before any backend is built, as in compress
     configs = [selection_config_from(dict(settings, conditional=mode.conditional)) for mode in ABLATION_MODES]
     standard = build_backend(settings["backend"])
-    tuned = settings["backend_tuned"]
-    backends = {
-        "standard": standard,
-        "tuned": build_backend(tuned) if tuned and tuned != settings["backend"] else standard,
-    }
+    descriptors = [descriptor for descriptor in (settings["backend"], settings["backend_tuned"]) if descriptor]
+    # one endpoint is one backend: one spec file, or one URL once its trailing / is dropped, as HttpBackend drops it
+    endpoints = {(kind, os.path.realpath(where) if kind == "toy" else where.rstrip("/"))
+                 for kind, where in map(_endpoint, descriptors)}
+    backends = {"standard": standard, "tuned": build_backend(descriptors[1]) if len(endpoints) > 1 else standard}
     jobs, echoes = [], []
     for mode, config in zip(ABLATION_MODES, configs):
         out_path = os.path.join(args.output, f"{mode.name}.jsonl")
@@ -573,7 +572,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         echo = _config_echo(settings, config, args)  # the mode's conditional comes from its config
         echo.update(mode=mode.name, rm_profile=mode.rm_profile, output=out_path)
         echoes.append(echo)
-    reports, code = _run_jobs(args, settings, jobs, echoes)
+    reports, code = _run_jobs(args, settings, jobs, echoes, descriptors)
     if code == EXIT_INTERRUPT:
         return code
     print(f"{'mode':<12} {'mean_actual_ratio':>18} {'kept_tokens_total':>18}", file=sys.stderr)
@@ -661,15 +660,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BackendUnavailable as exc:
         print(f"error: backend unreachable: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except CtsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURES
+        return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_FAILURES
     except KeyboardInterrupt:
         return EXIT_INTERRUPT
 

@@ -480,6 +480,19 @@ class TestWireBoundary:
         with pytest.raises(ScoringError):
             compress_instance(CotInstance("i-8", "", TEXT, "42"), SelectionConfig(alpha=0.5), client)
 
+    def test_transport_value_error_is_a_backend_error_not_retried(self):
+        # a transport that cannot encode what it was given (a UnicodeError is a ValueError)
+        class RaisingTransport(FakeTransport):
+            def post(self, path, body, headers):
+                self.posts += 1
+                raise ValueError("cannot send this body")
+
+        transport = RaisingTransport()
+        client = HttpBackend(HttpBackendConfig(base_url="http://fake", max_retries=2), transport.post)
+        with pytest.raises(BackendError, match="request to http://fake/tokenize failed: cannot send this body"):
+            client.tokenize([TEXT])
+        assert transport.posts == 1
+
 
     def test_log_probability_below_the_float_range_scores_as_infinite_perplexity(self):
         def post(path, body, headers):

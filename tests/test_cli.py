@@ -15,10 +15,10 @@ import pytest
 
 import cts.cli
 from cts.backends import ToyBackend, ToyLmSpec
-from cts.cli import main
+from cts.cli import ENV_BACKEND_URL, main
 from cts.dataset import read_compressed_dataset, read_dataset, write_jsonl
 from cts.emitters import rm_instruction_context
-from cts.errors import ConfigError
+from cts.errors import ConfigError, DatasetError
 from cts.selector import SelectionConfig, compress_instance, compress_steps, score_rows_to_dicts
 
 from conftest import (
@@ -76,10 +76,11 @@ def test_names_the_bench_patches_are_there(module, name):
 
 def test_importing_the_cli_loads_only_the_standard_library():
     # a fresh interpreter (-I: no PYTHONPATH, no user site) with src first on the path; site-packages stays on
-    # it, so a third-party import shows up as loaded; modules that site loaded at startup are not counted
+    # it, so a third-party import shows up as loaded; modules that site loaded at startup are not counted.
+    # -B: -I ignores PYTHONDONTWRITEBYTECODE, and the import would leave src/cts/__pycache__ behind
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import cts.cli; "
             "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))")
-    done = subprocess.run([sys.executable, "-I", "-c", code, SRC], capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", code, SRC], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert "cts" in loaded
@@ -534,6 +535,41 @@ class TestAblateOnePass:
         assert code == 0
         assert standard.state.request_count == tuned.state.request_count == 2 * math.ceil(40 / cts.cli.SCORE_GROUP)
 
+    @pytest.mark.usefixtures("groups_by_count")
+    @pytest.mark.parametrize("spelling", ["{url}/", "http:{url}"])
+    def test_a_tuned_backend_spelling_the_same_url_is_the_standard_one(self, toy_env, spelling):
+        from http_stub import StubServer
+
+        with StubServer(ToyBackend(shift_spec())) as server:
+            alone, tuned = toy_env["dir"] / "alone", toy_env["dir"] / "tuned"
+            flags = ["--backend", server.url, "--workers", "2"]
+            assert run_cli(ablate_args(toy_env, alone, extra=flags)) == 0
+            posts = server.state.request_count
+            assert run_cli(ablate_args(toy_env, tuned,
+                                       extra=[*flags, "--backend-tuned", spelling.format(url=server.url)])) == 0
+            assert server.state.request_count == 2 * posts
+        groups = math.ceil(40 / cts.cli.SCORE_GROUP)
+        assert posts == groups + math.ceil(groups / 2)
+        for mode in ("base", "conditional", "rm_tuned", "proposed"):
+            assert (tuned / f"{mode}.jsonl").read_bytes() == (alone / f"{mode}.jsonl").read_bytes(), mode
+
+    @pytest.mark.parametrize("spelling", ["toy:./spec.json", "toy:{spec}", "toy:sub/../spec.json"])
+    def test_a_tuned_spec_naming_the_same_file_is_one_backend(self, toy_env, monkeypatch, spelling):
+        built, original = [], cts.cli.build_backend
+
+        def build_backend(descriptor):
+            built.append(descriptor)
+            return original(descriptor)
+
+        monkeypatch.setattr(cts.cli, "build_backend", build_backend)
+        monkeypatch.chdir(toy_env["dir"])
+        (toy_env["dir"] / "sub").mkdir()
+        outdir = toy_env["dir"] / "ablate"
+        assert run_cli(ablate_args(toy_env, outdir, extra=[
+            "--backend", "toy:spec.json", "--backend-tuned", spelling.format(spec=toy_env["spec"])])) == 0
+        assert built == ["toy:spec.json"]
+        assert (outdir / "rm_tuned.jsonl").read_bytes() == (outdir / "base.jsonl").read_bytes()
+
     @pytest.mark.parametrize("scope_args", [
         [],
         ["--scope", "per-segment", "--segment-budget", "16", "--boundary-slack", "4"],
@@ -733,6 +769,36 @@ class TestBackendsAndConfig:
         # the password is neither printed nor echoed in a report; a bearer token is the way to send one
         assert "s3cret" not in err and "CTS_BACKEND_TOKEN" in err
         assert not (toy_env["dir"] / "out.jsonl").exists() and not report.exists()
+
+    # urlsplit reads "user:s3cret@host" as scheme "user", and no descriptor rule matches "user:" or "https:"
+    @pytest.mark.parametrize("flag, descriptor", [
+        ("--backend", "http:user:s3cret@{host}"),
+        ("--backend", "user:s3cret@{host}"),
+        ("--backend", "https:user:s3cret@{host}"),
+        (ENV_BACKEND_URL, "user:s3cret@{host}"),
+        ("--backend-tuned", "http:user:s3cret@{host}"),
+        ("--backend-tuned", "user:s3cret@{host}"),
+    ])
+    def test_a_descriptor_never_prints_what_precedes_its_at(self, toy_env, monkeypatch, capfd, flag, descriptor):
+        from http_stub import StubServer
+
+        with StubServer(ToyBackend(shift_spec())) as server:
+            descriptor = descriptor.format(host=server.url.partition("://")[2])
+            if flag == "--backend-tuned":
+                args = ablate_args(toy_env, toy_env["dir"] / "ablate", extra=[flag, descriptor])
+            elif flag == "--backend":
+                args = compress_args(toy_env, extra=[flag, descriptor])
+            else:
+                monkeypatch.setenv(flag, descriptor)
+                args = compress_args(toy_env)
+                i = args.index("--backend")
+                del args[i : i + 2]
+            code = run_cli(args)
+            assert server.state.request_count == 0
+        err = capfd.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "s3cret" not in err and server.url.partition("://")[2] in err, err
 
     def test_unknown_backend_descriptor_exits_2(self, toy_env):
         code = run_cli(compress_args(toy_env, extra=["--backend", "carrier-pigeon:coop"]))
@@ -1211,6 +1277,26 @@ class TestErrorBranches:
         path.write_text(json.dumps(spec))
         assert run_cli(compress_args(toy_env, extra=["--backend", f"toy:{path}"])) == 2
         assert capfd.readouterr().err == f"error: {message}\n"
+
+    def test_a_package_error_outside_a_record_exits_1_with_one_error_line(self, toy_env, monkeypatch, capfd):
+        def read_compressed_dataset(path, errors):
+            raise DatasetError("cannot read it", path=path)
+
+        monkeypatch.setattr(cts.cli, "read_compressed_dataset", read_compressed_dataset)
+        out = toy_env["dir"] / "sft.jsonl"
+        assert run_cli(["emit", "sft", "--input", toy_env["corpus"], "--output", str(out)]) == 1
+        assert capfd.readouterr().err == f"error: {toy_env['corpus']}: cannot read it\n"
+        assert not out.exists()
+
+    def test_an_interrupt_exits_130_and_leaves_no_output(self, toy_env, monkeypatch, capfd):
+        def read_compressed_dataset(path, errors):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cts.cli, "read_compressed_dataset", read_compressed_dataset)
+        out = toy_env["dir"] / "sft.jsonl"
+        assert run_cli(["emit", "sft", "--input", toy_env["corpus"], "--output", str(out)]) == 130
+        assert capfd.readouterr().err == ""
+        assert not out.exists()
 
     def test_token_without_a_row_fails_only_the_instance_where_another_token_follows_it(self, tmp_path, caplog):
         # "B" has no row: P(next | B) is asked only where a token follows it

@@ -86,6 +86,10 @@ class TestEmitRmPrompts:
     def test_empty_stream(self):
         assert list(emit_rm_prompts([])) == []
 
+    def test_example_with_no_steps_is_rejected(self):
+        with pytest.raises(DatasetError, match="example ex-1: reasoning_steps is empty"):
+            list(emit_rm_prompts([example([])]))
+
 
 class TestWordsFormSubsequence:
     def test_subsequence_accepted(self):

@@ -151,9 +151,11 @@ def test_faults_fail_exactly_the_marked_instances(command, scope, workers, over_
             logger = logging.getLogger("cts")
             logger.addHandler(failures)
             try:
+                # the descriptor names the endpoint backend() builds, since the CLI reads it beside build_backend
+                descriptor = server.url if over_http else toy
                 with mock.patch.multiple(cts.cli, SCORE_GROUP=GROUP, GROUP_CHARS=0, build_backend=backend):
                     run = threading.Thread(target=lambda: codes.append(
-                        cts.cli.main(argv(command, corpus_path, out, scope, workers, "sweep"))), daemon=True)
+                        cts.cli.main(argv(command, corpus_path, out, scope, workers, descriptor))), daemon=True)
                     run.start()
                     run.join(timeout=60)
             finally:

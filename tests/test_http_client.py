@@ -17,7 +17,7 @@ from contextlib import closing
 import pytest
 
 import cts.cli
-from cts.backends import MAX_IN_FLIGHT, HttpBackend, HttpBackendConfig, LogprobRequest, ToyBackend
+from cts.backends import MAX_IN_FLIGHT, HttpBackend, HttpBackendConfig, LogprobRequest, ToyBackend, without_userinfo
 from cts.cli import GROUP_CHARS, SCORE_GROUP, main
 from cts.dataset import CotInstance
 from cts.errors import BackendUnavailable, ConfigError, ScoringError
@@ -1040,6 +1040,22 @@ class TestUrl:
         with pytest.raises(ConfigError, match="Invalid IPv6 URL") as exc:
             HttpBackend(HttpBackendConfig(base_url=url))
         assert "s3cret" not in str(exc.value)
+
+    # urlsplit reads "user:s3cret@h" as scheme "user", with no user info to refuse; the message still hides it
+    @pytest.mark.parametrize("url, shown", [("user:s3cret@h", "'h'"), ("user:s3cret@h:80/v1", "'h:80/v1'"),
+                                            ("user:s3cret@[::1", "'[::1'")])
+    def test_a_url_that_is_no_http_url_shows_nothing_before_its_at(self, url, shown):
+        with pytest.raises(ConfigError, match="needs an http\\(s\\) scheme and a host") as exc:
+            HttpBackend(HttpBackendConfig(base_url=url))
+        assert "s3cret" not in str(exc.value) and shown in str(exc.value)
+
+    @pytest.mark.parametrize("text, shown", [
+        ("http://user:s3cret@h/v1", "http://h/v1"), ("http://a@b@h", "http://h"), ("http:u:p@h", "h"),
+        ("http://h/v1@x", "http://h/v1@x"),  # an @ past the host part stays
+        ("toy:spec.json", "toy:spec.json"),
+    ])
+    def test_without_userinfo_drops_what_precedes_an_at_in_the_host_part(self, text, shown):
+        assert without_userinfo(text) == shown
 
     def test_host_that_cannot_be_sent_is_a_config_error(self):
         with pytest.raises(ConfigError, match="invalid host"):

@@ -467,6 +467,11 @@ class TestCompressInstance:
         with pytest.raises(ConfigError, match="score_space must be one of"):
             config(score_space="x")
 
+    @pytest.mark.parametrize("scope", ["x", "per-segment"])  # a field holds the underscore spelling
+    def test_unknown_selection_scope_is_rejected(self, scope):
+        with pytest.raises(ConfigError, match="selection_scope must be one of"):
+            config(selection_scope=scope)
+
 
 class TestConfigValue:
     # a SelectionConfig is a frozen value: a bad field is a ConfigError where it is made, never later in a run
