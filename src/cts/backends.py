@@ -213,22 +213,29 @@ _STALE = (BrokenPipeError, ConnectionResetError)
 
 
 def without_userinfo(text: str) -> str:
-    """``text``, a URL or descriptor, without what precedes an ``@`` in its host part: after ``//``, or at its start."""
-    return re.sub(r"^([^/?#]*//)?[^/?#]*@", r"\1", text, count=1)
+    """``text``, a URL or descriptor, without what precedes its last ``@``: after its ``scheme://``, or from its start.
+
+    A password may hold a raw ``/``, ``?``, ``#`` or ``@``, so no part of the text before an ``@`` is shown.
+    """
+    return re.sub(r"^([A-Za-z][A-Za-z0-9+.-]*://)?.*@", r"\1", text, count=1, flags=re.DOTALL)
 
 
 def _split_url(url: str) -> urllib.parse.SplitResult:
     try:
         split = urllib.parse.urlsplit(url)
-        # http.client would send neither a user name nor a password
-        if split.username is not None:
-            raise ConfigError("a backend URL may not hold a user name or password; give a bearer token in "
-                              "CTS_BACKEND_TOKEN")
-        split.port
-    except ValueError as exc:  # an IPv6 host without its closing bracket, or a port that is not one
+    except ValueError as exc:  # an IPv6 host without its closing bracket
         raise ConfigError(f"backend URL {without_userinfo(url)!r} has an invalid port or IPv6 host: {exc}") from exc
     if split.scheme not in ("http", "https") or not split.hostname:
         raise ConfigError(f"backend URL {without_userinfo(url)!r} needs an http(s) scheme and a host")
+    # http.client would send neither a user name nor a password; one that holds a raw / ends the host part
+    # early (http://user:pa/ss@host), so any @ is refused, before the port holds what precedes it
+    if "@" in url:
+        raise ConfigError("a backend URL may not hold a user name or password (an @); give a bearer token in "
+                          "CTS_BACKEND_TOKEN")
+    try:
+        split.port
+    except ValueError as exc:  # a port that is not one
+        raise ConfigError(f"backend URL {url!r} has an invalid port or IPv6 host: {exc}") from exc
     # http.client sends a path only of printable ASCII; urlsplit drops tabs and newlines unseen
     if split.query or split.fragment or re.search(r"[^\x21-\x7e]", split.path) or re.search(r"[\t\n\r]", url):
         raise ConfigError(f"backend URL {without_userinfo(url)!r} cannot be sent: it needs a printable ASCII path, "

@@ -73,9 +73,9 @@ MAX_WORKERS = 64
 # the window rule (_fills_window): a group (_groups), the unit of dispatch to a lane, closes at
 # SCORE_GROUP instances and GROUP_CHARS characters of thinking text, and a lane's /logprobs step is
 # full by the same rule over its live instances, but in the input's last batch only when the lane can
-# take nothing more: every group it will still get joins, at most LOOKAHEAD_PER_WORKER held. An
-# instance holds its ids, spans and kept mask until its group is returned, and its log-probabilities
-# too only when a score dump writes them.
+# take nothing more: every group it will still get joins, at most LOOKAHEAD_PER_WORKER held (a short
+# last batch joins the batch before it, _batches). An instance holds its ids, spans and kept mask until
+# its group is returned, and its log-probabilities too only when a score dump writes them.
 SCORE_GROUP = 8
 GROUP_CHARS = 4096
 
@@ -280,22 +280,18 @@ def _fills_window(count: int, chars: int) -> bool:
     return count >= SCORE_GROUP and chars >= GROUP_CHARS
 
 
-def _runs(items: Iterable[Any], chars_of: Callable[[Any], int],
-          full: Callable[[int, int], bool]) -> Iterator[tuple[list, bool]]:
-    """Consecutive lists of ``items``, each closed once ``full(count, characters)``, and whether it is the last.
-
-    The last may hold less. A full list goes out once the item after it is read, so whether it is the last is known.
-    """
+def _runs(items: Iterable[Any], chars_of: Callable[[Any], int], full: Callable[[int, int], bool]) -> Iterator[list]:
+    """Consecutive lists of ``items``, each closed once ``full(count, characters)``; the last may hold less."""
     run: list = []
     chars = 0
     for item in items:
-        if run and full(len(run), chars):
-            yield run, False
-            run, chars = [], 0
         run.append(item)
         chars += chars_of(item)
+        if full(len(run), chars):
+            yield run
+            run, chars = [], 0
     if run:
-        yield run, True
+        yield run
 
 
 def _groups(instances: Iterable[CotInstance]) -> Iterator[list[CotInstance]]:
@@ -309,22 +305,39 @@ def _groups(instances: Iterable[CotInstance]) -> Iterator[list[CotInstance]]:
     SCORE_GROUP`` characters on average go ``SCORE_GROUP`` to a group, and
     shorter ones share a group by characters.
     """
-    return (group for group, _ in _runs(instances, lambda instance: len(instance.thinking), _fills_window))
+    return _runs(instances, lambda instance: len(instance.thinking), _fills_window)
 
 
 def _batches(groups: Iterable[list[CotInstance]], workers: int) -> Iterator[tuple[list[list[CotInstance]], bool]]:
     """Consecutive lists of groups, each tokenized in one call, and whether it is the input's last batch.
 
-    The last may hold less than the rest; it is known as the last by reading at most one group past it.
-
     A batch, the first one too, closes at ``workers`` groups and
     ``LOOKAHEAD_PER_WORKER`` x ``workers`` x ``GROUP_CHARS`` characters of
     thinking, the least text of ``map_ordered``'s whole window; every group
     but the last holds ``GROUP_CHARS``, so that is at most the window's
-    ``LOOKAHEAD_PER_WORKER`` x ``workers`` groups.
+    ``LOOKAHEAD_PER_WORKER`` x ``workers`` groups. Only the input's last
+    batch may be short, with fewer groups or less text: it then joins the
+    batch before it if the two hold at most the window's groups, so the
+    lanes take all of them under the last-batch rule. A batch goes out once
+    the one after it is read, or the input ends.
     """
-    return _runs(groups, lambda group: sum(len(instance.thinking) for instance in group),
-                 lambda count, chars: count >= workers and chars >= LOOKAHEAD_PER_WORKER * workers * GROUP_CHARS)
+    window = LOOKAHEAD_PER_WORKER * workers
+
+    def chars_of(group: list[CotInstance]) -> int:
+        return sum(len(instance.thinking) for instance in group)
+
+    def full(count: int, chars: int) -> bool:
+        return count >= workers and chars >= window * GROUP_CHARS
+
+    before: list[list[CotInstance]] = []  # the batch read last, held until the next one shows if it is short
+    for batch in _runs(groups, chars_of, full):
+        if len(before) + len(batch) <= window and not full(len(batch), sum(map(chars_of, batch))):
+            before, batch = [], before + batch
+        if before:
+            yield before, False
+        before = batch
+    if before:
+        yield before, True
 
 
 def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) -> tuple[list[ReportBuilder], bool]:
@@ -338,7 +351,8 @@ def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) ->
     (``selector._batch_then_split``). ``map_ordered`` deals group g to lane
     g mod ``workers``, each lane on a thread of its own, and takes a batch's
     groups as its window of ``LOOKAHEAD_PER_WORKER`` (4) x ``workers`` groups
-    has room; a batch is at most a window, so tokenizing runs at most one batch beyond it.
+    has room; a batch, the input's last one too, which a short last batch
+    joins, is at most a window, so tokenizing runs at most one batch beyond it.
 
     Each lane runs one rolling loop over its groups, the rule that
     ``tests/test_http_client.py::rolling_posts`` simulates. Before each
@@ -347,7 +361,8 @@ def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) ->
     (``_fills_window``), so an instance that ends frees its place and the
     step's one logprobs call per backend serves whatever is live. Once the
     lane has begun a group of the input's last batch, which comes marked
-    with the number of groups after it, a step is full only when the lane
+    with the number of groups after it and holds the groups of a short
+    last batch and the batch before it, a step is full only when the lane
     can take nothing more: every group it will still get joins that step,
     at most ``LOOKAHEAD_PER_WORKER`` held, so a lane ends the run in the
     fewest steps and never asks for a group it will not get. A lane

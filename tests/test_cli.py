@@ -508,6 +508,18 @@ def ablate_args(env, outdir, ratio="0.7", extra=()):
     ]
 
 
+def backend_args(env, monkeypatch, flag, descriptor) -> list[str]:
+    """compress with ``descriptor`` as its --backend or CTS_BACKEND_URL, or ablate with it as its --backend-tuned."""
+    if flag == "--backend-tuned":
+        return ablate_args(env, env["dir"] / "ablate", extra=[flag, descriptor])
+    if flag == "--backend":
+        return compress_args(env, extra=[flag, descriptor])
+    monkeypatch.setenv(flag, descriptor)
+    args = compress_args(env)
+    i = args.index("--backend")
+    return args[:i] + args[i + 2:]
+
+
 class TestAblateOnePass:
     @pytest.mark.usefixtures("groups_by_count")
     def test_one_backend_posts_three_requests_per_instance(self, toy_env):
@@ -518,10 +530,12 @@ class TestAblateOnePass:
             code = run_cli(ablate_args(toy_env, toy_env["dir"] / "ablate",
                                        extra=["--backend", f"http:{server.url}", "--workers", "2"]))
         assert code == 0
-        # one /logprobs POST per group of instances, one /tokenize POST per batch of 2 groups; the
-        # modes share their texts, and the conditional modes' requests serve the unconditional ones
-        groups = math.ceil(40 / cts.cli.SCORE_GROUP)
-        assert server.state.request_count == groups + math.ceil(groups / 2)
+        # the modes share their texts, and the conditional modes' requests serve the unconditional ones.
+        # SCORE_GROUP instances to a group: 5 groups, and a batch is 2 groups, but the short last batch, group 4
+        # alone, joins the batch before it: 2 /tokenize POSTs. A lane scores a group in one /logprobs POST, and
+        # all its groups of the last batch in one: lane 0 groups 0, then 2 and 4, lane 1 groups 1 and 3: 4
+        assert math.ceil(40 / cts.cli.SCORE_GROUP) == 5
+        assert server.state.request_count == 2 + 4
 
     @pytest.mark.usefixtures("groups_by_count")
     def test_distinct_tuned_backend_posts_three_requests_per_instance_each(self, toy_env):
@@ -548,8 +562,7 @@ class TestAblateOnePass:
             assert run_cli(ablate_args(toy_env, tuned,
                                        extra=[*flags, "--backend-tuned", spelling.format(url=server.url)])) == 0
             assert server.state.request_count == 2 * posts
-        groups = math.ceil(40 / cts.cli.SCORE_GROUP)
-        assert posts == groups + math.ceil(groups / 2)
+        assert posts == 2 + 4  # as test_one_backend_posts_three_requests_per_instance
         for mode in ("base", "conditional", "rm_tuned", "proposed"):
             assert (tuned / f"{mode}.jsonl").read_bytes() == (alone / f"{mode}.jsonl").read_bytes(), mode
 
@@ -641,9 +654,9 @@ class TestAblateOnePass:
         # texts (a thinking text per instance, "42:" and "Z:", asked once, since both conditional
         # modes are one selection) are halved until "Z:" goes out alone: the failing calls hold 9,
         # 5, 2 and 1 texts, and each has a half beside it that goes through, so 8 POSTs more.
-        # inst-3's unconditional modes score in its group's /logprobs POST
-        groups = math.ceil(40 / cts.cli.SCORE_GROUP)
-        assert server.state.request_count == groups + math.ceil(groups / 2) + 8
+        # inst-3's unconditional modes score in its group's /logprobs POST. As test_one_backend_posts_three_
+        # requests_per_instance, 2 /tokenize and 4 /logprobs POSTs besides
+        assert server.state.request_count == 2 + 4 + 8
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
         assert [message.split(":")[0] for message in failed] == ["ablate conditional", "ablate proposed"]
 
@@ -784,21 +797,25 @@ class TestBackendsAndConfig:
 
         with StubServer(ToyBackend(shift_spec())) as server:
             descriptor = descriptor.format(host=server.url.partition("://")[2])
-            if flag == "--backend-tuned":
-                args = ablate_args(toy_env, toy_env["dir"] / "ablate", extra=[flag, descriptor])
-            elif flag == "--backend":
-                args = compress_args(toy_env, extra=[flag, descriptor])
-            else:
-                monkeypatch.setenv(flag, descriptor)
-                args = compress_args(toy_env)
-                i = args.index("--backend")
-                del args[i : i + 2]
-            code = run_cli(args)
+            code = run_cli(backend_args(toy_env, monkeypatch, flag, descriptor))
             assert server.state.request_count == 0
         err = capfd.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert "s3cret" not in err and server.url.partition("://")[2] in err, err
+
+    # a password holding a raw /: urlsplit cuts "http://user:s3/cret@host" at the /, reading host "user" and
+    # port "s3", and reads the two descriptors without // as scheme "user"
+    @pytest.mark.parametrize("descriptor", [
+        "http:user:s3/cret@127.0.0.1:9", "user:s3/cret@127.0.0.1:9", "http://user:s3/cret@127.0.0.1:9",
+    ])
+    @pytest.mark.parametrize("flag", ["--backend", ENV_BACKEND_URL, "--backend-tuned"])
+    def test_a_password_holding_a_slash_is_not_printed(self, toy_env, monkeypatch, capfd, flag, descriptor):
+        code = run_cli(backend_args(toy_env, monkeypatch, flag, descriptor))
+        err = capfd.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "s3" not in err and "cret" not in err, err
 
     def test_unknown_backend_descriptor_exits_2(self, toy_env):
         code = run_cli(compress_args(toy_env, extra=["--backend", "carrier-pigeon:coop"]))

@@ -200,8 +200,14 @@ def compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, *, max
 
 
 def posts_for(records, workers=1) -> int:
-    # one /tokenize POST per batch of `workers` groups, and one scoring POST per group
-    return len(batches_of(records, workers)) + len(groups_of(records))
+    """compress's POSTs in global scope when groups close by count alone (``batches_of``).
+
+    One /tokenize POST per batch, and one /logprobs POST per group, but one
+    for all of a lane's groups of the last batch.
+    """
+    batches = batches_of(records, workers)
+    last = len(groups_of(batches[-1]))
+    return len(batches) + len(groups_of(records)) - last + min(workers, last)
 
 
 def tokenize_body(records) -> list:
@@ -215,27 +221,39 @@ def groups_of(records) -> list:
 
 
 def batches_of(records, workers) -> list:
-    """The records of each batch when groups close by count alone: ``workers`` consecutive groups of SCORE_GROUP."""
+    """The records of each batch when groups close by count alone: ``workers`` consecutive groups of SCORE_GROUP.
+
+    A last batch of fewer groups is short and joins the batch before it,
+    since the two hold fewer than 2 x ``workers`` groups, within the window.
+    """
     size = workers * SCORE_GROUP
-    return [records[i:i + size] for i in range(0, len(records), size)]
+    batches = [records[i:i + size] for i in range(0, len(records), size)]
+    if len(batches) > 1 and len(batches[-1]) <= size - SCORE_GROUP:  # fewer than `workers` groups
+        batches[-2:] = [batches[-2] + batches[-1]]
+    return batches
 
 
 @pytest.mark.usefixtures("groups_by_count")
 class TestPipeline:
     """compress tokenizes each batch of ``workers`` groups at once, then scores each group on one worker, in lockstep."""
 
-    # the corpus is 3 groups: 3 batches of one group at 1 worker, 2 at 2 workers, 1 at 3 workers
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_one_tokenize_post_per_group_with_an_array_body(self, monkeypatch, tmp_path, corpus, workers):
+    # the corpus is 3 groups: 3 batches of one group at 1 worker, each scored in a step of its own. At 2
+    # workers the last batch, of 1 group, is short and joins the batch of 2 before it, so the one batch is
+    # the last and lane 0 scores groups 0 and 2 in one step; at 3 workers the one batch is 3 groups, one a lane
+    @pytest.mark.parametrize("workers, tokenize_posts, logprobs_posts", [(1, 3, 3), (2, 1, 2), (3, 1, 3)],
+                             ids=["1", "2", "3"])
+    def test_one_tokenize_post_per_group_with_an_array_body(self, monkeypatch, tmp_path, corpus, workers,
+                                                            tokenize_posts, logprobs_posts):
         records, corpus_path = corpus
         transport = ToyTransport(ToyBackend(shift_spec()))
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers)
         # the calling thread sends one /tokenize POST per batch, in input order
         expected = [tokenize_body(batch) for batch in batches_of(records, workers)]
-        assert len(expected) == math.ceil(len(groups_of(records)) / workers)
+        assert len(expected) == tokenize_posts
         assert transport.tokenize_bodies["/tokenize"] == expected
         assert {thread for path, thread in transport.posts if path == "/tokenize"} == {threading.current_thread()}
-        assert len(transport.posts) == posts_for(records, workers)
+        assert len(transport.logprobs_bodies) == logprobs_posts
+        assert len(transport.posts) == tokenize_posts + logprobs_posts == posts_for(records, workers)
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
@@ -247,9 +265,10 @@ class TestPipeline:
             "--backend", "http://fake/standard", "--backend-tuned", "http://fake/tuned",
             "--condition-template", "{answer}:", "--workers", "2",
         ])
-        # the four modes' texts go out once per backend and batch of 2 groups: each mode shares
-        # the thinking, and the conditional modes the condition
+        # the four modes' texts go out once per backend, in one batch: the last batch, of 1 group, is short
+        # and joins the batch of 2 before it. Each mode shares the thinking, and the conditional modes the condition
         expected = [tokenize_body(batch) for batch in batches_of(records, 2)]
+        assert len(expected) == 1
         assert transport.tokenize_bodies.keys() == {"/standard/tokenize", "/tuned/tokenize"}
         for bodies in transport.tokenize_bodies.values():
             assert bodies == expected
@@ -277,13 +296,15 @@ class TestGroupSize:
 
     # 200 characters each: a group closes at its 21st instance (4,200 characters); 2,100 each: two reach
     # GROUP_CHARS, yet a group waits for its eighth instance. At 2 workers a batch closes at 2 groups and
-    # 32,768 characters: the 12,000 of the short corpus go in one batch, a long group holds 16,800. In global
-    # scope a lane's step scores the groups it takes; in the last batch it takes every group it will get, so
-    # `steps` lists the groups of each step. The shape of the bench's http-compress corpus, 100 instances of
-    # 150 to 250 characters (19,864 here), sends 1 /tokenize and 2 /logprobs POSTs
+    # 32,768 characters: the 12,000 of the short corpus go in one batch, a long group holds 16,800, so the
+    # long corpus's groups 0 and 1 close a batch, and its last batch, group 2 alone, is short and joins it,
+    # 3 groups within the window's 8. In global scope a lane's step scores the groups it takes; in the last
+    # batch it takes every group it will get, so `steps` lists the groups of each step. The shape of the
+    # bench's http-compress corpus, 100 instances of 150 to 250 characters (19,864 here), sends 1 /tokenize
+    # and 2 /logprobs POSTs
     @pytest.mark.parametrize("n, chars, sizes, batch_groups, steps", [
         (60, (200, 200), [21, 21, 18], [3], [[0, 2], [1]]),
-        (20, (2100, 2100), [8, 8, 4], [2, 1], [[0], [1], [2]]),
+        (20, (2100, 2100), [8, 8, 4], [3], [[0, 2], [1]]),
         (100, (150, 250), [20, 21, 22, 21, 16], [5], [[0, 2, 4], [1, 3]]),
     ], ids=["short-by-characters", "long-by-eight", "http-compress-shape"])
     def test_group_sizes(self, monkeypatch, tmp_path, n, chars, sizes, batch_groups, steps):
@@ -336,14 +357,18 @@ class TestGroupSize:
 
     # a batch, the first one too, closes at `workers` groups and 16,384 characters per worker, the least text
     # of map_ordered's window of 4 groups per worker. 13 groups of 21 instances of 200 characters (4,200 a
-    # group): a batch is the window's 4 groups per worker, and at 4 workers all 13 are one batch; 5 groups of
-    # 8 instances of 2,100 characters: every group holds 16,800, so a batch is one group per lane. A lane
-    # sends one /logprobs POST per group, but one for all its groups of the last batch: at 2 workers lane 0
-    # takes 3 of the short corpus's last 5 groups and lane 1 takes 2, and at 4 workers each lane takes its
-    # 3 or 4 groups in one step
+    # group): a batch is the window's 4 groups per worker, and at 4 workers all 13 are one batch; the short
+    # last batch (1 group at 1 and 3 workers, 5 at 2) stays alone, since with the batch before it it would
+    # pass the window (5 of 4, 13 of 8, 13 of 12 groups). 5 groups of 8 instances of 2,100 characters: every
+    # group holds 16,800, so a batch is one group per lane, and a short last batch joins the one before it:
+    # 2 + 1 groups at 2 workers, and at 3 and 4 workers all 5 are one batch. A lane sends one /logprobs POST
+    # per group, but one for all its groups of the last batch: at 2 workers lane 0 takes 3 of the short
+    # corpus's last 5 groups and lane 1 takes 2, and at 4 workers each lane takes its 3 or 4 groups in one
+    # step; of the long corpus's last 3 groups at 2 workers lane 0 takes groups 2 and 4 in one step (4
+    # POSTs), and at 3 and 4 workers each lane scores all its groups in one step (3 and 4 POSTs)
     @pytest.mark.parametrize("n, chars, batch_groups, logprobs_posts", [
         (273, 200, {1: [4, 4, 4, 1], 2: [8, 5], 3: [12, 1], 4: [13]}, {1: 13, 2: 10, 3: 13, 4: 4}),
-        (40, 2100, {1: [1, 1, 1, 1, 1], 2: [2, 2, 1], 3: [3, 2], 4: [4, 1]}, {1: 5, 2: 5, 3: 5, 4: 5}),
+        (40, 2100, {1: [1, 1, 1, 1, 1], 2: [2, 3], 3: [5], 4: [5]}, {1: 5, 2: 4, 3: 3, 4: 4}),
     ], ids=["short-by-characters", "long-by-workers"])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_tokenize_batches_hold_a_window_of_text(self, monkeypatch, tmp_path, n, chars, batch_groups,
@@ -578,8 +603,9 @@ class TestBatchTokenize:
                 return super().post(path, body, headers)
 
         transport = SecondTokenizeBusy(ToyBackend(shift_spec()))
-        assert compress_over(monkeypatch, tmp_path, corpus_path, transport, 2, expect=3) is None
-        # the first batch was tokenized; the second batch's POST found the server busy
+        assert compress_over(monkeypatch, tmp_path, corpus_path, transport, 1, expect=3) is None
+        # at 1 worker each of the 3 groups is a batch: the first batch was tokenized; the second batch's POST
+        # found the server busy
         assert [path for path, _ in transport.posts].count("/tokenize") == 2
         assert "Traceback" not in capfd.readouterr().err
 
@@ -588,12 +614,13 @@ class TestBatchTokenize:
     # is 2 groups at 2 workers: the window is 4 batches. At the default GROUP_CHARS, 200-character instances
     # go 21 to a group (4,200 characters), so a batch of 16,384 characters per worker is the window's groups:
     # one /tokenize POST. 600-character instances go 8 to a group (4,800), so a batch is 7 groups at 2
-    # workers and 14 at 4, and the window's last group begins the second batch: two POSTs. A lane sends one
-    # /logprobs POST per group, and one for all its groups of the last batch: of 19 groups at 2 workers, the
-    # last 3 (short) or 5 (600 characters) go in 2 POSTs; of 35 at 4 workers, the last 3 go in 3 POSTs and
-    # the last 7 in 4
+    # workers and 14 at 4, and the window's last group begins the second batch: two POSTs. By count alone, 19
+    # groups at 2 workers are 9 batches of 2 and a short last one of 1, which joins the batch before it. A
+    # lane sends one /logprobs POST per group, and one for all its groups of the last batch: of 19 groups at
+    # 2 workers, the last 3 (by count, or short) or 5 (600 characters) go in 2 POSTs; of 35 at 4 workers,
+    # the last 3 go in 3 POSTs and the last 7 in 4
     @pytest.mark.parametrize("group_chars, chars, per_group, workers, held_tokenize, tokenize_posts, logprobs_posts", [
-        (0, 40, SCORE_GROUP, 2, 4, 10, 19),
+        (0, 40, SCORE_GROUP, 2, 4, 9, 18),
         (GROUP_CHARS, 200, 21, 2, 1, 3, 18),
         (GROUP_CHARS, 200, 21, 4, 1, 3, 35),
         (GROUP_CHARS, 600, SCORE_GROUP, 2, 2, 3, 16),
@@ -666,7 +693,11 @@ def test_outage_while_scoring_stops_both_stages(tmp_path, monkeypatch, capfd, co
         close(self)
 
     monkeypatch.setattr(HttpBackend, "close", recording_close)
-    with ScoringOutage(ToyBackend(shift_spec()), healthy=6) as server:
+    # 5 groups at 2 workers: a batch of 2 groups, and the short last one of 1 joined to it, 2 /tokenize POSTs;
+    # lane 0 scores group 0, then groups 2 and 4 in one step, lane 1 groups 1 and 3: 4 /logprobs POSTs. The
+    # second /tokenize POST comes before the two second steps, so the last two POSTs, which find the outage,
+    # are /logprobs POSTs
+    with ScoringOutage(ToyBackend(shift_spec()), healthy=4) as server:
         code = main([
             "compress", "--input", corpus, "--output", str(tmp_path / "out.jsonl"), "--ratio", "0.7",
             "--backend", f"http:{server.url}", *condition, "--workers", "2",
@@ -699,25 +730,33 @@ def groups_by_rule(lengths, min_count, min_chars) -> list[list[int]]:
     return groups + [group] if group else groups
 
 
-def batches_by_rule(groups, lengths, workers, group_chars) -> list[list[int]]:
+def batches_by_rule(groups, lengths, workers, group_chars, join_short_tail=True) -> list[list[int]]:
     """The instances of each /tokenize batch, by brute force over where each batch may end.
 
     Each batch, the first one too, is the fewest groups, at least
     ``workers``, that hold LOOKAHEAD_PER_WORKER x ``workers`` x
     ``group_chars`` characters of thinking; the last batch may be short.
+    With ``join_short_tail``, the rule of ``cli._batches``: a short last
+    batch joins the batch before it when the two hold at most
+    LOOKAHEAD_PER_WORKER x ``workers`` groups. Without it, the reference
+    rule of earlier versions, where the short last batch stays alone.
     """
-    batches, start = [], 0
+    spans, start = [], 0  # the groups of each batch, as [start, end)
     least = LOOKAHEAD_PER_WORKER * workers * group_chars
     while start < len(groups):
         ends = range(start + workers, len(groups) + 1)
         end = next((end for end in ends if sum(lengths[i] for group in groups[start:end] for i in group) >= least),
-                   len(groups))
-        batches.append([i for group in groups[start:end] for i in group])
-        start = end
-    return batches
+                   None)
+        spans.append([start, end or len(groups)])
+        start = end or len(groups)
+    # a short last batch: one that no end closed
+    if join_short_tail and len(spans) > 1 and end is None and \
+            spans[-1][1] - spans[-2][0] <= LOOKAHEAD_PER_WORKER * workers:
+        spans[-2:] = [[spans[-2][0], spans[-1][1]]]
+    return [[i for group in groups[start:end] for i in group] for start, end in spans]
 
 
-def rolling_posts(lengths, segments, workers, min_count, min_chars, last_batch=True) -> int:
+def rolling_posts(lengths, segments, workers, min_count, min_chars, last_batch=True, join_short_tail=True) -> int:
     """The /logprobs POSTs of the rolling rule, simulated: one POST per step of each lane.
 
     Groups close as ``cli._groups`` closes them, and group g goes to lane g
@@ -730,13 +769,13 @@ def rolling_posts(lengths, segments, workers, min_count, min_chars, last_batch=T
 
     With ``last_batch``, the rule of ``cli._compress_stream``: once a lane
     has begun a group of the input's last /tokenize batch (``batches_by_rule``
-    at ``min_chars``), a step is full only when the lane can take nothing
-    more. Without it, the reference rule of earlier versions: the window
-    fills every step.
+    at ``min_chars`` and ``join_short_tail``), a step is full only when the
+    lane can take nothing more. Without it, the reference rule of earlier
+    versions: the window fills every step.
     """
     groups = groups_by_rule(lengths, min_count, min_chars)
     # the first group of the last batch, or none
-    first_of_last = batches_by_rule(groups, lengths, workers, min_chars)[-1][0] if groups else None
+    first_of_last = batches_by_rule(groups, lengths, workers, min_chars, join_short_tail)[-1][0] if groups else None
     tail = next((g for g, group in enumerate(groups) if last_batch and group[0] == first_of_last), len(groups))
     posts = 0
     for lane in range(workers):
@@ -797,8 +836,12 @@ class TestRollingLockstep:
     """Each lane refills its window as instances end, so a step's POST is shared by whatever is live in it."""
 
     # by characters the 4 groups are one batch, the last, so each lane takes all its groups in one step and
-    # steps on until its longest instance ends; by count the last batch is the last group, of 3 instances
-    @pytest.mark.parametrize("group_chars, posts", [(0, {1: 24, 2: 27, 3: 29}), (150, {1: 6, 2: 12, 3: 18})],
+    # steps on until its longest instance ends. By count a batch is `workers` groups: at 1 worker the last
+    # batch is the last group, of 3 instances; at 2 and 3 workers that group is a short last batch, which
+    # joins the batch before it, so the last batch holds groups 4 to 6 (2 workers) or 3 to 6 (3 workers),
+    # and a lane's groups there share its steps: 21 POSTs at both, where a last batch of group 6 alone took
+    # 27 and 29
+    @pytest.mark.parametrize("group_chars, posts", [(0, {1: 24, 2: 21, 3: 21}), (150, {1: 6, 2: 12, 3: 18})],
                              ids=["by-count", "by-characters"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_logprobs_posts_follow_the_rolling_rule(self, monkeypatch, tmp_path, workers, group_chars, posts):
@@ -834,9 +877,12 @@ class TestRollingLockstep:
             sent.append((len(transport.logprobs_bodies), contexts))
         assert sent[0] == sent[1]
 
-    @pytest.mark.parametrize("workers, posts", [(1, 19), (2, 22)], ids=["1", "2"])
+    @pytest.mark.parametrize("workers, posts", [(1, 19), (2, 14)], ids=["1", "2"])
     def test_the_selections_of_an_instance_count_once(self, monkeypatch, tmp_path, workers, posts):
-        # ablate with one backend runs two selections of each instance, which join and leave together
+        # ablate with one backend runs two selections of each instance, which join and leave together. By count
+        # the 5 groups at 2 workers are a batch of groups 0 and 1 and one of groups 2 to 4, the short last batch
+        # of group 4 joined to the one before it; lane 0 scores groups 2 and 4 in shared steps (22 POSTs when
+        # group 4 alone was the last batch)
         monkeypatch.setattr(cts.cli, "GROUP_CHARS", 0)
         rng = random.Random(37)
         segments = [rng.randint(1, 6) for _ in range(4 * SCORE_GROUP + 3)]
@@ -848,8 +894,10 @@ class TestRollingLockstep:
         assert len(transport.logprobs_bodies) == posts == rolling_posts(lengths, segments, workers, SCORE_GROUP, 0)
         assert written == compress_per_segment(monkeypatch, tmp_path, corpus_path, None, 1, "ablate")
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_a_long_instance_does_not_hold_up_its_lane(self, monkeypatch, tmp_path, workers):
+    # by count a batch is `workers` groups: the 10 groups at 2 workers are 5 batches, and of the 14 at 3 workers
+    # the short last batch of 2 groups joins the batch before it: 4 batches
+    @pytest.mark.parametrize("workers, tokenize_posts", [(2, 5), (3, 4)], ids=["2", "3"])
+    def test_a_long_instance_does_not_hold_up_its_lane(self, monkeypatch, tmp_path, workers, tokenize_posts):
         # group 0, at the head of lane 0, begins with an instance of 40 segments; every other one has 1, and the
         # lane has more groups than the window of LOOKAHEAD_PER_WORKER x workers groups that map_ordered sends
         monkeypatch.setattr(cts.cli, "GROUP_CHARS", 0)
@@ -887,7 +935,7 @@ class TestRollingLockstep:
         # which waits for it, tokenizes at most LOOKAHEAD_PER_WORKER batches of workers groups
         assert len(transport.tokenized_while_long) == 39  # its segments 1 to 39, with a kept prefix
         assert max(transport.tokenized_while_long) <= LOOKAHEAD_PER_WORKER
-        assert len(transport.tokenize_bodies["/tokenize"]) == math.ceil(len(records) / SCORE_GROUP / workers)
+        assert len(transport.tokenize_bodies["/tokenize"]) == tokenize_posts
         assert written == [compress_per_segment(monkeypatch, tmp_path, corpus_path, None, 1)]
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -1051,7 +1099,9 @@ class TestUrl:
 
     @pytest.mark.parametrize("text, shown", [
         ("http://user:s3cret@h/v1", "http://h/v1"), ("http://a@b@h", "http://h"), ("http:u:p@h", "h"),
-        ("http://h/v1@x", "http://h/v1@x"),  # an @ past the host part stays
+        # a password may hold a raw /, so urlsplit's host part cannot tell where it ends: all before the last @ goes
+        ("http://user:s3/cret@h:9", "http://h:9"), ("http:u:s3/cret@h", "h"), ("u:p/w?#@x@h/v1", "h/v1"),
+        ("http://h/v1@x", "http://x"), ("u:pa//ss@h", "h"),
         ("toy:spec.json", "toy:spec.json"),
     ])
     def test_without_userinfo_drops_what_precedes_an_at_in_the_host_part(self, text, shown):
