@@ -23,8 +23,9 @@ import os
 import sys
 import time
 from collections import deque
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, suppress
 from dataclasses import dataclass
+from pathlib import PurePath
 from typing import Any, Callable, Iterable, Iterator
 
 from .backends import HttpBackend, HttpBackendConfig, LogprobBackend, ToyBackend, ToyLmSpec, without_userinfo
@@ -233,19 +234,28 @@ def _json_text(payload: dict[str, Any], indent: int | None = None) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=indent).encode("utf-8", "backslashreplace").decode("utf-8")
 
 
+def _print(text: str) -> None:
+    """Print ``text`` to stdout; one that cannot be written is a ConfigError, and stdout then goes to
+    os.devnull, so the interpreter's flush at exit does not fail again."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        with suppress(OSError):  # a stdout with no descriptor of its own, such as an io.StringIO
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise ConfigError(f"cannot write standard output: {exc}") from exc
+
+
 def _write_report(payload: dict[str, Any], args: argparse.Namespace) -> None:
     """Write the report JSON to --report and print it with --print-report, one text made before the file opens."""
     text = _json_text(payload, indent=2)
-    report_path = getattr(args, "report", None)
-    if report_path:
-        try:
-            os.makedirs(os.path.dirname(os.path.abspath(report_path)), exist_ok=True)
-            with open(report_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write report {report_path!r}: {exc}") from exc
+    if getattr(args, "report", None):
+        with JsonlWriter(args.report) as writer:
+            writer.write_text(text)
     if getattr(args, "print_report", False):
-        print(text)
+        _print(text)
 
 
 def _emit_report(report: RunReport, args: argparse.Namespace) -> None:
@@ -484,14 +494,14 @@ def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) ->
     return builders, interrupted
 
 
-def _check_outputs(written: list[str | None], inputs: list[str | None], report: str | None = None) -> None:
+def _check_outputs(written: list[str | None], inputs: list[str | None]) -> None:
     """A usage error before any call: outputs must be distinct, none an input, each a regular file if it
-    exists; the temp file of each ``written`` one (``JsonlWriter``) must be no file of the run and not exist."""
-    written = [path for path in written if path]
-    paths = [*written, report] if report else written
+    exists; the temp file of each (``JsonlWriter``) must be no file of the run and not exist."""
+    paths = [path for path in written if path]
     real = [os.path.realpath(path) for path in paths]
-    # a file named twice, or a file named as the directory that holds another
-    if len(set(real)) < len(real) or any(os.path.dirname(path) in real for path in real):
+    holders = {str(parent) for full in real for parent in PurePath(full).parents}  # the directories that hold one
+    # a file named twice, or a file named as a directory that holds another
+    if len(set(real)) < len(real) or holders.intersection(real):
         raise ConfigError(f"output files must be distinct and not directories, got {paths}")
     read = {os.path.realpath(path) for path in inputs if path}
     for path, full in zip(paths, real):
@@ -499,10 +509,11 @@ def _check_outputs(written: list[str | None], inputs: list[str | None], report: 
             raise ConfigError(f"output file {path!r} is also an input of the run")
         if os.path.exists(full) and not os.path.isfile(full):
             raise ConfigError(f"output file {path!r} exists and is not a regular file")
-    for path in written:
+    for path in paths:
         tmp = JsonlWriter(path).tmp_path
-        if os.path.realpath(tmp) in read | set(real):
-            raise ConfigError(f"temp file {tmp!r} of output file {path!r} is also an input or output of the run")
+        if os.path.realpath(tmp) in read | set(real) | holders:
+            raise ConfigError(f"temp file {tmp!r} of output file {path!r} is also an input or output of the run, "
+                              "or a directory that holds one")
         if os.path.lexists(tmp):
             raise ConfigError(f"temp file {tmp!r} of output file {path!r} exists; "
                               "it may be left over from an interrupted run")
@@ -517,8 +528,8 @@ def _run_jobs(
     Every report's wall_time_seconds is that of the shared pass.
     """
     specs = [where for kind, where in map(_endpoint, descriptors) if kind == "toy"]
-    _check_outputs([path for job in jobs for path in (job.output_path, job.dump_path)],
-                   [args.input, args.config, *specs], args.report)
+    _check_outputs([*(path for job in jobs for path in (job.output_path, job.dump_path)), args.report],
+                   [args.input, args.config, *specs])
     started = time.monotonic()
     builders, interrupted = _compress_stream(args, jobs, settings["workers"])
     wall = time.monotonic() - started
@@ -602,7 +613,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     errors: list[DatasetError] = []
     report = report_from_records(read_compressed_dataset(args.input, errors=errors), args.input, errors)
     _log_skipped(errors)
-    print(_json_text(report.to_dict()))
+    _print(_json_text(report.to_dict()))
     return EXIT_OK
 
 

@@ -283,11 +283,11 @@ def compressed_to_dict(record: CompressedInstance) -> dict[str, Any]:
 
 
 class JsonlWriter:
-    """Write JSON objects one per line to a temp file, renaming on success.
+    """Write JSON objects one per line to a temp file, renaming on success; every output file goes through one.
 
-    On any failure (including interruption) the temp file is removed so no
-    partial output is ever left at the destination path; a rename that
-    fails is a ConfigError.
+    On any failure (including interruption) the temp file is removed, so a
+    file is written whole or left as it was. An OSError while opening,
+    writing, closing or renaming is a ConfigError, unless the body already fails.
     """
 
     def __init__(self, path: str):
@@ -305,17 +305,23 @@ class JsonlWriter:
         return self
 
     def write(self, obj: dict[str, Any]) -> None:
-        self._fh.write(json.dumps(obj, ensure_ascii=False))
-        self._fh.write("\n")
+        self.write_text(json.dumps(obj, ensure_ascii=False))
+
+    def write_text(self, text: str) -> None:
+        try:
+            self._fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {self.path!r}: {exc}") from exc
         self.count += 1
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._fh.close()
         try:
+            self._fh.close()
             if exc_type is None:
                 os.replace(self.tmp_path, self.path)
         except OSError as err:
-            raise ConfigError(f"cannot write output file {self.path!r}: {err}") from err
+            if exc_type is None:  # a failing close does not replace the error the body ends with
+                raise ConfigError(f"cannot write output file {self.path!r}: {err}") from err
         finally:
             with contextlib.suppress(OSError):  # already gone after a successful rename
                 os.remove(self.tmp_path)

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
+import os
 import pathlib
 import random
 
 import pytest
 
 import cts.cli
+import cts.dataset
 from cts.backends import HttpBackend, HttpBackendConfig, ToyBackend, ToyLmSpec
 from cts.selector import compress_instance, score_rows
 
@@ -53,6 +56,35 @@ def groups_by_count(monkeypatch):
     So a small corpus of short instances spans several groups.
     """
     monkeypatch.setattr(cts.cli, "GROUP_CHARS", 0)
+
+
+class _FailingFile:
+    """A file object whose ``fails`` method ("write" or "close") raises ENOSPC once it has done its work."""
+
+    def __init__(self, fh, fails: str):
+        self._fh, self._fails = fh, fails
+
+    def __getattr__(self, name: str):
+        method = getattr(self._fh, name)
+        if name != self._fails:
+            return method
+
+        def failing(*args):
+            method(*args)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        return failing
+
+
+def fail_output(monkeypatch, path, fails: str) -> None:
+    """Make the temp file that ``cts.dataset`` opens for output file ``path`` fail at its ``fails`` method."""
+    temp = f"{path}.tmp"
+
+    def patched_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return _FailingFile(fh, fails) if str(file) == temp else fh
+
+    monkeypatch.setattr(cts.dataset, "open", patched_open, raising=False)
 
 
 def halving_calls(items: list, fails) -> list[list]:

@@ -22,8 +22,8 @@ from cts.errors import ConfigError, DatasetError
 from cts.selector import SelectionConfig, compress_instance, compress_steps, score_rows_to_dicts
 
 from conftest import (
-    UNREADABLE_JSON, make_corpus, random_spec, read_jsonl_file, shift_spec, uniform_spec, write_jsonl_file,
-    write_spec_file,
+    UNREADABLE_JSON, fail_output, make_corpus, random_spec, read_jsonl_file, shift_spec, uniform_spec,
+    write_jsonl_file, write_spec_file,
 )
 
 CONDITION = "{answer}:"
@@ -35,6 +35,13 @@ def run_cli(args):
         return main(args)
     except SystemExit as exc:  # argparse usage errors
         return exc.code
+
+
+def run_child(argv, timeout=60, **kwargs) -> subprocess.CompletedProcess:
+    """``cts`` on ``argv`` in a child interpreter with src first on its path; its stderr is captured as text."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-B", "-m", "cts.cli", *argv], env=env, stderr=subprocess.PIPE, text=True,
+                          timeout=timeout, **kwargs)
 
 
 @pytest.fixture
@@ -971,10 +978,14 @@ class TestBackendsAndConfig:
 
 
 def assert_one_error_naming(capfd, path):
-    err = capfd.readouterr().err
-    assert "Traceback" not in err
-    errors = [line for line in err.splitlines() if line.startswith("error: ")]
-    assert len(errors) == 1 and str(path) in errors[0], err
+    assert_one_error_line(capfd.readouterr().err, path)
+
+
+def assert_one_error_line(stderr: str, text) -> None:
+    """``stderr`` holds one ``error:`` line, which holds ``text``, and no traceback, not even an ignored one."""
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+    errors = [line for line in stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and str(text) in errors[0], stderr
 
 
 def argv_for(command, env, input_path, output_path):
@@ -1167,12 +1178,9 @@ class TestFilePaths:
                 "emit": ["emit", "sft", "--input", toy_env["corpus"], "--output", str(special)],
             }[output]
             # in a child, so that a run that opens the FIFO fails on the timeout instead of hanging the suite
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-            done = subprocess.run([sys.executable, "-m", "cts.cli", *argv], env=env, capture_output=True,
-                                  text=True, timeout=30)
+            done = run_child(argv, timeout=30)
             assert done.returncode == 2, done.stderr
-            errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
-            assert len(errors) == 1 and str(special) in errors[0] and "Traceback" not in done.stderr
+            assert_one_error_line(done.stderr, special)
             assert server.state.request_count == 0
             assert (sorted(os.listdir(work)), sorted(os.listdir(work / "ablate"))) == before
             mode = os.stat(special).st_mode
@@ -1215,6 +1223,21 @@ class TestFilePaths:
         assert {path: path.read_bytes() for path in [*work.iterdir(), *(work / "ablate").iterdir()]
                 if path.is_file()} == files
 
+    @pytest.mark.parametrize("nesting", ["ablate-in-report-temp", "report-holding-output"])
+    def test_an_output_under_another_output_or_its_temp_file_exits_2(self, toy_env, capfd, nesting):
+        # the directory of an output, however deep, is no other output and no temp file of one
+        work = toy_env["dir"]
+        named, argv = {
+            "ablate-in-report-temp": (work / "report.json.tmp", ablate_args(
+                toy_env, work / "report.json.tmp", extra=["--report", str(work / "report.json")])),
+            "report-holding-output": (work / "a", compress_args(
+                toy_env, extra=["--output", str(work / "a" / "b" / "out.jsonl"), "--report", str(work / "a")])),
+        }[nesting]
+        before = sorted(work.rglob("*"))
+        assert run_cli(argv) == 2
+        assert_one_error_naming(capfd, named)
+        assert sorted(work.rglob("*")) == before
+
     def test_emit_to_a_directory_exits_2_and_leaves_no_file(self, toy_env, capfd):
         compressed, out = toy_env["dir"] / "out.jsonl", toy_env["dir"] / "sft"
         assert run_cli(compress_args(toy_env)) == 0
@@ -1224,6 +1247,71 @@ class TestFilePaths:
         assert_one_error_naming(capfd, out)
         assert sorted(os.listdir(toy_env["dir"])) == before
 
+
+
+class TestFailedWrites:
+    """An output, file or stdout, that cannot be written is exit 2 with one error line and no traceback; a file's
+    temp file is removed and an earlier file at its path is left as it was."""
+
+    @pytest.mark.parametrize("fails", ["write", "close"])
+    @pytest.mark.parametrize("kind", ["dataset", "dump", "score", "ablate-mode", "emit-sft", "report"])
+    def test_a_failed_write_exits_2_and_leaves_the_earlier_file(self, toy_env, capfd, monkeypatch, kind, fails):
+        work = toy_env["dir"]
+        assert run_cli(compress_args(toy_env, out_name="compressed.jsonl")) == 0  # the input of emit sft
+        path = work / {"ablate-mode": "ablate/proposed.jsonl", "report": "report.json"}.get(kind, "out.jsonl")
+        argv = {
+            "dataset": compress_args(toy_env),
+            "dump": compress_args(toy_env, out_name="data.jsonl", extra=["--score-dump", str(path)]),
+            "score": argv_for("score", toy_env, toy_env["corpus"], path),
+            "ablate-mode": ablate_args(toy_env, work / "ablate"),
+            "emit-sft": argv_for("emit sft", toy_env, work / "compressed.jsonl", path),
+            "report": compress_args(toy_env, out_name="data.jsonl", extra=["--report", str(path)]),
+        }[kind]
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(b"an earlier file\n")
+        capfd.readouterr()
+        fail_output(monkeypatch, path, fails)
+        assert run_cli(argv) == 2
+        assert_one_error_naming(capfd, path)
+        assert path.read_bytes() == b"an earlier file\n"
+        assert not list(work.rglob("*.tmp"))
+
+    def test_a_file_size_limit_exits_2_and_leaves_the_earlier_file(self, toy_env):
+        resource = pytest.importorskip("resource")
+        limit = 8 * 1024
+        records = make_corpus(200, list("ABC "), random.Random(1), min_tokens=200, max_tokens=300)
+        corpus = write_jsonl_file([dict(record, answer="42") for record in records], toy_env["dir"] / "big.jsonl")
+        out = toy_env["dir"] / "out.jsonl"
+        out.write_bytes(b"an earlier file\n")
+        argv = compress_args(toy_env, ratio="0.5", extra=["--input", corpus, "--condition-template", "{answer}"])
+
+        def limit_file_size():  # in the child, between fork and exec
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        done = run_child(argv, preexec_fn=limit_file_size)
+        assert done.returncode == 2, done.stderr
+        assert_one_error_line(done.stderr, out)
+        assert out.read_bytes() == b"an earlier file\n"
+        assert not (toy_env["dir"] / "out.jsonl.tmp").exists()
+
+    @pytest.mark.parametrize("stdout", ["/dev/full", "closed-pipe"])
+    @pytest.mark.parametrize("command", ["stats", "print-report"])
+    def test_stdout_that_cannot_be_written_exits_2(self, toy_env, command, stdout):
+        if stdout == "/dev/full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        assert run_cli(compress_args(toy_env)) == 0
+        argv = {"stats": ["stats", "--input", str(toy_env["dir"] / "out.jsonl")],
+                "print-report": compress_args(toy_env, out_name="printed.jsonl", extra=["--print-report"])}[command]
+        with contextlib.ExitStack() as stack:
+            if stdout == "/dev/full":
+                sink = stack.enter_context(open("/dev/full", "w")).fileno()
+            else:  # a pipe whose reader is gone: a write fails with EPIPE
+                read_end, sink = os.pipe()
+                os.close(read_end)
+                stack.callback(os.close, sink)
+            done = run_child(argv, stdout=sink)
+        assert done.returncode == 2, done.stderr
+        assert_one_error_line(done.stderr, "cannot write standard output")
 
 
 class TestErrorBranches:

@@ -1,16 +1,21 @@
-"""A derandomized sweep of the CLI's settings, run in process on the toy backend.
+"""A derandomized sweep of the CLI's settings and output paths, run in process on the toy backend.
 
 Each example runs compress, score or ablate with each selection and runtime
 setting given by its flag, by a config file, or not at all: each one valid
 (some at a bound), and up to two of them out of range or of the wrong type.
 Its input ends in up to two bad lines, each a record that every reader
 skips, and its config file or toy spec may be one that json cannot read or
-that holds no JSON object. Every run exits 0, 1 or 2 (an argparse usage
-error is its SystemExit(2)) and writes no traceback to stderr; a run that
-exits 2 starts no lane and leaves no output or temp file; a wrong --workers
-or a bad config or spec file exits 2; no temp file is left and no bad line's
-id reaches an output; and the input, config and spec files are
-byte-identical afterwards. Every path lies under the test's tmp_path.
+that holds no JSON object. Its --output, --score-dump (compress only) and
+--report each name a fresh file, one under a missing directory, a file the
+run reads, an existing directory or file, a FIFO (where os.mkfifo exists),
+or another output's temp file. Every run exits 0, 1 or 2 (an argparse
+usage error is its SystemExit(2)) and writes no traceback to stderr; a run
+that exits 2 starts no lane and creates, removes or changes no file; a
+wrong --workers or a bad config or spec file exits 2; a run creates no file
+but its outputs, so no temp file is left, and no bad line's id reaches an
+output; and every file the run reads, and every other file that is not an
+output of a run that exits 0 or 1, is byte-identical afterwards. Every path
+lies under the test's tmp_path.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
@@ -18,7 +23,9 @@ These need ``hypothesis`` (a dev extra); without it the module is skipped.
 import contextlib
 import io
 import json
+import os
 import random
+import stat
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -102,6 +109,45 @@ def test_the_sweep_draws_every_setting():
     assert SETTINGS.keys() | NOT_DRAWN == cts.cli.SETTINGS.keys()
 
 
+# where an output flag points: a fresh name, one under a missing directory, a file the run reads, an existing
+# directory or file, a FIFO, or the temp file of another output
+OUTPUT_KINDS = ["fresh", "missing-directory", "input", "config", "spec", "directory", "existing",
+                *(["fifo"] if hasattr(os, "mkfifo") else []), "other-temp"]
+OUTPUT_FLAGS = ("output", "score-dump", "report")
+# per output flag, its kind, or None when it is not given; --output is a fresh name in about half the examples
+output_kinds = st.fixed_dictionaries({
+    "output": st.just("fresh") | st.sampled_from(OUTPUT_KINDS),
+    "score-dump": st.none() | st.sampled_from(OUTPUT_KINDS),
+    "report": st.none() | st.sampled_from(OUTPUT_KINDS),
+})
+
+
+def output_paths(command: str, kinds: dict, tmp: Path, inputs: dict[str, str]) -> dict[str, Path]:
+    """Per output flag given, its path. Another output's temp file is that of the first file of the next flag
+    given (cyclically) that names no temp file, ablate's --output directory holding base.jsonl; with no such flag
+    it is a fresh name."""
+    given = [flag for flag in OUTPUT_FLAGS if kinds[flag] and (flag != "score-dump" or command == "compress")]
+    paths = {flag: {"fresh": tmp / f"{flag}.out", "missing-directory": tmp / "missing" / f"{flag}.out",
+                    "directory": tmp / "directory", "existing": tmp / "existing.out", "fifo": tmp / "fifo",
+                    "other-temp": None, **{kind: Path(path) for kind, path in inputs.items()}}[kinds[flag]]
+             for flag in given}
+
+    def first_file(flag: str) -> Path:
+        return paths[flag] / "base.jsonl" if command == "ablate" and flag == "output" else paths[flag]
+
+    for number, flag in enumerate(given):
+        if paths[flag] is None:
+            others = [other for other in given[number + 1:] + given[:number] if kinds[other] != "other-temp"]
+            paths[flag] = Path(f"{first_file(others[0])}.tmp") if others else tmp / f"{flag}.out"
+    return paths
+
+
+def snapshot(root: Path) -> dict[Path, bytes | int]:
+    """Every path under ``root``: a regular file's bytes, the file type of anything else."""
+    return {path: path.read_bytes() if path.is_file() else stat.S_IFMT(path.lstat().st_mode)
+            for path in root.rglob("*")}
+
+
 def arguments(name: str, value) -> list[str]:
     """The arguments that give setting ``name`` the flag value ``value``."""
     return value if isinstance(value, list) else [f"--{name.replace('_', '-')}={value}"]
@@ -126,27 +172,35 @@ def run(argv: list[str]) -> tuple[int, str, bool]:
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["compress", "score", "ablate"]), valid=valid_settings, wrong=wrong_settings,
        bad=st.lists(st.sampled_from(BAD_LINES), max_size=2),
-       bad_file=bad_files)
-def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, valid, wrong, bad, bad_file):
+       bad_file=bad_files, kinds=output_kinds)
+def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, valid, wrong, bad, bad_file, kinds):
     drawn = {name: setting for name, setting in {**valid, **wrong}.items() if setting is not None}
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         tmp = Path(tmp)
-        inputs = [write_jsonl_file(RECORDS, tmp / "in.jsonl"), write_spec_file(SPEC, tmp / "spec.json")]
-        with open(inputs[0], "ab") as fh:
+        inputs = {"input": write_jsonl_file(RECORDS, tmp / "in.jsonl"),
+                  "spec": write_spec_file(SPEC, tmp / "spec.json")}
+        with open(inputs["input"], "ab") as fh:
             fh.writelines(line + b"\n" for line in bad)
-        argv = [command, "--input", inputs[0], "--output", str(tmp / "out"), "--backend", f"toy:{inputs[1]}"]
+        argv = [command, "--input", inputs["input"], "--backend", f"toy:{inputs['spec']}"]
         config = {name: value for name, (source, value) in drawn.items() if source == "config"}
-        if config or bad_file:
-            inputs.append(str(tmp / "config.json"))
-            Path(inputs[-1]).write_text(json.dumps(config), encoding="utf-8")
-            argv += ["--config", inputs[-1]]
+        if config or bad_file or "config" in kinds.values():
+            inputs["config"] = str(tmp / "config.json")
+            Path(inputs["config"]).write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", inputs["config"]]
         if bad_file:
             kind, content = bad_file
-            Path(inputs[-1] if kind == "config" else inputs[1]).write_bytes(content)
+            Path(inputs[kind]).write_bytes(content)
+        (tmp / "directory").mkdir()
+        (tmp / "existing.out").write_bytes(b"an earlier file\n")
+        if hasattr(os, "mkfifo"):
+            os.mkfifo(tmp / "fifo")
+        paths = output_paths(command, kinds, tmp, {"config": str(tmp / "config.json"), **inputs})
+        for flag, path in paths.items():
+            argv += [f"--{flag}", str(path)]
         for name, (source, value) in drawn.items():
             if source == "flag":
                 argv += arguments(name, value)
-        before = {path: Path(path).read_bytes() for path in inputs}
+        before = snapshot(tmp)
 
         code, stderr, started = run(argv)
 
@@ -155,10 +209,18 @@ def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, v
         assert "Traceback" not in stderr
         if "workers" in wrong or bad_file:
             assert code == 2, stderr
+        after = snapshot(tmp)
         if code == 2:
             assert not started
-            assert sorted(str(path) for path in tmp.rglob("*")) == sorted(inputs)
-        outputs = [path for path in tmp.rglob("*") if path.is_file() and str(path) not in inputs]
-        assert not any(path.suffix == ".tmp" for path in outputs)
-        assert not any(b"bad-" in path.read_bytes() for path in outputs)
-        assert {path: Path(path).read_bytes() for path in inputs} == before
+            assert after == before
+        # the files a run that exits 0 or 1 writes; it creates nothing else but the directories that hold them
+        written = {paths[flag] for flag in ("score-dump", "report") if flag in paths}
+        written |= ({paths["output"] / f"{mode.name}.jsonl" for mode in cts.cli.ABLATION_MODES}
+                    if command == "ablate" else {paths["output"]})
+        assert after.keys() - before.keys() <= {*written, *(parent for path in written for parent in path.parents)}
+        assert {path: after.get(path) for path in before if path not in written} == \
+            {path: content for path, content in before.items() if path not in written}
+        if code != 2:  # an output of a run that exits 2 may be a file it reads
+            assert not any(b"bad-" in after[path] for path in written if isinstance(after.get(path), bytes))
+        read = [Path(path) for path in inputs.values()]
+        assert [after.get(path) for path in read] == [before[path] for path in read]

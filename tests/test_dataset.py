@@ -7,6 +7,7 @@ import pytest
 from cts.dataset import (
     DUPLICATE_ID_WINDOW,
     CompressedInstance,
+    JsonlWriter,
     compressed_to_dict,
     read_compressed_dataset,
     read_dataset,
@@ -16,7 +17,7 @@ from cts.dataset import (
 )
 from cts.errors import ConfigError, DatasetError
 
-from conftest import write_jsonl_file
+from conftest import fail_output, write_jsonl_file
 
 
 def make_compressed(i: int, **overrides) -> CompressedInstance:
@@ -223,6 +224,25 @@ class TestWriteDataset:
             write_dataset([make_compressed(0)], str(out))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("fails", ["write", "close"])
+    def test_a_failed_write_is_a_config_error_and_leaves_the_earlier_file(self, tmp_path, monkeypatch, fails):
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"an earlier file\n")
+        fail_output(monkeypatch, out, fails)
+        with pytest.raises(ConfigError, match=f"cannot write output file '{out}': .*No space left on device"):
+            write_dataset([make_compressed(0)], str(out))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+        assert out.read_bytes() == b"an earlier file\n"
+
+    def test_a_failed_close_does_not_replace_the_error_the_body_ends_with(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.jsonl"
+        fail_output(monkeypatch, out, "close")
+        with pytest.raises(RuntimeError, match="mid-stream failure"):
+            with JsonlWriter(str(out)) as writer:
+                writer.write(compressed_to_dict(make_compressed(0)))
+                raise RuntimeError("mid-stream failure")
+        assert list(tmp_path.iterdir()) == []
 
     def test_lf_line_endings_utf8(self, tmp_path):
         out = tmp_path / "out.jsonl"
