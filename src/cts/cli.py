@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import itertools
 import json
 import logging
@@ -234,18 +235,24 @@ def _json_text(payload: dict[str, Any], indent: int | None = None) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=indent).encode("utf-8", "backslashreplace").decode("utf-8")
 
 
-def _print(text: str) -> None:
-    """Print ``text`` to stdout; one that cannot be written is a ConfigError, and stdout then goes to
-    os.devnull, so the interpreter's flush at exit does not fail again."""
+def _print(text: str, stream: str = "stdout") -> None:
+    """Print ``text`` to sys.stdout or sys.stderr. A stream that cannot take it, or is None, has its descriptor
+    pointed at os.devnull, so no flush at exit fails again. Lost stdout is a ConfigError, as the user asked for it;
+    a lost stderr line is dropped."""
+    out = getattr(sys, stream)
     try:
-        print(text, flush=True)
+        if out is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        print(text, file=out, flush=True)
     except OSError as exc:
-        with suppress(OSError):  # a stdout with no descriptor of its own, such as an io.StringIO
-            fd = sys.stdout.fileno()
+        with suppress(OSError):  # a stream with no descriptor of its own, such as an io.StringIO
+            fd = out.fileno() if out else {"stdout": 1, "stderr": 2}[stream]
             devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
-        raise ConfigError(f"cannot write standard output: {exc}") from exc
+            if devnull != fd:  # else it took the closed descriptor, the lowest free one
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        if stream == "stdout":
+            raise ConfigError(f"cannot write standard output: {exc}") from exc
 
 
 def _write_report(payload: dict[str, Any], args: argparse.Namespace) -> None:
@@ -256,12 +263,6 @@ def _write_report(payload: dict[str, Any], args: argparse.Namespace) -> None:
             writer.write_text(text)
     if getattr(args, "print_report", False):
         _print(text)
-
-
-def _emit_report(report: RunReport, args: argparse.Namespace) -> None:
-    _write_report(report.to_dict(), args)
-    mean = "n/a" if report.mean_actual_ratio is None else f"{report.mean_actual_ratio:.4f}"
-    logger.info("done: %d ok, %d failed, mean actual ratio %s", report.instances_ok, report.instances_failed, mean)
 
 
 def _log_skipped(errors: list[DatasetError]) -> None:
@@ -350,8 +351,8 @@ def _batches(groups: Iterable[list[CotInstance]], workers: int) -> Iterator[tupl
         yield before, True
 
 
-def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) -> tuple[list[ReportBuilder], bool]:
-    """Read the input once and run every job on each instance; returns (builders, interrupted).
+def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) -> list[ReportBuilder]:
+    """Read the input once and run every job on each instance; returns one report builder per job.
 
     Groups of consecutive instances (``_groups``) are the unit of dispatch.
     Each instance runs the steps of each selection (``compress_steps``).
@@ -389,9 +390,9 @@ def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) ->
     group is returned, as two arrays, and its score rows are built, one token
     at a time, as it is written; every other one drops them once selected.
 
-    Each output path gets its own atomic writer, so an aborted run leaves
-    none of them. When the pass ends, the lanes are stopped and then every
-    job's backend is closed.
+    Each output path gets its own atomic writer, so a pass that an outage
+    or an interrupt ends leaves none of them. When the pass ends, the lanes
+    are stopped and then every job's backend is closed.
     """
     read_errors: list[DatasetError] = []
     instances = read_dataset(args.input, _schema_from(args), errors=read_errors)
@@ -447,51 +448,47 @@ def _compress_stream(args: argparse.Namespace, jobs: list[Job], workers: int) ->
                 states_of[:] = itertools.islice(states, len(states_of))
             live = [entry for entry in live if not ended(entry[2])]
 
-    interrupted = False
-    try:
-        with ExitStack() as stack:
-            for backend in dict.fromkeys(job.backend for job in jobs):
-                stack.callback(backend.close)
+    with ExitStack() as stack:
+        for backend in dict.fromkeys(job.backend for job in jobs):
+            stack.callback(backend.close)
 
-            def writer(path: str | None) -> JsonlWriter | None:
-                return stack.enter_context(JsonlWriter(path)) if path else None
+        def writer(path: str | None) -> JsonlWriter | None:
+            return stack.enter_context(JsonlWriter(path)) if path else None
 
-            # write_dataset writes the first job's dataset and so drives the
-            # pass; every other output is written alongside it
-            outputs = [(writer(job.output_path) if i else None, writer(job.dump_path))
-                       for i, job in enumerate(jobs)]
-            # closed before the writers and the backends, so no lane thread outlives the pass
-            scored = stack.enter_context(closing(map_ordered(lane, tokenized_groups(), workers)))
-            results = itertools.chain.from_iterable(scored)
+        # write_dataset writes the first job's dataset and so drives the
+        # pass; every other output is written alongside it
+        outputs = [(writer(job.output_path) if i else None, writer(job.dump_path))
+                   for i, job in enumerate(jobs)]
+        # closed before the writers and the backends, so no lane thread outlives the pass
+        scored = stack.enter_context(closing(map_ordered(lane, tokenized_groups(), workers)))
+        results = itertools.chain.from_iterable(scored)
 
-            def first_records() -> Iterator[CompressedInstance]:
-                for instance_id, outcomes in results:
-                    for job, builder, (output, dump), i in zip(jobs, builders, outputs, shared):
-                        outcome, exc = outcomes[i]
-                        if exc is not None:
-                            builder.add_failed()
-                            logger.warning("%s: instance %s failed: %s", job.name, instance_id, exc)
-                            continue
-                        record, scores, mask = outcome
-                        builder.add_ok(record)
-                        if output is not None:
-                            output.write(compressed_to_dict(record))
-                        if dump is not None:  # one token's row and object at a time
-                            for row in score_rows_to_dicts(record.id, score_rows(*scores, job.config), mask):
-                                dump.write(row)
-                    if outcomes[0][0] is not None:
-                        yield outcomes[0][0][0]
+        def first_records() -> Iterator[CompressedInstance]:
+            for instance_id, outcomes in results:
+                for job, builder, (output, dump), i in zip(jobs, builders, outputs, shared):
+                    outcome, exc = outcomes[i]
+                    if exc is not None:
+                        builder.add_failed()
+                        logger.warning("%s: instance %s failed: %s", job.name, instance_id, exc)
+                        continue
+                    record, scores, mask = outcome
+                    builder.add_ok(record)
+                    if output is not None:
+                        output.write(compressed_to_dict(record))
+                    if dump is not None:  # one token's row and object at a time
+                        for row in score_rows_to_dicts(record.id, score_rows(*scores, job.config), mask):
+                            dump.write(row)
+                if outcomes[0][0] is not None:
+                    yield outcomes[0][0][0]
 
-            if jobs[0].output_path:
-                write_dataset(first_records(), jobs[0].output_path)
-            else:
-                deque(first_records(), maxlen=0)  # drive the pass
-    except KeyboardInterrupt:
-        interrupted = True
+        if jobs[0].output_path:
+            write_dataset(first_records(), jobs[0].output_path)
+        else:
+            deque(first_records(), maxlen=0)  # drive the pass
     _log_skipped(read_errors)
     for builder in builders:
         builder.add_failed(len(read_errors))
-    return builders, interrupted
+    return builders
 
 
 def _check_outputs(written: list[str | None], inputs: list[str | None]) -> None:
@@ -531,11 +528,9 @@ def _run_jobs(
     _check_outputs([*(path for job in jobs for path in (job.output_path, job.dump_path)), args.report],
                    [args.input, args.config, *specs])
     started = time.monotonic()
-    builders, interrupted = _compress_stream(args, jobs, settings["workers"])
+    builders = _compress_stream(args, jobs, settings["workers"])
     wall = time.monotonic() - started
     reports = [builder.build(wall, echo) for builder, echo in zip(builders, echoes)]
-    if interrupted:
-        return reports, EXIT_INTERRUPT
     return reports, _exit_code(any(report.instances_failed for report in reports), settings["lenient"])
 
 
@@ -547,7 +542,9 @@ def cmd_compress(args: argparse.Namespace) -> int:
     config = selection_config_from(settings)
     job = Job(args.command, config, build_backend(settings["backend"]), output_path, dump_path)
     (report,), code = _run_jobs(args, settings, [job], [_config_echo(settings, config, args)], [settings["backend"]])
-    _emit_report(report, args)
+    _write_report(report.to_dict(), args)
+    mean = "n/a" if report.mean_actual_ratio is None else f"{report.mean_actual_ratio:.4f}"
+    logger.info("done: %d ok, %d failed, mean actual ratio %s", report.instances_ok, report.instances_failed, mean)
     return code
 
 
@@ -599,12 +596,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         echo.update(mode=mode.name, rm_profile=mode.rm_profile, output=out_path)
         echoes.append(echo)
     reports, code = _run_jobs(args, settings, jobs, echoes, descriptors)
-    if code == EXIT_INTERRUPT:
-        return code
-    print(f"{'mode':<12} {'mean_actual_ratio':>18} {'kept_tokens_total':>18}", file=sys.stderr)
+    table = [f"{'mode':<12} {'mean_actual_ratio':>18} {'kept_tokens_total':>18}"]
     for mode, report in zip(ABLATION_MODES, reports):
         mean = "n/a" if report.mean_actual_ratio is None else f"{report.mean_actual_ratio:.4f}"
-        print(f"{mode.name:<12} {mean:>18} {report.kept_tokens_total:>18}", file=sys.stderr)
+        table.append(f"{mode.name:<12} {mean:>18} {report.kept_tokens_total:>18}")
+    _print("\n".join(table), "stderr")
     _write_report({mode.name: report.to_dict() for mode, report in zip(ABLATION_MODES, reports)}, args)
     return code
 
@@ -687,10 +683,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BackendUnavailable as exc:
-        print(f"error: backend unreachable: {exc}", file=sys.stderr)
+        _print(f"error: backend unreachable: {exc}", "stderr")
         return EXIT_BACKEND
     except CtsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print(f"error: {exc}", "stderr")
         return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_FAILURES
     except KeyboardInterrupt:
         return EXIT_INTERRUPT

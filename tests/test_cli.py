@@ -38,10 +38,11 @@ def run_cli(args):
 
 
 def run_child(argv, timeout=60, **kwargs) -> subprocess.CompletedProcess:
-    """``cts`` on ``argv`` in a child interpreter with src first on its path; its stderr is captured as text."""
+    """``cts`` on ``argv`` in a child interpreter with src first on its path; its stderr is captured as text unless
+    ``kwargs`` say where it goes."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-B", "-m", "cts.cli", *argv], env=env, stderr=subprocess.PIPE, text=True,
-                          timeout=timeout, **kwargs)
+    return subprocess.run([sys.executable, "-B", "-m", "cts.cli", *argv], env=env, text=True, timeout=timeout,
+                          **{"stderr": subprocess.PIPE, **kwargs})
 
 
 @pytest.fixture
@@ -1310,6 +1311,42 @@ class TestFailedWrites:
                 os.close(read_end)
                 stack.callback(os.close, sink)
             done = run_child(argv, stdout=sink)
+        assert done.returncode == 2, done.stderr
+        assert_one_error_line(done.stderr, "cannot write standard output")
+
+
+class TestStreams:
+    """A stream that cannot be written never changes the exit code, nor ends the run in a traceback; only stdout,
+    which the user asked for, is exit 2. Each run is a child process, stderr on /dev/full or a descriptor closed."""
+
+    @staticmethod
+    def stderr_to(kind, stack) -> dict:
+        """The run_child arguments that send the child's stderr to /dev/full, or close its descriptor 2."""
+        if kind == "closed":
+            return {"stderr": None, "preexec_fn": lambda: os.close(2)}  # in the child, between fork and exec
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        return {"stderr": stack.enter_context(open("/dev/full", "w"))}
+
+    @pytest.mark.parametrize("stderr, run, code", [
+        ("/dev/full", "usage-error", 2), ("/dev/full", "ablate", 0), ("/dev/full", "unreachable", 3),
+        ("closed", "usage-error", 2), ("closed", "ablate", 0),
+    ])
+    def test_stderr_that_cannot_be_written_keeps_the_exit_code(self, toy_env, stderr, run, code):
+        outdir = toy_env["dir"] / "ablate"
+        argv = {"usage-error": compress_args(toy_env, ratio="2"), "ablate": ablate_args(toy_env, outdir),
+                "unreachable": compress_args(toy_env, extra=["--backend", "http:http://127.0.0.1:9"])}[run]
+        with contextlib.ExitStack() as stack:
+            done = run_child(argv, stdout=subprocess.PIPE, **self.stderr_to(stderr, stack))
+        assert (done.returncode, done.stdout) == (code, "")  # print sends a line for a None sys.stderr to stdout
+        if run == "ablate":
+            assert sorted(os.listdir(outdir)) == sorted(f"{mode.name}.jsonl" for mode in cts.cli.ABLATION_MODES)
+        assert not (toy_env["dir"] / "out.jsonl").exists()
+
+    def test_a_closed_stdout_exits_2(self, toy_env):
+        # Python makes sys.stdout None, which print would quietly write nothing to
+        assert run_cli(compress_args(toy_env)) == 0
+        done = run_child(["stats", "--input", str(toy_env["dir"] / "out.jsonl")], preexec_fn=lambda: os.close(1))
         assert done.returncode == 2, done.stderr
         assert_one_error_line(done.stderr, "cannot write standard output")
 

@@ -8,14 +8,17 @@ skips, and its config file or toy spec may be one that json cannot read or
 that holds no JSON object. Its --output, --score-dump (compress only) and
 --report each name a fresh file, one under a missing directory, a file the
 run reads, an existing directory or file, a FIFO (where os.mkfifo exists),
-or another output's temp file. Every run exits 0, 1 or 2 (an argparse
-usage error is its SystemExit(2)) and writes no traceback to stderr; a run
-that exits 2 starts no lane and creates, removes or changes no file; a
-wrong --workers or a bad config or spec file exits 2; a run creates no file
-but its outputs, so no temp file is left, and no bad line's id reaches an
-output; and every file the run reads, and every other file that is not an
-output of a run that exits 0 or 1, is byte-identical afterwards. Every path
-lies under the test's tmp_path.
+another output's temp file, or a path under another output. Its toy backend
+is named by --backend in about half the examples; the environment variable
+CTS_BACKEND_URL is unset, names it too, or holds a backend descriptor with
+a password. Every run exits 0, 1 or 2 (an argparse usage error is its
+SystemExit(2)) and writes no traceback and no password to stderr; a run
+that exits 2 starts no lane and creates, removes or changes no file; a run
+with no backend, a wrong --workers, or a bad config or spec file exits 2; a
+run creates no file but its outputs, so no temp file is left, and no bad
+line's id reaches an output; and every file the run reads, and every other
+file that is not an output of a run that exits 0 or 1, is byte-identical
+afterwards. Every path lies under the test's tmp_path.
 
 These need ``hypothesis`` (a dev extra); without it the module is skipped.
 """
@@ -34,7 +37,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, event, given, settings  # noqa: E402
+from hypothesis import HealthCheck, event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import cts.cli  # noqa: E402
@@ -90,8 +93,9 @@ SETTINGS: dict[str, dict[str, tuple[list, list]]] = {
                                   "config": ([True, False], ["no", 1])},
     "lenient": {"flag": ([["--lenient"]], [["--lenient=yes"]]), "config": ([True, False], ["yes", 0])},
 }
-# each run names its toy backend by flag, so these are not drawn; tests/test_cli.py covers them
+# the backend comes by flag or environment (BACKEND_URLS), never from a config file; tests/test_cli.py covers those
 NOT_DRAWN = {"backend", "backend_tuned"}
+RATIO_ALONE = dict(dict.fromkeys(SETTINGS), ratio=("flag", "0.5"))  # the one setting compress and ablate need
 # a setting drawn: its (source, value), or None when it is not given
 valid_settings = st.fixed_dictionaries({
     name: st.none() | st.sampled_from([(source, value) for source, (valid, _) in sources.items() for value in valid])
@@ -110,9 +114,10 @@ def test_the_sweep_draws_every_setting():
 
 
 # where an output flag points: a fresh name, one under a missing directory, a file the run reads, an existing
-# directory or file, a FIFO, or the temp file of another output
+# directory or file, a FIFO, the temp file of another output, or a path under another output
 OUTPUT_KINDS = ["fresh", "missing-directory", "input", "config", "spec", "directory", "existing",
-                *(["fifo"] if hasattr(os, "mkfifo") else []), "other-temp"]
+                *(["fifo"] if hasattr(os, "mkfifo") else []), "other-temp", "under-other"]
+OF_ANOTHER = ("other-temp", "under-other")
 OUTPUT_FLAGS = ("output", "score-dump", "report")
 # per output flag, its kind, or None when it is not given; --output is a fresh name in about half the examples
 output_kinds = st.fixed_dictionaries({
@@ -123,13 +128,13 @@ output_kinds = st.fixed_dictionaries({
 
 
 def output_paths(command: str, kinds: dict, tmp: Path, inputs: dict[str, str]) -> dict[str, Path]:
-    """Per output flag given, its path. Another output's temp file is that of the first file of the next flag
-    given (cyclically) that names no temp file, ablate's --output directory holding base.jsonl; with no such flag
-    it is a fresh name."""
+    """Per output flag given, its path. A kind of OF_ANOTHER names a path of the next flag given (cyclically) whose
+    kind is not one: "other-temp" the temp file of that flag's first file, ablate's --output directory holding
+    base.jsonl, and "under-other" a path under that flag's path; with no such flag it is a fresh name."""
     given = [flag for flag in OUTPUT_FLAGS if kinds[flag] and (flag != "score-dump" or command == "compress")]
     paths = {flag: {"fresh": tmp / f"{flag}.out", "missing-directory": tmp / "missing" / f"{flag}.out",
                     "directory": tmp / "directory", "existing": tmp / "existing.out", "fifo": tmp / "fifo",
-                    "other-temp": None, **{kind: Path(path) for kind, path in inputs.items()}}[kinds[flag]]
+                    **dict.fromkeys(OF_ANOTHER), **{kind: Path(path) for kind, path in inputs.items()}}[kinds[flag]]
              for flag in given}
 
     def first_file(flag: str) -> Path:
@@ -137,8 +142,13 @@ def output_paths(command: str, kinds: dict, tmp: Path, inputs: dict[str, str]) -
 
     for number, flag in enumerate(given):
         if paths[flag] is None:
-            others = [other for other in given[number + 1:] + given[:number] if kinds[other] != "other-temp"]
-            paths[flag] = Path(f"{first_file(others[0])}.tmp") if others else tmp / f"{flag}.out"
+            others = [other for other in given[number + 1:] + given[:number] if kinds[other] not in OF_ANOTHER]
+            if not others:
+                paths[flag] = tmp / f"{flag}.out"
+            elif kinds[flag] == "other-temp":
+                paths[flag] = Path(f"{first_file(others[0])}.tmp")
+            else:
+                paths[flag] = paths[others[0]] / "b" / f"{flag}.out"
     return paths
 
 
@@ -153,11 +163,20 @@ def arguments(name: str, value) -> list[str]:
     return value if isinstance(value, list) else [f"--{name.replace('_', '-')}={value}"]
 
 
-def run(argv: list[str]) -> tuple[int, str, bool]:
-    """The exit code of ``cts.cli.main(argv)``, what it wrote to stderr, and whether it started a lane."""
+# CTS_BACKEND_URL: unset, the toy spec, or a descriptor whose password must not be printed. Both descriptors are
+# usage errors before any POST, and so before the token check; CTS_BACKEND_TOKEN is not drawn
+BACKEND_URLS = [None, "toy", "http:user:s3cret@127.0.0.1:9", "user:s3cret@127.0.0.1:9"]
+
+
+def run(argv: list[str], backend_url: str | None) -> tuple[int, str, bool]:
+    """The exit code of ``cts.cli.main(argv)`` with CTS_BACKEND_URL at ``backend_url`` (unset if None), what it
+    wrote to stderr, and whether it started a lane."""
     stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), mock.patch.object(
+    with contextlib.redirect_stderr(stderr), mock.patch.dict(os.environ), mock.patch.object(
             cts.cli, "map_ordered", wraps=cts.cli.map_ordered) as map_ordered:
+        os.environ.pop(cts.cli.ENV_BACKEND_URL, None)
+        if backend_url:
+            os.environ[cts.cli.ENV_BACKEND_URL] = backend_url
         try:
             code = cts.cli.main(argv)
         except SystemExit as exc:  # an argparse usage error
@@ -172,8 +191,15 @@ def run(argv: list[str]) -> tuple[int, str, bool]:
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["compress", "score", "ablate"]), valid=valid_settings, wrong=wrong_settings,
        bad=st.lists(st.sampled_from(BAD_LINES), max_size=2),
-       bad_file=bad_files, kinds=output_kinds)
-def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, valid, wrong, bad, bad_file, kinds):
+       bad_file=bad_files, kinds=output_kinds, backend_flag=st.booleans(), backend_url=st.sampled_from(BACKEND_URLS))
+# two pairs of outputs the draw seldom lines up, each caught by one `holders` check of cli._check_outputs: ablate's
+# mode files under the report's temp file, and the dataset under the report
+@example(command="ablate", valid=RATIO_ALONE, wrong={}, bad=[], bad_file=None, backend_flag=True, backend_url=None,
+         kinds={"output": "other-temp", "score-dump": None, "report": "fresh"})
+@example(command="compress", valid=RATIO_ALONE, wrong={}, bad=[], bad_file=None, backend_flag=True, backend_url=None,
+         kinds={"output": "under-other", "score-dump": None, "report": "fresh"})
+def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, valid, wrong, bad, bad_file, kinds,
+                                                            backend_flag, backend_url):
     drawn = {name: setting for name, setting in {**valid, **wrong}.items() if setting is not None}
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         tmp = Path(tmp)
@@ -181,7 +207,8 @@ def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, v
                   "spec": write_spec_file(SPEC, tmp / "spec.json")}
         with open(inputs["input"], "ab") as fh:
             fh.writelines(line + b"\n" for line in bad)
-        argv = [command, "--input", inputs["input"], "--backend", f"toy:{inputs['spec']}"]
+        toy = f"toy:{inputs['spec']}"
+        argv = [command, "--input", inputs["input"], *(["--backend", toy] if backend_flag else [])]
         config = {name: value for name, (source, value) in drawn.items() if source == "config"}
         if config or bad_file or "config" in kinds.values():
             inputs["config"] = str(tmp / "config.json")
@@ -202,12 +229,12 @@ def test_settings_end_in_an_exit_code_and_leave_their_files(tmp_path, command, v
                 argv += arguments(name, value)
         before = snapshot(tmp)
 
-        code, stderr, started = run(argv)
+        code, stderr, started = run(argv, toy if backend_url == "toy" else backend_url)
 
         event(f"exit {code}")
         assert code in (0, 1, 2), stderr
-        assert "Traceback" not in stderr
-        if "workers" in wrong or bad_file:
+        assert "Traceback" not in stderr and "s3cret" not in stderr
+        if "workers" in wrong or bad_file or not (backend_flag or backend_url):
             assert code == 2, stderr
         after = snapshot(tmp)
         if code == 2:

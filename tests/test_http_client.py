@@ -199,43 +199,19 @@ def compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, *, max
     return out.read_bytes() if out.exists() else None
 
 
-def posts_for(records, workers=1) -> int:
-    """compress's POSTs in global scope when groups close by count alone (``batches_of``).
-
-    One /tokenize POST per batch, and one /logprobs POST per group, but one
-    for all of a lane's groups of the last batch.
-    """
-    batches = batches_of(records, workers)
-    last = len(groups_of(batches[-1]))
-    return len(batches) + len(groups_of(records)) - last + min(workers, last)
-
-
 def tokenize_body(records) -> list:
     """The /tokenize body of a batch: the distinct thinking and condition texts of its instances, in order."""
     texts = (text for record in records for text in (record["thinking"], f"{record['answer']}:"))
     return [{"text": text} for text in dict.fromkeys(texts)]
 
 
-def groups_of(records) -> list:
-    return [records[i:i + SCORE_GROUP] for i in range(0, len(records), SCORE_GROUP)]
-
-
-def batches_of(records, workers) -> list:
-    """The records of each batch when groups close by count alone: ``workers`` consecutive groups of SCORE_GROUP.
-
-    A last batch of fewer groups is short and joins the batch before it,
-    since the two hold fewer than 2 x ``workers`` groups, within the window.
-    """
-    size = workers * SCORE_GROUP
-    batches = [records[i:i + size] for i in range(0, len(records), size)]
-    if len(batches) > 1 and len(batches[-1]) <= size - SCORE_GROUP:  # fewer than `workers` groups
-        batches[-2:] = [batches[-2] + batches[-1]]
-    return batches
-
-
 @pytest.mark.usefixtures("groups_by_count")
 class TestPipeline:
-    """compress tokenizes each batch of ``workers`` groups at once, then scores each group on one worker, in lockstep."""
+    """compress tokenizes each batch of ``workers`` groups at once, then scores each group on one worker, in lockstep.
+
+    Groups close by count alone (``groups_by_count``), so the rule's model
+    runs at ``min_chars`` 0; in global scope an instance ends at its first step.
+    """
 
     # the corpus is 3 groups: 3 batches of one group at 1 worker, each scored in a step of its own. At 2
     # workers the last batch, of 1 group, is short and joins the batch of 2 before it, so the one batch is
@@ -247,13 +223,16 @@ class TestPipeline:
         records, corpus_path = corpus
         transport = ToyTransport(ToyBackend(shift_spec()))
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers)
+        lengths = [len(record["thinking"]) for record in records]
         # the calling thread sends one /tokenize POST per batch, in input order
-        expected = [tokenize_body(batch) for batch in batches_of(records, workers)]
+        batches = batches_by_rule(groups_by_rule(lengths, SCORE_GROUP, 0), lengths, workers, 0)
+        expected = [tokenize_body([records[i] for i in batch]) for batch in batches]
         assert len(expected) == tokenize_posts
         assert transport.tokenize_bodies["/tokenize"] == expected
         assert {thread for path, thread in transport.posts if path == "/tokenize"} == {threading.current_thread()}
-        assert len(transport.logprobs_bodies) == logprobs_posts
-        assert len(transport.posts) == tokenize_posts + logprobs_posts == posts_for(records, workers)
+        assert len(transport.logprobs_bodies) == logprobs_posts == rolling_posts(
+            lengths, [1] * len(records), workers, SCORE_GROUP, 0)
+        assert len(transport.posts) == tokenize_posts + logprobs_posts
         spec_path = write_spec_file(shift_spec(), tmp_path / "spec.json")
         assert written == _compress_with_toy(corpus_path, spec_path, tmp_path)
 
@@ -267,7 +246,9 @@ class TestPipeline:
         ])
         # the four modes' texts go out once per backend, in one batch: the last batch, of 1 group, is short
         # and joins the batch of 2 before it. Each mode shares the thinking, and the conditional modes the condition
-        expected = [tokenize_body(batch) for batch in batches_of(records, 2)]
+        lengths = [len(record["thinking"]) for record in records]
+        expected = [tokenize_body([records[i] for i in batch])
+                    for batch in batches_by_rule(groups_by_rule(lengths, SCORE_GROUP, 0), lengths, 2, 0)]
         assert len(expected) == 1
         assert transport.tokenize_bodies.keys() == {"/standard/tokenize", "/tuned/tokenize"}
         for bodies in transport.tokenize_bodies.values():
@@ -279,7 +260,7 @@ class TestPipeline:
         records, corpus_path = corpus
         transport = ToyTransport(ToyBackend(shift_spec()))
         compress_over(monkeypatch, tmp_path, corpus_path, transport, workers=1)
-        assert len(transport.posts) == posts_for(records)
+        assert len(transport.posts) == posts_by_rule(records, 1)
         # the one lane has a thread of its own, so tokenizing runs ahead of its scoring
         threads = defaultdict(set)
         for path, thread in transport.posts:
@@ -444,7 +425,7 @@ class TestCoalescedScoring:
         # the group's POST of 2 requests for each of its SCORE_GROUP instances failed, and was halved down to
         # the bad instance's 2 requests, each then sent alone, as an array too: calls of 8, 4 and 2 requests
         # and the 2 single ones fail, and calls of 2, 4 and 8 go through
-        assert len(transport.posts) == posts_for(records, workers) + 8
+        assert len(transport.posts) == posts_by_rule(records, workers) + 8
         assert all(isinstance(body, list) for body in transport.logprobs_bodies)
         expected = _compress_with_toy(corpus_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
         lines = expected.splitlines(keepends=True)
@@ -463,7 +444,7 @@ class TestCoalescedScoring:
         records, corpus_path = corpus
         transport = Busy(ToyBackend(shift_spec()), busy=1)
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, 1, max_retries=1)
-        assert len(transport.posts) == posts_for(records) + 1
+        assert len(transport.posts) == posts_by_rule(records, 1) + 1
         assert transport.bodies[0] == transport.bodies[1]
         assert len(json.loads(transport.bodies[0])) == 2 * SCORE_GROUP
         assert written == _compress_with_toy(corpus_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
@@ -502,7 +483,7 @@ class TestGroupTokenizeIsolation:
         assert [path for path, _ in transport.posts] == ["/tokenize"] * len(expected) + ["/logprobs"] * groups
         # beyond a run with no failure: the halves, at most 2 * ceil(log2 n) POSTs for one bad text of n
         n = len(expected[0])
-        assert len(transport.posts) == posts_for(records, workers) + len(expected) - 1
+        assert len(transport.posts) == posts_by_rule(records, workers) + len(expected) - 1
         assert len(expected) <= 1 + 2 * math.ceil(math.log2(n))
         good = [record for i, record in enumerate(records) if i != bad]
         good_path = write_jsonl_file(good, tmp_path / "good.jsonl")
@@ -534,9 +515,10 @@ class TestGroupTokenizeIsolation:
         transport = DeepReplies(ToyBackend(shift_spec()))
         written = compress_over(monkeypatch, tmp_path, corpus_path, transport, workers, expect=1)
         # a reply json cannot read is a protocol error of its POST, so the halving rule lands it on the bad text
+        lengths = [len(record["thinking"]) for record in records]
         assert transport.tokenize_bodies["/tokenize"] == [
-            call for batch in batches_of(records, workers)
-            for call in halving_calls(tokenize_body(batch), lambda texts: poison in texts)]
+            call for batch in batches_by_rule(groups_by_rule(lengths, SCORE_GROUP, 0), lengths, workers, 0)
+            for call in halving_calls(tokenize_body([records[i] for i in batch]), lambda texts: poison in texts)]
         good_path = write_jsonl_file(records[:bad] + records[bad + 1:], tmp_path / "good.jsonl")
         assert written == _compress_with_toy(good_path, write_spec_file(shift_spec(), tmp_path / "spec.json"), tmp_path)
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
@@ -710,6 +692,33 @@ def test_outage_while_scoring_stops_both_stages(tmp_path, monkeypatch, capfd, co
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("failure, code", [(KeyboardInterrupt, 130), (BackendUnavailable, 3)],
+                         ids=["interrupt", "outage"])
+@pytest.mark.parametrize("command", ["compress", "score", "ablate"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.usefixtures("groups_by_count")
+def test_an_interrupt_leaves_the_files_an_outage_leaves(monkeypatch, tmp_path, capfd, corpus, workers, command,
+                                                        failure, code):
+    # raised at the second /logprobs POST, on a lane's thread, while the pass is under way
+    class FailsAtTheSecondScoring(ToyTransport):
+        def post(self, path, body, headers):
+            if path == "/logprobs" and self.logprobs_bodies:
+                raise failure("at the second /logprobs POST")
+            return super().post(path, body, headers)
+
+    before = set(threading.enumerate())
+    out, report = tmp_path / "out", tmp_path / "report.json"
+    cli_over(monkeypatch, FailsAtTheSecondScoring(ToyBackend(shift_spec())), [
+        command, "--input", corpus[1], "--output", str(out), "--ratio", "0.7", "--backend", "http://fake",
+        "--condition-template", "{answer}:", "--workers", str(workers), "--report", str(report), "--print-report",
+    ], expect=code)
+    assert set(threading.enumerate()) <= before
+    # no output, ablate's mode files in its --output directory included, no report and no temp file
+    assert not report.exists() and (os.listdir(out) == [] if command == "ablate" else not out.exists())
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert capfd.readouterr().out == ""
+
+
 def _compress_with_toy(corpus, spec_path, tmp_path) -> bytes:
     out = tmp_path / "toy.jsonl"
     assert main([
@@ -804,6 +813,14 @@ def rolling_posts(lengths, segments, workers, min_count, min_chars, last_batch=T
             posts += 1
             left = {i: n - 1 for i, n in left.items() if n > 1}
     return posts
+
+
+def posts_by_rule(records, workers) -> int:
+    """The POSTs of a global-scope compress when groups close by count alone (``groups_by_count``), by the rule's
+    model at ``min_chars`` 0: one /tokenize POST per batch and ``rolling_posts``, each instance ending at one step."""
+    lengths = [len(record["thinking"]) for record in records]
+    batches = batches_by_rule(groups_by_rule(lengths, SCORE_GROUP, 0), lengths, workers, 0)
+    return len(batches) + rolling_posts(lengths, [1] * len(records), workers, SCORE_GROUP, 0)
 
 
 def per_segment_corpus(segments, rng) -> list[dict]:
@@ -996,10 +1013,11 @@ class TestRollingLockstep:
             "--report", str(report),
         ], expect=130)
         assert set(threading.enumerate()) <= before
-        if command == "compress":  # its report counts what the run did before the interrupt
-            assert not out.exists() and report.exists()
+        assert not report.exists()
+        if command == "compress":
+            assert not out.exists()
         else:  # ablate's --output is the directory of its mode files
-            assert os.listdir(out) == [] and not report.exists()
+            assert os.listdir(out) == []
 
 
 class Replies:
